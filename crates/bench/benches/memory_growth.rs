@@ -31,7 +31,11 @@ fn bench_release_suite(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
                 for test in tt_kernel::apps::release_tests() {
-                    let outcome = tt_kernel::differential::run_one(&test, flavor);
+                    let outcome = tt_kernel::differential::run_one_on(
+                        &test,
+                        flavor,
+                        &tt_hw::platform::NRF52840DK,
+                    );
                     std::hint::black_box(outcome);
                 }
             })

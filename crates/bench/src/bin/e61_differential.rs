@@ -17,7 +17,9 @@
 use std::process::ExitCode;
 
 use tt_bench::reports;
-use tt_kernel::differential::{render_report, run_release_suite, run_release_suite_all_chips};
+use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
+use tt_kernel::differential::{render_report, run_release_suite};
+use tt_kernel::pool;
 use tt_kernel::trace::render_divergence;
 
 fn main() -> ExitCode {
@@ -31,7 +33,7 @@ fn main() -> ExitCode {
     });
 
     println!("Section 6.1: Differential testing (Tock vs TickTock, 21 release tests)");
-    let results = run_release_suite();
+    let (_, results) = run_release_suite(&[NRF52840DK], pool::default_threads()).remove(0);
     println!("{}", render_report(&results));
     for r in &results {
         if !r.matches() {
@@ -55,7 +57,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = json_path {
         let started = std::time::Instant::now();
-        let per_chip = run_release_suite_all_chips();
+        let per_chip = run_release_suite(&ALL_CHIPS, pool::default_threads());
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         unexpected.extend(reports::e61_unexpected(&per_chip));
         let doc = reports::e61_json(&per_chip, wall_ms);

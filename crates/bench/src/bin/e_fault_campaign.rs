@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use tt_bench::explore::{planted_demo, render as render_explore, run_explore_fleet};
 use tt_bench::reports;
 use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
-use tt_kernel::campaign::{render_report, run_campaign};
+use tt_kernel::campaign::{render_report, run_campaign_profiled};
 use tt_kernel::pool;
 
 /// Injected baselines per chip the folded explorer sweeps (the
@@ -51,7 +51,7 @@ fn main() -> ExitCode {
 
     println!("Fault-injection campaign (seeded, deterministic; victim pid 0, 2 bystanders)");
     let started = std::time::Instant::now();
-    let reports = run_campaign(seeds);
+    let reports = run_campaign_profiled(&ALL_CHIPS, seeds, pool::default_threads(), &[]).reports;
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     print!("{}", render_report(&reports, seeds));
     println!("wall clock: {wall_ms:.0} ms");

@@ -1,15 +1,16 @@
 //! Fleet-scale schedule exploration: the `e_explore` engine and gate.
 //!
 //! Wraps `tt_kernel::explore` in the same shape as the fault-campaign
-//! machinery: a pool of thread-affine [`FleetRunner`]s walks every
-//! `(chip, baseline)` unit — the clean baseline plus `--seeds` injected
-//! ones per chip — and explores one interrupt-arrival representative per
-//! commuting class. The gate demands a schedule-clean campaign, a DPOR
-//! pruning ratio above the `min_explore_prune_ratio` floor in
-//! `ci/bench_baseline.json`, and detector power: the planted
-//! commit-window bug ([`tt_kernel::explore::planted`]) must be invisible
-//! to a seed sweep, found by exploration, and absent on the control
-//! kernel when its minimized schedule is replayed.
+//! machinery: pool workers keep the campaign's [`RunnerSlots`] cache of
+//! thread-affine runners, walk every `(chip, baseline)` unit — the clean
+//! baseline plus `--seeds` injected ones per chip — and explore one
+//! interrupt-arrival representative per commuting class. The gate
+//! demands a schedule-clean campaign, a DPOR pruning ratio above the
+//! `min_explore_prune_ratio` floor in `ci/bench_baseline.json`, and
+//! detector power: the planted commit-window bug
+//! ([`tt_kernel::explore::planted`]) must be invisible to a seed sweep,
+//! found by exploration, and absent on the control kernel when its
+//! minimized schedule is replayed.
 //!
 //! Findings persist as version-2 [`CorpusRecord`]s (`ci/corpus/
 //! schedules.bin`): the 64-bit schedule ID plus baseline seed (or the
@@ -21,7 +22,7 @@ use std::time::Instant;
 use tt_hw::injection::InjectionPlan;
 use tt_hw::platform::{ChipProfile, ALL_CHIPS};
 use tt_hw::sched::InterruptSchedule;
-use tt_kernel::campaign::{FleetRunner, VICTIM};
+use tt_kernel::campaign::{CaptureStats, RunnerSlots, VICTIM};
 use tt_kernel::corpus::{read_corpus, CorpusRecord};
 use tt_kernel::explore::{
     bystander_reference, explore, planted, validate_scheduled, ExploreOutcome, Finding,
@@ -101,9 +102,9 @@ impl ExploreFleet {
 /// Explores every `(chip, baseline)` unit on a work-stealing pool.
 ///
 /// Baselines per chip: clean (`None`) plus seeds `0..seeds`. Each worker
-/// keeps one [`FleetRunner`] per chip it touches (runners are
-/// thread-affine), so outcomes are a pure function of the unit —
-/// byte-identical across thread counts. `cap` bounds representatives per
+/// keeps one warm runner per chip it touches in its [`RunnerSlots`]
+/// (runners are thread-affine), so outcomes are a pure function of the
+/// unit — byte-identical across thread counts. `cap` bounds representatives per
 /// unit; `budget_ms` is a fleet-wide wall-clock budget — units starting
 /// past it report `truncated` with zero work instead of running (the one
 /// deliberately nondeterministic knob, for CI).
@@ -118,11 +119,12 @@ pub fn run_explore_fleet(
     let units: Vec<(usize, Option<u64>)> = (0..chips.len())
         .flat_map(|c| std::iter::once((c, None)).chain((0..seeds).map(move |s| (c, Some(s)))))
         .collect();
+    let stats = CaptureStats::default();
     let outcomes = pool::run_indexed_ctx(
         &units,
         threads,
-        Vec::new,
-        |runners: &mut Vec<Option<FleetRunner>>, _, &(c, seed)| {
+        || RunnerSlots::new(chips, &stats),
+        |slots, _, &(c, seed)| {
             if budget_ms.is_some_and(|ms| t0.elapsed().as_secs_f64() * 1e3 >= ms) {
                 return ExploreOutcome {
                     chip: chips[c].name.to_string(),
@@ -135,11 +137,7 @@ pub fn run_explore_fleet(
                     findings: Vec::new(),
                 };
             }
-            if runners.len() < chips.len() {
-                runners.resize_with(chips.len(), || None);
-            }
-            let runner = runners[c].get_or_insert_with(|| FleetRunner::new(&chips[c]));
-            explore(runner, seed, cap)
+            slots.with(c, false, |runner| explore(runner, seed, cap))
         },
     );
     ExploreFleet {
@@ -231,35 +229,29 @@ pub fn explore_records(outcomes: &[ExploreOutcome]) -> Vec<CorpusRecord> {
 }
 
 /// Replays persisted schedule records against the standard campaign
-/// scenario, returning every oracle failure that still reproduces (a
-/// previously-found schedule that now passes contributes nothing).
+/// scenario, serially, returning every oracle failure that still
+/// reproduces (a previously-found schedule that now passes contributes
+/// nothing). Each record is checked against its runner's clean run.
 pub fn replay_schedule_records(records: &[CorpusRecord]) -> Vec<String> {
-    let mut failures = Vec::new();
-    let mut runners: Vec<Option<(FleetRunner, Vec<Vec<tt_hw::trace::TraceEvent>>)>> =
-        std::iter::repeat_with(|| None)
-            .take(ALL_CHIPS.len())
-            .collect();
-    for r in records.iter().filter(|r| r.schedule != 0) {
-        let idx = r.chip as usize;
-        if idx >= ALL_CHIPS.len() {
-            failures.push(format!("corpus chip index {} out of range", r.chip));
-            continue;
-        }
-        let (runner, reference) = runners[idx].get_or_insert_with(|| {
-            let mut runner = FleetRunner::new(&ALL_CHIPS[idx]);
-            let reference = bystander_reference(&runner.run_plan(None));
-            (runner, reference)
-        });
-        let plan = (!r.clean).then(|| InjectionPlan::from_seed(r.seed, VICTIM as u32));
-        let run = runner.run_scheduled(plan, &InterruptSchedule::from_id(r.schedule));
-        failures.extend(validate_scheduled(
-            &ALL_CHIPS[idx],
-            &run,
-            r.schedule,
-            reference,
-        ));
-    }
-    failures
+    let records: Vec<&CorpusRecord> = records.iter().filter(|r| r.schedule != 0).collect();
+    let stats = CaptureStats::default();
+    pool::run_indexed_ctx(
+        &records,
+        1,
+        || RunnerSlots::new(&ALL_CHIPS, &stats),
+        |slots, _, r| {
+            if usize::from(r.chip) >= ALL_CHIPS.len() {
+                return vec![format!("corpus chip index {} out of range", r.chip)];
+            }
+            let plan = (!r.clean).then(|| InjectionPlan::from_seed(r.seed, VICTIM as u32));
+            slots.with(usize::from(r.chip), false, |runner| {
+                let reference = bystander_reference(&runner.run_plan(None));
+                let run = runner.run_scheduled(plan, &InterruptSchedule::from_id(r.schedule));
+                validate_scheduled(runner.chip(), &run, r.schedule, &reference)
+            })
+        },
+    )
+    .concat()
 }
 
 /// Reads `<dir>/schedules.bin` into replayable records. A missing file

@@ -7,8 +7,9 @@
 
 use std::collections::BTreeMap;
 use tt_hw::cycles::{self, CycleStats};
+use tt_hw::platform::NRF52840DK;
 use tt_kernel::apps::release_tests;
-use tt_kernel::differential::run_one;
+use tt_kernel::differential::run_one_on;
 use tt_kernel::loader::flash_app;
 use tt_kernel::pool;
 use tt_kernel::process::Flavor;
@@ -80,7 +81,7 @@ pub fn collect_with_threads(
         let prev = cycles::set_recording(true);
         match unit {
             Some(t) => {
-                let _ = run_one(&tests[t], flavor);
+                let _ = run_one_on(&tests[t], flavor, &NRF52840DK);
             }
             None => stress_workload(flavor),
         }

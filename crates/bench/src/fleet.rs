@@ -11,8 +11,9 @@
 //!
 //! The speedup is only admissible because it is *gated*:
 //! [`equivalence_failures`] demands that restored-machine runs are
-//! byte-identical to fresh-boot runs (Full-scope trace, violations,
-//! terminal states, fired counts) on every chip in both cache modes, and
+//! byte-identical to fresh-boot runs in every record field (Full-scope
+//! trace, violations, terminal states, fired counts, recovery and
+//! commit-cache tallies) on every chip in both cache modes, and
 //! [`check`] enforces both that gate and a restore-vs-boot speedup floor
 //! (`min_restore_speedup` in `ci/bench_baseline.json`). Failing runs
 //! persist as fixed-width [`CorpusRecord`]s under `ci/corpus/` and their
@@ -22,10 +23,10 @@ use std::path::Path;
 use std::time::Instant;
 
 use crate::json;
-use tt_hw::platform::{ChipProfile, ALL_CHIPS};
+use tt_hw::platform::ALL_CHIPS;
 use tt_kernel::campaign::{
-    boot_probe, run_campaign_profiled, run_one, shrink_failing_seed, ChipReport, FleetRunner,
-    RunRecord, Unit, UnitOutcome,
+    boot_probe, record_difference, run_campaign_profiled, run_one, shrink_failing_seed, ChipReport,
+    FleetRunner, Unit, UnitOutcome,
 };
 use tt_kernel::corpus::{read_corpus, CorpusRecord};
 
@@ -40,99 +41,28 @@ const EQUIVALENCE_SEEDS: [Option<u64>; 3] = [None, Some(1), Some(5)];
 /// that reference was measured at 10^5 runs.
 const FLEET_FLOOR_MIN_RUNS: u64 = 50_000;
 
-/// Compares one fresh-boot record against one restored-machine record;
-/// `None` means byte-identical in every gated dimension.
-fn diff_records(
-    chip: &ChipProfile,
-    seed: Option<u64>,
-    cold: bool,
-    fresh: &RunRecord,
-    restored: &RunRecord,
-) -> Option<String> {
-    let tag = |what: &str| {
-        format!(
-            "{} seed {seed:?} {}: {what}",
-            chip.name,
-            if cold { "cold" } else { "warm" }
-        )
-    };
-    if fresh.trace.events != restored.trace.events {
-        let at = fresh
-            .trace
-            .events
-            .iter()
-            .zip(&restored.trace.events)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| fresh.trace.events.len().min(restored.trace.events.len()));
-        return Some(tag(&format!(
-            "restored trace diverged at event #{at} ({} vs {} events)",
-            fresh.trace.events.len(),
-            restored.trace.events.len()
-        )));
-    }
-    if fresh.violations != restored.violations {
-        return Some(tag("restored violations differ"));
-    }
-    if fresh.states != restored.states {
-        return Some(tag(&format!(
-            "restored terminal states differ: {:?} vs {:?}",
-            fresh.states, restored.states
-        )));
-    }
-    if fresh.fired != restored.fired {
-        return Some(tag(&format!(
-            "restored fired count differs: {} vs {}",
-            fresh.fired, restored.fired
-        )));
-    }
-    if (fresh.restarts, fresh.recoveries, fresh.recovery_cycles)
-        != (
-            restored.restarts,
-            restored.recoveries,
-            restored.recovery_cycles,
-        )
-    {
-        return Some(tag("restored recovery tallies differ"));
-    }
-    if (fresh.cache_hits, fresh.cache_misses) != (restored.cache_hits, restored.cache_misses) {
-        return Some(tag(&format!(
-            "restored commit-cache counters differ: {}h/{}m vs {}h/{}m",
-            fresh.cache_hits, fresh.cache_misses, restored.cache_hits, restored.cache_misses
-        )));
-    }
-    None
-}
-
 /// The restore-equivalence gate: for every chip, both cache modes and
 /// the `EQUIVALENCE_SEEDS`, a restored-machine run must reproduce the
-/// fresh-boot run byte-for-byte. Returns the rendered failures (empty =
-/// gate holds).
+/// fresh-boot run byte-for-byte, field by field
+/// ([`record_difference`]). Returns the rendered failures (empty = gate
+/// holds).
 pub fn equivalence_failures() -> Vec<String> {
     let mut failures = Vec::new();
     for chip in &ALL_CHIPS {
         for cold in [false, true] {
-            let run_pair = |seed: Option<u64>| {
+            for seed in EQUIVALENCE_SEEDS {
+                let pair = || (run_one(chip, seed), FleetRunner::new(chip).run_seed(seed));
                 let (fresh, restored) = if cold {
-                    let fresh = tt_hw::commit_cache::with_disabled(|| run_one(chip, seed));
-                    let restored = tt_hw::commit_cache::with_disabled(|| {
-                        let mut runner = FleetRunner::new(chip);
-                        runner.run_seed(seed)
-                    });
-                    (fresh, restored)
+                    tt_hw::commit_cache::with_disabled(pair)
                 } else {
-                    let fresh = run_one(chip, seed);
-                    let mut runner = FleetRunner::new(chip);
-                    (fresh, runner.run_seed(seed))
+                    pair()
                 };
-                let diff = diff_records(chip, seed, cold, &fresh, &restored);
+                if let Some(what) = record_difference(&fresh, &restored) {
+                    let mode = if cold { "cold" } else { "warm" };
+                    failures.push(format!("{} seed {seed:?} {mode}: {what}", chip.name));
+                }
                 tt_hw::trace::recycle(fresh.trace);
                 tt_hw::trace::recycle(restored.trace);
-                diff
-            };
-            for seed in EQUIVALENCE_SEEDS {
-                if let Some(f) = run_pair(seed) {
-                    failures.push(f);
-                }
             }
         }
     }

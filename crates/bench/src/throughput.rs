@@ -20,8 +20,8 @@ use std::time::Instant;
 
 use crate::{json, reports};
 use tt_hw::platform::ALL_CHIPS;
-use tt_kernel::campaign::{render_report, run_campaign_on};
-use tt_kernel::differential::run_release_suite_all_chips_with_threads;
+use tt_kernel::campaign::{render_report, run_campaign_profiled};
+use tt_kernel::differential::run_release_suite;
 use tt_kernel::pool;
 
 /// One rung of the thread ladder: wall-clock and run counts for both
@@ -79,11 +79,11 @@ pub fn thread_ladder(max_threads: usize) -> Vec<usize> {
 /// differential suite, both across all chips at `threads` workers.
 pub fn measure(seeds: u64, threads: usize) -> LadderEntry {
     let t0 = Instant::now();
-    let campaign = run_campaign_on(&ALL_CHIPS, seeds, threads);
+    let campaign = run_campaign_profiled(&ALL_CHIPS, seeds, threads, &[]).reports;
     let campaign_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t1 = Instant::now();
-    let per_chip = run_release_suite_all_chips_with_threads(threads);
+    let per_chip = run_release_suite(&ALL_CHIPS, threads);
     let diff_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     let campaign_runs = campaign.iter().map(|r| r.runs * 2).sum::<u64>();

@@ -12,21 +12,23 @@
 use proptest::prelude::*;
 use tt_bench::reports;
 use tt_bench::throughput::measure;
-use tt_hw::platform::{HIFIVE1, NRF52840DK};
-use tt_kernel::campaign::{render_report as render_campaign, run_campaign_on};
-use tt_kernel::differential::{
-    render_report as render_diff, run_release_suite_all_chips_with_threads,
-    run_release_suite_on_with_threads,
-};
+use tt_hw::platform::{ChipProfile, ALL_CHIPS, HIFIVE1, NRF52840DK};
+use tt_kernel::campaign::{render_report as render_campaign, run_campaign_profiled, ChipReport};
+use tt_kernel::differential::{render_report as render_diff, run_release_suite};
+
+/// The campaign's per-chip reports at `threads` workers.
+fn campaign(chips: &[ChipProfile], seeds: u64, threads: usize) -> Vec<ChipReport> {
+    run_campaign_profiled(chips, seeds, threads, &[]).reports
+}
 
 #[test]
 fn campaign_artifacts_are_byte_identical_serial_vs_parallel() {
     let chips = [NRF52840DK, HIFIVE1];
-    let serial = run_campaign_on(&chips, 3, 1);
+    let serial = campaign(&chips, 3, 1);
     let serial_text = render_campaign(&serial, 3);
     let serial_json = reports::campaign_json(&serial, 3, 0.0);
     for threads in [2, 8] {
-        let parallel = run_campaign_on(&chips, 3, threads);
+        let parallel = campaign(&chips, 3, threads);
         assert_eq!(
             serial_text,
             render_campaign(&parallel, 3),
@@ -42,15 +44,12 @@ fn campaign_artifacts_are_byte_identical_serial_vs_parallel() {
 
 #[test]
 fn e61_artifacts_are_byte_identical_serial_vs_parallel() {
-    let serial_chip = render_diff(&run_release_suite_on_with_threads(&NRF52840DK, 1));
-    assert_eq!(
-        serial_chip,
-        render_diff(&run_release_suite_on_with_threads(&NRF52840DK, 8))
-    );
-    let serial_all = reports::e61_json(&run_release_suite_all_chips_with_threads(1), 0.0);
+    let nrf_report = |threads| render_diff(&run_release_suite(&[NRF52840DK], threads)[0].1);
+    assert_eq!(nrf_report(1), nrf_report(8));
+    let serial_all = reports::e61_json(&run_release_suite(&ALL_CHIPS, 1), 0.0);
     assert_eq!(
         serial_all,
-        reports::e61_json(&run_release_suite_all_chips_with_threads(8), 0.0)
+        reports::e61_json(&run_release_suite(&ALL_CHIPS, 8), 0.0)
     );
 }
 
@@ -75,8 +74,8 @@ proptest! {
         threads in 2usize..10,
     ) {
         let chips = [NRF52840DK];
-        let serial = reports::campaign_json(&run_campaign_on(&chips, seeds, 1), seeds, 0.0);
-        let parallel = reports::campaign_json(&run_campaign_on(&chips, seeds, threads), seeds, 0.0);
+        let serial = reports::campaign_json(&campaign(&chips, seeds, 1), seeds, 0.0);
+        let parallel = reports::campaign_json(&campaign(&chips, seeds, threads), seeds, 0.0);
         prop_assert_eq!(serial, parallel);
     }
 }

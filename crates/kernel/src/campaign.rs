@@ -14,6 +14,15 @@
 //! panicked), and that recovery converged: bystanders exit, the victim
 //! ends [`ProcessState::Exited`] or — restart cap exhausted —
 //! [`ProcessState::Killed`], never a livelock.
+//!
+//! There is one way to run a unit and one oracle. Every fleet run —
+//! campaign seed, shrink candidate, explorer schedule, corpus replay —
+//! goes through the [`FleetRunner`]'s single run body, and every failure
+//! line comes from one check over one streaming walk ([`Reference`],
+//! [`StreamVerdict`]), whether the walk ran in place over the undrained
+//! trace ring or over a drained record.
+
+use std::time::Instant;
 
 use crate::capsules::driver;
 use crate::kernel::{App, AppFactory, FaultPolicy, Kernel, Step};
@@ -23,12 +32,12 @@ use crate::process::{Flavor, ProcessState};
 use crate::shrink;
 use crate::snapshot::MachineSnapshot;
 use crate::trace::{
-    event_pid, normalize, normalize_for_pid, observable_event, render_event, Trace, TraceEvent,
+    event_pid, normalize, observable_event, render_event, Trace, TraceDivergence, TraceEvent,
     TraceScope,
 };
 use tt_contracts::{take_violations, with_mode, Mode};
 use tt_hw::injection::{self, InjectionPlan};
-use tt_hw::platform::{ChipProfile, ALL_CHIPS};
+use tt_hw::platform::ChipProfile;
 use tt_hw::sched::{self, InterruptSchedule, ALL_ARRIVAL_POINTS};
 use tt_hw::trace;
 
@@ -190,8 +199,70 @@ pub struct RunRecord {
     pub cache_hits: u64,
     /// Commit-cache misses, likewise.
     pub cache_misses: u64,
-    /// The full event trace.
+    /// The full event trace. Empty when the run was checked in place
+    /// ([`RunRecord::oracle`] is set): the ring is then cleared, never
+    /// drained.
     pub trace: Trace,
+    /// What the oracle's streaming walk found when the fleet run body
+    /// checked this run in place against a [`Reference`]; `None` for
+    /// runs whose trace was drained into [`RunRecord::trace`] instead.
+    pub oracle: Option<StreamVerdict>,
+}
+
+/// The one restore-equivalence comparison: the first field in which a
+/// fresh-boot record and a restored-machine record of the same unit
+/// differ, rendered (`None` = identical in every field). The
+/// destructuring below is exhaustive, so a new [`RunRecord`] field
+/// cannot be left out of the comparison.
+pub fn record_difference(fresh: &RunRecord, restored: &RunRecord) -> Option<String> {
+    fn field<T: PartialEq + std::fmt::Debug>(name: &str, a: &T, b: &T) -> Option<String> {
+        (a != b).then(|| format!("restored {name} differs: {a:?} vs {b:?}"))
+    }
+    let RunRecord {
+        seed,
+        fired,
+        irq_fired,
+        violations,
+        states,
+        restarts,
+        recoveries,
+        recovery_cycles,
+        cache_hits,
+        cache_misses,
+        trace,
+        oracle,
+    } = fresh;
+    if trace.events != restored.trace.events {
+        let at = trace
+            .events
+            .iter()
+            .zip(&restored.trace.events)
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| trace.events.len().min(restored.trace.events.len()));
+        return Some(format!(
+            "restored trace diverged at event #{at} ({} vs {} events)",
+            trace.events.len(),
+            restored.trace.events.len()
+        ));
+    }
+    field("dropped count", &trace.dropped, &restored.trace.dropped)
+        .or_else(|| field("seed", seed, &restored.seed))
+        .or_else(|| field("fired count", fired, &restored.fired))
+        .or_else(|| field("irq_fired count", irq_fired, &restored.irq_fired))
+        .or_else(|| field("violations", violations, &restored.violations))
+        .or_else(|| field("terminal states", states, &restored.states))
+        .or_else(|| field("restarts", restarts, &restored.restarts))
+        .or_else(|| field("recoveries", recoveries, &restored.recoveries))
+        .or_else(|| {
+            field(
+                "recovery cycles",
+                recovery_cycles,
+                &restored.recovery_cycles,
+            )
+        })
+        .or_else(|| field("commit-cache hits", cache_hits, &restored.cache_hits))
+        .or_else(|| field("commit-cache misses", cache_misses, &restored.cache_misses))
+        .or_else(|| field("oracle verdict", oracle, &restored.oracle))
 }
 
 /// Boots the campaign kernel on `chip`: TickTock flavour, backoff
@@ -223,23 +294,23 @@ fn run_apps(k: &mut Kernel) {
     k.run_with_factories(&mut apps, Some(&CAMPAIGN_FACTORIES), MAX_TICKS);
 }
 
-/// Drains the per-run sinks (violations, trace) into a [`RunRecord`] and
-/// stops tracing.
-fn collect_record(kernel: &Kernel, seed: Option<u64>, fired: u64) -> RunRecord {
-    let trace = trace::take();
-    trace::disable();
-    collect_record_with(kernel, seed, fired, trace)
-}
-
-/// [`collect_record`] with the trace supplied by the caller — the
-/// oracle fast path passes an empty one after validating the ring in
-/// place, every other path passes the drained ring.
-fn collect_record_with(kernel: &Kernel, seed: Option<u64>, fired: u64, trace: Trace) -> RunRecord {
-    let violations = take_violations().iter().map(|v| format!("{v:?}")).collect();
+/// Drains the per-run violation sink into a [`RunRecord`] after
+/// `violations` — what the run's snapshot prefix produced (empty for a
+/// fresh boot). The caller supplies the trace: drained, or empty when
+/// the run was checked in place.
+fn collect_record(
+    kernel: &Kernel,
+    seed: Option<u64>,
+    fired: u64,
+    irq_fired: u64,
+    mut violations: Vec<String>,
+    trace: Trace,
+) -> RunRecord {
+    violations.extend(take_violations().iter().map(|v| format!("{v:?}")));
     RunRecord {
         seed,
         fired,
-        irq_fired: 0,
+        irq_fired,
         violations,
         states: kernel.processes.iter().map(|p| p.state.clone()).collect(),
         restarts: kernel.restarts[VICTIM],
@@ -248,6 +319,7 @@ fn collect_record_with(kernel: &Kernel, seed: Option<u64>, fired: u64, trace: Tr
         cache_hits: kernel.machine.cache().hits(),
         cache_misses: kernel.machine.cache().misses(),
         trace,
+        oracle: None,
     }
 }
 
@@ -298,19 +370,19 @@ pub fn run_one_scheduled(
     } else {
         0
     };
-    let mut record = collect_record(&kernel, seed, fired);
-    record.irq_fired = irq_fired;
-    record
+    let drained = trace::take();
+    trace::disable();
+    collect_record(&kernel, seed, fired, irq_fired, Vec::new(), drained)
 }
 
 // ---------------------------------------------------------------------
 // The fleet path: boot once, restore per run.
 // ---------------------------------------------------------------------
 
-/// Per-run wall-clock phase breakdown from
-/// [`FleetRunner::run_plan_phased`], in nanoseconds. Timing never feeds
-/// back into run behaviour or report text — it rides alongside the
-/// (deterministic) [`RunRecord`] for the fleet profiler.
+/// Per-run wall-clock phase breakdown of the [`FleetRunner`] run body,
+/// in nanoseconds. Timing never feeds back into run behaviour or report
+/// text — it rides alongside the (deterministic) [`RunRecord`] for the
+/// fleet profiler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunPhases {
     /// Restoring the machine snapshot (and arming the plan).
@@ -319,9 +391,8 @@ pub struct RunPhases {
     pub run_ns: u64,
     /// Draining the per-run sinks into the record.
     pub collect_ns: u64,
-    /// In-place streaming oracle comparison over the undrained ring
-    /// ([`FleetRunner`]'s oracle path only; zero for the paths that
-    /// drain first and validate from the record).
+    /// The oracle's in-place walk over the undrained ring (zero for
+    /// runs checked against no reference).
     pub oracle_ns: u64,
     /// Whether the run resumed from the mid-run snapshot.
     pub midrun: bool,
@@ -374,10 +445,15 @@ enum RestorePoint {
 /// proptest). Plans that do fire in the prefix fall back to the
 /// post-boot snapshot and a full run.
 ///
+/// Every run goes through one private run body; [`FleetRunner::run_plan`],
+/// [`FleetRunner::run_seed`] and [`FleetRunner::run_scheduled`] are its
+/// drained-trace entry points, and the campaign and shrinker call it
+/// with a [`Reference`] to check the run in place.
+///
 /// A runner is thread-affine (the snapshot holds `Rc` hardware handles
-/// and replays into this thread's trace ring); the fleet pool builds one
-/// per `(chip, cache-mode)` per worker via [`pool::run_indexed_ctx`].
-/// For cold-cache runners, both [`FleetRunner::new`] and every run must
+/// and replays into this thread's trace ring); fleet sweeps keep one per
+/// `(chip, cache-mode)` per worker in a [`RunnerSlots`] cache. For
+/// cold-cache runners, both [`FleetRunner::new`] and every run must
 /// execute under `tt_hw::commit_cache::with_disabled` — the commit cache
 /// changes which `RegWrite` events boot emits, so a cold run restored
 /// from a warm boot snapshot would diverge from a cold fresh boot.
@@ -398,7 +474,7 @@ pub struct FleetRunner {
     /// snapshots, for the profiler's amortization line.
     capture_ns: u64,
     /// Reference-stream cursor offsets for the post-boot prefix,
-    /// computed on the oracle path's first boot-restored run.
+    /// computed on the first boot-restored run checked in place.
     boot_skip: Option<PrefixSkip>,
     /// Likewise for the mid-run prefix.
     midrun_skip: Option<PrefixSkip>,
@@ -424,7 +500,7 @@ impl FleetRunner {
         boot: fn(&ChipProfile) -> Kernel,
         factories: &'static [AppFactory],
     ) -> Self {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         tt_hw::cycles::reset();
         trace::enable(TRACE_CAPACITY);
         let mut kernel = with_mode(Mode::Observe, || boot(chip));
@@ -546,54 +622,55 @@ impl FleetRunner {
 
     /// Restores the best eligible snapshot and executes one run with
     /// `plan` armed against the victim (or no plan for a
-    /// reference-shaped run).
+    /// reference-shaped run). The trace is drained into the record.
     pub fn run_plan(&mut self, plan: Option<InjectionPlan>) -> RunRecord {
-        self.run_plan_phased(plan).0
+        self.run(plan, None, None).0
+    }
+
+    /// [`FleetRunner::run_plan`] with the plan derived from `seed`
+    /// (`None` = uninjected reference-shaped run).
+    pub fn run_seed(&mut self, seed: Option<u64>) -> RunRecord {
+        self.run_plan(seed.map(|s| InjectionPlan::from_seed(s, VICTIM as u32)))
     }
 
     /// [`FleetRunner::run_plan`] with an [`InterruptSchedule`] armed
     /// alongside the plan: each scheduled arrival fires the timer
-    /// interrupt at its boundary occurrence. Mid-run eligibility
-    /// requires *both* engines to stay clear of the first tick; a
-    /// schedule (or plan) firing inside the prefix falls back to the
-    /// post-boot snapshot and a full run. The returned record carries
+    /// interrupt at its boundary occurrence. The returned record carries
     /// the arrival count in [`RunRecord::irq_fired`].
     pub fn run_scheduled(
         &mut self,
         plan: Option<InjectionPlan>,
         schedule: &InterruptSchedule,
     ) -> RunRecord {
-        let (seed, fired, irq_fired, use_midrun, _, _) = self.execute_plan(plan, Some(schedule));
-        let mut record = collect_record(&self.kernel, seed, fired);
-        record.irq_fired = irq_fired;
-        self.merge_prefix_violations(record, use_midrun)
+        self.run(plan, Some(schedule), None).0
     }
 
-    /// Restores the best eligible snapshot, arms `plan` (and
-    /// `schedule`), and executes the run body: the shared front half of
-    /// [`FleetRunner::run_plan_phased`], the oracle path, and
-    /// [`FleetRunner::run_scheduled`]. Returns `(seed, fired,
-    /// irq_fired, midrun, restore_ns, run_ns)`; the per-run sinks
-    /// (trace ring, violations) are still live and undrained on return.
-    fn execute_plan(
+    /// The run body every fleet run goes through. Restores the best
+    /// eligible snapshot, arms `plan` against the victim and `schedule`
+    /// (either may be absent), and runs to completion. Without a
+    /// `reference` the trace is drained into the record. With one, the
+    /// oracle walks the undrained ring in place, the ring is cleared
+    /// instead of drained, and the verdict rides in
+    /// [`RunRecord::oracle`].
+    ///
+    /// Mid-run eligibility requires both engines to stay clear of the
+    /// first tick; a plan or schedule firing inside the prefix falls
+    /// back to the post-boot snapshot and a full run. The snapshot
+    /// prefixes' violations are prepended either way, so a restored run
+    /// reports exactly what the equivalent fresh run would.
+    fn run(
         &mut self,
         plan: Option<InjectionPlan>,
         schedule: Option<&InterruptSchedule>,
-    ) -> (Option<u64>, u64, u64, bool, u64, u64) {
+        reference: Option<&Reference>,
+    ) -> (RunRecord, RunPhases) {
         let seed = plan.as_ref().map(|p| p.seed);
         let armed = plan.is_some();
-        let sched_armed = schedule.is_some();
-        let t0 = std::time::Instant::now();
-        // Mid-run eligibility: a plan scheduling an injection — or a
-        // schedule placing an arrival — inside the first tick must
-        // execute the prefix live.
-        let use_midrun = match &self.midrun {
-            Some(m) => {
-                plan.as_ref().is_none_or(|p| !p.fires_within(&m.seen))
-                    && schedule.is_none_or(|s| !s.fires_within(&m.sched_seen))
-            }
-            None => false,
-        };
+        let t0 = Instant::now();
+        let use_midrun = self.midrun.as_ref().is_some_and(|m| {
+            plan.as_ref().is_none_or(|p| !p.fires_within(&m.seen))
+                && schedule.is_none_or(|s| !s.fires_within(&m.sched_seen))
+        });
         let mut apps: Vec<Box<dyn App>> = if use_midrun {
             self.restore_midrun();
             let m = self.midrun.as_ref().expect("mid-run snapshot captured");
@@ -617,108 +694,49 @@ impl FleetRunner {
             }
             self.factories.iter().map(|mk| mk()).collect()
         };
-        let t1 = std::time::Instant::now();
+        let t1 = Instant::now();
         with_mode(Mode::Observe, || {
             self.kernel
                 .run_with_factories(&mut apps, Some(self.factories), MAX_TICKS);
         });
         let fired = if armed { injection::disarm() } else { 0 };
-        let irq_fired = if sched_armed { sched::disarm() } else { 0 };
-        let restore_ns = (t1 - t0).as_nanos() as u64;
-        let run_ns = t1.elapsed().as_nanos() as u64;
-        (seed, fired, irq_fired, use_midrun, restore_ns, run_ns)
-    }
-
-    /// Prepends the boot (and, for mid-run resumes, prefix) violations
-    /// so a restored run reports exactly what the equivalent fresh run
-    /// would.
-    fn merge_prefix_violations(&self, mut record: RunRecord, use_midrun: bool) -> RunRecord {
-        let mut prefix = self.boot_violations.clone();
-        if use_midrun {
-            if let Some(m) = &self.midrun {
-                prefix.extend(m.prefix_violations.iter().cloned());
-            }
-        }
-        if !prefix.is_empty() {
-            prefix.append(&mut record.violations);
-            record.violations = prefix;
-        }
-        record
-    }
-
-    /// [`FleetRunner::run_plan`] with the per-phase wall-clock breakdown.
-    pub fn run_plan_phased(&mut self, plan: Option<InjectionPlan>) -> (RunRecord, RunPhases) {
-        let (seed, fired, _, use_midrun, restore_ns, run_ns) = self.execute_plan(plan, None);
-        let t2 = std::time::Instant::now();
-        let record = collect_record(&self.kernel, seed, fired);
-        let record = self.merge_prefix_violations(record, use_midrun);
-        let phases = RunPhases {
-            restore_ns,
-            run_ns,
-            collect_ns: t2.elapsed().as_nanos() as u64,
-            oracle_ns: 0,
-            midrun: use_midrun,
-        };
-        (record, phases)
-    }
-
-    /// [`FleetRunner::run_plan_phased`], with the oracle's streaming
-    /// trace comparison run *in place* over the undrained ring. When the
-    /// comparison passes (the overwhelmingly common case) the per-run
-    /// event copy is skipped entirely — [`trace::disable`] clears the
-    /// ring without draining it — and the returned record carries an
-    /// empty trace. On any discrepancy the trace is drained as usual so
-    /// [`validate_run`] can re-render byte-identical failure messages
-    /// from the allocating path.
-    fn run_plan_oracle(
-        &mut self,
-        plan: Option<InjectionPlan>,
-        reference: &ChipReference,
-    ) -> (RunRecord, RunPhases, OracleCheck) {
-        let (seed, fired, _, use_midrun, restore_ns, run_ns) = self.execute_plan(plan, None);
-        let t2 = std::time::Instant::now();
-        let skip = if use_midrun {
-            let len = self.midrun.as_ref().map_or(0, |m| m.snapshot.boot_events());
-            *self
-                .midrun_skip
-                .get_or_insert_with(|| prefix_skip(&reference.raw, len))
+        let irq_fired = if schedule.is_some() {
+            sched::disarm()
         } else {
-            let len = self.snapshot.boot_events();
-            *self
-                .boot_skip
-                .get_or_insert_with(|| prefix_skip(&reference.raw, len))
+            0
         };
-        let check = trace::with_events(|head, tail, dropped| OracleCheck {
-            clean: dropped == 0 && streams_match(head, tail, fired, reference, skip),
-            trace_len: head.len() + tail.len(),
+        let t2 = Instant::now();
+        let oracle = reference.map(|r| {
+            let (cached, prefix_len) = match &self.midrun {
+                Some(m) if use_midrun => (&mut self.midrun_skip, m.snapshot.boot_events()),
+                _ => (&mut self.boot_skip, self.snapshot.boot_events()),
+            };
+            let skip = *cached.get_or_insert_with(|| r.prefix_skip(prefix_len));
+            trace::with_events(|head, tail, _| {
+                r.walk(head, tail, unperturbed(fired, irq_fired), skip)
+            })
         });
-        let t3 = std::time::Instant::now();
-        let record = if check.clean {
-            trace::disable();
-            collect_record_with(&self.kernel, seed, fired, Trace::default())
+        let t3 = Instant::now();
+        let drained = if oracle.is_some() {
+            Trace::default()
         } else {
-            collect_record(&self.kernel, seed, fired)
+            trace::take()
         };
-        let record = self.merge_prefix_violations(record, use_midrun);
+        trace::disable();
+        let mut violations = self.boot_violations.clone();
+        if let Some(m) = self.midrun.as_ref().filter(|_| use_midrun) {
+            violations.extend(m.prefix_violations.iter().cloned());
+        }
+        let mut record = collect_record(&self.kernel, seed, fired, irq_fired, violations, drained);
+        record.oracle = oracle;
         let phases = RunPhases {
-            restore_ns,
-            run_ns,
+            restore_ns: (t1 - t0).as_nanos() as u64,
+            run_ns: (t2 - t1).as_nanos() as u64,
             collect_ns: t3.elapsed().as_nanos() as u64,
             oracle_ns: (t3 - t2).as_nanos() as u64,
             midrun: use_midrun,
         };
-        (record, phases, check)
-    }
-
-    /// [`FleetRunner::run_plan`] with the plan derived from `seed`
-    /// (`None` = uninjected reference-shaped run).
-    pub fn run_seed(&mut self, seed: Option<u64>) -> RunRecord {
-        self.run_plan(seed.map(|s| InjectionPlan::from_seed(s, VICTIM as u32)))
-    }
-
-    /// [`FleetRunner::run_seed`] with the per-phase breakdown.
-    pub fn run_seed_phased(&mut self, seed: Option<u64>) -> (RunRecord, RunPhases) {
-        self.run_plan_phased(seed.map(|s| InjectionPlan::from_seed(s, VICTIM as u32)))
+        (record, phases)
     }
 
     /// Pays one post-boot restore and discards the result: the per-run
@@ -766,12 +784,424 @@ pub fn boot_probe(chip: &ChipProfile) {
     drop(kernel);
 }
 
+/// Snapshot-capture amortization tallies, shared across the fleet
+/// pool's workers (each worker boots its own runners; the campaign sums
+/// them here for the profiler).
+#[derive(Debug, Default)]
+pub struct CaptureStats {
+    /// Fresh `FleetRunner` boots (one per worker per `(chip, mode)`
+    /// slot the worker drew work for).
+    pub boots: std::sync::atomic::AtomicU64,
+    /// Total wall-clock nanoseconds those boots + snapshot captures took.
+    pub capture_ns: std::sync::atomic::AtomicU64,
+}
+
+/// A worker-local cache of booted [`FleetRunner`]s over a chip slice,
+/// one slot per `(chip, cache-mode)`. A runner is built the first time
+/// its worker draws work for the slot, then reused — every later run on
+/// the slot is a restore, not a boot. The campaign, the explore sweep
+/// and the schedule-corpus replay each build one per worker via
+/// [`pool::run_indexed_ctx`].
+pub struct RunnerSlots<'a> {
+    chips: &'a [ChipProfile],
+    runners: Vec<Option<FleetRunner>>,
+    stats: &'a CaptureStats,
+}
+
+impl<'a> RunnerSlots<'a> {
+    /// Empty slots for `chips`, tallying every boot into `stats`.
+    pub fn new(chips: &'a [ChipProfile], stats: &'a CaptureStats) -> Self {
+        Self {
+            chips,
+            runners: (0..chips.len() * 2).map(|_| None).collect(),
+            stats,
+        }
+    }
+
+    /// Runs `f` on the runner of `chips[chip]` in the given cache mode,
+    /// booting it first if this worker has not. Cold slots boot *and*
+    /// run with the commit cache disabled: the cache changes which
+    /// `RegWrite` events boot emits, so a cold snapshot must come from a
+    /// cold boot.
+    pub fn with<R>(&mut self, chip: usize, cold: bool, f: impl FnOnce(&mut FleetRunner) -> R) -> R {
+        let (chips, stats) = (self.chips, self.stats);
+        let slot = &mut self.runners[chip * 2 + usize::from(cold)];
+        let run = move || {
+            let runner = slot.get_or_insert_with(|| {
+                let runner = FleetRunner::new(&chips[chip]);
+                let relaxed = std::sync::atomic::Ordering::Relaxed;
+                stats.boots.fetch_add(1, relaxed);
+                stats.capture_ns.fetch_add(runner.capture_ns(), relaxed);
+                runner
+            });
+            f(runner)
+        };
+        if cold {
+            tt_hw::commit_cache::with_disabled(run)
+        } else {
+            run()
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The oracle.
+// ---------------------------------------------------------------------
+
+/// An uninjected, uninterrupted reference run reduced to what the oracle
+/// compares against. The campaign builds one per chip from a fresh boot
+/// and shares it read-only by every unit of that chip — observable
+/// traces are cache-independent, so one reference serves both cache
+/// modes. The explorer builds one from a restored runner's clean run
+/// ([`crate::explore::bystander_reference`]).
+#[derive(Debug, Clone)]
+pub struct Reference {
+    /// The raw (unprojected) trace. Raw equality implies observable
+    /// equality — the projection is a pure per-event function — so an
+    /// unperturbed run that matches this outright needs no projection
+    /// walk at all.
+    raw: Vec<TraceEvent>,
+    /// The whole observable stream.
+    full: Vec<TraceEvent>,
+    /// Each bystander's observable stream, in pid order.
+    by_pid: [Vec<TraceEvent>; BYSTANDERS],
+}
+
+/// What the oracle's streaming walk found: the first divergence of each
+/// observable stream a run is held to (all `None` = the trace checks
+/// pass). In each [`TraceDivergence`], `index` is the position in the
+/// observable stream, `left` the reference's event there and `right`
+/// the run's (`None` = that stream ended); the context is left empty,
+/// so a clean walk allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StreamVerdict {
+    /// Raw events the walk covered: the length the drained trace would
+    /// have had.
+    pub events: usize,
+    /// First divergence of each bystander's stream, in pid order. For
+    /// unperturbed runs these are walked only once the full stream has
+    /// diverged.
+    pub bystanders: [Option<TraceDivergence>; BYSTANDERS],
+    /// First divergence of the whole observable stream, walked for
+    /// unperturbed runs only.
+    pub full: Option<TraceDivergence>,
+    /// The run's first `FaultInjected` event, looked up only when a
+    /// bystander stream diverged.
+    pub first_injected: Option<TraceEvent>,
+}
+
+/// Reference-stream cursor offsets contributed by an installed snapshot
+/// prefix: how many raw events the prefix holds and how far into the
+/// full and per-bystander observable streams those events reach.
+/// Computed once per runner from the reference trace, and *verified*
+/// per run with one raw slice compare before being trusted —
+/// [`Reference::walk`] degrades to a full walk when the bytes differ.
+#[derive(Clone, Copy, Default)]
+struct PrefixSkip {
+    /// Raw events in the installed prefix.
+    raw: usize,
+    /// Observable events among them (full-stream cursor offset).
+    full: usize,
+    /// Observable bystander events among them (per-bystander offsets).
+    by: [usize; BYSTANDERS],
+}
+
+/// The bystander index of `pid`, if it is one.
+fn bystander(pid: u32) -> Option<usize> {
+    (pid as usize)
+        .checked_sub(VICTIM + 1)
+        .filter(|&b| b < BYSTANDERS)
+}
+
+/// Check 4's rule: a run in which neither an injection nor a scheduled
+/// arrival fired must replay the reference's observable stream exactly —
+/// both engines are observable-trace-neutral until they fire.
+fn unperturbed(fired: u64, irq_fired: u64) -> bool {
+    fired == 0 && irq_fired == 0
+}
+
+/// Cursor walk over the whole observable stream, starting `start` events
+/// into the reference (the verified prefix's contribution).
+fn full_stream_matches<'a>(
+    events: impl Iterator<Item = &'a TraceEvent>,
+    reference: &[TraceEvent],
+    start: usize,
+) -> bool {
+    let mut cursor = start;
+    for ev in events {
+        let Some(obs) = observable_event(ev) else {
+            continue;
+        };
+        if reference.get(cursor) != Some(&obs) {
+            return false;
+        }
+        cursor += 1;
+    }
+    cursor == reference.len()
+}
+
+/// Cursor walk over the per-bystander observable streams, likewise. The
+/// victim's events are the bulk of a fired trace: filter on the raw
+/// event's pid (the observable projection masks values, never pids)
+/// before paying for the projection itself.
+fn bystander_streams_match<'a>(
+    events: impl Iterator<Item = &'a TraceEvent>,
+    reference: &[Vec<TraceEvent>; BYSTANDERS],
+    start: [usize; BYSTANDERS],
+) -> bool {
+    let mut cursor = start;
+    for ev in events {
+        let Some(b) = event_pid(ev).and_then(bystander) else {
+            continue;
+        };
+        let Some(obs) = observable_event(ev) else {
+            continue;
+        };
+        if reference[b].get(cursor[b]) != Some(&obs) {
+            return false;
+        }
+        cursor[b] += 1;
+    }
+    cursor.iter().zip(reference).all(|(&c, r)| c == r.len())
+}
+
+/// The first divergence of one observable stream from its reference —
+/// the failure path's walk, run only after a clean-path walk failed.
+fn first_divergence<'a>(
+    events: impl Iterator<Item = &'a TraceEvent>,
+    reference: &[TraceEvent],
+    start: usize,
+) -> Option<TraceDivergence> {
+    let mut cursor = start;
+    let mut events = events.filter_map(observable_event);
+    loop {
+        let got = events.next();
+        if got.is_none() && cursor == reference.len() {
+            return None;
+        }
+        if got.as_ref() != reference.get(cursor) {
+            return Some(TraceDivergence {
+                index: cursor,
+                context: Vec::new(),
+                left: reference.get(cursor).copied(),
+                right: got,
+            });
+        }
+        cursor += 1;
+    }
+}
+
+impl Reference {
+    /// Reduces a reference run's raw trace to the oracle's streams.
+    pub(crate) fn new(raw: Vec<TraceEvent>) -> Self {
+        let full = normalize(&raw, TraceScope::Observable);
+        let by_pid = std::array::from_fn(|b| {
+            full.iter()
+                .filter(|e| event_pid(e).and_then(bystander) == Some(b))
+                .copied()
+                .collect()
+        });
+        Self { raw, full, by_pid }
+    }
+
+    /// Walks the first `prefix_len` raw reference events and tallies the
+    /// observable cursor offsets a matching prefix accounts for.
+    fn prefix_skip(&self, prefix_len: usize) -> PrefixSkip {
+        let raw = prefix_len.min(self.raw.len());
+        let mut skip = PrefixSkip {
+            raw,
+            ..PrefixSkip::default()
+        };
+        for ev in &self.raw[..raw] {
+            if observable_event(ev).is_none() {
+                continue;
+            }
+            skip.full += 1;
+            if let Some(b) = event_pid(ev).and_then(bystander) {
+                skip.by[b] += 1;
+            }
+        }
+        skip
+    }
+
+    /// The oracle's streaming walk over a trace presented as two
+    /// contiguous slices — the shape [`trace::with_events`] lends the
+    /// ring's live region (a drained trace passes an empty `tail`).
+    /// Each event's observable form is compared cursor-wise against the
+    /// reference streams. Exact by construction: `Observable` scope is a
+    /// pure per-event `filter_map` (no reordering), so the first cursor
+    /// mismatch is the first index at which `normalize[_for_pid]` of the
+    /// run and of the reference differ.
+    ///
+    /// The clean path walks with plain pass/fail cursor loops; only a run
+    /// that fails them is walked again for each stream's first
+    /// divergence (carrying a divergence through the hot loop measured
+    /// 10–20% slower). Fast paths, all exact:
+    /// - An unperturbed run whose **raw** trace equals the reference's
+    ///   is clean: one slice compare instead of a projection walk.
+    ///   Inequality implies nothing and falls through.
+    /// - A run whose first `skip.raw` raw events equal the reference's
+    ///   (one slice compare — the installed snapshot prefix, by
+    ///   construction) starts its walk after them, with the cursors
+    ///   pre-advanced by the prefix's precomputed contribution.
+    /// - An unperturbed run walks the whole observable stream only. The
+    ///   bystander streams are pid-filters of it, so its equality
+    ///   subsumes theirs; they are walked only after it diverged.
+    fn walk(
+        &self,
+        head: &[TraceEvent],
+        tail: &[TraceEvent],
+        unperturbed: bool,
+        skip: PrefixSkip,
+    ) -> StreamVerdict {
+        let mut verdict = StreamVerdict {
+            events: head.len() + tail.len(),
+            ..StreamVerdict::default()
+        };
+        if unperturbed
+            && verdict.events == self.raw.len()
+            && *head == self.raw[..head.len()]
+            && *tail == self.raw[head.len()..]
+        {
+            return verdict;
+        }
+        let skip = if skip.raw <= head.len() && head[..skip.raw] == self.raw[..skip.raw] {
+            skip
+        } else {
+            PrefixSkip::default()
+        };
+        let rest = &head[skip.raw..];
+        // The tail is empty unless the ring wrapped: keep the common case
+        // on a plain slice iterator.
+        let clean = match (unperturbed, tail.is_empty()) {
+            (true, true) => full_stream_matches(rest.iter(), &self.full, skip.full),
+            (true, false) => full_stream_matches(rest.iter().chain(tail), &self.full, skip.full),
+            (false, true) => bystander_streams_match(rest.iter(), &self.by_pid, skip.by),
+            (false, false) => {
+                bystander_streams_match(rest.iter().chain(tail), &self.by_pid, skip.by)
+            }
+        };
+        if clean {
+            return verdict;
+        }
+        let events = || rest.iter().chain(tail);
+        if unperturbed {
+            verdict.full = first_divergence(events(), &self.full, skip.full);
+        }
+        verdict.bystanders = std::array::from_fn(|b| {
+            let own = events().filter(|e| event_pid(e).and_then(bystander) == Some(b));
+            first_divergence(own, &self.by_pid[b], skip.by[b])
+        });
+        if verdict.bystanders.iter().any(Option::is_some) {
+            verdict.first_injected = head
+                .iter()
+                .chain(tail)
+                .find(|e| matches!(e, TraceEvent::FaultInjected { .. }))
+                .copied();
+        }
+        verdict
+    }
+
+    /// [`Reference::walk`] over a drained record's trace.
+    pub(crate) fn walk_record(&self, run: &RunRecord) -> StreamVerdict {
+        self.walk(
+            &run.trace.events,
+            &[],
+            unperturbed(run.fired, run.irq_fired),
+            PrefixSkip::default(),
+        )
+    }
+}
+
+/// Which unit a failure line is about.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Label {
+    /// A campaign seed.
+    Seed(u64),
+    /// An explorer schedule ID.
+    Schedule(u64),
+}
+
+impl std::fmt::Display for Label {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Label::Seed(seed) => write!(f, "seed {seed}"),
+            Label::Schedule(id) => write!(f, "schedule {id:#x}"),
+        }
+    }
+}
+
+/// The oracle. Renders every failure line of one run from its record
+/// and the streaming walk's verdict (empty = the run passed); the
+/// campaign, the shrinker, the explorer and every replay report through
+/// it:
+///
+/// 1. every contract site held, at every step of recovery;
+/// 2. each bystander's observable stream equals the reference's;
+/// 3. recovery converged: the bystanders exited, and the victim exited
+///    or was killed within the restart cap;
+/// 4. a run in which neither an injection nor a scheduled arrival fired
+///    replays the reference's observable stream exactly.
+pub(crate) fn check_run(
+    chip: &ChipProfile,
+    label: Label,
+    run: &RunRecord,
+    streams: &StreamVerdict,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    let tag = |what: &str| format!("{} {label}: {what}", chip.name);
+    let render =
+        |ev: &Option<TraceEvent>, none: &str| ev.as_ref().map_or(none.into(), render_event);
+    for v in &run.violations {
+        failures.push(tag(&format!("contract violation: {v}")));
+    }
+    for (b, d) in streams.bystanders.iter().enumerate() {
+        let Some(d) = d else {
+            continue;
+        };
+        failures.push(tag(&format!(
+            "bystander pid{} trace diverged at event #{}: reference `{}` vs injected `{}`; \
+             first injected fault: {}",
+            VICTIM + 1 + b,
+            d.index,
+            render(&d.left, "<end of trace>"),
+            render(&d.right, "<end of trace>"),
+            render(&streams.first_injected, "<no injection fired>"),
+        )));
+    }
+    for b in 0..BYSTANDERS {
+        let pid = VICTIM + 1 + b;
+        if run.states[pid] != ProcessState::Exited {
+            failures.push(tag(&format!(
+                "bystander pid{pid} did not exit: {:?}",
+                run.states[pid]
+            )));
+        }
+    }
+    if !matches!(
+        run.states[VICTIM],
+        ProcessState::Exited | ProcessState::Killed
+    ) {
+        failures.push(tag(&format!(
+            "victim did not converge: {:?} after {} restarts",
+            run.states[VICTIM], run.restarts
+        )));
+    }
+    if run.restarts > MAX_RESTARTS {
+        failures.push(tag(&format!("restart cap exceeded: {}", run.restarts)));
+    }
+    if streams.full.is_some() {
+        failures.push(tag("zero-fired run diverged from the reference"));
+    }
+    failures
+}
+
 // ---------------------------------------------------------------------
 // The per-chip campaign.
 // ---------------------------------------------------------------------
 
 /// Aggregated campaign result for one chip.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChipReport {
     /// Chip name.
     pub chip: &'static str,
@@ -808,311 +1238,28 @@ impl ChipReport {
     }
 }
 
-fn first_injected_event(trace: &Trace) -> String {
-    trace
-        .events
-        .iter()
-        .find(|e| matches!(e, TraceEvent::FaultInjected { .. }))
-        .map(render_event)
-        .unwrap_or_else(|| "<no injection fired>".into())
-}
-
-/// One pass over the raw trace that answers "would checks 2 and 4
-/// pass?" without allocating: each event's observable form is computed
-/// once and compared cursor-wise against the per-bystander and full
-/// reference streams. Exact by construction — `Observable` scope is a
-/// pure per-event `filter_map` (no reordering), so cursor equality plus
-/// final length equality is precisely `normalize[_for_pid] == reference`.
-///
-/// Returns `false` at the first discrepancy; the caller then falls back
-/// to the allocating path to produce byte-identical failure messages.
-fn traces_match_streaming(run: &RunRecord, reference: &ChipReference) -> bool {
-    streams_match(
-        &run.trace.events,
-        &[],
-        run.fired,
-        reference,
-        PrefixSkip::default(),
-    )
-}
-
-/// What the oracle's in-place comparison learned before the ring was
-/// cleared: whether trace checks 2 and 4 pass, and the length the
-/// drained trace would have had (for the fleet profiler).
-struct OracleCheck {
-    clean: bool,
-    trace_len: usize,
-}
-
-/// Reference-stream cursor offsets contributed by an installed snapshot
-/// prefix: how many raw events the prefix holds and how far into the
-/// full and per-bystander observable streams those events reach.
-/// Computed once per runner from the reference trace, and *verified*
-/// per run with one raw slice compare before being trusted —
-/// [`streams_match`] degrades to a full walk when the bytes differ.
-#[derive(Clone, Copy, Default)]
-struct PrefixSkip {
-    /// Raw events in the installed prefix.
-    raw: usize,
-    /// Observable events among them (full-stream cursor offset).
-    full: usize,
-    /// Observable bystander events among them (per-bystander offsets).
-    by: [usize; BYSTANDERS],
-}
-
-/// Walks the first `prefix_len` raw reference events and tallies the
-/// observable cursor offsets a matching prefix accounts for.
-fn prefix_skip(reference_raw: &[TraceEvent], prefix_len: usize) -> PrefixSkip {
-    let raw = prefix_len.min(reference_raw.len());
-    let mut skip = PrefixSkip {
-        raw,
-        ..PrefixSkip::default()
+/// The fresh-boot reference run for `chip`: its own health checks, as
+/// the opening lines of the chip's report, and the oracle's
+/// [`Reference`]. References stay on the fresh-boot path, so the oracle
+/// is anchored to a boot that never went through snapshot/restore.
+fn chip_reference(chip: &ChipProfile) -> (ChipReport, Reference) {
+    let run = run_one(chip, None);
+    let mut report = ChipReport {
+        chip: chip.name,
+        ..ChipReport::default()
     };
-    for ev in &reference_raw[..raw] {
-        let Some(_) = observable_event(ev) else {
-            continue;
-        };
-        skip.full += 1;
-        if let Some(pid) = event_pid(ev) {
-            let pid = pid as usize;
-            if (VICTIM + 1..VICTIM + 1 + BYSTANDERS).contains(&pid) {
-                skip.by[pid - VICTIM - 1] += 1;
-            }
-        }
-    }
-    skip
-}
-
-/// Cursor walk over the full observable stream, starting `start` events
-/// into the reference (the verified prefix's contribution).
-fn full_stream_matches<'a>(
-    events: impl Iterator<Item = &'a TraceEvent>,
-    reference_full: &[TraceEvent],
-    start: usize,
-) -> bool {
-    let mut full_cursor = start;
-    for ev in events {
-        let Some(obs) = observable_event(ev) else {
-            continue;
-        };
-        if reference_full.get(full_cursor) != Some(&obs) {
-            return false;
-        }
-        full_cursor += 1;
-    }
-    full_cursor == reference_full.len()
-}
-
-/// Cursor walk over the per-bystander observable streams. The victim's
-/// events are the bulk of a fired trace: filter on the raw event's pid
-/// (the observable projection masks values, never pids) before paying
-/// for the projection itself.
-pub(crate) fn bystander_streams_match<'a>(
-    events: impl Iterator<Item = &'a TraceEvent>,
-    reference_by_pid: &[Vec<TraceEvent>],
-    start: [usize; BYSTANDERS],
-) -> bool {
-    let mut by_cursor = start;
-    for ev in events {
-        let Some(pid) = event_pid(ev) else {
-            continue;
-        };
-        let pid = pid as usize;
-        if !(VICTIM + 1..VICTIM + 1 + BYSTANDERS).contains(&pid) {
-            continue;
-        }
-        let Some(obs) = observable_event(ev) else {
-            continue;
-        };
-        let b = pid - VICTIM - 1;
-        if reference_by_pid[b].get(by_cursor[b]) != Some(&obs) {
-            return false;
-        }
-        by_cursor[b] += 1;
-    }
-    by_cursor
-        .iter()
-        .zip(reference_by_pid)
-        .all(|(&c, r)| c == r.len())
-}
-
-/// [`traces_match_streaming`] over a trace presented as two contiguous
-/// slices — the shape [`trace::with_events`] lends the ring's live
-/// region — so the fleet path can run the comparison before (and, on a
-/// pass, instead of) draining.
-///
-/// Two fast paths, both exact:
-/// - An unfired run whose **raw** trace equals the reference's raw
-///   trace outright is clean — raw equality implies observable equality
-///   (the projection is a pure per-event function). One slice compare
-///   instead of a projection walk; inequality implies nothing and falls
-///   through.
-/// - A run whose first `skip.raw` raw events equal the reference's (one
-///   slice compare — the installed snapshot prefix, by construction)
-///   starts its walk after them, with the cursors pre-advanced by the
-///   prefix's precomputed contribution.
-fn streams_match(
-    head: &[TraceEvent],
-    tail: &[TraceEvent],
-    fired: u64,
-    reference: &ChipReference,
-    skip: PrefixSkip,
-) -> bool {
-    if fired == 0
-        && head.len() + tail.len() == reference.raw.len()
-        && *head == reference.raw[..head.len()]
-        && *tail == reference.raw[head.len()..]
-    {
-        return true;
-    }
-    let skip = if skip.raw <= head.len() && head[..skip.raw] == reference.raw[..skip.raw] {
-        skip
-    } else {
-        PrefixSkip::default()
-    };
-    let head = &head[skip.raw..];
-    if fired == 0 {
-        // Clean runs compare the whole observable stream. The bystander
-        // streams are pure pid-filters of that stream (both sides derive
-        // from the same reference events), so full equality subsumes the
-        // per-bystander check — no second set of cursors needed. The
-        // tail is empty unless the ring wrapped: keep the common case on
-        // a plain slice iterator.
-        return if tail.is_empty() {
-            full_stream_matches(head.iter(), &reference.full, skip.full)
-        } else {
-            full_stream_matches(head.iter().chain(tail), &reference.full, skip.full)
-        };
-    }
-    if tail.is_empty() {
-        bystander_streams_match(head.iter(), &reference.by_pid, skip.by)
-    } else {
-        bystander_streams_match(head.iter().chain(tail), &reference.by_pid, skip.by)
-    }
-}
-
-/// Checks one injected run against the reference. Appends rendered
-/// failures (empty = run passed).
-fn validate_run(
-    chip: &ChipProfile,
-    run: &RunRecord,
-    reference_by_pid: &[Vec<TraceEvent>],
-    reference_full: &[TraceEvent],
-    traces_clean: bool,
-    failures: &mut Vec<String>,
-) {
-    let seed = run.seed.unwrap_or(0);
-    let tag = |what: &str| format!("{} seed {seed}: {what}", chip.name);
-    // 1. Contract sites all held, at every step of recovery.
     for v in &run.violations {
-        failures.push(tag(&format!("contract violation: {v}")));
+        report
+            .failures
+            .push(format!("{} reference: contract violation: {v}", chip.name));
     }
-    // `traces_clean` is the verdict of one non-allocating streaming pass
-    // over checks 2 and 4 — computed in place over the ring by the fleet
-    // oracle path, or via [`traces_match_streaming`] by callers holding
-    // a drained trace. On any discrepancy, the allocating comparisons
-    // below re-run so the rendered failure messages stay byte-identical
-    // to what the oracle has always produced. (Checks run in 2, 3, 4
-    // order either way — passing checks contribute no messages.)
-    // 2. Bystander isolation: observable traces byte-identical to the
-    //    uninjected reference.
-    for (b, reference) in reference_by_pid.iter().enumerate() {
-        if traces_clean {
-            break;
-        }
-        let pid = (VICTIM + 1 + b) as u32;
-        let got = normalize_for_pid(&run.trace.events, TraceScope::Observable, pid);
-        if got != *reference {
-            let at = got
-                .iter()
-                .zip(reference.iter())
-                .position(|(g, r)| g != r)
-                .unwrap_or_else(|| got.len().min(reference.len()));
-            let render = |events: &[TraceEvent], i: usize| {
-                events
-                    .get(i)
-                    .map(render_event)
-                    .unwrap_or_else(|| "<end of trace>".into())
-            };
-            failures.push(tag(&format!(
-                "bystander pid{pid} trace diverged at event #{at}: reference `{}` vs injected \
-                 `{}`; first injected fault: {}",
-                render(reference, at),
-                render(&got, at),
-                first_injected_event(&run.trace),
-            )));
-        }
+    if run.states.iter().any(|s| *s != ProcessState::Exited) {
+        report.failures.push(format!(
+            "{} reference: processes did not all exit: {:?}",
+            chip.name, run.states
+        ));
     }
-    // 3. Convergence: bystanders ran to completion, the victim either
-    //    finished or was permanently killed within the restart cap.
-    for b in 0..BYSTANDERS {
-        let pid = VICTIM + 1 + b;
-        if run.states[pid] != ProcessState::Exited {
-            failures.push(tag(&format!(
-                "bystander pid{pid} did not exit: {:?}",
-                run.states[pid]
-            )));
-        }
-    }
-    if !matches!(
-        run.states[VICTIM],
-        ProcessState::Exited | ProcessState::Killed
-    ) {
-        failures.push(tag(&format!(
-            "victim did not converge: {:?} after {} restarts",
-            run.states[VICTIM], run.restarts
-        )));
-    }
-    if run.restarts > MAX_RESTARTS {
-        failures.push(tag(&format!("restart cap exceeded: {}", run.restarts)));
-    }
-    // 4. A plan whose injections never fired must replay the reference
-    //    exactly — the engine itself is observable-trace-neutral.
-    if run.fired == 0 && !traces_clean {
-        let got = normalize(&run.trace.events, TraceScope::Observable);
-        if got != reference_full {
-            failures.push(tag("zero-fired run diverged from the reference"));
-        }
-    }
-}
-
-/// The uninjected reference for one chip, reduced to what the oracle
-/// needs: the normalized observable traces (shared read-only by every
-/// unit of that chip) plus the reference run's own health checks. One
-/// reference serves both cache modes — observable traces are
-/// cache-independent, so the warm and cold passes validate against the
-/// same baseline (as the serial campaign always has).
-struct ChipReference {
-    violations: Vec<String>,
-    states: Vec<ProcessState>,
-    by_pid: Vec<Vec<TraceEvent>>,
-    full: Vec<TraceEvent>,
-    /// The reference run's raw (unprojected) trace. Raw equality implies
-    /// observable equality — the projection is a pure per-event function
-    /// — so an unfired run that matches this outright needs no
-    /// projection walk at all.
-    raw: Vec<TraceEvent>,
-}
-
-fn chip_reference(chip: &ChipProfile) -> ChipReference {
-    let reference = run_one(chip, None);
-    let by_pid = (0..BYSTANDERS)
-        .map(|b| {
-            normalize_for_pid(
-                &reference.trace.events,
-                TraceScope::Observable,
-                (VICTIM + 1 + b) as u32,
-            )
-        })
-        .collect();
-    let full = normalize(&reference.trace.events, TraceScope::Observable);
-    ChipReference {
-        violations: reference.violations,
-        states: reference.states,
-        by_pid,
-        full,
-        raw: reference.trace.events,
-    }
+    (report, Reference::new(run.trace.events))
 }
 
 /// One scheduled unit of campaign work: chip index, seed, cache mode
@@ -1159,95 +1306,24 @@ pub struct UnitOutcome {
     pub midrun: bool,
 }
 
-/// Snapshot-capture amortization tallies, shared across the fleet
-/// pool's workers (each worker boots its own runners; the campaign sums
-/// them here for the profiler).
-#[derive(Debug, Default)]
-pub struct CaptureStats {
-    /// Fresh `FleetRunner` boots (one per worker per `(chip, mode)`
-    /// slot the worker drew work for).
-    pub boots: std::sync::atomic::AtomicU64,
-    /// Total wall-clock nanoseconds those boots + snapshot captures took.
-    pub capture_ns: std::sync::atomic::AtomicU64,
-}
-
-/// A worker-local cache of booted [`FleetRunner`]s, one slot per
-/// `(chip, cache-mode)`. Runners are built lazily the first time a
-/// worker draws a unit for that slot, then reused — every subsequent run
-/// on the slot is a restore, not a boot.
-struct SnapshotCache<'a> {
-    runners: Vec<Option<FleetRunner>>,
-    stats: &'a CaptureStats,
-}
-
-impl<'a> SnapshotCache<'a> {
-    fn new(chips: usize, stats: &'a CaptureStats) -> Self {
-        Self {
-            runners: (0..chips * 2).map(|_| None).collect(),
-            stats,
-        }
-    }
-
-    fn boot(chips: &[ChipProfile], c: usize, stats: &CaptureStats) -> FleetRunner {
-        let runner = FleetRunner::new(&chips[c]);
-        stats
-            .boots
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        stats
-            .capture_ns
-            .fetch_add(runner.capture_ns(), std::sync::atomic::Ordering::Relaxed);
-        runner
-    }
-
-    fn run(
-        &mut self,
-        chips: &[ChipProfile],
-        c: usize,
-        cold: bool,
-        seed: u64,
-        reference: &ChipReference,
-    ) -> (RunRecord, RunPhases, OracleCheck) {
-        let slot = c * 2 + usize::from(cold);
-        let stats = self.stats;
-        let plan = Some(InjectionPlan::from_seed(seed, VICTIM as u32));
-        if cold {
-            // Cold pass: boot *and* run with the commit cache disabled —
-            // the cache changes which RegWrite events boot emits, so the
-            // cold snapshot must come from a cold boot.
-            tt_hw::commit_cache::with_disabled(|| {
-                let runner = self.runners[slot].get_or_insert_with(|| Self::boot(chips, c, stats));
-                runner.run_plan_oracle(plan, reference)
-            })
-        } else {
-            // Warm pass: commit cache enabled (the production config).
-            let runner = self.runners[slot].get_or_insert_with(|| Self::boot(chips, c, stats));
-            runner.run_plan_oracle(plan, reference)
-        }
-    }
-}
-
 fn run_unit(
-    cache: &mut SnapshotCache,
-    chips: &[ChipProfile],
+    slots: &mut RunnerSlots,
+    chip: &ChipProfile,
     unit: Unit,
-    reference: &ChipReference,
+    reference: &Reference,
 ) -> UnitOutcome {
     let (c, seed, cold) = unit;
-    let (run, phases, check) = cache.run(chips, c, cold, seed, reference);
-    let t0 = std::time::Instant::now();
-    let mut failures = Vec::new();
-    validate_run(
-        &chips[c],
-        &run,
-        &reference.by_pid,
-        &reference.full,
-        check.clean,
-        &mut failures,
-    );
-    // The streaming trace comparison already ran in place over the ring
+    let plan = InjectionPlan::from_seed(seed, VICTIM as u32);
+    let (run, phases) = slots.with(c, cold, |runner| {
+        runner.run(Some(plan), None, Some(reference))
+    });
+    let t0 = Instant::now();
+    let streams = run.oracle.as_ref().expect("the run body checked the run");
+    let failures = check_run(chip, Label::Seed(seed), &run, streams);
+    // The streaming walk already ran in place over the ring
     // (`phases.oracle_ns`); count it where it belongs.
     let validate_ns = phases.oracle_ns + t0.elapsed().as_nanos() as u64;
-    let outcome = UnitOutcome {
+    UnitOutcome {
         chip: c,
         seed,
         cold,
@@ -1257,70 +1333,18 @@ fn run_unit(
         restarts: run.restarts,
         killed: run.states[VICTIM] == ProcessState::Killed,
         recovery_cycles: run.recovery_cycles,
-        trace_len: check.trace_len,
+        trace_len: streams.events,
         restore_ns: phases.restore_ns,
         run_ns: phases.run_ns,
         collect_ns: phases.collect_ns,
         validate_ns,
         midrun: phases.midrun,
-    };
-    // Hand the drained event buffer back to this worker's ring: the next
-    // run on this thread then records without allocating.
-    trace::recycle(run.trace);
-    outcome
-}
-
-fn reference_report(chip: &ChipProfile, reference: &ChipReference) -> ChipReport {
-    let mut report = ChipReport {
-        chip: chip.name,
-        runs: 0,
-        fired: 0,
-        failures: Vec::new(),
-        recoveries: 0,
-        restarts: 0,
-        killed: 0,
-        warm_cycles: 0,
-        warm_recoveries: 0,
-        cold_cycles: 0,
-        cold_recoveries: 0,
-    };
-    for v in &reference.violations {
-        report
-            .failures
-            .push(format!("{} reference: contract violation: {v}", chip.name));
     }
-    if reference.states.iter().any(|s| *s != ProcessState::Exited) {
-        report.failures.push(format!(
-            "{} reference: processes did not all exit: {:?}",
-            chip.name, reference.states
-        ));
-    }
-    report
 }
 
-/// [`run_campaign_on`], additionally returning the per-unit outcomes in
-/// schedule order (chip-major, then seed, warm before cold) — the raw
-/// material for `ci/corpus/` persistence and the fleet benchmark.
-///
-/// Work fans out over [`pool::run_indexed_ctx`]: each worker lazily
-/// boots one [`FleetRunner`] per `(chip, cache-mode)` slot it draws work
-/// for, and every unit after the first on a slot is a
-/// [`MachineSnapshot::restore`] instead of a [`Kernel::boot`]. Results
-/// merge in unit order, and restored runs are byte-identical to fresh
-/// boots, so the returned reports — failure strings included — are
-/// byte-identical for any thread count.
-pub fn run_campaign_detailed(
-    chips: &[ChipProfile],
-    seeds: u64,
-    threads: usize,
-) -> (Vec<ChipReport>, Vec<UnitOutcome>) {
-    let result = run_campaign_profiled(chips, seeds, threads, &[]);
-    (result.reports, result.outcomes)
-}
-
-/// Everything one profiled fleet campaign produces: the per-chip
-/// reports, the per-unit outcomes (with wall-clock phase timings), and
-/// the snapshot-capture amortization tallies.
+/// Everything one fleet campaign produces: the per-chip reports, the
+/// per-unit outcomes (with wall-clock phase timings), and the
+/// snapshot-capture amortization tallies.
 #[derive(Debug)]
 pub struct CampaignResult {
     /// Aggregated per-chip reports, byte-identical across thread counts.
@@ -1333,18 +1357,31 @@ pub struct CampaignResult {
     pub capture_ns: u64,
 }
 
-/// [`run_campaign_detailed`] plus capture amortization and
-/// corpus-guided scheduling: units listed in `priority` (previously
+/// Runs the campaign — `seeds` injection runs per chip, each warm and
+/// cold, plus one fresh-boot reference per chip — on a work-stealing
+/// pool of `threads` workers (1 = serial). This is the campaign's one
+/// entry point; the per-chip reports and the per-unit outcomes (the raw
+/// material for `ci/corpus/` persistence and the fleet benchmark) come
+/// back together.
+///
+/// The unit of work is a single `(chip, seed, warm/cold)` run, fanned
+/// out over [`pool::run_indexed_ctx`]: each worker keeps a
+/// [`RunnerSlots`] cache, so every unit after the first on a slot is a
+/// [`MachineSnapshot::restore`] instead of a [`Kernel::boot`]. Results
+/// merge in unit order, and restored runs are byte-identical to fresh
+/// boots, so the reports — failure strings included — are byte-identical
+/// for any thread count.
+///
+/// Corpus-guided scheduling: units listed in `priority` (previously
 /// failing `(chip, seed, cold)` triples, typically decoded from
 /// `ci/corpus/failures.bin`) are scheduled *first*, so regressions
 /// surface in the opening seconds of a million-run campaign instead of
-/// wherever the default order happens to place them.
-///
-/// Unknown or out-of-range priority entries are ignored; duplicates run
-/// once. An empty `priority` preserves the exact historical schedule
-/// (chip-major, then seed, warm before cold). A non-empty one reorders
-/// outcomes — and therefore the order (not the content) of failure
-/// strings — by design: fail fast.
+/// wherever the default order happens to place them. Unknown or
+/// out-of-range priority entries are ignored; duplicates run once. An
+/// empty `priority` preserves the default schedule (chip-major, then
+/// seed, warm before cold). A non-empty one reorders outcomes — and
+/// therefore the order (not the content) of failure strings — by
+/// design: fail fast.
 pub fn run_campaign_profiled(
     chips: &[ChipProfile],
     seeds: u64,
@@ -1352,11 +1389,11 @@ pub fn run_campaign_profiled(
     priority: &[Unit],
 ) -> CampaignResult {
     // Phase 1: one uninjected reference per chip, computed once and
-    // shared read-only by every unit of that chip. References stay on
-    // the fresh-boot path: the oracle is anchored to a boot that never
-    // went through snapshot/restore.
-    let references: Vec<ChipReference> =
-        pool::run_indexed(chips, threads, |_, chip| chip_reference(chip));
+    // shared read-only by every unit of that chip.
+    let (mut reports, references): (Vec<ChipReport>, Vec<Reference>) =
+        pool::run_indexed(chips, threads, |_, chip| chip_reference(chip))
+            .into_iter()
+            .unzip();
     // Phase 2: every (chip, seed, cache-mode) run as its own unit —
     // prioritized units first, then the default order minus those.
     let in_range = |&(c, seed, _): &Unit| c < chips.len() && seed < seeds;
@@ -1380,22 +1417,16 @@ pub fn run_campaign_profiled(
         }
     }
     let stats = CaptureStats::default();
-    let refs = &references;
-    let stats_ref = &stats;
+    let (refs, stats_ref) = (&references, &stats);
     let outcomes = pool::run_indexed_ctx(
         &units,
         threads,
-        || SnapshotCache::new(chips.len(), stats_ref),
-        |cache, _, &unit| run_unit(cache, chips, unit, &refs[unit.0]),
+        || RunnerSlots::new(chips, stats_ref),
+        |slots, _, &unit| run_unit(slots, &chips[unit.0], unit, &refs[unit.0]),
     );
     // Ordered merge: reference checks first (as the serial runner
     // reported them), then each unit's failures and tallies in schedule
     // order.
-    let mut reports: Vec<ChipReport> = chips
-        .iter()
-        .zip(refs)
-        .map(|(chip, r)| reference_report(chip, r))
-        .collect();
     for unit in &outcomes {
         let report = &mut reports[unit.chip];
         report.failures.extend(unit.failures.iter().cloned());
@@ -1420,80 +1451,31 @@ pub fn run_campaign_profiled(
     }
 }
 
-/// Runs the campaign over any chip slice on a work-stealing pool of
-/// `threads` workers. The unit of work is a single `(chip, seed,
-/// warm/cold)` run — not a whole chip — so cores stay busy through the
-/// tail of the campaign. See [`run_campaign_detailed`] for the fleet
-/// (snapshot/restore) execution scheme and the determinism argument.
-pub fn run_campaign_on(chips: &[ChipProfile], seeds: u64, threads: usize) -> Vec<ChipReport> {
-    run_campaign_detailed(chips, seeds, threads).0
-}
-
 // ---------------------------------------------------------------------
 // Shrinking a failing seed.
 // ---------------------------------------------------------------------
 
 /// Shrinks the plan behind a failing `(chip, seed, cache-mode)` run to a
 /// 1-minimal schedule that still fails the campaign oracle, replaying
-/// candidate plans on one serial [`FleetRunner`].
+/// candidate plans on one serial [`FleetRunner`] and checking each
+/// against the same fresh-boot reference the campaign used.
 ///
-/// The reference is recomputed from a fresh boot and the predicate runs
-/// serially on the calling thread, so the minimized schedule is a pure
-/// function of `(chip, seed, cold)` — identical across re-invocations
-/// and across whatever thread count the campaign that *found* the seed
-/// was using.
+/// The reference is recomputed and the predicate runs serially on the
+/// calling thread, so the minimized schedule is a pure function of
+/// `(chip, seed, cold)` — identical across re-invocations and across
+/// whatever thread count the campaign that *found* the seed was using.
 pub fn shrink_failing_seed(chip: &ChipProfile, seed: u64, cold: bool) -> InjectionPlan {
-    let reference = if cold {
-        tt_hw::commit_cache::with_disabled(|| chip_reference(chip))
-    } else {
-        chip_reference(chip)
-    };
-    let mut runner = if cold {
-        tt_hw::commit_cache::with_disabled(|| FleetRunner::new(chip))
-    } else {
-        FleetRunner::new(chip)
-    };
+    let (_, reference) = chip_reference(chip);
+    let stats = CaptureStats::default();
+    let mut slots = RunnerSlots::new(std::slice::from_ref(chip), &stats);
     let plan = InjectionPlan::from_seed(seed, VICTIM as u32);
     shrink::shrink_plan(&plan, |candidate| {
-        let run = if cold {
-            tt_hw::commit_cache::with_disabled(|| runner.run_plan(Some(candidate.clone())))
-        } else {
-            runner.run_plan(Some(candidate.clone()))
-        };
-        let mut failures = Vec::new();
-        let traces_clean = traces_match_streaming(&run, &reference);
-        validate_run(
-            chip,
-            &run,
-            &reference.by_pid,
-            &reference.full,
-            traces_clean,
-            &mut failures,
-        );
-        trace::recycle(run.trace);
-        !failures.is_empty()
+        let (run, _) = slots.with(0, cold, |runner| {
+            runner.run(Some(candidate.clone()), None, Some(&reference))
+        });
+        let streams = run.oracle.as_ref().expect("the run body checked the run");
+        !check_run(chip, Label::Seed(seed), &run, streams).is_empty()
     })
-}
-
-/// Runs `seeds` injection runs (plus one reference and a cold-cache
-/// pass) against one chip, serially on the calling thread.
-pub fn run_chip_campaign(chip: &ChipProfile, seeds: u64) -> ChipReport {
-    run_campaign_on(std::slice::from_ref(chip), seeds, 1)
-        .pop()
-        .expect("one chip, one report")
-}
-
-/// Runs the campaign on all seven chips over the work-stealing pool
-/// sized by [`pool::default_threads`] (`TT_BENCH_THREADS` or the
-/// machine's available parallelism).
-pub fn run_campaign(seeds: u64) -> Vec<ChipReport> {
-    run_campaign_with_threads(seeds, pool::default_threads())
-}
-
-/// [`run_campaign`] with an explicit worker count (1 = serial). Reports
-/// are byte-identical across thread counts.
-pub fn run_campaign_with_threads(seeds: u64, threads: usize) -> Vec<ChipReport> {
-    run_campaign_on(&ALL_CHIPS, seeds, threads)
 }
 
 /// Renders the campaign table plus any failures.
@@ -1538,7 +1520,15 @@ pub fn render_report(reports: &[ChipReport], seeds: u64) -> String {
 mod tests {
     use super::*;
     use proptest::proptest;
-    use tt_hw::platform::{HIFIVE1, NRF52840DK};
+    use tt_hw::platform::{ALL_CHIPS, HIFIVE1, NRF52840DK};
+
+    /// One chip's campaign report, run serially.
+    fn chip_campaign(chip: &ChipProfile, seeds: u64) -> ChipReport {
+        run_campaign_profiled(std::slice::from_ref(chip), seeds, 1, &[])
+            .reports
+            .pop()
+            .expect("one chip, one report")
+    }
 
     #[test]
     fn reference_run_is_clean_and_deterministic() {
@@ -1553,25 +1543,118 @@ mod tests {
         );
     }
 
+    /// The campaign oracle's rendered failure lines for `run`, checked
+    /// against the fresh-boot reference of `chip`.
+    fn oracle_lines(chip: &ChipProfile, run: &RunRecord) -> Vec<String> {
+        let (_, reference) = chip_reference(chip);
+        let label = Label::Seed(run.seed.unwrap_or(0));
+        check_run(chip, label, run, &reference.walk_record(run))
+    }
+
+    #[test]
+    fn oracle_failure_lines_are_pinned() {
+        let reference = run_one(&NRF52840DK, None);
+        // Raw index of the `n`-th observable event attributed to `pid`.
+        let nth = |pid: u32, n: usize| {
+            reference
+                .trace
+                .events
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| observable_event(e).is_some() && event_pid(e) == Some(pid))
+                .nth(n)
+                .map(|(i, _)| i)
+                .expect("event exists")
+        };
+        let last = |pid: u32| {
+            reference
+                .trace
+                .events
+                .iter()
+                .rposition(|e| observable_event(e).is_some() && event_pid(e) == Some(pid))
+                .expect("event exists")
+        };
+        let seeded = |seed: u64| {
+            let mut run = reference.clone();
+            run.seed = Some(seed);
+            run.fired = 1;
+            run
+        };
+        // A mutated bystander event, after a fault injected into the victim.
+        let mut mutated = seeded(1);
+        let at = nth(1, 5);
+        mutated.trace.events[at] = TraceEvent::ProcessFault { pid: 1 };
+        mutated.trace.events.insert(
+            nth(0, 2),
+            TraceEvent::FaultInjected {
+                pid: 0,
+                point: injection::InjectionPoint::SyscallArg,
+                info: 0x40,
+            },
+        );
+        // A truncated bystander stream.
+        let mut truncated = seeded(2);
+        truncated.trace.events.remove(last(2));
+        // An extra bystander event past the end of its stream.
+        let mut extra = seeded(3);
+        extra
+            .trace
+            .events
+            .push(TraceEvent::ProcessRestart { pid: 2 });
+        // An unfired run that diverges only in the victim's stream.
+        let mut victim_only = reference.clone();
+        victim_only.seed = Some(4);
+        let at = nth(0, 3);
+        victim_only.trace.events[at] = TraceEvent::ProcessFault { pid: 0 };
+        assert_eq!(
+            oracle_lines(&NRF52840DK, &mutated),
+            [
+                "nrf52840dk seed 1: bystander pid1 trace diverged at event #5: reference \
+              `pid1 exit  AllowRo -> ok (0x0)` vs injected `pid1 FAULTED`; first injected \
+              fault: pid0 FAULT INJECTED at SyscallArg (info=0x40)"
+            ]
+        );
+        assert_eq!(
+            oracle_lines(&NRF52840DK, &truncated),
+            [
+                "nrf52840dk seed 2: bystander pid2 trace diverged at event #88: reference \
+              `pid2 switch Out` vs injected `<end of trace>`; first injected fault: \
+              <no injection fired>"
+            ]
+        );
+        assert_eq!(
+            oracle_lines(&NRF52840DK, &extra),
+            [
+                "nrf52840dk seed 3: bystander pid2 trace diverged at event #89: reference \
+              `<end of trace>` vs injected `pid2 restarted`; first injected fault: \
+              <no injection fired>"
+            ]
+        );
+        assert_eq!(
+            oracle_lines(&NRF52840DK, &victim_only),
+            ["nrf52840dk seed 4: zero-fired run diverged from the reference"]
+        );
+    }
+
     #[test]
     fn arm_campaign_smoke_holds_the_oracle() {
-        let report = run_chip_campaign(&NRF52840DK, 4);
+        let report = chip_campaign(&NRF52840DK, 4);
         assert_eq!(report.runs, 4);
         assert!(report.failures.is_empty(), "{:#?}", report.failures);
     }
 
     #[test]
     fn pmp_campaign_smoke_holds_the_oracle() {
-        let report = run_chip_campaign(&HIFIVE1, 3);
+        let report = chip_campaign(&HIFIVE1, 3);
         assert!(report.failures.is_empty(), "{:#?}", report.failures);
     }
 
     #[test]
     fn parallel_campaign_report_is_byte_identical_to_serial() {
         let chips = [NRF52840DK, HIFIVE1];
-        let serial = run_campaign_on(&chips, 3, 1);
+        let serial = run_campaign_profiled(&chips, 3, 1, &[]).reports;
         for threads in [2, 8] {
-            let parallel = run_campaign_on(&chips, 3, threads);
+            let parallel = run_campaign_profiled(&chips, 3, threads, &[]).reports;
             assert_eq!(
                 render_report(&serial, 3),
                 render_report(&parallel, 3),
@@ -1594,44 +1677,20 @@ mod tests {
     /// observable dimension: raw Full-scope trace, violations, terminal
     /// states, fired count, and recovery tallies.
     fn assert_run_equivalent(chip: &ChipProfile, seed: Option<u64>, cold: bool, what: &str) {
+        let pair = || (run_one(chip, seed), FleetRunner::new(chip).run_seed(seed));
         let (fresh, restored) = if cold {
-            let fresh = tt_hw::commit_cache::with_disabled(|| run_one(chip, seed));
-            let restored = tt_hw::commit_cache::with_disabled(|| {
-                let mut runner = FleetRunner::new(chip);
-                runner.run_seed(seed)
-            });
-            (fresh, restored)
+            tt_hw::commit_cache::with_disabled(pair)
         } else {
-            let fresh = run_one(chip, seed);
-            let mut runner = FleetRunner::new(chip);
-            (fresh, runner.run_seed(seed))
+            pair()
         };
-        let ctx = format!("{what}: {} seed {seed:?} cold {cold}", chip.name);
+        // Every field, commit-cache counters included: a restore that
+        // resurrected stale hit/miss tallies (or missed a reset_stats
+        // interaction) shows up even when the trace doesn't diverge.
         assert_eq!(
-            fresh.trace.events, restored.trace.events,
-            "{ctx}: Full-scope trace diverged"
-        );
-        assert_eq!(
-            fresh.trace.dropped, restored.trace.dropped,
-            "{ctx}: dropped"
-        );
-        assert_eq!(fresh.violations, restored.violations, "{ctx}: violations");
-        assert_eq!(fresh.states, restored.states, "{ctx}: states");
-        assert_eq!(fresh.fired, restored.fired, "{ctx}: fired");
-        assert_eq!(fresh.restarts, restored.restarts, "{ctx}: restarts");
-        assert_eq!(fresh.recoveries, restored.recoveries, "{ctx}: recoveries");
-        assert_eq!(
-            fresh.recovery_cycles, restored.recovery_cycles,
-            "{ctx}: recovery_cycles"
-        );
-        // Commit-cache counters are restore-equivalence surface too: a
-        // restore that resurrected stale hit/miss tallies (or missed a
-        // reset_stats interaction) shows up here even when the trace
-        // doesn't diverge.
-        assert_eq!(fresh.cache_hits, restored.cache_hits, "{ctx}: cache_hits");
-        assert_eq!(
-            fresh.cache_misses, restored.cache_misses,
-            "{ctx}: cache_misses"
+            record_difference(&fresh, &restored),
+            None,
+            "{what}: {} seed {seed:?} cold {cold}",
+            chip.name
         );
         trace::recycle(fresh.trace);
         trace::recycle(restored.trace);
@@ -1683,6 +1742,7 @@ mod tests {
         // other snapshot behind. Seeds are picked so one plan fires
         // inside the first tick (forcing the post-boot fallback) and one
         // does not (taking the mid-run path).
+        let plan = |seed: u64| InjectionPlan::from_seed(seed, VICTIM as u32);
         for chip in [&NRF52840DK, &HIFIVE1] {
             let mut runner = FleetRunner::new(chip);
             assert!(runner.capture_ns() > 0);
@@ -1697,7 +1757,7 @@ mod tests {
             let expect_midrun = run_one(chip, Some(midrun_seed));
             let expect_ref = run_one(chip, None);
             for round in 0..3 {
-                let (got, phases) = runner.run_seed_phased(Some(midrun_seed));
+                let (got, phases) = runner.run(Some(plan(midrun_seed)), None, None);
                 assert!(phases.midrun, "{}: eligible plan skipped midrun", chip.name);
                 assert_eq!(
                     expect_midrun.trace.events, got.trace.events,
@@ -1707,7 +1767,7 @@ mod tests {
                 assert_eq!(expect_midrun.violations, got.violations);
                 assert_eq!(expect_midrun.fired, got.fired);
                 trace::recycle(got.trace);
-                let (got, phases) = runner.run_seed_phased(Some(fallback_seed));
+                let (got, phases) = runner.run(Some(plan(fallback_seed)), None, None);
                 assert!(
                     !phases.midrun,
                     "{}: prefix-firing plan took the midrun path",
@@ -1721,7 +1781,7 @@ mod tests {
                 assert_eq!(expect_fallback.violations, got.violations);
                 assert_eq!(expect_fallback.fired, got.fired);
                 trace::recycle(got.trace);
-                let (got, phases) = runner.run_seed_phased(None);
+                let (got, phases) = runner.run(None, None, None);
                 assert!(phases.midrun, "{}: reference run skipped midrun", chip.name);
                 assert_eq!(
                     expect_ref.trace.events, got.trace.events,
@@ -1763,7 +1823,7 @@ mod tests {
         assert_eq!(sorted.len(), schedule.len(), "a unit ran twice");
         // Same campaign without priority: identical aggregate reports
         // (failure order could differ by design, but these runs pass).
-        let (baseline, _) = run_campaign_detailed(&chips, 2, 1);
+        let baseline = run_campaign_profiled(&chips, 2, 1, &[]).reports;
         assert_eq!(
             render_report(&baseline, 2),
             render_report(&result.reports, 2)
@@ -1813,7 +1873,9 @@ mod tests {
     #[test]
     fn detailed_campaign_outcomes_match_schedule_order() {
         let chips = [NRF52840DK, HIFIVE1];
-        let (reports, outcomes) = run_campaign_detailed(&chips, 2, 1);
+        let CampaignResult {
+            reports, outcomes, ..
+        } = run_campaign_profiled(&chips, 2, 1, &[]);
         assert_eq!(outcomes.len(), chips.len() * 2 * 2);
         let schedule: Vec<(usize, u64, bool)> =
             outcomes.iter().map(|o| (o.chip, o.seed, o.cold)).collect();
@@ -1925,7 +1987,7 @@ mod tests {
         // On the correct kernel an arrival that fires must leave IRQ
         // markers in the Full trace while every bystander's Observable
         // stream stays byte-identical to the reference.
-        let reference = chip_reference(&NRF52840DK);
+        let (_, reference) = chip_reference(&NRF52840DK);
         let mut runner = FleetRunner::new(&NRF52840DK);
         let mut fired_somewhere = false;
         for at in [0, 5, 17] {
@@ -1944,17 +2006,28 @@ mod tests {
                 );
             }
             assert!(run.violations.is_empty(), "{:?}", run.violations);
+            let streams = reference.walk(&run.trace.events, &[], false, PrefixSkip::default());
             assert!(
-                bystander_streams_match(
-                    run.trace.events.iter(),
-                    &reference.by_pid,
-                    [0; BYSTANDERS]
-                ),
+                streams.bystanders.iter().all(Option::is_none),
                 "at {at}: bystander stream diverged under a scheduled arrival"
             );
             trace::recycle(run.trace);
         }
         assert!(fired_somewhere, "no scheduled arrival fired at all");
+    }
+
+    #[test]
+    fn record_difference_covers_every_field() {
+        let fresh = run_one(&NRF52840DK, Some(3));
+        assert_eq!(record_difference(&fresh, &fresh.clone()), None);
+        let mut dropped = fresh.clone();
+        dropped.trace.dropped = 1;
+        let diff = record_difference(&fresh, &dropped).expect("dropped count compared");
+        assert!(diff.contains("dropped"), "{diff}");
+        let mut irq = fresh.clone();
+        irq.irq_fired = 1;
+        let diff = record_difference(&fresh, &irq).expect("irq_fired compared");
+        assert!(diff.contains("irq_fired"), "{diff}");
     }
 
     proptest! {

@@ -11,7 +11,7 @@ use crate::kernel::{App, Kernel};
 use crate::loader::flash_app;
 use crate::process::{Flavor, ProcessState};
 use crate::trace::{self, diff_traces, render_divergence, Trace, TraceDivergence, TraceScope};
-use tt_hw::platform::{ChipProfile, NRF52840DK};
+use tt_hw::platform::ChipProfile;
 use tt_legacy::BugVariant;
 
 /// Ring capacity used for per-run traces: a 200-tick release-test run
@@ -37,13 +37,8 @@ pub struct RunOutcome {
     pub trace: Trace,
 }
 
-/// Runs one release test on one kernel flavour on the NRF52840dk.
-pub fn run_one(test: &ReleaseTest, flavor: Flavor) -> RunOutcome {
-    run_one_on(test, flavor, &NRF52840DK)
-}
-
-/// Runs one release test on one kernel flavour on any chip (the paper's
-/// QEMU RISC-V runs use the same rig on the PMP chips).
+/// Runs one release test on one kernel flavour on `chip` (the paper's
+/// NRF52840dk runs, and its QEMU RISC-V runs on the PMP chips).
 pub fn run_one_on(test: &ReleaseTest, flavor: Flavor, chip: &ChipProfile) -> RunOutcome {
     // Fresh counters per run: readings and layouts must depend only on
     // this kernel's own behaviour.
@@ -121,17 +116,6 @@ impl DiffResult {
     }
 }
 
-/// Runs the whole release suite on both kernels (NRF52840dk).
-pub fn run_release_suite() -> Vec<DiffResult> {
-    run_release_suite_on(&NRF52840DK)
-}
-
-/// Worker count for the parallel suite runners: `TT_BENCH_THREADS` if set
-/// to a positive integer, otherwise the machine's available parallelism.
-pub fn suite_threads() -> usize {
-    crate::pool::default_threads()
-}
-
 fn diff_one(test: &ReleaseTest, chip: &ChipProfile) -> DiffResult {
     DiffResult::from_runs(
         test.spec.name,
@@ -141,52 +125,32 @@ fn diff_one(test: &ReleaseTest, chip: &ChipProfile) -> DiffResult {
     )
 }
 
-/// Runs the whole release suite on both kernels on any chip, spreading
-/// the per-test loop over [`suite_threads`] scoped threads.
-pub fn run_release_suite_on(chip: &ChipProfile) -> Vec<DiffResult> {
-    run_release_suite_on_with_threads(chip, suite_threads())
-}
-
-/// Runs the release suite on a work-stealing pool of `threads` workers
-/// (1 = the serial path); see [`crate::pool::run_indexed`]. Every
+/// Runs the whole release suite on both kernels on every chip in
+/// `chips`, over a work-stealing pool of `threads` workers (1 = serial;
+/// see [`crate::pool::run_indexed`]). Returns `(chip, results)` in chip
+/// order, each chip's results in test order.
+///
+/// The unit of work is a single `(chip, test)` diff — not a whole chip
+/// — so the tail of the suite keeps every core busy. Every
 /// cycle/trace/cache sink is thread-local by design, so each worker's
-/// runs are bit-identical to a serial run of the same tests, and results
-/// are reassembled in test order — the parallel runner's report is
-/// byte-identical to the serial one.
-pub fn run_release_suite_on_with_threads(chip: &ChipProfile, threads: usize) -> Vec<DiffResult> {
-    let tests = release_tests();
-    crate::pool::run_indexed(&tests, threads, |_, test| diff_one(test, chip))
-}
-
-/// Runs the release suite on every supported chip profile over the
-/// work-stealing pool sized by [`suite_threads`]. Returns
-/// `(chip, results)` in [`tt_hw::platform::ALL_CHIPS`] order.
-pub fn run_release_suite_all_chips() -> Vec<(&'static ChipProfile, Vec<DiffResult>)> {
-    run_release_suite_all_chips_with_threads(suite_threads())
-}
-
-/// [`run_release_suite_all_chips`] with an explicit worker count. The
-/// unit of work is a single `(chip, test)` diff — not a whole chip — so
-/// the tail of the suite keeps every core busy; results are chunked back
-/// into per-chip vectors in test order, byte-identical to serial.
-pub fn run_release_suite_all_chips_with_threads(
+/// runs are bit-identical to a serial run of the same tests, and the
+/// report is byte-identical to the serial one.
+pub fn run_release_suite(
+    chips: &[ChipProfile],
     threads: usize,
-) -> Vec<(&'static ChipProfile, Vec<DiffResult>)> {
-    let chips = &tt_hw::platform::ALL_CHIPS;
+) -> Vec<(&ChipProfile, Vec<DiffResult>)> {
     let tests = release_tests();
     let units: Vec<(usize, usize)> = (0..chips.len())
         .flat_map(|c| (0..tests.len()).map(move |t| (c, t)))
         .collect();
     let tests = &tests;
     let mut results =
-        crate::pool::run_indexed(&units, threads, |_, &(c, t)| diff_one(&tests[t], &chips[c]));
-    let mut out = Vec::with_capacity(chips.len());
-    for chip in chips.iter().rev() {
-        let rest = results.split_off(results.len() - tests.len());
-        out.push((chip, rest));
-    }
-    out.reverse();
-    out
+        crate::pool::run_indexed(&units, threads, |_, &(c, t)| diff_one(&tests[t], &chips[c]))
+            .into_iter();
+    chips
+        .iter()
+        .map(|chip| (chip, results.by_ref().take(tests.len()).collect()))
+        .collect()
 }
 
 /// Renders the §6.1 summary table.
@@ -241,10 +205,23 @@ pub fn render_report(results: &[DiffResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
+
+    /// The suite on one chip at `threads` workers.
+    fn suite_on(chip: &ChipProfile, threads: usize) -> Vec<DiffResult> {
+        run_release_suite(std::slice::from_ref(chip), threads)
+            .remove(0)
+            .1
+    }
+
+    /// The suite on the NRF52840dk at the default worker count.
+    fn nrf_suite() -> Vec<DiffResult> {
+        suite_on(&NRF52840DK, crate::pool::default_threads())
+    }
 
     #[test]
     fn suite_reproduces_the_21_and_5_of_section_6_1() {
-        let results = run_release_suite();
+        let results = nrf_suite();
         assert_eq!(results.len(), 21);
         let differing: Vec<&str> = results
             .iter()
@@ -266,8 +243,8 @@ mod tests {
 
     #[test]
     fn parallel_suite_report_is_byte_identical_to_serial() {
-        let serial = run_release_suite_on_with_threads(&NRF52840DK, 1);
-        let parallel = run_release_suite_on_with_threads(&NRF52840DK, 4);
+        let serial = suite_on(&NRF52840DK, 1);
+        let parallel = suite_on(&NRF52840DK, 4);
         assert_eq!(parallel.len(), serial.len());
         for (s, p) in serial.iter().zip(parallel.iter()) {
             assert_eq!(s.name, p.name);
@@ -283,24 +260,8 @@ mod tests {
     }
 
     #[test]
-    fn suite_threads_reads_the_env_var() {
-        // Serialised against other env readers by running in this one test.
-        std::env::set_var("TT_BENCH_THREADS", "3");
-        assert_eq!(suite_threads(), 3);
-        std::env::set_var("TT_BENCH_THREADS", "0");
-        assert!(
-            suite_threads() >= 1,
-            "0 falls back to available parallelism"
-        );
-        std::env::set_var("TT_BENCH_THREADS", "nope");
-        assert!(suite_threads() >= 1);
-        std::env::remove_var("TT_BENCH_THREADS");
-        assert!(suite_threads() >= 1);
-    }
-
-    #[test]
     fn all_chips_runner_covers_every_profile_with_the_same_shape() {
-        let per_chip = run_release_suite_all_chips();
+        let per_chip = run_release_suite(&ALL_CHIPS, crate::pool::default_threads());
         assert_eq!(per_chip.len(), tt_hw::platform::ALL_CHIPS.len());
         for (chip, results) in &per_chip {
             assert_eq!(results.len(), 21, "{}", chip.name);
@@ -311,7 +272,7 @@ mod tests {
 
     #[test]
     fn crash_tests_fault_on_both_kernels() {
-        let results = run_release_suite();
+        let results = nrf_suite();
         for name in ["crash_dummy", "stack_growth", "mpu_stack_growth"] {
             let r = results.iter().find(|r| r.name == name).unwrap();
             assert!(r.tock.faulted, "{name} should fault on tock");
@@ -326,7 +287,7 @@ mod tests {
 
     #[test]
     fn non_crash_tests_exit_cleanly_on_both_kernels() {
-        let results = run_release_suite();
+        let results = nrf_suite();
         for r in &results {
             if ["crash_dummy", "stack_growth", "mpu_stack_growth"].contains(&r.name) {
                 continue;
@@ -348,7 +309,7 @@ mod tests {
         // The paper ran the RISC-V differential tests under QEMU; the same
         // 21/5 shape must hold on the PMP chips.
         for chip in [tt_hw::platform::ESP32_C3, tt_hw::platform::EARLGREY] {
-            let results = run_release_suite_on(&chip);
+            let results = suite_on(&chip, crate::pool::default_threads());
             assert_eq!(results.len(), 21, "{}", chip.name);
             for r in &results {
                 assert_eq!(
@@ -366,7 +327,7 @@ mod tests {
 
     #[test]
     fn report_renders_summary() {
-        let results = run_release_suite();
+        let results = nrf_suite();
         let report = render_report(&results);
         assert!(report.contains("21 tests, 5 differing (0 unexpected)"));
     }

@@ -8,10 +8,12 @@
 //! the MPU stage→commit window, the scheduler's post-commit decision
 //! point — and each candidate arrival becomes a replayable
 //! [`InterruptSchedule`] executed deterministically from the
-//! [`FleetRunner`]'s snapshots. Every surviving schedule is checked on
-//! the campaign's oracle surface: zero contract violations, bystander
-//! [`TraceScope::Observable`] streams byte-identical to the
-//! uninterrupted reference, and convergence within the restart cap.
+//! [`FleetRunner`]'s snapshots. Every surviving schedule is checked by
+//! the campaign's own oracle ([`validate_scheduled`]): zero contract
+//! violations, bystander [`TraceScope::Observable`] streams
+//! byte-identical to the uninterrupted reference, convergence within the
+//! restart cap, and — for a run in which nothing fired — an exact replay
+//! of the reference.
 //!
 //! # Candidate enumeration
 //!
@@ -83,12 +85,10 @@
 //! module). Pruned counts are reported, never silently dropped.
 
 use crate::campaign::{
-    boot_campaign_kernel, bystander_streams_match, FleetRunner, RunRecord, BYSTANDERS,
-    MAX_RESTARTS, VICTIM,
+    boot_campaign_kernel, check_run, FleetRunner, Label, Reference, RunRecord, BYSTANDERS, VICTIM,
 };
 use crate::capsules::driver;
 use crate::kernel::{App, Kernel, Step};
-use crate::process::ProcessState;
 use crate::shrink::shrink_schedule;
 use crate::trace::{event_pid, normalize_for_pid, SwitchDir, SyscallKind, TraceEvent, TraceScope};
 use tt_contracts::obligation::{CheckResult, Registry};
@@ -323,64 +323,33 @@ impl ExploreOutcome {
     }
 }
 
-/// Checks one scheduled run on the campaign oracle surface. Empty
-/// result = the schedule survived.
+/// Checks one drained scheduled run with the campaign's oracle, its
+/// failure lines labelled `schedule 0x…`. Empty result = the schedule
+/// survived.
 ///
-/// The victim's own observable stream is *not* compared: front-running
-/// timer work legitimately shifts when the victim restarts. Bystanders
-/// must be untouched, contracts must hold everywhere, and everything
-/// must still converge.
+/// The victim's own observable stream is compared only when neither an
+/// injection nor the arrival fired: front-running timer work
+/// legitimately shifts when the victim restarts. Bystanders must be
+/// untouched, contracts must hold everywhere, and everything must still
+/// converge.
 pub fn validate_scheduled(
     chip: &ChipProfile,
     run: &RunRecord,
     schedule: u64,
-    reference_by_pid: &[Vec<TraceEvent>],
+    reference: &Reference,
 ) -> Vec<String> {
-    let mut failures = Vec::new();
-    let tag = |what: &str| format!("{} schedule {schedule:#x}: {what}", chip.name);
-    for v in &run.violations {
-        failures.push(tag(&format!("contract violation: {v}")));
-    }
-    if !bystander_streams_match(run.trace.events.iter(), reference_by_pid, [0; BYSTANDERS]) {
-        failures.push(tag(
-            "bystander observable trace diverged from the reference",
-        ));
-    }
-    for b in 0..BYSTANDERS {
-        let pid = VICTIM + 1 + b;
-        if run.states[pid] != ProcessState::Exited {
-            failures.push(tag(&format!(
-                "bystander pid{pid} did not exit: {:?}",
-                run.states[pid]
-            )));
-        }
-    }
-    if !matches!(
-        run.states[VICTIM],
-        ProcessState::Exited | ProcessState::Killed
-    ) {
-        failures.push(tag(&format!(
-            "victim did not converge: {:?} after {} restarts",
-            run.states[VICTIM], run.restarts
-        )));
-    }
-    if run.restarts > MAX_RESTARTS {
-        failures.push(tag(&format!("restart cap exceeded: {}", run.restarts)));
-    }
-    failures
+    check_run(
+        chip,
+        Label::Schedule(schedule),
+        run,
+        &reference.walk_record(run),
+    )
 }
 
-/// The per-bystander observable reference streams of a run.
-pub fn bystander_reference(run: &RunRecord) -> Vec<Vec<TraceEvent>> {
-    (0..BYSTANDERS)
-        .map(|b| {
-            normalize_for_pid(
-                &run.trace.events,
-                TraceScope::Observable,
-                (VICTIM + 1 + b) as u32,
-            )
-        })
-        .collect()
+/// The oracle [`Reference`] of a drained, uninterrupted run: its raw
+/// trace plus the whole and per-bystander observable streams.
+pub fn bystander_reference(run: &RunRecord) -> Reference {
+    Reference::new(run.trace.events.clone())
 }
 
 /// Explores every interrupt-arrival class of `(runner's scenario,
@@ -739,6 +708,32 @@ mod tests {
         let control_reference = bystander_reference(&control.run_plan(None));
         let run = control.run_scheduled(None, &minimized);
         let failures = validate_scheduled(&NRF52840DK, &run, finding.minimized, &control_reference);
+        assert!(failures.is_empty(), "{failures:#?}");
+    }
+
+    /// The planted bug's minimized schedule (the one `e_explore`'s
+    /// demonstration reports) replayed through the oracle: the finding
+    /// names the diverging bystander and the event, and the control
+    /// kernel survives the same schedule.
+    #[test]
+    fn planted_finding_names_the_bystander_and_the_event() {
+        let minimized = InterruptSchedule::from_id(0x6005);
+        let mut runner = planted::runner(&NRF52840DK);
+        let reference = bystander_reference(&runner.run_plan(None));
+        let run = runner.run_scheduled(None, &minimized);
+        let failures = validate_scheduled(&NRF52840DK, &run, minimized.id(), &reference);
+        assert_eq!(
+            failures,
+            [
+                "nrf52840dk schedule 0x6005: bystander pid1 trace diverged at event #27: \
+              reference `pid1 enter Print(0x3, 0x0, 0x0)` vs injected \
+              `pid1 BUS FAULT read 0x00000000`; first injected fault: <no injection fired>"
+            ]
+        );
+        let mut control = planted::control_runner(&NRF52840DK);
+        let control_reference = bystander_reference(&control.run_plan(None));
+        let run = control.run_scheduled(None, &minimized);
+        let failures = validate_scheduled(&NRF52840DK, &run, minimized.id(), &control_reference);
         assert!(failures.is_empty(), "{failures:#?}");
     }
 

@@ -202,6 +202,22 @@ mod tests {
     }
 
     #[test]
+    fn default_threads_reads_the_env_var() {
+        // Serialised against other env readers by running in this one test.
+        std::env::set_var("TT_BENCH_THREADS", "3");
+        assert_eq!(default_threads(), 3);
+        std::env::set_var("TT_BENCH_THREADS", "0");
+        assert!(
+            default_threads() >= 1,
+            "0 falls back to available parallelism"
+        );
+        std::env::set_var("TT_BENCH_THREADS", "nope");
+        assert!(default_threads() >= 1);
+        std::env::remove_var("TT_BENCH_THREADS");
+        assert!(default_threads() >= 1);
+    }
+
+    #[test]
     fn ctx_variant_reuses_one_context_per_worker() {
         // Each context counts the units it ran; the per-unit result pairs
         // the item with how many units *this* context had already seen.

@@ -5,8 +5,9 @@
 
 use ticktock_repro::hw::mem::AccessType;
 use ticktock_repro::hw::platform::{ALL_CHIPS, EARLGREY, ESP32_C3, HIFIVE1};
-use ticktock_repro::kernel::differential::{app_flash_base, run_release_suite_on};
+use ticktock_repro::kernel::differential::{app_flash_base, run_release_suite};
 use ticktock_repro::kernel::loader::flash_many;
+use ticktock_repro::kernel::pool::default_threads;
 use ticktock_repro::kernel::process::Flavor;
 use ticktock_repro::kernel::{Kernel, ProcessState};
 use ticktock_repro::legacy::BugVariant;
@@ -86,7 +87,7 @@ fn hifive1_fits_one_process_in_16k_ram() {
 fn release_suite_shape_on_riscv_chips() {
     // §6.1's QEMU leg: 21 tests, the same 5 expected differences.
     for chip in [ESP32_C3, EARLGREY] {
-        let results = run_release_suite_on(&chip);
+        let (_, results) = run_release_suite(&[chip], default_threads()).remove(0);
         let differing = results.iter().filter(|r| !r.matches()).count();
         assert_eq!(differing, 5, "{}: wrong diff count", chip.name);
         for r in &results {
