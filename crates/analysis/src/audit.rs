@@ -50,6 +50,17 @@ pub fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// `path` as given when absolute, else anchored at the workspace root,
+/// so a bin finds its committed files from any working directory.
+pub fn in_workspace(path: impl AsRef<Path>) -> PathBuf {
+    let path = path.as_ref();
+    if path.is_absolute() {
+        path.to_path_buf()
+    } else {
+        workspace_root().join(path)
+    }
+}
+
 /// The default allowlist location, relative to the workspace root.
 pub const DEFAULT_CONFIG: &str = "ci/tcb_allowlist.toml";
 

@@ -1,16 +1,18 @@
 //! `tt-audit` — the workspace static isolation auditor.
 //!
 //! ```text
-//! tt-audit [--check] [--root DIR] [--config FILE] [--json FILE]
+//! tt-audit [--check] [--json [FILE]] [--root DIR] [--config FILE]
 //!          [--pass tcb,coverage,crosscheck,staleness]
 //!          [--cold] [--no-cache] [--cache FILE]
 //! ```
 //!
 //! Runs the TCB audit, the invariant-coverage lint, the obligation
 //! cross-check and the allowlist staleness lint over the workspace
-//! sources, prints the Fig. 10 table, and (with `--json`) writes the
-//! `BENCH_fig10.json` artifact. With `--check` the process exits nonzero
-//! if any pass produced findings — the CI gate.
+//! sources and prints the Fig. 10 table. `--json` and `--check` are the
+//! shared report flags (DESIGN §17): `--json` writes the `fig10` report
+//! (`BENCH_fig10.json`), and `--check` gates it. The report has no
+//! baseline entries, so `--check` takes no baseline: the process exits
+//! nonzero if any pass produced findings — the CI gate.
 //!
 //! By default the cacheable passes run incrementally against
 //! `ci/audit_cache.bin`: a warm re-run on an unchanged tree skips every
@@ -21,13 +23,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use tt_analysis::metrics::{exit_code, Cli};
 use tt_analysis::{AuditConfig, Pass};
 
 struct Args {
-    check: bool,
+    report: Cli,
     root: PathBuf,
     config: PathBuf,
-    json: Option<PathBuf>,
     passes: Vec<Pass>,
     cold: bool,
     no_cache: bool,
@@ -52,22 +54,23 @@ fn parse_passes(spec: &str) -> Result<Vec<Pass>, String> {
 
 fn parse_args() -> Result<Args, String> {
     let root = tt_analysis::workspace_root();
+    let mut rest: Vec<String> = std::env::args().skip(1).collect();
+    let report = Cli::take("fig10", &mut rest);
+    report.bare_check()?;
     let mut args = Args {
-        check: false,
+        report,
         config: root.join(tt_analysis::DEFAULT_CONFIG),
         root,
-        json: None,
         passes: vec![Pass::Tcb, Pass::Coverage, Pass::Crosscheck, Pass::Staleness],
         cold: false,
         no_cache: false,
         cache: None,
     };
     let mut config_overridden = false;
-    let mut it = std::env::args().skip(1);
+    let mut it = rest.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
-            "--check" => args.check = true,
             "--root" => {
                 args.root = PathBuf::from(value("--root")?);
                 if !config_overridden {
@@ -78,14 +81,13 @@ fn parse_args() -> Result<Args, String> {
                 args.config = PathBuf::from(value("--config")?);
                 config_overridden = true;
             }
-            "--json" => args.json = Some(PathBuf::from(value("--json")?)),
             "--pass" => args.passes = parse_passes(&value("--pass")?)?,
             "--cold" => args.cold = true,
             "--no-cache" => args.no_cache = true,
             "--cache" => args.cache = Some(PathBuf::from(value("--cache")?)),
             "--help" | "-h" => {
                 println!(
-                    "tt-audit [--check] [--root DIR] [--config FILE] [--json FILE] \
+                    "tt-audit [--check] [--json [FILE]] [--root DIR] [--config FILE] \
                      [--pass tcb,coverage,crosscheck,staleness] \
                      [--cold] [--no-cache] [--cache FILE]"
                 );
@@ -166,18 +168,5 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(path) = &args.json {
-        let doc = tt_analysis::to_json(&report);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("tt-audit: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("wrote {}", path.display());
-    }
-
-    if args.check && !report.clean() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_code(args.report.finish(&tt_analysis::report::metrics(&report)))
 }

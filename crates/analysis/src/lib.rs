@@ -31,9 +31,12 @@
 //! pass is never cached.
 //!
 //! The audit also *generates* the Fig. 10 proof-effort table (now with a
-//! trusted-LOC column) as `BENCH_fig10.json` ([`report`]), which
+//! trusted-LOC column) as the `fig10` metrics report ([`report`]), which
 //! `tt-bench` consumes instead of maintaining its own counts. `tt-audit
 //! --check` is a tier-1 CI gate.
+//!
+//! [`metrics`] is the workspace's one report schema, JSON writer and
+//! baseline gate: every experiment bin and `tt-audit` report through it.
 
 #![warn(missing_docs)]
 
@@ -42,6 +45,7 @@ pub mod config;
 pub mod coverage;
 pub mod crosscheck;
 pub mod findings;
+pub mod metrics;
 pub mod report;
 pub mod source;
 pub mod staleness;
@@ -53,5 +57,5 @@ pub use audit::{
 };
 pub use config::AuditConfig;
 pub use findings::{Finding, Pass};
-pub use report::{to_json, AuditReport, CacheStats, ComponentRow};
+pub use report::{AuditReport, CacheStats, ComponentRow};
 pub use staleness::StaleEntry;

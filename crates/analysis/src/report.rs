@@ -5,13 +5,15 @@
 //! those with `tt_contracts::effort`; this module adds the number the
 //! audit is really about — **trusted LOC**, the lines inside the declared
 //! TCB (allowlisted files/functions plus `// TRUSTED:`-marked functions) —
-//! and emits the whole table as `BENCH_fig10.json`, so the benchmark
-//! figures are *generated from the audit* rather than hand-maintained.
+//! and reports the whole table as the `fig10` metrics ([`metrics`],
+//! written as `BENCH_fig10.json`), so the benchmark figures are
+//! *generated from the audit* rather than hand-maintained.
 
 use std::path::Path;
 
 use crate::config::AuditConfig;
 use crate::findings::{Finding, Pass};
+use crate::metrics::{Report, WALL};
 use crate::source::ScannedFile;
 use crate::staleness::StaleEntry;
 use tt_contracts::effort::{default_components, scan_path, EffortCounts};
@@ -151,81 +153,43 @@ pub fn component_rows(
     (rows, total, total_trusted)
 }
 
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// The `fig10` metrics report: the Fig. 10 counters and trusted LOC per
+/// component and in total, findings per pass, and the cache statistics
+/// of a cached run. Every finding is a failure.
+pub fn metrics(report: &AuditReport) -> Report {
+    let mut r = Report::new("fig10");
+    let rows = report
+        .rows
+        .iter()
+        .map(|row| (row.name, &row.counts, row.trusted_loc));
+    for (name, c, trusted) in rows.chain([("Total", &report.total, report.total_trusted_loc)]) {
+        let loc = [
+            ("source_loc", c.source_loc as f64),
+            ("spec_loc", c.spec_loc as f64),
+            ("trusted_spec_loc", c.trusted_spec_loc as f64),
+            ("trusted_loc", trusted as f64),
+        ];
+        let fns = [("fns", c.fns as f64), ("trusted_fns", c.trusted_fns as f64)];
+        r.infos(name, "effort", "loc", &loc);
+        r.infos(name, "effort", "count", &fns);
     }
-    out
-}
-
-fn row_json(name: &str, c: &EffortCounts, trusted_loc: usize) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"source_loc\": {}, \"fns\": {}, \"trusted_fns\": {}, \
-         \"spec_loc\": {}, \"trusted_spec_loc\": {}, \"trusted_loc\": {}}}",
-        escape(name),
-        c.source_loc,
-        c.fns,
-        c.trusted_fns,
-        c.spec_loc,
-        c.trusted_spec_loc,
-        trusted_loc
-    )
-}
-
-/// Renders the report as the `BENCH_fig10.json` document.
-pub fn to_json(report: &AuditReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"fig10_proof_effort\",\n");
-    out.push_str("  \"generator\": \"tt-audit\",\n");
-    out.push_str("  \"components\": [\n");
-    for (i, row) in report.rows.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&row_json(row.name, &row.counts, row.trusted_loc));
-        out.push_str(if i + 1 < report.rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n  \"total\": ");
-    out.push_str(&row_json("Total", &report.total, report.total_trusted_loc));
-    out.push_str(",\n  \"audit\": {");
-    out.push_str(&format!(
-        "\"findings\": {}, \"tcb\": {}, \"coverage\": {}, \"crosscheck\": {}, \
-         \"staleness\": {}, \"clean\": {}",
-        report.findings.len(),
-        report.count(Pass::Tcb),
-        report.count(Pass::Coverage),
-        report.count(Pass::Crosscheck),
-        report.count(Pass::Staleness),
-        report.clean()
-    ));
-    out.push('}');
+    let passes = [Pass::Tcb, Pass::Coverage, Pass::Crosscheck, Pass::Staleness];
+    let findings = passes.map(|p| (p.name(), report.count(p) as f64));
+    r.infos("findings", "audit", "count", &findings);
     if let Some(c) = &report.cache {
-        out.push_str(&format!(
-            ",\n  \"cache\": {{\"mode\": \"{}\", \"cache_hit_rate\": {:.4}, \
-             \"wall_ms\": {:.3}, \"cold_wall_ms\": {:.3}, \"skipped\": \
-             {{\"tcb\": {}, \"coverage\": {}, \"crosscheck\": {}}}}}",
-            if c.warm { "warm" } else { "cold" },
-            c.hit_rate,
-            c.wall_ms,
-            c.cold_wall_ms,
-            c.skipped_tcb,
-            c.skipped_coverage,
-            c.skipped_crosscheck,
-        ));
+        let counts = [
+            ("warm", f64::from(u8::from(c.warm))),
+            ("skipped_tcb", c.skipped_tcb as f64),
+            ("skipped_coverage", c.skipped_coverage as f64),
+            ("skipped_crosscheck", c.skipped_crosscheck as f64),
+        ];
+        r.infos("cache", "vcache", "count", &counts);
+        r.infos("cache", "vcache", "share", &[("hit_rate", c.hit_rate)]);
+        let walls = [("wall_ms", c.wall_ms), ("cold_wall_ms", c.cold_wall_ms)];
+        r.infos("cache", WALL, "ms", &walls);
     }
-    out.push_str("\n}\n");
-    out
+    r.failures = report.findings.iter().map(ToString::to_string).collect();
+    r
 }
 
 /// Renders the report as a human-readable table (the `tt-audit` default).
@@ -280,19 +244,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_has_component_rows_and_audit_summary() {
-        let doc = to_json(&sample_report());
-        assert!(doc.contains("\"name\": \"Kernel\""));
-        assert!(doc.contains("\"trusted_loc\": 15"));
-        assert!(doc.contains("\"clean\": true"));
-        assert!(doc.contains("\"bench\": \"fig10_proof_effort\""));
-        // Balanced braces — a cheap well-formedness check.
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count(), "{doc}");
+    fn value(r: &Report, name: &str) -> f64 {
+        r.get(name)
+            .unwrap_or_else(|| panic!("no {name} in {r:?}"))
+            .value
     }
 
     #[test]
-    fn findings_flip_the_clean_flag() {
+    fn metrics_have_component_rows_and_per_pass_findings() {
+        let r = metrics(&sample_report());
+        assert_eq!(r.experiment, "fig10");
+        assert_eq!(value(&r, "Kernel.trusted_loc"), 15.0);
+        assert_eq!(value(&r, "Total.source_loc"), 100.0);
+        assert_eq!(value(&r, "findings.staleness"), 0.0);
+        assert!(r.failures.is_empty());
+    }
+
+    #[test]
+    fn findings_flip_the_clean_flag_and_become_failures() {
         let mut r = sample_report();
         r.findings.push(Finding {
             pass: Pass::Tcb,
@@ -301,7 +270,9 @@ mod tests {
         });
         assert!(!r.clean());
         assert_eq!(r.count(Pass::Tcb), 1);
-        assert!(to_json(&r).contains("\"clean\": false"));
+        let m = metrics(&r);
+        assert_eq!(value(&m, "findings.tcb"), 1.0);
+        assert_eq!(m.failures, vec![r.findings[0].to_string()]);
     }
 
     #[test]
@@ -326,9 +297,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_section_appears_only_for_cached_runs() {
+    fn cache_metrics_appear_only_for_cached_runs() {
         let mut r = sample_report();
-        assert!(!to_json(&r).contains("\"cache\""));
+        assert!(metrics(&r).get("cache.hit_rate").is_none());
         r.cache = Some(CacheStats {
             warm: true,
             hit_rate: 1.0,
@@ -339,12 +310,14 @@ mod tests {
             skipped_crosscheck: 1,
             corrupt: None,
         });
-        let doc = to_json(&r);
-        assert!(doc.contains("\"mode\": \"warm\""));
-        assert!(doc.contains("\"cache_hit_rate\": 1.0000"));
-        assert!(doc.contains("\"skipped\": {\"tcb\": 40, \"coverage\": 40, \"crosscheck\": 1}"));
-        assert!(doc.contains("\"staleness\": 0"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count(), "{doc}");
+        let m = metrics(&r);
+        assert_eq!(value(&m, "cache.warm"), 1.0);
+        assert_eq!(value(&m, "cache.hit_rate"), 1.0);
+        assert_eq!(value(&m, "cache.skipped_tcb"), 40.0);
+        assert_eq!(value(&m, "cache.skipped_crosscheck"), 1.0);
+        // Wall clock is host-dependent: it lives in the wall layer.
+        let det = m.without_wall();
+        assert!(det.get("cache.wall_ms").is_none() && det.get("cache.cold_wall_ms").is_none());
     }
 
     #[test]

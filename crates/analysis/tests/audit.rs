@@ -97,11 +97,11 @@ fn json_artifact_is_written_and_well_formed() {
     let doc = fs::read_to_string(&path).expect("json written");
     let _ = fs::remove_file(&path);
     for needle in [
-        "\"bench\": \"fig10_proof_effort\"",
-        "\"generator\": \"tt-audit\"",
-        "\"components\"",
-        "\"trusted_loc\"",
-        "\"clean\": true",
+        "\"experiment\": \"fig10\"",
+        "\"metrics\"",
+        "\"name\": \"Kernel.source_loc\"",
+        "\"name\": \"Total.trusted_loc\"",
+        "\"failures\": []",
     ] {
         assert!(doc.contains(needle), "missing {needle} in:\n{doc}");
     }

@@ -10,12 +10,15 @@
 //!
 //! With `--json [path]`, runs the suite on all seven chip profiles —
 //! every `(chip, test)` diff is one unit of work on the work-stealing
-//! pool (`TT_BENCH_THREADS` sets the worker count) — and writes
-//! `BENCH_e61.json` with the per-chip 21/5 shape and the suite
-//! wall-clock.
+//! pool (`TT_BENCH_THREADS` sets the worker count) — and writes the
+//! `e61` report (`BENCH_e61.json`, DESIGN §17): the per-chip 21/5 shape
+//! and the suite wall-clock, with every unexpected verdict as a failure.
+//! The report has no gated metric, so `--check` is refused; unexpected
+//! verdicts fail the bin on their own.
 
 use std::process::ExitCode;
 
+use tt_analysis::metrics::{exit_code, Cli};
 use tt_bench::reports;
 use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
 use tt_kernel::differential::{render_report, run_release_suite};
@@ -23,14 +26,13 @@ use tt_kernel::pool;
 use tt_kernel::trace::render_divergence;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::take("e61", &mut args);
+    if cli.check.is_some() {
+        eprintln!("e61_differential: --check is not accepted: the report has no gated metric");
+        return ExitCode::from(2);
+    }
     let trace_mode = args.iter().any(|a| a == "--trace");
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_e61.json".into())
-    });
 
     println!("Section 6.1: Differential testing (Tock vs TickTock, 21 release tests)");
     let (_, results) = run_release_suite(&[NRF52840DK], pool::default_threads()).remove(0);
@@ -49,28 +51,25 @@ fn main() -> ExitCode {
         }
     }
     println!("(paper: 21 tests, 5 differing — all layout- or sensor-dependent)");
-    let mut unexpected: Vec<String> = results
+    let unexpected: Vec<&str> = results
         .iter()
         .filter(|r| r.matches() == r.expect_differs)
-        .map(|r| r.name.to_string())
+        .map(|r| r.name)
         .collect();
-
-    if let Some(path) = json_path {
+    let mut ok = true;
+    if cli.wanted() {
         let started = std::time::Instant::now();
         let per_chip = run_release_suite(&ALL_CHIPS, pool::default_threads());
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        unexpected.extend(reports::e61_unexpected(&per_chip));
-        let doc = reports::e61_json(&per_chip, wall_ms);
-        if let Err(e) = std::fs::write(&path, &doc) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path} ({} chips, {:.0} ms)", per_chip.len(), wall_ms);
+        println!("all chips: {} chips, {:.0} ms", per_chip.len(), wall_ms);
+        // Unexpected verdicts fail the bin on every chip, gated or not.
+        let report = reports::e61_metrics(&per_chip, wall_ms);
+        ok = cli.finish(&report) && report.failures.is_empty();
     }
 
     if !unexpected.is_empty() {
         eprintln!("UNEXPECTED differential results: {unexpected:?}");
-        return ExitCode::FAILURE;
+        ok = false;
     }
-    ExitCode::SUCCESS
+    exit_code(ok)
 }

@@ -2,32 +2,22 @@
 //! failure; report total/app/grant/unused for Tock, TickTock, and padded
 //! TickTock.
 //!
-//! `--json [path]` additionally writes `BENCH_e62.json` with the three
-//! configurations' measurements and the run's wall-clock.
+//! `--json [path]` additionally writes the `e62` report
+//! (`BENCH_e62.json`, DESIGN §17) with the three configurations'
+//! measurements and the run's wall-clock. The report has no gated
+//! metric, so `--check` is refused.
 
-use tt_bench::e62::MemUsage;
-use tt_bench::json;
+use std::process::ExitCode;
 
-fn row(name: &str, m: &MemUsage) -> String {
-    format!(
-        "    {{\"config\": \"{}\", \"total\": {}, \"app\": {}, \"grant\": {}, \"unused\": {}, \"unused_pct\": {}}}",
-        json::escape(name),
-        m.total,
-        m.app,
-        m.grant,
-        m.unused,
-        json::num(m.unused_pct())
-    )
-}
+use tt_analysis::metrics::{exit_code, Cli};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_e62.json".into())
-    });
+fn main() -> ExitCode {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::take("e62", &mut args);
+    if cli.check.is_some() {
+        eprintln!("e62_memory_usage: --check is not accepted: the report has no gated metric");
+        return ExitCode::from(2);
+    }
 
     println!("Section 6.2: Memory usage (grow-by-1-byte-until-failure)");
     let started = std::time::Instant::now();
@@ -37,20 +27,5 @@ fn main() {
     println!("(paper: Tock 8,192 total / 6,656 app / 1,284 grant / 252 unused (3.08%);");
     println!("        TickTock 7,780 / 6,144 / 1,200 / 436 (5.60%); padded TickTock unused 336)");
 
-    if let Some(path) = json_path {
-        let doc = format!(
-            "{{\n  \"experiment\": \"e62_memory_usage\",\n  \"wall_clock_ms\": {},\n  \"configs\": [\n{},\n{},\n{}\n  ]\n}}\n",
-            json::num(wall_ms),
-            row("tock", &tock),
-            row("ticktock", &ticktock),
-            row("ticktock_padded", &padded),
-        );
-        match std::fs::write(&path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    exit_code(cli.finish(&tt_bench::e62::metrics(&tock, &ticktock, &padded, wall_ms)))
 }

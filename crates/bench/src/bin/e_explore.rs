@@ -14,9 +14,10 @@
 //! kernel must stay green, exploration must find the bug, and the
 //! minimized schedule must be harmless on the correct kernel.
 //!
-//! With `--check`, exits non-zero on any finding, a replayed schedule
-//! still failing, a pruning ratio under the `min_explore_prune_ratio`
-//! floor in `ci/bench_baseline.json`, or lost detector power. With
+//! With `--check [baseline]`, gates the `explore` report (DESIGN §17):
+//! exits non-zero on any finding, a replayed schedule still failing, a
+//! pruning ratio under the `explore.prune_ratio` floor in
+//! `ci/bench_baseline.json`, or lost detector power. With
 //! `--json [path]`, writes `BENCH_explore.json`. `--budget-ms N` bounds
 //! fleet wall clock (late units report truncated, and the gate refuses
 //! to pass on truncation alone).
@@ -24,42 +25,25 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use tt_analysis::metrics::{exit_code, Cli};
 use tt_bench::explore::{
-    check, explore_json, explore_records, planted_demo, render, replay_schedule_records,
-    run_explore_fleet, schedule_corpus,
+    explore_records, metrics, planted_demo, render, replay_schedule_records, run_explore_fleet,
+    schedule_corpus,
 };
+use tt_bench::flag_value;
 use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
 use tt_kernel::corpus::write_corpus;
 use tt_kernel::pool;
 
-fn arg_num<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let do_check = args.iter().any(|a| a == "--check");
-    let seeds: u64 = arg_num(&args, "--seeds").unwrap_or(2);
-    let planted_seeds: u64 = arg_num(&args, "--planted-seeds").unwrap_or(25);
-    let cap: Option<usize> = arg_num(&args, "--cap");
-    let budget_ms: Option<f64> = arg_num(&args, "--budget-ms");
-    let threads: usize = arg_num(&args, "--threads").unwrap_or_else(pool::default_threads);
-    let corpus_dir = args
-        .iter()
-        .position(|a| a == "--corpus")
-        .and_then(|i| args.get(i + 1))
-        .filter(|p| !p.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "ci/corpus".into());
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_explore.json".into())
-    });
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::take("explore", &mut args);
+    let seeds: u64 = flag_value(&args, "--seeds").unwrap_or(2);
+    let planted_seeds: u64 = flag_value(&args, "--planted-seeds").unwrap_or(25);
+    let cap: Option<usize> = flag_value(&args, "--cap");
+    let budget_ms: Option<f64> = flag_value(&args, "--budget-ms");
+    let threads: usize = flag_value(&args, "--threads").unwrap_or_else(pool::default_threads);
+    let corpus_dir: String = flag_value(&args, "--corpus").unwrap_or_else(|| "ci/corpus".into());
 
     // Replay the persisted schedule corpus first — a previously-failing
     // schedule reporting in the opening seconds beats rediscovering it.
@@ -99,30 +83,5 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = json_path {
-        let doc = explore_json(&fleet, &demo);
-        if let Err(e) = std::fs::write(&path, &doc) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-
-    if do_check {
-        let baseline = std::fs::read_to_string("ci/bench_baseline.json").unwrap_or_default();
-        match check(&fleet, &demo, &replayed, &baseline) {
-            Ok(notes) => {
-                for n in notes {
-                    println!("gate: {n}");
-                }
-            }
-            Err(failures) => {
-                for f in &failures {
-                    eprintln!("gate FAILED: {f}");
-                }
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    exit_code(cli.finish(&metrics(&fleet, &demo, &replayed)))
 }

@@ -11,19 +11,22 @@
 //! 3. recovery converges — bystanders exit, the victim ends `Exited` or
 //!    (restart cap) `Killed`, never a livelock.
 //!
-//! With `--check`, exits non-zero on any oracle failure (the CI gate).
-//! With `--json [path]`, writes `BENCH_fault.json` with per-chip recovery
+//! With `--check`, gates the `fault` report (DESIGN §17) and so exits
+//! non-zero on any oracle failure (the CI gate); the report has no
+//! baseline entries, so `--check` takes no baseline. With
+//! `--json [path]`, writes it as `BENCH_fault.json`: per-chip recovery
 //! latency (warm vs cold commit cache) and campaign counters. With
 //! `--explore`, the interrupt-interleaving explorer rides along: every
 //! chip's clean and first two seeded baselines are swept for
 //! schedule-sensitive oracle failures (one representative per DPOR
 //! commuting class), the planted commit-window demonstration runs, and
-//! both fold into the `--check` verdict.
+//! both fold their failures into the report.
 
 use std::process::ExitCode;
 
-use tt_bench::explore::{planted_demo, render as render_explore, run_explore_fleet};
-use tt_bench::reports;
+use tt_analysis::metrics::{exit_code, Cli};
+use tt_bench::explore::{self, planted_demo, render as render_explore, run_explore_fleet};
+use tt_bench::{flag_value, reports};
 use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
 use tt_kernel::campaign::{render_report, run_campaign_profiled};
 use tt_kernel::pool;
@@ -33,21 +36,14 @@ use tt_kernel::pool;
 const EXPLORE_SEEDS: u64 = 2;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::take("fault", &mut args);
+    if let Err(e) = cli.bare_check() {
+        eprintln!("e_fault_campaign: {e}");
+        return ExitCode::from(2);
+    }
     let explore = args.iter().any(|a| a == "--explore");
-    let seeds: u64 = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(75);
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_fault.json".into())
-    });
+    let seeds: u64 = flag_value(&args, "--seeds").unwrap_or(75);
 
     println!("Fault-injection campaign (seeded, deterministic; victim pid 0, 2 bystanders)");
     let started = std::time::Instant::now();
@@ -56,7 +52,7 @@ fn main() -> ExitCode {
     print!("{}", render_report(&reports, seeds));
     println!("wall clock: {wall_ms:.0} ms");
 
-    let mut failures: usize = reports.iter().map(|r| r.failures.len()).sum();
+    let mut report = reports::campaign_metrics(&reports, seeds, wall_ms);
 
     if explore {
         let fleet = run_explore_fleet(
@@ -68,28 +64,13 @@ fn main() -> ExitCode {
         );
         let demo = planted_demo(&NRF52840DK, seeds.min(25));
         print!("{}", render_explore(&fleet, &demo));
-        failures += fleet.failures().len();
         // Detector power is part of the folded gate: losing the planted
         // bug (or tripping the control kernel) is a failure even though
         // the campaign itself stayed green.
-        if demo.seed_failures > 0 || demo.outcome.findings.is_empty() || demo.control_failures > 0 {
-            eprintln!("explore: planted-bug demonstration lost detector power");
-            failures += 1;
-        }
+        report
+            .failures
+            .extend(explore::metrics(&fleet, &demo, &[]).failures);
     }
 
-    if let Some(path) = json_path {
-        let doc = reports::campaign_json(&reports, seeds, wall_ms);
-        if let Err(e) = std::fs::write(&path, &doc) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path} ({} chips)", reports.len());
-    }
-
-    if check && failures > 0 {
-        eprintln!("fault campaign FAILED: {failures} oracle violations");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    exit_code(cli.finish(&report))
 }

@@ -15,15 +15,14 @@
 //! validate) p50/p99/mean table and capture amortization. The same
 //! breakdown always lands in the `--json` document.
 //!
-//! With `--json [path]`, writes `BENCH_throughput.json` (experiment
-//! `e_fleet`, including `fleet_runs_per_sec`, `restore_speedup`,
-//! `midrun_restore_speedup` and the `phases` object).
-//! With `--check [baseline]` (default `ci/bench_baseline.json`), exits
-//! non-zero if any restored run is not byte-identical to its fresh-boot
-//! twin, if any campaign run fails the oracle, or if a measured speedup
-//! misses its baseline floor (`min_restore_speedup`,
-//! `min_midrun_restore_speedup`, or the serial throughput floor
-//! `fleet_runs_per_sec_prev` x `min_fleet_speedup`).
+//! With `--json [path]`, writes the `fleet` report (`BENCH_fleet.json`:
+//! `runs_per_sec`, `restore_speedup`, `midrun_restore_speedup`, the
+//! per-phase percentiles, per-chip tallies). With `--check [baseline]`,
+//! gates it (DESIGN §17): exits non-zero if any restored run is not
+//! byte-identical to its fresh-boot twin, if any campaign run fails the
+//! oracle, or if a measured figure misses its `fleet.*` floor in
+//! `ci/bench_baseline.json` (the serial throughput floor only for serial
+//! campaigns of 50k+ runs).
 //! With `--budget-ms N`, exits non-zero if the campaign wall-clock
 //! exceeded `N` milliseconds — the CI knob that keeps raising `--runs`
 //! toward 10^6 honest.
@@ -35,9 +34,11 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use tt_analysis::metrics::{exit_code, Cli};
+use tt_bench::flag_value;
 use tt_bench::fleet::{
-    check, equivalence_failures, failing_records, measure_reset_cost, priority_from_corpus,
-    profile, render, render_json, render_profile, run_fleet_prioritized, shrink_failures,
+    equivalence_failures, failing_records, measure_reset_cost, metrics, priority_from_corpus,
+    profile, render, render_profile, run_fleet_prioritized, shrink_failures,
 };
 use tt_bench::throughput::host_cores;
 use tt_kernel::corpus::write_corpus;
@@ -49,38 +50,12 @@ const RESET_COST_ITERS: u32 = 50;
 const SHRINK_LIMIT: usize = 10;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let runs: u64 = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_throughput.json".into())
-    });
-    let check_path = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "ci/bench_baseline.json".into())
-    });
-    let corpus_dir = args
-        .iter()
-        .position(|a| a == "--corpus")
-        .and_then(|i| args.get(i + 1))
-        .filter(|p| !p.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "ci/corpus".into());
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::take("fleet", &mut args);
+    let runs: u64 = flag_value(&args, "--runs").unwrap_or(1000);
+    let corpus_dir: String = flag_value(&args, "--corpus").unwrap_or_else(|| "ci/corpus".into());
     let want_profile = args.iter().any(|a| a == "--profile");
-    let budget_ms: Option<f64> = args
-        .iter()
-        .position(|a| a == "--budget-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
+    let budget_ms: Option<f64> = flag_value(&args, "--budget-ms");
 
     let threads = pool::default_threads();
     let cores = host_cores();
@@ -134,23 +109,17 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = json_path {
-        let doc = render_json(&result, &cost, &prof, &equivalence, cores);
-        if let Err(e) = std::fs::write(&path, &doc) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-
-    let mut failed = false;
+    let mut report = metrics(&result, &cost, &prof, &equivalence, cores);
+    let mut over_budget = false;
     if let Some(budget) = budget_ms {
         if result.wall_ms > budget {
-            eprintln!(
-                "FLEET GATE FAILED: campaign took {:.0} ms, over the {budget:.0} ms budget",
+            over_budget = true;
+            let line = format!(
+                "campaign took {:.0} ms, over the {budget:.0} ms budget",
                 result.wall_ms
             );
-            failed = true;
+            eprintln!("FLEET GATE FAILED: {line}");
+            report.failures.push(line);
         } else {
             println!(
                 "check: wall-clock {:.0} ms within the {budget:.0} ms budget",
@@ -159,33 +128,5 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(&path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match check(&result, &cost, &equivalence, &baseline) {
-            Ok(notes) => {
-                for note in notes {
-                    println!("check: {note}");
-                }
-            }
-            Err(failures) => {
-                for f in failures {
-                    eprintln!("FLEET GATE FAILED: {f}");
-                }
-                failed = true;
-            }
-        }
-    } else if !equivalence.is_empty() {
-        failed = true;
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_code(cli.finish(&report) && equivalence.is_empty() && !over_budget)
 }

@@ -5,39 +5,25 @@
 //! workers (N = `TT_BENCH_THREADS` or the host core count) and prints
 //! runs-per-second for each rung.
 //!
-//! With `--json [path]`, writes `BENCH_throughput.json`. With
-//! `--check [baseline]` (default `ci/bench_baseline.json`), exits
-//! non-zero if any rung's campaign or differential artifact is not
-//! byte-identical to the serial rung's, or — on multi-core hosts — if
-//! the best campaign speedup misses the baseline's
-//! `min_parallel_speedup` floor. This is the CI gate for the
+//! With `--json [path]`, writes the `throughput` report
+//! (`BENCH_throughput.json`); with `--check [baseline]`, gates it
+//! (DESIGN §17): any rung whose campaign or differential artifact is not
+//! byte-identical to the serial rung's fails, and — on multi-core hosts
+//! — so does a best campaign speedup under the baseline's
+//! `throughput.parallel_speedup` floor. This is the CI gate for the
 //! work-stealing pool: determinism is checked everywhere, the speedup
 //! floor only where the hardware can express one.
 
 use std::process::ExitCode;
 
-use tt_bench::throughput::{check, host_cores, render, render_json, run_ladder};
+use tt_analysis::metrics::{exit_code, Cli};
+use tt_bench::flag_value;
+use tt_bench::throughput::{host_cap, host_cores, metrics, render, run_ladder};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seeds: u64 = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_throughput.json".into())
-    });
-    let check_path = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "ci/bench_baseline.json".into())
-    });
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::take("throughput", &mut args);
+    let seeds: u64 = flag_value(&args, "--seeds").unwrap_or(10);
 
     let cores = host_cores();
     println!(
@@ -45,37 +31,13 @@ fn main() -> ExitCode {
     );
     let entries = run_ladder(seeds);
     print!("{}", render(&entries));
-
-    if let Some(path) = json_path {
-        let doc = render_json(&entries, seeds, cores);
-        if let Err(e) = std::fs::write(&path, &doc) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path} ({} rungs)", entries.len());
+    if cores > 1 {
+        println!(
+            "speedup floor: the baseline's, skipped at or above the host cap of \
+             0.75 x {cores} cores = {:.2}x",
+            host_cap(cores)
+        );
     }
 
-    if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(&path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match check(&entries, &baseline, cores) {
-            Ok(notes) => {
-                for note in notes {
-                    println!("check: {note}");
-                }
-            }
-            Err(failures) => {
-                for f in failures {
-                    eprintln!("THROUGHPUT GATE FAILED: {f}");
-                }
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    exit_code(cli.finish(&metrics(&entries, seeds, cores)))
 }

@@ -1,28 +1,21 @@
 //! Regenerates Figure 10: the proof-effort table, via the static auditor.
 //!
-//! Usage: `fig10_proof_effort [--json PATH]`. Exits nonzero if the audit
-//! is not clean (same gate as `tt-audit --check`).
+//! Usage: `fig10_proof_effort [--json [PATH]]` — the shared report flag
+//! (DESIGN §17) for the `fig10` report. Exits nonzero if the audit is not
+//! clean (same gate as `tt-audit --check`), so it takes no `--check`.
 
-use std::io::Write as _;
+use std::process::ExitCode;
 
-fn main() {
-    let mut json_path = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => match args.next() {
-                Some(p) => json_path = Some(p),
-                None => {
-                    eprintln!("--json needs a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: fig10_proof_effort [--json PATH]");
-                std::process::exit(2);
-            }
-        }
+use tt_analysis::metrics::{exit_code, Cli};
+
+fn main() -> ExitCode {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::take("fig10", &mut args);
+    let refused = cli.check.as_ref().map(|_| "--check");
+    if let Some(other) = refused.or(args.first().map(String::as_str)) {
+        eprintln!("unknown argument: {other}");
+        eprintln!("usage: fig10_proof_effort [--json [PATH]]");
+        return ExitCode::from(2);
     }
 
     let report = tt_bench::fig10::run();
@@ -33,18 +26,12 @@ fn main() {
     println!("{}", tt_bench::fig10::render(&report));
     println!("(paper: 22,131 source LOC, 2,581 fns (125 trusted), 3,603 spec LOC (186 trusted))");
 
-    if let Some(path) = json_path {
-        let doc = tt_bench::fig10::to_json(&report);
-        let mut file = std::fs::File::create(&path).expect("create json output");
-        file.write_all(doc.as_bytes()).expect("write json output");
-        println!("wrote {path}");
-    }
-
+    let written = cli.finish(&tt_analysis::report::metrics(&report));
     if !report.clean() {
         eprintln!(
             "audit not clean: {} finding(s); the table above is suspect",
             report.findings.len()
         );
-        std::process::exit(1);
     }
+    exit_code(written && report.clean())
 }

@@ -3,114 +3,24 @@
 //! Runs the 21 release tests plus the memory-stress workload on both
 //! kernels, three times each (as in §6.2), under cycle instrumentation.
 //!
-//! `--json [path]` additionally writes `BENCH_fig11.json` (per-method
-//! cycles plus the PR 2 context-switch hit/miss/baseline split per chip).
-//! `--check <baseline.json>` compares the cache-hit context-switch cycles
-//! against a committed baseline and exits non-zero on a >10% regression —
-//! the CI gate for the commit cache.
+//! `--json [path]` additionally writes the `fig11` report
+//! (`BENCH_fig11.json`: per-method cycles plus the commit-cache context-switch
+//! hit/miss/baseline split per chip). `--check [baseline]` gates it
+//! (DESIGN §17): a cache-hit context switch more than 10% above its
+//! baseline ceiling, or a TickTock per-method cycle mean more than 10%
+//! off its pin, fails — the CI gate for the commit cache and the cycle
+//! accounting.
 
 use std::process::ExitCode;
 
-use tt_bench::fig11::{render, run, Fig11Row};
-use tt_bench::switch::{measure_all, SwitchCost};
-use tt_bench::{json, pct_diff};
-
-fn render_json(rows: &[Fig11Row], switches: &[SwitchCost], wall_ms: f64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"figure\": \"fig11\",\n  \"runs\": 3,\n");
-    out.push_str(&format!("  \"wall_clock_ms\": {},\n", json::num(wall_ms)));
-    out.push_str("  \"methods\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"method\": \"{}\", \"ticktock_cycles\": {}, \"tock_cycles\": {}, \"pct_diff\": {}}}{}\n",
-            json::escape(row.method),
-            json::num(row.ticktock),
-            json::num(row.tock),
-            json::num(row.pct()),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"context_switch\": [\n");
-    for (i, s) in switches.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"chip\": \"{}\", \"arch\": \"{}\", \"hit_cycles\": {}, \"miss_cycles\": {}, \"baseline_cycles\": {}, \"hit_reduction_pct\": {}}}{}\n",
-            json::escape(s.chip),
-            s.arch,
-            s.hit,
-            s.miss,
-            s.baseline,
-            json::num(s.hit_reduction_pct()),
-            if i + 1 < switches.len() { "," } else { "" }
-        ));
-    }
-    let arch_hit = |arch: &str| {
-        switches
-            .iter()
-            .filter(|s| s.arch == arch)
-            .map(|s| s.hit)
-            .max()
-            .unwrap_or(0)
-    };
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"arm_hit\": {},\n", arch_hit("arm")));
-    out.push_str(&format!("  \"riscv_hit\": {}\n}}\n", arch_hit("riscv")));
-    out
-}
-
-/// Fails (returns an error message) if either arch's cache-hit cycles
-/// regressed more than 10% against the committed baseline, or if any
-/// per-method TickTock cycle mean pinned in the baseline drifted more
-/// than 10% in either direction. The cycle model is deterministic, so a
-/// drift means the accounting itself changed — the gate that keeps the
-/// hot-path fast lane from silently altering what `cycles::charge`
-/// records.
-fn check_against(baseline: &str, rows: &[Fig11Row], switches: &[SwitchCost]) -> Result<(), String> {
-    for arch in ["arm", "riscv"] {
-        let key = format!("{arch}_hit");
-        let allowed = json::read_number(baseline, &key)
-            .ok_or_else(|| format!("baseline is missing \"{key}\""))?;
-        let current = switches
-            .iter()
-            .filter(|s| s.arch == arch)
-            .map(|s| s.hit)
-            .max()
-            .unwrap_or(0) as f64;
-        // >10% regression fails; a baseline of 0 admits no regression.
-        if current > allowed * 1.1 && current > allowed {
-            return Err(format!(
-                "{arch} cache-hit context switch regressed: {current} cycles vs baseline {allowed} (>10%)"
-            ));
-        }
-    }
-    for row in rows {
-        let key = format!("ticktock_{}", row.method);
-        // Only methods the baseline pins are checked, so the baseline
-        // can grow one method at a time.
-        let Some(pinned) = json::read_number(baseline, &key) else {
-            continue;
-        };
-        if (row.ticktock - pinned).abs() > pinned * 0.1 {
-            return Err(format!(
-                "{} cycle accounting drifted: {:.2} cycles vs baseline {pinned} (>10%)",
-                row.method, row.ticktock
-            ));
-        }
-    }
-    Ok(())
-}
+use tt_analysis::metrics::{exit_code, Cli};
+use tt_bench::fig11::{metrics, render, run};
+use tt_bench::pct_diff;
+use tt_bench::switch::measure_all;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_fig11.json".into())
-    });
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1).cloned());
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::take("fig11", &mut args);
 
     let started = std::time::Instant::now();
     let rows = run(3);
@@ -134,27 +44,5 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(path) = json_path {
-        let doc = render_json(&rows, &switches, wall_ms);
-        if let Err(e) = std::fs::write(&path, &doc) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(&path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(msg) = check_against(&baseline, &rows, &switches) {
-            eprintln!("REGRESSION: {msg}");
-            return ExitCode::FAILURE;
-        }
-        println!("cache-hit context-switch cycles within 10% of {path}");
-    }
-    ExitCode::SUCCESS
+    exit_code(cli.finish(&metrics(&rows, &switches, wall_ms)))
 }

@@ -15,32 +15,26 @@
 //!   cold wall the warm speedup gate divides against)
 //! * `--no-cache`         — legacy non-incremental run, no cache I/O
 //! * `--cache <path>`     — cache file location (default `ci/verify_cache.bin`)
-//! * `--json <path>`      — write the BENCH_fig12.json artifact
-//! * `--check <baseline>` — enforce the warm-run floors from
-//!   `ci/bench_baseline.json` (hit rate, wall ceiling, speedup)
+//! * `--json [path]`      — write the `fig12` report (`BENCH_fig12.json`)
+//! * `--check [baseline]` — gate it (DESIGN §17) against the warm-run
+//!   bounds in `ci/bench_baseline.json` (hit rate, wall ceiling,
+//!   speedup); a cold run emits no warm figures and so fails
 
 use std::process::ExitCode;
+use tt_analysis::metrics::Cli;
 use tt_bench::fig12::{build_registry, Effort};
-use tt_bench::incremental;
+use tt_bench::{flag_value, incremental};
 use tt_contracts::vcache::LoadOutcome;
 use tt_contracts::verifier::{fmt_duration, Verifier};
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::take("fig12", &mut args);
     let quick = args.iter().any(|a| a == "--quick");
     let cold = args.iter().any(|a| a == "--cold");
     let no_cache = args.iter().any(|a| a == "--no-cache");
-    let json_path = arg_value(&args, "--json");
-    let check_path = arg_value(&args, "--check");
-    let cache_arg = arg_value(&args, "--cache");
+    let cache_arg: Option<String> = flag_value(&args, "--cache");
     let effort = if quick { Effort::QUICK } else { Effort::FULL };
-    let effort_name = if quick { "quick" } else { "full" };
 
     // The Lean stand-in: exhaustive structural discharge of the lemmas.
     // Lemmas are axioms of everything else, so they are re-discharged on
@@ -85,33 +79,10 @@ fn main() -> ExitCode {
             fmt_duration(run.cold_wall),
             run.speedup()
         );
-        if let Some(path) = &json_path {
-            let doc = incremental::to_json(run, effort_name);
-            if let Err(e) = std::fs::write(path, doc) {
-                eprintln!("error: could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {path}");
+        if !cli.finish(&incremental::metrics(run, quick)) {
+            return ExitCode::FAILURE;
         }
-        if let Some(baseline_path) = &check_path {
-            let baseline = match std::fs::read_to_string(baseline_path) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: could not read baseline {baseline_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let violations = incremental::check(run, &baseline);
-            if !violations.is_empty() {
-                println!("INCREMENTAL GATE FAILED:");
-                for v in &violations {
-                    println!("  {v}");
-                }
-                return ExitCode::FAILURE;
-            }
-            println!("incremental gate: warm floors hold");
-        }
-    } else if json_path.is_some() || check_path.is_some() {
+    } else if cli.wanted() {
         eprintln!("error: --json/--check require the incremental cache (drop --no-cache)");
         return ExitCode::FAILURE;
     }

@@ -5,6 +5,7 @@
 //! (stack+data+heap), grant memory, and unused bytes for Tock, TickTock,
 //! and a padded TickTock whose total matches Tock's power-of-two block.
 
+use tt_analysis::metrics::{Report, WALL};
 use tt_kernel::loader::flash_app;
 use tt_kernel::process::Flavor;
 use tt_kernel::Kernel;
@@ -118,6 +119,28 @@ pub fn render(tock: &MemUsage, ticktock: &MemUsage, padded: &MemUsage) -> String
         ));
     }
     out
+}
+
+/// The `e62` report: the three configurations' block accounting.
+pub fn metrics(tock: &MemUsage, ticktock: &MemUsage, padded: &MemUsage, wall_ms: f64) -> Report {
+    let mut r = Report::new("e62");
+    r.info("wall_ms", WALL, "ms", wall_ms);
+    let configs = [
+        ("tock", tock),
+        ("ticktock", ticktock),
+        ("ticktock_padded", padded),
+    ];
+    for (config, m) in configs {
+        let bytes = [
+            ("total", m.total as f64),
+            ("app", m.app as f64),
+            ("grant", m.grant as f64),
+            ("unused", m.unused as f64),
+        ];
+        r.infos(config, "memory", "bytes", &bytes);
+        r.infos(config, "memory", "%", &[("unused_pct", m.unused_pct())]);
+    }
+    r
 }
 
 #[cfg(test)]

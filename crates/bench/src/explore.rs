@@ -6,7 +6,7 @@
 //! baseline plus `--seeds` injected ones per chip — and explore one
 //! interrupt-arrival representative per commuting class. The gate
 //! demands a schedule-clean campaign, a DPOR pruning ratio above the
-//! `min_explore_prune_ratio` floor in `ci/bench_baseline.json`, and
+//! `explore.prune_ratio` floor in `ci/bench_baseline.json`, and
 //! detector power: the planted commit-window bug
 //! ([`tt_kernel::explore::planted`]) must be invisible to a seed sweep,
 //! found by exploration, and absent on the control kernel when its
@@ -19,6 +19,7 @@
 use std::path::Path;
 use std::time::Instant;
 
+use tt_analysis::metrics::{Kind, Report, WALL};
 use tt_hw::injection::InjectionPlan;
 use tt_hw::platform::{ChipProfile, ALL_CHIPS};
 use tt_hw::sched::InterruptSchedule;
@@ -28,8 +29,6 @@ use tt_kernel::explore::{
     bystander_reference, explore, planted, validate_scheduled, ExploreOutcome, Finding,
 };
 use tt_kernel::pool;
-
-use crate::json;
 
 /// One fleet-scale exploration: every chip, clean + seeded baselines.
 #[derive(Debug)]
@@ -264,6 +263,43 @@ pub fn schedule_corpus(dir: &Path) -> std::io::Result<Vec<CorpusRecord>> {
     read_corpus(&path)
 }
 
+/// The per-chip sums [`chip_sums`] reports, in order.
+const CHIP_SUMS: [&str; 7] = [
+    "units",
+    "candidates",
+    "classes",
+    "explored",
+    "pruned",
+    "findings",
+    "truncated",
+];
+
+/// Per-chip sums over a fleet's units ([`CHIP_SUMS`]), in chip order,
+/// for the chips the fleet explored.
+fn chip_sums(fleet: &ExploreFleet) -> Vec<(&'static str, [usize; 7])> {
+    ALL_CHIPS
+        .iter()
+        .filter_map(|chip| {
+            let rows: Vec<&ExploreOutcome> = fleet
+                .outcomes
+                .iter()
+                .filter(|o| o.chip == chip.name)
+                .collect();
+            let sum = |f: fn(&ExploreOutcome) -> usize| rows.iter().map(|o| f(o)).sum();
+            let sums = [
+                rows.len(),
+                sum(|o| o.candidates),
+                sum(|o| o.classes),
+                sum(|o| o.explored),
+                sum(|o| o.pruned),
+                sum(|o| o.findings.len()),
+                sum(|o| usize::from(o.truncated)),
+            ];
+            (!rows.is_empty()).then_some((chip.name, sums))
+        })
+        .collect()
+}
+
 /// Renders the per-chip exploration table plus the planted-bug summary.
 pub fn render(fleet: &ExploreFleet, demo: &PlantedDemo) -> String {
     let mut out = String::new();
@@ -285,32 +321,14 @@ pub fn render(fleet: &ExploreFleet, demo: &PlantedDemo) -> String {
         "findings",
         "trunc"
     ));
-    for chip in &ALL_CHIPS {
-        let rows: Vec<&ExploreOutcome> = fleet
-            .outcomes
-            .iter()
-            .filter(|o| o.chip == chip.name)
-            .collect();
-        if rows.is_empty() {
-            continue;
-        }
-        let cand: usize = rows.iter().map(|o| o.candidates).sum();
-        let explored: usize = rows.iter().map(|o| o.explored).sum();
+    for (chip, [units, cand, classes, explored, pruned, findings, trunc]) in chip_sums(fleet) {
+        let ratio = match explored {
+            0 => "-".to_string(),
+            _ => format!("{:.2}x", cand as f64 / explored as f64),
+        };
         out.push_str(&format!(
-            "{:<14} {:>6} {:>10} {:>8} {:>9} {:>8} {:>7} {:>9} {:>6}\n",
-            chip.name,
-            rows.len(),
-            cand,
-            rows.iter().map(|o| o.classes).sum::<usize>(),
-            explored,
-            rows.iter().map(|o| o.pruned).sum::<usize>(),
-            if explored == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.2}x", cand as f64 / explored as f64)
-            },
-            rows.iter().map(|o| o.findings.len()).sum::<usize>(),
-            rows.iter().filter(|o| o.truncated).count(),
+            "{chip:<14} {units:>6} {cand:>10} {classes:>8} {explored:>9} {pruned:>8} {ratio:>7} \
+             {findings:>9} {trunc:>6}\n"
         ));
     }
     out.push_str(&format!(
@@ -343,192 +361,107 @@ pub fn render(fleet: &ExploreFleet, demo: &PlantedDemo) -> String {
     out
 }
 
-/// Renders the `BENCH_explore.json` document. Wall-clock lives inside
-/// `fleet`; determinism tests pin it and compare whole documents.
-pub fn explore_json(fleet: &ExploreFleet, demo: &PlantedDemo) -> String {
-    let mut doc = String::new();
-    doc.push_str("{\n  \"experiment\": \"e_explore\",\n");
-    doc.push_str(&format!(
-        "  \"seeds_per_chip\": {},\n  \"threads\": {},\n",
-        fleet.seeds_per_chip, fleet.threads
-    ));
-    doc.push_str(&format!(
-        "  \"candidates\": {},\n  \"explored\": {},\n  \"pruned\": {},\n",
-        fleet.candidates(),
-        fleet.explored(),
-        fleet.pruned()
-    ));
-    doc.push_str(&format!(
-        "  \"prune_ratio\": {},\n  \"findings\": {},\n  \"truncated_units\": {},\n",
-        json::num(fleet.prune_ratio()),
-        fleet.findings().len(),
-        fleet.truncated_units()
-    ));
-    doc.push_str(&format!(
-        "  \"wall_clock_ms\": {},\n",
-        json::num(fleet.wall_ms)
-    ));
-    doc.push_str("  \"chips\": [\n");
-    let chips: Vec<&ChipProfile> = ALL_CHIPS
-        .iter()
-        .filter(|c| fleet.outcomes.iter().any(|o| o.chip == c.name))
-        .collect();
-    for (i, chip) in chips.iter().enumerate() {
-        let rows: Vec<&ExploreOutcome> = fleet
-            .outcomes
-            .iter()
-            .filter(|o| o.chip == chip.name)
-            .collect();
-        let cand: usize = rows.iter().map(|o| o.candidates).sum();
-        let explored: usize = rows.iter().map(|o| o.explored).sum();
-        doc.push_str(&format!(
-            "    {{\"chip\": \"{}\", \"units\": {}, \"candidates\": {}, \"classes\": {}, \
-             \"explored\": {}, \"pruned\": {}, \"prune_ratio\": {}, \"findings\": {}, \
-             \"truncated\": {}}}{}\n",
-            json::escape(chip.name),
-            rows.len(),
-            cand,
-            rows.iter().map(|o| o.classes).sum::<usize>(),
-            explored,
-            rows.iter().map(|o| o.pruned).sum::<usize>(),
-            if explored == 0 {
-                "null".to_string()
-            } else {
-                json::num(cand as f64 / explored as f64)
-            },
-            rows.iter().map(|o| o.findings.len()).sum::<usize>(),
-            rows.iter().filter(|o| o.truncated).count(),
-            if i + 1 < chips.len() { "," } else { "" }
-        ));
-    }
-    doc.push_str("  ],\n");
-    doc.push_str(&format!(
-        "  \"planted\": {{\"chip\": \"{}\", \"campaign_seeds\": {}, \"seed_failures\": {}, \
-         \"explorer_findings\": {}, \"explorer_runs\": {}, \"minimized\": [{}], \
-         \"control_failures\": {}}}\n",
-        json::escape(&demo.chip),
-        demo.campaign_seeds,
-        demo.seed_failures,
-        demo.outcome.findings.len(),
-        demo.outcome.explored,
-        demo.outcome
-            .findings
-            .iter()
-            .map(|f| format!("\"{:#x}\"", f.minimized))
-            .collect::<Vec<_>>()
-            .join(", "),
-        demo.control_failures,
-    ));
-    doc.push_str("}\n");
-    doc
-}
-
-/// The CI gate. Fails on: any schedule finding on the real campaign
-/// scenario, a replayed corpus schedule still failing, a pruning ratio
-/// under the baseline's `min_explore_prune_ratio` floor (complete units
-/// only — and at least one unit must have completed), or a planted-bug
+/// The `explore` report: sweep totals and per-chip rows, the planted
+/// demonstration, and the `prune_ratio` floor (complete units only;
+/// skipped when every unit was truncated, which is itself a failure).
+/// Failures: schedule findings on the real campaign scenario, replayed
+/// corpus schedules that still fail (`replayed`), and a planted-bug
 /// demonstration that lost detector power.
-pub fn check(
-    fleet: &ExploreFleet,
-    demo: &PlantedDemo,
-    replayed: &[String],
-    baseline: &str,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut failures = Vec::new();
-    let mut notes = Vec::new();
-    for f in fleet.failures() {
-        failures.push(format!("campaign schedule: {f}"));
-    }
-    if fleet.failures().is_empty() {
-        notes.push(format!(
-            "campaign schedules: {} representatives clean ({} candidates, {} pruned)",
-            fleet.explored(),
-            fleet.candidates(),
-            fleet.pruned()
-        ));
-    }
-    for f in replayed {
-        failures.push(format!("corpus replay: {f}"));
-    }
-    if fleet.outcomes.iter().all(|o| o.truncated) {
-        failures.push("every exploration unit was truncated; raise the budget".into());
-    } else {
-        match json::read_number(baseline, "min_explore_prune_ratio") {
-            Some(floor) => {
-                let ratio = fleet.prune_ratio();
-                if ratio < floor {
-                    failures.push(format!(
-                        "prune ratio {ratio:.2}x below floor {floor:.2}x \
-                         ({} candidates / {} executed over complete units)",
-                        fleet.candidates(),
-                        fleet.explored()
-                    ));
-                } else {
-                    notes.push(format!("prune ratio: {ratio:.2}x >= floor {floor:.2}x"));
-                }
-            }
-            None => notes.push("baseline has no min_explore_prune_ratio; floor skipped".into()),
+pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[String]) -> Report {
+    let mut r = Report::new("explore");
+    let totals = [
+        ("seeds_per_chip", fleet.seeds_per_chip as f64),
+        ("candidates", fleet.candidates() as f64),
+        ("explored", fleet.explored() as f64),
+        ("pruned", fleet.pruned() as f64),
+        ("findings", fleet.findings().len() as f64),
+        ("truncated_units", fleet.truncated_units() as f64),
+    ];
+    r.infos("", "dpor", "count", &totals);
+    r.add(Kind::Floor, "prune_ratio", "dpor", "x", fleet.prune_ratio());
+    r.info("threads", WALL, "count", fleet.threads as f64);
+    r.info("wall_ms", WALL, "ms", fleet.wall_ms);
+    for (chip, sums) in chip_sums(fleet) {
+        let counts: Vec<(&str, f64)> = CHIP_SUMS.into_iter().zip(sums.map(|v| v as f64)).collect();
+        r.infos(chip, "dpor", "count", &counts);
+        if sums[3] > 0 {
+            let ratio = counts[1].1 / counts[3].1;
+            r.info(format!("{chip}.prune_ratio"), "dpor", "x", ratio);
         }
     }
+    let planted = [
+        ("campaign_seeds", demo.campaign_seeds as f64),
+        ("seed_failures", demo.seed_failures as f64),
+        ("explorer_findings", demo.outcome.findings.len() as f64),
+        ("explorer_runs", demo.outcome.explored as f64),
+        ("control_failures", demo.control_failures as f64),
+    ];
+    r.infos("planted", "planted", "count", &planted);
+    for f in &demo.outcome.findings {
+        let name = format!(
+            "planted.repro.{:#x}.minimized.{:#x}.fired",
+            f.schedule, f.minimized
+        );
+        r.info(name, "planted", "count", f.irq_fired as f64);
+    }
+
+    let schedules = fleet
+        .failures()
+        .into_iter()
+        .map(|f| format!("campaign schedule: {f}"));
+    let replayed = replayed.iter().map(|f| format!("corpus replay: {f}"));
+    r.failures.extend(schedules.chain(replayed));
+    if fleet.outcomes.iter().all(|o| o.truncated) {
+        r.failures
+            .push("every exploration unit was truncated; raise the budget".into());
+        r.skip("prune_ratio", "no exploration unit completed");
+    }
     if demo.seed_failures > 0 {
-        failures.push(format!(
+        r.failures.push(format!(
             "planted bug: {} of {} seeded runs failed — the bug is not \
              schedule-only, the demonstration is broken",
             demo.seed_failures, demo.campaign_seeds
         ));
     }
     if demo.outcome.findings.is_empty() {
-        failures.push("planted bug: the explorer found nothing — detector power lost".into());
+        r.failures
+            .push("planted bug: the explorer found nothing — detector power lost".into());
     }
     if demo.control_failures > 0 {
-        failures.push(format!(
+        r.failures.push(format!(
             "planted bug: minimized schedule fails {} check(s) on the correct \
              kernel — the oracle, not the bug, is tripping",
             demo.control_failures
         ));
     }
-    if demo.seed_failures == 0 && !demo.outcome.findings.is_empty() && demo.control_failures == 0 {
-        notes.push(format!(
-            "planted bug: {} seeds green, explorer found {} schedule(s), control clean",
-            demo.campaign_seeds,
-            demo.outcome.findings.len()
-        ));
-    }
-    if failures.is_empty() {
-        Ok(notes)
-    } else {
-        Err(failures)
-    }
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate_text;
     use tt_hw::platform::NRF52840DK;
     use tt_hw::sched::ArrivalPoint;
 
-    // Pins the two honestly-varying fields (wall clock, worker count) so
-    // whole documents can be compared for determinism.
-    fn pinned(mut fleet: ExploreFleet) -> ExploreFleet {
-        fleet.wall_ms = 1.0;
-        fleet.threads = 1;
-        fleet
-    }
+    const FLOOR: &str =
+        r#"[{"metric": "explore.prune_ratio", "kind": "floor", "bound": 2.0, "why": "dpor"}]"#;
 
     #[test]
-    fn fleet_is_deterministic_across_thread_counts_and_json_round_trips() {
-        let serial = pinned(run_explore_fleet(&ALL_CHIPS[..1], 1, Some(6), 1, None));
-        let pooled = pinned(run_explore_fleet(&ALL_CHIPS[..1], 1, Some(6), 3, None));
+    fn fleet_is_deterministic_across_thread_counts() {
+        let serial = run_explore_fleet(&ALL_CHIPS[..1], 1, Some(6), 1, None);
+        let pooled = run_explore_fleet(&ALL_CHIPS[..1], 1, Some(6), 3, None);
         let demo = planted_demo(&NRF52840DK, 3);
-        let a = explore_json(&serial, &demo);
-        let b = explore_json(&pooled, &demo);
-        assert_eq!(a, b, "exploration must not depend on the thread count");
-        assert_eq!(json::read_number(&a, "seeds_per_chip"), Some(1.0));
+        let doc = |fleet: &ExploreFleet| metrics(fleet, &demo, &[]).without_wall().to_json();
         assert_eq!(
-            json::read_number(&a, "explored"),
-            Some(serial.explored() as f64)
+            doc(&serial),
+            doc(&pooled),
+            "exploration must not depend on the thread count"
         );
-        assert!(json::read_number(&a, "prune_ratio").is_some());
+        let r = metrics(&serial, &demo, &[]);
+        assert_eq!(r.get("seeds_per_chip").unwrap().value, 1.0);
+        assert_eq!(r.get("explored").unwrap().value, serial.explored() as f64);
+        assert!(r.get("prune_ratio").is_some());
         // Both units ran under the cap: 6 representatives each, max.
         assert!(serial.explored() <= 12);
         assert_eq!(serial.truncated_units(), 2);
@@ -536,17 +469,34 @@ mod tests {
 
     #[test]
     fn gate_passes_clean_runs_and_fails_weak_pruning_or_lost_detector_power() {
-        let fleet = pinned(run_explore_fleet(&ALL_CHIPS[..1], 0, None, 1, None));
+        let fleet = run_explore_fleet(&ALL_CHIPS[..1], 0, None, 1, None);
         let demo = planted_demo(&NRF52840DK, 3);
         assert!(fleet.failures().is_empty());
-        let notes = check(&fleet, &demo, &[], "{\"min_explore_prune_ratio\": 2.0}").unwrap();
-        assert!(notes.iter().any(|n| n.contains("prune ratio")));
+        let v = gate_text(&metrics(&fleet, &demo, &[]), "explore-clean", FLOOR);
+        assert!(v.passed(), "{v:?}");
+        assert!(v
+            .notes
+            .iter()
+            .any(|n| n.contains("explore prune_ratio [dpor]")));
         // An absurd floor fails the gate.
-        let err = check(&fleet, &demo, &[], "{\"min_explore_prune_ratio\": 999.0}").unwrap_err();
-        assert!(err.iter().any(|f| f.contains("below floor")));
+        let v = gate_text(
+            &metrics(&fleet, &demo, &[]),
+            "explore-absurd",
+            &FLOOR.replace("2.0", "999.0"),
+        );
+        assert!(
+            v.violations.iter().any(|f| f.contains("vs floor 999.00")),
+            "{v:?}"
+        );
+        // A baseline without the floor fails the gate.
+        assert!(!gate_text(&metrics(&fleet, &demo, &[]), "explore-none", "[]").passed());
         // A still-reproducing corpus replay fails the gate.
-        let err = check(&fleet, &demo, &["chip X schedule 0x123: boom".into()], "{}").unwrap_err();
-        assert!(err.iter().any(|f| f.contains("corpus replay")));
+        let replayed = ["chip X schedule 0x123: boom".to_string()];
+        let v = gate_text(&metrics(&fleet, &demo, &replayed), "explore-replay", FLOOR);
+        assert!(
+            v.violations.iter().any(|f| f.contains("corpus replay")),
+            "{v:?}"
+        );
         // A demo whose explorer found nothing fails the gate.
         let blind = PlantedDemo {
             chip: demo.chip.clone(),
@@ -558,8 +508,11 @@ mod tests {
             },
             control_failures: 0,
         };
-        let err = check(&fleet, &blind, &[], "{}").unwrap_err();
-        assert!(err.iter().any(|f| f.contains("detector power")));
+        let v = gate_text(&metrics(&fleet, &blind, &[]), "explore-blind", FLOOR);
+        assert!(
+            v.violations.iter().any(|f| f.contains("detector power")),
+            "{v:?}"
+        );
     }
 
     #[test]

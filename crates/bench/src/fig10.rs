@@ -6,17 +6,7 @@
 //! and runs the audit passes alongside — so the numbers in
 //! `BENCH_fig10.json` are the *audited* ones, not hand-maintained counts.
 
-use std::path::PathBuf;
-use tt_analysis::{AuditConfig, AuditReport, Pass};
-
-/// Locates the workspace root from this crate's manifest directory.
-pub fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("workspace root")
-        .to_path_buf()
-}
+use tt_analysis::{workspace_root, AuditConfig, AuditReport, Pass};
 
 /// Runs the full audit over the workspace and returns the report (the
 /// Fig. 10 rows plus any findings).
@@ -34,11 +24,6 @@ pub fn run() -> AuditReport {
 /// Renders the table.
 pub fn render(report: &AuditReport) -> String {
     tt_analysis::report::render_table(report)
-}
-
-/// Renders the `BENCH_fig10.json` document.
-pub fn to_json(report: &AuditReport) -> String {
-    tt_analysis::to_json(report)
 }
 
 #[cfg(test)]
@@ -103,11 +88,14 @@ mod tests {
     }
 
     #[test]
-    fn json_document_is_audit_generated() {
+    fn metrics_report_is_audit_generated() {
         let report = run();
-        let doc = to_json(&report);
-        assert!(doc.contains("\"generator\": \"tt-audit\""));
-        assert!(doc.contains("\"clean\": true"));
-        assert!(doc.contains("\"trusted_loc\""));
+        let r = tt_analysis::report::metrics(&report);
+        assert_eq!(r.experiment, "fig10");
+        assert!(r.failures.is_empty(), "{:?}", r.failures);
+        assert_eq!(
+            r.get("Total.trusted_loc").unwrap().value,
+            report.total_trusted_loc as f64
+        );
     }
 }

@@ -6,6 +6,9 @@
 //! over three runs and the percentage difference.
 
 use std::collections::BTreeMap;
+
+use crate::switch::SwitchCost;
+use tt_analysis::metrics::{Kind, Report, WALL};
 use tt_hw::cycles::{self, CycleStats};
 use tt_hw::platform::NRF52840DK;
 use tt_kernel::apps::release_tests;
@@ -153,6 +156,40 @@ pub fn render(rows: &[Fig11Row]) -> String {
     out
 }
 
+/// The `fig11` report: per-method cycle means on both kernels, the
+/// per-chip context-switch split, and the gated figures. The cycle model
+/// is deterministic, so the TickTock means are pinned exactly (±10%: a
+/// drift means the accounting changed) and the worst cache-hit switch
+/// per architecture (`arm_hit`, `riscv_hit`) is a ceiling.
+pub fn metrics(rows: &[Fig11Row], switches: &[SwitchCost], wall_ms: f64) -> Report {
+    let mut r = Report::new("fig11");
+    r.info("wall_ms", WALL, "ms", wall_ms);
+    for row in rows {
+        let m = row.method;
+        let name = format!("ticktock_{m}");
+        r.add(Kind::Exact, name, "cycles", "cycles", row.ticktock);
+        r.info(format!("tock_{m}"), "cycles", "cycles", row.tock);
+        r.info(format!("pct_diff_{m}"), "cycles", "%", row.pct());
+    }
+    for s in switches {
+        let cycles = [
+            ("hit_cycles", s.hit as f64),
+            ("miss_cycles", s.miss as f64),
+            ("baseline_cycles", s.baseline as f64),
+        ];
+        r.infos(s.chip, "switch", "cycles", &cycles);
+        let pct = [("hit_reduction_pct", s.hit_reduction_pct())];
+        r.infos(s.chip, "switch", "%", &pct);
+    }
+    for arch in ["arm", "riscv"] {
+        let hits = switches.iter().filter(|s| s.arch == arch).map(|s| s.hit);
+        let worst = hits.max().unwrap_or(0) as f64;
+        let name = format!("{arch}_hit");
+        r.add(Kind::Ceiling, name, "switch", "cycles", worst);
+    }
+    r
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +249,46 @@ mod tests {
             setup_before.pct() > 0.0 && setup_before.pct() < 25.0,
             "setup_mpu without the cache should match the paper: {:+.1}%",
             setup_before.pct()
+        );
+    }
+
+    #[test]
+    fn every_drifted_metric_is_its_own_gate_failure() {
+        let rows: Vec<Fig11Row> = METHODS
+            .iter()
+            .map(|&method| Fig11Row {
+                method,
+                ticktock: 100.0,
+                tock: 120.0,
+            })
+            .collect();
+        let mut r = metrics(&rows, &crate::switch::measure_all(), 0.0);
+        for m in &mut r.metrics {
+            match m.name.as_str() {
+                "ticktock_brk" => m.value = 130.0,
+                "ticktock_setup_mpu" => m.value = 50.0,
+                _ => {}
+            }
+        }
+        let baseline = METHODS
+            .iter()
+            .map(|m| {
+                format!(
+                    r#"{{"metric": "fig11.ticktock_{m}", "kind": "exact", "bound": 100, "tolerance": 0.1, "why": "pin"}}"#
+                )
+            })
+            .chain(["arm", "riscv"].map(|a| {
+                format!(r#"{{"metric": "fig11.{a}_hit", "kind": "ceiling", "bound": 1000, "why": "hit"}}"#)
+            }))
+            .collect::<Vec<_>>()
+            .join(",\n");
+        let v = crate::gate_text(&r, "fig11-drift", &format!("[{baseline}]"));
+        assert_eq!(
+            v.violations,
+            vec![
+                "fig11 ticktock_brk [cycles]: 130.00 vs exact 100.00 ±10% (+30.00)",
+                "fig11 ticktock_setup_mpu [cycles]: 50.00 vs exact 100.00 ±10% (-50.00)",
+            ]
         );
     }
 

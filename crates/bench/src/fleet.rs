@@ -14,15 +14,17 @@
 //! byte-identical to fresh-boot runs in every record field (Full-scope
 //! trace, violations, terminal states, fired counts, recovery and
 //! commit-cache tallies) on every chip in both cache modes, and
-//! [`check`] enforces both that gate and a restore-vs-boot speedup floor
-//! (`min_restore_speedup` in `ci/bench_baseline.json`). Failing runs
+//! [`metrics`] reports that gate's failures next to the restore-vs-boot
+//! speedup floor (`fleet.restore_speedup` in `ci/bench_baseline.json`).
+//! Failing runs
 //! persist as fixed-width [`CorpusRecord`]s under `ci/corpus/` and their
 //! seeds shrink to 1-minimal schedules for the report.
 
 use std::path::Path;
 use std::time::Instant;
 
-use crate::json;
+use crate::reports::chip_counters;
+use tt_analysis::metrics::{Kind, Report, WALL};
 use tt_hw::platform::ALL_CHIPS;
 use tt_kernel::campaign::{
     boot_probe, record_difference, run_campaign_profiled, run_one, shrink_failing_seed, ChipReport,
@@ -37,8 +39,8 @@ const EQUIVALENCE_SEEDS: [Option<u64>; 3] = [None, Some(1), Some(5)];
 /// Minimum campaign size for the fleet throughput floor to engage.
 /// Below this, fixed per-campaign costs (snapshot capture, reference
 /// construction) dominate the measured rate, which then says nothing
-/// about the steady-state figure `fleet_runs_per_sec_prev` pins —
-/// that reference was measured at 10^5 runs.
+/// about the steady-state figure `fleet.runs_per_sec` pins — that
+/// reference was measured at 10^5 runs.
 const FLEET_FLOOR_MIN_RUNS: u64 = 50_000;
 
 /// The restore-equivalence gate: for every chip, both cache modes and
@@ -91,7 +93,7 @@ impl ResetCost {
     }
 
     /// How many mid-run restores fit in the restore-plus-first-tick they
-    /// replace — the `min_midrun_restore_speedup` gate's measurement.
+    /// replace — the `fleet.midrun_restore_speedup` floor's measurement.
     pub fn midrun_speedup(&self) -> f64 {
         self.first_tick_us / self.midrun_us.max(1e-9)
     }
@@ -429,219 +431,95 @@ pub fn render_profile(result: &FleetResult, prof: &FleetProfile) -> String {
     out
 }
 
-/// Renders the `BENCH_throughput.json` document for the fleet job,
-/// including the per-phase profile.
-pub fn render_json(
+/// The `fleet` report: campaign counters, reset costs, the per-phase
+/// profile, and the three floors (`runs_per_sec`, `restore_speedup`,
+/// `midrun_restore_speedup`), with every restore-equivalence and oracle
+/// failure.
+///
+/// The serial throughput floor is skipped unless the campaign ran on one
+/// thread — the configuration its reference figure was measured in — and
+/// reached 50k runs, where startup costs amortize.
+pub fn metrics(
     result: &FleetResult,
     cost: &ResetCost,
     prof: &FleetProfile,
     equivalence: &[String],
     cores: usize,
-) -> String {
-    let mut doc = String::new();
-    doc.push_str("{\n  \"experiment\": \"e_fleet\",\n");
-    doc.push_str(&format!("  \"total_runs\": {},\n", result.total_runs));
-    doc.push_str(&format!(
-        "  \"seeds_per_chip\": {},\n",
-        result.seeds_per_chip
-    ));
-    doc.push_str(&format!("  \"threads\": {},\n", result.threads));
-    doc.push_str(&format!("  \"cores\": {cores},\n"));
-    doc.push_str(&format!("  \"wall_ms\": {},\n", json::num(result.wall_ms)));
-    doc.push_str(&format!(
-        "  \"fleet_runs_per_sec\": {},\n",
-        json::num(result.runs_per_sec())
-    ));
-    doc.push_str(&format!(
-        "  \"boot_us_per_run\": {},\n",
-        json::num(cost.boot_us)
-    ));
-    doc.push_str(&format!(
-        "  \"restore_us_per_run\": {},\n",
-        json::num(cost.restore_us)
-    ));
-    doc.push_str(&format!(
-        "  \"restore_speedup\": {},\n",
-        json::num(cost.speedup())
-    ));
-    doc.push_str(&format!(
-        "  \"midrun_us_per_run\": {},\n",
-        json::num(cost.midrun_us)
-    ));
-    doc.push_str(&format!(
-        "  \"first_tick_us_per_run\": {},\n",
-        json::num(cost.first_tick_us)
-    ));
-    doc.push_str(&format!(
-        "  \"midrun_restore_speedup\": {},\n",
-        json::num(cost.midrun_speedup())
-    ));
-    doc.push_str(&format!("  \"midrun_runs\": {},\n", prof.midrun_runs));
-    doc.push_str(&format!("  \"fresh_boots\": {},\n", prof.boots));
-    doc.push_str(&format!(
-        "  \"capture_amortized_us\": {},\n",
-        json::num(prof.capture_amortized_us)
-    ));
-    doc.push_str(&format!(
-        "  \"prioritized_units\": {},\n",
-        result.prioritized
-    ));
-    doc.push_str("  \"phases\": {\n");
-    let phases = [
+) -> Report {
+    let mut r = Report::new("fleet");
+    let campaign = [
+        ("total_runs", result.total_runs as f64),
+        ("seeds_per_chip", result.seeds_per_chip as f64),
+        ("prioritized_units", result.prioritized as f64),
+    ];
+    r.infos("", "campaign", "count", &campaign);
+    let snapshot = [
+        ("midrun_runs", prof.midrun_runs as f64),
+        ("fresh_boots", prof.boots as f64),
+    ];
+    r.infos("", "snapshot", "count", &snapshot);
+    let host = [("threads", result.threads as f64), ("cores", cores as f64)];
+    r.infos("", WALL, "count", &host);
+    r.info("wall_ms", WALL, "ms", result.wall_ms);
+    let (rps, midrun) = (result.runs_per_sec(), cost.midrun_speedup());
+    r.add(Kind::Floor, "runs_per_sec", WALL, "1/s", rps);
+    r.add(Kind::Floor, "restore_speedup", WALL, "x", cost.speedup());
+    r.add(Kind::Floor, "midrun_restore_speedup", WALL, "x", midrun);
+    let costs = [
+        ("boot_us", cost.boot_us),
+        ("restore_us", cost.restore_us),
+        ("midrun_us", cost.midrun_us),
+        ("first_tick_us", cost.first_tick_us),
+        ("capture_amortized_us", prof.capture_amortized_us),
+    ];
+    r.infos("", WALL, "us", &costs);
+    for (phase, s) in [
         ("restore", &prof.restore),
         ("run", &prof.run),
         ("collect", &prof.collect),
         ("validate", &prof.validate),
-    ];
-    for (i, (name, s)) in phases.iter().enumerate() {
-        doc.push_str(&format!(
-            "    \"{name}\": {{\"p50_us\": {}, \"p99_us\": {}, \"mean_us\": {}}}{}\n",
-            json::num(s.p50_us),
-            json::num(s.p99_us),
-            json::num(s.mean_us),
-            if i + 1 < phases.len() { "," } else { "" }
-        ));
+    ] {
+        let stats = [
+            ("p50_us", s.p50_us),
+            ("p99_us", s.p99_us),
+            ("mean_us", s.mean_us),
+        ];
+        r.infos(phase, WALL, "us", &stats);
     }
-    doc.push_str("  },\n");
-    doc.push_str(&format!(
-        "  \"restore_equivalent\": {},\n",
-        equivalence.is_empty()
-    ));
-    doc.push_str(&format!("  \"failures\": {},\n", result.failures().len()));
-    doc.push_str("  \"chips\": [\n");
-    for (i, r) in result.reports.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{\"chip\": \"{}\", \"runs\": {}, \"fired\": {}, \"recoveries\": {}, \
-             \"restarts\": {}, \"killed\": {}}}{}\n",
-            r.chip,
-            r.runs * 2,
-            r.fired,
-            r.recoveries,
-            r.restarts,
-            r.killed,
-            if i + 1 < result.reports.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
+    for c in &result.reports {
+        chip_counters(&mut r, c);
     }
-    doc.push_str("  ]\n}\n");
-    doc
-}
-
-/// The CI gate: restore equivalence must hold on every chip, the
-/// campaign oracle must hold on every run, and — when the baseline pins
-/// a `min_restore_speedup` — the measured restore-vs-boot speedup must
-/// clear it. Returns notes on success, failures otherwise.
-pub fn check(
-    result: &FleetResult,
-    cost: &ResetCost,
-    equivalence: &[String],
-    baseline: &str,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut failures = Vec::new();
-    let mut notes = Vec::new();
-    for f in equivalence {
-        failures.push(format!("restore equivalence: {f}"));
+    let threads = result.threads;
+    if threads != 1 {
+        r.skip(
+            "runs_per_sec",
+            format!("measured with {threads} threads, reference is serial"),
+        );
+    } else if result.total_runs < FLEET_FLOOR_MIN_RUNS {
+        r.skip(
+            "runs_per_sec",
+            format!(
+                "{} runs too few to amortize startup (floor engages at {FLEET_FLOOR_MIN_RUNS}+)",
+                result.total_runs
+            ),
+        );
     }
-    if equivalence.is_empty() {
-        notes.push(format!(
-            "restore equivalence: {} chips x 2 cache modes x {} seeds byte-identical",
-            ALL_CHIPS.len(),
-            EQUIVALENCE_SEEDS.len(),
-        ));
-    }
-    for f in result.failures() {
-        failures.push(format!("campaign oracle: {f}"));
-    }
-    if result.failures().is_empty() {
-        notes.push(format!("campaign oracle: {} runs clean", result.total_runs));
-    }
-    match json::read_number(baseline, "min_restore_speedup") {
-        Some(floor) => {
-            let speedup = cost.speedup();
-            if speedup < floor {
-                failures.push(format!(
-                    "restore speedup {speedup:.1}x below floor {floor:.1}x \
-                     (boot {:.1} us vs restore {:.1} us)",
-                    cost.boot_us, cost.restore_us
-                ));
-            } else {
-                notes.push(format!(
-                    "restore speedup: {speedup:.1}x >= floor {floor:.1}x"
-                ));
-            }
-        }
-        None => notes.push("baseline has no min_restore_speedup; floor skipped".into()),
-    }
-    match json::read_number(baseline, "min_midrun_restore_speedup") {
-        Some(floor) => {
-            let speedup = cost.midrun_speedup();
-            if speedup < floor {
-                failures.push(format!(
-                    "midrun restore speedup {speedup:.2}x below floor {floor:.2}x \
-                     (restore+tick {:.2} us vs midrun restore {:.2} us)",
-                    cost.first_tick_us, cost.midrun_us
-                ));
-            } else {
-                notes.push(format!(
-                    "midrun restore speedup: {speedup:.2}x >= floor {floor:.2}x"
-                ));
-            }
-        }
-        None => notes.push("baseline has no min_midrun_restore_speedup; floor skipped".into()),
-    }
-    // Fleet throughput floor: the measured campaign must beat the pinned
-    // previous-generation figure (`fleet_runs_per_sec_prev`, measured
-    // serially on the CI host class) by `min_fleet_speedup`. Thread
-    // counts scale throughput, so the gate only engages for serial
-    // campaigns — the configuration the reference figure was measured
-    // in — and only at [`FLEET_FLOOR_MIN_RUNS`]+ runs, where fixed
-    // startup costs are amortized away.
-    match (
-        json::read_number(baseline, "fleet_runs_per_sec_prev"),
-        json::read_number(baseline, "min_fleet_speedup"),
-    ) {
-        (Some(prev), Some(floor))
-            if result.threads == 1 && result.total_runs >= FLEET_FLOOR_MIN_RUNS =>
-        {
-            let ratio = result.runs_per_sec() / prev.max(1e-9);
-            if ratio < floor {
-                failures.push(format!(
-                    "fleet throughput {:.0} runs/s is {ratio:.2}x the previous {prev:.0} \
-                     runs/s, below the {floor:.2}x floor",
-                    result.runs_per_sec()
-                ));
-            } else {
-                notes.push(format!(
-                    "fleet throughput: {:.0} runs/s = {ratio:.2}x previous ({prev:.0}), \
-                     floor {floor:.2}x",
-                    result.runs_per_sec()
-                ));
-            }
-        }
-        (Some(_), Some(_)) if result.threads != 1 => notes.push(format!(
-            "fleet throughput floor skipped: measured with {} threads, reference is serial",
-            result.threads
-        )),
-        (Some(_), Some(_)) => notes.push(format!(
-            "fleet throughput floor skipped: {} runs too few to amortize startup \
-             (floor engages at {FLEET_FLOOR_MIN_RUNS}+)",
-            result.total_runs
-        )),
-        _ => notes.push("baseline has no fleet throughput floor; skipped".into()),
-    }
-    if failures.is_empty() {
-        Ok(notes)
-    } else {
-        Err(failures)
-    }
+    let equivalence = equivalence
+        .iter()
+        .map(|f| format!("restore equivalence: {f}"));
+    let oracle = result
+        .failures()
+        .into_iter()
+        .map(|f| format!("campaign oracle: {f}"));
+    r.failures.extend(equivalence.chain(oracle));
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate_text;
+    use tt_analysis::metrics::Verdict;
 
     #[test]
     fn small_fleet_runs_clean_and_counts_add_up() {
@@ -689,32 +567,65 @@ mod tests {
         );
     }
 
+    const FLOORS: &str = r#"[
+  {"metric": "fleet.restore_speedup", "kind": "floor", "bound": 20.0, "why": "restore"},
+  {"metric": "fleet.midrun_restore_speedup", "kind": "floor", "bound": 1.5, "why": "midrun"},
+  {"metric": "fleet.runs_per_sec", "kind": "floor", "bound": 1e15, "why": "unreachable"}
+]"#;
+
+    fn gate_fleet(
+        result: &FleetResult,
+        cost: &ResetCost,
+        eq: &[String],
+        baseline: &str,
+    ) -> Verdict {
+        gate_text(
+            &metrics(result, cost, &profile(result), eq, 1),
+            "fleet",
+            baseline,
+        )
+    }
+
     #[test]
     fn check_gates_each_dimension() {
         let result = run_fleet(14, 1);
         let cost = sample_cost();
-        let baseline = "{\"min_restore_speedup\": 20.0, \"min_midrun_restore_speedup\": 1.5}";
-        let notes = check(&result, &cost, &[], baseline).unwrap();
-        assert!(notes.iter().any(|n| n.contains("restore speedup")));
-        assert!(notes.iter().any(|n| n.contains("midrun restore speedup")));
+        let v = gate_fleet(&result, &cost, &[], FLOORS);
+        assert!(v.passed(), "{v:?}");
+        assert!(v
+            .notes
+            .iter()
+            .any(|n| n.contains("fleet restore_speedup [wall]")));
+        assert!(v
+            .notes
+            .iter()
+            .any(|n| n.contains("fleet midrun_restore_speedup [wall]")));
         // Equivalence failure fails the gate.
         let eq = vec!["chip X diverged".to_string()];
-        assert!(check(&result, &cost, &eq, baseline).is_err());
+        let v = gate_fleet(&result, &cost, &eq, FLOORS);
+        assert_eq!(
+            v.violations,
+            vec!["fleet: restore equivalence: chip X diverged"]
+        );
         // Restore speedup below the floor fails the gate.
         let slow = ResetCost {
             boot_us: 100.0,
             ..sample_cost()
         };
-        assert!(check(&result, &slow, &[], baseline).is_err());
+        let v = gate_fleet(&result, &slow, &[], FLOORS);
+        assert_eq!(
+            v.violations,
+            vec!["fleet restore_speedup [wall]: 5.00 vs floor 20.00 (-15.00)"]
+        );
         // Midrun speedup below its floor fails the gate.
         let slow_midrun = ResetCost {
             midrun_us: 29.0,
             ..sample_cost()
         };
-        assert!(check(&result, &slow_midrun, &[], baseline).is_err());
-        // No floors in the baseline: skipped with notes.
-        let notes = check(&result, &slow, &[], "{}").unwrap();
-        assert!(notes.iter().any(|n| n.contains("skipped")), "{notes:?}");
+        assert!(!gate_fleet(&result, &slow_midrun, &[], FLOORS).passed());
+        // Floors missing from the baseline fail: a gated metric needs a bound.
+        let v = gate_fleet(&result, &slow, &[], "[]");
+        assert_eq!(v.violations.len(), 3, "{v:?}");
     }
 
     #[test]
@@ -726,29 +637,42 @@ mod tests {
         result.total_runs = FLEET_FLOOR_MIN_RUNS;
         result.wall_ms = FLEET_FLOOR_MIN_RUNS as f64 / rate * 1e3;
         let cost = sample_cost();
-        // An absurdly low previous figure: any real campaign clears 1.5x.
-        let pass = "{\"fleet_runs_per_sec_prev\": 0.001, \"min_fleet_speedup\": 1.5}";
-        let notes = check(&result, &cost, &[], pass).unwrap();
-        assert!(notes.iter().any(|n| n.contains("fleet throughput")));
+        let with_prev = |prev: &str| FLOORS.replace("1e15", prev);
+        // An absurdly low previous figure (0.001 x 1.5): any real
+        // campaign clears it.
+        let v = gate_fleet(&result, &cost, &[], &with_prev("0.0015"));
+        assert!(v.passed(), "{v:?}");
+        assert!(v
+            .notes
+            .iter()
+            .any(|n| n.contains("fleet runs_per_sec [wall]")));
         // An unreachable previous figure fails the gate.
-        let fail = "{\"fleet_runs_per_sec_prev\": 1e15, \"min_fleet_speedup\": 1.5}";
-        let failures = check(&result, &cost, &[], fail).unwrap_err();
-        assert!(failures.iter().any(|f| f.contains("below the 1.50x floor")));
+        let fail = with_prev("1.5e15");
+        let v = gate_fleet(&result, &cost, &[], &fail);
+        assert!(
+            v.violations
+                .iter()
+                .any(|f| f.contains("runs_per_sec [wall]")
+                    && f.contains("vs floor 1500000000000000.00")),
+            "{v:?}"
+        );
         // A small campaign skips the floor: startup costs are not
         // amortized, so the measured rate is not comparable.
         let small = run_fleet(14, 1);
-        let notes = check(&small, &cost, &[], fail).unwrap();
+        let v = gate_fleet(&small, &cost, &[], &fail);
+        assert!(v.passed(), "{v:?}");
         assert!(
-            notes.iter().any(|n| n.contains("too few to amortize")),
-            "{notes:?}"
+            v.notes.iter().any(|n| n.contains("too few to amortize")),
+            "{v:?}"
         );
         // A parallel campaign skips the (serial) throughput floor.
         let mut parallel = run_fleet(14, 2);
         parallel.total_runs = FLEET_FLOOR_MIN_RUNS;
-        let notes = check(&parallel, &cost, &[], fail).unwrap();
+        let v = gate_fleet(&parallel, &cost, &[], &fail);
+        assert!(v.passed(), "{v:?}");
         assert!(
-            notes.iter().any(|n| n.contains("reference is serial")),
-            "{notes:?}"
+            v.notes.iter().any(|n| n.contains("reference is serial")),
+            "{v:?}"
         );
     }
 
@@ -824,27 +748,26 @@ mod tests {
     }
 
     #[test]
-    fn render_json_round_trips_key_fields() {
+    fn metrics_carry_the_key_fields() {
         let result = run_fleet(14, 1);
         let prof = profile(&result);
         let cost = ResetCost {
             boot_us: 500.0,
             ..sample_cost()
         };
-        let doc = render_json(&result, &cost, &prof, &[], 4);
-        assert!(doc.contains("\"experiment\": \"e_fleet\""));
-        assert_eq!(json::read_number(&doc, "total_runs"), Some(14.0));
-        assert_eq!(json::read_number(&doc, "restore_speedup"), Some(25.0));
-        assert_eq!(json::read_number(&doc, "midrun_restore_speedup"), Some(3.0));
-        assert_eq!(json::read_number(&doc, "failures"), Some(0.0));
-        assert_eq!(
-            json::read_number(&doc, "midrun_runs"),
-            Some(prof.midrun_runs as f64)
-        );
-        assert!(doc.contains("\"restore_equivalent\": true"));
-        assert!(doc.contains("\"fleet_runs_per_sec\""));
-        assert!(doc.contains("\"phases\""));
-        assert!(doc.contains("\"p99_us\""));
+        let r = metrics(&result, &cost, &prof, &[], 4);
+        let value = |name: &str| r.get(name).unwrap().value;
+        assert_eq!(r.experiment, "fleet");
+        assert_eq!(value("total_runs"), 14.0);
+        assert_eq!(value("restore_speedup"), 25.0);
+        assert_eq!(value("midrun_restore_speedup"), 3.0);
+        assert_eq!(value("midrun_runs"), prof.midrun_runs as f64);
+        assert!(r.failures.is_empty());
+        assert!(r.get("runs_per_sec").is_some());
+        assert!(r.get("run.p99_us").is_some());
+        let doc = r.to_json();
+        assert!(doc.contains("\"experiment\": \"fleet\""));
+        assert!(doc.contains("\"name\": \"validate.p50_us\""));
     }
 
     #[test]

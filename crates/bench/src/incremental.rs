@@ -9,13 +9,14 @@
 //! hash and obligation-domain hash are unchanged is served from the cache.
 //! The CI gate (`--check`) requires the warm run on an unchanged tree to
 //! be sub-second, ≥10x faster than the recorded cold wall, with ≥95% hit
-//! rate — the floors live in `ci/bench_baseline.json`.
+//! rate — the bounds live only in `ci/bench_baseline.json`, and a cold
+//! run emits none of the warm metrics, so it cannot pass.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::fig12::Effort;
-use crate::json;
+use tt_analysis::metrics::{Kind, Report, WALL};
 use tt_contracts::span::{Fnv, SourceIndex};
 use tt_contracts::vcache::{LoadOutcome, VerdictCache};
 use tt_contracts::verifier::VerificationReport;
@@ -57,12 +58,7 @@ pub fn source_index(root: &Path) -> SourceIndex {
 /// Resolves the cache path: absolute stays as given, relative is anchored
 /// at the workspace root (so `verify_all` works from any cwd).
 pub fn cache_path(arg: Option<&str>) -> PathBuf {
-    let p = PathBuf::from(arg.unwrap_or(DEFAULT_CACHE));
-    if p.is_absolute() {
-        p
-    } else {
-        tt_analysis::audit::workspace_root().join(p)
-    }
+    tt_analysis::audit::in_workspace(arg.unwrap_or(DEFAULT_CACHE))
 }
 
 /// One incremental `verify_all` run: everything the JSON artifact and the
@@ -138,102 +134,62 @@ pub fn run(effort: Effort, path: &Path, force_cold: bool) -> IncrementalRun {
     }
 }
 
-/// Renders BENCH_fig12.json: per-component Fig. 12 stats plus the
-/// incremental-cache section (`cache_hit_rate`, cold/warm wall, per-
-/// component skip counts).
-pub fn to_json(run: &IncrementalRun, effort_name: &str) -> String {
-    let ms = |d: Duration| json::num(d.as_secs_f64() * 1000.0);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"generator\": \"verify_all\",\n");
-    out.push_str(&format!(
-        "  \"effort\": \"{}\",\n",
-        json::escape(effort_name)
-    ));
-    let mode = if run.outcome.is_warm() {
-        "warm"
-    } else {
-        "cold"
-    };
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!(
-        "  \"cache_hit_rate\": {},\n",
-        format_args!("{:.4}", run.hit_rate)
-    ));
-    out.push_str(&format!("  \"wall_ms\": {},\n", ms(run.wall)));
-    out.push_str(&format!("  \"cold_wall_ms\": {},\n", ms(run.cold_wall)));
-    out.push_str(&format!("  \"speedup\": {},\n", json::num(run.speedup())));
-    let all = run.report.component_stats("");
-    out.push_str(&format!("  \"fns\": {},\n", all.fns));
-    out.push_str(&format!("  \"skipped_fns\": {},\n", all.cached_fns));
-    out.push_str(&format!("  \"refuted_fns\": {},\n", all.refuted_fns));
-    out.push_str("  \"components\": {\n");
-    let by = run.report.by_component();
-    let last = by.len().saturating_sub(1);
-    for (i, (component, stats)) in by.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"fns\": {}, \"total_ms\": {}, \"max_ms\": {}, \"mean_ms\": {}, \
-             \"stddev_ms\": {}, \"cached_fns\": {}, \"refuted_fns\": {}}}{}\n",
-            json::escape(component),
-            stats.fns,
-            ms(stats.total),
-            ms(stats.max),
-            ms(stats.mean),
-            ms(stats.stddev),
-            stats.cached_fns,
-            stats.refuted_fns,
-            if i == last { "" } else { "," },
-        ));
+/// The `fig12` report: which effort (`quick`) and cache mode (`warm`)
+/// produced it, the cache hit rate, function counts overall and per
+/// component, the per-component verification times, and — on a warm run
+/// only — the three gated warm figures (`warm_hit_rate`,
+/// `warm_verify_ms`, `incremental_speedup`). Every refuted function is a
+/// failure.
+pub fn metrics(run: &IncrementalRun, quick: bool) -> Report {
+    let ms = |d: Duration| d.as_secs_f64() * 1000.0;
+    let mut r = Report::new("fig12");
+    let mode = [("quick", f64::from(u8::from(quick)))];
+    r.infos("", "verifier", "flag", &mode);
+    let cache = [("warm", f64::from(u8::from(run.outcome.is_warm())))];
+    r.infos("", "vcache", "flag", &cache);
+    r.info("cache_hit_rate", "vcache", "share", run.hit_rate);
+    let overall = [("", run.report.component_stats(""))];
+    for (component, stats) in overall.into_iter().chain(run.report.by_component()) {
+        let fns = [
+            ("fns", stats.fns as f64),
+            ("refuted_fns", stats.refuted_fns as f64),
+        ];
+        r.infos(component, "verifier", "count", &fns);
+        r.infos(
+            component,
+            "vcache",
+            "count",
+            &[("cached_fns", stats.cached_fns as f64)],
+        );
+        if !component.is_empty() {
+            let times = [
+                ("total_ms", ms(stats.total)),
+                ("max_ms", ms(stats.max)),
+                ("mean_ms", ms(stats.mean)),
+                ("stddev_ms", ms(stats.stddev)),
+            ];
+            r.infos(component, WALL, "ms", &times);
+        }
     }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Applies the warm-run CI floors from `ci/bench_baseline.json`:
-/// `min_warm_hit_rate`, `max_warm_verify_ms`, `min_incremental_speedup`.
-/// Returns the violated gates (empty = pass). A non-warm run fails
-/// outright: the gate certifies the *incremental* path, so running it
-/// against a cold cache means the job is miswired.
-pub fn check(run: &IncrementalRun, baseline: &str) -> Vec<String> {
-    let mut violations = Vec::new();
-    if !run.outcome.is_warm() {
-        violations.push(format!(
-            "warm gate ran against a non-warm cache ({:?}); run a cold pass first",
-            run.outcome
-        ));
-        return violations;
+    r.info("cold_verify_ms", WALL, "ms", ms(run.cold_wall));
+    if run.outcome.is_warm() {
+        let (hits, wall) = (run.hit_rate, ms(run.wall));
+        r.add(Kind::Floor, "warm_hit_rate", "vcache", "share", hits);
+        r.add(Kind::Ceiling, "warm_verify_ms", WALL, "ms", wall);
+        r.add(Kind::Floor, "incremental_speedup", WALL, "x", run.speedup());
     }
-    let min_hit = json::read_number(baseline, "min_warm_hit_rate").unwrap_or(0.95);
-    let max_ms = json::read_number(baseline, "max_warm_verify_ms").unwrap_or(1000.0);
-    let min_speedup = json::read_number(baseline, "min_incremental_speedup").unwrap_or(10.0);
-    if run.hit_rate < min_hit {
-        violations.push(format!(
-            "cache_hit_rate {:.4} below floor {min_hit} on an unchanged tree",
-            run.hit_rate
-        ));
-    }
-    let wall_ms = run.wall.as_secs_f64() * 1000.0;
-    if wall_ms > max_ms {
-        violations.push(format!(
-            "warm re-verify took {wall_ms:.1} ms, above the {max_ms} ms ceiling"
-        ));
-    }
-    if run.speedup() < min_speedup {
-        violations.push(format!(
-            "warm speedup {:.1}x below the {min_speedup}x floor (cold {:.1} ms, warm {wall_ms:.1} ms)",
-            run.speedup(),
-            run.cold_wall.as_secs_f64() * 1000.0,
-        ));
-    }
-    if run.report.component_stats("").refuted_fns > 0 {
-        violations.push("refutations present in the gated run".into());
-    }
-    violations
+    let refuted = run.report.refuted();
+    let lines = refuted
+        .iter()
+        .map(|f| format!("refuted: {} :: {}", f.component, f.function));
+    r.failures.extend(lines);
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate_text;
 
     fn temp_cache(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ttvc-inc-{tag}-{}.bin", std::process::id()))
@@ -269,37 +225,61 @@ mod tests {
     }
 
     #[test]
-    fn json_artifact_has_the_gated_fields() {
+    fn cold_metrics_have_no_warm_figures() {
         let path = temp_cache("json");
         let cold = run(Effort::QUICK, &path, true);
-        let doc = to_json(&cold, "quick");
-        for key in [
+        let r = metrics(&cold, true);
+        for name in [
+            "quick",
+            "warm",
             "cache_hit_rate",
-            "wall_ms",
-            "cold_wall_ms",
-            "speedup",
-            "skipped_fns",
-            "components",
-            "TickTock (Monolithic)",
+            "fns",
+            "cached_fns",
+            "cold_verify_ms",
+            "TickTock (Monolithic).fns",
         ] {
-            assert!(doc.contains(key), "missing {key} in {doc}");
+            assert!(r.get(name).is_some(), "missing {name} in {r:?}");
         }
-        assert_eq!(json::read_number(&doc, "cache_hit_rate"), Some(0.0));
+        assert_eq!(r.get("cached_fns").unwrap().value, 0.0);
+        assert_eq!(r.get("quick").unwrap().value, 1.0);
+        assert_eq!(r.get("warm").unwrap().value, 0.0);
+        assert_eq!(r.get("cache_hit_rate").unwrap().value, 0.0);
+        assert!(r.get("warm_hit_rate").is_none());
+        assert!(r.failures.is_empty());
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn check_fails_a_cold_run_and_passes_a_warm_one() {
         let path = temp_cache("check");
-        let baseline = r#"{"min_warm_hit_rate": 0.95, "max_warm_verify_ms": 60000.0, "min_incremental_speedup": 0.0}"#;
+        let baseline = r#"[
+  {"metric": "fig12.warm_hit_rate", "kind": "floor", "bound": 0.95, "why": "hits"},
+  {"metric": "fig12.warm_verify_ms", "kind": "ceiling", "bound": 60000.0, "why": "wall"},
+  {"metric": "fig12.incremental_speedup", "kind": "floor", "bound": 0.0, "why": "speedup"}
+]"#;
         let cold = run(Effort::QUICK, &path, true);
-        assert!(
-            !check(&cold, baseline).is_empty(),
-            "cold run must not pass the warm gate"
+        let v = gate_text(&metrics(&cold, true), "incr-cold", baseline);
+        assert_eq!(
+            v.violations.len(),
+            3,
+            "cold run must not pass the warm gate: {v:?}"
         );
         let warm = run(Effort::QUICK, &path, false);
-        let violations = check(&warm, baseline);
-        assert!(violations.is_empty(), "{violations:?}");
+        let mut thin = metrics(&warm, true);
+        assert_eq!(thin.get("warm").unwrap().value, 1.0);
+        let v = gate_text(&thin, "incr-warm", baseline);
+        assert!(v.passed(), "{v:?}");
+        // A warm run under the hit-rate floor fails it.
+        thin.metrics
+            .iter_mut()
+            .find(|m| m.name == "warm_hit_rate")
+            .unwrap()
+            .value = 0.5;
+        let v = gate_text(&thin, "incr-thin", baseline);
+        assert_eq!(
+            v.violations,
+            vec!["fig12 warm_hit_rate [vcache]: 0.50 vs floor 0.95 (-0.45)"]
+        );
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -13,6 +13,10 @@
 //! a simulator, not an NRF52840dk + Flux/z3); the *shape* — who wins, by
 //! roughly what factor, where the crossovers fall — is the reproduction
 //! target, recorded in `EXPERIMENTS.md`.
+//!
+//! Every bin reduces its run to one [`tt_analysis::metrics::Report`]
+//! through its module's `metrics` function, and shares the `--json` /
+//! `--check` handling and the one baseline gate (DESIGN §17).
 
 pub mod e62;
 pub mod explore;
@@ -21,7 +25,6 @@ pub mod fig11;
 pub mod fig12;
 pub mod fleet;
 pub mod incremental;
-pub mod json;
 pub mod reports;
 pub mod switch;
 pub mod throughput;
@@ -35,6 +38,32 @@ pub fn pct_diff(ticktock: f64, tock: f64) -> String {
     format!("{diff:+.2}%")
 }
 
+/// The value after `flag` in a bin's arguments, parsed: `None` when the
+/// flag is absent, has no value (the next argument is a flag), or the
+/// value does not parse.
+pub fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == flag)?;
+    args.get(i + 1)
+        .filter(|v| !v.starts_with("--"))?
+        .parse()
+        .ok()
+}
+
+/// Gates `report` on a baseline given as text (written to a per-test
+/// temp file, since the gate reads its baseline from disk).
+#[cfg(test)]
+pub(crate) fn gate_text(
+    report: &tt_analysis::metrics::Report,
+    tag: &str,
+    baseline: &str,
+) -> tt_analysis::metrics::Verdict {
+    let path = std::env::temp_dir().join(format!("tt-bench-{tag}-{}.json", std::process::id()));
+    std::fs::write(&path, baseline).unwrap();
+    let verdict = tt_analysis::metrics::gate(report, &path);
+    let _ = std::fs::remove_file(&path);
+    verdict
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,5 +73,14 @@ mod tests {
         assert_eq!(pct_diff(50.0, 100.0), "-50.00%");
         assert_eq!(pct_diff(108.0, 100.0), "+8.00%");
         assert_eq!(pct_diff(1.0, 0.0), "n/a");
+    }
+
+    #[test]
+    fn flag_value_parses_the_next_argument_unless_it_is_a_flag() {
+        let args = ["--seeds", "7", "--corpus", "--json", "--runs", "x"].map(String::from);
+        assert_eq!(flag_value::<u64>(&args, "--seeds"), Some(7));
+        assert_eq!(flag_value::<String>(&args, "--corpus"), None);
+        assert_eq!(flag_value::<u64>(&args, "--runs"), None);
+        assert_eq!(flag_value::<u64>(&args, "--cap"), None);
     }
 }

@@ -1,95 +1,84 @@
-//! Shared report/JSON rendering for the campaign and differential bins.
+//! Metrics reports for the campaign and differential bins.
 //!
-//! The `e_fault_campaign` and `e61_differential` binaries used to build
-//! their `BENCH_*.json` documents inline in `main`; the throughput
-//! engine needs the exact same bytes from library code — both to report
-//! a run and to *assert* that a parallel run's artifacts are
-//! byte-identical to a serial run's. Wall-clock time is the one
-//! legitimately nondeterministic field, so it is a parameter: the
-//! determinism tests pass a fixed value and compare whole documents.
+//! The `e_fault_campaign` and `e61_differential` bins and the throughput
+//! engine build the same reports: the bins to write and gate them, the
+//! engine to *assert* that a parallel run's reports are byte-identical
+//! to a serial run's. Wall-clock time is the one legitimately
+//! nondeterministic number, so it sits in the [`WALL`] layer that
+//! determinism checks drop.
 
-use crate::json;
+use tt_analysis::metrics::{Report, WALL};
 use tt_hw::platform::ChipProfile;
 use tt_kernel::campaign::ChipReport;
 use tt_kernel::differential::DiffResult;
 
-/// Renders the `BENCH_fault.json` document for a campaign run.
-pub fn campaign_json(reports: &[ChipReport], seeds: u64, wall_ms: f64) -> String {
-    let failures: usize = reports.iter().map(|r| r.failures.len()).sum();
-    let mut doc = String::new();
-    doc.push_str("{\n  \"experiment\": \"e_fault_campaign\",\n");
-    doc.push_str(&format!("  \"seeds_per_chip\": {seeds},\n"));
-    doc.push_str(&format!(
-        "  \"injected_runs\": {},\n",
-        reports.iter().map(|r| r.runs * 2).sum::<u64>()
-    ));
-    doc.push_str(&format!("  \"failures\": {failures},\n"));
-    doc.push_str(&format!("  \"wall_clock_ms\": {},\n", json::num(wall_ms)));
-    doc.push_str("  \"chips\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{\"chip\": \"{}\", \"runs\": {}, \"fired\": {}, \"recoveries\": {}, \
-             \"restarts\": {}, \"killed\": {}, \"recovery_cycles_warm_mean\": {}, \
-             \"recovery_cycles_cold_mean\": {}, \"failures\": {}}}{}\n",
-            json::escape(r.chip),
-            r.runs * 2,
-            r.fired,
-            r.recoveries,
-            r.restarts,
-            r.killed,
-            json::num(r.warm_mean()),
-            json::num(r.cold_mean()),
-            r.failures.len(),
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
-    doc.push_str("  ]\n}\n");
-    doc
+/// Appends one chip's campaign counters (`<chip>.runs`, `.fired`,
+/// `.recoveries`, `.restarts`, `.killed`).
+pub fn chip_counters(r: &mut Report, c: &ChipReport) {
+    r.infos(
+        c.chip,
+        "campaign",
+        "count",
+        &[
+            ("runs", (c.runs * 2) as f64),
+            ("fired", c.fired as f64),
+            ("recoveries", c.recoveries as f64),
+            ("restarts", c.restarts as f64),
+            ("killed", c.killed as f64),
+        ],
+    );
 }
 
-/// Renders the `BENCH_e61.json` document for an all-chips differential
-/// run.
-pub fn e61_json(per_chip: &[(&ChipProfile, Vec<DiffResult>)], wall_ms: f64) -> String {
-    let mut doc = String::new();
-    doc.push_str("{\n  \"experiment\": \"e61_differential\",\n");
-    doc.push_str(&format!("  \"wall_clock_ms\": {},\n", json::num(wall_ms)));
-    doc.push_str("  \"chips\": [\n");
-    for (i, (chip, results)) in per_chip.iter().enumerate() {
-        let differing = results.iter().filter(|r| !r.matches()).count();
-        let unexpected = results
-            .iter()
-            .filter(|r| r.matches() == r.expect_differs)
-            .count();
-        // matches() requires observable-trace equivalence, so this
-        // counts divergences only among the expected console diffs.
-        let divergent = results
-            .iter()
-            .filter(|r| r.trace_divergence.is_some())
-            .count();
-        doc.push_str(&format!(
-            "    {{\"chip\": \"{}\", \"tests\": {}, \"differing\": {}, \"unexpected\": {}, \"observable_divergences\": {}}}{}\n",
-            json::escape(chip.name),
-            results.len(),
-            differing,
-            unexpected,
-            divergent,
-            if i + 1 < per_chip.len() { "," } else { "" }
-        ));
+/// The `fault` report for a campaign run: per-chip counters and
+/// recovery latency, with every oracle failure line.
+pub fn campaign_metrics(reports: &[ChipReport], seeds: u64, wall_ms: f64) -> Report {
+    let mut r = Report::new("fault");
+    let runs: u64 = reports.iter().map(|c| c.runs * 2).sum();
+    r.infos(
+        "",
+        "campaign",
+        "count",
+        &[
+            ("seeds_per_chip", seeds as f64),
+            ("injected_runs", runs as f64),
+        ],
+    );
+    r.info("wall_ms", WALL, "ms", wall_ms);
+    for c in reports {
+        chip_counters(&mut r, c);
+        let means = [
+            ("recovery_cycles_warm_mean", c.warm_mean()),
+            ("recovery_cycles_cold_mean", c.cold_mean()),
+        ];
+        r.infos(c.chip, "recovery", "cycles", &means);
+        r.failures.extend(c.failures.iter().cloned());
     }
-    doc.push_str("  ]\n}\n");
-    doc
+    r
 }
 
-/// Tests whose verdict is UNEXPECTED across an all-chips run, as
-/// `chip:test` strings (the e61 CI gate's failure list).
-pub fn e61_unexpected(per_chip: &[(&ChipProfile, Vec<DiffResult>)]) -> Vec<String> {
-    per_chip
-        .iter()
-        .flat_map(|(chip, results)| {
-            results
-                .iter()
-                .filter(|r| r.matches() == r.expect_differs)
-                .map(|r| format!("{}:{}", chip.name, r.name))
-        })
-        .collect()
+/// The `e61` report for an all-chips differential run: the per-chip
+/// 21/5 shape, with every UNEXPECTED verdict as a `chip:test` failure.
+pub fn e61_metrics(per_chip: &[(&ChipProfile, Vec<DiffResult>)], wall_ms: f64) -> Report {
+    let mut r = Report::new("e61");
+    r.info("wall_ms", WALL, "ms", wall_ms);
+    for (chip, results) in per_chip {
+        let unexpected = |d: &&DiffResult| d.matches() == d.expect_differs;
+        let count = |f: fn(&&DiffResult) -> bool| results.iter().filter(f).count() as f64;
+        // matches() requires observable-trace equivalence, so
+        // observable_divergences counts only expected console diffs.
+        let counts = [
+            ("tests", results.len() as f64),
+            ("differing", count(|d| !d.matches())),
+            ("unexpected", count(unexpected)),
+            (
+                "observable_divergences",
+                count(|d| d.trace_divergence.is_some()),
+            ),
+        ];
+        r.infos(chip.name, "differential", "count", &counts);
+        let lines = results.iter().filter(unexpected);
+        r.failures
+            .extend(lines.map(|d| format!("unexpected §6.1 verdict: {}:{}", chip.name, d.name)));
+    }
+    r
 }

@@ -7,18 +7,21 @@
 //! [`pool::default_threads`]) and reports kernel runs per second at each
 //! rung. Because every run's mutable state is thread-local, the reports
 //! produced at any rung must be byte-identical to the serial ones;
-//! [`check`] asserts exactly that, making the parallelism itself a gated
-//! artifact rather than a trusted optimisation.
+//! [`metrics`] reports every mismatch as a failure, making the
+//! parallelism itself a gated artifact rather than a trusted
+//! optimisation.
 //!
 //! The speedup floor in `ci/bench_baseline.json`
-//! (`min_parallel_speedup`) only applies when the host actually has
-//! cores to scale onto: on a 1-core container the ladder still runs (the
-//! determinism half of the gate is host-independent) but the floor is
-//! skipped, and on small hosts it is capped below the core count.
+//! (`throughput.parallel_speedup`) only applies when the host actually
+//! has cores to scale onto: on a 1-core container the ladder still runs
+//! (the determinism half of the gate is host-independent) but the floor
+//! is skipped, and on small hosts a speedup of 0.75 × the core count
+//! already satisfies it.
 
 use std::time::Instant;
 
-use crate::{json, reports};
+use crate::reports;
+use tt_analysis::metrics::{Kind, Report, WALL};
 use tt_hw::platform::ALL_CHIPS;
 use tt_kernel::campaign::{render_report, run_campaign_profiled};
 use tt_kernel::differential::run_release_suite;
@@ -53,15 +56,15 @@ impl Sample {
 }
 
 /// A measured rung plus the rendered artifacts it produced, kept for the
-/// byte-identity check. Wall-clock fields inside the artifacts are
-/// pinned to 0 so the bytes only reflect simulation results.
+/// byte-identity check. The artifacts drop the wall layer, so the bytes
+/// only reflect simulation results.
 #[derive(Debug, Clone)]
 pub struct LadderEntry {
     /// Timing for this rung.
     pub sample: Sample,
-    /// Campaign text report + JSON document (wall pinned).
+    /// Campaign text report + `fault` report JSON (wall dropped).
     pub campaign_artifact: String,
-    /// Differential all-chips JSON document (wall pinned).
+    /// Differential all-chips `e61` report JSON (wall dropped).
     pub diff_artifact: String,
 }
 
@@ -93,8 +96,14 @@ pub fn measure(seeds: u64, threads: usize) -> LadderEntry {
         .sum::<u64>();
 
     let mut campaign_artifact = render_report(&campaign, seeds);
-    campaign_artifact.push_str(&reports::campaign_json(&campaign, seeds, 0.0));
-    let diff_artifact = reports::e61_json(&per_chip, 0.0);
+    campaign_artifact.push_str(
+        &reports::campaign_metrics(&campaign, seeds, campaign_ms)
+            .without_wall()
+            .to_json(),
+    );
+    let diff_artifact = reports::e61_metrics(&per_chip, diff_ms)
+        .without_wall()
+        .to_json();
 
     LadderEntry {
         sample: Sample {
@@ -139,115 +148,88 @@ pub fn render(entries: &[LadderEntry]) -> String {
     out
 }
 
-/// Renders the `BENCH_throughput.json` document.
-pub fn render_json(entries: &[LadderEntry], seeds: u64, cores: usize) -> String {
-    let deterministic = entries.iter().all(|e| artifacts_match(e, &entries[0]));
-    let base = &entries[0].sample;
-    let mut doc = String::new();
-    doc.push_str("{\n  \"experiment\": \"e_throughput\",\n");
-    doc.push_str(&format!("  \"seeds_per_chip\": {seeds},\n"));
-    doc.push_str(&format!("  \"cores\": {cores},\n"));
-    doc.push_str(&format!(
-        "  \"max_threads\": {},\n",
-        entries.last().map(|e| e.sample.threads).unwrap_or(1)
-    ));
-    doc.push_str(&format!("  \"deterministic\": {deterministic},\n"));
-    doc.push_str("  \"points\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let s = &e.sample;
-        doc.push_str(&format!(
-            "    {{\"threads\": {}, \"campaign_runs\": {}, \"campaign_ms\": {}, \
-             \"campaign_runs_per_sec\": {}, \"campaign_speedup\": {}, \
-             \"diff_runs\": {}, \"diff_ms\": {}, \"diff_runs_per_sec\": {}, \
-             \"diff_speedup\": {}}}{}\n",
-            s.threads,
-            s.campaign_runs,
-            json::num(s.campaign_ms),
-            json::num(s.campaign_runs_per_sec()),
-            json::num(s.campaign_runs_per_sec() / base.campaign_runs_per_sec()),
-            s.diff_runs,
-            json::num(s.diff_ms),
-            json::num(s.diff_runs_per_sec()),
-            json::num(s.diff_runs_per_sec() / base.diff_runs_per_sec()),
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    doc.push_str("  ]\n}\n");
-    doc
-}
-
-fn artifacts_match(a: &LadderEntry, b: &LadderEntry) -> bool {
-    a.campaign_artifact == b.campaign_artifact && a.diff_artifact == b.diff_artifact
-}
-
-/// The CI gate: every rung's artifacts must be byte-identical to the
-/// serial rung's, and — when the host has cores to use — the fastest
-/// rung must clear the baseline's `min_parallel_speedup` (capped at
-/// 0.75 × cores so small CI hosts are not asked for speedups their
-/// hardware cannot produce). Returns the list of failures.
-pub fn check(
-    entries: &[LadderEntry],
-    baseline: &str,
-    cores: usize,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut failures = Vec::new();
-    let mut notes = Vec::new();
+/// The `throughput` report: per-rung rates and speedups, every rung
+/// whose artifacts differ from the serial rung's as a failure, and the
+/// campaign's best parallel speedup as the `parallel_speedup` floor.
+///
+/// The floor is skipped on a host with one core or one thread, and when
+/// the speedup already reaches [`host_cap`] — the most a small host can
+/// show, so the baseline floor is not asked of it. The cap is reported
+/// as `host_cap`, since below a floor it is the bound that applies.
+pub fn metrics(entries: &[LadderEntry], seeds: u64, cores: usize) -> Report {
+    let mut r = Report::new("throughput");
     let serial = &entries[0];
-    for e in &entries[1..] {
-        if e.campaign_artifact != serial.campaign_artifact {
-            failures.push(format!(
-                "campaign report at {} threads differs from serial ({} vs {} bytes)",
-                e.sample.threads,
-                e.campaign_artifact.len(),
-                serial.campaign_artifact.len()
-            ));
-        }
-        if e.diff_artifact != serial.diff_artifact {
-            failures.push(format!(
-                "differential report at {} threads differs from serial ({} vs {} bytes)",
-                e.sample.threads,
-                e.diff_artifact.len(),
-                serial.diff_artifact.len()
-            ));
-        }
-    }
-    notes.push(format!(
-        "determinism: {} rung(s) byte-identical to serial",
-        entries.len() - 1
-    ));
-
-    let floor = json::read_number(baseline, "min_parallel_speedup");
-    let max_threads = entries.last().map(|e| e.sample.threads).unwrap_or(1);
-    match floor {
-        Some(floor) if cores > 1 && max_threads > 1 => {
-            let effective = floor.min(cores as f64 * 0.75);
-            let best = entries
-                .iter()
-                .map(|e| e.sample.campaign_runs_per_sec())
-                .fold(f64::NEG_INFINITY, f64::max);
-            let speedup = best / serial.sample.campaign_runs_per_sec();
-            if speedup < effective {
-                failures.push(format!(
-                    "campaign parallel speedup {speedup:.2}x below floor {effective:.2}x \
-                     (baseline {floor:.2}x, {cores} cores)"
-                ));
-            } else {
-                notes.push(format!(
-                    "speedup: campaign {speedup:.2}x >= floor {effective:.2}x"
+    let max_threads = entries.last().map_or(1, |e| e.sample.threads);
+    let (base, seeds) = (&serial.sample, seeds as f64);
+    r.infos(
+        "",
+        "campaign",
+        "count",
+        &[
+            ("seeds_per_chip", seeds),
+            ("campaign_runs", base.campaign_runs as f64),
+        ],
+    );
+    r.info("diff_runs", "differential", "count", base.diff_runs as f64);
+    let host = [("cores", cores as f64), ("max_threads", max_threads as f64)];
+    r.infos("", WALL, "count", &host);
+    for e in entries {
+        let (s, t) = (&e.sample, e.sample.threads);
+        let rung = format!("t{t}");
+        let (campaign_rate, diff_rate) = (s.campaign_runs_per_sec(), s.diff_runs_per_sec());
+        let walls = [("campaign_ms", s.campaign_ms), ("diff_ms", s.diff_ms)];
+        r.infos(&rung, WALL, "ms", &walls);
+        let rates = [
+            ("campaign_runs_per_sec", campaign_rate),
+            ("diff_runs_per_sec", diff_rate),
+        ];
+        r.infos(&rung, WALL, "1/s", &rates);
+        let speedups = [
+            (
+                "campaign_speedup",
+                campaign_rate / base.campaign_runs_per_sec(),
+            ),
+            ("diff_speedup", diff_rate / base.diff_runs_per_sec()),
+        ];
+        r.infos(&rung, WALL, "x", &speedups);
+        for (what, a, b) in [
+            ("campaign", &e.campaign_artifact, &serial.campaign_artifact),
+            ("differential", &e.diff_artifact, &serial.diff_artifact),
+        ] {
+            if a != b {
+                r.failures.push(format!(
+                    "{what} report at {t} threads differs from serial ({} vs {} bytes)",
+                    a.len(),
+                    b.len()
                 ));
             }
         }
-        Some(_) => notes.push(format!(
-            "speedup floor skipped ({cores} core(s), max {max_threads} thread(s))"
-        )),
-        None => notes.push("baseline has no min_parallel_speedup; floor skipped".into()),
     }
+    let best = entries
+        .iter()
+        .map(|e| e.sample.campaign_runs_per_sec())
+        .fold(f64::NEG_INFINITY, f64::max);
+    let speedup = best / serial.sample.campaign_runs_per_sec();
+    r.add(Kind::Floor, "parallel_speedup", WALL, "x", speedup);
+    let cap = host_cap(cores);
+    r.info("host_cap", WALL, "x", cap);
+    if cores <= 1 || max_threads <= 1 {
+        r.skip(
+            "parallel_speedup",
+            format!("{cores} core(s), max {max_threads} thread(s)"),
+        );
+    } else if speedup >= cap {
+        let reason =
+            format!("{speedup:.2}x reaches the host cap of 0.75 x {cores} cores = {cap:.2}x");
+        r.skip("parallel_speedup", reason);
+    }
+    r
+}
 
-    if failures.is_empty() {
-        Ok(notes)
-    } else {
-        Err(failures)
-    }
+/// The largest campaign speedup asked of a `cores`-core host: 0.75 ×
+/// the core count. A speedup reaching it skips the baseline floor.
+pub fn host_cap(cores: usize) -> f64 {
+    cores as f64 * 0.75
 }
 
 /// Host core count as reported by the OS (1 when undetectable).
@@ -260,6 +242,7 @@ pub fn host_cores() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate_text;
 
     #[test]
     fn thread_ladder_dedups_and_sorts() {
@@ -282,41 +265,61 @@ mod tests {
         }
     }
 
+    const FLOOR: &str = r#"[{"metric": "throughput.parallel_speedup", "kind": "floor", "bound": 3.0, "why": "pool"}]"#;
+
     #[test]
     fn check_fails_on_artifact_mismatch() {
         let entries = vec![fake_entry(1, 100.0, "a"), fake_entry(8, 20.0, "b")];
-        let failures = check(&entries, "{}", 8).unwrap_err();
-        assert_eq!(failures.len(), 2, "{failures:?}");
+        let report = metrics(&entries, 5, 8);
+        assert_eq!(report.failures.len(), 2, "{:?}", report.failures);
+        let v = gate_text(&report, "tp-mismatch", FLOOR);
+        assert_eq!(v.violations.len(), 2, "{v:?}");
     }
 
     #[test]
     fn check_enforces_speedup_floor_only_with_cores() {
         let entries = vec![fake_entry(1, 100.0, "a"), fake_entry(8, 90.0, "a")];
-        let baseline = "{\"min_parallel_speedup\": 3.0}";
         // 8 cores: 1.11x speedup misses the 3x floor.
-        assert!(check(&entries, baseline, 8).is_err());
+        assert!(!gate_text(&metrics(&entries, 5, 8), "tp-8", FLOOR).passed());
         // 1 core: floor is skipped, determinism still checked.
-        assert!(check(&entries, baseline, 1).is_ok());
-        // 2 cores: floor capped at 1.5x, still missed at 1.11x.
-        assert!(check(&entries, baseline, 2).is_err());
+        let v = gate_text(&metrics(&entries, 5, 1), "tp-1", FLOOR);
+        assert!(v.passed(), "{v:?}");
+        assert!(v.notes[0].contains("skipped: 1 core(s)"), "{v:?}");
+        // 2 cores: floor capped at 1.5x, still missed at 1.11x; the
+        // report carries the cap that applies.
+        let two = metrics(&entries, 5, 2);
+        assert_eq!(two.get("host_cap").unwrap().value, 1.5);
+        assert!(!gate_text(&two, "tp-2", FLOOR).passed());
+        // 2 cores at 1.6x: the host cap is reached, the floor is not
+        // asked of the host.
+        let capped = vec![fake_entry(1, 100.0, "a"), fake_entry(2, 62.5, "a")];
+        let v = gate_text(&metrics(&capped, 5, 2), "tp-cap", FLOOR);
+        assert!(v.passed(), "{v:?}");
+        assert!(v.notes[0].contains("host cap"), "{v:?}");
     }
 
     #[test]
     fn check_passes_a_clean_ladder() {
         let entries = vec![fake_entry(1, 100.0, "a"), fake_entry(8, 25.0, "a")];
-        let baseline = "{\"min_parallel_speedup\": 3.0}";
-        let notes = check(&entries, baseline, 8).unwrap();
-        assert!(notes.iter().any(|n| n.contains("speedup")), "{notes:?}");
+        let v = gate_text(&metrics(&entries, 5, 8), "tp-clean", FLOOR);
+        assert!(v.passed(), "{v:?}");
+        assert!(
+            v.notes[0].contains("parallel_speedup [wall]: 4.00 vs floor 3.00"),
+            "{v:?}"
+        );
     }
 
     #[test]
-    fn render_json_is_readable_back() {
+    fn metrics_report_the_ladder() {
         let entries = vec![fake_entry(1, 100.0, "a"), fake_entry(8, 25.0, "a")];
-        let doc = render_json(&entries, 5, 8);
-        assert_eq!(json::read_number(&doc, "seeds_per_chip"), Some(5.0));
-        assert_eq!(json::read_number(&doc, "cores"), Some(8.0));
-        assert_eq!(json::read_number(&doc, "max_threads"), Some(8.0));
-        assert!(doc.contains("\"deterministic\": true"));
+        let r = metrics(&entries, 5, 8);
+        let value = |name: &str| r.get(name).unwrap().value;
+        assert_eq!(value("seeds_per_chip"), 5.0);
+        assert_eq!(value("cores"), 8.0);
+        assert_eq!(value("max_threads"), 8.0);
+        assert_eq!(value("host_cap"), 6.0);
+        assert_eq!(value("t8.campaign_speedup"), 4.0);
+        assert!(r.failures.is_empty());
     }
 
     #[test]
@@ -326,7 +329,8 @@ mod tests {
         assert_eq!(e.sample.campaign_runs, 14);
         // 7 chips × 21 tests × 2 kernels.
         assert_eq!(e.sample.diff_runs, 294);
-        assert!(e.campaign_artifact.contains("e_fault_campaign"));
-        assert!(e.diff_artifact.contains("e61_differential"));
+        assert!(e.campaign_artifact.contains("\"experiment\": \"fault\""));
+        assert!(e.diff_artifact.contains("\"experiment\": \"e61\""));
+        assert!(!e.campaign_artifact.contains("wall_ms"));
     }
 }

@@ -6,8 +6,10 @@
 //!
 //! This is the property that makes the work-stealing pool safe to gate
 //! CI on: scheduling order may vary freely, observable output may not.
-//! Wall-clock fields are pinned to 0 via the `reports` renderers so the
-//! comparison covers simulation results only.
+//! Each report carries its measured wall clock in the `wall` layer, which
+//! the comparison drops, so it covers simulation results only.
+
+use std::time::Instant;
 
 use proptest::prelude::*;
 use tt_bench::reports;
@@ -16,29 +18,41 @@ use tt_hw::platform::{ChipProfile, ALL_CHIPS, HIFIVE1, NRF52840DK};
 use tt_kernel::campaign::{render_report as render_campaign, run_campaign_profiled, ChipReport};
 use tt_kernel::differential::{render_report as render_diff, run_release_suite};
 
-/// The campaign's per-chip reports at `threads` workers.
-fn campaign(chips: &[ChipProfile], seeds: u64, threads: usize) -> Vec<ChipReport> {
-    run_campaign_profiled(chips, seeds, threads, &[]).reports
+/// The campaign's per-chip reports at `threads` workers, and the `fault`
+/// report JSON with its wall layer dropped.
+fn campaign(chips: &[ChipProfile], seeds: u64, threads: usize) -> (Vec<ChipReport>, String) {
+    let t0 = Instant::now();
+    let reports = run_campaign_profiled(chips, seeds, threads, &[]).reports;
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let doc = reports::campaign_metrics(&reports, seeds, wall_ms)
+        .without_wall()
+        .to_json();
+    (reports, doc)
+}
+
+/// The all-chips `e61` report JSON at `threads` workers, wall dropped.
+fn e61_doc(threads: usize) -> String {
+    let t0 = Instant::now();
+    let per_chip = run_release_suite(&ALL_CHIPS, threads);
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    reports::e61_metrics(&per_chip, wall_ms)
+        .without_wall()
+        .to_json()
 }
 
 #[test]
 fn campaign_artifacts_are_byte_identical_serial_vs_parallel() {
     let chips = [NRF52840DK, HIFIVE1];
-    let serial = campaign(&chips, 3, 1);
+    let (serial, serial_json) = campaign(&chips, 3, 1);
     let serial_text = render_campaign(&serial, 3);
-    let serial_json = reports::campaign_json(&serial, 3, 0.0);
     for threads in [2, 8] {
-        let parallel = campaign(&chips, 3, threads);
+        let (parallel, parallel_json) = campaign(&chips, 3, threads);
         assert_eq!(
             serial_text,
             render_campaign(&parallel, 3),
             "threads = {threads}"
         );
-        assert_eq!(
-            serial_json,
-            reports::campaign_json(&parallel, 3, 0.0),
-            "threads = {threads}"
-        );
+        assert_eq!(serial_json, parallel_json, "threads = {threads}");
     }
 }
 
@@ -46,11 +60,7 @@ fn campaign_artifacts_are_byte_identical_serial_vs_parallel() {
 fn e61_artifacts_are_byte_identical_serial_vs_parallel() {
     let nrf_report = |threads| render_diff(&run_release_suite(&[NRF52840DK], threads)[0].1);
     assert_eq!(nrf_report(1), nrf_report(8));
-    let serial_all = reports::e61_json(&run_release_suite(&ALL_CHIPS, 1), 0.0);
-    assert_eq!(
-        serial_all,
-        reports::e61_json(&run_release_suite(&ALL_CHIPS, 8), 0.0)
-    );
+    assert_eq!(e61_doc(1), e61_doc(8));
 }
 
 #[test]
@@ -74,8 +84,8 @@ proptest! {
         threads in 2usize..10,
     ) {
         let chips = [NRF52840DK];
-        let serial = reports::campaign_json(&campaign(&chips, seeds, 1), seeds, 0.0);
-        let parallel = reports::campaign_json(&campaign(&chips, seeds, threads), seeds, 0.0);
+        let (_, serial) = campaign(&chips, seeds, 1);
+        let (_, parallel) = campaign(&chips, seeds, threads);
         prop_assert_eq!(serial, parallel);
     }
 }

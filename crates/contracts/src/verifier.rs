@@ -131,7 +131,9 @@ impl VerificationReport {
     }
 
     /// Fraction of functions served from the incremental cache (0.0 when
-    /// the report is empty): the `cache_hit_rate` of BENCH_fig12.json.
+    /// the report is empty). The `fig12` report's `cache_hit_rate` is the
+    /// cache's own lookup rate, which equals this on a run whose every
+    /// function is looked up once.
     pub fn cache_hit_rate(&self) -> f64 {
         if self.functions.is_empty() {
             return 0.0;

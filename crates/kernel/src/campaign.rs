@@ -756,8 +756,8 @@ impl FleetRunner {
 
     /// Pays what resuming mid-run *skips*: a post-boot restore plus the
     /// first scheduler tick. The ratio of this to
-    /// [`FleetRunner::midrun_probe`] is the `min_midrun_restore_speedup`
-    /// gate in `ci/bench_baseline.json`.
+    /// [`FleetRunner::midrun_probe`] is the `fleet.midrun_restore_speedup`
+    /// floor in `ci/bench_baseline.json`.
     pub fn first_tick_probe(&mut self) {
         self.restore_boot();
         let mut apps: Vec<Box<dyn App>> = self.factories.iter().map(|mk| mk()).collect();
