@@ -178,12 +178,23 @@ impl Report {
 
     /// Renders `BENCH_<experiment>.json`.
     pub fn to_json(&self) -> String {
+        self.render(&Layout::PRETTY) + "\n"
+    }
+
+    /// The same record on one line, for append-only logs such as
+    /// `ci/perf_history.jsonl`.
+    pub fn to_json_line(&self) -> String {
+        self.render(&Layout::LINE)
+    }
+
+    /// The one writer, in either [`Layout`].
+    fn render(&self, l: &Layout) -> String {
         let q = |s: &str| format!("\"{}\"", escape(s));
         let list = |items: Vec<String>| {
             if items.is_empty() {
                 return "[]".to_string();
             }
-            format!("[\n    {}\n  ]", items.join(",\n    "))
+            format!("[{}{}{}]", l.open, items.join(l.sep), l.close)
         };
         let metrics = self.metrics.iter().map(|m| {
             let (name, layer, unit, kind) = (q(&m.name), q(m.layer), q(m.unit), q(m.kind.name()));
@@ -194,14 +205,51 @@ impl Report {
             let (metric, reason) = (q(&s.metric), q(&s.reason));
             format!("{{\"metric\": {metric}, \"reason\": {reason}}}")
         });
+        let (first, next) = (l.first, l.next);
         format!(
-            "{{\n  \"experiment\": {},\n  \"metrics\": {},\n  \"failures\": {},\n  \"skipped\": {}\n}}\n",
+            "{{{first}\"experiment\": {}{next}\"metrics\": {}{next}\"failures\": {}{next}\"skipped\": {}{}}}",
             q(self.experiment),
             list(metrics.collect()),
             list(self.failures.iter().map(|f| q(f)).collect()),
-            list(skipped.collect())
+            list(skipped.collect()),
+            l.end,
         )
     }
+}
+
+/// Where [`Report::render`] breaks lines.
+struct Layout {
+    /// Before the first field.
+    first: &'static str,
+    /// Between fields.
+    next: &'static str,
+    /// After a non-empty list's `[`.
+    open: &'static str,
+    /// Between list items.
+    sep: &'static str,
+    /// Before a non-empty list's `]`.
+    close: &'static str,
+    /// Before the closing `}`.
+    end: &'static str,
+}
+
+impl Layout {
+    const PRETTY: Layout = Layout {
+        first: "\n  ",
+        next: ",\n  ",
+        open: "\n    ",
+        sep: ",\n    ",
+        close: "\n  ",
+        end: "\n",
+    };
+    const LINE: Layout = Layout {
+        first: "",
+        next: ", ",
+        open: "",
+        sep: ", ",
+        close: "",
+        end: "",
+    };
 }
 
 /// Escapes a string for a JSON string literal.
@@ -290,8 +338,58 @@ pub fn read_baseline(path: &Path) -> Result<Vec<Bound>, String> {
     }
 }
 
-/// A recursive-descent reader for the baseline's JSON subset: one list
-/// of flat objects whose values are strings or numbers.
+/// One metric record read back from a rendered report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    /// [`Metric::name`].
+    pub name: String,
+    /// [`Metric::layer`].
+    pub layer: String,
+    /// [`Metric::unit`].
+    pub unit: String,
+    /// [`Metric::kind`].
+    pub kind: Kind,
+    /// [`Metric::value`] (NaN where the writer wrote `null`).
+    pub value: f64,
+}
+
+/// Reads back what [`Report::to_json`] or [`Report::to_json_line`]
+/// wrote: the experiment name and its metric records. The report's
+/// failures and skips must be empty — a record with either is a failed
+/// run, not a measurement.
+pub fn read_report(text: &str) -> Result<(String, Vec<Record>), String> {
+    let mut p = Parser {
+        s: text.as_bytes(),
+        i: 0,
+    };
+    let (mut experiment, mut metrics) = (None, None);
+    p.seq(b'{', b'}', |p| {
+        let key = p.string()?;
+        p.eat(b':')?;
+        match key.as_str() {
+            "experiment" => experiment = Some(p.string()?),
+            "metrics" => metrics = Some(p.seq(b'[', b']', Parser::record)?),
+            "failures" | "skipped" => {
+                p.eat(b'[')?;
+                p.eat(b']')
+                    .map_err(|_| p.error(&format!("`{key}` is not empty")))?;
+            }
+            _ => return Err(p.error(&format!("unknown field `{key}`"))),
+        }
+        Ok(())
+    })?;
+    if p.lookahead().is_some() {
+        return Err(p.error("trailing bytes"));
+    }
+    match (experiment, metrics) {
+        (Some(e), Some(m)) => Ok((e, m)),
+        _ => Err(p.error("report without `experiment` or `metrics`")),
+    }
+}
+
+/// A recursive-descent reader for the JSON subset the metrics writer
+/// and the baseline use: lists of flat objects whose values are strings
+/// or numbers.
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
@@ -372,6 +470,40 @@ impl Parser<'_> {
         }
         let text = String::from_utf8_lossy(&self.s[start..self.i]);
         text.parse().map_err(|_| self.error("expected a number"))
+    }
+
+    /// One `{name, layer, unit, kind, value}` metric object.
+    fn record(&mut self) -> Result<Record, String> {
+        let mut r = Record {
+            name: String::new(),
+            layer: String::new(),
+            unit: String::new(),
+            kind: Kind::Info,
+            value: f64::NAN,
+        };
+        let seen = self.seq(b'{', b'}', |p| {
+            let key = p.string()?;
+            p.eat(b':')?;
+            match key.as_str() {
+                "name" => r.name = p.string()?,
+                "layer" => r.layer = p.string()?,
+                "unit" => r.unit = p.string()?,
+                "kind" => {
+                    let kind = Kind::parse(&p.string()?);
+                    r.kind = kind.ok_or_else(|| p.error("unknown kind"))?;
+                }
+                "value" if p.lookahead() == Some(b'n') => {
+                    p.i += 4 * usize::from(p.s[p.i..].starts_with(b"null"));
+                }
+                "value" => r.value = p.number()?,
+                _ => return Err(p.error(&format!("unknown field `{key}`"))),
+            }
+            Ok(key)
+        })?;
+        if seen.len() != 5 {
+            return Err(self.error("metric without all of name, layer, unit, kind, value"));
+        }
+        Ok(r)
     }
 
     fn entry(&mut self) -> Result<Bound, String> {
@@ -658,6 +790,42 @@ mod tests {
         );
         assert_eq!(doc.matches('{').count(), doc.matches('}').count(), "{doc}");
         assert!(Report::new("e").to_json().contains("\"failures\": []"));
+    }
+
+    #[test]
+    fn both_layouts_read_back_to_the_same_records() {
+        let mut r = sample();
+        r.info("lost", "campaign", "count", f64::NAN);
+        let line = r.to_json_line();
+        assert!(!line.contains('\n'), "{line}");
+        assert!(
+            line.starts_with("{\"experiment\": \"demo\", \"metrics\": [{"),
+            "{line}"
+        );
+        let (experiment, records) = read_report(&line).expect("line parses");
+        // NaN != NaN: compare the two readings' renderings.
+        let pretty = read_report(&r.to_json()).expect("pretty parses");
+        assert_eq!(
+            format!("{pretty:?}"),
+            format!("{:?}", (&experiment, &records))
+        );
+        assert_eq!(experiment, "demo");
+        assert_eq!(records.len(), r.metrics.len());
+        for (got, want) in records.iter().zip(&r.metrics) {
+            assert_eq!(
+                (got.name.as_str(), got.layer.as_str()),
+                (want.name.as_str(), want.layer)
+            );
+            assert_eq!((got.unit.as_str(), got.kind), (want.unit, want.kind));
+            assert!(got.value == want.value || got.value.is_nan() && want.value.is_nan());
+        }
+        // A run that failed or skipped is not a measurement.
+        let mut failed = sample();
+        failed.failures.push("boom".into());
+        assert!(read_report(&failed.to_json_line()).is_err());
+        for bad in ["", "{}", "{\"experiment\": \"x\"}", &(line.clone() + "x")] {
+            assert!(read_report(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Runs a `--runs N` (default 1000) fleet campaign across all chips on
 //! the snapshot/restore path — boot once per `(chip, cache-mode)` per
-//! worker, dirty-page restore per seed, mid-run (post-first-tick)
-//! resume for every plan that doesn't fire inside tick 1 — with the
+//! worker, dirty-page restore per seed, resume from the tick-1
+//! checkpoint for every plan that doesn't fire inside tick 1 — with the
 //! bystander oracle and contract checks enabled on every run, and
 //! prints per-chip tallies, runs/sec and the measured reset costs.
 //!

@@ -78,6 +78,28 @@ impl ExploreFleet {
             .collect()
     }
 
+    /// Post-boot events the representatives re-simulated, as a share of
+    /// what running each from boot would re-simulate (representatives ×
+    /// baseline post-boot events). The checkpoint ladder's exact work
+    /// metric: 1.0 means every run started at boot.
+    pub fn resimulated_share(&self) -> f64 {
+        let (resimulated, full) = self.outcomes.iter().fold((0, 0), |(r, f), o| {
+            (r + o.resimulated, f + o.explored * o.baseline_events)
+        });
+        resimulated as f64 / full.max(1) as f64
+    }
+
+    /// Mean ladder height (rungs a representative could resume from)
+    /// and mean wall-clock microseconds of rung captures, over the units
+    /// that ran.
+    pub fn ladder_cost(&self) -> (f64, f64) {
+        let ran: Vec<&ExploreOutcome> = self.outcomes.iter().filter(|o| o.explored > 0).collect();
+        let n = ran.len().max(1) as f64;
+        let rungs = ran.iter().map(|o| o.rungs).sum::<usize>() as f64;
+        let capture_ns = ran.iter().map(|o| o.capture_ns).sum::<u64>() as f64;
+        (rungs / n, capture_ns / n / 1e3)
+    }
+
     /// Aggregate candidates-per-executed-run over *complete* units only.
     /// Truncated units would inflate the ratio (their candidates count
     /// but their runs were cut short), so they are excluded — the CI
@@ -128,12 +150,8 @@ pub fn run_explore_fleet(
                 return ExploreOutcome {
                     chip: chips[c].name.to_string(),
                     seed,
-                    candidates: 0,
-                    classes: 0,
-                    explored: 0,
-                    pruned: 0,
                     truncated: true,
-                    findings: Vec::new(),
+                    ..ExploreOutcome::default()
                 };
             }
             slots.with(c, false, |runner| explore(runner, seed, cap))
@@ -379,6 +397,16 @@ pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[String]) ->
     ];
     r.infos("", "dpor", "count", &totals);
     r.add(Kind::Floor, "prune_ratio", "dpor", "x", fleet.prune_ratio());
+    let (rungs, capture_us) = fleet.ladder_cost();
+    r.add(
+        Kind::Ceiling,
+        "resimulated_share",
+        "ladder",
+        "share",
+        fleet.resimulated_share(),
+    );
+    r.info("rungs_per_unit", "ladder", "count", rungs);
+    r.info("capture_us", WALL, "us", capture_us);
     r.info("threads", WALL, "count", fleet.threads as f64);
     r.info("wall_ms", WALL, "ms", fleet.wall_ms);
     for (chip, sums) in chip_sums(fleet) {
@@ -415,6 +443,7 @@ pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[String]) ->
         r.failures
             .push("every exploration unit was truncated; raise the budget".into());
         r.skip("prune_ratio", "no exploration unit completed");
+        r.skip("resimulated_share", "no exploration unit completed");
     }
     if demo.seed_failures > 0 {
         r.failures.push(format!(
@@ -444,8 +473,10 @@ mod tests {
     use tt_hw::platform::NRF52840DK;
     use tt_hw::sched::ArrivalPoint;
 
-    const FLOOR: &str =
-        r#"[{"metric": "explore.prune_ratio", "kind": "floor", "bound": 2.0, "why": "dpor"}]"#;
+    const FLOOR: &str = r#"[
+        {"metric": "explore.prune_ratio", "kind": "floor", "bound": 2.0, "why": "dpor"},
+        {"metric": "explore.resimulated_share", "kind": "ceiling", "bound": 0.5, "why": "ladder"}
+    ]"#;
 
     #[test]
     fn fleet_is_deterministic_across_thread_counts() {

@@ -4,7 +4,7 @@
 //! cost: every `(chip, seed, cache-mode)` run paid a full `Kernel::boot`
 //! plus three flash/load cycles just to reach the state the previous run
 //! started from. The fleet path boots each `(chip, cache-mode)` once per
-//! worker, captures a [`tt_kernel::snapshot::MachineSnapshot`], and
+//! worker, captures a [`tt_kernel::snapshot::Checkpoint`], and
 //! resets with a dirty-page restore instead — the per-run reset drops
 //! from a boot to a few copied pages, which is what makes 10^5-run
 //! campaigns a CI job rather than an overnight batch.
@@ -79,9 +79,9 @@ pub struct ResetCost {
     pub boot_us: f64,
     /// Mean cost of a snapshot restore (boot-trace replay included), µs.
     pub restore_us: f64,
-    /// Mean cost of a mid-run (post-first-tick) snapshot restore, µs.
+    /// Mean cost of a restore of the tick-1 checkpoint, µs.
     pub midrun_us: f64,
-    /// Mean cost of what the mid-run restore replaces: a post-boot
+    /// Mean cost of what the tick-1 restore replaces: a post-boot
     /// restore plus a live first scheduler tick, µs.
     pub first_tick_us: f64,
 }
@@ -185,7 +185,7 @@ pub struct FleetProfile {
     pub collect: PhaseStats,
     /// Oracle validation against the reference.
     pub validate: PhaseStats,
-    /// Runs that resumed from the mid-run snapshot.
+    /// Runs that resumed past boot, from the tick-1 checkpoint.
     pub midrun_runs: u64,
     /// Fresh runner boots across all workers.
     pub boots: u64,

@@ -107,9 +107,10 @@ impl InjectionPlan {
     /// Returns `true` if any scheduled injection would fire during a
     /// run prefix whose per-point occurrence counts (in target context,
     /// [`ALL_POINTS`] order) are `seen` — i.e. some injection's `at`
-    /// falls *before* the counters a mid-run snapshot would resume from.
-    /// Such plans cannot use the snapshot: the fault belongs in the
-    /// skipped prefix, so the runner must fall back to a full run.
+    /// falls *before* the counters a checkpoint would resume from. Such
+    /// plans cannot use a checkpoint captured without them: the fault
+    /// belongs in the skipped prefix, so the runner must resume from an
+    /// earlier one.
     pub fn fires_within(&self, seen: &[u32; ALL_POINTS.len()]) -> bool {
         self.injections
             .iter()
@@ -153,14 +154,22 @@ impl InjectionPlan {
     }
 }
 
-struct Engine {
-    plan: InjectionPlan,
+/// Where an armed engine stands mid-run: what [`progress`] reads at a
+/// checkpoint and [`resume`] arms from.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Progress {
     /// Occurrences of each point seen in target context, indexed in
     /// [`ALL_POINTS`] order.
-    seen: [u32; ALL_POINTS.len()],
-    /// One-shot flags, parallel to `plan.injections`.
-    fired: Vec<bool>,
-    fired_count: u64,
+    pub seen: [u32; ALL_POINTS.len()],
+    /// One-shot flags, parallel to the plan's injections.
+    pub fired: Vec<bool>,
+    /// Injections fired so far.
+    pub fired_count: u64,
+}
+
+struct Engine {
+    plan: InjectionPlan,
+    progress: Progress,
 }
 
 thread_local! {
@@ -185,55 +194,43 @@ fn point_index(point: InjectionPoint) -> usize {
 /// Arms the engine with a plan. Occurrence counters and one-shot flags
 /// start fresh; any previously armed plan is discarded.
 pub fn arm(plan: InjectionPlan) {
-    debug_assert_ne!(plan.target_pid, simctx::NO_TARGET, "reserved sentinel");
-    simctx::with(|c| c.injection_target.set(plan.target_pid));
-    ENGINE.with(|e| {
-        let fired = vec![false; plan.injections.len()];
-        **e.borrow_mut() = Some(Engine {
-            plan,
-            seen: [0; ALL_POINTS.len()],
-            fired,
-            fired_count: 0,
-        });
-    });
+    resume(plan, Progress::default());
 }
 
-/// Arms the engine with a plan whose occurrence counters start at
-/// `seen` instead of zero — the mid-run-snapshot form of [`arm`]. A run
-/// resumed from a snapshot taken after a prefix in which the target hit
-/// each point `seen[i]` times behaves exactly like a full run armed
-/// from zero, **provided** no injection was scheduled inside the prefix
-/// (callers must check [`InjectionPlan::fires_within`] first).
-pub fn arm_with_seen(plan: InjectionPlan, seen: [u32; ALL_POINTS.len()]) {
+/// Arms the engine with a plan from `progress` instead of from zero —
+/// the checkpoint form of [`arm`]. A run resumed from a checkpoint taken
+/// under the same plan, with the progress [`progress`] read there,
+/// behaves exactly like the full run. One-shot flags missing from
+/// `progress` start unfired: a checkpoint captured under the empty
+/// counting plan resumes any plan that schedules no injection inside
+/// the skipped prefix (callers must check [`InjectionPlan::fires_within`]
+/// first).
+pub fn resume(plan: InjectionPlan, mut progress: Progress) {
     debug_assert!(
-        !plan.fires_within(&seen),
+        progress.fired.len() == plan.injections.len() || !plan.fires_within(&progress.seen),
         "plan schedules an injection inside the skipped prefix"
     );
     debug_assert_ne!(plan.target_pid, simctx::NO_TARGET, "reserved sentinel");
+    progress.fired.resize(plan.injections.len(), false);
     simctx::with(|c| c.injection_target.set(plan.target_pid));
-    ENGINE.with(|e| {
-        let fired = vec![false; plan.injections.len()];
-        **e.borrow_mut() = Some(Engine {
-            plan,
-            seen,
-            fired,
-            fired_count: 0,
-        });
-    });
+    ENGINE.with(|e| **e.borrow_mut() = Some(Engine { plan, progress }));
 }
 
-/// The per-point occurrence counters accumulated since [`arm`] (in
-/// [`ALL_POINTS`] order), or `None` when disarmed. A snapshotting
-/// runner reads these at capture time and replays them into
-/// [`arm_with_seen`] on every restore.
-pub fn seen_counts() -> Option<[u32; ALL_POINTS.len()]> {
-    ENGINE.with(|e| e.borrow().as_ref().map(|eng| eng.seen))
+/// The armed engine's progress since [`arm`], or `None` when disarmed.
+/// A checkpointing runner reads it at capture time and replays it into
+/// [`resume`] on every restore.
+pub fn progress() -> Option<Progress> {
+    ENGINE.with(|e| e.borrow().as_ref().map(|eng| eng.progress.clone()))
 }
 
 /// Disarms the engine, returning how many injections fired since [`arm`].
 pub fn disarm() -> u64 {
     simctx::with(|c| c.injection_target.set(simctx::NO_TARGET));
-    ENGINE.with(|e| e.borrow_mut().take().map_or(0, |eng| eng.fired_count))
+    ENGINE.with(|e| {
+        e.borrow_mut()
+            .take()
+            .map_or(0, |eng| eng.progress.fired_count)
+    })
 }
 
 /// Returns `true` if a plan is armed on this thread.
@@ -243,7 +240,11 @@ pub fn is_armed() -> bool {
 
 /// Number of injections fired since the last [`arm`] (0 when disarmed).
 pub fn fired_count() -> u64 {
-    ENGINE.with(|e| e.borrow().as_ref().map_or(0, |eng| eng.fired_count))
+    ENGINE.with(|e| {
+        e.borrow()
+            .as_ref()
+            .map_or(0, |eng| eng.progress.fired_count)
+    })
 }
 
 /// Core hook: bumps the occurrence counter for `point` (in target
@@ -262,18 +263,19 @@ fn fire(point: InjectionPoint) -> Option<InjectionKind> {
         let eng = slot.as_mut()?;
         debug_assert_eq!(trace::current_pid(), eng.plan.target_pid);
         let idx = point_index(point);
-        let occurrence = eng.seen[idx];
-        eng.seen[idx] = occurrence.wrapping_add(1);
+        let p = &mut eng.progress;
+        let occurrence = p.seen[idx];
+        p.seen[idx] = occurrence.wrapping_add(1);
         let hit = eng
             .plan
             .injections
             .iter()
             .enumerate()
-            .find(|(i, inj)| !eng.fired[*i] && inj.point == point && inj.at == occurrence)
+            .find(|(i, inj)| !p.fired[*i] && inj.point == point && inj.at == occurrence)
             .map(|(i, inj)| (i, *inj));
         let (i, inj) = hit?;
-        eng.fired[i] = true;
-        eng.fired_count += 1;
+        p.fired[i] = true;
+        p.fired_count += 1;
         let info = match inj.kind {
             InjectionKind::BitFlip { bit } => bit as u32,
             InjectionKind::CorruptArg { xor } => xor,
@@ -449,28 +451,43 @@ mod tests {
     }
 
     #[test]
-    fn arm_with_seen_resumes_occurrence_counting_mid_stream() {
+    fn resume_continues_counting_and_one_shot_state_mid_stream() {
         trace::set_current_pid(0);
-        let p = plan(
-            0,
-            vec![Injection {
-                point: InjectionPoint::ArmRasr,
-                at: 3,
-                kind: InjectionKind::BitFlip { bit: 0 },
-            }],
-        );
-        // Full run: occurrences 0,1 form the "prefix", 2,3 the rest.
+        let flip = |at| Injection {
+            point: InjectionPoint::ArmRasr,
+            at,
+            kind: InjectionKind::BitFlip { bit: 0 },
+        };
+        let p = plan(0, vec![flip(1), flip(3)]);
+        // Full run: occurrences 0,1 form the "prefix" (1 fires), 2,3 the
+        // rest.
         arm(p.clone());
         assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 0);
-        assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 0);
-        let seen = seen_counts().expect("armed");
-        assert_eq!(seen[1], 2); // ArmRasr is ALL_POINTS[1].
-        assert!(!p.fires_within(&seen)); // at=3 is after the prefix.
+        assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 1);
+        let at_prefix = progress().expect("armed");
+        assert_eq!(at_prefix.seen[1], 2); // ArmRasr is ALL_POINTS[1].
+        assert_eq!(
+            (at_prefix.fired.clone(), at_prefix.fired_count),
+            (vec![true, false], 1)
+        );
         disarm();
-        // Resumed run: counting continues from the recorded prefix.
-        arm_with_seen(p, seen);
+        // Resumed under the same plan: counting, flags and the fired
+        // count continue from the recorded prefix.
+        resume(p, at_prefix.clone());
         assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 0); // occurrence 2
         assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 1); // occurrence 3: fires
+        assert_eq!(disarm(), 2);
+        // Progress captured under the empty counting plan resumes any
+        // plan clear of the prefix, its flags unfired.
+        let later = plan(0, vec![flip(3)]);
+        assert!(!later.fires_within(&at_prefix.seen));
+        let counted = Progress {
+            seen: at_prefix.seen,
+            ..Progress::default()
+        };
+        resume(later, counted);
+        assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 0);
+        assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 1);
         assert_eq!(disarm(), 1);
         trace::set_current_pid(NO_PID);
     }

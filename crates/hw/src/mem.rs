@@ -122,16 +122,17 @@ pub const SNAPSHOT_PAGE_SIZE: usize = 256;
 const PAGE_SHIFT: u32 = SNAPSHOT_PAGE_SIZE.trailing_zeros();
 
 /// A point-in-time copy of a chip's memory, produced by
-/// [`PhysicalMemory::snapshot`] and applied by
-/// [`PhysicalMemory::restore`].
+/// [`PhysicalMemory::snapshot`]: the base every [`PageDelta`] is taken
+/// against and [`PhysicalMemory::restore_to`] copies from.
 ///
 /// This is the memory half of the copy-on-write scheme in
 /// `tt_kernel::snapshot`: the snapshot itself is a full copy taken once
 /// per boot, and from that moment the live memory tracks which
 /// [`SNAPSHOT_PAGE_SIZE`]-byte RAM pages a run dirtied. Restore copies
-/// back only those pages (plus flash, only if it was reprogrammed), so
-/// resetting a run costs proportional to what the run touched, not to
-/// the chip's RAM size.
+/// back only those pages, plus the pages of the checkpoints it moves
+/// between (and flash, only if it was reprogrammed), so resetting a run
+/// costs proportional to what the run touched, not to the chip's RAM
+/// size.
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
     flash: Vec<u8>,
@@ -142,6 +143,35 @@ impl MemSnapshot {
     /// Total bytes held by the snapshot.
     pub fn bytes(&self) -> usize {
         self.flash.len() + self.ram.len()
+    }
+}
+
+/// The RAM pages in which a checkpoint may differ from the base
+/// [`MemSnapshot`], with their contents: what a checkpoint stores
+/// instead of a second full copy ([`PhysicalMemory::capture_delta`],
+/// [`PhysicalMemory::restore_to`]). The default delta is empty — the
+/// base itself.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PageDelta {
+    /// Bitmap over snapshot pages (empty = no page).
+    pages: Vec<u64>,
+    /// The set pages' contents, in ascending page order.
+    data: Vec<u8>,
+}
+
+impl PageDelta {
+    fn word(&self, w: usize) -> u64 {
+        self.pages.get(w).copied().unwrap_or(0)
+    }
+
+    /// Number of pages held.
+    pub fn pages(&self) -> usize {
+        self.pages.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Bytes of page contents held.
+    pub fn bytes(&self) -> usize {
+        self.data.len()
     }
 }
 
@@ -216,7 +246,8 @@ impl PhysicalMemory {
 
     /// Takes a full copy of flash and RAM and arms dirty-page tracking,
     /// clearing any previously accumulated dirty state. Subsequent
-    /// [`Self::restore`] calls copy back only the pages written since.
+    /// [`Self::restore_to`] calls copy back only the pages written since
+    /// (and those of the checkpoints they move between).
     pub fn snapshot(&mut self) -> MemSnapshot {
         let pages = self.ram.len().div_ceil(SNAPSHOT_PAGE_SIZE);
         self.ram_dirty = vec![0; pages.div_ceil(64)];
@@ -227,76 +258,88 @@ impl PhysicalMemory {
         }
     }
 
-    /// Restores memory to the snapshot's contents. With tracking armed
-    /// (the snapshot came from this instance's [`Self::snapshot`]), only
-    /// dirty RAM pages — and flash only after a reprogram — are copied;
-    /// the dirty state is then cleared so tracking continues for the
-    /// next run. Without tracking, the whole snapshot is copied back.
-    ///
-    /// Panics if the snapshot's geometry does not match this memory.
-    pub fn restore(&mut self, snap: &MemSnapshot) {
-        assert_eq!(snap.flash.len(), self.flash.len(), "flash size mismatch");
-        assert_eq!(snap.ram.len(), self.ram.len(), "ram size mismatch");
-        if self.ram_dirty.is_empty() {
-            self.flash.copy_from_slice(&snap.flash);
-            self.ram.copy_from_slice(&snap.ram);
-            return;
-        }
-        if self.flash_dirty {
-            self.flash.copy_from_slice(&snap.flash);
-            self.flash_dirty = false;
-        }
-        for word in 0..self.ram_dirty.len() {
-            let mut bits = self.ram_dirty[word];
-            while bits != 0 {
-                let page = (word << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let start = page << PAGE_SHIFT;
-                let end = (start + SNAPSHOT_PAGE_SIZE).min(self.ram.len());
-                self.ram[start..end].copy_from_slice(&snap.ram[start..end]);
-            }
-            self.ram_dirty[word] = 0;
-        }
-    }
-
     /// Number of RAM pages currently marked dirty (0 when tracking is
     /// not armed). Exposed for restore-cost accounting and tests.
     pub fn dirty_ram_pages(&self) -> usize {
         self.ram_dirty.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Copies out the current dirty-tracking state: the RAM page bitmap
-    /// and the flash-reprogrammed flag. Empty until [`Self::snapshot`]
-    /// arms tracking.
-    ///
-    /// This exists for holders of *multiple* snapshots of one memory:
-    /// [`Self::snapshot`] clears accumulated dirt, so a caller capturing
-    /// a second (e.g. mid-run) snapshot must save the pages dirtied
-    /// since the first one and [`Self::merge_dirty_state`] them back in
-    /// whenever it switches which snapshot it restores — otherwise the
-    /// incremental restore would skip pages that differ between the two
-    /// snapshots but were not touched by the run being reset.
-    pub fn dirty_state(&self) -> (Vec<u64>, bool) {
-        (self.ram_dirty.clone(), self.flash_dirty)
+    /// The byte range of RAM snapshot page `page`.
+    fn page_range(&self, page: usize) -> std::ops::Range<usize> {
+        let start = page << PAGE_SHIFT;
+        start..(start + SNAPSHOT_PAGE_SIZE).min(self.ram.len())
     }
 
-    /// ORs a previously saved [`Self::dirty_state`] into the live
-    /// tracking state, forcing the next [`Self::restore`] to also copy
-    /// those pages (and flash, if flagged). A no-op when tracking is not
-    /// armed; panics if the bitmap geometry does not match.
-    pub fn merge_dirty_state(&mut self, ram_dirty: &[u64], flash_dirty: bool) {
-        if self.ram_dirty.is_empty() {
-            return;
-        }
-        assert_eq!(
-            ram_dirty.len(),
-            self.ram_dirty.len(),
-            "dirty bitmap size mismatch"
+    /// Captures the RAM pages in which live memory may differ from the
+    /// base snapshot: those dirtied since the last restore, plus `from`,
+    /// the delta of the checkpoint that restore targeted. Tracking is
+    /// left as it is — the live run goes on from the same restore point.
+    ///
+    /// Panics if tracking is not armed, or if flash was reprogrammed
+    /// since the base snapshot: a delta holds RAM pages only.
+    pub fn capture_delta(&self, from: &PageDelta) -> PageDelta {
+        assert!(!self.ram_dirty.is_empty(), "capture_delta without tracking");
+        assert!(
+            !self.flash_dirty,
+            "flash reprogrammed since the base snapshot"
         );
-        for (live, saved) in self.ram_dirty.iter_mut().zip(ram_dirty) {
-            *live |= saved;
+        let pages: Vec<u64> = (0..self.ram_dirty.len())
+            .map(|w| self.ram_dirty[w] | from.word(w))
+            .collect();
+        let mut data = Vec::new();
+        for (w, &word) in pages.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let page = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                data.extend_from_slice(&self.ram[self.page_range(page)]);
+            }
         }
-        self.flash_dirty |= flash_dirty;
+        PageDelta { pages, data }
+    }
+
+    /// Rewinds memory to the checkpoint `base + to`, from live memory
+    /// last restored to `base + from`. Every page dirtied since, or held
+    /// by either delta, is copied back: from `to` where it holds the
+    /// page, from `base` otherwise. Flash is copied from `base` only
+    /// after a reprogram. The dirty state is cleared, so tracking
+    /// continues for the next run; without tracking, everything is
+    /// copied.
+    ///
+    /// Panics if the snapshot's geometry does not match this memory.
+    pub fn restore_to(&mut self, base: &MemSnapshot, from: &PageDelta, to: &PageDelta) {
+        assert_eq!(base.flash.len(), self.flash.len(), "flash size mismatch");
+        assert_eq!(base.ram.len(), self.ram.len(), "ram size mismatch");
+        let tracked = !self.ram_dirty.is_empty();
+        if !tracked || self.flash_dirty {
+            self.flash.copy_from_slice(&base.flash);
+            self.flash_dirty = false;
+        }
+        if !tracked {
+            self.ram.copy_from_slice(&base.ram);
+        }
+        // `to.data` holds its pages in ascending order, each a full page
+        // but the last: a page's offset is its rank among them.
+        let mut rank = 0;
+        for w in 0..self.ram_dirty.len().max(to.pages.len()) {
+            let target = to.word(w);
+            let live = self.ram_dirty.get_mut(w).map_or(0, std::mem::take);
+            let mut bits = live | from.word(w) | target;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let range = self.page_range((w << 6) + bit as usize);
+                if target >> bit & 1 == 1 {
+                    let below = (target & ((1u64 << bit) - 1)).count_ones() as usize;
+                    let at = (rank + below) << PAGE_SHIFT;
+                    let len = range.len();
+                    self.ram[range].copy_from_slice(&to.data[at..at + len]);
+                } else {
+                    self.ram[range.clone()].copy_from_slice(&base.ram[range]);
+                }
+            }
+            rank += target.count_ones() as usize;
+        }
     }
 
     /// Returns the memory map.
@@ -658,7 +701,7 @@ mod tests {
         mem.write_u32(0x2000_0100, 0x2222_2222).unwrap();
         mem.write_u8(0x2003_FFFF, 9).unwrap(); // Last byte of RAM.
         assert_eq!(mem.dirty_ram_pages(), 2);
-        mem.restore(&snap);
+        mem.restore_to(&snap, &PageDelta::default(), &PageDelta::default());
         assert_eq!(mem.read_u32(0x2000_0100).unwrap(), 0x1111_1111);
         assert_eq!(mem.read_u8(0x2003_FFFF).unwrap(), 0);
         assert_eq!(mem.dirty_ram_pages(), 0);
@@ -674,7 +717,7 @@ mod tests {
         mem.write_bytes(0x2000_0000 + SNAPSHOT_PAGE_SIZE - 2, &[7; 4])
             .unwrap();
         assert_eq!(mem.dirty_ram_pages(), 2);
-        mem.restore(&snap);
+        mem.restore_to(&snap, &PageDelta::default(), &PageDelta::default());
         assert_eq!(mem.read_u32(0x100).unwrap(), 0x0403_0201);
         assert_eq!(
             mem.read_u32(0x2000_0000 + SNAPSHOT_PAGE_SIZE - 2).unwrap(),
@@ -683,7 +726,7 @@ mod tests {
         // Tracking stays armed: the next run's writes are tracked too.
         mem.write_u8(0x2000_0000, 1).unwrap();
         assert_eq!(mem.dirty_ram_pages(), 1);
-        mem.restore(&snap);
+        mem.restore_to(&snap, &PageDelta::default(), &PageDelta::default());
         assert_eq!(mem.read_u8(0x2000_0000).unwrap(), 0);
     }
 
@@ -695,44 +738,82 @@ mod tests {
         // A second instance never armed tracking; restore still works.
         let mut b = PhysicalMemory::new(test_map());
         b.write_u32(0x2000_0800, 0xBB).unwrap();
-        b.restore(&snap);
+        b.restore_to(&snap, &PageDelta::default(), &PageDelta::default());
         assert_eq!(b.read_u32(0x2000_0400).unwrap(), 0xAA);
         assert_eq!(b.read_u32(0x2000_0800).unwrap(), 0);
         assert!(snap.bytes() > 0);
     }
 
     #[test]
-    fn merged_dirty_state_makes_snapshot_switching_sound() {
-        // Two snapshots of one memory: S0, then a "prefix" write, then
-        // S1 (which clears tracking). Restoring S1 and then switching
-        // back to S0 must undo the prefix write even though the bitmap
-        // no longer remembers it — that is what the merge is for.
+    fn deltas_make_checkpoint_switching_sound() {
+        // A base, then two checkpoints along one run: C1 after a prefix
+        // write, C2 after a second one. Switching between any two of
+        // them (and the base) must land on exactly that point's bytes,
+        // whatever the run in between dirtied.
+        let (p, q, r) = (0x2000_0100, 0x2000_0800, 0x2000_3000);
         let mut mem = PhysicalMemory::new(test_map());
-        let s0 = mem.snapshot();
-        mem.write_u32(0x2000_0100, 0xAAAA_AAAA).unwrap(); // Prefix.
-        let (prefix_pages, prefix_flash) = mem.dirty_state();
-        assert!(!prefix_flash);
-        let s1 = mem.snapshot();
-        mem.write_u32(0x2000_0800, 0xBBBB_BBBB).unwrap(); // Run.
-        mem.restore(&s1);
-        assert_eq!(mem.read_u32(0x2000_0100).unwrap(), 0xAAAA_AAAA);
-        assert_eq!(mem.read_u32(0x2000_0800).unwrap(), 0);
-        // Without the merge, restoring S0 would skip the prefix page.
-        mem.merge_dirty_state(&prefix_pages, prefix_flash);
-        mem.restore(&s0);
-        assert_eq!(mem.read_u32(0x2000_0100).unwrap(), 0);
-        // And switching forward again also needs the merge (symmetric).
-        mem.merge_dirty_state(&prefix_pages, prefix_flash);
-        mem.restore(&s1);
-        assert_eq!(mem.read_u32(0x2000_0100).unwrap(), 0xAAAA_AAAA);
+        let base = mem.snapshot();
+        let none = PageDelta::default();
+        mem.write_u32(p, 0xAAAA_AAAA).unwrap();
+        let c1 = mem.capture_delta(&none);
+        assert_eq!((c1.pages(), c1.bytes()), (1, SNAPSHOT_PAGE_SIZE));
+        mem.write_u32(q, 0xBBBB_BBBB).unwrap();
+        let c2 = mem.capture_delta(&none);
+        assert_eq!(c2.pages(), 2);
+        let read = |mem: &PhysicalMemory| [p, q, r].map(|a| mem.read_u32(a).unwrap());
+        let want_c1 = [0xAAAA_AAAA, 0, 0];
+        let want_c2 = [0xAAAA_AAAA, 0xBBBB_BBBB, 0];
+        // The live state derives from the base: a run dirtied p, q.
+        mem.write_u32(r, 1).unwrap();
+        mem.restore_to(&base, &none, &c1);
+        assert_eq!(read(&mem), want_c1);
+        assert_eq!(mem.dirty_ram_pages(), 0);
+        // Resuming C1 again after a run that wrote only r.
+        mem.write_u32(r, 2).unwrap();
+        mem.restore_to(&base, &c1, &c1);
+        assert_eq!(read(&mem), want_c1);
+        // C1 -> C2, C2 -> C1, C2 -> base: pages in either delta move.
+        mem.write_u32(r, 3).unwrap();
+        mem.restore_to(&base, &c1, &c2);
+        assert_eq!(read(&mem), want_c2);
+        mem.restore_to(&base, &c2, &c1);
+        assert_eq!(read(&mem), want_c1);
+        mem.restore_to(&base, &c1, &c2);
+        mem.restore_to(&base, &c2, &none);
+        assert_eq!(read(&mem), [0, 0, 0]);
+        // A checkpoint captured after resuming another one carries both
+        // deltas: the pages it inherited and the ones dirtied since.
+        mem.restore_to(&base, &none, &c1);
+        mem.write_u32(r, 4).unwrap();
+        let c3 = mem.capture_delta(&c1);
+        assert_eq!(c3.pages(), 2);
+        mem.restore_to(&base, &c1, &none);
+        mem.restore_to(&base, &none, &c3);
+        assert_eq!(read(&mem), [0xAAAA_AAAA, 0, 4]);
     }
 
     #[test]
-    fn merge_dirty_state_is_a_noop_without_tracking() {
+    fn restore_to_without_tracking_copies_base_then_delta() {
+        let mut a = PhysicalMemory::new(test_map());
+        let base = a.snapshot();
+        a.write_u32(0x2000_0400, 0xAA).unwrap();
+        let delta = a.capture_delta(&PageDelta::default());
+        // A second instance never armed tracking; the whole base is
+        // copied, then the delta's pages.
+        let mut b = PhysicalMemory::new(test_map());
+        b.write_u32(0x2000_0800, 0xBB).unwrap();
+        b.restore_to(&base, &PageDelta::default(), &delta);
+        assert_eq!(b.read_u32(0x2000_0400).unwrap(), 0xAA);
+        assert_eq!(b.read_u32(0x2000_0800).unwrap(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "flash reprogrammed")]
+    fn deltas_refuse_flash_reprograms() {
         let mut mem = PhysicalMemory::new(test_map());
-        assert_eq!(mem.dirty_state(), (Vec::new(), false));
-        mem.merge_dirty_state(&[u64::MAX], true); // Ignored, no panic.
-        assert_eq!(mem.dirty_ram_pages(), 0);
+        let _base = mem.snapshot();
+        mem.program_flash(0x100, &[1]).unwrap();
+        let _ = mem.capture_delta(&PageDelta::default());
     }
 
     #[test]

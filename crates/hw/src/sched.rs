@@ -16,8 +16,8 @@
 //! is a one-line deterministic repro, exactly like an injection seed.
 //!
 //! The engine is thread-local like the injection engine: occurrence
-//! counters live per worker, [`arm_with_seen`] resumes them across a
-//! mid-run snapshot, and the disarmed fast path is a single scalar read
+//! counters live per worker, [`arm_with_seen`] resumes them from a
+//! machine checkpoint, and the disarmed fast path is a single scalar read
 //! of [`tt_contracts::simctx::SimContext::sched_armed`].
 
 use std::cell::RefCell;
@@ -143,8 +143,8 @@ impl InterruptSchedule {
     /// Returns `true` if any scheduled arrival would fire during a run
     /// prefix whose per-point occurrence counts
     /// ([`ALL_ARRIVAL_POINTS`] order) are `seen` — i.e. the arrival
-    /// belongs in the prefix a mid-run snapshot would skip, so the
-    /// runner must fall back to a full run (the schedule analogue of
+    /// belongs in the prefix a checkpoint would skip, so the runner must
+    /// resume from an earlier one (the schedule analogue of
     /// `InjectionPlan::fires_within`).
     pub fn fires_within(&self, seen: &[u32; ALL_ARRIVAL_POINTS.len()]) -> bool {
         self.arrivals

@@ -22,6 +22,8 @@
 //! [`StreamVerdict`]), whether the walk ran in place over the undrained
 //! trace ring or over a drained record.
 
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::capsules::driver;
@@ -30,15 +32,16 @@ use crate::loader::flash_app;
 use crate::pool;
 use crate::process::{Flavor, ProcessState};
 use crate::shrink;
-use crate::snapshot::MachineSnapshot;
+use crate::snapshot::Checkpoint;
 use crate::trace::{
     event_pid, normalize, observable_event, render_event, Trace, TraceDivergence, TraceEvent,
     TraceScope,
 };
 use tt_contracts::{take_violations, with_mode, Mode};
 use tt_hw::injection::{self, InjectionPlan};
+use tt_hw::mem::{MemSnapshot, PageDelta};
 use tt_hw::platform::ChipProfile;
-use tt_hw::sched::{self, InterruptSchedule, ALL_ARRIVAL_POINTS};
+use tt_hw::sched::{self, InterruptSchedule};
 use tt_hw::trace;
 
 /// Pid the injection plans target.
@@ -267,9 +270,9 @@ pub fn record_difference(fresh: &RunRecord, restored: &RunRecord) -> Option<Stri
 
 /// Boots the campaign kernel on `chip`: TickTock flavour, backoff
 /// restart policy, MPU scrub, three processes flashed and loaded. This
-/// is the exact state [`MachineSnapshot::capture`] freezes for the fleet
-/// path — [`run_one`] and [`FleetRunner`] share it so a restored run has
-/// the same starting point as a fresh boot.
+/// is the exact state the [`FleetRunner`]'s post-boot [`Checkpoint`]
+/// freezes for the fleet path — [`run_one`] and [`FleetRunner`] share
+/// it so a restored run has the same starting point as a fresh boot.
 pub(crate) fn boot_campaign_kernel(chip: &ChipProfile) -> Kernel {
     let mut k = Kernel::boot(Flavor::Granular, chip);
     k.fault_policy = FaultPolicy::RestartWithBackoff {
@@ -295,7 +298,7 @@ fn run_apps(k: &mut Kernel) {
 }
 
 /// Drains the per-run violation sink into a [`RunRecord`] after
-/// `violations` — what the run's snapshot prefix produced (empty for a
+/// `violations` — what the run's checkpoint prefix produced (empty for a
 /// fresh boot). The caller supplies the trace: drained, or empty when
 /// the run was checked in place.
 fn collect_record(
@@ -328,7 +331,7 @@ fn collect_record(
 ///
 /// This is the fresh-boot path: every run pays a full [`Kernel::boot`]
 /// plus three flash/load cycles. Fleet campaigns use [`FleetRunner`],
-/// which boots once and [`MachineSnapshot::restore`]s per run; the two
+/// which boots once and restores a [`Checkpoint`] per run; the two
 /// must produce byte-identical [`RunRecord`]s (the injection engine only
 /// counts occurrences in the victim's context, and no process context
 /// exists during boot, so arming before boot and arming after restore
@@ -376,7 +379,7 @@ pub fn run_one_scheduled(
 }
 
 // ---------------------------------------------------------------------
-// The fleet path: boot once, restore per run.
+// The fleet path: boot once, resume from a checkpoint ladder.
 // ---------------------------------------------------------------------
 
 /// Per-run wall-clock phase breakdown of the [`FleetRunner`] run body,
@@ -385,7 +388,7 @@ pub fn run_one_scheduled(
 /// fleet profiler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunPhases {
-    /// Restoring the machine snapshot (and arming the plan).
+    /// Restoring the checkpoint (and arming the plan).
     pub restore_ns: u64,
     /// Executing the run body to completion.
     pub run_ns: u64,
@@ -394,97 +397,141 @@ pub struct RunPhases {
     /// The oracle's in-place walk over the undrained ring (zero for
     /// runs checked against no reference).
     pub oracle_ns: u64,
-    /// Whether the run resumed from the mid-run snapshot.
+    /// Whether the run resumed past boot, from a ladder rung.
     pub midrun: bool,
+    /// Trace events in the resumed rung's prefix: the part of the run
+    /// that was not re-simulated.
+    pub resumed_events: usize,
 }
 
-/// The post-first-tick half of a [`FleetRunner`]: the machine frozen
-/// after scheduler tick 1 (apps loaded, grants allocated, capsules
-/// initialized, first-tick MPU churn done) plus everything needed to
-/// resume a run from there as if the prefix had executed live.
-struct Midrun {
-    snapshot: MachineSnapshot,
-    /// Program state at the snapshot point; cloned per run.
-    apps: Vec<Box<dyn App>>,
-    /// Injection-point occurrence counts the victim accumulated during
-    /// the prefix — replayed into `injection::arm_with_seen` so resumed
-    /// plans count occurrences exactly like full runs.
-    seen: [u32; tt_hw::injection::ALL_POINTS.len()],
-    /// Arrival-point occurrence counts the prefix tick passed — the
-    /// schedule analogue of `seen`, captured with a trace-neutral empty
-    /// schedule armed and replayed into `sched::arm_with_seen` so
-    /// resumed schedules count boundary occurrences exactly like full
-    /// runs.
-    sched_seen: [u32; ALL_ARRIVAL_POINTS.len()],
-    /// RAM pages (and the flash flag) the prefix dirtied relative to the
-    /// boot snapshot. Merged into live tracking whenever the runner
-    /// switches restore targets, so incremental restore never skips a
-    /// page that differs between the two snapshots.
-    prefix_dirty: (Vec<u64>, bool),
-    /// Violations the prefix tick produced (none, for a healthy
-    /// kernel), prepended after the boot violations.
-    prefix_violations: Vec<String>,
+/// A checkpoint ladder: the rungs one baseline run passed, in tick
+/// order, over the trace they were captured along.
+struct Ladder {
+    /// The plan the rungs were captured under; `None` for the clean
+    /// ladder, captured under the empty counting plan.
+    plan: Option<InjectionPlan>,
+    /// The baseline's trace: each rung's prefix is its first
+    /// `trace_len` events.
+    trace: Vec<TraceEvent>,
+    /// One checkpoint per tick boundary the capture pass reached.
+    rungs: Vec<Checkpoint>,
+    /// The oracle's cursor offsets for each rung's trace prefix.
+    skips: Vec<PrefixSkip>,
+    /// The last reference `trace` was compared with: its id and the
+    /// number of leading raw events the two share.
+    shared: Cell<Option<(u64, usize)>>,
 }
 
-/// Which snapshot the live machine state currently derives from.
+impl Ladder {
+    /// Rung `index`'s cursor offsets if its prefix is also `reference`'s
+    /// (no offsets otherwise). Restore installs prefixes of `trace`
+    /// only, so one compare per ladder and reference serves every run.
+    fn skip(&self, index: usize, reference: &Reference) -> PrefixSkip {
+        let shared = match self.shared.get() {
+            Some((id, n)) if id == reference.id => n,
+            _ => {
+                let pairs = self.trace.iter().zip(&reference.raw);
+                let n = pairs.take_while(|(a, b)| a == b).count();
+                self.shared.set(Some((reference.id, n)));
+                n
+            }
+        };
+        match self.rungs[index].trace_len <= shared {
+            true => self.skips[index],
+            false => PrefixSkip::default(),
+        }
+    }
+}
+
+/// Where a rung sits: the clean or the seeded ladder, and its index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RestorePoint {
-    Boot,
-    Midrun,
+struct RungId {
+    seeded: bool,
+    index: usize,
 }
 
-/// A reusable campaign machine for one chip: boots once, snapshots, and
-/// replays any number of seeds by restoring the snapshot instead of
-/// re-booting.
+impl RungId {
+    /// The post-boot rung: the clean ladder's first.
+    const BOOT: RungId = RungId::clean(0);
+
+    const fn clean(index: usize) -> RungId {
+        RungId {
+            seeded: false,
+            index,
+        }
+    }
+}
+
+/// The ladder and the checkpoint `id` names.
+fn locate<'a>(
+    clean: &'a Ladder,
+    seeded: &'a Option<Ladder>,
+    id: RungId,
+) -> (&'a Ladder, &'a Checkpoint) {
+    let ladder = match id.seeded {
+        true => seeded.as_ref().expect("seeded ladder captured"),
+        false => clean,
+    };
+    (ladder, &ladder.rungs[id.index])
+}
+
+/// A reusable campaign machine for one chip: boots once and replays any
+/// number of runs by restoring a checkpoint instead of re-booting.
 ///
-/// The runner keeps **two** snapshots: the post-boot state and the
-/// post-first-tick (`Midrun`) state. Runs whose injection plan does
-/// not fire inside the first tick resume from the mid-run snapshot —
-/// skipping app-factory allocation and first-tick grant/MPU churn —
-/// and are byte-identical to fresh-boot runs (gated by the equivalence
-/// proptest). Plans that do fire in the prefix fall back to the
-/// post-boot snapshot and a full run.
+/// The runner keeps a **checkpoint ladder** ([`Checkpoint`]s at tick
+/// boundaries, each holding its RAM as page deltas against one
+/// post-boot memory snapshot):
 ///
-/// Every run goes through one private run body; [`FleetRunner::run_plan`],
+/// - the *clean ladder*, captured under the empty counting plan: rung 0
+///   is the post-boot state and rung 1 the state after tick 1, captured
+///   at construction; a clean capture pass ([`FleetRunner::capture_ladder`]
+///   with no plan) adds one rung per later tick. A run resumes from the
+///   latest clean rung before both its plan's first injection and its
+///   schedule's first arrival ([`InjectionPlan::fires_within`],
+///   [`InterruptSchedule::fires_within`]): up to there it is the clean
+///   run.
+/// - the *seeded ladder* of the last capture pass under an injection
+///   plan P. Its rungs are eligible only for runs under exactly P, and
+///   then up to the schedule's first arrival.
+///
+/// Every resumed run is byte-identical to the run from boot (gated by
+/// the equivalence tests). Every run goes through one private run body
+/// and one restore path; [`FleetRunner::run_plan`],
 /// [`FleetRunner::run_seed`] and [`FleetRunner::run_scheduled`] are its
-/// drained-trace entry points, and the campaign and shrinker call it
-/// with a [`Reference`] to check the run in place.
+/// drained-trace entry points, and the campaign, the explorer and the
+/// shrinkers call it with a [`Reference`] to check the run in place.
 ///
-/// A runner is thread-affine (the snapshot holds `Rc` hardware handles
-/// and replays into this thread's trace ring); fleet sweeps keep one per
+/// A runner is thread-affine (checkpoints hold `Rc` hardware handles
+/// and replay into this thread's trace ring); fleet sweeps keep one per
 /// `(chip, cache-mode)` per worker in a [`RunnerSlots`] cache. For
 /// cold-cache runners, both [`FleetRunner::new`] and every run must
 /// execute under `tt_hw::commit_cache::with_disabled` — the commit cache
 /// changes which `RegWrite` events boot emits, so a cold run restored
-/// from a warm boot snapshot would diverge from a cold fresh boot.
+/// from a warm boot checkpoint would diverge from a cold fresh boot.
 pub struct FleetRunner {
     chip: ChipProfile,
     kernel: Kernel,
     /// Restart factories for the scenario's workloads, in pid order —
     /// also the source of each run's fresh program state.
     factories: &'static [AppFactory],
-    snapshot: MachineSnapshot,
-    /// Violations the boot itself produced (none, for a healthy kernel),
-    /// drained at capture time; prepended to every run's record so a
-    /// restored run reports exactly what a fresh-boot run would.
-    boot_violations: Vec<String>,
-    midrun: Option<Midrun>,
-    last_restored: RestorePoint,
-    /// Wall-clock nanoseconds spent booting and capturing both
-    /// snapshots, for the profiler's amortization line.
+    /// Post-boot memory: the base of every rung's page delta.
+    base: MemSnapshot,
+    /// The clean ladder.
+    clean: Ladder,
+    /// The seeded ladder, if a capture pass ran under a plan.
+    seeded: Option<Ladder>,
+    /// The rung the live machine was last restored to.
+    at: RungId,
+    /// Wall-clock nanoseconds spent booting and capturing the first two
+    /// rungs, for the profiler's amortization line.
     capture_ns: u64,
-    /// Reference-stream cursor offsets for the post-boot prefix,
-    /// computed on the first boot-restored run checked in place.
-    boot_skip: Option<PrefixSkip>,
-    /// Likewise for the mid-run prefix.
-    midrun_skip: Option<PrefixSkip>,
 }
 
 impl FleetRunner {
-    /// Boots the campaign kernel on `chip`, captures the post-boot
-    /// snapshot, then runs one scheduler tick and captures the mid-run
-    /// snapshot. The boot executes under [`Mode::Observe`] with tracing
-    /// enabled, exactly like [`run_one`]'s prelude.
+    /// Boots the campaign kernel on `chip`, checkpoints the post-boot
+    /// state, then runs one scheduler tick and checkpoints it. The boot
+    /// executes under [`Mode::Observe`] with tracing enabled, exactly
+    /// like [`run_one`]'s prelude.
     pub fn new(chip: &ChipProfile) -> Self {
         Self::with_scenario(chip, boot_campaign_kernel, &CAMPAIGN_FACTORIES)
     }
@@ -493,8 +540,8 @@ impl FleetRunner {
     /// kernel (flavor, fault policy, knobs, processes flashed and
     /// loaded) and `factories` supply each pid's program, in pid order.
     /// The schedule explorer uses this to run planted-bug kernels and
-    /// asymmetric workloads through the exact snapshot/restore machinery
-    /// the campaign uses.
+    /// asymmetric workloads through the exact checkpoint machinery the
+    /// campaign uses.
     pub fn with_scenario(
         chip: &ChipProfile,
         boot: fn(&ChipProfile) -> Kernel,
@@ -502,6 +549,8 @@ impl FleetRunner {
     ) -> Self {
         let t0 = Instant::now();
         tt_hw::cycles::reset();
+        let _ = injection::disarm();
+        let _ = sched::disarm();
         trace::enable(TRACE_CAPACITY);
         let mut kernel = with_mode(Mode::Observe, || boot(chip));
         assert_eq!(
@@ -509,75 +558,42 @@ impl FleetRunner {
             factories.len(),
             "one factory per loaded process"
         );
-        let snapshot = MachineSnapshot::capture(&mut kernel);
-        let boot_violations: Vec<String> =
-            take_violations().iter().map(|v| format!("{v:?}")).collect();
-        let midrun = Self::capture_midrun(&mut kernel, &snapshot, factories);
+        let boot_trace = trace::take();
+        assert_eq!(boot_trace.dropped, 0, "boot overflowed the trace ring");
         trace::disable();
-        Self {
+        let base = kernel.mem.snapshot();
+        let violations = take_violations().iter().map(|v| format!("{v:?}")).collect();
+        let len = boot_trace.events.len();
+        let boot_rung = Checkpoint::capture(&kernel, &PageDelta::default(), None, violations, len)
+            .expect("fresh programs need no clone");
+        let boot_skip = PrefixSkip::default().advance(&boot_trace.events);
+        let mut runner = Self {
             chip: *chip,
             kernel,
             factories,
-            snapshot,
-            boot_violations,
-            midrun: Some(midrun),
-            // capture_midrun leaves the live state exactly at the
-            // mid-run capture point with a clean dirty bitmap.
-            last_restored: RestorePoint::Midrun,
-            capture_ns: t0.elapsed().as_nanos() as u64,
-            boot_skip: None,
-            midrun_skip: None,
-        }
+            base,
+            clean: Ladder {
+                plan: None,
+                trace: boot_trace.events,
+                rungs: vec![boot_rung],
+                skips: vec![boot_skip],
+                shared: Cell::new(None),
+            },
+            seeded: None,
+            at: RungId::BOOT,
+            capture_ns: 0,
+        };
+        runner.capture(None, 1);
+        runner.capture_ns = t0.elapsed().as_nanos() as u64;
+        runner
     }
 
-    /// Freezes the post-first-tick state: restore the boot snapshot, run
-    /// exactly one scheduler tick with an *empty* counting plan armed
-    /// (trace-neutral — its hooks stay identity and it records no
-    /// events, but the engine counts the victim's injection-point
-    /// occurrences), and capture. An empty [`InterruptSchedule`] rides
-    /// along — equally trace-neutral — so the prefix's arrival-point
-    /// occurrence counts are captured too.
-    fn capture_midrun(
-        kernel: &mut Kernel,
-        boot: &MachineSnapshot,
-        factories: &'static [AppFactory],
-    ) -> Midrun {
-        boot.restore(kernel);
-        injection::arm(InjectionPlan {
-            seed: 0,
-            target_pid: VICTIM as u32,
-            injections: Vec::new(),
-        });
-        sched::arm(InterruptSchedule::empty());
-        let mut apps: Vec<Box<dyn App>> = factories.iter().map(|mk| mk()).collect();
-        with_mode(Mode::Observe, || {
-            kernel.run_with_factories(&mut apps, Some(factories), 1);
-        });
-        let seen = injection::seen_counts().expect("counting plan armed");
-        injection::disarm();
-        let sched_seen = sched::seen_counts().expect("counting schedule armed");
-        sched::disarm();
-        // Order matters: the prefix dirty state must be read *before*
-        // capture re-arms (and clears) tracking.
-        let prefix_dirty = kernel.mem.dirty_state();
-        let snapshot = MachineSnapshot::capture(kernel);
-        let prefix_violations = take_violations().iter().map(|v| format!("{v:?}")).collect();
-        Midrun {
-            snapshot,
-            apps,
-            seen,
-            sched_seen,
-            prefix_dirty,
-            prefix_violations,
-        }
-    }
-
-    /// Raw events in the installed post-boot snapshot prefix — the
-    /// offset from which a drained full-run trace starts counting
-    /// arrival-point occurrences (boot passes no hooks, so event index
-    /// `boot_events()` is boundary occurrence 0 for every point).
+    /// Raw events in the post-boot trace prefix — the offset from which
+    /// a drained full-run trace starts counting arrival-point
+    /// occurrences (boot passes no hooks, so event index `boot_events()`
+    /// is boundary occurrence 0 for every point).
     pub fn boot_events(&self) -> usize {
-        self.snapshot.boot_events()
+        self.clean.rungs[0].trace_len
     }
 
     /// The chip this runner was booted for.
@@ -586,43 +602,180 @@ impl FleetRunner {
     }
 
     /// Wall-clock nanoseconds this runner spent booting and capturing
-    /// its snapshots (amortized over every run it serves).
+    /// its first two rungs (amortized over every run it serves).
     pub fn capture_ns(&self) -> u64 {
         self.capture_ns
     }
 
-    /// Restores the post-boot snapshot, merging the prefix dirty state
-    /// first when the live machine derives from the mid-run snapshot.
-    fn restore_boot(&mut self) {
-        if self.last_restored == RestorePoint::Midrun {
-            if let Some(m) = &self.midrun {
-                self.kernel
-                    .mem
-                    .merge_dirty_state(&m.prefix_dirty.0, m.prefix_dirty.1);
+    /// The latest clean rung a run under `plan` and `schedule` may
+    /// resume from: neither engine fires inside its prefix. The post-boot
+    /// rung always qualifies.
+    fn latest_clean(
+        &self,
+        plan: Option<&InjectionPlan>,
+        schedule: Option<&InterruptSchedule>,
+    ) -> RungId {
+        let index = self.clean.rungs.iter().rposition(|r| {
+            plan.is_none_or(|p| !p.fires_within(&r.injection.seen))
+                && schedule.is_none_or(|s| !s.fires_within(&r.sched_seen))
+        });
+        RungId::clean(index.expect("nothing fires before boot"))
+    }
+
+    /// The latest rung a run under `plan` and `schedule` may resume
+    /// from: on the seeded ladder when it was captured under exactly
+    /// `plan`, before the schedule's first arrival; otherwise on the
+    /// clean ladder.
+    fn pick(&self, plan: Option<&InjectionPlan>, schedule: Option<&InterruptSchedule>) -> RungId {
+        let seeded = self
+            .seeded
+            .as_ref()
+            .filter(|l| plan.is_some() && l.plan.as_ref() == plan)
+            .and_then(|l| {
+                l.rungs
+                    .iter()
+                    .rposition(|r| schedule.is_none_or(|s| !s.fires_within(&r.sched_seen)))
+            });
+        match seeded {
+            Some(index) => RungId {
+                seeded: true,
+                index,
+            },
+            None => self.latest_clean(plan, schedule),
+        }
+    }
+
+    /// The one restore path: rewinds the machine to rung `to` from the
+    /// rung the live state derives from, and returns the program state
+    /// to resume with. Memory moves every page dirtied since the last
+    /// restore or held by either rung's delta.
+    fn restore_to(&mut self, to: RungId) -> Vec<Box<dyn App>> {
+        let (_, from) = locate(&self.clean, &self.seeded, self.at);
+        let (ladder, target) = locate(&self.clean, &self.seeded, to);
+        let prefix = &ladder.trace[..target.trace_len];
+        let kernel = &mut self.kernel;
+        let apps = target.restore(kernel, &self.base, &from.mem, prefix, TRACE_CAPACITY);
+        self.at = to;
+        apps.unwrap_or_else(|| self.factories.iter().map(|mk| mk()).collect())
+    }
+
+    /// The capture pass: resumes `plan`'s run (`None` = clean) and runs
+    /// it one tick at a time through tick `until`, capturing a rung at
+    /// every tick boundary the run loop reaches without ending on its
+    /// own. A clean pass resumes from the tick-1 rung (the post-boot one
+    /// at construction) and replaces every later clean rung; a pass
+    /// under a plan resumes from the latest clean rung eligible for it
+    /// and its rungs replace the seeded ladder. Both engines are armed
+    /// as in a run — the plan (or the empty counting plan) and an empty
+    /// schedule, each trace-neutral until it fires — so the rungs carry
+    /// the occurrence counts a resumed run replays. Returns the pass's
+    /// drained record, identical to [`FleetRunner::run_plan`]'s when the
+    /// pass runs to the end, the ladder's height under `plan` (every
+    /// clean rung up to the start is eligible for it too: occurrence
+    /// counts only grow), and the nanoseconds spent capturing.
+    fn capture(&mut self, plan: Option<InjectionPlan>, until: u64) -> (RunRecord, usize, u64) {
+        let start = match plan {
+            Some(_) => self.latest_clean(plan.as_ref(), None),
+            None => RungId::clean(1.min(self.clean.rungs.len() - 1)),
+        };
+        let mut apps = self.restore_to(start);
+        if plan.is_none() {
+            self.clean.rungs.truncate(start.index + 1);
+            self.clean.skips.truncate(start.index + 1);
+        }
+        let from = &self.clean.rungs[start.index];
+        let from_skip = self.clean.skips[start.index];
+        let counting = plan.clone().unwrap_or(InjectionPlan {
+            seed: 0,
+            target_pid: VICTIM as u32,
+            injections: Vec::new(),
+        });
+        injection::resume(counting, from.injection.clone());
+        sched::arm_with_seen(InterruptSchedule::empty(), from.sched_seen);
+        let mut violations = from.violations.clone();
+        let (mut rungs, mut capture_ns, mut resumable) = (Vec::new(), 0, true);
+        with_mode(Mode::Observe, || {
+            while self.kernel.ticks < until
+                && !self.kernel.run_with_factories(
+                    &mut apps,
+                    Some(self.factories),
+                    self.kernel.ticks + 1,
+                )
+            {
+                if !resumable {
+                    continue;
+                }
+                let t0 = Instant::now();
+                violations.extend(take_violations().iter().map(|v| format!("{v:?}")));
+                let len = trace::with_events(|head, tail, _| head.len() + tail.len());
+                let rung = Checkpoint::capture(
+                    &self.kernel,
+                    &from.mem,
+                    Some(&apps),
+                    violations.clone(),
+                    len,
+                );
+                resumable = rung.is_some();
+                rungs.extend(rung);
+                capture_ns += t0.elapsed().as_nanos() as u64;
+            }
+        });
+        let fired = injection::disarm();
+        sched::disarm();
+        let drained = trace::take();
+        trace::disable();
+        assert_eq!(
+            drained.dropped, 0,
+            "a capture pass overflowed the trace ring"
+        );
+        let (mut skip, mut covered) = (from_skip, from.trace_len);
+        let skips: Vec<PrefixSkip> = rungs
+            .iter()
+            .map(|rung| {
+                skip = skip.advance(&drained.events[covered..rung.trace_len]);
+                covered = rung.trace_len;
+                skip
+            })
+            .collect();
+        let seed = plan.as_ref().map(|p| p.seed);
+        let fired = if plan.is_some() { fired } else { 0 };
+        let record = collect_record(&self.kernel, seed, fired, 0, violations, drained);
+        let (trace, height) = (record.trace.events.clone(), start.index + 1 + rungs.len());
+        match plan {
+            None => {
+                self.clean.trace = trace;
+                self.clean.rungs.extend(rungs);
+                self.clean.skips.extend(skips);
+                self.clean.shared.set(None);
+            }
+            Some(_) => {
+                self.seeded = Some(Ladder {
+                    plan,
+                    trace,
+                    rungs,
+                    skips,
+                    shared: Cell::new(None),
+                });
             }
         }
-        self.snapshot.restore(&mut self.kernel);
-        self.last_restored = RestorePoint::Boot;
+        (record, height, capture_ns)
     }
 
-    /// Restores the mid-run snapshot (symmetric merge rule: switching
-    /// *to* the mid-run target from a boot-derived state also needs the
-    /// prefix pages forced dirty — a fallback run need not rewrite every
-    /// page the first tick touched).
-    fn restore_midrun(&mut self) {
-        let m = self.midrun.as_ref().expect("mid-run snapshot captured");
-        if self.last_restored == RestorePoint::Boot {
-            self.kernel
-                .mem
-                .merge_dirty_state(&m.prefix_dirty.0, m.prefix_dirty.1);
-        }
-        m.snapshot.restore(&mut self.kernel);
-        self.last_restored = RestorePoint::Midrun;
+    /// Runs `plan`'s baseline (`None` = the clean run) to completion,
+    /// capturing a checkpoint rung at every tick boundary it passes, and
+    /// returns its drained record — identical to
+    /// [`FleetRunner::run_plan`]'s — with the ladder's height under
+    /// `plan` (the rungs a run under it may resume from, post-boot
+    /// included) and the nanoseconds the captures took. Later runs under
+    /// the same plan resume from the latest rung before their first
+    /// interrupt arrival.
+    pub fn capture_ladder(&mut self, plan: Option<InjectionPlan>) -> (RunRecord, usize, u64) {
+        self.capture(plan, MAX_TICKS)
     }
 
-    /// Restores the best eligible snapshot and executes one run with
-    /// `plan` armed against the victim (or no plan for a
-    /// reference-shaped run). The trace is drained into the record.
+    /// Resumes the best eligible rung and executes one run with `plan`
+    /// armed against the victim (or no plan for a reference-shaped run).
+    /// The trace is drained into the record.
     pub fn run_plan(&mut self, plan: Option<InjectionPlan>) -> RunRecord {
         self.run(plan, None, None).0
     }
@@ -645,20 +798,17 @@ impl FleetRunner {
         self.run(plan, Some(schedule), None).0
     }
 
-    /// The run body every fleet run goes through. Restores the best
-    /// eligible snapshot, arms `plan` against the victim and `schedule`
-    /// (either may be absent), and runs to completion. Without a
-    /// `reference` the trace is drained into the record. With one, the
-    /// oracle walks the undrained ring in place, the ring is cleared
-    /// instead of drained, and the verdict rides in
-    /// [`RunRecord::oracle`].
-    ///
-    /// Mid-run eligibility requires both engines to stay clear of the
-    /// first tick; a plan or schedule firing inside the prefix falls
-    /// back to the post-boot snapshot and a full run. The snapshot
-    /// prefixes' violations are prepended either way, so a restored run
-    /// reports exactly what the equivalent fresh run would.
-    fn run(
+    /// The run body every fleet run goes through. Resumes the latest
+    /// rung eligible for `plan` and `schedule` ([`FleetRunner`] lists the
+    /// rule), arms both from the rung's progress (either may be absent),
+    /// and runs to completion. Without a `reference` the trace is
+    /// drained into the record. With one, the oracle walks the undrained
+    /// ring in place — skipping the rung's prefix where the reference
+    /// shares it ([`Ladder::skip`]) — the ring is cleared instead of
+    /// drained, and the verdict rides in [`RunRecord::oracle`]. The
+    /// rung's violations are prepended, so a resumed run reports exactly
+    /// what the equivalent fresh run would.
+    pub(crate) fn run(
         &mut self,
         plan: Option<InjectionPlan>,
         schedule: Option<&InterruptSchedule>,
@@ -667,33 +817,15 @@ impl FleetRunner {
         let seed = plan.as_ref().map(|p| p.seed);
         let armed = plan.is_some();
         let t0 = Instant::now();
-        let use_midrun = self.midrun.as_ref().is_some_and(|m| {
-            plan.as_ref().is_none_or(|p| !p.fires_within(&m.seen))
-                && schedule.is_none_or(|s| !s.fires_within(&m.sched_seen))
-        });
-        let mut apps: Vec<Box<dyn App>> = if use_midrun {
-            self.restore_midrun();
-            let m = self.midrun.as_ref().expect("mid-run snapshot captured");
-            if let Some(p) = plan {
-                injection::arm_with_seen(p, m.seen);
-            }
-            if let Some(s) = schedule {
-                sched::arm_with_seen(s.clone(), m.sched_seen);
-            }
-            m.apps
-                .iter()
-                .map(|a| a.clone_app().expect("campaign apps are mid-run cloneable"))
-                .collect()
-        } else {
-            self.restore_boot();
-            if let Some(p) = plan {
-                injection::arm(p);
-            }
-            if let Some(s) = schedule {
-                sched::arm(s.clone());
-            }
-            self.factories.iter().map(|mk| mk()).collect()
-        };
+        let to = self.pick(plan.as_ref(), schedule);
+        let mut apps = self.restore_to(to);
+        let (ladder, rung) = locate(&self.clean, &self.seeded, to);
+        if let Some(p) = plan {
+            injection::resume(p, rung.injection.clone());
+        }
+        if let Some(s) = schedule {
+            sched::arm_with_seen(s.clone(), rung.sched_seen);
+        }
         let t1 = Instant::now();
         with_mode(Mode::Observe, || {
             self.kernel
@@ -707,12 +839,8 @@ impl FleetRunner {
         };
         let t2 = Instant::now();
         let oracle = reference.map(|r| {
-            let (cached, prefix_len) = match &self.midrun {
-                Some(m) if use_midrun => (&mut self.midrun_skip, m.snapshot.boot_events()),
-                _ => (&mut self.boot_skip, self.snapshot.boot_events()),
-            };
-            let skip = *cached.get_or_insert_with(|| r.prefix_skip(prefix_len));
             trace::with_events(|head, tail, _| {
+                let skip = ladder.skip(to.index, r);
                 r.walk(head, tail, unperturbed(fired, irq_fired), skip)
             })
         });
@@ -723,10 +851,7 @@ impl FleetRunner {
             trace::take()
         };
         trace::disable();
-        let mut violations = self.boot_violations.clone();
-        if let Some(m) = self.midrun.as_ref().filter(|_| use_midrun) {
-            violations.extend(m.prefix_violations.iter().cloned());
-        }
+        let violations = rung.violations.clone();
         let mut record = collect_record(&self.kernel, seed, fired, irq_fired, violations, drained);
         record.oracle = oracle;
         let phases = RunPhases {
@@ -734,7 +859,8 @@ impl FleetRunner {
             run_ns: (t2 - t1).as_nanos() as u64,
             collect_ns: t3.elapsed().as_nanos() as u64,
             oracle_ns: (t3 - t2).as_nanos() as u64,
-            midrun: use_midrun,
+            midrun: rung.ticks > 0,
+            resumed_events: rung.trace_len,
         };
         (record, phases)
     }
@@ -742,25 +868,24 @@ impl FleetRunner {
     /// Pays one post-boot restore and discards the result: the per-run
     /// reset cost the fleet benchmark compares against [`boot_probe`].
     pub fn restore_probe(&mut self) {
-        self.restore_boot();
+        self.restore_to(RungId::BOOT);
         trace::recycle(trace::take());
         trace::disable();
     }
 
-    /// Pays one mid-run restore and discards the result.
+    /// Pays one restore of the tick-1 rung and discards the result.
     pub fn midrun_probe(&mut self) {
-        self.restore_midrun();
+        self.restore_to(RungId::clean(1.min(self.clean.rungs.len() - 1)));
         trace::recycle(trace::take());
         trace::disable();
     }
 
-    /// Pays what resuming mid-run *skips*: a post-boot restore plus the
-    /// first scheduler tick. The ratio of this to
+    /// Pays what resuming from the tick-1 rung *skips*: a post-boot
+    /// restore plus the first scheduler tick. The ratio of this to
     /// [`FleetRunner::midrun_probe`] is the `fleet.midrun_restore_speedup`
     /// floor in `ci/bench_baseline.json`.
     pub fn first_tick_probe(&mut self) {
-        self.restore_boot();
-        let mut apps: Vec<Box<dyn App>> = self.factories.iter().map(|mk| mk()).collect();
+        let mut apps = self.restore_to(RungId::BOOT);
         with_mode(Mode::Observe, || {
             self.kernel
                 .run_with_factories(&mut apps, Some(self.factories), 1);
@@ -856,6 +981,9 @@ impl<'a> RunnerSlots<'a> {
 /// ([`crate::explore::bystander_reference`]).
 #[derive(Debug, Clone)]
 pub struct Reference {
+    /// Unique per reference (clones share it: same contents), so a
+    /// ladder can keep its prefix compare with this reference.
+    id: u64,
     /// The raw (unprojected) trace. Raw equality implies observable
     /// equality — the projection is a pure per-event function — so an
     /// unperturbed run that matches this outright needs no projection
@@ -890,13 +1018,14 @@ pub struct StreamVerdict {
     pub first_injected: Option<TraceEvent>,
 }
 
-/// Reference-stream cursor offsets contributed by an installed snapshot
-/// prefix: how many raw events the prefix holds and how far into the
-/// full and per-bystander observable streams those events reach.
-/// Computed once per runner from the reference trace, and *verified*
-/// per run with one raw slice compare before being trusted —
-/// [`Reference::walk`] degrades to a full walk when the bytes differ.
-#[derive(Clone, Copy, Default)]
+/// Reference-stream cursor offsets contributed by an installed
+/// checkpoint prefix: how many raw events the prefix holds and how far
+/// into the full and per-bystander observable streams those events
+/// reach. Computed once per rung from the rung's own prefix, and used
+/// only where the reference's raw trace starts with the same prefix
+/// ([`Ladder::skip`]); a run whose prefix differs is walked from the
+/// start, so every verdict stays exact.
+#[derive(Debug, Clone, Copy, Default)]
 struct PrefixSkip {
     /// Raw events in the installed prefix.
     raw: usize,
@@ -904,6 +1033,26 @@ struct PrefixSkip {
     full: usize,
     /// Observable bystander events among them (per-bystander offsets).
     by: [usize; BYSTANDERS],
+}
+
+impl PrefixSkip {
+    /// The offsets after the prefix grows by `events`.
+    fn advance(self, events: &[TraceEvent]) -> PrefixSkip {
+        let mut next = PrefixSkip {
+            raw: self.raw + events.len(),
+            ..self
+        };
+        for ev in events {
+            if observable_event(ev).is_none() {
+                continue;
+            }
+            next.full += 1;
+            if let Some(b) = event_pid(ev).and_then(bystander) {
+                next.by[b] += 1;
+            }
+        }
+        next
+    }
 }
 
 /// The bystander index of `pid`, if it is one.
@@ -1001,27 +1150,13 @@ impl Reference {
                 .copied()
                 .collect()
         });
-        Self { raw, full, by_pid }
-    }
-
-    /// Walks the first `prefix_len` raw reference events and tallies the
-    /// observable cursor offsets a matching prefix accounts for.
-    fn prefix_skip(&self, prefix_len: usize) -> PrefixSkip {
-        let raw = prefix_len.min(self.raw.len());
-        let mut skip = PrefixSkip {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        Self {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             raw,
-            ..PrefixSkip::default()
-        };
-        for ev in &self.raw[..raw] {
-            if observable_event(ev).is_none() {
-                continue;
-            }
-            skip.full += 1;
-            if let Some(b) = event_pid(ev).and_then(bystander) {
-                skip.by[b] += 1;
-            }
+            full,
+            by_pid,
         }
-        skip
     }
 
     /// The oracle's streaming walk over a trace presented as two
@@ -1040,10 +1175,10 @@ impl Reference {
     /// - An unperturbed run whose **raw** trace equals the reference's
     ///   is clean: one slice compare instead of a projection walk.
     ///   Inequality implies nothing and falls through.
-    /// - A run whose first `skip.raw` raw events equal the reference's
-    ///   (one slice compare — the installed snapshot prefix, by
-    ///   construction) starts its walk after them, with the cursors
-    ///   pre-advanced by the prefix's precomputed contribution.
+    /// - A run resumed from a rung the reference shares
+    ///   ([`Ladder::skip`]) starts its walk after the installed prefix,
+    ///   with the cursors pre-advanced by the prefix's precomputed
+    ///   contribution.
     /// - An unperturbed run walks the whole observable stream only. The
     ///   bystander streams are pid-filters of it, so its equality
     ///   subsumes theirs; they are walked only after it diverged.
@@ -1065,10 +1200,10 @@ impl Reference {
         {
             return verdict;
         }
-        let skip = if skip.raw <= head.len() && head[..skip.raw] == self.raw[..skip.raw] {
-            skip
-        } else {
-            PrefixSkip::default()
+        // A wrapped ring (non-empty tail) lost its prefix: walk it all.
+        let skip = match tail.is_empty() && skip.raw <= head.len() {
+            true => skip,
+            false => PrefixSkip::default(),
         };
         let rest = &head[skip.raw..];
         // The tail is empty unless the ring wrapped: keep the common case
@@ -1302,7 +1437,7 @@ pub struct UnitOutcome {
     pub collect_ns: u64,
     /// Wall-clock nanoseconds validating against the reference.
     pub validate_ns: u64,
-    /// Whether the run resumed from the mid-run snapshot.
+    /// Whether the run resumed past boot, from a ladder rung.
     pub midrun: bool,
 }
 
@@ -1367,7 +1502,7 @@ pub struct CampaignResult {
 /// The unit of work is a single `(chip, seed, warm/cold)` run, fanned
 /// out over [`pool::run_indexed_ctx`]: each worker keeps a
 /// [`RunnerSlots`] cache, so every unit after the first on a slot is a
-/// [`MachineSnapshot::restore`] instead of a [`Kernel::boot`]. Results
+/// [`Checkpoint`] restore instead of a [`Kernel::boot`]. Results
 /// merge in unit order, and restored runs are byte-identical to fresh
 /// boots, so the reports — failure strings included — are byte-identical
 /// for any thread count.
@@ -1736,17 +1871,17 @@ mod tests {
 
     #[test]
     fn midrun_and_fallback_runs_interleave_byte_identically() {
-        // Alternating restore targets on one runner exercises the
-        // dirty-state merge both ways: a mid-run restore followed by a
+        // Alternating restore targets on one runner exercises the page
+        // delta merge both ways: a tick-1 restore followed by a
         // post-boot restore (and back) must not leave pages from the
-        // other snapshot behind. Seeds are picked so one plan fires
-        // inside the first tick (forcing the post-boot fallback) and one
-        // does not (taking the mid-run path).
+        // other rung behind. Seeds are picked so one plan fires inside
+        // the first tick (forcing the post-boot fallback) and one does
+        // not (resuming the tick-1 rung).
         let plan = |seed: u64| InjectionPlan::from_seed(seed, VICTIM as u32);
         for chip in [&NRF52840DK, &HIFIVE1] {
             let mut runner = FleetRunner::new(chip);
             assert!(runner.capture_ns() > 0);
-            let seen = runner.midrun.as_ref().unwrap().seen;
+            let seen = runner.clean.rungs[1].injection.seen;
             let fallback_seed = (0..500u64)
                 .find(|&s| InjectionPlan::from_seed(s, VICTIM as u32).fires_within(&seen))
                 .expect("some seed schedules an injection inside tick 1");
@@ -2039,6 +2174,309 @@ mod tests {
         ) {
             let chip = &ALL_CHIPS[chip_idx];
             assert_run_equivalent(chip, Some(seed), cold, "proptest");
+        }
+    }
+}
+
+/// The checkpoint ladder against the runs it replaces: equivalence,
+/// stale-ladder hazards, chunked-capture termination, and the planted
+/// bug through the ladder.
+#[cfg(test)]
+mod ladder_tests {
+    use super::*;
+    use crate::explore::{
+        bystander_reference, commuting_classes, enumerate_candidates, explore, planted,
+        validate_scheduled,
+    };
+    use proptest::prelude::*;
+    use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
+
+    /// One representative of `(chip, seed)`'s baseline, run from the
+    /// latest ladder rung before its arrival and from the post-boot or
+    /// tick-1 checkpoint of a runner with no ladder: the drained records
+    /// must be identical in every field, and the in-place oracle verdict
+    /// of the laddered run must equal the drained run's walk. Returns the
+    /// rung prefix the laddered run resumed after.
+    fn assert_rung_equivalent(
+        chip: &ChipProfile,
+        seed: Option<u64>,
+        pick: usize,
+        cold: bool,
+    ) -> usize {
+        let body = || {
+            let plan = seed.map(|s| InjectionPlan::from_seed(s, VICTIM as u32));
+            let mut laddered = FleetRunner::new(chip);
+            let mut plain = FleetRunner::new(chip);
+            let (baseline, rungs, _) = laddered.capture_ladder(plan.clone());
+            assert!(
+                rungs > 0,
+                "{}: the baseline passed no tick boundary",
+                chip.name
+            );
+            let ctx = format!("{} seed {seed:?} cold {cold}", chip.name);
+            let plain_baseline = plain.run_plan(plan.clone());
+            assert_eq!(
+                record_difference(&plain_baseline, &baseline),
+                None,
+                "{ctx}: baseline"
+            );
+            let candidates = enumerate_candidates(&baseline.trace.events, plain.boot_events());
+            let classes = commuting_classes(&baseline.trace.events, &candidates);
+            let schedule = classes[pick % classes.len()][0].schedule();
+            let ctx = format!("{ctx} schedule {:#x}", schedule.id());
+            let from_snapshot = plain.run_scheduled(plan.clone(), &schedule);
+            let from_rung = laddered.run_scheduled(plan.clone(), &schedule);
+            assert_eq!(record_difference(&from_snapshot, &from_rung), None, "{ctx}");
+            let reference = bystander_reference(&plain.run_plan(None));
+            let (checked, phases) = laddered.run(plan, Some(&schedule), Some(&reference));
+            assert!(
+                checked.trace.events.is_empty(),
+                "{ctx}: the ring was drained"
+            );
+            assert_eq!(
+                checked.oracle,
+                Some(reference.walk_record(&from_snapshot)),
+                "{ctx}: in-place verdict"
+            );
+            phases.resumed_events
+        };
+        if cold {
+            tt_hw::commit_cache::with_disabled(body)
+        } else {
+            body()
+        }
+    }
+
+    #[test]
+    fn ladder_runs_match_snapshot_runs_on_all_chips() {
+        for chip in &ALL_CHIPS {
+            let mut resumed = Vec::new();
+            for (seed, cold) in [(None, false), (Some(3), false), (Some(11), true)] {
+                for pick in [0, 37, 1 << 20] {
+                    resumed.push(assert_rung_equivalent(chip, seed, pick, cold));
+                }
+            }
+            // The ladder is exercised: some representative resumed past
+            // the tick-1 rung the plain runner also has.
+            let tick1 = FleetRunner::new(chip).clean.rungs[1].trace_len;
+            assert!(
+                resumed.iter().any(|&r| r > tick1),
+                "{}: {resumed:?}",
+                chip.name
+            );
+        }
+    }
+
+    #[test]
+    fn restores_between_rungs_land_on_each_rungs_memory() {
+        // Every restore must land on its rung's exact RAM, whichever rung
+        // the live state came from and whether a run dirtied it since —
+        // including jumps back to boot with no run in between, where
+        // only the departed rung's delta says which pages to reset.
+        let ram = |mem: &tt_hw::mem::PhysicalMemory| {
+            let map = mem.map();
+            let mut buf = vec![0u8; map.ram.len()];
+            mem.read_bytes(map.ram.start, &mut buf).expect("RAM");
+            buf
+        };
+        let plan = Some(InjectionPlan::from_seed(5, VICTIM as u32));
+        let laddered = || {
+            let mut runner = FleetRunner::new(&NRF52840DK);
+            runner.capture_ladder(None);
+            runner.capture_ladder(plan.clone());
+            runner
+        };
+        let probe = laddered();
+        let last = probe.clean.rungs.len() - 1;
+        let last_seeded = probe.seeded.as_ref().expect("seeded ladder").rungs.len() - 1;
+        let seeded = |index| RungId {
+            seeded: true,
+            index,
+        };
+        let path = [
+            RungId::clean(last),
+            RungId::BOOT,
+            RungId::clean(last / 2),
+            seeded(last_seeded),
+            RungId::clean(1),
+            seeded(0),
+            RungId::clean(last),
+            RungId::clean(last),
+            RungId::BOOT,
+        ];
+        // Each rung's memory rebuilt independently of the merge rule: an
+        // untracked memory copies the whole base, then the rung's pages.
+        let want: Vec<Vec<u8>> = path
+            .iter()
+            .map(|&id| {
+                let (_, rung) = locate(&probe.clean, &probe.seeded, id);
+                let mut mem = tt_hw::mem::PhysicalMemory::new(probe.kernel.mem.map());
+                mem.restore_to(&probe.base, &PageDelta::default(), &rung.mem);
+                ram(&mem)
+            })
+            .collect();
+        for with_runs in [false, true] {
+            let mut runner = laddered();
+            for (step, (&id, want)) in path.iter().zip(&want).enumerate() {
+                let mut apps = runner.restore_to(id);
+                let got = ram(&runner.kernel.mem);
+                assert!(got == *want, "step {step}: {id:?} (runs {with_runs})");
+                if with_runs {
+                    with_mode(Mode::Observe, || {
+                        runner.kernel.run_with_factories(
+                            &mut apps,
+                            Some(runner.factories),
+                            MAX_TICKS,
+                        )
+                    });
+                    let _ = take_violations();
+                }
+            }
+            trace::disable();
+        }
+    }
+
+    #[test]
+    fn a_stale_ladder_is_never_resumed_by_another_plan() {
+        // A ladder captured for seed 3, then runs under seed 4 and under
+        // no plan: neither may resume a seed-3 rung, and each must equal
+        // the run from a runner that never captured a ladder.
+        let chip = &NRF52840DK;
+        let plan = |seed: u64| Some(InjectionPlan::from_seed(seed, VICTIM as u32));
+        let mut laddered = FleetRunner::new(chip);
+        let mut plain = FleetRunner::new(chip);
+        let (seed3, _, _) = laddered.capture_ladder(plan(3));
+        let candidates = enumerate_candidates(&seed3.trace.events, laddered.boot_events());
+        for other in [plan(4), None] {
+            for c in [
+                candidates[3],
+                candidates[candidates.len() / 2],
+                candidates[candidates.len() - 1],
+            ] {
+                let schedule = c.schedule();
+                let stale = laddered.run_scheduled(other.clone(), &schedule);
+                assert!(
+                    !laddered.at.seeded,
+                    "{other:?} {c:?} resumed the seed-3 ladder"
+                );
+                let fresh = plain.run_scheduled(other.clone(), &schedule);
+                assert_eq!(record_difference(&fresh, &stale), None, "{other:?} {c:?}");
+            }
+        }
+        // And the seed-3 ladder still serves seed 3 afterwards.
+        let schedule = candidates[candidates.len() - 1].schedule();
+        let (run, _) = laddered.run(plan(3), Some(&schedule), None);
+        assert!(laddered.at.seeded, "seed 3 should resume its own ladder");
+        let fresh = plain.run_scheduled(plan(3), &schedule);
+        assert_eq!(record_difference(&fresh, &run), None);
+    }
+
+    /// Programs that yield forever after a few syscalls: the scheduler
+    /// ends the run with an `IdleExit` instead of an all-done break.
+    #[derive(Clone)]
+    struct Yielder {
+        steps: u32,
+    }
+
+    impl App for Yielder {
+        fn name(&self) -> &'static str {
+            "yielder"
+        }
+        fn clone_app(&self) -> Option<Box<dyn App>> {
+            Some(Box::new(self.clone()))
+        }
+        fn step(&mut self, k: &mut Kernel, pid: usize) -> Step {
+            self.steps += 1;
+            if self.steps < 10 {
+                let _ = k.sys_print(pid, "y\r\n");
+                Step::Continue
+            } else {
+                Step::Yield
+            }
+        }
+    }
+
+    fn mk_yielder() -> Box<dyn App> {
+        Box::new(Yielder { steps: 0 })
+    }
+
+    #[test]
+    fn a_chunked_capture_never_runs_past_the_loops_own_end() {
+        // The capture pass runs one tick per call; after the loop ends on
+        // its own (all done, or the idle exit) it must capture no rung and
+        // run no further tick, and a run resumed from the last rung must
+        // end exactly where the run from the snapshot ends.
+        const YIELDERS: [crate::kernel::AppFactory; 3] = [mk_yielder, mk_yielder, mk_yielder];
+        let idle =
+            |chip: &ChipProfile| FleetRunner::with_scenario(chip, boot_campaign_kernel, &YIELDERS);
+        let scenarios: [fn(&ChipProfile) -> FleetRunner; 3] =
+            [FleetRunner::new, planted::runner, idle];
+        for make in scenarios {
+            let (mut laddered, mut plain) = (make(&NRF52840DK), make(&NRF52840DK));
+            let (baseline, _, _) = laddered.capture_ladder(None);
+            let end = laddered.kernel.ticks;
+            let last = laddered.clean.rungs.last().expect("rungs").ticks;
+            assert!(
+                last < end,
+                "a rung at tick {last} of a run that ended at {end}"
+            );
+            let idle_exits = |events: &[TraceEvent]| {
+                events
+                    .iter()
+                    .filter(|e| matches!(e, TraceEvent::IdleExit))
+                    .count()
+            };
+            assert!(idle_exits(&baseline.trace.events) <= 1);
+            let resumed = laddered.run_plan(None);
+            assert_eq!(laddered.at, RungId::clean(laddered.clean.rungs.len() - 1));
+            assert_eq!(
+                laddered.kernel.ticks, end,
+                "the resumed run ran an extra tick"
+            );
+            assert_eq!(record_difference(&plain.run_plan(None), &resumed), None);
+        }
+        // The idle scenario really ends on the idle exit.
+        let mut runner = idle(&NRF52840DK);
+        let (baseline, _, _) = runner.capture_ladder(None);
+        assert_eq!(baseline.trace.events.last(), Some(&TraceEvent::IdleExit));
+    }
+
+    #[test]
+    fn planted_bug_is_minimised_to_its_commit_and_replays_without_a_ladder() {
+        let mut runner = planted::runner(&NRF52840DK);
+        let outcome = explore(&mut runner, None, None);
+        let finding = outcome.findings.first().expect("the planted bug is found");
+        assert_eq!(finding.minimized, 0x6005, "{finding:#?}");
+        assert!(outcome.rungs > 0);
+        // A fresh runner has only its post-boot and tick-1 rungs: the
+        // drained replay fails with exactly the in-place finding's lines
+        // for the representative, and fails for the minimised ID.
+        let mut fresh = planted::runner(&NRF52840DK);
+        let reference = bystander_reference(&fresh.run_plan(None));
+        let schedule = InterruptSchedule::from_id(finding.schedule);
+        let run = fresh.run_scheduled(None, &schedule);
+        assert_eq!(
+            validate_scheduled(&NRF52840DK, &run, finding.schedule, &reference),
+            finding.failures
+        );
+        let minimized = InterruptSchedule::from_id(finding.minimized);
+        let run = fresh.run_scheduled(None, &minimized);
+        assert!(!validate_scheduled(&NRF52840DK, &run, finding.minimized, &reference).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Ladder equivalence: any representative of any unit, resumed
+        /// from its rung and checked in place, matches the run from the
+        /// snapshot byte for byte.
+        #[test]
+        fn ladder_runs_match_snapshot_runs_for_arbitrary_units(
+            chip_idx in 0usize..ALL_CHIPS.len(),
+            seed in prop_oneof![Just(None::<u64>), (0u64..200).prop_map(Some)],
+            pick in 0usize..1 << 20,
+            cold in any::<bool>(),
+        ) {
+            assert_rung_equivalent(&ALL_CHIPS[chip_idx], seed, pick, cold);
         }
     }
 }

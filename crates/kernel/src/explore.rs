@@ -7,9 +7,10 @@
 //! boundary the simulated SysTick could cut — syscall entry and exit,
 //! the MPU stage→commit window, the scheduler's post-commit decision
 //! point — and each candidate arrival becomes a replayable
-//! [`InterruptSchedule`] executed deterministically from the
-//! [`FleetRunner`]'s snapshots. Every surviving schedule is checked by
-//! the campaign's own oracle ([`validate_scheduled`]): zero contract
+//! [`InterruptSchedule`] executed deterministically from the latest
+//! rung of the [`FleetRunner`]'s checkpoint ladder before it arrives.
+//! Every surviving schedule is checked by the campaign's own oracle
+//! (`campaign::check_run`, in place over the trace ring): zero contract
 //! violations, bystander [`TraceScope::Observable`] streams
 //! byte-identical to the uninterrupted reference, convergence within the
 //! restart cap, and — for a run in which nothing fired — an exact replay
@@ -290,7 +291,7 @@ pub struct Finding {
 }
 
 /// What one exploration of one `(chip, seed)` pair covered and found.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExploreOutcome {
     /// Chip explored.
     pub chip: String,
@@ -309,6 +310,16 @@ pub struct ExploreOutcome {
     pub truncated: bool,
     /// Schedules the oracle rejected.
     pub findings: Vec<Finding>,
+    /// Checkpoint rungs the representatives could resume from: the
+    /// ladder's height under the unit's plan, post-boot rung included.
+    pub rungs: usize,
+    /// Wall-clock nanoseconds the baseline pass spent capturing rungs.
+    pub capture_ns: u64,
+    /// Post-boot events of the baseline run.
+    pub baseline_events: usize,
+    /// Post-boot events the representatives re-simulated: each one's
+    /// run minus the rung prefix it resumed after.
+    pub resimulated: usize,
 }
 
 impl ExploreOutcome {
@@ -353,57 +364,66 @@ pub fn bystander_reference(run: &RunRecord) -> Reference {
 }
 
 /// Explores every interrupt-arrival class of `(runner's scenario,
-/// seed)`: runs the baseline, enumerates candidates, prunes commuting
-/// classes, executes one representative per class through the
-/// snapshot/restore machinery, and oracle-checks each. Failing
-/// schedules are shrunk to 1-minimal repros.
+/// seed)`: runs the baseline once, capturing a checkpoint rung at every
+/// tick boundary, enumerates candidates, prunes commuting classes, and
+/// executes one representative per class from the latest rung before
+/// its arrival, checking it in place against the reference (the ring
+/// is never drained). Failing schedules are shrunk to 1-minimal repros
+/// through the same run body.
 ///
 /// `cap` bounds the number of representatives executed (wall-clock
 /// budget for CI); hitting it sets [`ExploreOutcome::truncated`].
 pub fn explore(runner: &mut FleetRunner, seed: Option<u64>, cap: Option<usize>) -> ExploreOutcome {
     let chip = *runner.chip();
     let plan = seed.map(|s| InjectionPlan::from_seed(s, VICTIM as u32));
-    let baseline = runner.run_plan(plan.clone());
+    let (baseline, rungs, capture_ns) = runner.capture_ladder(plan.clone());
     // The oracle reference is always the uninjected, uninterrupted run.
     let reference = if seed.is_some() {
         bystander_reference(&runner.run_plan(None))
     } else {
         bystander_reference(&baseline)
     };
-    let candidates = enumerate_candidates(&baseline.trace.events, runner.boot_events());
+    let boot = runner.boot_events();
+    let candidates = enumerate_candidates(&baseline.trace.events, boot);
     let classes = commuting_classes(&baseline.trace.events, &candidates);
     let mut outcome = ExploreOutcome {
         chip: chip.name.to_string(),
         seed,
         candidates: candidates.len(),
         classes: classes.len(),
-        explored: 0,
-        pruned: 0,
-        truncated: false,
-        findings: Vec::new(),
+        rungs,
+        capture_ns,
+        baseline_events: baseline.trace.events.len() - boot,
+        ..ExploreOutcome::default()
+    };
+    let check = |runner: &mut FleetRunner, schedule: &InterruptSchedule| {
+        let (run, phases) = runner.run(plan.clone(), Some(schedule), Some(&reference));
+        let streams = run.oracle.as_ref().expect("the run body checked the run");
+        let failures = check_run(&chip, Label::Schedule(schedule.id()), &run, streams);
+        (
+            run.irq_fired,
+            streams.events - phases.resumed_events,
+            failures,
+        )
     };
     for class in &classes {
         if cap.is_some_and(|c| outcome.explored >= c) {
             outcome.truncated = true;
             break;
         }
-        let representative = class[0];
         outcome.explored += 1;
         outcome.pruned += class.len() - 1;
-        let schedule = representative.schedule();
-        let run = runner.run_scheduled(plan.clone(), &schedule);
-        let failures = validate_scheduled(&chip, &run, schedule.id(), &reference);
+        let schedule = class[0].schedule();
+        let (irq_fired, resimulated, failures) = check(runner, &schedule);
+        outcome.resimulated += resimulated;
         if failures.is_empty() {
             continue;
         }
-        let minimized = shrink_schedule(&schedule, |s| {
-            let rerun = runner.run_scheduled(plan.clone(), s);
-            !validate_scheduled(&chip, &rerun, s.id(), &reference).is_empty()
-        });
+        let minimized = shrink_schedule(&schedule, |s| !check(runner, s).2.is_empty());
         outcome.findings.push(Finding {
             schedule: schedule.id(),
             minimized: minimized.id(),
-            irq_fired: run.irq_fired,
+            irq_fired,
             failures,
         });
     }

@@ -40,12 +40,12 @@ pub trait App {
     fn name(&self) -> &'static str;
     /// Runs one step of the program.
     fn step(&mut self, kernel: &mut Kernel, pid: usize) -> Step;
-    /// Deep-copies the program state mid-run, for mid-run machine
-    /// snapshots: a fleet runner that freezes the kernel after tick 1
-    /// must also freeze where each program was, so every restored run
-    /// resumes from an identical program counter. Returning `None` (the
-    /// default) marks the app non-resumable; snapshotting callers must
-    /// then fall back to a full run from boot.
+    /// Deep-copies the program state mid-run, for machine checkpoints:
+    /// a fleet runner that freezes the kernel at a tick boundary must
+    /// also freeze where each program was, so every restored run resumes
+    /// from an identical program counter. Returning `None` (the default)
+    /// marks the app non-resumable; the runner then captures no
+    /// checkpoint past boot and every run starts from there.
     fn clone_app(&self) -> Option<Box<dyn App>> {
         None
     }
@@ -1014,17 +1014,22 @@ impl Kernel {
     /// Runs the loaded apps round-robin until all exit/fault or
     /// `max_ticks` elapses. `apps[i]` drives `processes[i]`.
     pub fn run(&mut self, apps: &mut [Box<dyn App>], max_ticks: u64) {
-        self.run_with_factories(apps, None, max_ticks)
+        self.run_with_factories(apps, None, max_ticks);
     }
 
     /// Like [`Kernel::run`], but with per-process app factories so the
     /// restart fault policy can respawn a fresh program instance.
+    ///
+    /// Returns whether the loop ended on its own — everyone done, or the
+    /// idle exit — rather than at `max_ticks`. A caller running ticks in
+    /// chunks must stop at the first `true`: calling again would run a
+    /// tick the uninterrupted loop never runs.
     pub fn run_with_factories(
         &mut self,
         apps: &mut [Box<dyn App>],
         factories: Option<&[AppFactory]>,
         max_ticks: u64,
-    ) {
+    ) -> bool {
         assert_eq!(apps.len(), self.processes.len());
         while self.ticks < max_ticks {
             self.ticks += 1;
@@ -1145,7 +1150,7 @@ impl Kernel {
                 }
             });
             if all_done {
-                break;
+                return true;
             }
             if !any_ready
                 && self.capsules.alarms.is_empty()
@@ -1156,9 +1161,10 @@ impl Kernel {
                 // everyone-exited completion instead of inferring it
                 // from trace truncation.
                 trace::record(TraceEvent::IdleExit);
-                break;
+                return true;
             }
         }
+        false
     }
 }
 

@@ -120,7 +120,7 @@ impl CommitCache {
 }
 
 /// The full state of a [`CommitCache`] at capture time (cached key and
-/// counters), as stored in a `tt_kernel::snapshot::MachineSnapshot`.
+/// counters), as stored in a `tt_kernel::snapshot::Checkpoint`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitCacheSnapshot {
     state: Option<(u32, u64)>,

@@ -809,8 +809,11 @@ impl Process {
             }
             charge_n(Cost::Branch, 2);
             charge_n(Cost::Alu, 1);
+            // Checked: a hostile `len` must not wrap the end address
+            // back into the process's flash.
             let (fs, fsz) = backend.flash();
-            addr.as_usize() >= fs && addr.as_usize() + len <= fs + fsz
+            let end = addr.as_usize().checked_add(len);
+            addr.as_usize() >= fs && end.is_some_and(|end| end <= fs + fsz)
         });
         if !ok {
             return Err(ProcessError::Invalid);

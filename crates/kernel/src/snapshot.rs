@@ -1,47 +1,61 @@
-//! Machine snapshots: boot once, restore a run in microseconds.
+//! Machine checkpoints: boot once, resume a run from any tick boundary
+//! in microseconds.
 //!
 //! The fault campaign's scale was bounded by `Kernel::boot`: every run
 //! paid a fresh memory allocation, process loading and MPU staging. A
-//! [`MachineSnapshot`] freezes a booted kernel — memory, staged and live
-//! protection registers, commit cache, process table, scheduler state —
-//! and [`MachineSnapshot::restore`] rewinds the same kernel to that
-//! point for the next seed. The memory half is copy-on-write in the
-//! simulation sense: the capture is one full copy, after which
-//! `tt_hw::mem` tracks dirty pages and restore copies back only what a
-//! run actually wrote (see `DESIGN.md` §12).
+//! [`Checkpoint`] freezes a kernel between scheduler ticks — staged and
+//! live protection registers, commit cache, process table, scheduler
+//! state, program state — together with the thread-local run context a
+//! run accumulates (cycle counter, injection and arrival-point progress,
+//! contract violations, trace length), and `Checkpoint::restore`
+//! rewinds the same kernel to that point for the next run.
+//!
+//! Memory is held once: the runner takes one full [`MemSnapshot`] after
+//! boot (the *base*), and each checkpoint stores only the RAM pages in
+//! which it may differ from the base ([`PageDelta`]). `tt_hw::mem` tracks
+//! dirty pages from then on, so a restore copies back what the run wrote
+//! plus the pages of the two checkpoints it moves between (see
+//! `DESIGN.md` §12).
 //!
 //! Restore also rewinds every piece of *thread-local* run state the
 //! drift audit found leaking between runs: the cycle counter (rewound to
 //! its capture value, so cycle-derived sensor readings replay), the
-//! trace ring (re-armed and re-seeded with the boot-trace prefix, so a
-//! restored run's trace is byte-identical to a fresh boot's), contract
-//! violations, stale §6.2 method records, the recording/current-pid
-//! flags, and any injection plan left armed by a previous run.
+//! trace ring (re-armed and re-seeded with the checkpoint's trace
+//! prefix, so a restored run's trace is byte-identical to a fresh
+//! boot's), contract violations, stale §6.2 method records, the
+//! recording/current-pid flags, and any injection plan or interrupt
+//! schedule left armed by a previous run.
 //!
 //! ## Restore invariants
 //!
-//! * The kernel passed to [`MachineSnapshot::restore`] must be the one
-//!   [`MachineSnapshot::capture`] ran on: hardware state is written back
-//!   through the kernel's existing `Rc` machine handles (the process
-//!   backends share them), and the dirty-page tracking armed at capture
-//!   lives in that kernel's memory. Snapshots are therefore per-thread
+//! * The kernel passed to `Checkpoint::restore` must be the one the
+//!   checkpoint was captured on: hardware state is written back through
+//!   the kernel's existing `Rc` machine handles (the process backends
+//!   share them), and the dirty-page tracking armed by the base snapshot
+//!   lives in that kernel's memory. Checkpoints are therefore per-thread
 //!   values — `Rc` keeps them `!Send` by construction.
-//! * Capture happens with no DMA transfer in flight (asserted): the DMA
-//!   cell and engine are rebuilt at boot state on restore.
+//! * The caller names the checkpoint the live state was last restored to
+//!   (its delta is part of what may differ), and passes the trace prefix
+//!   the checkpoint was captured after.
+//! * Capture happens between ticks, with no DMA transfer in flight
+//!   (asserted): the DMA cell and engine are rebuilt at boot state on
+//!   restore.
 //! * PMP locked entries are restored wholesale, bypassing the lock
 //!   semantics `write_cfg` enforces — exactly what a power cycle does on
 //!   real silicon, which is the event a restore models.
 
 use crate::capsules::{Capsules, PendingAlarm};
-use crate::kernel::{FaultPolicy, Kernel, Upcall};
+use crate::kernel::{App, FaultPolicy, Kernel, Upcall};
 use crate::machine::{CommitCacheSnapshot, MachineKind};
 use crate::process::Process;
 use tt_hw::cortexm::CortexMpu;
-use tt_hw::mem::MemSnapshot;
+use tt_hw::injection::Progress;
+use tt_hw::mem::{MemSnapshot, PageDelta};
 use tt_hw::riscv::RiscvPmp;
+use tt_hw::sched::ALL_ARRIVAL_POINTS;
 use tt_hw::trace::{self, TraceEvent};
 
-/// The protection-register half of a snapshot, matching the machine's
+/// The protection-register half of a checkpoint, matching the machine's
 /// architecture.
 #[derive(Debug, Clone)]
 enum HwSnapshot {
@@ -51,12 +65,13 @@ enum HwSnapshot {
     Pmp(RiscvPmp),
 }
 
-/// A frozen post-boot machine: everything [`MachineSnapshot::restore`]
-/// needs to rewind a [`Kernel`] (and the thread-local simulator state
-/// around it) to the capture point.
-#[derive(Debug)]
-pub struct MachineSnapshot {
-    mem: MemSnapshot,
+/// A frozen machine between two scheduler ticks: everything
+/// `Checkpoint::restore` needs to rewind a [`Kernel`] (and the
+/// thread-local simulator state around it) to the capture point, as if
+/// the run up to it had executed live.
+pub struct Checkpoint {
+    /// RAM pages that may differ from the base snapshot.
+    pub(crate) mem: PageDelta,
     hw: HwSnapshot,
     cache: CommitCacheSnapshot,
     processes: Vec<Process>,
@@ -66,7 +81,8 @@ pub struct MachineSnapshot {
     alarms: Vec<PendingAlarm>,
     console_input: Vec<(usize, Vec<u8>)>,
     // Kernel scheduler and accounting state.
-    ticks: u64,
+    /// Scheduler ticks completed at capture (0 = the post-boot base).
+    pub(crate) ticks: u64,
     fault_log: Vec<(usize, String)>,
     ipc_services: Vec<usize>,
     fault_policy: FaultPolicy,
@@ -81,44 +97,54 @@ pub struct MachineSnapshot {
     subscriptions: Vec<Vec<usize>>,
     ram_cursor: usize,
     ram_end: usize,
-    // Thread-local run context at capture.
-    boot_cycles: u64,
-    /// Events recorded up to capture (drained from the ring), replayed
-    /// on restore so restored traces are byte-identical to fresh boots.
-    boot_trace: Vec<TraceEvent>,
-    /// Ring capacity to re-arm on restore; `None` if tracing was off at
-    /// capture (restore then leaves tracing off).
-    trace_capacity: Option<usize>,
+    // Run context at capture.
+    /// Program state, cloned per restore; `None` = fresh programs (the
+    /// post-boot base, where no program has stepped yet).
+    apps: Option<Vec<Box<dyn App>>>,
+    /// Injection-engine progress under the plan the checkpoint was
+    /// captured with (the empty counting plan for clean checkpoints).
+    pub(crate) injection: Progress,
+    /// Arrival-point occurrence counts, captured with a trace-neutral
+    /// empty schedule armed.
+    pub(crate) sched_seen: [u32; ALL_ARRIVAL_POINTS.len()],
+    /// Contract violations since boot, boot included.
+    pub(crate) violations: Vec<String>,
+    cycles: u64,
+    /// Trace events recorded before the capture point (boot included).
+    pub(crate) trace_len: usize,
 }
 
-impl MachineSnapshot {
-    /// Captures the kernel's state after boot (typically: `Kernel::boot`
-    /// plus process loading, before any app work).
+impl Checkpoint {
+    /// Captures the live machine between two ticks. `from` is the delta
+    /// of the checkpoint the live state was last restored to (the empty
+    /// delta right after the base snapshot), `apps` the program state
+    /// (`None` before any program stepped), `violations` the run's
+    /// contract violations so far and `trace_len` its trace length.
+    /// Engine progress and the cycle counter are read from this thread.
     ///
-    /// If tracing is enabled, the events recorded so far are drained out
-    /// of the ring into the snapshot as the boot prefix — from the
-    /// caller's point of view the ring is empty afterwards, and every
-    /// run (including the first) starts with a [`Self::restore`] that
-    /// replays the prefix.
-    pub fn capture(kernel: &mut Kernel) -> Self {
+    /// Returns `None` when a program is not resumable
+    /// ([`App::clone_app`]): such runs always start from boot.
+    pub(crate) fn capture(
+        kernel: &Kernel,
+        from: &PageDelta,
+        apps: Option<&[Box<dyn App>]>,
+        violations: Vec<String>,
+        trace_len: usize,
+    ) -> Option<Self> {
         assert!(
             !kernel.capsules.dma_cell.busy(),
-            "cannot snapshot with a DMA transfer in flight"
+            "cannot checkpoint with a DMA transfer in flight"
         );
-        let (boot_trace, trace_capacity) = if trace::is_enabled() {
-            let cap = trace::capacity();
-            let t = trace::take();
-            assert_eq!(t.dropped, 0, "boot overflowed the trace ring");
-            (t.events, Some(cap))
-        } else {
-            (Vec::new(), None)
+        let apps = match apps {
+            Some(apps) => Some(apps.iter().map(|a| a.clone_app()).collect::<Option<_>>()?),
+            None => None,
         };
         let hw = match kernel.machine.kind() {
             MachineKind::CortexM(mpu) => HwSnapshot::CortexM(mpu.borrow().clone()),
             MachineKind::Pmp(pmp) => HwSnapshot::Pmp(pmp.borrow().clone()),
         };
-        Self {
-            mem: kernel.mem.snapshot(),
+        Some(Self {
+            mem: kernel.mem.capture_delta(from),
             hw,
             cache: kernel.machine.cache().snapshot(),
             processes: kernel.processes.clone(),
@@ -140,18 +166,32 @@ impl MachineSnapshot {
             subscriptions: kernel.subscriptions.clone(),
             ram_cursor: kernel.ram_cursor,
             ram_end: kernel.ram_end,
-            boot_cycles: tt_hw::cycles::now(),
-            boot_trace,
-            trace_capacity,
-        }
+            apps,
+            injection: tt_hw::injection::progress().unwrap_or_default(),
+            sched_seen: tt_hw::sched::seen_counts().unwrap_or_default(),
+            violations,
+            cycles: tt_hw::cycles::now(),
+            trace_len,
+        })
     }
 
     /// Rewinds `kernel` — and this thread's simulator context — to the
-    /// capture point. See the module docs for the restore invariants.
-    pub fn restore(&self, kernel: &mut Kernel) {
-        // Memory: dirty pages only (full copy if tracking was never
-        // armed on this instance).
-        kernel.mem.restore(&self.mem);
+    /// capture point, from a live state last restored to the checkpoint
+    /// whose delta is `from`; `base` is the post-boot memory snapshot and
+    /// `prefix` the trace the checkpoint was captured after, installed in
+    /// a ring of `trace_capacity` events. Returns the program state to
+    /// resume with (`None` = fresh programs). Both engines are left
+    /// disarmed. See the module docs for the restore invariants.
+    pub(crate) fn restore(
+        &self,
+        kernel: &mut Kernel,
+        base: &MemSnapshot,
+        from: &PageDelta,
+        prefix: &[TraceEvent],
+        trace_capacity: usize,
+    ) -> Option<Vec<Box<dyn App>>> {
+        debug_assert_eq!(prefix.len(), self.trace_len);
+        kernel.mem.restore_to(base, from, &self.mem);
         // Protection hardware, written back through the existing shared
         // handles so every process backend sees the restored registers.
         match (&self.hw, kernel.machine.kind()) {
@@ -161,7 +201,7 @@ impl MachineSnapshot {
             (HwSnapshot::Pmp(saved), MachineKind::Pmp(pmp)) => {
                 *pmp.borrow_mut() = saved.clone();
             }
-            _ => unreachable!("snapshot architecture does not match the kernel's machine"),
+            _ => unreachable!("checkpoint architecture does not match the kernel's machine"),
         }
         // Commit cache: key AND counters (drift audit: `reset_stats`
         // keeps the key and the counters accumulate across runs).
@@ -169,7 +209,7 @@ impl MachineSnapshot {
         // Process table: deep clones sharing the restored machine.
         kernel.processes.clear();
         kernel.processes.extend(self.processes.iter().cloned());
-        // Capsules: boot state, DMA rebuilt fresh.
+        // Capsules: captured state, DMA rebuilt fresh.
         kernel.capsules = Capsules::new();
         kernel.capsules.leds = self.leds.clone();
         kernel.capsules.alarms = self.alarms.clone();
@@ -192,7 +232,7 @@ impl MachineSnapshot {
         kernel.ram_end = self.ram_end;
         // Thread-local run context: drop anything a previous run (on
         // this pool worker) may have leaked, then rewind the clock and
-        // re-arm tracing with the boot prefix.
+        // re-arm tracing with the prefix.
         if tt_hw::injection::is_armed() {
             let _ = tt_hw::injection::disarm();
         }
@@ -202,26 +242,16 @@ impl MachineSnapshot {
         let _ = tt_contracts::take_violations();
         let _ = tt_hw::cycles::take_method_records();
         tt_contracts::simctx::reset_run_state();
-        tt_hw::cycles::set_now(self.boot_cycles);
-        match self.trace_capacity {
-            Some(cap) => {
-                // Zero-copy prefix replay: one memcpy behind the write
-                // cursor instead of a per-event `record` round-trip.
-                trace::enable(cap);
-                trace::install_prefix(&self.boot_trace);
-            }
-            None => trace::disable(),
-        }
-    }
-
-    /// Number of events in the captured boot-trace prefix.
-    pub fn boot_events(&self) -> usize {
-        self.boot_trace.len()
-    }
-
-    /// Bytes held by the memory copy (the dominant snapshot cost).
-    pub fn mem_bytes(&self) -> usize {
-        self.mem.bytes()
+        tt_hw::cycles::set_now(self.cycles);
+        // Zero-copy prefix replay: one memcpy behind the write cursor
+        // instead of a per-event `record` round-trip.
+        trace::enable(trace_capacity);
+        trace::install_prefix(prefix);
+        self.apps.as_ref().map(|apps| {
+            apps.iter()
+                .map(|a| a.clone_app().expect("captured apps are resumable"))
+                .collect()
+        })
     }
 }
 
@@ -231,6 +261,9 @@ mod tests {
     use crate::loader::flash_app;
     use crate::process::{Flavor, ProcessState};
     use tt_hw::platform::{ChipProfile, EARLGREY, NRF52840DK};
+
+    /// Trace ring capacity restores re-arm.
+    const CAP: usize = 65_536;
 
     fn boot_two(chip: &ChipProfile) -> Kernel {
         let mut k = Kernel::boot(Flavor::Granular, chip);
@@ -246,6 +279,20 @@ mod tests {
             k.load_process(&img).expect("load process");
         }
         k
+    }
+
+    /// The post-boot base and checkpoint of a booted kernel, with the
+    /// boot trace drained into the returned prefix.
+    fn capture_boot(k: &mut Kernel) -> (MemSnapshot, Checkpoint, Vec<TraceEvent>) {
+        let prefix = if trace::is_enabled() {
+            trace::take().events
+        } else {
+            Vec::new()
+        };
+        let base = k.mem.snapshot();
+        let boot = Checkpoint::capture(k, &PageDelta::default(), None, Vec::new(), prefix.len())
+            .expect("fresh programs are always resumable");
+        (base, boot, prefix)
     }
 
     /// Drives the kernel through state a run would dirty: syscalls, RAM
@@ -265,24 +312,32 @@ mod tests {
         for chip in [NRF52840DK, EARLGREY] {
             tt_hw::cycles::reset();
             let mut k = boot_two(&chip);
-            let snap = MachineSnapshot::capture(&mut k);
+            let (base, boot, prefix) = capture_boot(&mut k);
             let boot_states: Vec<ProcessState> =
                 k.processes.iter().map(|p| p.state.clone()).collect();
             let boot_break = k.processes[0].app_break();
+            let boot_word = k.mem.read_u32(k.processes[0].memory_start() + 64);
             dirty_the_kernel(&mut k);
             assert_ne!(k.processes[0].state, boot_states[0]);
-            snap.restore(&mut k);
+            assert!(boot
+                .restore(&mut k, &base, &boot.mem, &prefix, CAP)
+                .is_none());
             let got: Vec<ProcessState> = k.processes.iter().map(|p| p.state.clone()).collect();
             assert_eq!(got, boot_states, "{}", chip.name);
             assert_eq!(k.processes[0].app_break(), boot_break);
+            assert_eq!(
+                k.mem.read_u32(k.processes[0].memory_start() + 64),
+                boot_word
+            );
             assert_eq!(k.ticks, 0);
             assert!(k.fault_log.is_empty());
             assert_eq!(k.processes[1].console, "");
             assert_eq!(k.capsules.leds.toggles, 0);
             // The restored kernel runs again: same syscalls succeed.
             dirty_the_kernel(&mut k);
-            snap.restore(&mut k);
+            boot.restore(&mut k, &base, &boot.mem, &prefix, CAP);
             assert_eq!(k.ticks, 0);
+            trace::disable();
         }
     }
 
@@ -291,39 +346,44 @@ mod tests {
         tt_hw::cycles::reset();
         trace::enable(1024);
         let mut k = boot_two(&NRF52840DK);
-        let snap = MachineSnapshot::capture(&mut k);
-        assert!(snap.boot_events() > 0, "boot must have recorded events");
-        assert!(snap.mem_bytes() > 0);
+        let (base, boot, prefix) = capture_boot(&mut k);
+        assert!(!prefix.is_empty(), "boot must have recorded events");
         // Pollute everything restore claims to rewind.
         tt_hw::cycles::charge_n(tt_hw::cycles::Cost::Alu, 999);
         tt_hw::cycles::set_recording(true);
         tt_hw::cycles::record_method("stale", 1);
         trace::set_current_pid(7);
         tt_hw::injection::arm(tt_hw::injection::InjectionPlan::from_seed(1, 0));
-        snap.restore(&mut k);
+        tt_hw::sched::arm(tt_hw::sched::InterruptSchedule::empty());
+        boot.restore(&mut k, &base, &boot.mem, &prefix, CAP);
         assert!(!tt_hw::injection::is_armed());
-        assert_eq!(tt_hw::cycles::now(), snap.boot_cycles);
+        assert!(!tt_hw::sched::is_armed());
+        assert_eq!(tt_hw::cycles::now(), boot.cycles);
         assert!(tt_hw::cycles::take_method_records().is_empty());
         assert_eq!(trace::current_pid(), tt_hw::trace::NO_PID);
         // The ring holds exactly the boot prefix again.
         let t = trace::take();
-        assert_eq!(t.events, snap.boot_trace);
+        assert_eq!(t.events, prefix);
         trace::disable();
         tt_hw::cycles::set_recording(false);
     }
 
     /// A minimal app driving enough syscalls to move the commit cache.
+    #[derive(Clone)]
     struct Chatty {
         n: u32,
     }
-    impl crate::kernel::App for Chatty {
+    impl App for Chatty {
         fn name(&self) -> &'static str {
             "chatty"
+        }
+        fn clone_app(&self) -> Option<Box<dyn App>> {
+            Some(Box::new(self.clone()))
         }
         fn step(&mut self, k: &mut Kernel, pid: usize) -> crate::kernel::Step {
             self.n += 1;
             let _ = k.sys_print(pid, "x\r\n");
-            if self.n >= 4 {
+            if self.n >= 10 {
                 crate::kernel::Step::Exit
             } else {
                 crate::kernel::Step::Continue
@@ -331,22 +391,25 @@ mod tests {
         }
     }
 
+    fn chatty() -> Vec<Box<dyn App>> {
+        vec![Box::new(Chatty { n: 0 }), Box::new(Chatty { n: 0 })]
+    }
+
     #[test]
     fn commit_cache_and_counters_round_trip_through_restore() {
         tt_hw::cycles::reset();
         let mut k = boot_two(&NRF52840DK);
-        let snap = MachineSnapshot::capture(&mut k);
+        let (base, boot, prefix) = capture_boot(&mut k);
         let boot_cache = k.machine.cache().snapshot();
         // Run real work that moves the cache and the recovery counters.
-        let mut apps: Vec<Box<dyn crate::kernel::App>> =
-            vec![Box::new(Chatty { n: 0 }), Box::new(Chatty { n: 0 })];
-        k.run_with_factories(&mut apps, None, 50);
+        k.run_with_factories(&mut chatty(), None, 50);
         assert_ne!(k.machine.cache().snapshot(), boot_cache);
-        snap.restore(&mut k);
+        boot.restore(&mut k, &base, &boot.mem, &prefix, CAP);
         assert_eq!(k.machine.cache().snapshot(), boot_cache);
         assert!(k.restarts.iter().all(|&r| r == 0));
         assert!(k.recoveries.iter().all(|&r| r == 0));
         assert!(k.recovery_cycles.iter().all(|&c| c == 0));
+        trace::disable();
     }
 
     #[test]
@@ -356,17 +419,15 @@ mod tests {
         // values, whichever order a caller interleaves them in.
         tt_hw::cycles::reset();
         let mut k = boot_two(&NRF52840DK);
-        let snap = MachineSnapshot::capture(&mut k);
+        let (base, boot, prefix) = capture_boot(&mut k);
         let at_capture = (k.machine.cache().hits(), k.machine.cache().misses());
-        let mut apps: Vec<Box<dyn crate::kernel::App>> =
-            vec![Box::new(Chatty { n: 0 }), Box::new(Chatty { n: 0 })];
-        k.run_with_factories(&mut apps, None, 50);
+        k.run_with_factories(&mut chatty(), None, 50);
         k.machine.cache().reset_stats();
         assert_eq!(
             (k.machine.cache().hits(), k.machine.cache().misses()),
             (0, 0)
         );
-        snap.restore(&mut k);
+        boot.restore(&mut k, &base, &boot.mem, &prefix, CAP);
         assert_eq!(
             (k.machine.cache().hits(), k.machine.cache().misses()),
             at_capture,
@@ -375,10 +436,57 @@ mod tests {
         // And the other order: restore, then a stray reset, then another
         // restore still converges on the capture counters.
         k.machine.cache().reset_stats();
-        snap.restore(&mut k);
+        boot.restore(&mut k, &base, &boot.mem, &prefix, CAP);
         assert_eq!(
             (k.machine.cache().hits(), k.machine.cache().misses()),
             at_capture
         );
+        trace::disable();
+    }
+
+    #[test]
+    fn a_mid_run_checkpoint_resumes_its_programs_and_memory() {
+        // Checkpoint after tick 1, then switch tick 1 -> tick 1 -> boot
+        // around live runs: each restore lands on its capture point's
+        // programs, memory and tick count, and a resumed run replays the
+        // live run's remainder byte for byte.
+        tt_hw::cycles::reset();
+        trace::enable(1024);
+        let mut k = boot_two(&NRF52840DK);
+        let (base, boot, prefix) = capture_boot(&mut k);
+        let mut apps = boot
+            .restore(&mut k, &base, &boot.mem, &prefix, CAP)
+            .unwrap_or_else(chatty);
+        assert!(
+            !k.run_with_factories(&mut apps, None, 1),
+            "tick 1 does not end the run"
+        );
+        let len = trace::with_events(|h, t, _| h.len() + t.len());
+        let tick1 = Checkpoint::capture(&k, &boot.mem, Some(&apps), Vec::new(), len)
+            .expect("chatty apps are resumable");
+        let ms = k.processes[1].memory_start();
+        let word = k.mem.read_u32(ms + 64);
+        let finish = |k: &mut Kernel, mut apps: Vec<Box<dyn App>>| {
+            let _ = k.user_write_u32(1, ms + 64, 0x5555);
+            assert!(
+                k.run_with_factories(&mut apps, None, 50),
+                "the run ends on its own"
+            );
+            trace::take().events
+        };
+        let live = finish(&mut k, apps);
+        let events = &live[..len];
+        let apps = tick1.restore(&mut k, &base, &boot.mem, events, CAP);
+        assert_eq!((k.ticks, k.mem.read_u32(ms + 64)), (1, word));
+        assert_eq!(finish(&mut k, apps.expect("programs")), live);
+        let apps = tick1.restore(&mut k, &base, &tick1.mem, events, CAP);
+        assert_eq!(k.mem.read_u32(ms + 64), word);
+        assert_eq!(finish(&mut k, apps.expect("programs")), live);
+        assert!(boot
+            .restore(&mut k, &base, &tick1.mem, &prefix, CAP)
+            .is_none());
+        assert_eq!(k.ticks, 0);
+        assert_eq!(finish(&mut k, chatty()), live);
+        trace::disable();
     }
 }

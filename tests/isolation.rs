@@ -230,3 +230,41 @@ fn kernel_level_cross_process_isolation_on_both_flavors() {
         }
     }
 }
+
+/// `allow_ro` with a length that wraps the end address past `usize::MAX`
+/// must be refused, never stored: the flash-range fallback once computed
+/// `addr + len` unchecked, so the sum wrapped back into the process's
+/// own flash (a debug build panicked; a release build stored the
+/// wrapped buffer). Checked on every chip, for both kernels, with the
+/// buffer starting at the process's flash and at its RAM.
+#[test]
+fn wrapping_allow_ro_length_is_refused_on_every_chip() {
+    use ticktock_repro::hw::platform::ALL_CHIPS;
+    use ticktock_repro::kernel::loader::flash_app;
+    use ticktock_repro::kernel::process::Flavor;
+    use ticktock_repro::kernel::{ErrorCode, Kernel};
+    use ticktock_repro::legacy::BugVariant;
+
+    for chip in &ALL_CHIPS {
+        for flavor in [Flavor::Legacy(BugVariant::Fixed), Flavor::Granular] {
+            let mut kernel = Kernel::boot(flavor, chip);
+            let base = chip.map.flash.start + 0x4_0000;
+            let img = flash_app(&mut kernel.mem, base, "evil", 0x1000, 3000, 1024).unwrap();
+            let pid = kernel.load_process(&img).unwrap();
+            let flash = kernel.processes[pid].image.flash_start.as_usize();
+            let ram = kernel.processes[pid].memory_start();
+            for addr in [flash, ram] {
+                let len = usize::MAX - addr + 0x11;
+                assert_eq!(
+                    kernel.sys_allow_ro(pid, addr, len),
+                    Err(ErrorCode::Invalid),
+                    "{} {flavor:?}: allow_ro({addr:#x}, {len:#x}) accepted",
+                    chip.name
+                );
+                assert_eq!(kernel.processes[pid].allow_ro, None);
+            }
+            // The same buffer inside the process's flash is still fine.
+            assert_eq!(kernel.sys_allow_ro(pid, flash, 0x10), Ok(()));
+        }
+    }
+}
