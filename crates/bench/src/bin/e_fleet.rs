@@ -1,28 +1,30 @@
 //! Fleet campaign gate: snapshot/restore mass fault injection.
 //!
 //! Runs a `--runs N` (default 1000) fleet campaign across all chips on
-//! the snapshot/restore path — boot once per `(chip, cache-mode)` per
-//! worker, dirty-page restore per seed, resume from the tick-1
-//! checkpoint for every plan that doesn't fire inside tick 1 — with the
-//! bystander oracle and contract checks enabled on every run, and
-//! prints per-chip tallies, runs/sec and the measured reset costs.
+//! the snapshot/restore path — boot and capture the clean checkpoint
+//! ladder once per `(chip, cache-mode)` per worker, then resume each
+//! seed from the latest clean rung before its plan's first injection —
+//! with the bystander oracle and contract checks enabled on every run,
+//! and prints per-chip tallies, runs/sec and the measured reset costs.
 //!
 //! Seeds recorded in the failure corpus (`<--corpus>/failures.bin`)
 //! from a previous campaign are scheduled *first*, so known-bad inputs
 //! report in the opening seconds of a million-run job.
 //!
 //! With `--profile`, prints the per-phase (restore/run/collect/
-//! validate) p50/p99/mean table and capture amortization. The same
-//! breakdown always lands in the `--json` document.
+//! validate) p50/p99/mean table, capture amortization and the share of
+//! post-boot events the runs re-simulated. The same breakdown always
+//! lands in the `--json` document.
 //!
 //! With `--json [path]`, writes the `fleet` report (`BENCH_fleet.json`:
 //! `runs_per_sec`, `restore_speedup`, `midrun_restore_speedup`, the
 //! per-phase percentiles, per-chip tallies). With `--check [baseline]`,
 //! gates it (DESIGN §17): exits non-zero if any restored run is not
 //! byte-identical to its fresh-boot twin, if any campaign run fails the
-//! oracle, or if a measured figure misses its `fleet.*` floor in
+//! oracle, or if a measured figure misses its `fleet.*` bound in
 //! `ci/bench_baseline.json` (the serial throughput floor only for serial
-//! campaigns of 50k+ runs).
+//! campaigns of 50k+ runs; `resimulated_share` is an exact work count
+//! under a ceiling).
 //! With `--budget-ms N`, exits non-zero if the campaign wall-clock
 //! exceeded `N` milliseconds — the CI knob that keeps raising `--runs`
 //! toward 10^6 honest.

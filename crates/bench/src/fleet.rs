@@ -79,7 +79,7 @@ pub struct ResetCost {
     pub boot_us: f64,
     /// Mean cost of a snapshot restore (boot-trace replay included), µs.
     pub restore_us: f64,
-    /// Mean cost of a restore of the tick-1 checkpoint, µs.
+    /// Mean cost of a restore of the clean ladder's tick-1 rung, µs.
     pub midrun_us: f64,
     /// Mean cost of what the tick-1 restore replaces: a post-boot
     /// restore plus a live first scheduler tick, µs.
@@ -174,7 +174,8 @@ fn phase_stats(samples_ns: &mut [u64]) -> PhaseStats {
 
 /// Per-phase breakdown of where a fleet campaign's wall-clock went:
 /// restore / run / collect / validate percentiles, plus the
-/// snapshot-capture amortization and the mid-run hit rate.
+/// snapshot-capture amortization, the mid-run hit rate and the share of
+/// post-boot work the runs re-simulated.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FleetProfile {
     /// Snapshot restore + plan arming.
@@ -185,12 +186,33 @@ pub struct FleetProfile {
     pub collect: PhaseStats,
     /// Oracle validation against the reference.
     pub validate: PhaseStats,
-    /// Runs that resumed past boot, from the tick-1 checkpoint.
+    /// Runs that resumed past boot, from a clean-ladder rung.
     pub midrun_runs: u64,
+    /// Post-boot events the runs re-simulated, as a share of their
+    /// post-boot events, over all runs: an exact work count. 1.0 means
+    /// every run started at boot.
+    pub resimulated_share: f64,
+    /// [`FleetProfile::resimulated_share`] over the warm runs only.
+    pub warm_resimulated_share: f64,
+    /// [`FleetProfile::resimulated_share`] over the cold runs only.
+    pub cold_resimulated_share: f64,
     /// Fresh runner boots across all workers.
     pub boots: u64,
     /// Mean snapshot-capture cost amortized over every run, µs.
     pub capture_amortized_us: f64,
+}
+
+/// Post-boot events re-simulated over post-boot events, summed over
+/// `outcomes`: each run re-simulates its trace after the resumed rung's
+/// prefix, out of its trace after boot.
+fn resimulated_share<'a>(outcomes: impl Iterator<Item = &'a UnitOutcome>) -> f64 {
+    let (resimulated, post_boot) = outcomes.fold((0, 0), |(r, p), o| {
+        (
+            r + o.trace_len - o.resumed_events,
+            p + o.trace_len - o.boot_events,
+        )
+    });
+    resimulated as f64 / post_boot.max(1) as f64
 }
 
 /// Computes the [`FleetProfile`] from a campaign's outcomes.
@@ -207,6 +229,9 @@ pub fn profile(result: &FleetResult) -> FleetProfile {
         collect: phase_stats(&mut collect_ns),
         validate: phase_stats(&mut validate),
         midrun_runs: result.outcomes.iter().filter(|o| o.midrun).count() as u64,
+        resimulated_share: resimulated_share(result.outcomes.iter()),
+        warm_resimulated_share: resimulated_share(result.outcomes.iter().filter(|o| !o.cold)),
+        cold_resimulated_share: resimulated_share(result.outcomes.iter().filter(|o| o.cold)),
         boots: result.boots,
         capture_amortized_us: result.capture_ns as f64
             / 1e3
@@ -428,13 +453,17 @@ pub fn render_profile(result: &FleetResult, prof: &FleetProfile) -> String {
         "capture amortization: {:.2} us/run\n",
         prof.capture_amortized_us
     ));
+    out.push_str(&format!(
+        "resimulated share: {:.3} of post-boot events (warm {:.3}, cold {:.3})\n",
+        prof.resimulated_share, prof.warm_resimulated_share, prof.cold_resimulated_share
+    ));
     out
 }
 
 /// The `fleet` report: campaign counters, reset costs, the per-phase
-/// profile, and the three floors (`runs_per_sec`, `restore_speedup`,
-/// `midrun_restore_speedup`), with every restore-equivalence and oracle
-/// failure.
+/// profile, the three floors (`runs_per_sec`, `restore_speedup`,
+/// `midrun_restore_speedup`) and the `resimulated_share` ceiling, with
+/// every restore-equivalence and oracle failure.
 ///
 /// The serial throughput floor is skipped unless the campaign ran on one
 /// thread — the configuration its reference figure was measured in — and
@@ -458,6 +487,13 @@ pub fn metrics(
         ("fresh_boots", prof.boots as f64),
     ];
     r.infos("", "snapshot", "count", &snapshot);
+    let share = prof.resimulated_share;
+    r.add(Kind::Ceiling, "resimulated_share", "ladder", "share", share);
+    let shares = [
+        ("warm.resimulated_share", prof.warm_resimulated_share),
+        ("cold.resimulated_share", prof.cold_resimulated_share),
+    ];
+    r.infos("", "ladder", "share", &shares);
     let host = [("threads", result.threads as f64), ("cores", cores as f64)];
     r.infos("", WALL, "count", &host);
     r.info("wall_ms", WALL, "ms", result.wall_ms);
@@ -570,6 +606,7 @@ mod tests {
     const FLOORS: &str = r#"[
   {"metric": "fleet.restore_speedup", "kind": "floor", "bound": 20.0, "why": "restore"},
   {"metric": "fleet.midrun_restore_speedup", "kind": "floor", "bound": 1.5, "why": "midrun"},
+  {"metric": "fleet.resimulated_share", "kind": "ceiling", "bound": 0.75, "why": "ladder"},
   {"metric": "fleet.runs_per_sec", "kind": "floor", "bound": 1e15, "why": "unreachable"}
 ]"#;
 
@@ -623,9 +660,9 @@ mod tests {
             ..sample_cost()
         };
         assert!(!gate_fleet(&result, &slow_midrun, &[], FLOORS).passed());
-        // Floors missing from the baseline fail: a gated metric needs a bound.
+        // Bounds missing from the baseline fail: a gated metric needs one.
         let v = gate_fleet(&result, &slow, &[], "[]");
-        assert_eq!(v.violations.len(), 3, "{v:?}");
+        assert_eq!(v.violations.len(), 4, "{v:?}");
     }
 
     #[test]
@@ -692,6 +729,16 @@ mod tests {
         let table = render_profile(&result, &prof);
         assert!(table.contains("restore"), "{table}");
         assert!(table.contains("mid-run resumes"), "{table}");
+        // Runs resume past boot, so they re-simulate only part of the
+        // post-boot work, warm and cold alike.
+        for share in [
+            prof.resimulated_share,
+            prof.warm_resimulated_share,
+            prof.cold_resimulated_share,
+        ] {
+            assert!(share > 0.0 && share < 1.0, "{share}");
+        }
+        assert!(table.contains("resimulated share"), "{table}");
     }
 
     #[test]
@@ -762,6 +809,7 @@ mod tests {
         assert_eq!(value("restore_speedup"), 25.0);
         assert_eq!(value("midrun_restore_speedup"), 3.0);
         assert_eq!(value("midrun_runs"), prof.midrun_runs as f64);
+        assert_eq!(value("resimulated_share"), prof.resimulated_share);
         assert!(r.failures.is_empty());
         assert!(r.get("runs_per_sec").is_some());
         assert!(r.get("run.p99_us").is_some());

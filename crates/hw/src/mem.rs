@@ -132,9 +132,13 @@ const PAGE_SHIFT: u32 = SNAPSHOT_PAGE_SIZE.trailing_zeros();
 /// back only those pages, plus the pages of the checkpoints it moves
 /// between (and flash, only if it was reprogrammed), so resetting a run
 /// costs proportional to what the run touched, not to the chip's RAM
-/// size.
+/// size. Flash is copied only up to its programmed extent: everything
+/// above it is zero (see [`PhysicalMemory::program_flash`]).
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
+    /// The map the snapshot was taken on; restore refuses any other.
+    map: MemoryMap,
+    /// Flash up to the programmed extent at snapshot time.
     flash: Vec<u8>,
     ram: Vec<u8>,
 }
@@ -186,6 +190,10 @@ pub struct PhysicalMemory {
     ram_dirty: Vec<u64>,
     /// Whether flash was reprogrammed since tracking was armed.
     flash_dirty: bool,
+    /// Bytes from the start of flash to the end of the highest
+    /// programmed byte. Every flash byte at or above it is zero: flash
+    /// starts zeroed and only [`Self::program_flash`] writes it.
+    flash_extent: usize,
 }
 
 impl fmt::Debug for PhysicalMemory {
@@ -226,6 +234,7 @@ impl PhysicalMemory {
             ram: vec![0; map.ram.len()],
             ram_dirty: Vec::new(),
             flash_dirty: false,
+            flash_extent: 0,
         }
     }
 
@@ -244,8 +253,8 @@ impl PhysicalMemory {
         }
     }
 
-    /// Takes a full copy of flash and RAM and arms dirty-page tracking,
-    /// clearing any previously accumulated dirty state. Subsequent
+    /// Copies RAM and the programmed extent of flash and arms dirty-page
+    /// tracking, clearing any previously accumulated dirty state. Subsequent
     /// [`Self::restore_to`] calls copy back only the pages written since
     /// (and those of the checkpoints they move between).
     pub fn snapshot(&mut self) -> MemSnapshot {
@@ -253,7 +262,8 @@ impl PhysicalMemory {
         self.ram_dirty = vec![0; pages.div_ceil(64)];
         self.flash_dirty = false;
         MemSnapshot {
-            flash: self.flash.clone(),
+            map: self.map,
+            flash: self.flash[..self.flash_extent].to_vec(),
             ram: self.ram.clone(),
         }
     }
@@ -302,17 +312,20 @@ impl PhysicalMemory {
     /// last restored to `base + from`. Every page dirtied since, or held
     /// by either delta, is copied back: from `to` where it holds the
     /// page, from `base` otherwise. Flash is copied from `base` only
-    /// after a reprogram. The dirty state is cleared, so tracking
+    /// after a reprogram, and whatever was programmed above the base's
+    /// extent is zeroed again. The dirty state is cleared, so tracking
     /// continues for the next run; without tracking, everything is
     /// copied.
     ///
-    /// Panics if the snapshot's geometry does not match this memory.
+    /// Panics if the snapshot was taken on a different memory map.
     pub fn restore_to(&mut self, base: &MemSnapshot, from: &PageDelta, to: &PageDelta) {
-        assert_eq!(base.flash.len(), self.flash.len(), "flash size mismatch");
-        assert_eq!(base.ram.len(), self.ram.len(), "ram size mismatch");
+        assert_eq!(base.map, self.map, "snapshot from a different memory map");
         let tracked = !self.ram_dirty.is_empty();
         if !tracked || self.flash_dirty {
-            self.flash.copy_from_slice(&base.flash);
+            let extent = base.flash.len();
+            self.flash[..extent].copy_from_slice(&base.flash);
+            self.flash[extent..self.flash_extent.max(extent)].fill(0);
+            self.flash_extent = extent;
             self.flash_dirty = false;
         }
         if !tracked {
@@ -407,12 +420,14 @@ impl PhysicalMemory {
     }
 
     /// Programs flash contents (a load-time operation, e.g. flashing an app
-    /// image; not reachable from simulated user code).
+    /// image; not reachable from simulated user code). The only flash
+    /// writer: it raises the programmed extent snapshots copy up to.
     pub fn program_flash(&mut self, addr: usize, data: &[u8]) -> Result<(), UnmappedAccess> {
         let (seg, off) = self.slot(addr, data.len())?;
         match seg {
             Segment::Flash => {
                 self.flash[off..off + data.len()].copy_from_slice(data);
+                self.flash_extent = self.flash_extent.max(off + data.len());
                 if !self.ram_dirty.is_empty() {
                     self.flash_dirty = true;
                 }
@@ -728,6 +743,28 @@ mod tests {
         assert_eq!(mem.dirty_ram_pages(), 1);
         mem.restore_to(&snap, &PageDelta::default(), &PageDelta::default());
         assert_eq!(mem.read_u8(0x2000_0000).unwrap(), 0);
+        // The snapshot holds flash up to its programmed extent only; a
+        // program past it is zeroed again, with tracking on and without.
+        assert_eq!(snap.bytes(), 0x104 + 0x4_0000);
+        let past = 0x8_0000;
+        mem.program_flash(past, &[5; 8]).unwrap();
+        mem.restore_to(&snap, &PageDelta::default(), &PageDelta::default());
+        assert_eq!(mem.read_u32(past).unwrap(), 0);
+        assert_eq!(mem.read_u32(0x100).unwrap(), 0x0403_0201);
+        let mut untracked = PhysicalMemory::new(test_map());
+        untracked.program_flash(past, &[5; 8]).unwrap();
+        untracked.program_flash(0x100, &[9; 4]).unwrap();
+        untracked.restore_to(&snap, &PageDelta::default(), &PageDelta::default());
+        assert_eq!(untracked.read_u32(past).unwrap(), 0);
+        assert_eq!(untracked.read_u32(0x100).unwrap(), 0x0403_0201);
+        // A snapshot from a different map is refused.
+        let mut other_map = test_map();
+        other_map.ram = AddrRange::new(0x3000_0000, 0x3004_0000);
+        let mut other = PhysicalMemory::new(other_map);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            other.restore_to(&snap, &PageDelta::default(), &PageDelta::default())
+        }));
+        assert!(refused.is_err(), "restored a snapshot of another map");
     }
 
     #[test]

@@ -418,20 +418,29 @@ struct Ladder {
     /// The oracle's cursor offsets for each rung's trace prefix.
     skips: Vec<PrefixSkip>,
     /// The last reference `trace` was compared with: its id and the
-    /// number of leading raw events the two share.
+    /// number of leading raw events of `trace` whose observable
+    /// projection is a prefix of the reference's observable stream.
     shared: Cell<Option<(u64, usize)>>,
 }
 
 impl Ladder {
-    /// Rung `index`'s cursor offsets if its prefix is also `reference`'s
-    /// (no offsets otherwise). Restore installs prefixes of `trace`
-    /// only, so one compare per ladder and reference serves every run.
+    /// Rung `index`'s cursor offsets if its prefix projects onto a prefix
+    /// of `reference`'s observable stream (no offsets otherwise). Restore
+    /// installs prefixes of `trace` only, so one walk per ladder and
+    /// reference serves every run. Observable equality is what the walk
+    /// compares, so raw differences the projection drops (a cold
+    /// runner's `RegWrite`s against a warm reference) do not stop the
+    /// skip.
     fn skip(&self, index: usize, reference: &Reference) -> PrefixSkip {
         let shared = match self.shared.get() {
             Some((id, n)) if id == reference.id => n,
             _ => {
-                let pairs = self.trace.iter().zip(&reference.raw);
-                let n = pairs.take_while(|(a, b)| a == b).count();
+                let mut full = reference.full.iter();
+                let n = self
+                    .trace
+                    .iter()
+                    .take_while(|ev| observable_event(ev).is_none_or(|o| full.next() == Some(&o)))
+                    .count();
                 self.shared.set(Some((reference.id, n)));
                 n
             }
@@ -482,10 +491,9 @@ fn locate<'a>(
 /// boundaries, each holding its RAM as page deltas against one
 /// post-boot memory snapshot):
 ///
-/// - the *clean ladder*, captured under the empty counting plan: rung 0
-///   is the post-boot state and rung 1 the state after tick 1, captured
-///   at construction; a clean capture pass ([`FleetRunner::capture_ladder`]
-///   with no plan) adds one rung per later tick. A run resumes from the
+/// - the *clean ladder*, captured once, at construction, under the
+///   empty counting plan: rung 0 is the post-boot state and one rung
+///   follows per tick boundary of the clean run. A run resumes from the
 ///   latest clean rung before both its plan's first injection and its
 ///   schedule's first arrival ([`InjectionPlan::fires_within`],
 ///   [`InterruptSchedule::fires_within`]): up to there it is the clean
@@ -522,16 +530,17 @@ pub struct FleetRunner {
     seeded: Option<Ladder>,
     /// The rung the live machine was last restored to.
     at: RungId,
-    /// Wall-clock nanoseconds spent booting and capturing the first two
-    /// rungs, for the profiler's amortization line.
+    /// Wall-clock nanoseconds spent booting and capturing the clean
+    /// ladder, for the profiler's amortization line.
     capture_ns: u64,
 }
 
 impl FleetRunner {
     /// Boots the campaign kernel on `chip`, checkpoints the post-boot
-    /// state, then runs one scheduler tick and checkpoints it. The boot
-    /// executes under [`Mode::Observe`] with tracing enabled, exactly
-    /// like [`run_one`]'s prelude.
+    /// state, then runs the clean run to its end, checkpointing every
+    /// tick boundary: the clean ladder. The boot executes under
+    /// [`Mode::Observe`] with tracing enabled, exactly like [`run_one`]'s
+    /// prelude.
     pub fn new(chip: &ChipProfile) -> Self {
         Self::with_scenario(chip, boot_campaign_kernel, &CAMPAIGN_FACTORIES)
     }
@@ -583,7 +592,7 @@ impl FleetRunner {
             at: RungId::BOOT,
             capture_ns: 0,
         };
-        runner.capture(None, 1);
+        runner.capture(None);
         runner.capture_ns = t0.elapsed().as_nanos() as u64;
         runner
     }
@@ -602,7 +611,7 @@ impl FleetRunner {
     }
 
     /// Wall-clock nanoseconds this runner spent booting and capturing
-    /// its first two rungs (amortized over every run it serves).
+    /// its clean ladder (amortized over every run it serves).
     pub fn capture_ns(&self) -> u64 {
         self.capture_ns
     }
@@ -659,30 +668,22 @@ impl FleetRunner {
         apps.unwrap_or_else(|| self.factories.iter().map(|mk| mk()).collect())
     }
 
-    /// The capture pass: resumes `plan`'s run (`None` = clean) and runs
-    /// it one tick at a time through tick `until`, capturing a rung at
-    /// every tick boundary the run loop reaches without ending on its
-    /// own. A clean pass resumes from the tick-1 rung (the post-boot one
-    /// at construction) and replaces every later clean rung; a pass
-    /// under a plan resumes from the latest clean rung eligible for it
-    /// and its rungs replace the seeded ladder. Both engines are armed
-    /// as in a run — the plan (or the empty counting plan) and an empty
-    /// schedule, each trace-neutral until it fires — so the rungs carry
-    /// the occurrence counts a resumed run replays. Returns the pass's
-    /// drained record, identical to [`FleetRunner::run_plan`]'s when the
-    /// pass runs to the end, the ladder's height under `plan` (every
-    /// clean rung up to the start is eligible for it too: occurrence
-    /// counts only grow), and the nanoseconds spent capturing.
-    fn capture(&mut self, plan: Option<InjectionPlan>, until: u64) -> (RunRecord, usize, u64) {
-        let start = match plan {
-            Some(_) => self.latest_clean(plan.as_ref(), None),
-            None => RungId::clean(1.min(self.clean.rungs.len() - 1)),
-        };
+    /// The capture pass: resumes `plan`'s run (`None` = clean) from the
+    /// latest clean rung eligible for it and runs it to the end one tick
+    /// at a time, capturing a rung at every tick boundary the run loop
+    /// reaches without ending on its own. The clean pass runs once, at
+    /// construction, from the post-boot rung, and its rungs extend the
+    /// clean ladder; a pass under a plan replaces the seeded ladder. Both
+    /// engines are armed as in a run — the plan (or the empty counting
+    /// plan) and an empty schedule, each trace-neutral until it fires —
+    /// so the rungs carry the occurrence counts a resumed run replays.
+    /// Returns the pass's drained record, identical to
+    /// [`FleetRunner::run_plan`]'s, the ladder's height under `plan`
+    /// (every clean rung up to the start is eligible for it too:
+    /// occurrence counts only grow), and the nanoseconds spent capturing.
+    fn capture(&mut self, plan: Option<InjectionPlan>) -> (RunRecord, usize, u64) {
+        let start = self.latest_clean(plan.as_ref(), None);
         let mut apps = self.restore_to(start);
-        if plan.is_none() {
-            self.clean.rungs.truncate(start.index + 1);
-            self.clean.skips.truncate(start.index + 1);
-        }
         let from = &self.clean.rungs[start.index];
         let from_skip = self.clean.skips[start.index];
         let counting = plan.clone().unwrap_or(InjectionPlan {
@@ -695,7 +696,7 @@ impl FleetRunner {
         let mut violations = from.violations.clone();
         let (mut rungs, mut capture_ns, mut resumable) = (Vec::new(), 0, true);
         with_mode(Mode::Observe, || {
-            while self.kernel.ticks < until
+            while self.kernel.ticks < MAX_TICKS
                 && !self.kernel.run_with_factories(
                     &mut apps,
                     Some(self.factories),
@@ -761,16 +762,21 @@ impl FleetRunner {
         (record, height, capture_ns)
     }
 
-    /// Runs `plan`'s baseline (`None` = the clean run) to completion,
-    /// capturing a checkpoint rung at every tick boundary it passes, and
-    /// returns its drained record — identical to
+    /// Runs `plan`'s baseline (`None` = the clean run) to completion
+    /// and returns its drained record — identical to
     /// [`FleetRunner::run_plan`]'s — with the ladder's height under
     /// `plan` (the rungs a run under it may resume from, post-boot
-    /// included) and the nanoseconds the captures took. Later runs under
-    /// the same plan resume from the latest rung before their first
-    /// interrupt arrival.
+    /// included) and the nanoseconds spent capturing rungs. Under a plan
+    /// the run is a capture pass with a rung at every tick boundary it
+    /// passes; later runs under the same plan resume from the latest
+    /// rung before their first interrupt arrival. The clean ladder was
+    /// captured at construction, so the clean baseline is the clean run
+    /// resumed from its top rung, and captures nothing.
     pub fn capture_ladder(&mut self, plan: Option<InjectionPlan>) -> (RunRecord, usize, u64) {
-        self.capture(plan, MAX_TICKS)
+        match plan {
+            Some(plan) => self.capture(Some(plan)),
+            None => (self.run_plan(None), self.clean.rungs.len(), 0),
+        }
     }
 
     /// Resumes the best eligible rung and executes one run with `plan`
@@ -922,9 +928,10 @@ pub struct CaptureStats {
 }
 
 /// A worker-local cache of booted [`FleetRunner`]s over a chip slice,
-/// one slot per `(chip, cache-mode)`. A runner is built the first time
-/// its worker draws work for the slot, then reused — every later run on
-/// the slot is a restore, not a boot. The campaign, the explore sweep
+/// one slot per `(chip, cache-mode)`. A runner is built — boot plus its
+/// one clean capture pass — the first time its worker draws work for
+/// the slot, then reused: every later run on the slot is a restore of a
+/// clean-ladder rung, not a boot. The campaign, the explore sweep
 /// and the schedule-corpus replay each build one per worker via
 /// [`pool::run_indexed_ctx`].
 pub struct RunnerSlots<'a> {
@@ -1025,7 +1032,7 @@ pub struct StreamVerdict {
 /// only where the reference's raw trace starts with the same prefix
 /// ([`Ladder::skip`]); a run whose prefix differs is walked from the
 /// start, so every verdict stays exact.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PrefixSkip {
     /// Raw events in the installed prefix.
     raw: usize,
@@ -1439,6 +1446,13 @@ pub struct UnitOutcome {
     pub validate_ns: u64,
     /// Whether the run resumed past boot, from a ladder rung.
     pub midrun: bool,
+    /// Trace events of the runner's boot: the part of every run that no
+    /// run re-simulates.
+    pub boot_events: usize,
+    /// Trace events in the resumed rung's prefix
+    /// ([`RunPhases::resumed_events`]): `trace_len - resumed_events`
+    /// events were re-simulated.
+    pub resumed_events: usize,
 }
 
 fn run_unit(
@@ -1449,8 +1463,9 @@ fn run_unit(
 ) -> UnitOutcome {
     let (c, seed, cold) = unit;
     let plan = InjectionPlan::from_seed(seed, VICTIM as u32);
-    let (run, phases) = slots.with(c, cold, |runner| {
-        runner.run(Some(plan), None, Some(reference))
+    let (run, phases, boot_events) = slots.with(c, cold, |runner| {
+        let (run, phases) = runner.run(Some(plan), None, Some(reference));
+        (run, phases, runner.boot_events())
     });
     let t0 = Instant::now();
     let streams = run.oracle.as_ref().expect("the run body checked the run");
@@ -1474,6 +1489,8 @@ fn run_unit(
         collect_ns: phases.collect_ns,
         validate_ns,
         midrun: phases.midrun,
+        boot_events,
+        resumed_events: phases.resumed_events,
     }
 }
 
@@ -1872,11 +1889,11 @@ mod tests {
     #[test]
     fn midrun_and_fallback_runs_interleave_byte_identically() {
         // Alternating restore targets on one runner exercises the page
-        // delta merge both ways: a tick-1 restore followed by a
+        // delta merge both ways: a mid-run restore followed by a
         // post-boot restore (and back) must not leave pages from the
         // other rung behind. Seeds are picked so one plan fires inside
         // the first tick (forcing the post-boot fallback) and one does
-        // not (resuming the tick-1 rung).
+        // not (resuming a later clean rung).
         let plan = |seed: u64| InjectionPlan::from_seed(seed, VICTIM as u32);
         for chip in [&NRF52840DK, &HIFIVE1] {
             let mut runner = FleetRunner::new(chip);
@@ -2192,11 +2209,10 @@ mod ladder_tests {
     use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
 
     /// One representative of `(chip, seed)`'s baseline, run from the
-    /// latest ladder rung before its arrival and from the post-boot or
-    /// tick-1 checkpoint of a runner with no ladder: the drained records
-    /// must be identical in every field, and the in-place oracle verdict
-    /// of the laddered run must equal the drained run's walk. Returns the
-    /// rung prefix the laddered run resumed after.
+    /// latest ladder rung before its arrival and from a fresh boot: the
+    /// drained records must be identical in every field, and the
+    /// in-place oracle verdict of the laddered run must equal the fresh
+    /// run's walk. Returns the rung prefix the laddered run resumed after.
     fn assert_rung_equivalent(
         chip: &ChipProfile,
         seed: Option<u64>,
@@ -2206,28 +2222,26 @@ mod ladder_tests {
         let body = || {
             let plan = seed.map(|s| InjectionPlan::from_seed(s, VICTIM as u32));
             let mut laddered = FleetRunner::new(chip);
-            let mut plain = FleetRunner::new(chip);
             let (baseline, rungs, _) = laddered.capture_ladder(plan.clone());
             assert!(
-                rungs > 0,
+                rungs > 1,
                 "{}: the baseline passed no tick boundary",
                 chip.name
             );
             let ctx = format!("{} seed {seed:?} cold {cold}", chip.name);
-            let plain_baseline = plain.run_plan(plan.clone());
             assert_eq!(
-                record_difference(&plain_baseline, &baseline),
+                record_difference(&run_one(chip, seed), &baseline),
                 None,
                 "{ctx}: baseline"
             );
-            let candidates = enumerate_candidates(&baseline.trace.events, plain.boot_events());
+            let candidates = enumerate_candidates(&baseline.trace.events, laddered.boot_events());
             let classes = commuting_classes(&baseline.trace.events, &candidates);
             let schedule = classes[pick % classes.len()][0].schedule();
             let ctx = format!("{ctx} schedule {:#x}", schedule.id());
-            let from_snapshot = plain.run_scheduled(plan.clone(), &schedule);
+            let fresh = run_one_scheduled(chip, seed, Some(&schedule));
             let from_rung = laddered.run_scheduled(plan.clone(), &schedule);
-            assert_eq!(record_difference(&from_snapshot, &from_rung), None, "{ctx}");
-            let reference = bystander_reference(&plain.run_plan(None));
+            assert_eq!(record_difference(&fresh, &from_rung), None, "{ctx}");
+            let reference = bystander_reference(&run_one(chip, None));
             let (checked, phases) = laddered.run(plan, Some(&schedule), Some(&reference));
             assert!(
                 checked.trace.events.is_empty(),
@@ -2235,7 +2249,7 @@ mod ladder_tests {
             );
             assert_eq!(
                 checked.oracle,
-                Some(reference.walk_record(&from_snapshot)),
+                Some(reference.walk_record(&fresh)),
                 "{ctx}: in-place verdict"
             );
             phases.resumed_events
@@ -2257,7 +2271,7 @@ mod ladder_tests {
                 }
             }
             // The ladder is exercised: some representative resumed past
-            // the tick-1 rung the plain runner also has.
+            // the tick-1 rung.
             let tick1 = FleetRunner::new(chip).clean.rungs[1].trace_len;
             assert!(
                 resumed.iter().any(|&r| r > tick1),
@@ -2340,34 +2354,33 @@ mod ladder_tests {
     fn a_stale_ladder_is_never_resumed_by_another_plan() {
         // A ladder captured for seed 3, then runs under seed 4 and under
         // no plan: neither may resume a seed-3 rung, and each must equal
-        // the run from a runner that never captured a ladder.
+        // the fresh-boot run.
         let chip = &NRF52840DK;
-        let plan = |seed: u64| Some(InjectionPlan::from_seed(seed, VICTIM as u32));
+        let plan = |seed: Option<u64>| seed.map(|s| InjectionPlan::from_seed(s, VICTIM as u32));
         let mut laddered = FleetRunner::new(chip);
-        let mut plain = FleetRunner::new(chip);
-        let (seed3, _, _) = laddered.capture_ladder(plan(3));
+        let (seed3, _, _) = laddered.capture_ladder(plan(Some(3)));
         let candidates = enumerate_candidates(&seed3.trace.events, laddered.boot_events());
-        for other in [plan(4), None] {
+        for other in [Some(4), None] {
             for c in [
                 candidates[3],
                 candidates[candidates.len() / 2],
                 candidates[candidates.len() - 1],
             ] {
                 let schedule = c.schedule();
-                let stale = laddered.run_scheduled(other.clone(), &schedule);
+                let stale = laddered.run_scheduled(plan(other), &schedule);
                 assert!(
                     !laddered.at.seeded,
                     "{other:?} {c:?} resumed the seed-3 ladder"
                 );
-                let fresh = plain.run_scheduled(other.clone(), &schedule);
+                let fresh = run_one_scheduled(chip, other, Some(&schedule));
                 assert_eq!(record_difference(&fresh, &stale), None, "{other:?} {c:?}");
             }
         }
         // And the seed-3 ladder still serves seed 3 afterwards.
         let schedule = candidates[candidates.len() - 1].schedule();
-        let (run, _) = laddered.run(plan(3), Some(&schedule), None);
+        let (run, _) = laddered.run(plan(Some(3)), Some(&schedule), None);
         assert!(laddered.at.seeded, "seed 3 should resume its own ladder");
-        let fresh = plain.run_scheduled(plan(3), &schedule);
+        let fresh = run_one_scheduled(chip, Some(3), Some(&schedule));
         assert_eq!(record_difference(&fresh, &run), None);
     }
 
@@ -2400,40 +2413,58 @@ mod ladder_tests {
         Box::new(Yielder { steps: 0 })
     }
 
+    /// The clean run from the post-boot rung, run live and drained:
+    /// what a run resumed from any clean rung must equal.
+    fn clean_run_from_boot(runner: &mut FleetRunner) -> RunRecord {
+        let mut apps = runner.restore_to(RungId::BOOT);
+        with_mode(Mode::Observe, || {
+            runner
+                .kernel
+                .run_with_factories(&mut apps, Some(runner.factories), MAX_TICKS)
+        });
+        let drained = trace::take();
+        trace::disable();
+        let violations = runner.clean.rungs[0].violations.clone();
+        collect_record(&runner.kernel, None, 0, 0, violations, drained)
+    }
+
     #[test]
     fn a_chunked_capture_never_runs_past_the_loops_own_end() {
-        // The capture pass runs one tick per call; after the loop ends on
-        // its own (all done, or the idle exit) it must capture no rung and
-        // run no further tick, and a run resumed from the last rung must
-        // end exactly where the run from the snapshot ends.
+        // The construction pass runs one tick per call; after the loop
+        // ends on its own (all done, or the idle exit) it must capture no
+        // rung and run no further tick, and a run resumed from the top
+        // rung must end exactly where the run from boot ends.
         const YIELDERS: [crate::kernel::AppFactory; 3] = [mk_yielder, mk_yielder, mk_yielder];
         let idle =
             |chip: &ChipProfile| FleetRunner::with_scenario(chip, boot_campaign_kernel, &YIELDERS);
         let scenarios: [fn(&ChipProfile) -> FleetRunner; 3] =
             [FleetRunner::new, planted::runner, idle];
+        let idle_exits = |events: &[TraceEvent]| {
+            events
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::IdleExit))
+                .count()
+        };
         for make in scenarios {
-            let (mut laddered, mut plain) = (make(&NRF52840DK), make(&NRF52840DK));
-            let (baseline, _, _) = laddered.capture_ladder(None);
-            let end = laddered.kernel.ticks;
-            let last = laddered.clean.rungs.last().expect("rungs").ticks;
+            let mut runner = make(&NRF52840DK);
+            // The construction pass left the machine where the run ended.
+            let end = runner.kernel.ticks;
+            let last = runner.clean.rungs.last().expect("rungs").ticks;
             assert!(
                 last < end,
                 "a rung at tick {last} of a run that ended at {end}"
             );
-            let idle_exits = |events: &[TraceEvent]| {
-                events
-                    .iter()
-                    .filter(|e| matches!(e, TraceEvent::IdleExit))
-                    .count()
-            };
-            assert!(idle_exits(&baseline.trace.events) <= 1);
-            let resumed = laddered.run_plan(None);
-            assert_eq!(laddered.at, RungId::clean(laddered.clean.rungs.len() - 1));
+            let resumed = runner.run_plan(None);
+            assert_eq!(runner.at, RungId::clean(runner.clean.rungs.len() - 1));
             assert_eq!(
-                laddered.kernel.ticks, end,
+                runner.kernel.ticks, end,
                 "the resumed run ran an extra tick"
             );
-            assert_eq!(record_difference(&plain.run_plan(None), &resumed), None);
+            assert!(idle_exits(&resumed.trace.events) <= 1);
+            let from_boot = clean_run_from_boot(&mut runner);
+            assert_eq!(runner.kernel.ticks, end);
+            assert_eq!(record_difference(&from_boot, &resumed), None);
+            assert_eq!(resumed.trace.events, runner.clean.trace);
         }
         // The idle scenario really ends on the idle exit.
         let mut runner = idle(&NRF52840DK);
@@ -2442,15 +2473,140 @@ mod ladder_tests {
     }
 
     #[test]
-    fn planted_bug_is_minimised_to_its_commit_and_replays_without_a_ladder() {
+    fn fleet_runs_resume_deep_rungs_and_match_fresh_boots_on_every_chip() {
+        // Campaign seeds resume from the latest clean rung before their
+        // first injection, which for some seeds is well past tick 1, and
+        // every such run equals its fresh boot in every field.
+        for chip in &ALL_CHIPS {
+            let mut deepest = 0;
+            for cold in [false, true] {
+                let body = || {
+                    let mut runner = FleetRunner::new(chip);
+                    let mut deepest = 0;
+                    for seed in 0..64 {
+                        let fresh = run_one(chip, Some(seed));
+                        let resumed = runner.run_seed(Some(seed));
+                        assert_eq!(
+                            record_difference(&fresh, &resumed),
+                            None,
+                            "{} seed {seed} cold {cold} from {:?}",
+                            chip.name,
+                            runner.at
+                        );
+                        deepest = deepest.max(runner.at.index);
+                        trace::recycle(fresh.trace);
+                        trace::recycle(resumed.trace);
+                    }
+                    deepest
+                };
+                deepest = deepest.max(match cold {
+                    true => tt_hw::commit_cache::with_disabled(body),
+                    false => body(),
+                });
+            }
+            assert!(deepest >= 2, "{}: deepest rung {deepest}", chip.name);
+        }
+    }
+
+    #[test]
+    fn cold_rungs_skip_the_warm_references_observable_prefix() {
+        // A cold runner's prefix differs from the warm fresh-boot
+        // reference in raw `RegWrite`s but not observably, so its rungs
+        // keep their cursor offsets; the in-place verdict still equals
+        // the walk of the drained run.
+        for chip in &ALL_CHIPS {
+            let (_, reference) = chip_reference(chip);
+            tt_hw::commit_cache::with_disabled(|| {
+                let mut runner = FleetRunner::new(chip);
+                let top = runner.clean.rungs.len() - 1;
+                let len = runner.clean.rungs[top].trace_len;
+                assert_ne!(
+                    runner.clean.trace[..len],
+                    reference.raw[..len.min(reference.raw.len())],
+                    "{}: the cold prefix is raw-equal to the warm one",
+                    chip.name
+                );
+                let skip = runner.clean.skip(top, &reference);
+                assert_ne!(skip, PrefixSkip::default(), "{}", chip.name);
+                assert_eq!(skip, runner.clean.skips[top], "{}", chip.name);
+                let mut skipped = 0;
+                for seed in 0..16 {
+                    let plan = InjectionPlan::from_seed(seed, VICTIM as u32);
+                    let (checked, _) = runner.run(Some(plan), None, Some(&reference));
+                    let at = runner.at.index;
+                    skipped += usize::from(runner.clean.skip(at, &reference).raw > 0);
+                    let drained = runner.run_seed(Some(seed));
+                    assert_eq!(
+                        checked.oracle,
+                        Some(reference.walk_record(&drained)),
+                        "{} seed {seed}",
+                        chip.name
+                    );
+                    trace::recycle(drained.trace);
+                }
+                assert!(skipped > 0, "{}: no run skipped its prefix", chip.name);
+            });
+        }
+    }
+
+    /// Asserts `ladder`'s rungs keep their cursor offsets against
+    /// `reference` up to the first observable divergence of its trace and
+    /// get none past it. Returns how many rungs kept and lost them.
+    fn skips_stop_at_the_divergence(ladder: &Ladder, reference: &Reference) -> (usize, usize) {
+        let observable = normalize(&ladder.trace, TraceScope::Observable);
+        let shared = observable
+            .iter()
+            .zip(&reference.full)
+            .take_while(|(a, b)| a == b)
+            .count();
+        let (mut kept, mut past) = (0, 0);
+        for (i, &own) in ladder.skips.iter().enumerate() {
+            let skip = ladder.skip(i, reference);
+            if own.full > shared {
+                past += 1;
+                assert_eq!(skip, PrefixSkip::default(), "rung {i}");
+            } else {
+                kept += 1;
+                assert_eq!(skip, own, "rung {i}");
+            }
+        }
+        (kept, past)
+    }
+
+    #[test]
+    fn a_ladder_diverging_observably_from_the_reference_skips_nothing_past_it() {
+        // The planted-bug scenario's ladder against the correct campaign
+        // kernel's reference: the two share the boot, then their
+        // workloads differ, so only the post-boot rung keeps its offsets.
+        let chip = &NRF52840DK;
+        let (_, reference) = chip_reference(chip);
+        let planted = planted::runner(chip);
+        let (kept, past) = skips_stop_at_the_divergence(&planted.clean, &reference);
+        assert_eq!(kept, 1, "only the boot prefix is shared");
+        assert!(past > 0);
+        // A seeded ladder whose injection changes the observable stream
+        // mid-run: rungs before the divergence keep their offsets, every
+        // rung after it loses them.
+        let mut runner = FleetRunner::new(chip);
+        let split = (0..64).find(|&seed| {
+            runner.capture_ladder(Some(InjectionPlan::from_seed(seed, VICTIM as u32)));
+            let seeded = runner.seeded.as_ref().expect("seeded ladder");
+            let (kept, past) = skips_stop_at_the_divergence(seeded, &reference);
+            kept > 0 && past > 0
+        });
+        assert!(split.is_some(), "no seed diverges mid-ladder");
+    }
+
+    #[test]
+    fn planted_bug_is_minimised_to_its_commit_and_replays_drained() {
         let mut runner = planted::runner(&NRF52840DK);
         let outcome = explore(&mut runner, None, None);
         let finding = outcome.findings.first().expect("the planted bug is found");
         assert_eq!(finding.minimized, 0x6005, "{finding:#?}");
-        assert!(outcome.rungs > 0);
-        // A fresh runner has only its post-boot and tick-1 rungs: the
-        // drained replay fails with exactly the in-place finding's lines
-        // for the representative, and fails for the minimised ID.
+        assert!(outcome.rungs > 1);
+        // A fresh runner has its clean ladder only: the drained replay
+        // fails with exactly the in-place finding's lines for the
+        // representative, and fails for the minimised ID.
         let mut fresh = planted::runner(&NRF52840DK);
         let reference = bystander_reference(&fresh.run_plan(None));
         let schedule = InterruptSchedule::from_id(finding.schedule);

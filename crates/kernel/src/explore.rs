@@ -313,7 +313,9 @@ pub struct ExploreOutcome {
     /// Checkpoint rungs the representatives could resume from: the
     /// ladder's height under the unit's plan, post-boot rung included.
     pub rungs: usize,
-    /// Wall-clock nanoseconds the baseline pass spent capturing rungs.
+    /// Wall-clock nanoseconds the baseline pass spent capturing rungs
+    /// (zero for the clean baseline: the runner captured its ladder when
+    /// it was built).
     pub capture_ns: u64,
     /// Post-boot events of the baseline run.
     pub baseline_events: usize,
@@ -364,12 +366,13 @@ pub fn bystander_reference(run: &RunRecord) -> Reference {
 }
 
 /// Explores every interrupt-arrival class of `(runner's scenario,
-/// seed)`: runs the baseline once, capturing a checkpoint rung at every
-/// tick boundary, enumerates candidates, prunes commuting classes, and
-/// executes one representative per class from the latest rung before
-/// its arrival, checking it in place against the reference (the ring
-/// is never drained). Failing schedules are shrunk to 1-minimal repros
-/// through the same run body.
+/// seed)`: runs the baseline once — an injected one as a capture pass
+/// with a checkpoint rung at every tick boundary, the clean one from the
+/// top of the clean ladder the runner already holds — enumerates
+/// candidates, prunes commuting classes, and executes one representative
+/// per class from the latest rung before its arrival, checking it in
+/// place against the reference (the ring is never drained). Failing
+/// schedules are shrunk to 1-minimal repros through the same run body.
 ///
 /// `cap` bounds the number of representatives executed (wall-clock
 /// budget for CI); hitting it sets [`ExploreOutcome::truncated`].

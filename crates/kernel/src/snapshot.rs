@@ -10,12 +10,12 @@
 //! contract violations, trace length), and `Checkpoint::restore`
 //! rewinds the same kernel to that point for the next run.
 //!
-//! Memory is held once: the runner takes one full [`MemSnapshot`] after
-//! boot (the *base*), and each checkpoint stores only the RAM pages in
-//! which it may differ from the base ([`PageDelta`]). `tt_hw::mem` tracks
-//! dirty pages from then on, so a restore copies back what the run wrote
-//! plus the pages of the two checkpoints it moves between (see
-//! `DESIGN.md` §12).
+//! Memory is held once: the runner takes one [`MemSnapshot`] after boot
+//! (the *base*: RAM and the programmed part of flash), and each
+//! checkpoint stores only the RAM pages in which it may differ from the
+//! base ([`PageDelta`]). `tt_hw::mem` tracks dirty pages from then on,
+//! so a restore copies back what the run wrote plus the pages of the two
+//! checkpoints it moves between (see `DESIGN.md` §12).
 //!
 //! Restore also rewinds every piece of *thread-local* run state the
 //! drift audit found leaking between runs: the cycle counter (rewound to
