@@ -120,9 +120,14 @@ fn registry_signature(registry: &Registry) -> u64 {
     h.finish()
 }
 
+/// Milliseconds since `t0`.
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1000.0
+}
+
 /// Runs the selected passes over pre-scanned files (no caching).
 pub fn run_passes(files: &[ScannedFile], config: &AuditConfig, passes: &[Pass]) -> Vec<Finding> {
-    let mut findings = run_cacheable_passes(files, config, passes);
+    let mut findings = run_cacheable_passes(files, config, passes, &mut Vec::new());
     if passes.contains(&Pass::Staleness) {
         findings.extend(staleness::audit(files, config));
     }
@@ -157,9 +162,13 @@ fn run_inner(
 ) -> AuditReport {
     let start = Instant::now();
     let files = load_workspace(root);
+    let mut pass_ms = Vec::new();
 
     let (mut findings, cache_stats) = match cache {
-        None => (run_cacheable_passes(&files, config, passes), None),
+        None => (
+            run_cacheable_passes(&files, config, passes, &mut pass_ms),
+            None,
+        ),
         Some((path, force_cold)) => {
             let cfg_hash = audit_config_hash();
             let (mut vc, outcome) = if force_cold {
@@ -182,6 +191,7 @@ fn run_inner(
                 if !passes.contains(&pass) {
                     continue;
                 }
+                let pass_start = Instant::now();
                 for file in &files {
                     let key = verdict_key(tag, pass.name(), &file.rel_path);
                     let fnh = file.content_hash();
@@ -204,10 +214,12 @@ fn run_inner(
                     }
                     findings.extend(fs);
                 }
+                pass_ms.push((pass, ms_since(pass_start)));
             }
 
             // Cross-check: global set diff, one whole-workspace verdict.
             if passes.contains(&Pass::Crosscheck) {
+                let pass_start = Instant::now();
                 let registry = crosscheck::workspace_registry();
                 let mut wh = Fnv::new();
                 wh.mix_u64(files.len() as u64);
@@ -239,6 +251,7 @@ fn run_inner(
                     }
                     findings.extend(fs);
                 }
+                pass_ms.push((Pass::Crosscheck, ms_since(pass_start)));
             }
 
             let wall = start.elapsed();
@@ -271,7 +284,9 @@ fn run_inner(
     // The staleness lint runs on every audit, cached or not: it guards
     // the allowlist that every cached verdict's domain hash derives from.
     let stale_entries = if passes.contains(&Pass::Staleness) {
+        let pass_start = Instant::now();
         let entries = staleness::stale_entries(&files, config);
+        pass_ms.push((Pass::Staleness, ms_since(pass_start)));
         findings.extend(entries.iter().map(StaleEntry::to_finding));
         entries
     } else {
@@ -286,26 +301,53 @@ fn run_inner(
         findings,
         stale_entries,
         cache: cache_stats,
+        pass_ms,
+        passes_ms: None,
     }
 }
 
-/// The three cacheable passes, uncached (the [`run`] path).
+/// The three cacheable passes, uncached (the [`run`] path), each timed
+/// into `pass_ms`.
 fn run_cacheable_passes(
     files: &[ScannedFile],
     config: &AuditConfig,
     passes: &[Pass],
+    pass_ms: &mut Vec<(Pass, f64)>,
 ) -> Vec<Finding> {
+    type PassFn = fn(&[ScannedFile], &AuditConfig) -> Vec<Finding>;
+    let cacheable: [(Pass, PassFn); 3] = [
+        (Pass::Tcb, tcb::audit),
+        (Pass::Coverage, coverage::audit),
+        (Pass::Crosscheck, crosscheck::audit),
+    ];
     let mut findings = Vec::new();
-    if passes.contains(&Pass::Tcb) {
-        findings.extend(tcb::audit(files, config));
-    }
-    if passes.contains(&Pass::Coverage) {
-        findings.extend(coverage::audit(files, config));
-    }
-    if passes.contains(&Pass::Crosscheck) {
-        findings.extend(crosscheck::audit(files, config));
+    for (pass, audit) in cacheable {
+        if passes.contains(&pass) {
+            let t0 = Instant::now();
+            findings.extend(audit(files, config));
+            pass_ms.push((pass, ms_since(t0)));
+        }
     }
     findings
+}
+
+/// The gated audit cost: the minimum wall, in milliseconds, of `k`
+/// uncached [`run_passes`] calls on already-scanned files (min of K, as
+/// perfbench times its ops, so a noisy neighbour slows only the calls it
+/// touches).
+pub fn min_passes_ms(
+    files: &[ScannedFile],
+    config: &AuditConfig,
+    passes: &[Pass],
+    k: usize,
+) -> f64 {
+    (0..k)
+        .map(|_| {
+            let t0 = Instant::now();
+            run_passes(files, config, passes);
+            ms_since(t0)
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]

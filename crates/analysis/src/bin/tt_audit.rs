@@ -10,21 +10,27 @@
 //! cross-check and the allowlist staleness lint over the workspace
 //! sources and prints the Fig. 10 table. `--json` and `--check` are the
 //! shared report flags (DESIGN §17): `--json` writes the `fig10` report
-//! (`BENCH_fig10.json`), and `--check` gates it. The report has no
-//! baseline entries, so `--check` takes no baseline: the process exits
-//! nonzero if any pass produced findings — the CI gate.
+//! (`BENCH_fig10.json`), and `--check` gates it against
+//! `ci/bench_baseline.json` (it takes no baseline path): the process
+//! exits nonzero if any pass produced findings or a `--cold` run's
+//! `audit.passes_ms` is over its ceiling — the CI gate.
 //!
 //! By default the cacheable passes run incrementally against
 //! `ci/audit_cache.bin`: a warm re-run on an unchanged tree skips every
-//! per-file verdict. `--cold` discards the cache first; `--no-cache`
-//! disables caching entirely. Stale allowlist entries are printed as a
-//! ready-to-apply removal listing.
+//! per-file verdict. `--cold` discards the cache first and also times
+//! five uncached `run_passes` calls on the scanned tree, reporting their
+//! minimum as the gated `audit.passes_ms`; `--no-cache` disables caching
+//! entirely. Every run prints and reports each pass's wall. Stale
+//! allowlist entries are printed as a ready-to-apply removal listing.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tt_analysis::metrics::{exit_code, Cli};
 use tt_analysis::{AuditConfig, Pass};
+
+/// Uncached `run_passes` calls behind `--cold`'s gated audit wall.
+const COLD_REPEATS: usize = 5;
 
 struct Args {
     report: Cli,
@@ -115,7 +121,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let report = if args.no_cache {
+    let mut report = if args.no_cache {
         tt_analysis::run(&args.root, &config, &args.passes)
     } else {
         let cache = args
@@ -129,6 +135,16 @@ fn main() -> ExitCode {
         };
         tt_analysis::run_cached(&args.root, &config, &args.passes, &cache, args.cold)
     };
+
+    if args.cold {
+        let files = tt_analysis::load_workspace(&args.root);
+        report.passes_ms = Some(tt_analysis::audit::min_passes_ms(
+            &files,
+            &config,
+            &args.passes,
+            COLD_REPEATS,
+        ));
+    }
 
     for finding in &report.findings {
         eprintln!("{finding}");
@@ -151,6 +167,15 @@ fn main() -> ExitCode {
         report.count(Pass::Crosscheck),
         report.count(Pass::Staleness),
     );
+    let walls: Vec<String> = report
+        .pass_ms
+        .iter()
+        .map(|(pass, ms)| format!("{} {ms:.1} ms", pass.name()))
+        .collect();
+    println!("passes: {}", walls.join(", "));
+    if let Some(ms) = report.passes_ms {
+        println!("passes: uncached run_passes {ms:.1} ms (min of {COLD_REPEATS})");
+    }
     if let Some(c) = &report.cache {
         if let Some(err) = &c.corrupt {
             eprintln!("warning: audit cache was corrupt ({err}); ran cold, never partial reuse");

@@ -64,58 +64,142 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// The error at `line`.
+fn error(line: usize, message: impl Into<String>) -> ConfigError {
+    ConfigError {
+        line,
+        message: message.into(),
+    }
+}
+
+/// A section or key name: a non-empty run of `[A-Za-z0-9_.-]`.
+fn bare_name(name: &str, line: usize) -> Result<String, ConfigError> {
+    let bare = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.');
+    if name.is_empty() || !name.bytes().all(bare) {
+        return Err(error(line, format!("bad name `{name}`")));
+    }
+    Ok(name.to_string())
+}
+
 /// Parses the TOML subset into section → key → string-list form.
+///
+/// The subset: `[section]` headers, `key = "entry"` and `key = [...]`
+/// arrays of quoted entries (one line or several, trailing `,` allowed),
+/// blank lines and `#` comments. Entries have no escapes, so an entry
+/// holds no `"`, `\`, `,` or control character; a `,` inside quotes is
+/// refused rather than read as a separator or as part of a path. Every
+/// error names the line it was found on.
 fn parse_sections(
     text: &str,
 ) -> Result<BTreeMap<String, BTreeMap<String, Vec<String>>>, ConfigError> {
     let mut sections: BTreeMap<String, BTreeMap<String, Vec<String>>> = BTreeMap::new();
     let mut current = String::new();
-    let mut lines = text.lines().enumerate().peekable();
-    while let Some((idx, line)) = lines.next() {
-        let line = strip_toml_comment(line);
-        let trimmed = line.trim();
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .map(|(idx, line)| (idx + 1, strip_toml_comment(line)));
+    while let Some((line, content)) = lines.next() {
+        let trimmed = content.trim();
         if trimmed.is_empty() {
             continue;
         }
-        if let Some(name) = trimmed.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            current = name.trim().to_string();
+        if let Some(header) = trimmed.strip_prefix('[') {
+            let name = header
+                .strip_suffix(']')
+                .ok_or_else(|| error(line, format!("unterminated section header `{trimmed}`")))?;
+            current = bare_name(name.trim(), line)?;
             sections.entry(current.clone()).or_default();
             continue;
         }
         let Some((key, value)) = trimmed.split_once('=') else {
-            return Err(ConfigError {
-                line: idx + 1,
-                message: format!("expected `key = value` or `[section]`, got `{trimmed}`"),
-            });
+            return Err(error(
+                line,
+                format!("expected `key = value` or `[section]`, got `{trimmed}`"),
+            ));
         };
-        let key = key.trim().to_string();
-        let mut value = value.trim().to_string();
-        // Multiline arrays: accumulate until the closing bracket.
-        if value.starts_with('[') && !value.ends_with(']') {
-            for (_, cont) in lines.by_ref() {
-                let cont = strip_toml_comment(cont);
-                value.push(' ');
-                value.push_str(cont.trim());
-                if cont.trim_end().ends_with(']') {
-                    break;
+        let key = bare_name(key.trim(), line)?;
+        let value = value.trim();
+        let items = match value.strip_prefix('[') {
+            Some(rest) => parse_array(rest, line, &mut lines)?,
+            None => {
+                let (entry, rest) = parse_entry(value, line)?;
+                if !rest.trim().is_empty() {
+                    return Err(error(line, format!("unexpected `{}`", rest.trim())));
                 }
+                vec![entry]
             }
-        }
-        let items = if let Some(inner) = value.strip_prefix('[') {
-            let inner = inner.strip_suffix(']').ok_or(ConfigError {
-                line: idx + 1,
-                message: "unterminated array".into(),
-            })?;
-            parse_string_list(inner, idx + 1)?
-        } else {
-            vec![parse_string(&value, idx + 1)?]
         };
-        sections
+        if sections
             .entry(current.clone())
             .or_default()
-            .insert(key, items);
+            .insert(key.clone(), items)
+            .is_some()
+        {
+            return Err(error(line, format!("duplicate key `{key}`")));
+        }
     }
     Ok(sections)
+}
+
+/// Reads an array's entries from `rest` (the text after its `[` on line
+/// `line`) and, until the closing `]`, from the following lines.
+fn parse_array(
+    rest: &str,
+    line: usize,
+    lines: &mut impl Iterator<Item = (usize, String)>,
+) -> Result<Vec<String>, ConfigError> {
+    let mut items = Vec::new();
+    let mut want_entry = true; // after `[` or `,`
+    let (mut at, mut rest) = (line, rest.to_string());
+    loop {
+        let s = rest.trim_start();
+        if s.is_empty() {
+            (at, rest) = lines
+                .next()
+                .ok_or_else(|| error(line, "unterminated array"))?;
+            continue;
+        }
+        let next = if let Some(after) = s.strip_prefix(']') {
+            if !after.trim().is_empty() {
+                return Err(error(
+                    at,
+                    format!("unexpected `{}` after `]`", after.trim()),
+                ));
+            }
+            return Ok(items);
+        } else if want_entry {
+            let (entry, after) = parse_entry(s, at)?;
+            items.push(entry);
+            after
+        } else {
+            s.strip_prefix(',')
+                .ok_or_else(|| error(at, format!("expected `,` or `]`, got `{s}`")))?
+        };
+        want_entry = !want_entry;
+        rest = next.to_string();
+    }
+}
+
+/// Reads one quoted entry at the start of `s`: the entry and the text
+/// after its closing quote.
+fn parse_entry(s: &str, line: usize) -> Result<(String, &str), ConfigError> {
+    let body = s
+        .strip_prefix('"')
+        .ok_or_else(|| error(line, format!("expected a quoted string, got `{s}`")))?;
+    let end = body
+        .find('"')
+        .ok_or_else(|| error(line, format!("unterminated string `{s}`")))?;
+    let entry = &body[..end];
+    if let Some(c) = entry
+        .chars()
+        .find(|&c| c == ',' || c == '\\' || c.is_control())
+    {
+        return Err(error(
+            line,
+            format!("entry `{entry}` contains {c:?}: entries are paths and names without `,`, `\\` or control characters"),
+        ));
+    }
+    Ok((entry.to_string(), &body[end + 1..]))
 }
 
 fn strip_toml_comment(line: &str) -> String {
@@ -133,26 +217,6 @@ fn strip_toml_comment(line: &str) -> String {
         }
     }
     out
-}
-
-fn parse_string(s: &str, line: usize) -> Result<String, ConfigError> {
-    let t = s.trim().trim_end_matches(',').trim();
-    t.strip_prefix('"')
-        .and_then(|x| x.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or(ConfigError {
-            line,
-            message: format!("expected a quoted string, got `{t}`"),
-        })
-}
-
-fn parse_string_list(inner: &str, line: usize) -> Result<Vec<String>, ConfigError> {
-    inner
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|item| parse_string(item, line))
-        .collect()
 }
 
 impl AuditConfig {
@@ -209,6 +273,7 @@ impl AuditConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const SAMPLE: &str = r##"
 # The TCB declaration.
@@ -267,5 +332,122 @@ allow_dead = []
     fn missing_sections_default_to_empty() {
         let c = AuditConfig::parse("").unwrap();
         assert!(c.trusted.is_empty() && c.coverage_files.is_empty());
+    }
+
+    #[test]
+    fn malformed_input_is_a_typed_error_on_its_line() {
+        let cases: &[(&str, usize, &str)] = &[
+            // A comma inside quotes is not a separator and not a path.
+            ("[tcb]\ntrusted = [\n  \"a,b\",\n]\n", 3, "contains ','"),
+            ("[tcb]\ntrusted = [\"a\"] x\n", 2, "after `]`"),
+            ("[tcb]\ntrusted = [\"a\" \"b\"]\n", 2, "expected `,` or `]`"),
+            (
+                "[tcb]\ntrusted = [\n  \"a\",\n[coverage]\n",
+                4,
+                "expected a quoted string",
+            ),
+            ("[tcb]\ntrusted = [\"a\n", 2, "unterminated string"),
+            ("[tcb]\ntrusted = [\n  \"a\",\n", 2, "unterminated array"),
+            ("[tcb\n", 1, "unterminated section header"),
+            ("[]\n", 1, "bad name"),
+            ("[tcb]\nnot a key = []\n", 2, "bad name"),
+            ("[tcb]\ntrusted = \"a\" \"b\"\n", 2, "unexpected"),
+            ("[tcb]\ntrusted = []\ntrusted = []\n", 3, "duplicate key"),
+            ("[tcb]\ntrusted = [\"a\\\\b\"]\n", 2, "contains '\\\\'"),
+        ];
+        for &(text, line, message) in cases {
+            let err = AuditConfig::parse(text).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            assert!(err.message.contains(message), "{text:?}: {err}");
+        }
+    }
+
+    /// Renders entry lists in the format the parser reads.
+    fn render(c: &AuditConfig) -> String {
+        let list = |v: &[String]| -> String {
+            v.iter().map(|e| format!("\n    \"{e}\", # note")).collect()
+        };
+        let line: Vec<String> = c
+            .coverage_files
+            .iter()
+            .map(|e| format!("\"{e}\""))
+            .collect();
+        format!(
+            "# rendered\n[tcb]\ntrusted = [{}\n]\n\n[coverage]\nfiles = [{}]\n\n\
+             [crosscheck]\nallow_unregistered = [{}\n]\nallow_dead = [{}\n]\n",
+            list(&c.trusted),
+            line.join(", "),
+            list(&c.allow_unregistered),
+            list(&c.allow_dead),
+        )
+    }
+
+    /// Entry characters: path and name bytes plus the TOML punctuation an
+    /// entry may hold inside its quotes.
+    fn entry() -> impl Strategy<Value = String> {
+        let chars = "abz09_/.:-()[]=# ".chars().collect::<Vec<_>>();
+        prop::collection::vec(prop::sample::select(chars), 0..12)
+            .prop_map(|cs| cs.into_iter().collect())
+    }
+
+    fn entries() -> impl Strategy<Value = Vec<String>> {
+        prop::collection::vec(entry(), 0..5)
+    }
+
+    /// Fragments of allowlist-shaped text, joined without separators.
+    const FRAGMENTS: &[&str] = &[
+        "[",
+        "]",
+        "\"",
+        ",",
+        "=",
+        "#",
+        "\n",
+        "\r\n",
+        " ",
+        "\\",
+        "\t",
+        "tcb",
+        "trusted",
+        "crosscheck",
+        "allow_dead",
+        "a/b.rs",
+        "::f",
+        "é",
+        "\u{0}",
+        "[tcb]\n",
+        "trusted = [",
+    ];
+
+    proptest! {
+        #[test]
+        fn parse_never_panics_and_errors_name_a_line(
+            parts in prop::collection::vec(prop::sample::select(FRAGMENTS.to_vec()), 0..40),
+        ) {
+            let text: String = parts.concat();
+            if let Err(e) = AuditConfig::parse(&text) {
+                prop_assert!(e.line >= 1 && e.line <= text.lines().count().max(1), "{e}");
+            }
+        }
+
+        #[test]
+        fn rendered_entry_lists_round_trip(
+            trusted in entries(),
+            files in entries(),
+            unregistered in entries(),
+            dead in entries(),
+        ) {
+            let c = AuditConfig {
+                trusted,
+                coverage_files: files,
+                allow_unregistered: unregistered,
+                allow_dead: dead,
+            };
+            let back = AuditConfig::parse(&render(&c)).unwrap();
+            prop_assert_eq!(back.trusted, c.trusted);
+            prop_assert_eq!(back.coverage_files, c.coverage_files);
+            prop_assert_eq!(back.allow_unregistered, c.allow_unregistered);
+            prop_assert_eq!(back.allow_dead, c.allow_dead);
+        }
     }
 }

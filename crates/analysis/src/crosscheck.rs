@@ -19,19 +19,17 @@ use std::collections::BTreeSet;
 
 use crate::config::AuditConfig;
 use crate::findings::{Finding, Pass};
-use crate::source::{find_token, ScannedFile, Span};
+use crate::source::{tokens, ScannedFile, Span};
 use tt_contracts::obligation::Registry;
 use tt_legacy::BugVariant;
 
-/// Tokens that open a contract site whose first string argument names it.
-const SITE_MARKERS: &[&str] = &[
-    "requires!",
-    "ensures!",
-    "invariant!",
-    "checked_add",
-    "checked_sub",
-    "checked_mul",
-];
+/// Macros that open a contract site (`requires!(`) whose first string
+/// argument names it.
+pub(crate) const SITE_MACROS: &[&str] = &["requires", "ensures", "invariant"];
+
+/// Checked-arithmetic calls that open a contract site (`checked_add(`)
+/// whose first string argument names it.
+pub(crate) const SITE_CALLS: &[&str] = &["checked_add", "checked_sub", "checked_mul"];
 
 /// Crates whose sources are outside the cross-check: the contract engine
 /// itself (its docs and tests exercise the macros with synthetic sites)
@@ -63,74 +61,72 @@ pub fn workspace_registry() -> Registry {
     registry
 }
 
-/// Reads the first string literal at or after `col` on raw line `idx`,
-/// scanning forward a few lines (macro arguments often wrap).
-fn first_string_literal(raw: &[String], idx: usize, col: usize) -> Option<String> {
-    for (n, line) in raw.iter().enumerate().skip(idx).take(6) {
-        let start = if n == idx { col } else { 0 };
-        let bytes = line.as_bytes();
-        let mut i = start;
-        while i < bytes.len() {
-            if bytes[i] == b'"' {
-                let mut j = i + 1;
-                let mut out = String::new();
-                while j < bytes.len() {
-                    match bytes[j] {
-                        b'\\' => {
-                            if j + 1 < bytes.len() {
-                                out.push(bytes[j + 1] as char);
-                            }
-                            j += 2;
-                        }
-                        b'"' => return Some(out),
-                        c => {
-                            out.push(c as char);
-                            j += 1;
-                        }
-                    }
-                }
-                return None; // Unterminated on this line: give up.
-            }
-            i += 1;
+/// Reads the first string literal at or after code column `col` of line
+/// `idx`, looking a few lines ahead (macro arguments often wrap). The
+/// k-th `""` on a code line is the k-th literal the scanner recorded on
+/// it, so the literal is read from the raw text at its own opening quote.
+fn first_string_literal(file: &ScannedFile, idx: usize, col: usize) -> Option<String> {
+    for (n, code) in file.code.iter().enumerate().skip(idx).take(6) {
+        let from = if n == idx { col } else { 0 };
+        let Some(quote) = code[from..].find('"') else {
+            continue;
+        };
+        let k = code[..from + quote].matches('"').count() / 2;
+        let first = file.literals.partition_point(|&(line, _)| line < n);
+        let &(line, at) = file.literals.get(first + k)?;
+        if line != n {
+            return None;
         }
+        let mut out = String::new();
+        let mut chars = file.raw[n][at + 1..].chars();
+        while let Some(c) = chars.next() {
+            match c {
+                '\\' => out.extend(chars.next()),
+                '"' => return Some(out),
+                c => out.push(c),
+            }
+        }
+        return None; // Unterminated on this line: give up.
     }
     None
 }
 
-/// Extracts the contract sites from one scanned file.
+/// Extracts the contract sites from one scanned file, left to right.
 pub fn extract_sites(file: &ScannedFile) -> Vec<Site> {
     let mut sites = Vec::new();
     if EXEMPT_PREFIXES.iter().any(|p| file.rel_path.starts_with(p)) {
         return sites;
     }
+    let mut marker_ends = Vec::new();
     for (idx, code) in file.code.iter().enumerate() {
-        for marker in SITE_MARKERS {
-            let mut from = 0;
-            while let Some(rel) = code[from..].find(marker) {
-                let at = from + rel;
-                from = at + marker.len();
-                // Identifier boundary on the left; a call `(` on the right;
-                // not the marker's own definition (`fn checked_add(`).
-                let before_ok = at == 0 || {
-                    let c = code.as_bytes()[at - 1];
-                    !(c.is_ascii_alphanumeric() || c == b'_')
-                };
-                let after_ok = code[at + marker.len()..].trim_start().starts_with('(');
-                if !before_ok || !after_ok || find_token(code, "fn").is_some() {
-                    continue;
-                }
-                // The code view's columns match the raw line up to the first
-                // string literal, and the marker precedes its argument.
-                let raw_col = file.raw[idx].find(marker).unwrap_or(0);
-                if let Some(name) = first_string_literal(&file.raw, idx, raw_col) {
-                    sites.push(Site {
-                        name,
-                        span: Span {
-                            file: file.rel_path.clone(),
-                            line: idx + 1,
-                        },
-                    });
-                }
+        marker_ends.clear();
+        let mut defines_fn = false;
+        for (at, tok) in tokens(code) {
+            let mut end = at + tok.len();
+            if SITE_MACROS.contains(&tok) && code.as_bytes().get(end) == Some(&b'!') {
+                end += 1;
+            } else if !SITE_CALLS.contains(&tok) {
+                defines_fn |= tok == "fn";
+                continue;
+            }
+            // A call `(` on the right.
+            if code[end..].trim_start().starts_with('(') {
+                marker_ends.push(end);
+            }
+        }
+        // Not the marker's own definition (`fn checked_add(`).
+        if defines_fn {
+            continue;
+        }
+        for &end in &marker_ends {
+            if let Some(name) = first_string_literal(file, idx, end) {
+                sites.push(Site {
+                    name,
+                    span: Span {
+                        file: file.rel_path.clone(),
+                        line: idx + 1,
+                    },
+                });
             }
         }
     }
@@ -184,10 +180,10 @@ pub fn audit_against(
     // every site candidate — an obligation matched by a live site is, by
     // the same token, alive for direction 2.
     let sites: Vec<Site> = files.iter().flat_map(extract_sites).collect();
-    let mut site_cands: BTreeSet<String> = BTreeSet::new();
+    let mut site_cands: BTreeSet<&str> = BTreeSet::new();
     for site in &sites {
         let cands = site_candidates(&site.name);
-        site_cands.extend(cands.iter().map(|c| c.to_string()));
+        site_cands.extend(&cands);
         if cands.iter().any(|c| keys.contains(c)) {
             continue;
         }
@@ -210,30 +206,17 @@ pub fn audit_against(
         });
     }
 
-    // Identifier index over the code view, for the liveness test.
-    let mut idents: BTreeSet<String> = BTreeSet::new();
-    let mut fn_names: BTreeSet<&str> = BTreeSet::new();
-    for file in files {
-        for f in &file.fns {
-            fn_names.insert(&f.name);
-        }
-        for code in &file.code {
-            let mut cur = String::new();
-            for c in code.chars() {
-                if c.is_alphanumeric() || c == '_' {
-                    cur.push(c);
-                } else if !cur.is_empty() {
-                    idents.insert(std::mem::take(&mut cur));
-                }
-            }
-            if !cur.is_empty() {
-                idents.insert(cur);
-            }
-        }
-    }
-
-    // Direction 2: every non-trusted obligation must anchor to live code.
+    // Direction 2: every non-trusted obligation must anchor to live code —
+    // a `fn` of its method's name, a live site naming it, or its type as
+    // an identifier. The first two need no walk over the code; only the
+    // type names they leave undecided are looked up there.
+    let fn_names: BTreeSet<&str> = files
+        .iter()
+        .flat_map(|f| &f.fns)
+        .map(|f| f.name.as_str())
+        .collect();
     let mut reported: BTreeSet<&str> = BTreeSet::new();
+    let mut undecided = Vec::new();
     for o in registry.obligations() {
         if o.trusted || !reported.insert(&o.function) {
             continue;
@@ -245,13 +228,26 @@ pub fn audit_against(
         };
         let alive = fn_names.contains(method)
             || fn_names.contains(stripped)
-            || ty.is_some_and(|t| idents.contains(t))
             // Named by a live contract site (e.g. the `legacy::alloc`
             // checked-arithmetic obligations, whose names are site names).
             || obligation_keys(&o.function)
                 .iter()
                 .any(|k| site_cands.contains(*k));
-        if alive {
+        if !alive {
+            undecided.push((o, stripped, ty));
+        }
+    }
+    let mut unseen: BTreeSet<&str> = undecided.iter().filter_map(|u| u.2).collect();
+    for code in files.iter().flat_map(|f| &f.code) {
+        if unseen.is_empty() {
+            break;
+        }
+        for (_, tok) in tokens(code) {
+            unseen.remove(tok);
+        }
+    }
+    for (o, stripped, ty) in undecided {
+        if ty.is_some_and(|t| !unseen.contains(t)) {
             continue;
         }
         if config
@@ -391,6 +387,36 @@ pub fn encode_permissions(x: u8) -> u8 {\n\
         r.add_trusted("k", "Memory::refined_get", ContractKind::Post);
         let f = scan_text("crates/k/src/lib.rs", "pub fn unrelated() {}\n");
         assert!(audit_against(&[f], &r, &AuditConfig::default()).is_empty());
+    }
+
+    #[test]
+    fn two_sites_on_one_line_read_their_own_names() {
+        let f = scan_text(
+            "crates/k/src/lib.rs",
+            "pub fn f(a: u32) -> u32 {\n    tt_contracts::checked_add(\"reg\", a, 1) + tt_contracts::checked_add(\"ghost\", a, 2)\n}\n",
+        );
+        let names: Vec<String> = extract_sites(&f).into_iter().map(|s| s.name).collect();
+        assert_eq!(names, vec!["reg", "ghost"]);
+        let mut r = Registry::new();
+        r.add_fn("k", "reg", ContractKind::Post, || CheckResult::Verified {
+            cases: 1,
+        });
+        let findings = audit_against(&[f], &r, &AuditConfig::default());
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("`ghost`"), "{findings:?}");
+    }
+
+    #[test]
+    fn a_marker_inside_an_earlier_literal_does_not_name_the_site() {
+        let f = scan_text(
+            "crates/k/src/lib.rs",
+            "pub fn f(a: u32) {\n    log(\"requires!(x\"); tt_contracts::requires!(\"real\", a > 0);\n}\n",
+        );
+        let names: Vec<String> = extract_sites(&f).into_iter().map(|s| s.name).collect();
+        assert_eq!(names, vec!["real"]);
+        let findings = audit_against(&[f], &Registry::new(), &AuditConfig::default());
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("`real`"), "{findings:?}");
     }
 
     #[test]

@@ -687,9 +687,8 @@ impl Cli {
     }
 
     /// For a bin whose `--check` was a plain switch before the flags were
-    /// shared and whose report has no baseline entries: refuses a baseline
-    /// value, so the bin gains no option. The bare `--check` gates the
-    /// report's failures.
+    /// shared: refuses a baseline value, so the bin gains no option. The
+    /// bare `--check` gates the report against [`DEFAULT_BASELINE`].
     pub fn bare_check(&self) -> Result<(), String> {
         match &self.check {
             Some(path) if path != Path::new(DEFAULT_BASELINE) => Err(format!(

@@ -13,7 +13,7 @@ use std::path::Path;
 
 use crate::config::AuditConfig;
 use crate::findings::{Finding, Pass};
-use crate::metrics::{Report, WALL};
+use crate::metrics::{Kind, Report, WALL};
 use crate::source::ScannedFile;
 use crate::staleness::StaleEntry;
 use tt_contracts::effort::{default_components, scan_path, EffortCounts};
@@ -70,6 +70,14 @@ pub struct AuditReport {
     pub stale_entries: Vec<StaleEntry>,
     /// Verdict-cache statistics when the audit ran incrementally.
     pub cache: Option<CacheStats>,
+    /// Wall milliseconds of each pass that ran, in run order (cache
+    /// lookups included on a cached run).
+    pub pass_ms: Vec<(Pass, f64)>,
+    /// The minimum wall, in milliseconds, of several uncached
+    /// [`crate::run_passes`] calls on the already-scanned tree: the gated
+    /// audit cost. `tt-audit --cold` measures it; other runs leave it
+    /// `None`.
+    pub passes_ms: Option<f64>,
 }
 
 impl AuditReport {
@@ -154,8 +162,9 @@ pub fn component_rows(
 }
 
 /// The `fig10` metrics report: the Fig. 10 counters and trusted LOC per
-/// component and in total, findings per pass, and the cache statistics
-/// of a cached run. Every finding is a failure.
+/// component and in total, findings and wall per pass, the gated
+/// uncached audit wall of a `--cold` run, and the cache statistics of a
+/// cached run. Every finding is a failure.
 pub fn metrics(report: &AuditReport) -> Report {
     let mut r = Report::new("fig10");
     let rows = report
@@ -176,6 +185,13 @@ pub fn metrics(report: &AuditReport) -> Report {
     let passes = [Pass::Tcb, Pass::Coverage, Pass::Crosscheck, Pass::Staleness];
     let findings = passes.map(|p| (p.name(), report.count(p) as f64));
     r.infos("findings", "audit", "count", &findings);
+    for &(pass, ms) in &report.pass_ms {
+        r.info(format!("audit.{}_ms", pass.name()), WALL, "ms", ms);
+    }
+    match report.passes_ms {
+        Some(ms) => r.add(Kind::Ceiling, "audit.passes_ms", WALL, "ms", ms),
+        None => r.skip("audit.passes_ms", "measured by `tt-audit --cold` only"),
+    }
     if let Some(c) = &report.cache {
         let counts = [
             ("warm", f64::from(u8::from(c.warm))),
@@ -241,6 +257,8 @@ mod tests {
             findings: Vec::new(),
             stale_entries: Vec::new(),
             cache: None,
+            pass_ms: vec![(Pass::Tcb, 3.0), (Pass::Staleness, 2.0)],
+            passes_ms: None,
         }
     }
 
@@ -258,6 +276,23 @@ mod tests {
         assert_eq!(value(&r, "Total.source_loc"), 100.0);
         assert_eq!(value(&r, "findings.staleness"), 0.0);
         assert!(r.failures.is_empty());
+    }
+
+    #[test]
+    fn pass_walls_are_info_and_the_cold_audit_wall_is_gated() {
+        let mut r = sample_report();
+        let m = metrics(&r);
+        assert_eq!(value(&m, "audit.tcb_ms"), 3.0);
+        assert_eq!(value(&m, "audit.staleness_ms"), 2.0);
+        assert!(m.get("audit.coverage_ms").is_none(), "coverage did not run");
+        assert!(m.get("audit.passes_ms").is_none());
+        assert_eq!(m.skipped.len(), 1, "{:?}", m.skipped);
+        r.passes_ms = Some(9.5);
+        let m = metrics(&r);
+        let gated = m.get("audit.passes_ms").expect("emitted");
+        assert_eq!((gated.kind, gated.value), (Kind::Ceiling, 9.5));
+        assert!(m.skipped.is_empty());
+        assert!(m.without_wall().get("audit.tcb_ms").is_none());
     }
 
     #[test]

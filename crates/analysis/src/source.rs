@@ -11,8 +11,24 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub use tt_contracts::span::{
-    find_token, scan_text, strip_comments_and_strings, FnSpan, ScannedFile, SourceIndex, Span,
+    find_token, is_ident_byte, scan_text, strip_comments_and_strings, FnSpan, ScannedFile,
+    SourceIndex, Span,
 };
+
+/// The identifier tokens of one code line with their byte offsets: its
+/// maximal runs of [`is_ident_byte`] bytes (`[A-Za-z0-9_]`), left to
+/// right. A token starts exactly where [`find_token`] accepts a match, so
+/// one walk answers every token question a pass asks about the line.
+pub fn tokens(line: &str) -> impl Iterator<Item = (usize, &str)> {
+    let b = line.as_bytes();
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let start = at + b[at..].iter().position(|&c| is_ident_byte(c))?;
+        let len = b[start..].iter().position(|&c| !is_ident_byte(c));
+        at = len.map_or(b.len(), |n| start + n);
+        Some((start, &line[start..at]))
+    })
+}
 
 /// Loads and scans one file, returning `None` on read failure.
 pub fn scan_file(root: &Path, path: &Path) -> Option<ScannedFile> {
@@ -61,6 +77,86 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crosscheck::{SITE_CALLS, SITE_MACROS};
+    use crate::tcb::{constructs, Construct, RAW_POINTER_OPS, REGISTER_STORES};
+    use proptest::prelude::*;
+
+    /// Code-line fragments, joined without separators so that tokens
+    /// merge and split at every boundary.
+    const FRAGMENTS: &[&str] = &[
+        "a",
+        "x1",
+        "Foo",
+        "unsafe",
+        "write_rbar",
+        "write_rasr",
+        "write_rnr",
+        "write_ctrl",
+        "write_region",
+        "write_cfg",
+        "write_addr",
+        "transmute",
+        "read_volatile",
+        "write_volatile",
+        "requires!",
+        "ensures!",
+        "invariant!",
+        "checked_add",
+        "checked_sub",
+        "checked_mul",
+        "fn",
+        "mut",
+        "const",
+        "0",
+        "42",
+        "_",
+        ".",
+        "!",
+        "(",
+        "*mut ",
+        "*const ",
+        " ",
+    ];
+
+    fn first_walk_offset(line: &str, token: &str) -> Option<usize> {
+        tokens(line).find(|&(_, t)| t == token).map(|(at, _)| at)
+    }
+
+    proptest! {
+        #[test]
+        fn the_walk_finds_every_audited_token_where_find_token_does(
+            parts in prop::collection::vec(prop::sample::select(FRAGMENTS.to_vec()), 0..16),
+        ) {
+            let line = parts.concat();
+            let audited = ["unsafe", "fn"]
+                .iter()
+                .chain(REGISTER_STORES)
+                .chain(RAW_POINTER_OPS)
+                .chain(SITE_MACROS)
+                .chain(SITE_CALLS);
+            for t in audited {
+                prop_assert_eq!(first_walk_offset(&line, t), find_token(&line, t), "{:?} in {:?}", t, line);
+            }
+            let pointer = constructs(&line).any(|(_, c)| c == Construct::PointerType);
+            prop_assert_eq!(pointer, line.contains("*mut ") || line.contains("*const "), "{:?}", line);
+        }
+    }
+
+    #[test]
+    fn a_non_ascii_byte_ends_a_token_on_its_left() {
+        // The auditor's one identifier rule is ASCII: `é` is not an
+        // identifier byte, so the `unsafe` after it is a token.
+        assert_eq!(first_walk_offset("éunsafe {", "unsafe"), Some(2));
+        assert_eq!(find_token("éunsafe {", "unsafe"), Some(2));
+    }
+
+    #[test]
+    fn a_non_ascii_byte_ends_a_token_on_its_right() {
+        assert_eq!(first_walk_offset("let x = unsafeé;", "unsafe"), Some(8));
+        assert_eq!(find_token("let x = unsafeé;", "unsafe"), Some(8));
+        let words: Vec<&str> = tokens("Typeé::new()").map(|(_, t)| t).collect();
+        assert_eq!(words, vec!["Type", "new"]);
+    }
 
     #[test]
     fn workspace_walk_finds_kernel_sources_sorted() {

@@ -17,7 +17,7 @@
 
 use crate::config::AuditConfig;
 use crate::findings::{Finding, Pass};
-use crate::source::{find_token, ScannedFile, Span};
+use crate::source::{tokens, ScannedFile, Span};
 
 /// Raw register-store methods: calling one commits protection state.
 pub(crate) const REGISTER_STORES: &[&str] = &[
@@ -32,6 +32,40 @@ pub(crate) const REGISTER_STORES: &[&str] = &[
 
 /// Raw pointer / DMA operation tokens.
 pub(crate) const RAW_POINTER_OPS: &[&str] = &["transmute", "read_volatile", "write_volatile"];
+
+/// One TCB construct on a code line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Construct {
+    /// The `unsafe` keyword.
+    Unsafe,
+    /// `REGISTER_STORES[i]`, called or defined.
+    Store(usize),
+    /// `RAW_POINTER_OPS[i]`.
+    RawOp(usize),
+    /// A `*mut ` / `*const ` raw pointer type.
+    PointerType,
+}
+
+/// The TCB constructs on one code line with their byte offsets, found by
+/// one walk over its identifier tokens. `*mut ` and `*const ` are the
+/// tokens `mut` and `const` between a `*` and a space.
+pub(crate) fn constructs(code: &str) -> impl Iterator<Item = (usize, Construct)> + '_ {
+    let b = code.as_bytes();
+    tokens(code).filter_map(move |(at, tok)| {
+        let construct = match tok {
+            "unsafe" => Construct::Unsafe,
+            "mut" | "const" => {
+                let pointer = at > 0 && b[at - 1] == b'*' && b.get(at + tok.len()) == Some(&b' ');
+                pointer.then_some(Construct::PointerType)?
+            }
+            _ => match REGISTER_STORES.iter().position(|s| *s == tok) {
+                Some(i) => Construct::Store(i),
+                None => Construct::RawOp(RAW_POINTER_OPS.iter().position(|s| *s == tok)?),
+            },
+        };
+        Some((at, construct))
+    })
+}
 
 /// Scans one file for TCB surface outside the allowlist.
 pub fn audit_file(file: &ScannedFile, config: &AuditConfig) -> Vec<Finding> {
@@ -58,40 +92,50 @@ pub fn audit_file(file: &ScannedFile, config: &AuditConfig) -> Vec<Finding> {
         }
     };
     for (idx, code) in file.code.iter().enumerate() {
+        let mut is_unsafe = false;
+        let mut stores = [None; REGISTER_STORES.len()];
+        let mut ops = [false; RAW_POINTER_OPS.len()];
+        let mut pointer_type = false;
+        for (at, construct) in constructs(code) {
+            match construct {
+                Construct::Unsafe => is_unsafe = true,
+                Construct::Store(i) => {
+                    stores[i].get_or_insert(at);
+                }
+                Construct::RawOp(i) => ops[i] = true,
+                Construct::PointerType => pointer_type = true,
+            }
+        }
         let line = idx + 1;
-        if find_token(code, "unsafe").is_some() {
+        if is_unsafe {
             report(
                 line,
                 "`unsafe` outside the allowlisted TCB (declare it in ci/tcb_allowlist.toml or remove it)".into(),
             );
         }
-        for store in REGISTER_STORES {
-            // A *call* (`.write_rbar(` / `hw.write_region(`) is a raw
-            // commit; the defining `fn write_rbar` lives in the (fully
-            // trusted) register-file modules.
-            if let Some(at) = find_token(code, store) {
-                let is_call = code[at + store.len()..].trim_start().starts_with('(')
-                    && at > 0
-                    && code[..at].trim_end().ends_with('.');
-                if is_call {
-                    report(
-                        line,
-                        format!(
-                            "raw protection-register store `{store}` outside the allowlisted TCB"
-                        ),
-                    );
-                }
-            }
-        }
-        for op in RAW_POINTER_OPS {
-            if find_token(code, op).is_some() {
+        for (store, at) in REGISTER_STORES.iter().zip(stores) {
+            // A *call* (`.write_rbar(` / `hw.write_region(`) at the
+            // store's first occurrence is a raw commit; the defining
+            // `fn write_rbar` lives in the (fully trusted) register-file
+            // modules.
+            let Some(at) = at else { continue };
+            let is_call = code[at + store.len()..].trim_start().starts_with('(')
+                && at > 0
+                && code[..at].trim_end().ends_with('.');
+            if is_call {
                 report(
                     line,
-                    format!("raw pointer operation `{op}` outside the allowlisted TCB"),
+                    format!("raw protection-register store `{store}` outside the allowlisted TCB"),
                 );
             }
         }
-        if code.contains("*mut ") || code.contains("*const ") {
+        for (op, _) in RAW_POINTER_OPS.iter().zip(ops).filter(|(_, seen)| *seen) {
+            report(
+                line,
+                format!("raw pointer operation `{op}` outside the allowlisted TCB"),
+            );
+        }
+        if pointer_type {
             report(
                 line,
                 "raw pointer type (`*mut`/`*const`) outside the allowlisted TCB".into(),

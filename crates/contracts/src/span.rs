@@ -67,6 +67,10 @@ pub struct ScannedFile {
     /// Code-only lines (same indices as `raw`): comments stripped, string
     /// literals replaced by `""`.
     pub code: Vec<String>,
+    /// Where each string literal collapsed to `""` opens, in source order:
+    /// `(line index, byte offset of its opening quote in raw[line])`. The
+    /// k-th `""` on `code[line]` is the k-th entry on that line.
+    pub literals: Vec<(usize, usize)>,
     /// Recovered function spans, in order of appearance.
     pub fns: Vec<FnSpan>,
 }
@@ -248,7 +252,7 @@ impl SourceIndex {
 /// If a raw-string literal starts at byte `i` of `b` (`r"`, `r#"`,
 /// `br#"`, `cr"`, …), returns `(hash_count, content_start)`.
 fn raw_string_start(b: &[u8], i: usize) -> Option<(usize, usize)> {
-    let boundary = |at: usize| at == 0 || !(b[at - 1].is_ascii_alphanumeric() || b[at - 1] == b'_');
+    let boundary = |at: usize| at == 0 || !is_ident_byte(b[at - 1]);
     let mut j = i;
     if (b[j] == b'b' || b[j] == b'c') && j + 1 < b.len() && b[j + 1] == b'r' {
         if !boundary(j) {
@@ -275,6 +279,12 @@ fn raw_string_start(b: &[u8], i: usize) -> Option<(usize, usize)> {
 /// comments, plain/byte/C strings, raw strings with any `#` depth and any
 /// `b`/`c` prefix (all may span lines), and char literals.
 pub fn strip_comments_and_strings(text: &str) -> Vec<String> {
+    strip(text).0
+}
+
+/// [`strip_comments_and_strings`] plus the literal positions of
+/// [`ScannedFile::literals`].
+fn strip(text: &str) -> (Vec<String>, Vec<(usize, usize)>) {
     #[derive(PartialEq)]
     enum St {
         Code,
@@ -285,7 +295,8 @@ pub fn strip_comments_and_strings(text: &str) -> Vec<String> {
     }
     let mut state = St::Code;
     let mut out = Vec::new();
-    for line in text.lines() {
+    let mut literals = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
         let b = line.as_bytes();
         let mut kept = String::with_capacity(line.len());
         let mut i = 0;
@@ -301,12 +312,14 @@ pub fn strip_comments_and_strings(text: &str) -> Vec<String> {
                         continue;
                     }
                     if let Some((hashes, start)) = raw_string_start(b, i) {
+                        literals.push((idx, start - 1));
                         kept.push_str("\"\"");
                         state = St::RawStr(hashes);
                         i = start;
                         continue;
                     }
                     if b[i] == b'"' {
+                        literals.push((idx, i));
                         kept.push_str("\"\"");
                         state = St::Str;
                         i += 1;
@@ -388,7 +401,7 @@ pub fn strip_comments_and_strings(text: &str) -> Vec<String> {
             state = St::Code;
         }
     }
-    out
+    (out, literals)
 }
 
 /// Finds the test-module cut: the first *top-level* `#[cfg(test)]` item
@@ -419,12 +432,20 @@ fn fn_name(code_line: &str) -> Option<String> {
     let rest = &code_line[at + 2..];
     let rest = rest.trim_start();
     let end = rest
-        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .bytes()
+        .position(|c| !is_ident_byte(c))
         .unwrap_or(rest.len());
     if end == 0 {
         return None;
     }
     Some(rest[..end].to_string())
+}
+
+/// The scanner's one identifier rule: an identifier is a maximal run of
+/// `[A-Za-z0-9_]` bytes. Every other byte, non-ASCII ones included, ends
+/// a run.
+pub fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Finds `token` in `line` at identifier boundaries (so `fn` does not match
@@ -434,15 +455,9 @@ pub fn find_token(line: &str, token: &str) -> Option<usize> {
     let mut from = 0;
     while let Some(rel) = line[from..].find(token) {
         let at = from + rel;
-        let before_ok = at == 0 || {
-            let c = b[at - 1];
-            !(c.is_ascii_alphanumeric() || c == b'_')
-        };
+        let before_ok = at == 0 || !is_ident_byte(b[at - 1]);
         let after = at + token.len();
-        let after_ok = after >= b.len() || {
-            let c = b[after];
-            !(c.is_ascii_alphanumeric() || c == b'_')
-        };
+        let after_ok = after >= b.len() || !is_ident_byte(b[after]);
         if before_ok && after_ok {
             return Some(at);
         }
@@ -454,7 +469,7 @@ pub fn find_token(line: &str, token: &str) -> Option<usize> {
 /// Scans one source text into a [`ScannedFile`].
 pub fn scan_text(rel_path: &str, text: &str) -> ScannedFile {
     let all_raw: Vec<String> = text.lines().map(str::to_string).collect();
-    let mut all_code = strip_comments_and_strings(text);
+    let (mut all_code, mut literals) = strip(text);
     all_code.resize(all_raw.len(), String::new());
     // The cut is computed on the *stripped* view, so a `#[cfg(test)]`
     // inside a comment or string does not truncate, and only a top-level
@@ -462,6 +477,7 @@ pub fn scan_text(rel_path: &str, text: &str) -> ScannedFile {
     let cut = test_module_cut(&all_code);
     let raw: Vec<String> = all_raw[..cut].to_vec();
     let code: Vec<String> = all_code[..cut].to_vec();
+    literals.retain(|&(line, _)| line < cut);
 
     // Recover fn spans by brace counting from each `fn` keyword.
     let mut fns = Vec::new();
@@ -530,6 +546,7 @@ pub fn scan_text(rel_path: &str, text: &str) -> ScannedFile {
         rel_path: rel_path.to_string(),
         raw,
         code,
+        literals,
         fns,
     }
 }
@@ -590,6 +607,20 @@ mod tests {
         let f = scan_text("s.rs", SAMPLE);
         assert!(f.fns.iter().all(|f| f.name != "invisible"));
         assert!(!f.raw.join("\n").contains("invisible"));
+    }
+
+    #[test]
+    fn literal_positions_line_up_with_the_code_view() {
+        let f = scan_text(
+            "s.rs",
+            "let a = \"x\"; let b = r#\"y\"#;\nlet c = 'q'; log(\"z\");\n\
+             #[cfg(test)]\nmod t { const S: &str = \"gone\"; }\n",
+        );
+        assert_eq!(f.literals, vec![(0, 8), (0, 23), (1, 17)]);
+        for &(line, at) in &f.literals {
+            assert_eq!(f.raw[line].as_bytes()[at], b'"');
+        }
+        assert_eq!(f.code[0].matches("\"\"").count(), 2);
     }
 
     #[test]
