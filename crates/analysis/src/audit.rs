@@ -18,11 +18,11 @@ use std::time::Instant;
 use crate::config::AuditConfig;
 use crate::findings::{Finding, Pass};
 use crate::report::{component_rows, AuditReport, CacheStats};
-use crate::source::{scan_file, workspace_sources, ScannedFile};
+use crate::source::{read_file, scan_text, workspace_sources, ScannedFile};
 use crate::staleness::{self, StaleEntry};
 use crate::{coverage, crosscheck, tcb};
 use tt_contracts::obligation::Registry;
-use tt_contracts::span::Fnv;
+use tt_contracts::span::{Fnv, SourceIndex};
 use tt_contracts::vcache::{verdict_key, LoadOutcome, Verdict, VerdictCache};
 
 /// Cache kind tag for per-file TCB-audit verdicts (the `verify_all`
@@ -64,11 +64,20 @@ pub fn in_workspace(path: impl AsRef<Path>) -> PathBuf {
 /// The default allowlist location, relative to the workspace root.
 pub const DEFAULT_CONFIG: &str = "ci/tcb_allowlist.toml";
 
-/// Loads and scans the audited source set under `root`.
-pub fn load_workspace(root: &Path) -> Vec<ScannedFile> {
+/// Reads the audited source set under `root` as `(workspace-relative
+/// path, text)` pairs.
+pub fn read_workspace(root: &Path) -> Vec<(String, String)> {
     workspace_sources(root)
         .iter()
-        .filter_map(|p| scan_file(root, p))
+        .filter_map(|p| read_file(root, p))
+        .collect()
+}
+
+/// Loads and scans the audited source set under `root`.
+pub fn load_workspace(root: &Path) -> Vec<ScannedFile> {
+    read_workspace(root)
+        .iter()
+        .map(|(rel, text)| scan_text(rel, text))
         .collect()
 }
 
@@ -302,7 +311,7 @@ fn run_inner(
         stale_entries,
         cache: cache_stats,
         pass_ms,
-        passes_ms: None,
+        cold: None,
     }
 }
 
@@ -331,30 +340,80 @@ fn run_cacheable_passes(
     findings
 }
 
-/// The gated audit cost: the minimum wall, in milliseconds, of `k`
-/// uncached [`run_passes`] calls on already-scanned files (min of K, as
-/// perfbench times its ops, so a noisy neighbour slows only the calls it
-/// touches).
-pub fn min_passes_ms(
-    files: &[ScannedFile],
-    config: &AuditConfig,
-    passes: &[Pass],
-    k: usize,
-) -> f64 {
+/// The walls a `tt-audit --cold` run reports, in milliseconds, each the
+/// minimum of several repeats (min of K, as perfbench times its ops, so
+/// a noisy neighbour slows only the repeats it touches).
+#[derive(Debug, Clone, Copy)]
+pub struct ColdWalls {
+    /// Uncached [`run_passes`] with the requested passes on the scanned
+    /// tree: the gated audit cost.
+    pub passes_ms: f64,
+    /// [`scan_text`] of every audited file: where the per-file facts
+    /// (hashes, identifier tables) are derived.
+    pub scan_ms: f64,
+    /// One in-memory edit of the largest file: [`scan_text`] of the
+    /// edited text, [`SourceIndex::from_files`] and [`run_passes`] with
+    /// all four passes — the edit loop minus discharge. Gated.
+    pub edit_ms: f64,
+}
+
+/// Minimum wall, in milliseconds, of `k` calls of `f`.
+fn min_ms(k: usize, mut f: impl FnMut()) -> f64 {
     (0..k)
         .map(|_| {
             let t0 = Instant::now();
-            run_passes(files, config, passes);
+            f();
             ms_since(t0)
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// Measures the [`ColdWalls`] of the tree under `root`, `k` repeats each.
+pub fn cold_walls(root: &Path, config: &AuditConfig, passes: &[Pass], k: usize) -> ColdWalls {
+    let sources = read_workspace(root);
+    let mut files: Vec<ScannedFile> = sources
+        .iter()
+        .map(|(rel, text)| scan_text(rel, text))
+        .collect();
+    let passes_ms = min_ms(k, || {
+        std::hint::black_box(run_passes(&files, config, passes));
+    });
+    let scan_ms = min_ms(k, || {
+        for (rel, text) in &sources {
+            std::hint::black_box(scan_text(rel, text));
+        }
+    });
+    // The edit: a comment appended to the largest file's middle line.
+    let largest = (0..sources.len()).max_by_key(|&i| sources[i].1.len());
+    let edit_ms = largest.map_or(0.0, |i| {
+        let (rel, text) = &sources[i];
+        let middle = text.lines().count() / 2;
+        let edited: String = text
+            .lines()
+            .enumerate()
+            .map(|(n, line)| match n == middle {
+                true => format!("{line} // edit\n"),
+                false => format!("{line}\n"),
+            })
+            .collect();
+        min_ms(k, || {
+            files[i] = scan_text(rel, &edited);
+            std::hint::black_box(SourceIndex::from_files(&files));
+            std::hint::black_box(run_passes(&files, config, &Pass::ALL));
+        })
+    });
+    ColdWalls {
+        passes_ms,
+        scan_ms,
+        edit_ms,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const ALL_PASSES: &[Pass] = &[Pass::Tcb, Pass::Coverage, Pass::Crosscheck, Pass::Staleness];
+    const ALL_PASSES: &[Pass] = &Pass::ALL;
 
     fn temp_cache(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ttac-{tag}-{}.bin", std::process::id()))

@@ -13,14 +13,17 @@
 //! (`BENCH_fig10.json`), and `--check` gates it against
 //! `ci/bench_baseline.json` (it takes no baseline path): the process
 //! exits nonzero if any pass produced findings or a `--cold` run's
-//! `audit.passes_ms` is over its ceiling — the CI gate.
+//! `audit.passes_ms` or `audit.edit_ms` is over its ceiling — the CI
+//! gate.
 //!
 //! By default the cacheable passes run incrementally against
 //! `ci/audit_cache.bin`: a warm re-run on an unchanged tree skips every
-//! per-file verdict. `--cold` discards the cache first and also times
-//! five uncached `run_passes` calls on the scanned tree, reporting their
-//! minimum as the gated `audit.passes_ms`; `--no-cache` disables caching
-//! entirely. Every run prints and reports each pass's wall. Stale
+//! per-file verdict. `--cold` discards the cache first and also takes
+//! the minimum of five repeats of three walls: uncached `run_passes` on
+//! the scanned tree (gated `audit.passes_ms`), a scan of every file
+//! (`audit.scan_ms`, reported only) and an in-memory edit of the
+//! largest file — rescan, re-index, all four passes (gated
+//! `audit.edit_ms`); `--no-cache` disables caching entirely. Every run prints and reports each pass's wall. Stale
 //! allowlist entries are printed as a ready-to-apply removal listing.
 
 use std::path::PathBuf;
@@ -29,7 +32,7 @@ use std::process::ExitCode;
 use tt_analysis::metrics::{exit_code, Cli};
 use tt_analysis::{AuditConfig, Pass};
 
-/// Uncached `run_passes` calls behind `--cold`'s gated audit wall.
+/// Repeats behind each of `--cold`'s walls.
 const COLD_REPEATS: usize = 5;
 
 struct Args {
@@ -67,7 +70,7 @@ fn parse_args() -> Result<Args, String> {
         report,
         config: root.join(tt_analysis::DEFAULT_CONFIG),
         root,
-        passes: vec![Pass::Tcb, Pass::Coverage, Pass::Crosscheck, Pass::Staleness],
+        passes: Pass::ALL.to_vec(),
         cold: false,
         no_cache: false,
         cache: None,
@@ -137,9 +140,8 @@ fn main() -> ExitCode {
     };
 
     if args.cold {
-        let files = tt_analysis::load_workspace(&args.root);
-        report.passes_ms = Some(tt_analysis::audit::min_passes_ms(
-            &files,
+        report.cold = Some(tt_analysis::audit::cold_walls(
+            &args.root,
             &config,
             &args.passes,
             COLD_REPEATS,
@@ -173,8 +175,11 @@ fn main() -> ExitCode {
         .map(|(pass, ms)| format!("{} {ms:.1} ms", pass.name()))
         .collect();
     println!("passes: {}", walls.join(", "));
-    if let Some(ms) = report.passes_ms {
-        println!("passes: uncached run_passes {ms:.1} ms (min of {COLD_REPEATS})");
+    if let Some(c) = report.cold {
+        println!(
+            "passes: uncached run_passes {:.1} ms, scan {:.1} ms, edit {:.1} ms (min of {COLD_REPEATS})",
+            c.passes_ms, c.scan_ms, c.edit_ms
+        );
     }
     if let Some(c) = &report.cache {
         if let Some(err) = &c.corrupt {

@@ -78,7 +78,7 @@ fn lint_fn(file: &ScannedFile, f: &FnSpan) -> Option<Finding> {
     let mut armed = false;
     let mut armed_line = 0;
     for idx in f.start - 1..f.end {
-        let code = &file.code[idx];
+        let code = &file.code()[idx];
         if is_mutation(code) {
             armed = true;
             armed_line = idx + 1;

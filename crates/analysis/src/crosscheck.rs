@@ -15,12 +15,14 @@
 //!   code (its method named by a `fn`, or its type appearing as an
 //!   identifier), or be allowlisted under `[crosscheck] allow_dead`.
 
-use std::collections::BTreeSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
 use crate::config::AuditConfig;
 use crate::findings::{Finding, Pass};
-use crate::source::{tokens, ScannedFile, Span};
+use crate::source::{ScannedFile, Span};
 use tt_contracts::obligation::Registry;
+use tt_contracts::span::{fnv1a, Fnv};
 use tt_legacy::BugVariant;
 
 /// Macros that open a contract site (`requires!(`) whose first string
@@ -65,20 +67,22 @@ pub fn workspace_registry() -> Registry {
 /// `idx`, looking a few lines ahead (macro arguments often wrap). The
 /// k-th `""` on a code line is the k-th literal the scanner recorded on
 /// it, so the literal is read from the raw text at its own opening quote.
-fn first_string_literal(file: &ScannedFile, idx: usize, col: usize) -> Option<String> {
-    for (n, code) in file.code.iter().enumerate().skip(idx).take(6) {
+pub(crate) fn first_string_literal(file: &ScannedFile, idx: usize, col: usize) -> Option<String> {
+    let (code_lines, literals) = (file.code(), file.literals());
+    for n in idx..code_lines.len().min(idx + 6) {
+        let code = &code_lines[n];
         let from = if n == idx { col } else { 0 };
         let Some(quote) = code[from..].find('"') else {
             continue;
         };
         let k = code[..from + quote].matches('"').count() / 2;
-        let first = file.literals.partition_point(|&(line, _)| line < n);
-        let &(line, at) = file.literals.get(first + k)?;
+        let first = literals.partition_point(|&(line, _)| line < n);
+        let &(line, at) = literals.get(first + k)?;
         if line != n {
             return None;
         }
         let mut out = String::new();
-        let mut chars = file.raw[n][at + 1..].chars();
+        let mut chars = file.raw()[n][at + 1..].chars();
         while let Some(c) = chars.next() {
             match c {
                 '\\' => out.extend(chars.next()),
@@ -91,76 +95,88 @@ fn first_string_literal(file: &ScannedFile, idx: usize, col: usize) -> Option<St
     None
 }
 
+/// The site markers of one scanned file, looked up in its
+/// identifier-occurrence table: a `SITE_MACROS` token followed by `!`,
+/// or a `SITE_CALLS` token, then a call `(`, on a line without an `fn`
+/// token (not the marker's own definition, `fn checked_add(`). Returns
+/// `(line index, marker end)` in source order.
+fn site_markers(file: &ScannedFile) -> Vec<(usize, usize)> {
+    let code = file.code();
+    let tokens = SITE_MACROS
+        .iter()
+        .map(|t| (*t, true))
+        .chain(SITE_CALLS.iter().map(|t| (*t, false)));
+    let mut markers = Vec::new();
+    for (tok, bang) in tokens {
+        for (line, at) in file.occurrences(tok) {
+            let mut end = at + tok.len();
+            if bang {
+                if code[line].as_bytes().get(end) != Some(&b'!') {
+                    continue;
+                }
+                end += 1;
+            }
+            if code[line][end..].trim_start().starts_with('(') {
+                markers.push((line, at, end));
+            }
+        }
+    }
+    if !markers.is_empty() {
+        let fn_lines: Vec<usize> = file.occurrences("fn").map(|(line, _)| line).collect();
+        markers.retain(|&(line, _, _)| fn_lines.binary_search(&line).is_err());
+    }
+    markers.sort_unstable();
+    markers
+        .into_iter()
+        .map(|(line, _, end)| (line, end))
+        .collect()
+}
+
 /// Extracts the contract sites from one scanned file, left to right.
 pub fn extract_sites(file: &ScannedFile) -> Vec<Site> {
-    let mut sites = Vec::new();
     if EXEMPT_PREFIXES.iter().any(|p| file.rel_path.starts_with(p)) {
-        return sites;
+        return Vec::new();
     }
-    let mut marker_ends = Vec::new();
-    for (idx, code) in file.code.iter().enumerate() {
-        marker_ends.clear();
-        let mut defines_fn = false;
-        for (at, tok) in tokens(code) {
-            let mut end = at + tok.len();
-            if SITE_MACROS.contains(&tok) && code.as_bytes().get(end) == Some(&b'!') {
-                end += 1;
-            } else if !SITE_CALLS.contains(&tok) {
-                defines_fn |= tok == "fn";
-                continue;
-            }
-            // A call `(` on the right.
-            if code[end..].trim_start().starts_with('(') {
-                marker_ends.push(end);
-            }
-        }
-        // Not the marker's own definition (`fn checked_add(`).
-        if defines_fn {
-            continue;
-        }
-        for &end in &marker_ends {
-            if let Some(name) = first_string_literal(file, idx, end) {
-                sites.push(Site {
-                    name,
-                    span: Span {
-                        file: file.rel_path.clone(),
-                        line: idx + 1,
-                    },
-                });
-            }
-        }
-    }
-    sites
+    site_markers(file)
+        .into_iter()
+        .filter_map(|(idx, end)| {
+            let name = first_string_literal(file, idx, end)?;
+            Some(Site {
+                name,
+                span: Span {
+                    file: file.rel_path.clone(),
+                    line: idx + 1,
+                },
+            })
+        })
+        .collect()
 }
 
 /// The comparable forms of a site name: the full first token, plus its
-/// `Type` / `method` halves when path-qualified. (Site names may carry a
-/// human-readable tail — `"Process::setup_mpu cache hit: ..."` — which the
-/// first-token split discards.)
-pub(crate) fn site_candidates(name: &str) -> Vec<&str> {
+/// `Type` / `method` halves when path-qualified (the first token again
+/// when not). (Site names may carry a human-readable tail —
+/// `"Process::setup_mpu cache hit: ..."` — which the first-token split
+/// discards.)
+pub(crate) fn site_candidates(name: &str) -> [&str; 3] {
     let first = name.split_whitespace().next().unwrap_or(name);
-    let mut out = vec![first];
-    if let Some((ty, method)) = first.split_once("::") {
-        out.push(ty);
-        out.push(method);
-    }
-    out
+    let (ty, method) = first.split_once("::").unwrap_or((first, first));
+    [first, ty, method]
 }
 
 /// The comparable forms of a registered obligation's function name:
 /// full, parenthesis-stripped (`encode_permissions(arm)` →
-/// `encode_permissions`), and the `Type` / `method` halves.
-pub(crate) fn obligation_keys(function: &str) -> Vec<&str> {
+/// `encode_permissions`), and the `Type` / `method` halves (the stripped
+/// form again when it has none).
+pub(crate) fn obligation_keys(function: &str) -> [&str; 4] {
     let stripped = function.split('(').next().unwrap_or(function);
-    let mut out = vec![function, stripped];
-    if let Some((ty, method)) = stripped.split_once("::") {
-        out.push(ty);
-        out.push(method);
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
+    let (ty, method) = stripped.split_once("::").unwrap_or((stripped, stripped));
+    [function, stripped, ty, method]
 }
+
+/// A hash set of short strings. FNV rather than the default hasher: the
+/// keys are names from the audited tree and the registry, only probed,
+/// never iterated.
+type StrSet<'a> = HashSet<&'a str, BuildHasherDefault<Fnv>>;
 
 /// Runs the cross-check: sources vs. the given registry.
 pub fn audit_against(
@@ -169,22 +185,61 @@ pub fn audit_against(
     config: &AuditConfig,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let sites: Vec<Site> = files.iter().flat_map(extract_sites).collect();
+    let cands_of: Vec<[&str; 3]> = sites.iter().map(|s| site_candidates(&s.name)).collect();
+    // Every `fn` name, sorted by its scan-time key: a probe reads name
+    // text only where the keys match.
+    let mut fn_names: Vec<(u64, &str)> = files
+        .iter()
+        .flat_map(|f| &f.fns)
+        .map(|f| (f.name_key(), f.name.as_str()))
+        .collect();
+    fn_names.sort_unstable_by_key(|&(key, _)| key);
+    let is_fn = |name: &str| {
+        let key = fnv1a(name.as_bytes());
+        let from = fn_names.partition_point(|&(k, _)| k < key);
+        fn_names[from..]
+            .iter()
+            .take_while(|&&(k, _)| k == key)
+            .any(|&(_, n)| n == name)
+    };
 
-    // Key index over the registry.
-    let mut keys: BTreeSet<&str> = BTreeSet::new();
+    // One walk over the registry answers both directions' set questions:
+    // which site candidates some obligation key registers, and which
+    // non-trusted obligations anchor to live code — a `fn` of their
+    // method's name, or a live site naming them (e.g. the `legacy::alloc`
+    // checked-arithmetic obligations, whose names are site names). Only
+    // the type names those leave undecided are looked up in the files'
+    // identifier tables. `registered` maps each site candidate to whether
+    // an obligation key names it.
+    let mut registered: HashMap<&str, bool, BuildHasherDefault<Fnv>> =
+        cands_of.iter().flatten().map(|c| (*c, false)).collect();
+    let mut reported = StrSet::default();
+    let mut undecided = Vec::new();
     for o in registry.obligations() {
-        keys.extend(obligation_keys(&o.function));
+        let mut named_by_site = false;
+        for k in obligation_keys(&o.function) {
+            if let Some(r) = registered.get_mut(k) {
+                *r = true;
+                named_by_site = true;
+            }
+        }
+        if o.trusted || !reported.insert(&o.function) || named_by_site {
+            continue;
+        }
+        let stripped = o.function.split('(').next().unwrap_or(&o.function);
+        let (ty, method) = match stripped.split_once("::") {
+            Some((t, m)) => (Some(t), m),
+            None => (None, stripped),
+        };
+        if !is_fn(method) && !is_fn(stripped) {
+            undecided.push((o, stripped, ty));
+        }
     }
 
-    // Direction 1: every site must be registered. While walking, remember
-    // every site candidate — an obligation matched by a live site is, by
-    // the same token, alive for direction 2.
-    let sites: Vec<Site> = files.iter().flat_map(extract_sites).collect();
-    let mut site_cands: BTreeSet<&str> = BTreeSet::new();
-    for site in &sites {
-        let cands = site_candidates(&site.name);
-        site_cands.extend(&cands);
-        if cands.iter().any(|c| keys.contains(c)) {
+    // Direction 1: every site must be registered.
+    for (site, cands) in sites.iter().zip(&cands_of) {
+        if cands.iter().any(|c| registered[c]) {
             continue;
         }
         if config
@@ -206,48 +261,10 @@ pub fn audit_against(
         });
     }
 
-    // Direction 2: every non-trusted obligation must anchor to live code —
-    // a `fn` of its method's name, a live site naming it, or its type as
-    // an identifier. The first two need no walk over the code; only the
-    // type names they leave undecided are looked up there.
-    let fn_names: BTreeSet<&str> = files
-        .iter()
-        .flat_map(|f| &f.fns)
-        .map(|f| f.name.as_str())
-        .collect();
-    let mut reported: BTreeSet<&str> = BTreeSet::new();
-    let mut undecided = Vec::new();
-    for o in registry.obligations() {
-        if o.trusted || !reported.insert(&o.function) {
-            continue;
-        }
-        let stripped = o.function.split('(').next().unwrap_or(&o.function);
-        let (ty, method) = match stripped.split_once("::") {
-            Some((t, m)) => (Some(t), m),
-            None => (None, stripped),
-        };
-        let alive = fn_names.contains(method)
-            || fn_names.contains(stripped)
-            // Named by a live contract site (e.g. the `legacy::alloc`
-            // checked-arithmetic obligations, whose names are site names).
-            || obligation_keys(&o.function)
-                .iter()
-                .any(|k| site_cands.contains(*k));
-        if !alive {
-            undecided.push((o, stripped, ty));
-        }
-    }
-    let mut unseen: BTreeSet<&str> = undecided.iter().filter_map(|u| u.2).collect();
-    for code in files.iter().flat_map(|f| &f.code) {
-        if unseen.is_empty() {
-            break;
-        }
-        for (_, tok) in tokens(code) {
-            unseen.remove(tok);
-        }
-    }
+    // Direction 2: every non-trusted obligation must anchor to live code,
+    // the last resort being its type as an identifier.
     for (o, stripped, ty) in undecided {
-        if ty.is_some_and(|t| !unseen.contains(t)) {
+        if ty.is_some_and(|t| files.iter().any(|f| f.has_token(t))) {
             continue;
         }
         if config

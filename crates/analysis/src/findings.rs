@@ -21,6 +21,9 @@ pub enum Pass {
 }
 
 impl Pass {
+    /// Every pass, in the order `run_passes` runs them.
+    pub const ALL: [Pass; 4] = [Pass::Tcb, Pass::Coverage, Pass::Crosscheck, Pass::Staleness];
+
     /// The pass's CLI name (`--pass` value and diagnostic tag).
     pub fn name(self) -> &'static str {
         match self {

@@ -46,6 +46,8 @@ pub mod coverage;
 pub mod crosscheck;
 pub mod findings;
 pub mod metrics;
+#[cfg(test)]
+mod oracle;
 pub mod report;
 pub mod source;
 pub mod staleness;

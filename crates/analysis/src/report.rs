@@ -11,6 +11,7 @@
 
 use std::path::Path;
 
+use crate::audit::ColdWalls;
 use crate::config::AuditConfig;
 use crate::findings::{Finding, Pass};
 use crate::metrics::{Kind, Report, WALL};
@@ -73,11 +74,9 @@ pub struct AuditReport {
     /// Wall milliseconds of each pass that ran, in run order (cache
     /// lookups included on a cached run).
     pub pass_ms: Vec<(Pass, f64)>,
-    /// The minimum wall, in milliseconds, of several uncached
-    /// [`crate::run_passes`] calls on the already-scanned tree: the gated
-    /// audit cost. `tt-audit --cold` measures it; other runs leave it
-    /// `None`.
-    pub passes_ms: Option<f64>,
+    /// The gated scan, audit and edit walls. `tt-audit --cold` measures
+    /// them; other runs leave them `None`.
+    pub cold: Option<ColdWalls>,
 }
 
 impl AuditReport {
@@ -96,7 +95,7 @@ impl AuditReport {
 fn trusted_loc_of(file: &ScannedFile, config: &AuditConfig) -> usize {
     if config.is_trusted_file(&file.rel_path) {
         // Whole file in the TCB: count its non-blank lines.
-        return file.raw.iter().filter(|l| !l.trim().is_empty()).count();
+        return file.raw().iter().filter(|l| !l.trim().is_empty()).count();
     }
     file.fns
         .iter()
@@ -162,8 +161,9 @@ pub fn component_rows(
 }
 
 /// The `fig10` metrics report: the Fig. 10 counters and trusted LOC per
-/// component and in total, findings and wall per pass, the gated
-/// uncached audit wall of a `--cold` run, and the cache statistics of a
+/// component and in total, findings and wall per pass, the gated audit
+/// and edit walls and the scan wall of a `--cold` run, and the cache
+/// statistics of a
 /// cached run. Every finding is a failure.
 pub fn metrics(report: &AuditReport) -> Report {
     let mut r = Report::new("fig10");
@@ -188,9 +188,17 @@ pub fn metrics(report: &AuditReport) -> Report {
     for &(pass, ms) in &report.pass_ms {
         r.info(format!("audit.{}_ms", pass.name()), WALL, "ms", ms);
     }
-    match report.passes_ms {
-        Some(ms) => r.add(Kind::Ceiling, "audit.passes_ms", WALL, "ms", ms),
-        None => r.skip("audit.passes_ms", "measured by `tt-audit --cold` only"),
+    match report.cold {
+        Some(c) => {
+            r.add(Kind::Ceiling, "audit.passes_ms", WALL, "ms", c.passes_ms);
+            r.info("audit.scan_ms", WALL, "ms", c.scan_ms);
+            r.add(Kind::Ceiling, "audit.edit_ms", WALL, "ms", c.edit_ms);
+        }
+        None => {
+            for gated in ["audit.passes_ms", "audit.edit_ms"] {
+                r.skip(gated, "measured by `tt-audit --cold` only");
+            }
+        }
     }
     if let Some(c) = &report.cache {
         let counts = [
@@ -258,7 +266,7 @@ mod tests {
             stale_entries: Vec::new(),
             cache: None,
             pass_ms: vec![(Pass::Tcb, 3.0), (Pass::Staleness, 2.0)],
-            passes_ms: None,
+            cold: None,
         }
     }
 
@@ -286,11 +294,18 @@ mod tests {
         assert_eq!(value(&m, "audit.staleness_ms"), 2.0);
         assert!(m.get("audit.coverage_ms").is_none(), "coverage did not run");
         assert!(m.get("audit.passes_ms").is_none());
-        assert_eq!(m.skipped.len(), 1, "{:?}", m.skipped);
-        r.passes_ms = Some(9.5);
+        assert_eq!(m.skipped.len(), 2, "{:?}", m.skipped);
+        r.cold = Some(ColdWalls {
+            passes_ms: 9.5,
+            scan_ms: 20.0,
+            edit_ms: 4.0,
+        });
         let m = metrics(&r);
         let gated = m.get("audit.passes_ms").expect("emitted");
         assert_eq!((gated.kind, gated.value), (Kind::Ceiling, 9.5));
+        let gated = m.get("audit.edit_ms").expect("emitted");
+        assert_eq!((gated.kind, gated.value), (Kind::Ceiling, 4.0));
+        assert_eq!(m.get("audit.scan_ms").expect("emitted").kind, Kind::Info);
         assert!(m.skipped.is_empty());
         assert!(m.without_wall().get("audit.tcb_ms").is_none());
     }

@@ -1,7 +1,8 @@
 //! Lexical Rust source scanning: the substrate every audit pass runs on.
 //!
 //! The scanner itself (comment/string stripping, `fn` span recovery,
-//! content hashing) lives in [`tt_contracts::span`] so that the incremental
+//! content hashing, the identifier token walk and each file's
+//! identifier-occurrence table) lives in [`tt_contracts::span`] so that the incremental
 //! verifier and the audit passes share one span/hash layer — a cached
 //! verdict and an audit finding must agree on what "this function's text"
 //! means. This module re-exports those types and adds the filesystem side:
@@ -11,33 +12,25 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub use tt_contracts::span::{
-    find_token, is_ident_byte, scan_text, strip_comments_and_strings, FnSpan, ScannedFile,
+    find_token, is_ident_byte, scan_text, strip_comments_and_strings, tokens, FnSpan, ScannedFile,
     SourceIndex, Span,
 };
 
-/// The identifier tokens of one code line with their byte offsets: its
-/// maximal runs of [`is_ident_byte`] bytes (`[A-Za-z0-9_]`), left to
-/// right. A token starts exactly where [`find_token`] accepts a match, so
-/// one walk answers every token question a pass asks about the line.
-pub fn tokens(line: &str) -> impl Iterator<Item = (usize, &str)> {
-    let b = line.as_bytes();
-    let mut at = 0;
-    std::iter::from_fn(move || {
-        let start = at + b[at..].iter().position(|&c| is_ident_byte(c))?;
-        let len = b[start..].iter().position(|&c| !is_ident_byte(c));
-        at = len.map_or(b.len(), |n| start + n);
-        Some((start, &line[start..at]))
-    })
-}
-
-/// Loads and scans one file, returning `None` on read failure.
-pub fn scan_file(root: &Path, path: &Path) -> Option<ScannedFile> {
+/// Reads one file as `(workspace-relative path, text)`, returning `None`
+/// on read failure.
+pub fn read_file(root: &Path, path: &Path) -> Option<(String, String)> {
     let text = fs::read_to_string(path).ok()?;
     let rel = path
         .strip_prefix(root)
         .unwrap_or(path)
         .to_string_lossy()
         .replace('\\', "/");
+    Some((rel, text))
+}
+
+/// Loads and scans one file, returning `None` on read failure.
+pub fn scan_file(root: &Path, path: &Path) -> Option<ScannedFile> {
+    let (rel, text) = read_file(root, path)?;
     Some(scan_text(&rel, &text))
 }
 
@@ -77,86 +70,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crosscheck::{SITE_CALLS, SITE_MACROS};
-    use crate::tcb::{constructs, Construct, RAW_POINTER_OPS, REGISTER_STORES};
-    use proptest::prelude::*;
-
-    /// Code-line fragments, joined without separators so that tokens
-    /// merge and split at every boundary.
-    const FRAGMENTS: &[&str] = &[
-        "a",
-        "x1",
-        "Foo",
-        "unsafe",
-        "write_rbar",
-        "write_rasr",
-        "write_rnr",
-        "write_ctrl",
-        "write_region",
-        "write_cfg",
-        "write_addr",
-        "transmute",
-        "read_volatile",
-        "write_volatile",
-        "requires!",
-        "ensures!",
-        "invariant!",
-        "checked_add",
-        "checked_sub",
-        "checked_mul",
-        "fn",
-        "mut",
-        "const",
-        "0",
-        "42",
-        "_",
-        ".",
-        "!",
-        "(",
-        "*mut ",
-        "*const ",
-        " ",
-    ];
-
-    fn first_walk_offset(line: &str, token: &str) -> Option<usize> {
-        tokens(line).find(|&(_, t)| t == token).map(|(at, _)| at)
-    }
-
-    proptest! {
-        #[test]
-        fn the_walk_finds_every_audited_token_where_find_token_does(
-            parts in prop::collection::vec(prop::sample::select(FRAGMENTS.to_vec()), 0..16),
-        ) {
-            let line = parts.concat();
-            let audited = ["unsafe", "fn"]
-                .iter()
-                .chain(REGISTER_STORES)
-                .chain(RAW_POINTER_OPS)
-                .chain(SITE_MACROS)
-                .chain(SITE_CALLS);
-            for t in audited {
-                prop_assert_eq!(first_walk_offset(&line, t), find_token(&line, t), "{:?} in {:?}", t, line);
-            }
-            let pointer = constructs(&line).any(|(_, c)| c == Construct::PointerType);
-            prop_assert_eq!(pointer, line.contains("*mut ") || line.contains("*const "), "{:?}", line);
-        }
-    }
-
-    #[test]
-    fn a_non_ascii_byte_ends_a_token_on_its_left() {
-        // The auditor's one identifier rule is ASCII: `é` is not an
-        // identifier byte, so the `unsafe` after it is a token.
-        assert_eq!(first_walk_offset("éunsafe {", "unsafe"), Some(2));
-        assert_eq!(find_token("éunsafe {", "unsafe"), Some(2));
-    }
-
-    #[test]
-    fn a_non_ascii_byte_ends_a_token_on_its_right() {
-        assert_eq!(first_walk_offset("let x = unsafeé;", "unsafe"), Some(8));
-        assert_eq!(find_token("let x = unsafeé;", "unsafe"), Some(8));
-        let words: Vec<&str> = tokens("Typeé::new()").map(|(_, t)| t).collect();
-        assert_eq!(words, vec!["Type", "new"]);
-    }
 
     #[test]
     fn workspace_walk_finds_kernel_sources_sorted() {
@@ -173,6 +86,69 @@ mod tests {
         assert!(paths
             .iter()
             .all(|p| !p.to_string_lossy().contains("shims/")));
+    }
+
+    #[test]
+    fn stored_hashes_equal_fnv_over_the_raw_lines_of_the_real_tree() {
+        // The verdict caches key on these hashes: computing them at scan
+        // time must not change a single one.
+        let over = |lines: &[&str]| {
+            let mut h = tt_contracts::span::Fnv::new();
+            for line in lines {
+                h.mix_str(line);
+            }
+            h.finish()
+        };
+        let sources = crate::audit::read_workspace(&crate::audit::workspace_root());
+        assert!(sources.len() > 20);
+        for (rel, text) in &sources {
+            let f = scan_text(rel, text);
+            let raw: Vec<&str> = text.lines().take(f.raw().len()).collect();
+            assert_eq!(f.content_hash(), over(&raw), "{rel}");
+            for span in &f.fns {
+                let expected = over(&raw[span.start - 1..span.end]);
+                assert_eq!(f.fn_content_hash(span), expected, "{rel}::{}", span.name);
+            }
+        }
+    }
+
+    #[test]
+    fn the_source_index_equals_hashing_the_raw_lines_of_the_real_tree() {
+        // The index as it was built before scans stored their hashes:
+        // every hash recomputed from the raw lines, folded through
+        // name-keyed maps.
+        use std::collections::BTreeMap;
+        use tt_contracts::span::Fnv;
+        let over = |lines: &mut dyn Iterator<Item = &str>| {
+            let mut h = Fnv::new();
+            lines.for_each(|line| h.mix_str(line));
+            h.finish()
+        };
+        let files = crate::audit::load_workspace(&crate::audit::workspace_root());
+        let mut fns: BTreeMap<&str, Fnv> = BTreeMap::new();
+        let mut file_hashes: BTreeMap<&str, u64> = BTreeMap::new();
+        for file in &files {
+            file_hashes.insert(&file.rel_path, over(&mut file.raw().iter()));
+            for f in &file.fns {
+                let entry = fns.entry(&f.name).or_default();
+                entry.mix_str(&file.rel_path);
+                entry.mix_u64(over(&mut file.raw().range(f.start - 1..f.end)));
+            }
+        }
+        let mut ws = Fnv::new();
+        for (path, hash) in &file_hashes {
+            ws.mix_str(path);
+            ws.mix_u64(*hash);
+        }
+        let index = SourceIndex::from_files(&files);
+        assert_eq!(index.workspace_hash(), ws.finish());
+        for (path, hash) in file_hashes {
+            assert_eq!(index.file_hash(path), Some(hash), "{path}");
+        }
+        for (name, hash) in fns {
+            assert_eq!(index.fn_hash(name), Some(hash.finish()), "{name}");
+        }
+        assert_eq!(index.fn_hash("no_such_fn_anywhere"), None);
     }
 
     #[test]

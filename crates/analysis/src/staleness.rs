@@ -30,7 +30,7 @@ use crate::config::AuditConfig;
 use crate::crosscheck;
 use crate::findings::{Finding, Pass};
 use crate::source::ScannedFile;
-use crate::tcb::constructs;
+use crate::tcb::has_construct;
 use tt_contracts::obligation::Registry;
 
 /// One stale allowlist entry: enough to print a removal instruction.
@@ -60,19 +60,6 @@ impl StaleEntry {
     }
 }
 
-/// Whether one stripped code line contains a TCB construct — the same
-/// walk the TCB audit makes, plus the defining occurrences (a trusted
-/// register file *defines* `write_rbar`; that definition is what the
-/// entry exists to cover).
-fn line_has_construct(code: &str) -> bool {
-    constructs(code).next().is_some()
-}
-
-/// Whether any line in `lines` contains a TCB construct.
-fn any_construct(lines: &[String]) -> bool {
-    lines.iter().any(|l| line_has_construct(l))
-}
-
 /// Audits the `[tcb] trusted` entries against the scanned tree.
 fn stale_trusted(files: &[ScannedFile], config: &AuditConfig) -> Vec<StaleEntry> {
     let mut out = Vec::new();
@@ -91,7 +78,10 @@ fn stale_trusted(files: &[ScannedFile], config: &AuditConfig) -> Vec<StaleEntry>
                 out.push(stale(format!("no function `{func}` in `{path}`")));
                 continue;
             };
-            if !any_construct(&file.code[span.start - 1..span.end]) {
+            // The defining occurrences count too: a trusted register
+            // file *defines* `write_rbar`, and that definition is what
+            // the entry exists to cover.
+            if !has_construct(file, span.start - 1..span.end) {
                 out.push(stale(format!(
                     "`{func}` no longer contains an unsafe/raw-store construct"
                 )));
@@ -104,7 +94,7 @@ fn stale_trusted(files: &[ScannedFile], config: &AuditConfig) -> Vec<StaleEntry>
                 .collect();
             if matched.is_empty() {
                 out.push(stale("matches no audited source file".into()));
-            } else if !matched.iter().any(|f| any_construct(&f.code)) {
+            } else if !matched.iter().any(|f| has_construct(f, 0..f.code().len())) {
                 out.push(stale(
                     "no unsafe/raw-store construct remains in the trusted scope".into(),
                 ));

@@ -15,9 +15,11 @@
 //!   `transmute`, volatile/`ptr::` reads and writes. The paper's DMA story
 //!   (§4.4) wraps these behind checked abstractions; a bare one is TCB.
 
+use std::ops::Range;
+
 use crate::config::AuditConfig;
 use crate::findings::{Finding, Pass};
-use crate::source::{tokens, ScannedFile, Span};
+use crate::source::{ScannedFile, Span};
 
 /// Raw register-store methods: calling one commits protection state.
 pub(crate) const REGISTER_STORES: &[&str] = &[
@@ -33,8 +35,9 @@ pub(crate) const REGISTER_STORES: &[&str] = &[
 /// Raw pointer / DMA operation tokens.
 pub(crate) const RAW_POINTER_OPS: &[&str] = &["transmute", "read_volatile", "write_volatile"];
 
-/// One TCB construct on a code line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One TCB construct on a code line. The variant order is the order in
+/// which one line's findings are reported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Construct {
     /// The `unsafe` keyword.
     Unsafe,
@@ -46,25 +49,45 @@ pub(crate) enum Construct {
     PointerType,
 }
 
-/// The TCB constructs on one code line with their byte offsets, found by
-/// one walk over its identifier tokens. `*mut ` and `*const ` are the
-/// tokens `mut` and `const` between a `*` and a space.
-pub(crate) fn constructs(code: &str) -> impl Iterator<Item = (usize, Construct)> + '_ {
-    let b = code.as_bytes();
-    tokens(code).filter_map(move |(at, tok)| {
-        let construct = match tok {
-            "unsafe" => Construct::Unsafe,
-            "mut" | "const" => {
-                let pointer = at > 0 && b[at - 1] == b'*' && b.get(at + tok.len()) == Some(&b' ');
-                pointer.then_some(Construct::PointerType)?
-            }
-            _ => match REGISTER_STORES.iter().position(|s| *s == tok) {
-                Some(i) => Construct::Store(i),
-                None => Construct::RawOp(RAW_POINTER_OPS.iter().position(|s| *s == tok)?),
-            },
-        };
-        Some((at, construct))
-    })
+/// Whether the token `tok` at byte `at` of `code` is the `mut`/`const` of
+/// a raw pointer type: a `*` right before it and a space right after.
+pub(crate) fn is_pointer_type(code: &str, at: usize, tok: &str) -> bool {
+    at > 0 && code.as_bytes()[at - 1] == b'*' && code.as_bytes().get(at + tok.len()) == Some(&b' ')
+}
+
+/// The TCB constructs on the line indices in `lines` of `file`, as `(line
+/// index, byte offset, construct)`, looked up in the file's
+/// identifier-occurrence table: one run of hits per construct token, not
+/// in line order.
+pub(crate) fn constructs_in(
+    file: &ScannedFile,
+    lines: Range<usize>,
+) -> impl Iterator<Item = (usize, usize, Construct)> + '_ {
+    let indexed = |list: &'static [&'static str], construct: fn(usize) -> Construct| {
+        list.iter()
+            .enumerate()
+            .map(move |(i, tok)| (*tok, construct(i)))
+    };
+    std::iter::once(("unsafe", Construct::Unsafe))
+        .chain(indexed(REGISTER_STORES, Construct::Store))
+        .chain(indexed(RAW_POINTER_OPS, Construct::RawOp))
+        .chain([
+            ("mut", Construct::PointerType),
+            ("const", Construct::PointerType),
+        ])
+        .flat_map(move |(tok, construct)| {
+            file.occurrences_in(tok, lines.clone())
+                .filter(move |&(line, at)| {
+                    construct != Construct::PointerType
+                        || is_pointer_type(&file.code()[line], at, tok)
+                })
+                .map(move |(line, at)| (line, at, construct))
+        })
+}
+
+/// Whether `file` has a TCB construct on a line index in `lines`.
+pub(crate) fn has_construct(file: &ScannedFile, lines: Range<usize>) -> bool {
+    constructs_in(file, lines).next().is_some()
 }
 
 /// Scans one file for TCB surface outside the allowlist.
@@ -91,55 +114,47 @@ pub fn audit_file(file: &ScannedFile, config: &AuditConfig) -> Vec<Finding> {
             });
         }
     };
-    for (idx, code) in file.code.iter().enumerate() {
-        let mut is_unsafe = false;
-        let mut stores = [None; REGISTER_STORES.len()];
-        let mut ops = [false; RAW_POINTER_OPS.len()];
-        let mut pointer_type = false;
-        for (at, construct) in constructs(code) {
-            match construct {
-                Construct::Unsafe => is_unsafe = true,
-                Construct::Store(i) => {
-                    stores[i].get_or_insert(at);
-                }
-                Construct::RawOp(i) => ops[i] = true,
-                Construct::PointerType => pointer_type = true,
-            }
-        }
+    // One finding per (line, construct), at the construct's first
+    // occurrence on the line, lines in order and each line's findings in
+    // `Construct` order.
+    let mut hits: Vec<(usize, usize, Construct)> =
+        constructs_in(file, 0..file.code().len()).collect();
+    hits.sort_unstable_by_key(|&(line, at, construct)| (line, construct, at));
+    hits.dedup_by_key(|&mut (line, _, construct)| (line, construct));
+    for (idx, at, construct) in hits {
         let line = idx + 1;
-        if is_unsafe {
-            report(
+        match construct {
+            Construct::Unsafe => report(
                 line,
                 "`unsafe` outside the allowlisted TCB (declare it in ci/tcb_allowlist.toml or remove it)".into(),
-            );
-        }
-        for (store, at) in REGISTER_STORES.iter().zip(stores) {
-            // A *call* (`.write_rbar(` / `hw.write_region(`) at the
-            // store's first occurrence is a raw commit; the defining
-            // `fn write_rbar` lives in the (fully trusted) register-file
-            // modules.
-            let Some(at) = at else { continue };
-            let is_call = code[at + store.len()..].trim_start().starts_with('(')
-                && at > 0
-                && code[..at].trim_end().ends_with('.');
-            if is_call {
-                report(
-                    line,
-                    format!("raw protection-register store `{store}` outside the allowlisted TCB"),
-                );
+            ),
+            Construct::Store(i) => {
+                // A *call* (`.write_rbar(` / `hw.write_region(`) at the
+                // store's first occurrence is a raw commit; the defining
+                // `fn write_rbar` lives in the (fully trusted) register-file
+                // modules.
+                let (code, store) = (&file.code()[idx], REGISTER_STORES[i]);
+                let is_call = code[at + store.len()..].trim_start().starts_with('(')
+                    && at > 0
+                    && code[..at].trim_end().ends_with('.');
+                if is_call {
+                    report(
+                        line,
+                        format!("raw protection-register store `{store}` outside the allowlisted TCB"),
+                    );
+                }
             }
-        }
-        for (op, _) in RAW_POINTER_OPS.iter().zip(ops).filter(|(_, seen)| *seen) {
-            report(
+            Construct::RawOp(i) => report(
                 line,
-                format!("raw pointer operation `{op}` outside the allowlisted TCB"),
-            );
-        }
-        if pointer_type {
-            report(
+                format!(
+                    "raw pointer operation `{}` outside the allowlisted TCB",
+                    RAW_POINTER_OPS[i]
+                ),
+            ),
+            Construct::PointerType => report(
                 line,
                 "raw pointer type (`*mut`/`*const`) outside the allowlisted TCB".into(),
-            );
+            ),
         }
     }
     findings

@@ -19,6 +19,15 @@
 //! site, or a `// TRUSTED:` marker — changes its hash and forces
 //! re-discharge. Edits past the `#[cfg(test)]` cut do not: test-only churn
 //! stays warm.
+//!
+//! Every fact derived from a file's text is derived once, by
+//! [`scan_text`]: the file and `fn` content hashes and an
+//! identifier-occurrence table over the code view. A [`ScannedFile`] is
+//! immutable afterwards (its text fields are read through accessors), so
+//! the stored facts always describe the stored text; a changed file is
+//! rescanned, never patched. Workspace-wide consumers fold the stored
+//! hashes ([`SourceIndex::from_files`]) and look tokens up
+//! ([`ScannedFile::occurrences`]) instead of re-walking every line.
 
 use std::collections::BTreeMap;
 
@@ -54,25 +63,200 @@ pub struct FnSpan {
     pub trusted: bool,
     /// Non-blank code lines inside the span.
     pub loc: usize,
+    /// FNV content hash of the raw lines `start..=end`, computed by
+    /// [`scan_text`]; read it through [`ScannedFile::fn_content_hash`].
+    content_hash: u64,
+    name_key: u64,
+}
+
+impl FnSpan {
+    /// FNV-1a of [`name`](Self::name), computed by [`scan_text`]: a set
+    /// of names can be built and probed by key, reading a name's text
+    /// only to confirm a key match.
+    pub fn name_key(&self) -> u64 {
+        self.name_key
+    }
 }
 
 /// A scanned file: raw lines plus a code-only view (comments and string
-/// contents removed) and the recovered `fn` spans.
+/// contents removed), the recovered `fn` spans, and the facts derived from
+/// them at scan time (content hashes, identifier occurrences). Built only
+/// by [`scan_text`] and immutable afterwards.
 #[derive(Debug, Clone)]
 pub struct ScannedFile {
     /// Workspace-relative path, `/`-separated.
     pub rel_path: String,
-    /// Original lines, test module excluded.
-    pub raw: Vec<String>,
-    /// Code-only lines (same indices as `raw`): comments stripped, string
-    /// literals replaced by `""`.
-    pub code: Vec<String>,
-    /// Where each string literal collapsed to `""` opens, in source order:
-    /// `(line index, byte offset of its opening quote in raw[line])`. The
-    /// k-th `""` on `code[line]` is the k-th entry on that line.
-    pub literals: Vec<(usize, usize)>,
     /// Recovered function spans, in order of appearance.
     pub fns: Vec<FnSpan>,
+    raw: Lines,
+    code: Lines,
+    literals: Vec<(usize, usize)>,
+    content_hash: u64,
+    idents: Idents,
+}
+
+/// The lines of one view of a file, held in one buffer rather than one
+/// allocation per line. Index it like a slice of lines: `lines[i]` is
+/// line `i` without its line terminator.
+#[derive(Debug, Clone, Default)]
+pub struct Lines {
+    text: String,
+    /// Each line's byte range in `text`.
+    ranges: Vec<(usize, usize)>,
+}
+
+impl Lines {
+    /// The number of lines.
+    pub fn len(&self) -> usize {
+        self.ranges.len()
+    }
+
+    /// Whether there are no lines.
+    pub fn is_empty(&self) -> bool {
+        self.ranges.is_empty()
+    }
+
+    /// The lines, in order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &str> + ExactSizeIterator + '_ {
+        self.range(0..self.len())
+    }
+
+    /// The lines with indices in `lines`, in order.
+    pub fn range(
+        &self,
+        lines: std::ops::Range<usize>,
+    ) -> impl DoubleEndedIterator<Item = &str> + ExactSizeIterator + '_ {
+        self.ranges[lines]
+            .iter()
+            .map(|&(from, to)| &self.text[from..to])
+    }
+
+    /// Ends the line that started at byte `from` of the buffer.
+    fn end_line(&mut self, from: usize) {
+        self.ranges.push((from, self.text.len()));
+    }
+
+    /// Keeps the first `n` lines.
+    fn truncate(&mut self, n: usize) {
+        if n < self.len() {
+            self.text.truncate(self.ranges[n].0);
+            self.ranges.truncate(n);
+        }
+    }
+}
+
+impl std::ops::Index<usize> for Lines {
+    type Output = str;
+
+    fn index(&self, line: usize) -> &str {
+        let (from, to) = self.ranges[line];
+        &self.text[from..to]
+    }
+}
+
+/// "No occurrence" in an [`Idents`] link.
+const NONE: u32 = u32::MAX;
+
+/// One file's identifier-occurrence table: every identifier token of the
+/// code view in source order, each linked to the next occurrence of the
+/// same FNV-1a key, and an open-addressing hash table from each key to
+/// its first and last occurrence. Two flat vectors, no allocation per
+/// identifier; a key is only a candidate, confirmed against the code line.
+/// An inline Bloom filter answers most lookups of an absent token without
+/// touching either vector.
+#[derive(Debug, Clone)]
+struct Idents {
+    /// Two bits per key ([`filter_bits`]) of 1024.
+    filter: [u64; 16],
+    /// `(key, first occurrence, last occurrence)`, `NONE` first when
+    /// empty; a power of two long, at most half full.
+    slots: Vec<(u64, u32, u32)>,
+    /// log2 of `slots.len()`.
+    bits: u32,
+    /// `(line index, byte offset, next occurrence of the same key)`.
+    occ: Vec<(u32, u32, u32)>,
+}
+
+impl Idents {
+    fn build(code: &Lines) -> Self {
+        let mut table = Idents {
+            filter: [0; 16],
+            slots: vec![(0, NONE, NONE); 64],
+            bits: 6,
+            occ: Vec::new(),
+        };
+        let mut used = 0;
+        for (line, cl) in code.iter().enumerate() {
+            for (at, tok) in tokens(cl) {
+                let key = fnv1a(tok.as_bytes());
+                let this = narrow(table.occ.len());
+                table.occ.push((narrow(line), narrow(at), NONE));
+                let slot = table.slot(key);
+                let (_, first, last) = table.slots[slot];
+                if first == NONE {
+                    for bit in filter_bits(key) {
+                        table.filter[bit / 64] |= 1 << (bit % 64);
+                    }
+                    table.slots[slot] = (key, this, this);
+                    used += 1;
+                    if 2 * used > table.slots.len() {
+                        table.grow();
+                    }
+                } else {
+                    table.occ[last as usize].2 = this;
+                    table.slots[slot].2 = this;
+                }
+            }
+        }
+        table
+    }
+
+    /// The slot holding `key`, or the empty slot where it would go.
+    fn slot(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - self.bits)) as usize;
+        while self.slots[i].1 != NONE && self.slots[i].0 != key {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn grow(&mut self) {
+        self.bits += 1;
+        let old = std::mem::replace(&mut self.slots, vec![(0, NONE, NONE); 1 << self.bits]);
+        for entry in old.into_iter().filter(|e| e.1 != NONE) {
+            let slot = self.slot(entry.0);
+            self.slots[slot] = entry;
+        }
+    }
+
+    /// Every occurrence keyed `key`, as `(line, offset)` in source order.
+    fn chain(&self, key: u64) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let present = filter_bits(key)
+            .iter()
+            .all(|&bit| self.filter[bit / 64] & (1 << (bit % 64)) != 0);
+        let mut next = if present {
+            self.slots[self.slot(key)].1
+        } else {
+            NONE
+        };
+        std::iter::from_fn(move || {
+            let (line, at, after) = *self.occ.get(next as usize)?;
+            next = after;
+            Some((line as usize, at as usize))
+        })
+    }
+}
+
+/// A line index, byte offset or occurrence index as an [`Idents`] entry.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("a scanned source file is under 4 GiB")
+}
+
+/// The two [`Idents`] filter bits of `key`.
+fn filter_bits(key: u64) -> [usize; 2] {
+    let mixed = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    [(mixed >> 54) as usize, ((mixed >> 44) & 1023) as usize]
 }
 
 /// The FNV-1a 64-bit offset basis.
@@ -81,7 +265,11 @@ const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// FNV-1a over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
+    fold(FNV_OFFSET, bytes)
+}
+
+/// Folds `bytes` into the FNV-1a state `hash`.
+fn fold(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
@@ -103,19 +291,13 @@ impl Fnv {
 
     /// Folds one u64 into the state.
     pub fn mix_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
+        self.0 = fold(self.0, &v.to_le_bytes());
     }
 
     /// Folds a length-prefixed byte string into the state.
     pub fn mix_bytes(&mut self, bytes: &[u8]) {
         self.mix_u64(bytes.len() as u64);
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
+        self.0 = fold(self.0, bytes);
     }
 
     /// Folds a length-prefixed string into the state.
@@ -135,28 +317,97 @@ impl Default for Fnv {
     }
 }
 
+/// FNV-1a as a [`std::hash::Hasher`], for hash sets of short strings:
+/// `HashSet<&str, BuildHasherDefault<Fnv>>`.
+impl std::hash::Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fold(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV content hash of a run of raw lines: each line length-prefixed.
+fn hash_lines<'a>(lines: impl Iterator<Item = &'a str>) -> u64 {
+    let mut h = Fnv::new();
+    for line in lines {
+        h.mix_str(line);
+    }
+    h.finish()
+}
+
 impl ScannedFile {
-    /// Content hash of one recovered function span: FNV-1a over the raw
-    /// lines `start..=end` (newline-joined). Any textual change inside the
-    /// span — code, contract site, comment, `// TRUSTED:` marker — changes
-    /// the hash.
+    /// Original lines, test module excluded.
+    pub fn raw(&self) -> &Lines {
+        &self.raw
+    }
+
+    /// Code-only lines (same indices as [`raw`](Self::raw)): comments
+    /// stripped, string literals replaced by `""`.
+    pub fn code(&self) -> &Lines {
+        &self.code
+    }
+
+    /// Where each string literal collapsed to `""` opens, in source order:
+    /// `(line index, byte offset of its opening quote in raw[line])`. The
+    /// k-th `""` on `code[line]` is the k-th entry on that line.
+    pub fn literals(&self) -> &[(usize, usize)] {
+        &self.literals
+    }
+
+    /// Content hash of one recovered function span: FNV over the raw
+    /// lines `start..=end`. Any textual change inside the span — code,
+    /// contract site, comment, `// TRUSTED:` marker — changes the hash.
     pub fn fn_content_hash(&self, f: &FnSpan) -> u64 {
-        let mut h = Fnv::new();
-        for line in &self.raw[f.start - 1..f.end] {
-            h.mix_str(line);
-        }
-        h.finish()
+        f.content_hash
     }
 
     /// Content hash of the whole audited view of the file (the raw lines
     /// before the `#[cfg(test)]` cut). Test-module edits do not change it.
     pub fn content_hash(&self) -> u64 {
-        let mut h = Fnv::new();
-        for line in &self.raw {
-            h.mix_str(line);
-        }
-        h.finish()
+        self.content_hash
     }
+
+    /// Where the identifier `tok` occurs in the code view, as `(line
+    /// index, byte offset)` in line order: exactly the positions at which
+    /// [`tokens`] yields `tok`.
+    pub fn occurrences<'a>(&'a self, tok: &'a str) -> impl Iterator<Item = (usize, usize)> + 'a {
+        self.occurrences_in(tok, 0..self.code.len())
+    }
+
+    /// [`occurrences`](Self::occurrences) restricted to the line indices
+    /// in `lines`.
+    pub fn occurrences_in<'a>(
+        &'a self,
+        tok: &'a str,
+        lines: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let (start, end) = (lines.start, lines.end);
+        self.idents
+            .chain(fnv1a(tok.as_bytes()))
+            .skip_while(move |&(line, _)| line < start)
+            .take_while(move |&(line, _)| line < end)
+            // A key is only a candidate: the token starting at the
+            // recorded offset must be `tok` itself.
+            .filter(move |&(line, at)| token_at(&self.code[line], at) == tok)
+    }
+
+    /// Whether the identifier `tok` occurs anywhere in the code view.
+    pub fn has_token(&self, tok: &str) -> bool {
+        self.occurrences(tok).next().is_some()
+    }
+}
+
+/// The identifier token starting at byte `at` of `line`.
+fn token_at(line: &str, at: usize) -> &str {
+    let rest = &line.as_bytes()[at..];
+    let len = rest
+        .iter()
+        .position(|&c| !is_ident_byte(c))
+        .unwrap_or(rest.len());
+    &line[at..at + len]
 }
 
 /// A content-hash index over a set of scanned files: the source half of
@@ -171,43 +422,84 @@ impl ScannedFile {
 /// source change, never silently fresh.
 #[derive(Debug, Clone, Default)]
 pub struct SourceIndex {
-    fns: BTreeMap<String, u64>,
+    /// One entry per distinct `fn` name: its FNV-1a key, its byte range
+    /// in `names`, and the combined hash of every `fn` so named; sorted
+    /// by key.
+    fns: Vec<(u64, usize, usize, u64)>,
+    names: String,
     files: BTreeMap<String, u64>,
     workspace_hash: u64,
 }
 
 impl SourceIndex {
-    /// Builds the index from scanned files.
+    /// Builds the index from scanned files by folding the content hashes
+    /// [`scan_text`] stored in them: same-named functions fold in path
+    /// order, grouped by their names' scan-time keys.
     pub fn from_files(files: &[ScannedFile]) -> Self {
-        let mut fns: BTreeMap<String, Fnv> = BTreeMap::new();
-        let mut file_hashes: BTreeMap<String, u64> = BTreeMap::new();
         // Files arrive in workspace-walk order (sorted); iterate
         // deterministically anyway so the combined hashes are stable.
         let mut sorted: Vec<&ScannedFile> = files.iter().collect();
         sorted.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        for file in sorted {
-            file_hashes.insert(file.rel_path.clone(), file.content_hash());
-            for f in &file.fns {
-                let entry = fns.entry(f.name.clone()).or_default();
-                entry.mix_str(&file.rel_path);
-                entry.mix_u64(file.fn_content_hash(f));
+        let mut all: Vec<(u64, &str, &str, u64)> = sorted
+            .iter()
+            .flat_map(|file| {
+                file.fns.iter().map(|f| {
+                    (
+                        f.name_key,
+                        f.name.as_str(),
+                        file.rel_path.as_str(),
+                        f.content_hash,
+                    )
+                })
+            })
+            .collect();
+        // Stable: each name's functions stay in path order.
+        all.sort_by_key(|&(key, ..)| key);
+        let mut index = Self::default();
+        let mut folded = Vec::new();
+        for group in all.chunk_by(|a, b| a.0 == b.0) {
+            // Names sharing a key (a hash collision) fold separately.
+            folded.clear();
+            folded.resize(group.len(), false);
+            for first in 0..group.len() {
+                if folded[first] {
+                    continue;
+                }
+                let (key, name, ..) = group[first];
+                let mut h = Fnv::new();
+                for (done, &(_, other, path, hash)) in folded.iter_mut().zip(group).skip(first) {
+                    if !*done && other == name {
+                        *done = true;
+                        h.mix_str(path);
+                        h.mix_u64(hash);
+                    }
+                }
+                let from = index.names.len();
+                index.names.push_str(name);
+                index.fns.push((key, from, index.names.len(), h.finish()));
             }
         }
         let mut ws = Fnv::new();
-        for (path, hash) in &file_hashes {
+        for file in sorted {
+            index.files.insert(file.rel_path.clone(), file.content_hash);
+        }
+        for (path, hash) in &index.files {
             ws.mix_str(path);
             ws.mix_u64(*hash);
         }
-        Self {
-            fns: fns.into_iter().map(|(k, v)| (k, v.finish())).collect(),
-            files: file_hashes,
-            workspace_hash: ws.finish(),
-        }
+        index.workspace_hash = ws.finish();
+        index
     }
 
     /// Combined content hash of every `fn` with this bare name, if any.
     pub fn fn_hash(&self, name: &str) -> Option<u64> {
-        self.fns.get(name).copied()
+        let key = fnv1a(name.as_bytes());
+        let from = self.fns.partition_point(|e| e.0 < key);
+        self.fns[from..]
+            .iter()
+            .take_while(|e| e.0 == key)
+            .find(|e| &self.names[e.1..e.2] == name)
+            .map(|e| e.3)
     }
 
     /// Content hash of one file's audited view.
@@ -245,7 +537,7 @@ impl SourceIndex {
         let method = stripped.split("::").last().unwrap_or(stripped);
         [function, stripped, method]
             .iter()
-            .any(|c| self.fns.contains_key(*c))
+            .any(|c| self.fn_hash(c).is_some())
     }
 }
 
@@ -279,12 +571,12 @@ fn raw_string_start(b: &[u8], i: usize) -> Option<(usize, usize)> {
 /// comments, plain/byte/C strings, raw strings with any `#` depth and any
 /// `b`/`c` prefix (all may span lines), and char literals.
 pub fn strip_comments_and_strings(text: &str) -> Vec<String> {
-    strip(text).0
+    strip(text).0.iter().map(str::to_string).collect()
 }
 
 /// [`strip_comments_and_strings`] plus the literal positions of
 /// [`ScannedFile::literals`].
-fn strip(text: &str) -> (Vec<String>, Vec<(usize, usize)>) {
+fn strip(text: &str) -> (Lines, Vec<(usize, usize)>) {
     #[derive(PartialEq)]
     enum St {
         Code,
@@ -294,11 +586,15 @@ fn strip(text: &str) -> (Vec<String>, Vec<(usize, usize)>) {
         Char,
     }
     let mut state = St::Code;
-    let mut out = Vec::new();
+    let mut out = Lines {
+        text: String::with_capacity(text.len()),
+        ranges: Vec::new(),
+    };
     let mut literals = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         let b = line.as_bytes();
-        let mut kept = String::with_capacity(line.len());
+        let from = out.text.len();
+        let kept = &mut out.text;
         let mut i = 0;
         while i < b.len() {
             match state {
@@ -394,7 +690,7 @@ fn strip(text: &str) -> (Vec<String>, Vec<(usize, usize)>) {
                 }
             }
         }
-        out.push(kept);
+        out.end_line(from);
         // A string/char cannot span lines (raw strings and block comments
         // can); reset the simple states at end of line.
         if state == St::Str || state == St::Char {
@@ -409,16 +705,16 @@ fn strip(text: &str) -> (Vec<String>, Vec<(usize, usize)>) {
 /// test-module convention. A `#[cfg(test)]` on a statement *inside* a
 /// function body no longer truncates the file (it used to miscount braces
 /// for everything after it).
-fn test_module_cut(code: &[String]) -> usize {
+fn test_module_cut(code: &Lines) -> usize {
     let mut depth: i64 = 0;
     for (idx, cl) in code.iter().enumerate() {
         if depth == 0 && cl.trim_start().starts_with("#[cfg(test)]") {
             return idx;
         }
-        for ch in cl.chars() {
-            match ch {
-                '{' => depth += 1,
-                '}' => depth -= 1,
+        for &c in cl.as_bytes() {
+            match c {
+                b'{' => depth += 1,
+                b'}' => depth -= 1,
                 _ => {}
             }
         }
@@ -426,19 +722,33 @@ fn test_module_cut(code: &[String]) -> usize {
     code.len()
 }
 
-/// Extracts the identifier after `fn ` on a code line, if any.
-fn fn_name(code_line: &str) -> Option<String> {
-    let at = find_token(code_line, "fn")?;
-    let rest = &code_line[at + 2..];
-    let rest = rest.trim_start();
+/// The identifier after the `fn` token at byte `at` of a code line, if
+/// any.
+fn fn_name(code_line: &str, at: usize) -> Option<String> {
+    let rest = code_line[at + 2..].trim_start();
     let end = rest
         .bytes()
         .position(|c| !is_ident_byte(c))
         .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
+    (end > 0).then(|| rest[..end].to_string())
+}
+
+/// The first `count` lines of `text`, as [`str::lines`] splits them.
+fn raw_lines(text: &str, count: usize) -> Lines {
+    let base = text.as_ptr() as usize;
+    let ranges: Vec<(usize, usize)> = text
+        .lines()
+        .take(count)
+        .map(|line| {
+            let from = line.as_ptr() as usize - base;
+            (from, from + line.len())
+        })
+        .collect();
+    let end = ranges.last().map_or(0, |&(_, to)| to);
+    Lines {
+        text: text[..end].to_string(),
+        ranges,
     }
-    Some(rest[..end].to_string())
 }
 
 /// The scanner's one identifier rule: an identifier is a maximal run of
@@ -446,6 +756,21 @@ fn fn_name(code_line: &str) -> Option<String> {
 /// a run.
 pub fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// The identifier tokens of one code line with their byte offsets: its
+/// maximal runs of [`is_ident_byte`] bytes (`[A-Za-z0-9_]`), left to
+/// right. A token starts exactly where [`find_token`] accepts a match.
+/// [`ScannedFile::occurrences`] answers from a table of these.
+pub fn tokens(line: &str) -> impl Iterator<Item = (usize, &str)> {
+    let b = line.as_bytes();
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let start = at + b[at..].iter().position(|&c| is_ident_byte(c))?;
+        let len = b[start..].iter().position(|&c| !is_ident_byte(c));
+        at = len.map_or(b.len(), |n| start + n);
+        Some((start, &line[start..at]))
+    })
 }
 
 /// Finds `token` in `line` at identifier boundaries (so `fn` does not match
@@ -466,20 +791,25 @@ pub fn find_token(line: &str, token: &str) -> Option<usize> {
     None
 }
 
-/// Scans one source text into a [`ScannedFile`].
+/// Scans one source text into a [`ScannedFile`], deriving its content
+/// hashes and identifier-occurrence table.
 pub fn scan_text(rel_path: &str, text: &str) -> ScannedFile {
-    let all_raw: Vec<String> = text.lines().map(str::to_string).collect();
-    let (mut all_code, mut literals) = strip(text);
-    all_code.resize(all_raw.len(), String::new());
+    let (mut code, mut literals) = strip(text);
     // The cut is computed on the *stripped* view, so a `#[cfg(test)]`
     // inside a comment or string does not truncate, and only a top-level
     // one (depth 0) does.
-    let cut = test_module_cut(&all_code);
-    let raw: Vec<String> = all_raw[..cut].to_vec();
-    let code: Vec<String> = all_code[..cut].to_vec();
-    literals.retain(|&(line, _)| line < cut);
+    let cut = test_module_cut(&code);
+    code.truncate(cut);
+    literals.truncate(literals.partition_point(|&(line, _)| line < cut));
+    let raw = raw_lines(text, cut);
+    let idents = Idents::build(&code);
 
-    // Recover fn spans by brace counting from each `fn` keyword.
+    // Recover fn spans by brace counting from each `fn` keyword: the
+    // first `fn` token of a line, in line order.
+    let mut fn_tokens = idents
+        .chain(fnv1a(b"fn"))
+        .filter(|&(line, at)| token_at(&code[line], at) == "fn")
+        .peekable();
     let mut fns = Vec::new();
     let mut depth: i64 = 0;
     let mut open: Vec<(String, usize, bool, bool, bool, i64)> = Vec::new();
@@ -491,11 +821,16 @@ pub fn scan_text(rel_path: &str, text: &str) -> ScannedFile {
         {
             pending_trusted = true;
         }
-        if let Some(name) = fn_name(cl) {
+        let mut fn_at = None;
+        while let Some(&(line, at)) = fn_tokens.peek().filter(|&&(line, _)| line <= idx) {
+            fn_at = fn_at.or((line == idx).then_some(at));
+            fn_tokens.next();
+        }
+        if let Some(name) = fn_at.and_then(|at| fn_name(cl, at)) {
             // The signature may span lines up to the opening brace; a
             // semicolon first means a trait method declaration (no body).
             let mut sig = String::new();
-            for s in code.iter().skip(idx) {
+            for s in code.range(idx..code.len()) {
                 sig.push_str(s);
                 sig.push(' ');
                 if s.contains('{') || s.contains(';') {
@@ -509,28 +844,30 @@ pub fn scan_text(rel_path: &str, text: &str) -> ScannedFile {
             }
             pending_trusted = false;
         }
-        for ch in cl.chars() {
-            match ch {
-                '{' => depth += 1,
-                '}' => {
+        for &c in cl.as_bytes() {
+            match c {
+                b'{' => depth += 1,
+                b'}' => {
                     depth -= 1;
                     // Any fn whose body opened above this depth closes here.
                     while let Some(&(_, _, _, _, _, d)) = open.last() {
                         if depth <= d {
                             let (name, start, is_pub, takes_mut_self, trusted, _) =
                                 open.pop().unwrap();
-                            let loc = raw[start - 1..=idx]
-                                .iter()
-                                .filter(|l| !l.trim().is_empty())
-                                .count();
+                            let span = start - 1..idx + 1;
                             fns.push(FnSpan {
+                                name_key: fnv1a(name.as_bytes()),
                                 name,
                                 start,
                                 end: idx + 1,
                                 is_pub,
                                 takes_mut_self,
                                 trusted,
-                                loc,
+                                loc: raw
+                                    .range(span.clone())
+                                    .filter(|l| !l.trim().is_empty())
+                                    .count(),
+                                content_hash: hash_lines(raw.range(span)),
                             });
                         } else {
                             break;
@@ -541,13 +878,16 @@ pub fn scan_text(rel_path: &str, text: &str) -> ScannedFile {
             }
         }
     }
+    drop(fn_tokens);
     fns.sort_by_key(|f| f.start);
     ScannedFile {
         rel_path: rel_path.to_string(),
+        fns,
+        content_hash: hash_lines(raw.iter()),
         raw,
         code,
         literals,
-        fns,
+        idents,
     }
 }
 
@@ -580,10 +920,14 @@ mod tests {
 }
 "#;
 
+    fn joined(lines: &Lines) -> String {
+        lines.iter().collect::<Vec<_>>().join("\n")
+    }
+
     #[test]
     fn strings_and_comments_are_stripped() {
         let f = scan_text("s.rs", SAMPLE);
-        let joined = f.code.join("\n");
+        let joined = joined(&f.code);
         assert!(!joined.contains("unsafe"), "string content must be gone");
         assert!(!joined.contains("write_rbar"), "doc content must be gone");
         assert!(joined.contains("let s = \"\""));
@@ -606,7 +950,7 @@ mod tests {
     fn test_modules_are_excluded() {
         let f = scan_text("s.rs", SAMPLE);
         assert!(f.fns.iter().all(|f| f.name != "invisible"));
-        assert!(!f.raw.join("\n").contains("invisible"));
+        assert!(!joined(&f.raw).contains("invisible"));
     }
 
     #[test]
@@ -626,7 +970,7 @@ mod tests {
     #[test]
     fn block_comments_span_lines() {
         let f = scan_text("s.rs", "/* a\nunsafe\n*/ fn ok() {}\n");
-        assert!(!f.code.join("\n").contains("unsafe"));
+        assert!(!joined(&f.code).contains("unsafe"));
         assert_eq!(f.fns.len(), 1);
     }
 
@@ -667,7 +1011,7 @@ mod tests {
         let f = scan_text("s.rs", src);
         let names: Vec<&str> = f.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["doc", "after"], "{:?}", f.fns);
-        assert!(!f.code.join("\n").contains("unsafe"));
+        assert!(!joined(&f.code).contains("unsafe"));
     }
 
     #[test]
@@ -788,6 +1132,82 @@ mod tests {
         // Changing either definition changes the combined hash.
         assert_ne!(idx.fn_hash("new"), idx2.fn_hash("new"));
         assert_ne!(idx.workspace_hash(), idx2.workspace_hash());
+    }
+
+    // --- The identifier-occurrence table ---
+
+    /// Code fragments, ASCII and not, joined without separators so that
+    /// tokens merge and split at every boundary.
+    const FRAGMENTS: &[&str] = &[
+        "a", "ab", "x1", "fn", "mut", "_", "0", " ", ".", "*", "(", "é", "日本", "ß_", "\"s\"",
+        "// c", "{", "}", "\n",
+    ];
+
+    fn walked(f: &ScannedFile, tok: &str) -> Vec<(usize, usize)> {
+        f.code
+            .iter()
+            .enumerate()
+            .flat_map(|(line, code)| {
+                tokens(code)
+                    .filter(move |&(_, t)| t == tok)
+                    .map(move |(at, _)| (line, at))
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn occurrences_equal_the_token_walk(
+            parts in proptest::collection::vec(proptest::sample::select(FRAGMENTS.to_vec()), 0..48),
+            from in 0usize..6,
+            len in 0usize..6,
+        ) {
+            let f = scan_text("s.rs", &parts.concat());
+            for tok in ["a", "ab", "x1", "fn", "mut", "_", "0", "ß_", "é", "", "ab c", "s"] {
+                let all = walked(&f, tok);
+                proptest::prop_assert_eq!(f.occurrences(tok).collect::<Vec<_>>(), all.clone(), "{:?}", tok);
+                let range = from..from + len;
+                let inside: Vec<(usize, usize)> =
+                    all.into_iter().filter(|(line, _)| range.contains(line)).collect();
+                proptest::prop_assert_eq!(f.occurrences_in(tok, range).collect::<Vec<_>>(), inside);
+            }
+            for (line, code) in f.code.iter().enumerate() {
+                for (at, tok) in tokens(code) {
+                    proptest::prop_assert!(f.occurrences(tok).any(|o| o == (line, at)), "{:?}", tok);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_table_grows_past_its_first_size() {
+        let text: String = (0..2000)
+            .map(|i| format!("let v{} = w{};\n", i % 700, i))
+            .collect();
+        let f = scan_text("s.rs", &text);
+        assert_eq!(f.occurrences("v5").count(), 3);
+        assert_eq!(
+            f.occurrences("w1999").collect::<Vec<_>>(),
+            vec![(1999, 4 + 4 + 3)]
+        );
+        assert_eq!(f.occurrences("let").count(), 2000);
+        assert!(!f.has_token("v700") && f.has_token("v699"));
+    }
+
+    #[test]
+    fn stored_hashes_are_fnv_over_the_raw_lines() {
+        let f = scan_text("s.rs", SAMPLE);
+        let lines = |from: usize, to: usize| {
+            let mut h = Fnv::new();
+            for line in f.raw.range(from..to) {
+                h.mix_str(line);
+            }
+            h.finish()
+        };
+        assert_eq!(f.content_hash(), lines(0, f.raw.len()));
+        for span in &f.fns {
+            assert_eq!(f.fn_content_hash(span), lines(span.start - 1, span.end));
+        }
     }
 
     #[test]

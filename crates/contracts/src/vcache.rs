@@ -74,6 +74,14 @@ pub enum CacheError {
     BadChecksum,
     /// A record carries invalid flag/kind/reserved bytes.
     BadRecord,
+    /// Two records carry the same key hash: the image is ambiguous (which
+    /// verdict would win depends on the decoder), so it is rejected.
+    DuplicateKey,
+    /// Record keys are not in ascending order: not an image [`encode`]
+    /// writes, whose records are sorted by key.
+    ///
+    /// [`encode`]: VerdictCache::encode
+    KeysOutOfOrder,
 }
 
 impl fmt::Display for CacheError {
@@ -85,6 +93,8 @@ impl fmt::Display for CacheError {
             CacheError::BadLength => write!(f, "cache length inconsistent"),
             CacheError::BadChecksum => write!(f, "cache checksum mismatch"),
             CacheError::BadRecord => write!(f, "cache record invalid"),
+            CacheError::DuplicateKey => write!(f, "cache records share a key"),
+            CacheError::KeysOutOfOrder => write!(f, "cache records out of key order"),
         }
     }
 }
@@ -275,10 +285,19 @@ impl VerdictCache {
         }
         let config_hash = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
         let cold_wall_ns = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+        // Keys strictly ascending, as `encode` writes them: every image
+        // that decodes re-encodes to itself, byte for byte.
         let mut records = BTreeMap::new();
+        let mut last = None;
         for chunk in bytes[HEADER_LEN..].chunks_exact(RECORD_LEN) {
             let rec: &[u8; RECORD_LEN] = chunk.try_into().unwrap();
             let v = Verdict::decode(rec)?;
+            match last {
+                Some(k) if v.key_hash == k => return Err(CacheError::DuplicateKey),
+                Some(k) if v.key_hash < k => return Err(CacheError::KeysOutOfOrder),
+                _ => {}
+            }
+            last = Some(v.key_hash);
             records.insert(v.key_hash, v);
         }
         Ok(Self {
@@ -549,6 +568,117 @@ mod tests {
         let mut bad = b;
         bad[47] = 1; // reserved byte set
         assert_eq!(Verdict::decode(&bad), Err(CacheError::BadRecord));
+    }
+
+    /// Rewrites an image's record count and checksum to match its bytes,
+    /// so decoding gets past the whole-file checks to the records.
+    fn reseal(bytes: &mut [u8]) {
+        let count = ((bytes.len() - HEADER_LEN) / RECORD_LEN) as u64;
+        bytes[24..32].copy_from_slice(&count.to_le_bytes());
+        bytes[32..40].fill(0);
+        let checksum = fnv1a(bytes);
+        bytes[32..40].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    fn same(a: &VerdictCache, b: &VerdictCache) -> bool {
+        a.config_hash == b.config_hash && a.cold_wall_ns == b.cold_wall_ns && a.records == b.records
+    }
+
+    #[test]
+    fn two_records_under_one_key_are_rejected() {
+        let mut bytes = sample().encode();
+        let first = bytes[HEADER_LEN..HEADER_LEN + RECORD_LEN].to_vec();
+        bytes.splice(HEADER_LEN..HEADER_LEN, first);
+        reseal(&mut bytes);
+        assert_eq!(
+            VerdictCache::decode(&bytes).unwrap_err(),
+            CacheError::DuplicateKey
+        );
+        // Same records, swapped: out of order.
+        let mut bytes = sample().encode();
+        let (a, b) = (HEADER_LEN, HEADER_LEN + RECORD_LEN);
+        let second = bytes[b..b + RECORD_LEN].to_vec();
+        bytes.copy_within(a..b, b);
+        bytes[a..b].copy_from_slice(&second);
+        reseal(&mut bytes);
+        assert_eq!(
+            VerdictCache::decode(&bytes).unwrap_err(),
+            CacheError::KeysOutOfOrder
+        );
+    }
+
+    fn verdict_strategy() -> impl proptest::Strategy<Value = Verdict> {
+        use proptest::prelude::*;
+        proptest::array::uniform8(any::<u64>()).prop_map(|w| Verdict {
+            key_hash: w[0],
+            fn_hash: w[1],
+            domain_hash: w[2],
+            cases: w[3],
+            duration_ns: w[4],
+            trusted: w[5] & 1 == 1,
+            kind: (w[6] % KIND_LIMIT as u64) as u8,
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decode_round_trips_every_encoded_cache(
+            config in proptest::prelude::any::<u64>(),
+            cold in proptest::prelude::any::<u64>(),
+            verdicts in proptest::collection::vec(verdict_strategy(), 0..12),
+        ) {
+            let mut c = VerdictCache::new(config);
+            c.set_cold_wall_ns(cold);
+            for v in verdicts {
+                c.store(v);
+            }
+            let bytes = c.encode();
+            let d = VerdictCache::decode(&bytes).expect("an encoded cache decodes");
+            proptest::prop_assert!(same(&c, &d));
+            proptest::prop_assert_eq!(d.encode(), bytes);
+        }
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+            resealed in proptest::prelude::any::<bool>(),
+        ) {
+            let mut bytes = bytes;
+            if resealed && bytes.len() >= HEADER_LEN {
+                bytes[..4].copy_from_slice(&MAGIC);
+                bytes[4..6].copy_from_slice(&VERSION.to_le_bytes());
+                reseal(&mut bytes);
+            }
+            if let Ok(d) = VerdictCache::decode(&bytes) {
+                proptest::prop_assert_eq!(d.encode(), bytes);
+            }
+        }
+
+        #[test]
+        fn truncated_or_flipped_images_decode_to_themselves_or_a_typed_error(
+            verdicts in proptest::collection::vec(verdict_strategy(), 1..6),
+            cut in proptest::prelude::any::<u64>(),
+            flip in proptest::prelude::any::<u64>(),
+            resealed in proptest::prelude::any::<bool>(),
+        ) {
+            let mut c = VerdictCache::new(7);
+            for v in verdicts {
+                c.store(v);
+            }
+            let bytes = c.encode();
+            let truncated = &bytes[..(cut % bytes.len() as u64) as usize];
+            proptest::prop_assert!(VerdictCache::decode(truncated).is_err());
+            let mut flipped = bytes.clone();
+            let bit = (flip % (8 * bytes.len() as u64)) as usize;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if resealed {
+                reseal(&mut flipped);
+            }
+            match VerdictCache::decode(&flipped) {
+                Ok(d) => proptest::prop_assert_eq!(d.encode(), flipped),
+                Err(e) => proptest::prop_assert!(!e.to_string().is_empty()),
+            }
+        }
     }
 
     #[test]

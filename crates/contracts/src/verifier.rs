@@ -4,11 +4,11 @@
 //! checking with wall-clock timing, summarized per component as in Figure 12
 //! (`Fns`, `Total`, `Max`, `Mean`, `StdDev`).
 
-use crate::obligation::{CheckResult, Registry};
+use crate::obligation::{CheckResult, Obligation, Registry};
 use crate::span::SourceIndex;
 use crate::vcache::{verdict_key, Verdict, VerdictCache};
 use crate::{with_mode, Mode};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 /// Verdict-key tag for whole-function verification verdicts (audit passes
@@ -226,57 +226,23 @@ impl Verifier {
         registry: &Registry,
         cache: &mut VerificationCache,
     ) -> VerificationReport {
-        let mut order: Vec<(&'static str, String)> = Vec::new();
-        for o in registry.obligations() {
-            let key = (o.component, o.function.clone());
-            if !order.contains(&key) {
-                order.push(key);
-            }
-        }
-
         let mut report = VerificationReport::default();
-        for (component, function) in order {
-            let signature = cache.signature(registry, component, &function);
-            if let Some(hit) = cache.lookup(component, &function, signature) {
+        for (component, function, obligations) in group_by_function(registry) {
+            let signature = obligation_signature(&obligations);
+            if let Some(hit) = cache.lookup(component, function, signature) {
                 let mut cached = hit.clone();
                 cached.cached = true;
                 report.functions.push(cached);
                 continue;
             }
-            let mut cases = 0u64;
-            let mut refutations = Vec::new();
-            let mut trusted = false;
-            let start = Instant::now();
-            for o in registry
-                .obligations()
-                .iter()
-                .filter(|o| o.component == component && o.function == function)
-            {
-                let result = with_mode(Mode::Observe, || (o.check)());
-                // Contract failures raised by the code under check while in
-                // Observe mode become refutations too.
-                let in_code_violations = crate::take_violations();
-                for v in in_code_violations {
-                    refutations.push(v.to_string());
-                }
-                match result {
-                    CheckResult::Verified { cases: c } => cases += c,
-                    CheckResult::Refuted { counterexample } => {
-                        refutations.push(counterexample);
-                        if self.fail_fast {
-                            break;
-                        }
-                    }
-                    CheckResult::Trusted => trusted = true,
-                }
-            }
+            let d = self.discharge(&obligations);
             let result = FunctionResult {
                 component,
-                function,
-                duration: start.elapsed(),
-                cases,
-                refutations,
-                trusted,
+                function: function.to_string(),
+                duration: d.duration,
+                cases: d.cases,
+                refutations: d.refutations,
+                trusted: d.trusted,
                 cached: false,
             };
             cache.store(signature, &result);
@@ -292,7 +258,7 @@ impl Verifier {
     /// Staleness gates, in the cache key itself:
     /// * a changed function body → different [`SourceIndex::anchor_hash`];
     /// * a changed spec (obligation added/removed/re-kinded/re-trusted) →
-    ///   different [`obligation_signature`];
+    ///   different obligation signature (the `domain_hash`);
     /// * a toolchain/config change → the caller loads the cache under a
     ///   different config hash, which discards every verdict.
     ///
@@ -306,24 +272,16 @@ impl Verifier {
         cache: &mut VerdictCache,
         index: &SourceIndex,
     ) -> VerificationReport {
-        let mut order: Vec<(&'static str, String)> = Vec::new();
-        for o in registry.obligations() {
-            let key = (o.component, o.function.clone());
-            if !order.contains(&key) {
-                order.push(key);
-            }
-        }
-
         let mut report = VerificationReport::default();
-        for (component, function) in order {
-            let domain_hash = obligation_signature(registry, component, &function);
-            let fn_hash = index.anchor_hash(&function);
-            let key_hash = verdict_key(TAG_VERIFY, component, &function);
+        for (component, function, obligations) in group_by_function(registry) {
+            let domain_hash = obligation_signature(&obligations);
+            let fn_hash = index.anchor_hash(function);
+            let key_hash = verdict_key(TAG_VERIFY, component, function);
             let lookup_start = Instant::now();
             if let Some(v) = cache.lookup(key_hash, fn_hash, domain_hash) {
                 report.functions.push(FunctionResult {
                     component,
-                    function,
+                    function: function.to_string(),
                     // The honest warm cost: the lookup itself, not the
                     // original discharge — so Figure 12 totals show the
                     // incremental speedup directly.
@@ -335,56 +293,91 @@ impl Verifier {
                 });
                 continue;
             }
-            let mut cases = 0u64;
-            let mut refutations = Vec::new();
-            let mut trusted = false;
-            let mut kind_tag = 0u8;
-            let start = Instant::now();
-            for o in registry
-                .obligations()
-                .iter()
-                .filter(|o| o.component == component && o.function == function)
-            {
-                kind_tag = o.kind as u8;
-                let result = with_mode(Mode::Observe, || (o.check)());
-                for v in crate::take_violations() {
-                    refutations.push(v.to_string());
-                }
-                match result {
-                    CheckResult::Verified { cases: c } => cases += c,
-                    CheckResult::Refuted { counterexample } => {
-                        refutations.push(counterexample);
-                        if self.fail_fast {
-                            break;
-                        }
-                    }
-                    CheckResult::Trusted => trusted = true,
-                }
-            }
-            let duration = start.elapsed();
-            if refutations.is_empty() {
+            let d = self.discharge(&obligations);
+            if d.refutations.is_empty() {
                 cache.store(Verdict {
                     key_hash,
                     fn_hash,
                     domain_hash,
-                    cases,
-                    duration_ns: duration.as_nanos().min(u64::MAX as u128) as u64,
-                    trusted,
-                    kind: kind_tag,
+                    cases: d.cases,
+                    duration_ns: d.duration.as_nanos().min(u64::MAX as u128) as u64,
+                    trusted: d.trusted,
+                    kind: d.kind,
                 });
             }
             report.functions.push(FunctionResult {
                 component,
-                function,
-                duration,
-                cases,
-                refutations,
-                trusted,
+                function: function.to_string(),
+                duration: d.duration,
+                cases: d.cases,
+                refutations: d.refutations,
+                trusted: d.trusted,
                 cached: false,
             });
         }
         report
     }
+
+    /// Discharges one function's obligations in registration order, in
+    /// Observe mode: contract failures raised by the code under check
+    /// become refutations too.
+    fn discharge(&self, obligations: &[&Obligation]) -> Discharge {
+        let mut d = Discharge {
+            cases: 0,
+            refutations: Vec::new(),
+            trusted: false,
+            kind: 0,
+            duration: Duration::ZERO,
+        };
+        let start = Instant::now();
+        for o in obligations {
+            d.kind = o.kind as u8;
+            let result = with_mode(Mode::Observe, || (o.check)());
+            for v in crate::take_violations() {
+                d.refutations.push(v.to_string());
+            }
+            match result {
+                CheckResult::Verified { cases } => d.cases += cases,
+                CheckResult::Refuted { counterexample } => {
+                    d.refutations.push(counterexample);
+                    if self.fail_fast {
+                        break;
+                    }
+                }
+                CheckResult::Trusted => d.trusted = true,
+            }
+        }
+        d.duration = start.elapsed();
+        d
+    }
+}
+
+/// What discharging one function's obligations found.
+struct Discharge {
+    cases: u64,
+    refutations: Vec<String>,
+    trusted: bool,
+    /// The kind tag of the last obligation checked.
+    kind: u8,
+    duration: Duration,
+}
+
+/// The registry's obligations grouped by `(component, function)` in one
+/// pass: groups in order of first registration, each group's
+/// obligations in registration order.
+fn group_by_function(registry: &Registry) -> Vec<(&'static str, &str, Vec<&Obligation>)> {
+    let mut index: HashMap<(&str, &str), usize> = HashMap::new();
+    let mut groups: Vec<(&'static str, &str, Vec<&Obligation>)> = Vec::new();
+    for o in registry.obligations() {
+        let i = *index
+            .entry((o.component, o.function.as_str()))
+            .or_insert_with(|| {
+                groups.push((o.component, &o.function, Vec::new()));
+                groups.len() - 1
+            });
+        groups[i].2.push(o);
+    }
+    groups
 }
 
 /// The obligation-domain signature of one function: a fingerprint of its
@@ -393,17 +386,13 @@ impl Verifier {
 /// the signature, the analogue of Flux re-checking a function whose
 /// refinement annotations changed. This is the `domain_hash` half of every
 /// persistent verdict key.
-pub fn obligation_signature(registry: &Registry, component: &str, function: &str) -> u64 {
+fn obligation_signature(obligations: &[&Obligation]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |v: u64| {
         hash ^= v;
         hash = hash.wrapping_mul(0x1000_0000_01b3);
     };
-    for o in registry
-        .obligations()
-        .iter()
-        .filter(|o| o.component == component && o.function == function)
-    {
+    for o in obligations {
         mix(o.kind as u64 + 1);
         mix(o.trusted as u64 + 11);
         for b in o.function.bytes() {
@@ -442,14 +431,6 @@ impl VerificationCache {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Computes the obligation signature of a function: the fingerprint of
-    /// its registered contract set. A changed contract (added, removed, or
-    /// different kind/trust) invalidates the cache entry — the analogue of
-    /// Flux re-checking a function whose spec changed.
-    fn signature(&self, registry: &Registry, component: &str, function: &str) -> u64 {
-        obligation_signature(registry, component, function)
     }
 
     fn lookup(&self, component: &str, function: &str, signature: u64) -> Option<&FunctionResult> {
@@ -527,6 +508,46 @@ mod tests {
         assert_eq!(report.functions.len(), 2);
         assert_eq!(report.functions[0].cases, 3);
         assert_eq!(report.functions[1].cases, 4);
+    }
+
+    #[test]
+    fn one_pass_grouping_matches_the_quadratic_order_and_signatures() {
+        // Interleaved registrations, a name shared across components, and
+        // re-kinded/trusted entries.
+        let mut r = Registry::new();
+        let ok = || CheckResult::Verified { cases: 1 };
+        r.add_fn("c", "f", ContractKind::Pre, ok);
+        r.add_fn("d", "f", ContractKind::Post, ok);
+        r.add_fn("c", "g", ContractKind::Post, ok);
+        r.add_fn("c", "f", ContractKind::Invariant, ok);
+        r.add_trusted("d", "f", ContractKind::Post);
+        r.add_fn("c", "g", ContractKind::Pre, ok);
+        // The order the verifier used before grouping in one pass: first
+        // registration of each pair, found by a linear `contains`.
+        let mut order: Vec<(&str, &str)> = Vec::new();
+        for o in r.obligations() {
+            if !order.contains(&(o.component, o.function.as_str())) {
+                order.push((o.component, &o.function));
+            }
+        }
+        let groups = group_by_function(&r);
+        let grouped: Vec<(&str, &str)> = groups.iter().map(|&(c, f, _)| (c, f)).collect();
+        assert_eq!(grouped, order);
+        // Each group's signature equals the one over a filter of the
+        // whole registry, as it was computed before.
+        for (component, function, obligations) in &groups {
+            let filtered: Vec<&Obligation> = r
+                .obligations()
+                .iter()
+                .filter(|o| o.component == *component && o.function == *function)
+                .collect();
+            assert_eq!(
+                obligation_signature(obligations),
+                obligation_signature(&filtered)
+            );
+        }
+        assert_eq!(groups[0].2.len(), 2);
+        assert_eq!(groups[1].2.len(), 2);
     }
 
     #[test]
