@@ -1,31 +1,42 @@
-//! Fleet campaign gate: snapshot/restore mass fault injection.
+//! The fault-injection campaign gate: isolation under fire, on the
+//! snapshot/restore fleet path, at every rung of the thread ladder.
 //!
-//! Runs a `--runs N` (default 1000) fleet campaign across all chips on
-//! the snapshot/restore path — boot and capture the clean checkpoint
-//! ladder once per `(chip, cache-mode)` per worker, then resume each
-//! seed from the latest clean rung before its plan's first injection —
-//! with the bystander oracle and contract checks enabled on every run,
-//! and prints per-chip tallies, runs/sec and the measured reset costs.
+//! Runs a `--runs N` (default 1000) campaign across all seven chips —
+//! `N / 14` seeds per chip, each seed warm (commit cache enabled) and
+//! cold (disabled) — once per rung of the thread ladder (1, N/2 and N
+//! workers, N = `TT_BENCH_THREADS` or the host core count). Each worker
+//! boots and captures the clean checkpoint ladder once per
+//! `(chip, cache-mode)`, then resumes each seed from the latest clean
+//! rung before its plan's first injection. Every run must satisfy the
+//! three-part oracle in `tt_kernel::campaign`:
+//!
+//! 1. bystander processes' observable traces are byte-identical to an
+//!    uninjected reference run (isolation holds under injected faults);
+//! 2. no contract obligation is violated at any recovery step;
+//! 3. recovery converges — bystanders exit, the victim ends `Exited` or
+//!    (restart cap) `Killed`, never a livelock.
+//!
+//! Prints the campaign table (per-chip tallies and warm/cold mean
+//! recovery cycles), the ladder's runs/sec and speedups, the measured
+//! reset costs and the per-phase (restore/run/collect/validate)
+//! p50/p99/mean profile. Only the top rung's campaign feeds the corpus,
+//! the shrinker, the profile and the budget; the lower rungs keep their
+//! wall time and their artifact.
 //!
 //! Seeds recorded in the failure corpus (`<--corpus>/failures.bin`)
 //! from a previous campaign are scheduled *first*, so known-bad inputs
 //! report in the opening seconds of a million-run job.
 //!
-//! With `--profile`, prints the per-phase (restore/run/collect/
-//! validate) p50/p99/mean table, capture amortization and the share of
-//! post-boot events the runs re-simulated. The same breakdown always
-//! lands in the `--json` document.
-//!
-//! With `--json [path]`, writes the `fleet` report (`BENCH_fleet.json`:
-//! `runs_per_sec`, `restore_speedup`, `midrun_restore_speedup`, the
-//! per-phase percentiles, per-chip tallies). With `--check [baseline]`,
-//! gates it (DESIGN §17): exits non-zero if any restored run is not
-//! byte-identical to its fresh-boot twin, if any campaign run fails the
-//! oracle, or if a measured figure misses its `fleet.*` bound in
-//! `ci/bench_baseline.json` (the serial throughput floor only for serial
-//! campaigns of 50k+ runs; `resimulated_share` is an exact work count
-//! under a ceiling).
-//! With `--budget-ms N`, exits non-zero if the campaign wall-clock
+//! With `--json [path]`, writes the `fleet` report (`BENCH_fleet.json`).
+//! With `--check [baseline]`, gates it (DESIGN §17): exits non-zero if
+//! any restored run is not byte-identical to its fresh-boot twin, if any
+//! rung's campaign artifact differs from the serial rung's, if any
+//! campaign run fails the oracle, or if a measured figure misses its
+//! `fleet.*` bound in `ci/bench_baseline.json` (the serial throughput
+//! floor only for campaigns of 50k+ runs, the parallel speedup floor
+//! only on a multi-core host and below its 0.75 × cores cap;
+//! `resimulated_share` is an exact work count under a ceiling).
+//! With `--budget-ms N`, exits non-zero if the top rung's wall-clock
 //! exceeded `N` milliseconds — the CI knob that keeps raising `--runs`
 //! toward 10^6 honest.
 //!
@@ -39,10 +50,10 @@ use std::process::ExitCode;
 use tt_analysis::metrics::{exit_code, Cli};
 use tt_bench::flag_value;
 use tt_bench::fleet::{
-    equivalence_failures, failing_records, measure_reset_cost, metrics, priority_from_corpus,
-    profile, render, render_profile, run_fleet_prioritized, shrink_failures,
+    equivalence_failures, failing_records, host_cores, measure_reset_cost, metrics,
+    priority_from_corpus, profile, render, render_profile, run_fleet_prioritized, shrink_failures,
+    thread_ladder,
 };
-use tt_bench::throughput::host_cores;
 use tt_kernel::corpus::write_corpus;
 use tt_kernel::pool;
 
@@ -56,12 +67,14 @@ fn main() -> ExitCode {
     let cli = Cli::take("fleet", &mut args);
     let runs: u64 = flag_value(&args, "--runs").unwrap_or(1000);
     let corpus_dir: String = flag_value(&args, "--corpus").unwrap_or_else(|| "ci/corpus".into());
-    let want_profile = args.iter().any(|a| a == "--profile");
     let budget_ms: Option<f64> = flag_value(&args, "--budget-ms");
 
     let threads = pool::default_threads();
     let cores = host_cores();
-    println!("Fleet campaign: --runs {runs} on {threads} worker(s) ({cores} core(s))");
+    println!(
+        "Fleet campaign: --runs {runs}, thread ladder {:?} ({cores} core(s))",
+        thread_ladder(threads)
+    );
 
     println!("restore-equivalence gate: replaying fresh-boot vs restored runs...");
     let equivalence = equivalence_failures();
@@ -92,9 +105,7 @@ fn main() -> ExitCode {
     let cost = measure_reset_cost(RESET_COST_ITERS);
     let prof = profile(&result);
     print!("{}", render(&result, &cost));
-    if want_profile {
-        print!("{}", render_profile(&result, &prof));
-    }
+    print!("{}", render_profile(&result, &prof));
 
     let failing = failing_records(&result.outcomes);
     if !failing.is_empty() {
@@ -113,20 +124,15 @@ fn main() -> ExitCode {
 
     let mut report = metrics(&result, &cost, &prof, &equivalence, cores);
     let mut over_budget = false;
+    let wall_ms = result.top().wall_ms;
     if let Some(budget) = budget_ms {
-        if result.wall_ms > budget {
+        if wall_ms > budget {
             over_budget = true;
-            let line = format!(
-                "campaign took {:.0} ms, over the {budget:.0} ms budget",
-                result.wall_ms
-            );
+            let line = format!("campaign took {wall_ms:.0} ms, over the {budget:.0} ms budget");
             eprintln!("FLEET GATE FAILED: {line}");
             report.failures.push(line);
         } else {
-            println!(
-                "check: wall-clock {:.0} ms within the {budget:.0} ms budget",
-                result.wall_ms
-            );
+            println!("check: wall-clock {wall_ms:.0} ms within the {budget:.0} ms budget");
         }
     }
 

@@ -1,4 +1,5 @@
-//! Fleet campaigns: snapshot/restore-driven mass fault injection.
+//! Fleet campaigns: snapshot/restore-driven mass fault injection, and
+//! the one binary that runs the fault campaign (`e_fleet`).
 //!
 //! PR 5's throughput engine parallelised the campaign but kept its unit
 //! cost: every `(chip, seed, cache-mode)` run paid a full `Kernel::boot`
@@ -16,19 +17,24 @@
 //! commit-cache tallies) on every chip in both cache modes, and
 //! [`metrics`] reports that gate's failures next to the restore-vs-boot
 //! speedup floor (`fleet.restore_speedup` in `ci/bench_baseline.json`).
-//! Failing runs
-//! persist as fixed-width [`CorpusRecord`]s under `ci/corpus/` and their
-//! seeds shrink to 1-minimal schedules for the report.
+//!
+//! The campaign runs once per rung of the [`thread_ladder`] (1, N/2 and
+//! N workers). Every rung's [`artifact`] must be byte-identical to the
+//! serial rung's, the serial rung is what the `fleet.runs_per_sec` floor
+//! reads, and the best rung over the serial one is the
+//! `fleet.parallel_speedup` floor. Only the top rung's outcomes are kept:
+//! failing runs persist as fixed-width [`CorpusRecord`]s under
+//! `ci/corpus/` and their seeds shrink to 1-minimal schedules for the
+//! report.
 
 use std::path::Path;
 use std::time::Instant;
 
-use crate::reports::chip_counters;
 use tt_analysis::metrics::{Kind, Report, WALL};
 use tt_hw::platform::ALL_CHIPS;
 use tt_kernel::campaign::{
-    boot_probe, record_difference, run_campaign_profiled, run_one, shrink_failing_seed, ChipReport,
-    FleetRunner, Unit, UnitOutcome,
+    boot_probe, record_difference, render_report, run_campaign_profiled, run_one,
+    shrink_failing_seed, CampaignResult, ChipReport, FleetRunner, Unit, UnitOutcome,
 };
 use tt_kernel::corpus::{read_corpus, CorpusRecord};
 
@@ -239,17 +245,36 @@ pub fn profile(result: &FleetResult) -> FleetProfile {
     }
 }
 
+/// One rung of the thread ladder: the whole campaign at one worker
+/// count, reduced to its wall time and its artifact.
+#[derive(Debug, Clone)]
+pub struct Rung {
+    /// Worker count.
+    pub threads: usize,
+    /// Injected runs executed (chips × seeds × 2 cache modes).
+    pub runs: u64,
+    /// Campaign wall-clock, milliseconds.
+    pub wall_ms: f64,
+    /// The campaign's [`artifact`].
+    pub artifact: String,
+}
+
+impl Rung {
+    /// Campaign throughput in injected runs per second.
+    pub fn runs_per_sec(&self) -> f64 {
+        self.runs as f64 / (self.wall_ms / 1e3)
+    }
+}
+
 /// One measured fleet campaign.
 #[derive(Debug, Clone)]
 pub struct FleetResult {
     /// Seeds per chip the requested run budget decomposed into.
     pub seeds_per_chip: u64,
-    /// Worker count.
-    pub threads: usize,
-    /// Injected runs actually executed (chips × seeds × 2 cache modes).
-    pub total_runs: u64,
-    /// Campaign wall-clock, milliseconds.
-    pub wall_ms: f64,
+    /// The thread ladder in ascending worker count: the serial rung
+    /// first, the top rung — the campaign the other fields describe —
+    /// last.
+    pub ladder: Vec<Rung>,
     /// Per-chip campaign reports (oracle results included).
     pub reports: Vec<ChipReport>,
     /// Per-run outcomes in schedule order.
@@ -263,38 +288,80 @@ pub struct FleetResult {
 }
 
 impl FleetResult {
-    /// Campaign throughput in injected runs per second.
-    pub fn runs_per_sec(&self) -> f64 {
-        self.total_runs as f64 / (self.wall_ms / 1e3)
+    /// The serial rung, which the `runs_per_sec` floor reads.
+    pub fn serial(&self) -> &Rung {
+        &self.ladder[0]
     }
 
-    /// All oracle failures across chips, in report order.
-    pub fn failures(&self) -> Vec<&String> {
-        self.reports.iter().flat_map(|r| &r.failures).collect()
+    /// The top rung: the campaign that feeds the corpus, the shrinker,
+    /// the profile and the budget.
+    pub fn top(&self) -> &Rung {
+        self.ladder.last().expect("a ladder has a serial rung")
     }
 }
 
+/// The worker counts to measure: 1, N/2 and N, deduplicated and sorted
+/// (so a 1-core host measures just `[1]`).
+pub fn thread_ladder(max_threads: usize) -> Vec<usize> {
+    let mut ladder = vec![1, max_threads / 2, max_threads];
+    ladder.retain(|&t| t >= 1);
+    ladder.sort_unstable();
+    ladder.dedup();
+    ladder
+}
+
+/// A rung's artifact: the campaign table and the `fleet` report's
+/// per-chip section, neither of which holds a wall-clock figure. Every
+/// rung's must equal the serial rung's byte for byte.
+pub fn artifact(reports: &[ChipReport], seeds: u64) -> String {
+    let mut section = Report::new("fleet");
+    chip_section(&mut section, reports);
+    render_report(reports, seeds) + &section.to_json()
+}
+
+/// Runs the campaign once at `threads` workers.
+fn run_rung(seeds: u64, threads: usize, priority: &[Unit]) -> (Rung, CampaignResult) {
+    let t0 = Instant::now();
+    let campaign = run_campaign_profiled(&ALL_CHIPS, seeds, threads, priority);
+    let rung = Rung {
+        threads,
+        runs: campaign.outcomes.len() as u64,
+        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        artifact: artifact(&campaign.reports, seeds),
+    };
+    (rung, campaign)
+}
+
 /// Runs a fleet campaign sized to roughly `total_runs` injected runs
-/// (rounded down to whole seeds per chip, minimum one).
-pub fn run_fleet(total_runs: u64, threads: usize) -> FleetResult {
-    run_fleet_prioritized(total_runs, threads, &[])
+/// (rounded down to whole seeds per chip, minimum one) on every rung of
+/// `thread_ladder(max_threads)`.
+pub fn run_fleet(total_runs: u64, max_threads: usize) -> FleetResult {
+    run_fleet_prioritized(total_runs, max_threads, &[])
 }
 
 /// [`run_fleet`] with corpus-guided scheduling: `priority` units
 /// (typically [`priority_from_corpus`]) run before the default
 /// chip-major order, so previously failing seeds report in the opening
-/// seconds of a million-run campaign.
-pub fn run_fleet_prioritized(total_runs: u64, threads: usize, priority: &[Unit]) -> FleetResult {
+/// seconds of a million-run campaign. A lower rung's outcomes are
+/// dropped before the next rung starts.
+pub fn run_fleet_prioritized(
+    total_runs: u64,
+    max_threads: usize,
+    priority: &[Unit],
+) -> FleetResult {
     let per_chip_runs = ALL_CHIPS.len() as u64 * 2;
     let seeds = (total_runs / per_chip_runs).max(1);
-    let t0 = Instant::now();
-    let campaign = run_campaign_profiled(&ALL_CHIPS, seeds, threads, priority);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let threads = thread_ladder(max_threads);
+    let (&top, lower) = threads.split_last().expect("a ladder has a serial rung");
+    let mut ladder: Vec<Rung> = lower
+        .iter()
+        .map(|&t| run_rung(seeds, t, priority).0)
+        .collect();
+    let (rung, campaign) = run_rung(seeds, top, priority);
+    ladder.push(rung);
     FleetResult {
         seeds_per_chip: seeds,
-        threads,
-        total_runs: campaign.outcomes.len() as u64,
-        wall_ms,
+        ladder,
         reports: campaign.reports,
         outcomes: campaign.outcomes,
         boots: campaign.boots,
@@ -366,37 +433,25 @@ pub fn shrink_failures(outcomes: &[UnitOutcome], limit: usize) -> Vec<String> {
         .collect()
 }
 
-/// Renders the human-readable fleet table: per-chip runs and tallies,
-/// then the throughput and reset-cost lines.
+/// Renders the human-readable fleet output: the campaign table, the
+/// thread ladder, then the reset-cost lines.
 pub fn render(result: &FleetResult, cost: &ResetCost) -> String {
-    let mut out = String::new();
+    let mut out = render_report(&result.reports, result.seeds_per_chip);
     out.push_str(&format!(
-        "fleet campaign: {} runs ({} seeds x {} chips x 2 cache modes) on {} worker(s)\n",
-        result.total_runs,
-        result.seeds_per_chip,
-        result.reports.len(),
-        result.threads,
+        "{:<8} {:>12} {:>9} {:>10}\n",
+        "threads", "runs/s", "speedup", "wall ms"
     ));
-    out.push_str(&format!(
-        "{:<14} {:>8} {:>8} {:>9} {:>8} {:>7}\n",
-        "chip", "runs", "fired", "recovers", "restarts", "killed"
-    ));
-    for r in &result.reports {
+    let serial = result.serial().runs_per_sec();
+    for g in &result.ladder {
+        let rate = g.runs_per_sec();
         out.push_str(&format!(
-            "{:<14} {:>8} {:>8} {:>9} {:>8} {:>7}\n",
-            r.chip,
-            r.runs * 2,
-            r.fired,
-            r.recoveries,
-            r.restarts,
-            r.killed,
+            "{:<8} {:>12.0} {:>8.2}x {:>10.1}\n",
+            g.threads,
+            rate,
+            rate / serial,
+            g.wall_ms
         ));
     }
-    out.push_str(&format!(
-        "throughput: {:.0} runs/sec ({:.1} ms wall)\n",
-        result.runs_per_sec(),
-        result.wall_ms,
-    ));
     out.push_str(&format!(
         "reset cost: boot {:.1} us/run, restore {:.1} us/run ({:.1}x)\n",
         cost.boot_us,
@@ -409,19 +464,10 @@ pub fn render(result: &FleetResult, cost: &ResetCost) -> String {
         cost.first_tick_us,
         cost.midrun_speedup(),
     ));
-    let failures = result.failures();
-    if failures.is_empty() {
-        out.push_str("all runs: bystander traces identical, zero violations, converged\n");
-    } else {
-        out.push_str(&format!("{} FAILURES:\n", failures.len()));
-        for f in failures {
-            out.push_str(&format!("  {f}\n"));
-        }
-    }
     out
 }
 
-/// Renders the human-readable per-phase profile table (`--profile`).
+/// Renders the human-readable per-phase profile table.
 pub fn render_profile(result: &FleetResult, prof: &FleetProfile) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -461,13 +507,10 @@ pub fn render_profile(result: &FleetResult, prof: &FleetProfile) -> String {
 }
 
 /// The `fleet` report: campaign counters, reset costs, the per-phase
-/// profile, the three floors (`runs_per_sec`, `restore_speedup`,
-/// `midrun_restore_speedup`) and the `resimulated_share` ceiling, with
-/// every restore-equivalence and oracle failure.
-///
-/// The serial throughput floor is skipped unless the campaign ran on one
-/// thread — the configuration its reference figure was measured in — and
-/// reached 50k runs, where startup costs amortize.
+/// profile, the thread ladder, the four floors (`runs_per_sec`,
+/// `parallel_speedup`, `restore_speedup`, `midrun_restore_speedup`) and
+/// the `resimulated_share` ceiling, then the per-chip section, with
+/// every restore-equivalence, rung byte-identity and oracle failure.
 pub fn metrics(
     result: &FleetResult,
     cost: &ResetCost,
@@ -475,9 +518,10 @@ pub fn metrics(
     equivalence: &[String],
     cores: usize,
 ) -> Report {
+    let top = result.top();
     let mut r = Report::new("fleet");
     let campaign = [
-        ("total_runs", result.total_runs as f64),
+        ("total_runs", top.runs as f64),
         ("seeds_per_chip", result.seeds_per_chip as f64),
         ("prioritized_units", result.prioritized as f64),
     ];
@@ -494,12 +538,11 @@ pub fn metrics(
         ("cold.resimulated_share", prof.cold_resimulated_share),
     ];
     r.infos("", "ladder", "share", &shares);
-    let host = [("threads", result.threads as f64), ("cores", cores as f64)];
+    let host = [("threads", top.threads as f64), ("cores", cores as f64)];
     r.infos("", WALL, "count", &host);
-    r.info("wall_ms", WALL, "ms", result.wall_ms);
-    let (rps, midrun) = (result.runs_per_sec(), cost.midrun_speedup());
-    r.add(Kind::Floor, "runs_per_sec", WALL, "1/s", rps);
+    r.info("wall_ms", WALL, "ms", top.wall_ms);
     r.add(Kind::Floor, "restore_speedup", WALL, "x", cost.speedup());
+    let midrun = cost.midrun_speedup();
     r.add(Kind::Floor, "midrun_restore_speedup", WALL, "x", midrun);
     let costs = [
         ("boot_us", cost.boot_us),
@@ -522,33 +565,101 @@ pub fn metrics(
         ];
         r.infos(phase, WALL, "us", &stats);
     }
-    for c in &result.reports {
-        chip_counters(&mut r, c);
-    }
-    let threads = result.threads;
-    if threads != 1 {
-        r.skip(
-            "runs_per_sec",
-            format!("measured with {threads} threads, reference is serial"),
-        );
-    } else if result.total_runs < FLEET_FLOOR_MIN_RUNS {
-        r.skip(
-            "runs_per_sec",
-            format!(
-                "{} runs too few to amortize startup (floor engages at {FLEET_FLOOR_MIN_RUNS}+)",
-                result.total_runs
-            ),
-        );
-    }
     let equivalence = equivalence
         .iter()
         .map(|f| format!("restore equivalence: {f}"));
-    let oracle = result
-        .failures()
-        .into_iter()
-        .map(|f| format!("campaign oracle: {f}"));
-    r.failures.extend(equivalence.chain(oracle));
+    r.failures.extend(equivalence);
+    ladder_metrics(&mut r, &result.ladder, cores);
+    chip_section(&mut r, &result.reports);
     r
+}
+
+/// The thread ladder's part of the `fleet` report: per-rung walls,
+/// rates and speedups, every rung whose artifact differs from the
+/// serial rung's as a failure, and the two floors. `runs_per_sec` reads
+/// the serial rung and is skipped below 50k runs, where startup costs
+/// do not amortize. `parallel_speedup` is the best rung over the serial
+/// rung; it is skipped on a 1-core host or a 1-thread ladder, and once
+/// it reaches [`host_cap`] — the most a small host can show, so the
+/// baseline floor is not asked of it. The cap is reported as
+/// `host_cap`, since below a floor it is the bound that applies.
+fn ladder_metrics(r: &mut Report, ladder: &[Rung], cores: usize) {
+    let serial = &ladder[0];
+    let base = serial.runs_per_sec();
+    r.add(Kind::Floor, "runs_per_sec", WALL, "1/s", base);
+    if serial.runs < FLEET_FLOOR_MIN_RUNS {
+        let reason = format!(
+            "{} runs too few to amortize startup (floor engages at {FLEET_FLOOR_MIN_RUNS}+)",
+            serial.runs
+        );
+        r.skip("runs_per_sec", reason);
+    }
+    for g in ladder {
+        let (t, rate) = (g.threads, g.runs_per_sec());
+        let rung = format!("t{t}");
+        r.infos(&rung, WALL, "ms", &[("wall_ms", g.wall_ms)]);
+        r.infos(&rung, WALL, "1/s", &[("runs_per_sec", rate)]);
+        r.infos(&rung, WALL, "x", &[("speedup", rate / base)]);
+        if g.artifact != serial.artifact {
+            r.failures.push(format!(
+                "campaign report at {t} threads differs from serial ({} vs {} bytes)",
+                g.artifact.len(),
+                serial.artifact.len()
+            ));
+        }
+    }
+    let best = ladder.iter().map(Rung::runs_per_sec).fold(base, f64::max);
+    let speedup = best / base;
+    r.add(Kind::Floor, "parallel_speedup", WALL, "x", speedup);
+    let cap = host_cap(cores);
+    r.info("host_cap", WALL, "x", cap);
+    let max_threads = ladder.last().map_or(1, |g| g.threads);
+    if cores <= 1 || max_threads <= 1 {
+        let reason = format!("{cores} core(s), max {max_threads} thread(s)");
+        r.skip("parallel_speedup", reason);
+    } else if speedup >= cap {
+        let reason =
+            format!("{speedup:.2}x reaches the host cap of 0.75 x {cores} cores = {cap:.2}x");
+        r.skip("parallel_speedup", reason);
+    }
+}
+
+/// Appends each chip's campaign counters (`<chip>.runs`, `.fired`,
+/// `.recoveries`, `.restarts`, `.killed`) and recovery-cycle means
+/// (`.recovery_cycles_warm_mean`, `.recovery_cycles_cold_mean`), and
+/// every oracle failure line.
+fn chip_section(r: &mut Report, reports: &[ChipReport]) {
+    for c in reports {
+        let counters = [
+            ("runs", (c.runs * 2) as f64),
+            ("fired", c.fired as f64),
+            ("recoveries", c.recoveries as f64),
+            ("restarts", c.restarts as f64),
+            ("killed", c.killed as f64),
+        ];
+        r.infos(c.chip, "campaign", "count", &counters);
+        let means = [
+            ("recovery_cycles_warm_mean", c.warm_mean()),
+            ("recovery_cycles_cold_mean", c.cold_mean()),
+        ];
+        r.infos(c.chip, "recovery", "cycles", &means);
+    }
+    let oracle = reports.iter().flat_map(|c| &c.failures);
+    r.failures
+        .extend(oracle.map(|f| format!("campaign oracle: {f}")));
+}
+
+/// The largest campaign speedup asked of a `cores`-core host: 0.75 ×
+/// the core count. A speedup reaching it skips the baseline floor.
+pub fn host_cap(cores: usize) -> f64 {
+    cores as f64 * 0.75
+}
+
+/// Host core count as reported by the OS (1 when undetectable).
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -562,9 +673,23 @@ mod tests {
         let result = run_fleet(28, 1);
         // 28 requested / (7 chips * 2 modes) = 2 seeds per chip.
         assert_eq!(result.seeds_per_chip, 2);
-        assert_eq!(result.total_runs, 28);
+        assert_eq!(result.ladder.len(), 1);
+        assert_eq!(result.top().runs, 28);
         assert_eq!(result.outcomes.len(), 28);
-        assert!(result.failures().is_empty(), "{:#?}", result.failures());
+        // The rung's artifact is the campaign table plus the per-chip
+        // section, with no wall-clock figure in it.
+        let doc = &result.top().artifact;
+        assert!(
+            doc.starts_with("fault campaign: 2 seeds x 7 chips"),
+            "{doc}"
+        );
+        assert!(doc.contains("\"name\": \"hifive1.recovery_cycles_cold_mean\""));
+        assert!(!doc.contains("wall"), "{doc}");
+        assert!(
+            result.reports.iter().all(|r| r.failures.is_empty()),
+            "{:#?}",
+            result.reports
+        );
         assert!(failing_records(&result.outcomes).is_empty());
         // Every outcome reduces to a decodable corpus record.
         for o in &result.outcomes {
@@ -607,6 +732,7 @@ mod tests {
   {"metric": "fleet.restore_speedup", "kind": "floor", "bound": 20.0, "why": "restore"},
   {"metric": "fleet.midrun_restore_speedup", "kind": "floor", "bound": 1.5, "why": "midrun"},
   {"metric": "fleet.resimulated_share", "kind": "ceiling", "bound": 0.75, "why": "ladder"},
+  {"metric": "fleet.parallel_speedup", "kind": "floor", "bound": 3.0, "why": "pool"},
   {"metric": "fleet.runs_per_sec", "kind": "floor", "bound": 1e15, "why": "unreachable"}
 ]"#;
 
@@ -662,7 +788,7 @@ mod tests {
         assert!(!gate_fleet(&result, &slow_midrun, &[], FLOORS).passed());
         // Bounds missing from the baseline fail: a gated metric needs one.
         let v = gate_fleet(&result, &slow, &[], "[]");
-        assert_eq!(v.violations.len(), 4, "{v:?}");
+        assert_eq!(v.violations.len(), 5, "{v:?}");
     }
 
     #[test]
@@ -670,9 +796,12 @@ mod tests {
         let mut result = run_fleet(14, 1);
         // Pretend the campaign was large enough to amortize startup —
         // the floor compares runs_per_sec(), which we pin via wall_ms.
-        let rate = result.runs_per_sec();
-        result.total_runs = FLEET_FLOOR_MIN_RUNS;
-        result.wall_ms = FLEET_FLOOR_MIN_RUNS as f64 / rate * 1e3;
+        let amortized = |rung: &mut Rung| {
+            let rate = rung.runs_per_sec();
+            rung.runs = FLEET_FLOOR_MIN_RUNS;
+            rung.wall_ms = FLEET_FLOOR_MIN_RUNS as f64 / rate * 1e3;
+        };
+        amortized(&mut result.ladder[0]);
         let cost = sample_cost();
         let with_prev = |prev: &str| FLOORS.replace("1e15", prev);
         // An absurdly low previous figure (0.001 x 1.5): any real
@@ -702,15 +831,21 @@ mod tests {
             v.notes.iter().any(|n| n.contains("too few to amortize")),
             "{v:?}"
         );
-        // A parallel campaign skips the (serial) throughput floor.
+        // The serial rung gates the floor even when the top rung, the
+        // campaign the rest of the report describes, is parallel.
         let mut parallel = run_fleet(14, 2);
-        parallel.total_runs = FLEET_FLOOR_MIN_RUNS;
+        assert_eq!(parallel.ladder.len(), 2);
+        assert_eq!(parallel.top().threads, 2);
+        parallel.ladder.iter_mut().for_each(amortized);
         let v = gate_fleet(&parallel, &cost, &[], &fail);
-        assert!(v.passed(), "{v:?}");
         assert!(
-            v.notes.iter().any(|n| n.contains("reference is serial")),
+            v.violations
+                .iter()
+                .any(|f| f.contains("fleet runs_per_sec [wall]")),
             "{v:?}"
         );
+        let v = gate_fleet(&parallel, &cost, &[], &with_prev("0.0015"));
+        assert!(v.passed(), "{v:?}");
     }
 
     #[test]
@@ -790,7 +925,7 @@ mod tests {
             .map(|o| (o.chip, o.seed, o.cold))
             .collect();
         assert_eq!(head, vec![(3, 5, true), (0, 0, false)]);
-        assert!(result.failures().is_empty());
+        assert!(result.reports.iter().all(|r| r.failures.is_empty()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -806,6 +941,9 @@ mod tests {
         let value = |name: &str| r.get(name).unwrap().value;
         assert_eq!(r.experiment, "fleet");
         assert_eq!(value("total_runs"), 14.0);
+        assert_eq!(value("t1.speedup"), 1.0);
+        assert_eq!(value("parallel_speedup"), 1.0);
+        assert!(value("nrf52840dk.recovery_cycles_warm_mean") > 0.0);
         assert_eq!(value("restore_speedup"), 25.0);
         assert_eq!(value("midrun_restore_speedup"), 3.0);
         assert_eq!(value("midrun_runs"), prof.midrun_runs as f64);
@@ -816,6 +954,102 @@ mod tests {
         let doc = r.to_json();
         assert!(doc.contains("\"experiment\": \"fleet\""));
         assert!(doc.contains("\"name\": \"validate.p50_us\""));
+    }
+
+    #[test]
+    fn thread_ladder_dedups_and_sorts() {
+        assert_eq!(thread_ladder(1), vec![1]);
+        assert_eq!(thread_ladder(2), vec![1, 2]);
+        assert_eq!(thread_ladder(8), vec![1, 4, 8]);
+    }
+
+    /// A rung of 100 runs (too few for the `runs_per_sec` floor).
+    fn fake_rung(threads: usize, wall_ms: f64, artifact: &str) -> Rung {
+        Rung {
+            threads,
+            runs: 100,
+            wall_ms,
+            artifact: artifact.into(),
+        }
+    }
+
+    /// The ladder's part of a `fleet` report on `cores` cores.
+    fn ladder_report(ladder: &[Rung], cores: usize) -> Report {
+        let mut r = Report::new("fleet");
+        ladder_metrics(&mut r, ladder, cores);
+        r
+    }
+
+    const LADDER: &str = r#"[
+  {"metric": "fleet.parallel_speedup", "kind": "floor", "bound": 3.0, "why": "pool"},
+  {"metric": "fleet.runs_per_sec", "kind": "floor", "bound": 1e15, "why": "unreachable"}
+]"#;
+
+    #[test]
+    fn check_fails_on_artifact_mismatch() {
+        let ladder = [
+            fake_rung(1, 100.0, "a"),
+            fake_rung(4, 40.0, "b"),
+            fake_rung(8, 20.0, "c"),
+        ];
+        let report = ladder_report(&ladder, 8);
+        assert_eq!(report.failures.len(), 2, "{:?}", report.failures);
+        assert!(report.failures[0].contains("at 4 threads"), "{report:?}");
+        assert!(report.failures[1].contains("at 8 threads"), "{report:?}");
+        let v = gate_text(&report, "ladder-mismatch", LADDER);
+        assert_eq!(v.violations.len(), 2, "{v:?}");
+    }
+
+    #[test]
+    fn check_enforces_speedup_floor_only_with_cores() {
+        let ladder = [fake_rung(1, 100.0, "a"), fake_rung(8, 90.0, "a")];
+        // 8 cores: 1.11x speedup misses the 3x floor.
+        assert!(!gate_text(&ladder_report(&ladder, 8), "ladder-8", LADDER).passed());
+        // 1 core: floor is skipped, determinism still checked.
+        let v = gate_text(&ladder_report(&ladder, 1), "ladder-1", LADDER);
+        assert!(v.passed(), "{v:?}");
+        assert!(
+            v.notes.iter().any(|n| n.contains("skipped: 1 core(s)")),
+            "{v:?}"
+        );
+        // 2 cores: floor capped at 1.5x, still missed at 1.11x; the
+        // report carries the cap that applies.
+        let two = ladder_report(&ladder, 2);
+        assert_eq!(two.get("host_cap").unwrap().value, 1.5);
+        assert!(!gate_text(&two, "ladder-2", LADDER).passed());
+        // 2 cores at 1.6x: the host cap is reached, the floor is not
+        // asked of the host.
+        let capped = [fake_rung(1, 100.0, "a"), fake_rung(2, 62.5, "a")];
+        let v = gate_text(&ladder_report(&capped, 2), "ladder-cap", LADDER);
+        assert!(v.passed(), "{v:?}");
+        assert!(v.notes.iter().any(|n| n.contains("host cap")), "{v:?}");
+    }
+
+    #[test]
+    fn check_passes_a_clean_ladder() {
+        let ladder = [fake_rung(1, 100.0, "a"), fake_rung(8, 25.0, "a")];
+        let v = gate_text(&ladder_report(&ladder, 8), "ladder-clean", LADDER);
+        assert!(v.passed(), "{v:?}");
+        assert!(
+            v.notes
+                .iter()
+                .any(|n| n.contains("parallel_speedup [wall]: 4.00 vs floor 3.00")),
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn metrics_report_the_ladder() {
+        let ladder = [fake_rung(1, 100.0, "a"), fake_rung(8, 25.0, "a")];
+        let r = ladder_report(&ladder, 8);
+        let value = |name: &str| r.get(name).unwrap().value;
+        assert_eq!(value("runs_per_sec"), 1000.0);
+        assert_eq!(value("host_cap"), 6.0);
+        assert_eq!(value("t1.speedup"), 1.0);
+        assert_eq!(value("t8.speedup"), 4.0);
+        assert_eq!(value("t8.runs_per_sec"), 4000.0);
+        assert_eq!(value("t8.wall_ms"), 25.0);
+        assert!(r.failures.is_empty());
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod fleet;
 pub mod incremental;
 pub mod reports;
 pub mod switch;
-pub mod throughput;
 
 /// Formats a `±x.xx%` difference the way Fig. 11 prints it.
 pub fn pct_diff(ticktock: f64, tock: f64) -> String {

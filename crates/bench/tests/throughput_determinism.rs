@@ -1,33 +1,28 @@
-//! The throughput engine's determinism contract, end to end: every
-//! artifact the parallel runners produce — campaign text report,
-//! `BENCH_fault.json`, `BENCH_e61.json` — must be byte-identical to the
-//! serial runner's, at any worker count and across repeated invocations
-//! of the same seeds.
+//! The work-stealing pool's determinism contract, end to end: every
+//! artifact the parallel runners produce — a fleet rung's campaign
+//! table plus its `fleet` report per-chip section, and `BENCH_e61.json`
+//! — must be byte-identical to the serial runner's, at any worker count
+//! and across repeated invocations of the same seeds.
 //!
 //! This is the property that makes the work-stealing pool safe to gate
 //! CI on: scheduling order may vary freely, observable output may not.
-//! Each report carries its measured wall clock in the `wall` layer, which
-//! the comparison drops, so it covers simulation results only.
+//! `e_fleet --check` gates it on every rung of its thread ladder; the
+//! §6.1 suite's half is gated here. Each report carries its measured
+//! wall clock in the `wall` layer, which the comparison drops, so it
+//! covers simulation results only.
 
 use std::time::Instant;
 
 use proptest::prelude::*;
-use tt_bench::reports;
-use tt_bench::throughput::measure;
+use tt_bench::{fleet, reports};
 use tt_hw::platform::{ChipProfile, ALL_CHIPS, HIFIVE1, NRF52840DK};
-use tt_kernel::campaign::{render_report as render_campaign, run_campaign_profiled, ChipReport};
+use tt_kernel::campaign::run_campaign_profiled;
 use tt_kernel::differential::{render_report as render_diff, run_release_suite};
 
-/// The campaign's per-chip reports at `threads` workers, and the `fault`
-/// report JSON with its wall layer dropped.
-fn campaign(chips: &[ChipProfile], seeds: u64, threads: usize) -> (Vec<ChipReport>, String) {
-    let t0 = Instant::now();
+/// The campaign's rung artifact at `threads` workers.
+fn campaign(chips: &[ChipProfile], seeds: u64, threads: usize) -> String {
     let reports = run_campaign_profiled(chips, seeds, threads, &[]).reports;
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let doc = reports::campaign_metrics(&reports, seeds, wall_ms)
-        .without_wall()
-        .to_json();
-    (reports, doc)
+    fleet::artifact(&reports, seeds)
 }
 
 /// The all-chips `e61` report JSON at `threads` workers, wall dropped.
@@ -43,16 +38,9 @@ fn e61_doc(threads: usize) -> String {
 #[test]
 fn campaign_artifacts_are_byte_identical_serial_vs_parallel() {
     let chips = [NRF52840DK, HIFIVE1];
-    let (serial, serial_json) = campaign(&chips, 3, 1);
-    let serial_text = render_campaign(&serial, 3);
+    let serial = campaign(&chips, 3, 1);
     for threads in [2, 8] {
-        let (parallel, parallel_json) = campaign(&chips, 3, threads);
-        assert_eq!(
-            serial_text,
-            render_campaign(&parallel, 3),
-            "threads = {threads}"
-        );
-        assert_eq!(serial_json, parallel_json, "threads = {threads}");
+        assert_eq!(serial, campaign(&chips, 3, threads), "threads = {threads}");
     }
 }
 
@@ -65,14 +53,17 @@ fn e61_artifacts_are_byte_identical_serial_vs_parallel() {
 
 #[test]
 fn same_seed_invocations_are_byte_identical() {
-    // Two full measurements of the same workload at a parallel worker
-    // count: scheduling differs between invocations, artifacts may not.
-    let a = measure(2, 4);
-    let b = measure(2, 4);
-    assert_eq!(a.campaign_artifact, b.campaign_artifact);
-    assert_eq!(a.diff_artifact, b.diff_artifact);
-    assert_eq!(a.sample.campaign_runs, b.sample.campaign_runs);
-    assert_eq!(a.sample.diff_runs, b.sample.diff_runs);
+    // Two full fleet ladders of the same workload topping out at 4
+    // workers: scheduling differs between invocations, artifacts may
+    // not — neither across invocations nor across rungs.
+    let (a, b) = (fleet::run_fleet(28, 4), fleet::run_fleet(28, 4));
+    assert_eq!(a.ladder.len(), 3);
+    for (x, y) in a.ladder.iter().zip(&b.ladder) {
+        assert_eq!(x.threads, y.threads);
+        assert_eq!(x.runs, y.runs);
+        assert_eq!(x.artifact, y.artifact, "threads = {}", x.threads);
+        assert_eq!(x.artifact, a.serial().artifact, "threads = {}", x.threads);
+    }
 }
 
 proptest! {
@@ -84,8 +75,6 @@ proptest! {
         threads in 2usize..10,
     ) {
         let chips = [NRF52840DK];
-        let (_, serial) = campaign(&chips, seeds, 1);
-        let (_, parallel) = campaign(&chips, seeds, threads);
-        prop_assert_eq!(serial, parallel);
+        prop_assert_eq!(campaign(&chips, seeds, 1), campaign(&chips, seeds, threads));
     }
 }

@@ -26,7 +26,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Encoded size of a version-1 (unscheduled) [`CorpusRecord`].
@@ -266,21 +266,25 @@ pub fn write_corpus(path: &Path, records: &[CorpusRecord]) -> io::Result<()> {
     out.flush()
 }
 
-/// Reads every record from a corpus file, walking mixed v1/v2 records
-/// by each record's own version-determined length. Trailing partial
-/// records or malformed entries surface as `InvalidData`.
-pub fn read_corpus(path: &Path) -> io::Result<Vec<CorpusRecord>> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut bytes)?;
+/// Decodes a corpus file image — the inverse of [`encode_corpus`] —
+/// walking mixed v1/v2 records by each record's own version-determined
+/// length. A trailing partial record or a malformed entry is the first
+/// record's [`CorpusError`].
+pub fn decode_corpus(bytes: &[u8]) -> Result<Vec<CorpusRecord>, CorpusError> {
     let mut records = Vec::with_capacity(bytes.len() / RECORD_LEN);
     let mut at = 0;
     while at < bytes.len() {
-        let (record, len) = CorpusRecord::decode_prefix(&bytes[at..])
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let (record, len) = CorpusRecord::decode_prefix(&bytes[at..])?;
         records.push(record);
         at += len;
     }
     Ok(records)
+}
+
+/// Reads every record from a corpus file ([`decode_corpus`]). Trailing
+/// partial records or malformed entries surface as `InvalidData`.
+pub fn read_corpus(path: &Path) -> io::Result<Vec<CorpusRecord>> {
+    decode_corpus(&fs::read(path)?).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -479,5 +483,83 @@ mod tests {
             prop_assert_eq!(r.encode().len(), r.encoded_len());
             prop_assert_eq!(CorpusRecord::decode(&r.encode()).unwrap(), r);
         }
+
+        #[test]
+        fn decoders_never_panic_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..200),
+            header in any::<u8>(),
+        ) {
+            // Half the cases get a valid magic and version, so the
+            // walk reaches the flag, schedule and length checks.
+            let mut bytes = bytes;
+            if header & 1 == 1 && bytes.len() >= 2 {
+                bytes[0] = MAGIC;
+                bytes[1] = if header & 2 == 0 { VERSION_V1 } else { VERSION_V2 };
+            }
+            check_decoders(&bytes)?;
+        }
+
+        #[test]
+        fn truncated_or_flipped_corpora_decode_to_themselves_or_a_typed_error(
+            kinds in proptest::collection::vec(any::<u64>(), 1..6),
+            cut in any::<u64>(),
+            flip in any::<u64>(),
+        ) {
+            // A mixed v1/v2 corpus: each word picks the record's layout
+            // and fields.
+            let records: Vec<CorpusRecord> = kinds.iter().map(|&k| record_from(k)).collect();
+            let bytes = encode_corpus(&records);
+            prop_assert_eq!(decode_corpus(&bytes).unwrap(), records);
+            let truncated = &bytes[..(cut % bytes.len() as u64) as usize];
+            check_decoders(truncated)?;
+            let mut flipped = bytes.clone();
+            let bit = (flip % (8 * bytes.len() as u64)) as usize;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check_decoders(&flipped)?;
+        }
+    }
+
+    /// A record whose layout (v1 or v2) and fields all derive from `k`.
+    fn record_from(k: u64) -> CorpusRecord {
+        CorpusRecord {
+            chip: k as u8,
+            cold: k & (1 << 8) != 0,
+            killed: k & (1 << 9) != 0,
+            clean: k & (1 << 10) != 0,
+            seed: k.rotate_left(17),
+            schedule: if k & (1 << 11) != 0 { k | 1 } else { 0 },
+            fired: (k >> 12) as u16,
+            restarts: (k >> 20) as u16,
+            recoveries: (k >> 28) as u16,
+            failures: (k >> 36) as u16,
+            trace_len: (k >> 24) as u32,
+            recovery_cycles: k.rotate_right(9),
+        }
+    }
+
+    /// The decoder contract on any input: `decode_prefix`, `decode` and
+    /// the `decode_corpus` walk return a record or a typed error (the
+    /// shim fails the case on a panic); whatever decodes re-encodes to
+    /// exactly its bytes, and every rejection is consistent across the
+    /// three.
+    fn check_decoders(bytes: &[u8]) -> Result<(), proptest::TestCaseError> {
+        match CorpusRecord::decode_prefix(bytes) {
+            Ok((r, len)) => {
+                prop_assert_eq!(len, r.encoded_len());
+                prop_assert_eq!(r.encode(), bytes[..len].to_vec());
+            }
+            Err(e) => {
+                prop_assert_eq!(CorpusRecord::decode(bytes), Err(e));
+                prop_assert!(!e.to_string().is_empty());
+            }
+        }
+        if let Ok(r) = CorpusRecord::decode(bytes) {
+            prop_assert_eq!(r.encode(), bytes.to_vec());
+        }
+        match decode_corpus(bytes) {
+            Ok(records) => prop_assert_eq!(encode_corpus(&records), bytes.to_vec()),
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+        Ok(())
     }
 }

@@ -8,14 +8,13 @@
 use tt_analysis::audit::in_workspace;
 use tt_analysis::metrics::{coverage, read_baseline, Report, DEFAULT_BASELINE};
 use tt_bench::fig12::Effort;
-use tt_bench::{e62, explore, fig10, fig11, fleet, incremental, reports, switch, throughput};
+use tt_bench::{e62, explore, fig10, fig11, fleet, incremental, reports, switch};
 use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
-use tt_kernel::campaign::run_campaign_profiled;
 use tt_kernel::differential::run_release_suite;
 
 fn all_reports() -> Vec<Report> {
-    let campaign = run_campaign_profiled(&[NRF52840DK], 1, 1, &[]).reports;
     let sweep = explore::run_explore_fleet(&ALL_CHIPS[..1], 0, None, 1, None);
+    // A 1-rung ladder: the serial rung is also the top rung.
     let fleet_run = fleet::run_fleet(14, 1);
     let (tock, ticktock, padded) = e62::run();
     // The warm fig12 figures need a cold pass first.
@@ -24,13 +23,11 @@ fn all_reports() -> Vec<Report> {
     let warm = incremental::run(Effort::QUICK, &cache, false);
     let _ = std::fs::remove_file(&cache);
     vec![
-        reports::campaign_metrics(&campaign, 1, 0.0),
         reports::e61_metrics(&run_release_suite(&[NRF52840DK], 1), 0.0),
         e62::metrics(&tock, &ticktock, &padded, 0.0),
         tt_analysis::report::metrics(&fig10::run()),
         fig11::metrics(&fig11::run(1), &switch::measure_all(), 0.0),
         incremental::metrics(&warm, true),
-        throughput::metrics(&[throughput::measure(1, 1)], 1, 1),
         fleet::metrics(
             &fleet_run,
             &fleet::measure_reset_cost(3),
