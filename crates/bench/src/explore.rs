@@ -89,6 +89,20 @@ impl ExploreFleet {
         resimulated as f64 / full.max(1) as f64
     }
 
+    /// Representatives that rejoined their baseline at a rung and took
+    /// the rest of the run from the ladder, as a share of those executed.
+    pub fn converged_share(&self) -> f64 {
+        let converged: usize = self.outcomes.iter().map(|o| o.converged).sum();
+        converged as f64 / self.explored().max(1) as f64
+    }
+
+    /// Mean ticks a representative simulated past the rung it resumed
+    /// from.
+    pub fn ticks_per_run(&self) -> f64 {
+        let ticks: u64 = self.outcomes.iter().map(|o| o.ticks).sum();
+        ticks as f64 / self.explored().max(1) as f64
+    }
+
     /// Mean ladder height (rungs a representative could resume from)
     /// and mean wall-clock microseconds of rung captures, over the units
     /// that ran.
@@ -357,6 +371,13 @@ pub fn render(fleet: &ExploreFleet, demo: &PlantedDemo) -> String {
         fleet.prune_ratio(),
         fleet.findings().len(),
     ));
+    out.push_str(&format!(
+        "ladder: {:.1}% of representatives rejoined their baseline, {:.2} ticks simulated \
+         past the resume rung on average; resimulated share {:.3}\n",
+        fleet.converged_share() * 100.0,
+        fleet.ticks_per_run(),
+        fleet.resimulated_share(),
+    ));
     for f in fleet.failures() {
         out.push_str(&format!("  FINDING {f}\n"));
     }
@@ -405,6 +426,14 @@ pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[String]) ->
         "share",
         fleet.resimulated_share(),
     );
+    r.add(
+        Kind::Floor,
+        "converged_share",
+        "ladder",
+        "share",
+        fleet.converged_share(),
+    );
+    r.info("ticks_per_run", "ladder", "count", fleet.ticks_per_run());
     r.info("rungs_per_unit", "ladder", "count", rungs);
     r.info("capture_us", WALL, "us", capture_us);
     r.info("threads", WALL, "count", fleet.threads as f64);
@@ -444,6 +473,7 @@ pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[String]) ->
             .push("every exploration unit was truncated; raise the budget".into());
         r.skip("prune_ratio", "no exploration unit completed");
         r.skip("resimulated_share", "no exploration unit completed");
+        r.skip("converged_share", "no exploration unit completed");
     }
     if demo.seed_failures > 0 {
         r.failures.push(format!(
@@ -475,7 +505,8 @@ mod tests {
 
     const FLOOR: &str = r#"[
         {"metric": "explore.prune_ratio", "kind": "floor", "bound": 2.0, "why": "dpor"},
-        {"metric": "explore.resimulated_share", "kind": "ceiling", "bound": 0.5, "why": "ladder"}
+        {"metric": "explore.resimulated_share", "kind": "ceiling", "bound": 0.1, "why": "ladder"},
+        {"metric": "explore.converged_share", "kind": "floor", "bound": 0.9, "why": "rejoin"}
     ]"#;
 
     #[test]

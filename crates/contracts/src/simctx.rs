@@ -72,6 +72,10 @@ pub struct SimContext {
     /// before touching the engine's own (buffer-carrying) thread-local —
     /// the same fast-path discipline as [`Self::injection_target`].
     pub sched_armed: Cell<bool>,
+    /// Reads of [`Self::cycles`] whose value the simulation computes
+    /// with (`tt_hw::cycles::sample`). Monotone for the thread's life:
+    /// callers compare two readings, never an absolute count.
+    pub cycle_samples: Cell<u64>,
 }
 
 impl SimContext {
@@ -102,6 +106,7 @@ impl SimContext {
             current_pid: Cell::new(NO_PID),
             injection_target: Cell::new(NO_TARGET),
             sched_armed: Cell::new(false),
+            cycle_samples: Cell::new(0),
         }
     }
 }

@@ -72,7 +72,7 @@ pub type OptPair<T> = Option<Pair<T>>;
 
 /// A fixed array of eight region descriptors: the kernel's staged MPU
 /// configuration (the paper's `RArray<R>`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RArray<R: RegionDescriptor> {
     regions: [R; 8],
 }

@@ -329,6 +329,15 @@ impl CortexMpu {
         self.write_rasr(rasr);
     }
 
+    /// Whether `other` holds the same register file — control, RNR and
+    /// every region pair — whatever either's write-order log says: the
+    /// log is the §6.1 differential test's diagnostic, and no access
+    /// check or commit reads it.
+    pub fn same_registers(&self, other: &CortexMpu) -> bool {
+        (self.enable, self.privdefena, self.rnr, self.regions)
+            == (other.enable, other.privdefena, other.rnr, other.regions)
+    }
+
     /// Reads back a region's registers (test/inspection interface).
     pub fn region(&self, region: usize) -> RegionRegs {
         self.regions[region]
@@ -585,6 +594,17 @@ mod tests {
         mpu.write_rasr(rasr(1024, 0, 0b110, 0));
         assert!(mpu.region(3).enabled());
         assert_eq!(mpu.region(3).base(), 0x2000_0400);
+    }
+
+    #[test]
+    fn same_registers_ignores_only_the_write_log() {
+        let mut a = CortexMpu::new();
+        a.write_region(1, 0x2000_0000, 0x0300_0013);
+        let mut b = a.clone();
+        let _ = b.drain_write_order();
+        assert!(a.same_registers(&b) && a != b);
+        b.write_ctrl(true, true);
+        assert!(!a.same_registers(&b));
     }
 
     #[test]

@@ -89,6 +89,26 @@ pub fn now() -> u64 {
     simctx::with(|c| c.cycles.get())
 }
 
+/// Reads the counter as a value the simulation computes with — a
+/// cycle-derived sensor or ADC reading — and counts the read. A run that
+/// makes no such read between two points behaves the same whatever the
+/// counter holds there: every other use of the counter only charges it or
+/// measures a span. The schedule explorer relies on this to splice a
+/// baseline's continuation onto a run whose counter differs
+/// (`tt_kernel::campaign`).
+#[inline]
+pub fn sample() -> u64 {
+    simctx::with(|c| {
+        c.cycle_samples.set(c.cycle_samples.get() + 1);
+        c.cycles.get()
+    })
+}
+
+/// Counter reads [`sample`] has counted on this thread so far.
+pub fn samples() -> u64 {
+    simctx::with(|c| c.cycle_samples.get())
+}
+
 /// Resets the counter to zero.
 pub fn reset() {
     simctx::with(|c| c.cycles.set(0));

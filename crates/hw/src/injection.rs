@@ -117,6 +117,29 @@ impl InjectionPlan {
             .any(|inj| inj.at < seen[point_index(inj.point)])
     }
 
+    /// Returns `true` when a run standing at `progress` has nothing left
+    /// to fire under this plan: every injection fired or had its
+    /// occurrence pass (the counters only grow). From then on the
+    /// occurrence counters no longer decide anything.
+    pub fn spent_by(&self, progress: &Progress) -> bool {
+        self.injections.iter().enumerate().all(|(i, inj)| {
+            progress.fired.get(i) == Some(&true) || inj.at < progress.seen[point_index(inj.point)]
+        })
+    }
+
+    /// Whether two runs under this plan, standing at `a` and `b`, fire
+    /// the same injections from here on and have fired as many so far:
+    /// the same fired flags and occurrence counters, or — once neither
+    /// has anything left to fire ([`Self::spent_by`]) — the same count
+    /// alone. Progress captured under the empty counting plan holds no
+    /// flags, which reads as nothing fired.
+    pub fn same_future(&self, a: &Progress, b: &Progress) -> bool {
+        let fired = |p: &Progress, i: usize| p.fired.get(i) == Some(&true);
+        a.fired_count == b.fired_count
+            && (a.seen == b.seen && (0..self.injections.len()).all(|i| fired(a, i) == fired(b, i))
+                || self.spent_by(a) && self.spent_by(b))
+    }
+
     /// Derives a plan deterministically from `seed`: one to three
     /// injections with bounded occurrence indices. The same `(seed,
     /// target_pid)` always yields the same plan, which is what makes
@@ -369,6 +392,39 @@ mod tests {
         assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 0); // one-shot
         assert_eq!(disarm(), 1);
         trace::set_current_pid(NO_PID);
+    }
+
+    #[test]
+    fn progress_past_the_last_injection_compares_by_its_fired_count() {
+        let p = plan(
+            0,
+            vec![Injection {
+                point: InjectionPoint::ArmRasr,
+                at: 2,
+                kind: InjectionKind::BitFlip { bit: 4 },
+            }],
+        );
+        let at = |rasr: u32, fired: bool| Progress {
+            seen: [0, rasr, 0, 0, 0, 0],
+            fired: vec![fired],
+            fired_count: u64::from(fired),
+        };
+        // Pending: the counters decide where it fires, so they must match.
+        assert!(!p.spent_by(&at(2, false)));
+        assert!(p.same_future(&at(2, false), &at(2, false)));
+        assert!(!p.same_future(&at(1, false), &at(2, false)));
+        // Counting-plan progress holds no flags: nothing fired.
+        let counted = Progress {
+            fired: Vec::new(),
+            ..at(2, false)
+        };
+        assert!(p.same_future(&counted, &at(2, false)));
+        // Fired on both sides: the counters no longer matter.
+        assert!(p.spent_by(&at(5, true)));
+        assert!(p.same_future(&at(5, true), &at(9, true)));
+        // Passed unfired on one side, fired on the other: different runs.
+        assert!(p.spent_by(&at(3, false)));
+        assert!(!p.same_future(&at(3, false), &at(3, true)));
     }
 
     #[test]

@@ -355,6 +355,39 @@ impl PhysicalMemory {
         }
     }
 
+    /// Whether live memory, last restored to `base + from`, equals the
+    /// checkpoint `base + to` — the compare half of
+    /// [`Self::restore_to`]. Only the pages restore would copy can
+    /// differ: those dirtied since, or held by either delta. Flash
+    /// reprogrammed since the base, or untracked memory, never matches.
+    pub fn matches(&self, base: &MemSnapshot, from: &PageDelta, to: &PageDelta) -> bool {
+        if self.ram_dirty.is_empty() || self.flash_dirty {
+            return false;
+        }
+        let mut rank = 0;
+        for w in 0..self.ram_dirty.len().max(to.pages.len()) {
+            let target = to.word(w);
+            let mut bits = self.ram_dirty.get(w).copied().unwrap_or(0) | from.word(w) | target;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let range = self.page_range((w << 6) + bit as usize);
+                let want = if target >> bit & 1 == 1 {
+                    let below = (target & ((1u64 << bit) - 1)).count_ones() as usize;
+                    let at = (rank + below) << PAGE_SHIFT;
+                    &to.data[at..at + range.len()]
+                } else {
+                    &base.ram[range.clone()]
+                };
+                if self.ram[range] != *want {
+                    return false;
+                }
+            }
+            rank += target.count_ones() as usize;
+        }
+        true
+    }
+
     /// Returns the memory map.
     pub fn map(&self) -> MemoryMap {
         self.map
@@ -827,6 +860,33 @@ mod tests {
         mem.restore_to(&base, &c1, &none);
         mem.restore_to(&base, &none, &c3);
         assert_eq!(read(&mem), [0xAAAA_AAAA, 0, 4]);
+    }
+
+    #[test]
+    fn matches_compares_exactly_the_pages_restore_would_move() {
+        let (p, q) = (0x2000_0100, 0x2000_0800);
+        let mut mem = PhysicalMemory::new(test_map());
+        let base = mem.snapshot();
+        let none = PageDelta::default();
+        assert!(mem.matches(&base, &none, &none));
+        mem.write_u32(p, 7).unwrap();
+        let c1 = mem.capture_delta(&none);
+        assert!(mem.matches(&base, &none, &c1));
+        assert!(!mem.matches(&base, &none, &none), "a dirty page differs");
+        // Resumed from C1: writing a page back to C1's value matches C1
+        // again; a page only the live run wrote does not.
+        mem.restore_to(&base, &none, &c1);
+        mem.write_u32(q, 1).unwrap();
+        assert!(!mem.matches(&base, &c1, &c1));
+        mem.write_u32(q, 0).unwrap();
+        assert!(mem.matches(&base, &c1, &c1));
+        // Undoing C1's write matches the base through `from` alone.
+        mem.write_u32(p, 0).unwrap();
+        assert!(mem.matches(&base, &c1, &none));
+        assert!(!mem.matches(&base, &c1, &c1));
+        // Reprogrammed flash never matches.
+        mem.program_flash(0x100, &[1]).unwrap();
+        assert!(!mem.matches(&base, &c1, &none));
     }
 
     #[test]

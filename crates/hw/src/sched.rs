@@ -213,6 +213,20 @@ pub fn disarm() -> u64 {
     ENGINE.with(|e| e.borrow_mut().take().map_or(0, |eng| eng.fired_count))
 }
 
+/// Returns `true` when the armed schedule has nothing left to fire:
+/// every arrival either fired or had its occurrence pass (the boundary
+/// counters only grow, so a passed occurrence never comes round again).
+/// From then on the engine only counts. `false` when disarmed.
+pub fn exhausted() -> bool {
+    ENGINE.with(|e| {
+        e.borrow().as_ref().is_some_and(|eng| {
+            let spent =
+                |(a, fired): (&Arrival, &bool)| *fired || a.at < eng.seen[point_index(a.point)];
+            eng.schedule.arrivals.iter().zip(&eng.fired).all(spent)
+        })
+    })
+}
+
 /// Returns `true` if a schedule is armed on this thread.
 pub fn is_armed() -> bool {
     ENGINE.with(|e| e.borrow().is_some())
@@ -382,6 +396,34 @@ mod tests {
         assert!(!arrival(ArrivalPoint::SyscallEnter)); // 2
         assert!(arrival(ArrivalPoint::SyscallEnter)); // 3: fires
         assert_eq!(disarm(), 1);
+    }
+
+    #[test]
+    fn a_schedule_is_exhausted_once_every_arrival_fired_or_passed() {
+        assert!(!exhausted(), "a disarmed engine is not exhausted");
+        arm(InterruptSchedule::new(vec![
+            Arrival {
+                point: ArrivalPoint::SyscallEnter,
+                at: 1,
+            },
+            Arrival {
+                point: ArrivalPoint::MpuCommit,
+                at: 0,
+            },
+        ]));
+        assert!(!exhausted());
+        assert!(!arrival(ArrivalPoint::SyscallEnter)); // 0
+        assert!(arrival(ArrivalPoint::SyscallEnter)); // 1: fires
+        assert!(!exhausted(), "the MpuCommit arrival is still pending");
+        assert!(arrival(ArrivalPoint::MpuCommit));
+        assert!(exhausted());
+        assert!(!arrival(ArrivalPoint::SyscallEnter));
+        assert!(exhausted());
+        assert_eq!(disarm(), 2);
+        // The empty schedule has nothing to fire from the start.
+        arm(InterruptSchedule::empty());
+        assert!(exhausted());
+        disarm();
     }
 
     #[test]

@@ -411,23 +411,33 @@ pub fn enable(capacity: usize) {
 /// exceeds the ring capacity (a captured prefix always fits: capture
 /// asserts the ring never wrapped).
 pub fn install_prefix(events: &[TraceEvent]) {
+    RING.with(|r| assert_eq!(r.borrow().len, 0, "install_prefix on a non-empty ring"));
+    extend(events);
+}
+
+/// Appends already-recorded events behind the write cursor with one
+/// `memcpy` — semantically [`record`]ing each in order. Restore installs
+/// a checkpoint's prefix this way, and a scheduled run that rejoined its
+/// baseline appends the baseline's suffix.
+///
+/// Panics if tracing is disabled, or if the events would wrap the ring
+/// or it has wrapped already; callers check [`with_events`] first.
+pub fn extend(events: &[TraceEvent]) {
     RING.with(|r| {
         let mut ring = r.borrow_mut();
-        assert!(ring.enabled, "install_prefix on a disabled ring");
-        assert_eq!(ring.len, 0, "install_prefix on a non-empty ring");
+        assert!(ring.enabled, "extend on a disabled ring");
+        // Nothing dropped means nothing wrapped: the live region starts
+        // at slot 0 and ends at `len`.
+        let (start, end) = (ring.len, ring.len + events.len());
         assert!(
-            events.len() <= ring.capacity,
-            "prefix of {} events exceeds ring capacity {}",
+            ring.dropped == 0 && end <= ring.capacity,
+            "{} events after {start} exceed ring capacity {}",
             events.len(),
             ring.capacity
         );
-        ring.buf[..events.len()].copy_from_slice(events);
-        ring.len = events.len();
-        ring.write = if events.len() == ring.capacity {
-            0
-        } else {
-            events.len()
-        };
+        ring.buf[start..end].copy_from_slice(events);
+        ring.len = end;
+        ring.write = if end == ring.capacity { 0 } else { end };
     });
 }
 
@@ -743,6 +753,27 @@ mod tests {
         assert!(std::panic::catch_unwind(|| install_prefix(&[ev(1)])).is_err());
         enable(2);
         assert!(std::panic::catch_unwind(|| install_prefix(&[ev(1); 3])).is_err());
+        disable();
+    }
+
+    #[test]
+    fn extend_appends_like_records_and_refuses_to_wrap() {
+        enable(6);
+        record(ev(1));
+        extend(&[ev(2), ev(3)]);
+        record(ev(4));
+        extend(&[ev(5), ev(6)]);
+        with_events(|head, tail, dropped| {
+            assert_eq!(
+                (head, tail, dropped),
+                (&(1..7).map(ev).collect::<Vec<_>>()[..], &[][..], 0)
+            );
+        });
+        // Full: one more event would wrap the ring.
+        assert!(std::panic::catch_unwind(|| extend(&[ev(7)])).is_err());
+        // A wrapped ring takes no bulk append either.
+        record(ev(7));
+        assert!(std::panic::catch_unwind(|| extend(&[])).is_err());
         disable();
     }
 

@@ -74,6 +74,9 @@ impl App for Victim {
     fn clone_app(&self) -> Option<Box<dyn App>> {
         Some(Box::new(self.clone()))
     }
+    fn state_word(&self) -> Option<u64> {
+        Some(u64::from(self.step_no))
+    }
     fn step(&mut self, k: &mut Kernel, pid: usize) -> Step {
         let ms = k.processes[pid].memory_start();
         let i = self.step_no;
@@ -127,6 +130,9 @@ impl App for Bystander {
     }
     fn clone_app(&self) -> Option<Box<dyn App>> {
         Some(Box::new(self.clone()))
+    }
+    fn state_word(&self) -> Option<u64> {
+        Some(u64::from(self.step_no))
     }
     fn step(&mut self, k: &mut Kernel, pid: usize) -> Step {
         let ms = k.processes[pid].memory_start();
@@ -402,6 +408,14 @@ pub struct RunPhases {
     /// Trace events in the resumed rung's prefix: the part of the run
     /// that was not re-simulated.
     pub resumed_events: usize,
+    /// Whether the run rejoined its baseline at a rung and took the rest
+    /// of the run from the ladder ([`FleetRunner`] lists the rule).
+    pub rejoined: bool,
+    /// Trace events taken from the ladder after the run rejoined it: the
+    /// part of the run past the rejoin point that was not simulated.
+    pub rejoined_events: usize,
+    /// Ticks simulated past the resumed rung.
+    pub ticks: u64,
 }
 
 /// A checkpoint ladder: the rungs one baseline run passed, in tick
@@ -421,9 +435,70 @@ struct Ladder {
     /// number of leading raw events of `trace` whose observable
     /// projection is a prefix of the reference's observable stream.
     shared: Cell<Option<(u64, usize)>>,
+    /// Clean rungs the baseline shares before its own rungs start: the
+    /// baseline is the clean run up to clean rung `joins - 1` (0 for the
+    /// clean ladder itself).
+    joins: usize,
+    /// How the baseline ended; `None` until its capture pass ran.
+    finish: Option<Finish>,
+}
+
+/// How a ladder's baseline ended: what a scheduled run that rejoins the
+/// baseline at a rung takes from here instead of simulating it.
+struct Finish {
+    /// The baseline's drained record, its trace left empty (the ladder
+    /// holds the trace).
+    record: RunRecord,
+    /// The cycle counter at the end.
+    cycles: u64,
+    /// The thread's cycle-read count at the end, against
+    /// [`Checkpoint`]'s `samples`.
+    samples: u64,
 }
 
 impl Ladder {
+    /// The rung along this ladder's baseline at tick boundary `ticks`:
+    /// one of the `clean` rungs it shares, or one of its own.
+    fn rung_at<'a>(&'a self, clean: &'a Ladder, ticks: u64) -> Option<&'a Checkpoint> {
+        let at = usize::try_from(ticks).ok()?;
+        let rung = match at.checked_sub(self.joins) {
+            Some(own) => self.rungs.get(own),
+            None => clean.rungs.get(at),
+        };
+        rung.filter(|r| r.ticks == ticks)
+    }
+
+    /// The rung at which a scheduled run under this ladder's plan has
+    /// rejoined the baseline, standing on a tick boundary, if the rest of
+    /// the run can be taken from the baseline: the schedule has nothing
+    /// left to fire, the baseline reads the cycle counter nowhere past
+    /// the rung (the counter is the one thing the compare leaves out),
+    /// the baseline's suffix fits the trace ring unwrapped, and the live
+    /// machine equals the rung ([`Checkpoint::matches`]). `from` is the
+    /// delta of the rung the run resumed from.
+    fn rejoin<'a>(
+        &'a self,
+        clean: &'a Ladder,
+        kernel: &Kernel,
+        base: &MemSnapshot,
+        from: &PageDelta,
+        apps: &[Box<dyn App>],
+    ) -> Option<&'a Checkpoint> {
+        let finish = self.finish.as_ref()?;
+        let rung = self.rung_at(clean, kernel.ticks)?;
+        let suffix = self.trace.len() - rung.trace_len;
+        let fits = || {
+            trace::with_events(|head, tail, dropped| {
+                dropped == 0 && head.len() + tail.len() + suffix <= TRACE_CAPACITY
+            })
+        };
+        (sched::exhausted()
+            && rung.samples == finish.samples
+            && fits()
+            && rung.matches(kernel, base, from, apps, self.plan.as_ref()))
+        .then_some(rung)
+    }
+
     /// Rung `index`'s cursor offsets if its prefix projects onto a prefix
     /// of `reference`'s observable stream (no offsets otherwise). Restore
     /// installs prefixes of `trace` only, so one walk per ladder and
@@ -484,6 +559,20 @@ fn locate<'a>(
     (ladder, &ladder.rungs[id.index])
 }
 
+/// The ladder a run under `plan` may rejoin: the clean one for a run
+/// without a plan, the seeded one if it was captured under exactly
+/// `plan`.
+fn own_ladder<'a>(
+    clean: &'a Ladder,
+    seeded: &'a Option<Ladder>,
+    plan: Option<&InjectionPlan>,
+) -> Option<&'a Ladder> {
+    match plan {
+        None => Some(clean),
+        Some(p) => seeded.as_ref().filter(|l| l.plan.as_ref() == Some(p)),
+    }
+}
+
 /// A reusable campaign machine for one chip: boots once and replays any
 /// number of runs by restoring a checkpoint instead of re-booting.
 ///
@@ -501,6 +590,12 @@ fn locate<'a>(
 /// - the *seeded ladder* of the last capture pass under an injection
 ///   plan P. Its rungs are eligible only for runs under exactly P, and
 ///   then up to the schedule's first arrival.
+///
+/// The same ladders end scheduled runs early: a run under no plan (the
+/// clean ladder's) or under P (the seeded ladder's, clean rungs it
+/// shares included) stops at the first tick boundary past its last
+/// arrival where the machine equals the baseline's rung, and takes the
+/// rest of the run from the ladder ([`Ladder::rejoin`]).
 ///
 /// Every resumed run is byte-identical to the run from boot (gated by
 /// the equivalence tests). Every run goes through one private run body
@@ -561,6 +656,7 @@ impl FleetRunner {
         let _ = injection::disarm();
         let _ = sched::disarm();
         trace::enable(TRACE_CAPACITY);
+        let samples = tt_hw::cycles::samples();
         let mut kernel = with_mode(Mode::Observe, || boot(chip));
         assert_eq!(
             kernel.processes.len(),
@@ -573,8 +669,16 @@ impl FleetRunner {
         let base = kernel.mem.snapshot();
         let violations = take_violations().iter().map(|v| format!("{v:?}")).collect();
         let len = boot_trace.events.len();
-        let boot_rung = Checkpoint::capture(&kernel, &PageDelta::default(), None, violations, len)
-            .expect("fresh programs need no clone");
+        let samples = tt_hw::cycles::samples() - samples;
+        let boot_rung = Checkpoint::capture(
+            &kernel,
+            &PageDelta::default(),
+            None,
+            violations,
+            len,
+            samples,
+        )
+        .expect("fresh programs need no clone");
         let boot_skip = PrefixSkip::default().advance(&boot_trace.events);
         let mut runner = Self {
             chip: *chip,
@@ -587,6 +691,8 @@ impl FleetRunner {
                 rungs: vec![boot_rung],
                 skips: vec![boot_skip],
                 shared: Cell::new(None),
+                joins: 0,
+                finish: None,
             },
             seeded: None,
             at: RungId::BOOT,
@@ -694,6 +800,9 @@ impl FleetRunner {
         injection::resume(counting, from.injection.clone());
         sched::arm_with_seen(InterruptSchedule::empty(), from.sched_seen);
         let mut violations = from.violations.clone();
+        // Cycle-counter reads since boot, along this baseline.
+        let pass_start = tt_hw::cycles::samples();
+        let samples = || from.samples + (tt_hw::cycles::samples() - pass_start);
         let (mut rungs, mut capture_ns, mut resumable) = (Vec::new(), 0, true);
         with_mode(Mode::Observe, || {
             while self.kernel.ticks < MAX_TICKS
@@ -715,6 +824,7 @@ impl FleetRunner {
                     Some(&apps),
                     violations.clone(),
                     len,
+                    samples(),
                 );
                 resumable = rung.is_some();
                 rungs.extend(rung);
@@ -742,12 +852,24 @@ impl FleetRunner {
         let fired = if plan.is_some() { fired } else { 0 };
         let record = collect_record(&self.kernel, seed, fired, 0, violations, drained);
         let (trace, height) = (record.trace.events.clone(), start.index + 1 + rungs.len());
+        let finish = Some(Finish {
+            record: RunRecord {
+                violations: record.violations.clone(),
+                states: record.states.clone(),
+                trace: Trace::default(),
+                oracle: None,
+                ..record
+            },
+            cycles: tt_hw::cycles::now(),
+            samples: samples(),
+        });
         match plan {
             None => {
                 self.clean.trace = trace;
                 self.clean.rungs.extend(rungs);
                 self.clean.skips.extend(skips);
                 self.clean.shared.set(None);
+                self.clean.finish = finish;
             }
             Some(_) => {
                 self.seeded = Some(Ladder {
@@ -756,6 +878,8 @@ impl FleetRunner {
                     rungs,
                     skips,
                     shared: Cell::new(None),
+                    joins: start.index + 1,
+                    finish,
                 });
             }
         }
@@ -807,13 +931,19 @@ impl FleetRunner {
     /// The run body every fleet run goes through. Resumes the latest
     /// rung eligible for `plan` and `schedule` ([`FleetRunner`] lists the
     /// rule), arms both from the rung's progress (either may be absent),
-    /// and runs to completion. Without a `reference` the trace is
-    /// drained into the record. With one, the oracle walks the undrained
-    /// ring in place — skipping the rung's prefix where the reference
-    /// shares it ([`Ladder::skip`]) — the ring is cleared instead of
-    /// drained, and the verdict rides in [`RunRecord::oracle`]. The
-    /// rung's violations are prepended, so a resumed run reports exactly
-    /// what the equivalent fresh run would.
+    /// and runs to completion. A scheduled run whose plan's ladder the
+    /// runner holds runs one tick at a time: once its schedule has
+    /// nothing left to fire, it stops at the first tick boundary where it
+    /// has rejoined that ladder's baseline ([`Ladder::rejoin`]) and takes
+    /// the rest of the run from there — the baseline's trace suffix and
+    /// violations, its terminal states and counters, and its cycle count
+    /// past the rung. Any other run goes to its end in one call. Without a `reference`
+    /// the trace is drained into the record. With one, the oracle walks
+    /// the undrained ring in place — skipping the rung's prefix where the
+    /// reference shares it ([`Ladder::skip`]) — the ring is cleared
+    /// instead of drained, and the verdict rides in
+    /// [`RunRecord::oracle`]. The rung's violations are prepended, so a
+    /// resumed run reports exactly what the equivalent fresh run would.
     pub(crate) fn run(
         &mut self,
         plan: Option<InjectionPlan>,
@@ -826,6 +956,9 @@ impl FleetRunner {
         let to = self.pick(plan.as_ref(), schedule);
         let mut apps = self.restore_to(to);
         let (ladder, rung) = locate(&self.clean, &self.seeded, to);
+        // Only a scheduled run may rejoin its baseline; the campaign arms
+        // no schedule and always runs to the end.
+        let baseline = schedule.and(own_ladder(&self.clean, &self.seeded, plan.as_ref()));
         if let Some(p) = plan {
             injection::resume(p, rung.injection.clone());
         }
@@ -833,16 +966,53 @@ impl FleetRunner {
             sched::arm_with_seen(s.clone(), rung.sched_seen);
         }
         let t1 = Instant::now();
-        with_mode(Mode::Observe, || {
-            self.kernel
-                .run_with_factories(&mut apps, Some(self.factories), MAX_TICKS);
+        let (kernel, base, factories) = (&mut self.kernel, &self.base, self.factories);
+        let clean = &self.clean;
+        // A run that may rejoin stops at every tick boundary to compare;
+        // any other runs to its end in one call.
+        let stride = if baseline.is_some() { 1 } else { MAX_TICKS };
+        let rejoined = with_mode(Mode::Observe, || {
+            while kernel.ticks < MAX_TICKS
+                && !kernel.run_with_factories(
+                    &mut apps,
+                    Some(factories),
+                    (kernel.ticks + stride).min(MAX_TICKS),
+                )
+            {
+                let at = baseline.and_then(|b| b.rejoin(clean, kernel, base, &rung.mem, &apps));
+                if at.is_some() {
+                    return baseline.zip(at);
+                }
+            }
+            None
         });
-        let fired = if armed { injection::disarm() } else { 0 };
+        let mut fired = if armed { injection::disarm() } else { 0 };
         let irq_fired = if schedule.is_some() {
             sched::disarm()
         } else {
             0
         };
+        let mut violations = rung.violations.clone();
+        let mut rejoined_events = 0;
+        let ticks = self.kernel.ticks - rung.ticks;
+        // Taking the rest of the run from the baseline: its trace suffix
+        // behind the live prefix, its cycles past the rung, its
+        // violations and its terminal record.
+        let taken = rejoined.map(|(baseline, joined)| {
+            let finish = baseline
+                .finish
+                .as_ref()
+                .expect("a rejoined ladder has its finish");
+            let suffix = &baseline.trace[joined.trace_len..];
+            trace::extend(suffix);
+            rejoined_events = suffix.len();
+            let now = tt_hw::cycles::now();
+            tt_hw::cycles::set_now(now.wrapping_add(finish.cycles.wrapping_sub(joined.cycles)));
+            violations.extend(take_violations().iter().map(|v| format!("{v:?}")));
+            violations.extend_from_slice(&finish.record.violations[joined.violations.len()..]);
+            fired = finish.record.fired;
+            (&finish.record, joined.cache.counters())
+        });
         let t2 = Instant::now();
         let oracle = reference.map(|r| {
             trace::with_events(|head, tail, _| {
@@ -857,8 +1027,17 @@ impl FleetRunner {
             trace::take()
         };
         trace::disable();
-        let violations = rung.violations.clone();
         let mut record = collect_record(&self.kernel, seed, fired, irq_fired, violations, drained);
+        if let Some((end, (hits, misses))) = taken {
+            // The commit-cache counters may differ at the rejoin point
+            // (they only count): carry them over by the baseline's delta.
+            record.cache_hits += end.cache_hits - hits;
+            record.cache_misses += end.cache_misses - misses;
+            record.states.clone_from(&end.states);
+            record.restarts = end.restarts;
+            record.recoveries = end.recoveries;
+            record.recovery_cycles = end.recovery_cycles;
+        }
         record.oracle = oracle;
         let phases = RunPhases {
             restore_ns: (t1 - t0).as_nanos() as u64,
@@ -867,6 +1046,9 @@ impl FleetRunner {
             oracle_ns: (t3 - t2).as_nanos() as u64,
             midrun: rung.ticks > 0,
             resumed_events: rung.trace_len,
+            rejoined: taken.is_some(),
+            rejoined_events,
+            ticks,
         };
         (record, phases)
     }
@@ -2205,6 +2387,7 @@ mod ladder_tests {
         bystander_reference, commuting_classes, enumerate_candidates, explore, planted,
         validate_scheduled,
     };
+    use crate::kernel::AppFactory;
     use proptest::prelude::*;
     use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
 
@@ -2618,6 +2801,336 @@ mod ladder_tests {
         let minimized = InterruptSchedule::from_id(finding.minimized);
         let run = fresh.run_scheduled(None, &minimized);
         assert!(!validate_scheduled(&NRF52840DK, &run, finding.minimized, &reference).is_empty());
+    }
+
+    /// One tick boundary a scheduled run passed after its schedule had
+    /// nothing left to fire.
+    #[derive(Debug)]
+    struct Boundary {
+        ticks: u64,
+        /// The live trace's length there.
+        trace_len: usize,
+        /// Whether the live machine equalled its baseline's rung there.
+        matched: bool,
+    }
+
+    /// `schedule`'s run under `plan`, resumed from its rung like the run
+    /// body resumes it but simulated to its end one tick at a time,
+    /// taking nothing from the ladder: the drained record, the cycle
+    /// counter at the end, and every boundary past the schedule's last
+    /// arrival, with the rung compare's verdict there.
+    fn simulated_to_the_end(
+        runner: &mut FleetRunner,
+        plan: Option<InjectionPlan>,
+        schedule: &InterruptSchedule,
+    ) -> (RunRecord, u64, Vec<Boundary>) {
+        let to = runner.pick(plan.as_ref(), Some(schedule));
+        let mut apps = runner.restore_to(to);
+        let (_, rung) = locate(&runner.clean, &runner.seeded, to);
+        let armed = plan.is_some();
+        if let Some(p) = plan.clone() {
+            injection::resume(p, rung.injection.clone());
+        }
+        sched::arm_with_seen(schedule.clone(), rung.sched_seen);
+        let own = own_ladder(&runner.clean, &runner.seeded, plan.as_ref()).expect("own ladder");
+        let mut boundaries = Vec::new();
+        with_mode(Mode::Observe, || {
+            while runner.kernel.ticks < MAX_TICKS
+                && !runner.kernel.run_with_factories(
+                    &mut apps,
+                    Some(runner.factories),
+                    runner.kernel.ticks + 1,
+                )
+            {
+                if !sched::exhausted() {
+                    continue;
+                }
+                let ticks = runner.kernel.ticks;
+                let matched = own.rung_at(&runner.clean, ticks).is_some_and(|r| {
+                    r.matches(
+                        &runner.kernel,
+                        &runner.base,
+                        &rung.mem,
+                        &apps,
+                        own.plan.as_ref(),
+                    )
+                });
+                let trace_len = trace::with_events(|head, tail, _| head.len() + tail.len());
+                boundaries.push(Boundary {
+                    ticks,
+                    trace_len,
+                    matched,
+                });
+            }
+        });
+        let fired = if armed { injection::disarm() } else { 0 };
+        let irq_fired = sched::disarm();
+        let drained = trace::take();
+        trace::disable();
+        let seed = plan.as_ref().map(|p| p.seed);
+        let violations = rung.violations.clone();
+        let record = collect_record(&runner.kernel, seed, fired, irq_fired, violations, drained);
+        (record, tt_hw::cycles::now(), boundaries)
+    }
+
+    /// The tick boundary at which `run` rejoined its baseline, if it did.
+    fn rejoined_at(runner: &FleetRunner, phases: &RunPhases) -> Option<u64> {
+        let (_, rung) = locate(&runner.clean, &runner.seeded, runner.at);
+        phases.rejoined.then_some(rung.ticks + phases.ticks)
+    }
+
+    #[test]
+    fn rejoined_runs_match_fresh_boots_on_every_chip() {
+        // Every representative of the clean unit and of seeds 0 and 13,
+        // on every chip: the drained record of the laddered run — which
+        // mostly rejoins its baseline and takes the rest from the ladder
+        // — equals the fresh boot's in every field, and the cycle counter
+        // ends on the fresh boot's count.
+        for chip in &ALL_CHIPS {
+            let mut runner = FleetRunner::new(chip);
+            let (mut runs, mut rejoined) = (0, 0);
+            for seed in [None, Some(0), Some(13)] {
+                let plan = seed.map(|s| InjectionPlan::from_seed(s, VICTIM as u32));
+                let (baseline, _, _) = runner.capture_ladder(plan.clone());
+                let candidates = enumerate_candidates(&baseline.trace.events, runner.boot_events());
+                for class in commuting_classes(&baseline.trace.events, &candidates) {
+                    let schedule = class[0].schedule();
+                    let fresh = run_one_scheduled(chip, seed, Some(&schedule));
+                    let fresh_cycles = tt_hw::cycles::now();
+                    let (run, phases) = runner.run(plan.clone(), Some(&schedule), None);
+                    let ctx = format!("{} seed {seed:?} schedule {:#x}", chip.name, schedule.id());
+                    assert_eq!(record_difference(&fresh, &run), None, "{ctx}");
+                    assert_eq!(tt_hw::cycles::now(), fresh_cycles, "{ctx}: cycles");
+                    runs += 1;
+                    rejoined += usize::from(phases.rejoined);
+                    trace::recycle(fresh.trace);
+                    trace::recycle(run.trace);
+                }
+                trace::recycle(baseline.trace);
+            }
+            assert!(
+                rejoined * 10 > runs * 8,
+                "{}: {rejoined} of {runs} rejoined",
+                chip.name
+            );
+        }
+    }
+
+    /// A bystander that reads the cycle-derived sensor every fourth step
+    /// of its life.
+    #[derive(Clone)]
+    struct SensingBystander {
+        step_no: u32,
+    }
+
+    impl App for SensingBystander {
+        fn name(&self) -> &'static str {
+            "sensing-bystander"
+        }
+        fn clone_app(&self) -> Option<Box<dyn App>> {
+            Some(Box::new(self.clone()))
+        }
+        fn state_word(&self) -> Option<u64> {
+            Some(u64::from(self.step_no))
+        }
+        fn step(&mut self, k: &mut Kernel, pid: usize) -> Step {
+            let i = self.step_no;
+            self.step_no += 1;
+            match i % 4 {
+                0 => {
+                    let _ = k.sys_command(pid, driver::SENSOR, 0, 0);
+                }
+                _ => {
+                    let _ = k.sys_print(pid, "s\r\n");
+                }
+            }
+            if self.step_no >= 24 {
+                Step::Exit
+            } else {
+                Step::Continue
+            }
+        }
+    }
+
+    fn mk_sensing() -> Box<dyn App> {
+        Box::new(SensingBystander { step_no: 0 })
+    }
+
+    #[test]
+    fn a_baseline_that_reads_the_cycle_counter_is_rejoined_only_past_its_last_read() {
+        // An interrupt shifts the cycle counter, so every later sensor
+        // reading differs from the baseline's: a run may take the
+        // baseline's continuation only from a rung past the baseline's
+        // last read. Every representative still equals the run simulated
+        // to its end, cycle counter included.
+        const SENSING: [AppFactory; 3] = [CAMPAIGN_FACTORIES[0], mk_sensing, CAMPAIGN_FACTORIES[2]];
+        let chip = &NRF52840DK;
+        let mut runner = FleetRunner::with_scenario(chip, boot_campaign_kernel, &SENSING);
+        let baseline = runner.run_plan(None);
+        let last_read = baseline
+            .trace
+            .events
+            .iter()
+            .rposition(|e| {
+                matches!(e, TraceEvent::SyscallEnter { call: crate::trace::SyscallKind::Command, arg0, .. }
+                    if *arg0 as usize == driver::SENSOR)
+            })
+            .expect("the bystander reads the sensor");
+        let candidates = enumerate_candidates(&baseline.trace.events, runner.boot_events());
+        let (mut refused, mut rejoined) = (0, 0);
+        for class in commuting_classes(&baseline.trace.events, &candidates) {
+            let schedule = class[0].schedule();
+            let (want, want_cycles, boundaries) =
+                simulated_to_the_end(&mut runner, None, &schedule);
+            let (got, phases) = runner.run(None, Some(&schedule), None);
+            let ctx = format!("schedule {:#x}", schedule.id());
+            assert_eq!(record_difference(&want, &got), None, "{ctx}");
+            assert_eq!(tt_hw::cycles::now(), want_cycles, "{ctx}: cycles");
+            let Some(at) = rejoined_at(&runner, &phases) else {
+                continue;
+            };
+            rejoined += 1;
+            let rung = runner.clean.rung_at(&runner.clean, at).expect("rung");
+            assert!(
+                rung.trace_len > last_read,
+                "{ctx} rejoined before the last read"
+            );
+            // The machine equalled a rung before the read, and the
+            // guard turned it down there.
+            let first_equal = boundaries
+                .iter()
+                .find(|b| b.matched)
+                .expect("an equal rung");
+            refused += usize::from(first_equal.ticks < at);
+        }
+        assert!(
+            refused > 0 && rejoined > 0,
+            "{refused} refused, {rejoined} rejoined"
+        );
+    }
+
+    #[test]
+    fn a_run_whose_trace_matches_but_state_differs_does_not_rejoin_there() {
+        // A front-run restart re-commits the interrupted process's
+        // configuration, which the injection engine counts as register
+        // writes in the victim's context: its occurrence counters run
+        // ahead of the baseline's, so a pending injection would fire
+        // elsewhere. Until then the run's trace can follow the
+        // baseline's event for event while its state differs; the run
+        // must not rejoin at such a boundary, and must still equal its
+        // fresh boot.
+        let chip = &NRF52840DK;
+        let mut runner = FleetRunner::new(chip);
+        let mut found = 0;
+        for seed in 0..16 {
+            let plan = Some(InjectionPlan::from_seed(seed, VICTIM as u32));
+            let (baseline, _, _) = runner.capture_ladder(plan.clone());
+            let candidates = enumerate_candidates(&baseline.trace.events, runner.boot_events());
+            for class in commuting_classes(&baseline.trace.events, &candidates) {
+                let schedule = class[0].schedule();
+                let (want, _, boundaries) =
+                    simulated_to_the_end(&mut runner, plan.clone(), &schedule);
+                let own =
+                    own_ladder(&runner.clean, &runner.seeded, plan.as_ref()).expect("own ladder");
+                // Boundaries where the state differs from the rung while
+                // the trace goes on exactly as the baseline's does for
+                // the next tick's worth of events.
+                let lookalike = boundaries.iter().find(|b| {
+                    let Some(rung) = own.rung_at(&runner.clean, b.ticks) else {
+                        return false;
+                    };
+                    let ahead = 16.min(own.trace.len() - rung.trace_len);
+                    !b.matched
+                        && ahead > 0
+                        && want.trace.events.get(b.trace_len..b.trace_len + ahead)
+                            == Some(&own.trace[rung.trace_len..rung.trace_len + ahead])
+                });
+                let Some(lookalike) = lookalike.map(|b| b.ticks) else {
+                    continue;
+                };
+                found += 1;
+                let (got, phases) = runner.run(plan.clone(), Some(&schedule), None);
+                let ctx = format!("seed {seed} schedule {:#x}", schedule.id());
+                assert_eq!(
+                    record_difference(&run_one_scheduled(chip, Some(seed), Some(&schedule)), &got),
+                    None,
+                    "{ctx}"
+                );
+                assert_eq!(record_difference(&want, &got), None, "{ctx}");
+                assert!(
+                    rejoined_at(&runner, &phases).is_none_or(|at| at != lookalike),
+                    "{ctx}: rejoined at tick {lookalike}, where only the trace matches"
+                );
+            }
+        }
+        assert!(
+            found > 0,
+            "no run's trace matched its baseline while its state differed"
+        );
+    }
+
+    #[test]
+    fn the_rung_compare_notices_every_field_it_compares() {
+        // Restored to a mid-run rung of a seeded ladder whose plan still
+        // has an injection to fire, the live machine equals the rung;
+        // with any one compared field changed, it does not.
+        type Change = fn(&mut Kernel, &mut Vec<Box<dyn App>>, &mut tt_hw::injection::Progress);
+        let changes: [(&str, Change); 13] = [
+            ("nothing", |_, _, _| {}),
+            ("ticks", |k, _, _| k.ticks += 1),
+            ("process table", |k, _, _| k.processes[1].console.push('!')),
+            ("program state", |_, apps, _| {
+                apps[1] = CAMPAIGN_FACTORIES[1]()
+            }),
+            ("restart_due", |k, _, _| k.restart_due[2] = Some(MAX_TICKS)),
+            ("pending_respawn", |k, _, _| k.pending_respawn[2] = true),
+            ("alarms", |k, _, _| k.capsules.set_alarm(1, k.ticks, 5, 1)),
+            ("subscriptions", |k, _, _| {
+                k.subscriptions[1].push(driver::LED)
+            }),
+            ("commit cache", |k, _, _| {
+                k.machine.cache().note_committed(7, u64::MAX)
+            }),
+            ("injection progress", |_, _, progress| progress.seen[0] += 1),
+            ("register file", |k, _, _| match k.machine.kind() {
+                crate::machine::MachineKind::CortexM(mpu) => {
+                    let enable = mpu.borrow().enable;
+                    mpu.borrow_mut().write_ctrl(!enable, true);
+                }
+                crate::machine::MachineKind::Pmp(_) => unreachable!("an ARM chip"),
+            }),
+            ("RAM", |k, _, _| {
+                let at = k.processes[1].memory_start() + 600;
+                let word = k.mem.read_u32(at).expect("RAM");
+                k.mem.write_u32(at, word ^ 1).expect("RAM");
+            }),
+            ("fault log", |k, _, _| k.fault_log.push((1, "fault".into()))),
+        ];
+        let mut runner = FleetRunner::new(&NRF52840DK);
+        let (plan, index) = (0..64)
+            .find_map(|seed| {
+                let plan = InjectionPlan::from_seed(seed, VICTIM as u32);
+                runner.capture_ladder(Some(plan.clone()));
+                let rungs = &runner.seeded.as_ref().expect("seeded ladder").rungs;
+                let index = rungs.iter().rposition(|r| !plan.spent_by(&r.injection))?;
+                Some((plan, index))
+            })
+            .expect("a seeded rung with an injection still to fire");
+        let id = RungId {
+            seeded: true,
+            index,
+        };
+        for (what, change) in changes {
+            let mut apps = runner.restore_to(id);
+            let (_, rung) = locate(&runner.clean, &runner.seeded, id);
+            let mut progress = rung.injection.clone();
+            change(&mut runner.kernel, &mut apps, &mut progress);
+            injection::resume(plan.clone(), progress);
+            let equal = rung.matches(&runner.kernel, &runner.base, &rung.mem, &apps, Some(&plan));
+            injection::disarm();
+            trace::disable();
+            assert_eq!(equal, what == "nothing", "{what}");
+        }
     }
 
     proptest! {

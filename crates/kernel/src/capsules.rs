@@ -40,7 +40,7 @@ pub struct PendingAlarm {
 }
 
 /// The LED bank state.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Leds {
     states: [bool; 4],
     /// Toggle count, reported back to apps.
@@ -129,12 +129,12 @@ impl Capsules {
     /// differ between kernel flavours (the §6.1 "reading and printing data
     /// from sensors" category of expected differences).
     pub fn sensor_read(&self) -> u32 {
-        (tt_hw::cycles::now() % 997) as u32
+        (tt_hw::cycles::sample() % 997) as u32
     }
 
     /// An ADC sample: also cycle-derived.
     pub fn adc_sample(&self, channel: u32) -> u32 {
-        ((tt_hw::cycles::now() >> 2) as u32)
+        ((tt_hw::cycles::sample() >> 2) as u32)
             .wrapping_mul(31)
             .wrapping_add(channel)
             % 4096
@@ -213,11 +213,16 @@ mod tests {
     fn sensor_reading_tracks_cycle_counter() {
         let c = Capsules::new();
         tt_hw::cycles::reset();
+        let samples = tt_hw::cycles::samples();
         let r1 = c.sensor_read();
         tt_hw::cycles::charge_n(tt_hw::cycles::Cost::Alu, 123);
         let r2 = c.sensor_read();
         assert_ne!(r1, r2);
         assert_eq!(c.temperature_read(), 2250);
+        let _ = c.adc_sample(1);
+        // The two sensor reads and the ADC sample are cycle reads; the
+        // calibrated temperature is not.
+        assert_eq!(tt_hw::cycles::samples() - samples, 3);
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! point — and each candidate arrival becomes a replayable
 //! [`InterruptSchedule`] executed deterministically from the latest
 //! rung of the [`FleetRunner`]'s checkpoint ladder before it arrives.
+//! Once its arrival is behind it, a run stops at the first tick boundary
+//! where its machine equals the baseline's rung there and takes the rest
+//! of the run from the ladder: about 95% of representatives rejoin, most
+//! one tick after their resume rung, so a representative re-simulates
+//! about 7% of the post-boot events a run from boot would
+//! ([`ExploreOutcome::resimulated`], `DESIGN.md` §16).
 //! Every surviving schedule is checked by the campaign's own oracle
 //! (`campaign::check_run`, in place over the trace ring): zero contract
 //! violations, bystander [`TraceScope::Observable`] streams
@@ -320,8 +326,15 @@ pub struct ExploreOutcome {
     /// Post-boot events of the baseline run.
     pub baseline_events: usize,
     /// Post-boot events the representatives re-simulated: each one's
-    /// run minus the rung prefix it resumed after.
+    /// run minus the rung prefix it resumed after and the baseline
+    /// suffix it took from the ladder after rejoining it.
     pub resimulated: usize,
+    /// Representatives that rejoined the baseline at a rung and took the
+    /// rest of their run from the ladder.
+    pub converged: usize,
+    /// Ticks the representatives simulated past the rung they resumed
+    /// from, summed.
+    pub ticks: u64,
 }
 
 impl ExploreOutcome {
@@ -370,9 +383,10 @@ pub fn bystander_reference(run: &RunRecord) -> Reference {
 /// with a checkpoint rung at every tick boundary, the clean one from the
 /// top of the clean ladder the runner already holds — enumerates
 /// candidates, prunes commuting classes, and executes one representative
-/// per class from the latest rung before its arrival, checking it in
-/// place against the reference (the ring is never drained). Failing
-/// schedules are shrunk to 1-minimal repros through the same run body.
+/// per class from the latest rung before its arrival to where it rejoins
+/// the baseline (or to its end), checking it in place against the
+/// reference (the ring is never drained). Failing schedules are shrunk
+/// to 1-minimal repros through the same run body.
 ///
 /// `cap` bounds the number of representatives executed (wall-clock
 /// budget for CI); hitting it sets [`ExploreOutcome::truncated`].
@@ -403,11 +417,8 @@ pub fn explore(runner: &mut FleetRunner, seed: Option<u64>, cap: Option<usize>) 
         let (run, phases) = runner.run(plan.clone(), Some(schedule), Some(&reference));
         let streams = run.oracle.as_ref().expect("the run body checked the run");
         let failures = check_run(&chip, Label::Schedule(schedule.id()), &run, streams);
-        (
-            run.irq_fired,
-            streams.events - phases.resumed_events,
-            failures,
-        )
+        let resimulated = streams.events - phases.resumed_events - phases.rejoined_events;
+        (run.irq_fired, resimulated, phases, failures)
     };
     for class in &classes {
         if cap.is_some_and(|c| outcome.explored >= c) {
@@ -417,12 +428,14 @@ pub fn explore(runner: &mut FleetRunner, seed: Option<u64>, cap: Option<usize>) 
         outcome.explored += 1;
         outcome.pruned += class.len() - 1;
         let schedule = class[0].schedule();
-        let (irq_fired, resimulated, failures) = check(runner, &schedule);
+        let (irq_fired, resimulated, phases, failures) = check(runner, &schedule);
         outcome.resimulated += resimulated;
+        outcome.converged += usize::from(phases.rejoined);
+        outcome.ticks += phases.ticks;
         if failures.is_empty() {
             continue;
         }
-        let minimized = shrink_schedule(&schedule, |s| !check(runner, s).2.is_empty());
+        let minimized = shrink_schedule(&schedule, |s| !check(runner, s).3.is_empty());
         outcome.findings.push(Finding {
             schedule: schedule.id(),
             minimized: minimized.id(),
@@ -530,6 +543,9 @@ pub mod planted {
         fn clone_app(&self) -> Option<Box<dyn App>> {
             Some(Box::new(self.clone()))
         }
+        fn state_word(&self) -> Option<u64> {
+            Some(u64::from(self.step_no))
+        }
         fn step(&mut self, k: &mut Kernel, pid: usize) -> Step {
             let ms = k.processes[pid].memory_start();
             let i = self.step_no;
@@ -563,6 +579,9 @@ pub mod planted {
         }
         fn clone_app(&self) -> Option<Box<dyn App>> {
             Some(Box::new(self.clone()))
+        }
+        fn state_word(&self) -> Option<u64> {
+            Some(u64::from(self.step_no))
         }
         fn step(&mut self, k: &mut Kernel, pid: usize) -> Step {
             let ms = k.processes[pid].memory_start();

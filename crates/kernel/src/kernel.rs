@@ -49,6 +49,16 @@ pub trait App {
     fn clone_app(&self) -> Option<Box<dyn App>> {
         None
     }
+    /// The program state as one word, for comparing two instances of
+    /// this program at the same pid (both built by that pid's factory,
+    /// so fields the factory fixes need not be encoded): equal words must
+    /// mean equal state. A fleet runner compares it when testing whether
+    /// a scheduled run has rejoined its baseline. `None` (the default)
+    /// marks the state incomparable, and such runs are simulated to their
+    /// end.
+    fn state_word(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// Syscall error codes (a subset of Tock's `ErrorCode`).
@@ -575,6 +585,9 @@ impl Kernel {
 
     /// `subscribe`: register interest in a driver's upcalls. Without a
     /// subscription, the driver's events are dropped (Tock semantics).
+    /// A driver number no capsule answers to fails with
+    /// [`ErrorCode::NoDevice`], so a process cannot grow its subscription
+    /// list past the drivers that exist.
     pub fn sys_subscribe(&mut self, pid: usize, driver_num: usize) -> Result<(), ErrorCode> {
         charge(Cost::Exception);
         trace::record(TraceEvent::SyscallEnter {
@@ -585,18 +598,22 @@ impl Kernel {
             arg2: 0,
         });
         self.maybe_interrupt(pid, ArrivalPoint::SyscallEnter);
-        if !self.subscriptions[pid].contains(&driver_num) {
+        let exists = driver_num <= driver::IPC;
+        if exists && !self.subscriptions[pid].contains(&driver_num) {
             self.subscriptions[pid].push(driver_num);
         }
         self.maybe_interrupt(pid, ArrivalPoint::SyscallExit);
         trace::record(TraceEvent::SyscallExit {
             pid: pid as u32,
             call: SyscallKind::Subscribe,
-            ok: true,
+            ok: exists,
             value: 0,
         });
         charge(Cost::Exception);
-        Ok(())
+        match exists {
+            true => Ok(()),
+            false => Err(ErrorCode::NoDevice),
+        }
     }
 
     /// Schedules an upcall for `pid` if (and only if) it subscribed to the
@@ -1312,6 +1329,41 @@ mod tests {
         k.processes[pid].state = ProcessState::Yielded;
         assert!(k.deliver_upcall(pid, driver::ALARM, 1));
         assert_eq!(k.processes[pid].state, ProcessState::Ready);
+    }
+
+    #[test]
+    fn subscribing_to_a_missing_driver_fails_and_records_nothing() {
+        let (mut k, pid) = boot_with_app(Flavor::Granular);
+        trace::enable(64);
+        let charged = |k: &mut Kernel, driver_num| {
+            tt_hw::cycles::measure(|| k.sys_subscribe(pid, driver_num))
+        };
+        let (ok, known) = charged(&mut k, driver::IPC);
+        assert_eq!(ok, Ok(()));
+        for missing in [driver::IPC + 1, usize::MAX] {
+            let (err, cycles) = charged(&mut k, missing);
+            assert_eq!(err, Err(ErrorCode::NoDevice));
+            assert_eq!(
+                cycles, known,
+                "a failed subscribe charges what one that succeeds does"
+            );
+        }
+        assert_eq!(k.subscriptions[pid], [driver::IPC]);
+        let exits: Vec<bool> = trace::take()
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::SyscallExit {
+                    call: SyscallKind::Subscribe,
+                    ok,
+                    ..
+                } => Some(ok),
+                _ => None,
+            })
+            .collect();
+        trace::disable();
+        assert_eq!(exits, [true, false, false]);
+        assert!(!k.deliver_upcall(pid, driver::IPC + 1, 1));
     }
 
     #[test]

@@ -128,6 +128,35 @@ pub struct CommitCacheSnapshot {
     misses: u64,
 }
 
+impl CommitCacheSnapshot {
+    /// Whether this cache state answers every future lookup as `other`
+    /// does, the counters aside (they only count): both keys empty, or
+    /// both naming the same pid and agreeing on whether they name that
+    /// process's current layout (`current` and `other_current` answer for
+    /// each side's process table). Generation numbers themselves need not
+    /// match: each layout change draws a fresh one, so a key naming no
+    /// current layout can never hit again, on either side.
+    pub(crate) fn acts_like(
+        &self,
+        other: &CommitCacheSnapshot,
+        current: impl Fn(u32, u64) -> bool,
+        other_current: impl Fn(u32, u64) -> bool,
+    ) -> bool {
+        match (self.state, other.state) {
+            (None, None) => true,
+            (Some((pid, generation)), Some((other_pid, other_generation))) => {
+                pid == other_pid && current(pid, generation) == other_current(pid, other_generation)
+            }
+            _ => false,
+        }
+    }
+
+    /// The hit and miss counters.
+    pub(crate) fn counters(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+}
+
 /// A shared handle to the chip's protection hardware plus its commit
 /// cache.
 #[derive(Debug, Clone)]

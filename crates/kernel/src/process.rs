@@ -126,6 +126,22 @@ trait MemoryOps: fmt::Debug {
     /// hardware; everything else — staged config, breaks, allocator
     /// (generation included) — is an independent copy.
     fn clone_box(&self) -> Box<dyn MemoryOps>;
+    /// The allocator generation the commit cache keys this backend's
+    /// configuration by; `None` for backends without a cached commit.
+    fn generation(&self) -> Option<u64> {
+        None
+    }
+    /// Whether `other` stages the same configuration — breaks and staged
+    /// regions — with the generation left out ([`Process::same_state`]).
+    /// Backends without a comparable view answer `false`.
+    fn same_state(&self, _other: &dyn MemoryOps) -> bool {
+        false
+    }
+    /// The backend as [`Any`](std::any::Any), for [`Self::same_state`]'s
+    /// downcast; `None` for backends that compare as never equal.
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -397,7 +413,10 @@ impl<M: Mpu + Clone> fmt::Debug for Granular<M> {
     }
 }
 
-impl<M: Mpu + Clone + 'static> MemoryOps for Granular<M> {
+impl<M: Mpu + Clone + 'static> MemoryOps for Granular<M>
+where
+    M::Region: PartialEq,
+{
     fn memory_start(&self) -> usize {
         self.alloc.breaks.memory_start.as_usize()
     }
@@ -478,6 +497,25 @@ impl<M: Mpu + Clone + 'static> MemoryOps for Granular<M> {
 
     fn clone_box(&self) -> Box<dyn MemoryOps> {
         Box::new(self.clone())
+    }
+
+    fn generation(&self) -> Option<u64> {
+        Some(self.alloc.generation())
+    }
+
+    fn same_state(&self, other: &dyn MemoryOps) -> bool {
+        other
+            .as_any()
+            .and_then(|o| o.downcast_ref::<Self>())
+            .is_some_and(|o| {
+                self.pid == o.pid
+                    && self.alloc.breaks == o.alloc.breaks
+                    && self.alloc.regions == o.alloc.regions
+            })
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
     }
 }
 
@@ -886,6 +924,29 @@ impl Process {
         self.allow_ro = None;
         self.allow_rw = None;
         self.backend.recover()
+    }
+
+    /// Whether `other` is this process in the same state, up to the
+    /// allocator generation: two runs that reach the same layout hold
+    /// different generations (each layout change draws a fresh one from
+    /// a thread-global counter), and all a generation decides is whether
+    /// the commit cache's key names the current layout — which the
+    /// caller compares through [`Self::generation`].
+    pub(crate) fn same_state(&self, other: &Process) -> bool {
+        self.pid == other.pid
+            && self.state == other.state
+            && self.allow_ro == other.allow_ro
+            && self.allow_rw == other.allow_rw
+            && self.grants == other.grants
+            && self.console == other.console
+            && self.image == other.image
+            && self.backend.same_state(&*other.backend)
+    }
+
+    /// The allocator generation the commit cache keys this process's
+    /// configuration by (`None` for legacy backends).
+    pub(crate) fn generation(&self) -> Option<u64> {
+        self.backend.generation()
     }
 
     /// Whether the live protection hardware still matches this process's

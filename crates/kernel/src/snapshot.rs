@@ -49,7 +49,7 @@ use crate::kernel::{App, FaultPolicy, Kernel, Upcall};
 use crate::machine::{CommitCacheSnapshot, MachineKind};
 use crate::process::Process;
 use tt_hw::cortexm::CortexMpu;
-use tt_hw::injection::Progress;
+use tt_hw::injection::{InjectionPlan, Progress};
 use tt_hw::mem::{MemSnapshot, PageDelta};
 use tt_hw::riscv::RiscvPmp;
 use tt_hw::sched::ALL_ARRIVAL_POINTS;
@@ -73,7 +73,7 @@ pub struct Checkpoint {
     /// RAM pages that may differ from the base snapshot.
     pub(crate) mem: PageDelta,
     hw: HwSnapshot,
-    cache: CommitCacheSnapshot,
+    pub(crate) cache: CommitCacheSnapshot,
     processes: Vec<Process>,
     // Capsule state (the DMA cell/engine are rebuilt fresh; capture
     // asserts no transfer is in flight).
@@ -109,7 +109,12 @@ pub struct Checkpoint {
     pub(crate) sched_seen: [u32; ALL_ARRIVAL_POINTS.len()],
     /// Contract violations since boot, boot included.
     pub(crate) violations: Vec<String>,
-    cycles: u64,
+    /// The cycle counter at capture.
+    pub(crate) cycles: u64,
+    /// Cycle-counter reads since boot ([`tt_hw::cycles::sample`]):
+    /// compared with a later count along the same run, it says whether
+    /// the run read the counter in between.
+    pub(crate) samples: u64,
     /// Trace events recorded before the capture point (boot included).
     pub(crate) trace_len: usize,
 }
@@ -119,8 +124,9 @@ impl Checkpoint {
     /// of the checkpoint the live state was last restored to (the empty
     /// delta right after the base snapshot), `apps` the program state
     /// (`None` before any program stepped), `violations` the run's
-    /// contract violations so far and `trace_len` its trace length.
-    /// Engine progress and the cycle counter are read from this thread.
+    /// contract violations so far, `trace_len` its trace length and
+    /// `samples` its cycle-counter reads. Engine progress and the cycle
+    /// counter are read from this thread.
     ///
     /// Returns `None` when a program is not resumable
     /// ([`App::clone_app`]): such runs always start from boot.
@@ -130,6 +136,7 @@ impl Checkpoint {
         apps: Option<&[Box<dyn App>]>,
         violations: Vec<String>,
         trace_len: usize,
+        samples: u64,
     ) -> Option<Self> {
         assert!(
             !kernel.capsules.dma_cell.busy(),
@@ -171,8 +178,92 @@ impl Checkpoint {
             sched_seen: tt_hw::sched::seen_counts().unwrap_or_default(),
             violations,
             cycles: tt_hw::cycles::now(),
+            samples,
             trace_len,
         })
+    }
+
+    /// Whether the live machine equals this checkpoint in everything a
+    /// run's continuation depends on, the cycle counter aside: from here
+    /// the live run would replay the run this checkpoint was captured
+    /// along, as long as neither reads the counter. `from` is the delta
+    /// of the checkpoint the live state was last restored to, `apps` the
+    /// live program state, and `plan` the injection plan armed, if any,
+    /// whose progress must match as `InjectionPlan::same_future` says.
+    ///
+    /// Cheap fields first — a run that has not rejoined usually differs
+    /// in its process table and never reaches the register file or RAM.
+    /// Allocator generations are compared by what they decide, whether
+    /// the commit cache's key names the current layout
+    /// ([`Process::same_state`], `CommitCacheSnapshot::acts_like`). Three
+    /// tallies that only count are left out, so a run that took an extra
+    /// commit on the way (an interrupt's re-commit) still matches: the
+    /// commit cache's hit and miss counters, which the caller carries
+    /// over as deltas, and the MPU's write-order log, a diagnostic no
+    /// run reads.
+    pub(crate) fn matches(
+        &self,
+        kernel: &Kernel,
+        base: &MemSnapshot,
+        from: &PageDelta,
+        apps: &[Box<dyn App>],
+        plan: Option<&InjectionPlan>,
+    ) -> bool {
+        let Some(saved_apps) = &self.apps else {
+            return false;
+        };
+        fn current(processes: &[Process]) -> impl Fn(u32, u64) -> bool + '_ {
+            |pid, generation| {
+                processes.get(pid as usize).and_then(Process::generation) == Some(generation)
+            }
+        }
+        let hw = || match (&self.hw, kernel.machine.kind()) {
+            (HwSnapshot::CortexM(saved), MachineKind::CortexM(mpu)) => {
+                mpu.borrow().same_registers(saved)
+            }
+            (HwSnapshot::Pmp(saved), MachineKind::Pmp(pmp)) => *pmp.borrow() == *saved,
+            _ => false,
+        };
+        kernel.ticks == self.ticks
+            && kernel.processes.len() == self.processes.len()
+            && kernel
+                .processes
+                .iter()
+                .zip(&self.processes)
+                .all(|(a, b)| a.same_state(b))
+            && apps.len() == saved_apps.len()
+            && apps
+                .iter()
+                .zip(saved_apps)
+                .all(|(a, b)| a.state_word().is_some_and(|w| b.state_word() == Some(w)))
+            && kernel.restart_due == self.restart_due
+            && kernel.pending_respawn == self.pending_respawn
+            && kernel.capsules.alarms == self.alarms
+            && kernel.subscriptions == self.subscriptions
+            && kernel.upcalls == self.upcalls
+            && kernel.restarts == self.restarts
+            && kernel.recoveries == self.recoveries
+            && kernel.recovery_cycles == self.recovery_cycles
+            && kernel.capsules.leds == self.leds
+            && kernel.capsules.console_input == self.console_input
+            && !kernel.capsules.dma_cell.busy()
+            && kernel.ipc_services == self.ipc_services
+            && (kernel.ram_cursor, kernel.ram_end) == (self.ram_cursor, self.ram_end)
+            && kernel.fault_policy == self.fault_policy
+            && (kernel.mpu_scrub, kernel.commit_window_bug)
+                == (self.mpu_scrub, self.commit_window_bug)
+            && kernel.machine.cache().snapshot().acts_like(
+                &self.cache,
+                current(&kernel.processes),
+                current(&self.processes),
+            )
+            && plan.is_none_or(|plan| {
+                let live = tt_hw::injection::progress().unwrap_or_default();
+                plan.same_future(&live, &self.injection)
+            })
+            && hw()
+            && kernel.fault_log == self.fault_log
+            && kernel.mem.matches(base, from, &self.mem)
     }
 
     /// Rewinds `kernel` — and this thread's simulator context — to the
@@ -290,7 +381,7 @@ mod tests {
             Vec::new()
         };
         let base = k.mem.snapshot();
-        let boot = Checkpoint::capture(k, &PageDelta::default(), None, Vec::new(), prefix.len())
+        let boot = Checkpoint::capture(k, &PageDelta::default(), None, Vec::new(), prefix.len(), 0)
             .expect("fresh programs are always resumable");
         (base, boot, prefix)
     }
@@ -462,7 +553,7 @@ mod tests {
             "tick 1 does not end the run"
         );
         let len = trace::with_events(|h, t, _| h.len() + t.len());
-        let tick1 = Checkpoint::capture(&k, &boot.mem, Some(&apps), Vec::new(), len)
+        let tick1 = Checkpoint::capture(&k, &boot.mem, Some(&apps), Vec::new(), len, 0)
             .expect("chatty apps are resumable");
         let ms = k.processes[1].memory_start();
         let word = k.mem.read_u32(ms + 64);
