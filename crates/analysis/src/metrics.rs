@@ -324,9 +324,16 @@ impl Bound {
     }
 }
 
-/// Reads and parses a baseline file: a JSON list of [`Bound`] objects.
+/// Reads and parses a baseline file ([`parse_baseline`]); an unreadable
+/// file or a rejected text is an error naming the file.
 pub fn read_baseline(path: &Path) -> Result<Vec<Bound>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    parse_baseline(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Parses a baseline: a JSON list of [`Bound`] objects. Total over any
+/// text: every rejection is a [`ParseError`] naming its byte offset.
+pub fn parse_baseline(text: &str) -> Result<Vec<Bound>, ParseError> {
     let mut p = Parser {
         s: text.as_bytes(),
         i: 0,
@@ -337,6 +344,23 @@ pub fn read_baseline(path: &Path) -> Result<Vec<Bound>, String> {
         Some(_) => Err(p.error("trailing bytes")),
     }
 }
+
+/// A rejection by the metrics JSON reader: where it stopped and why.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// Byte offset into the text.
+    pub at: usize,
+    /// What the reader expected or found there.
+    pub what: String,
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "byte {}: {}", self.at, self.what)
+    }
+}
+
+impl std::error::Error for ParseError {}
 
 /// One metric record read back from a rendered report.
 #[derive(Debug, Clone, PartialEq)]
@@ -357,7 +381,7 @@ pub struct Record {
 /// wrote: the experiment name and its metric records. The report's
 /// failures and skips must be empty — a record with either is a failed
 /// run, not a measurement.
-pub fn read_report(text: &str) -> Result<(String, Vec<Record>), String> {
+pub fn read_report(text: &str) -> Result<(String, Vec<Record>), ParseError> {
     let mut p = Parser {
         s: text.as_bytes(),
         i: 0,
@@ -396,8 +420,11 @@ struct Parser<'a> {
 }
 
 impl Parser<'_> {
-    fn error(&self, what: &str) -> String {
-        format!("byte {}: {what}", self.i)
+    fn error(&self, what: &str) -> ParseError {
+        ParseError {
+            at: self.i,
+            what: what.into(),
+        }
     }
 
     /// The next non-blank byte, not consumed.
@@ -408,7 +435,7 @@ impl Parser<'_> {
         self.s.get(self.i).copied()
     }
 
-    fn eat(&mut self, c: u8) -> Result<(), String> {
+    fn eat(&mut self, c: u8) -> Result<(), ParseError> {
         if self.lookahead() != Some(c) {
             return Err(self.error(&format!("expected `{}`", c as char)));
         }
@@ -421,8 +448,8 @@ impl Parser<'_> {
         &mut self,
         open: u8,
         close: u8,
-        mut item: impl FnMut(&mut Self) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
+        mut item: impl FnMut(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Vec<T>, ParseError> {
         self.eat(open)?;
         let mut out = Vec::new();
         if self.lookahead() != Some(close) {
@@ -437,7 +464,7 @@ impl Parser<'_> {
     }
 
     /// A string; of the escapes, only `\"` and `\\` are accepted.
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, ParseError> {
         self.eat(b'"')?;
         let mut out = Vec::new();
         loop {
@@ -458,7 +485,7 @@ impl Parser<'_> {
         String::from_utf8(out).map_err(|_| self.error("invalid UTF-8"))
     }
 
-    fn number(&mut self) -> Result<f64, String> {
+    fn number(&mut self) -> Result<f64, ParseError> {
         self.lookahead();
         let start = self.i;
         while self
@@ -473,7 +500,7 @@ impl Parser<'_> {
     }
 
     /// One `{name, layer, unit, kind, value}` metric object.
-    fn record(&mut self) -> Result<Record, String> {
+    fn record(&mut self) -> Result<Record, ParseError> {
         let mut r = Record {
             name: String::new(),
             layer: String::new(),
@@ -506,7 +533,7 @@ impl Parser<'_> {
         Ok(r)
     }
 
-    fn entry(&mut self) -> Result<Bound, String> {
+    fn entry(&mut self) -> Result<Bound, ParseError> {
         let mut b = Bound {
             metric: String::new(),
             kind: Kind::Info,
@@ -741,6 +768,7 @@ pub fn exit_code(ok: bool) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Writes `text` to a per-test temp file and gates `report` on it.
     fn gate_text(report: &Report, tag: &str, text: &str) -> Verdict {
@@ -866,6 +894,124 @@ mod tests {
             assert!(read_baseline(&path).is_err(), "accepted {bad:?}");
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Renders bounds the way `ci/bench_baseline.json` writes them.
+    fn render_baseline(bounds: &[Bound]) -> String {
+        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
+        let entries: Vec<String> = bounds
+            .iter()
+            .map(|b| {
+                let tolerance = b.tolerance.map_or(String::new(), |t| {
+                    format!(", \"tolerance\": {t}")
+                });
+                format!(
+                    "  {{\"metric\": \"{}\", \"kind\": \"{}\", \"bound\": {}{tolerance}, \"why\": \"{}\"}}",
+                    esc(&b.metric),
+                    b.kind.name(),
+                    b.bound,
+                    esc(&b.why)
+                )
+            })
+            .collect();
+        format!("[\n{}\n]\n", entries.join(",\n"))
+    }
+
+    /// The parser's verdict on `text`: `Ok` or a rejection that names a
+    /// byte inside the text.
+    fn check_parse(text: &str) -> Result<(), proptest::TestCaseError> {
+        if let Err(e) = parse_baseline(text) {
+            prop_assert!(e.at <= text.len(), "{e} past {} bytes", text.len());
+            let prefix = format!("byte {}: ", e.at);
+            prop_assert!(e.to_string().starts_with(&prefix), "{e}");
+        }
+        Ok(())
+    }
+
+    /// Baseline-shaped fragments, so arbitrary sequences reach deep into
+    /// the parser.
+    const TOKENS: [&str; 24] = [
+        "[",
+        "]",
+        "{",
+        "}",
+        ",",
+        ":",
+        " ",
+        "\"",
+        "\\",
+        "\"metric\"",
+        "\"kind\"",
+        "\"bound\"",
+        "\"tolerance\"",
+        "\"why\"",
+        "\"floor\"",
+        "\"info\"",
+        "\"x.y\"",
+        "1",
+        "-2.5e3",
+        "1e999",
+        ".",
+        "null",
+        "\u{e9}",
+        "\n",
+    ];
+
+    proptest! {
+        #[test]
+        fn baseline_parser_never_panics_on_arbitrary_text(
+            bytes in proptest::collection::vec(any::<u8>(), 0..120),
+            tokens in proptest::collection::vec(0usize..TOKENS.len(), 0..60),
+        ) {
+            check_parse(&String::from_utf8_lossy(&bytes))?;
+            let text: String = tokens.iter().map(|&t| TOKENS[t]).collect();
+            check_parse(&text)?;
+        }
+
+        #[test]
+        fn the_committed_baseline_cut_or_flipped_parses_or_names_a_byte(
+            cut in any::<u64>(),
+            flip in any::<u64>(),
+        ) {
+            let text = std::fs::read(in_workspace(DEFAULT_BASELINE)).unwrap();
+            let cut = &text[..(cut % text.len() as u64) as usize];
+            check_parse(&String::from_utf8_lossy(cut))?;
+            let mut flipped = text.clone();
+            let bit = (flip % (8 * text.len() as u64)) as usize;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check_parse(&String::from_utf8_lossy(&flipped))?;
+        }
+
+        #[test]
+        fn rendered_bounds_parse_back_to_themselves(
+            words in proptest::collection::vec(any::<u64>(), 0..6),
+            text in proptest::collection::vec(0x20u8..0x7f, 0..12),
+        ) {
+            let text = String::from_utf8(text).unwrap();
+            let bounds: Vec<Bound> = words
+                .iter()
+                .map(|&w| Bound {
+                    metric: format!("x.{text}{w}"),
+                    kind: [Kind::Exact, Kind::Floor, Kind::Ceiling][(w % 3) as usize],
+                    bound: Some(f64::from_bits(w)).filter(|v| v.is_finite()).unwrap_or(0.5),
+                    tolerance: (w % 5 == 0).then_some((w % 100) as f64 / 100.0),
+                    why: text.clone(),
+                })
+                .collect();
+            prop_assert_eq!(parse_baseline(&render_baseline(&bounds)).unwrap(), bounds);
+        }
+    }
+
+    #[test]
+    fn the_committed_baseline_round_trips() {
+        let text = std::fs::read_to_string(in_workspace(DEFAULT_BASELINE)).unwrap();
+        let bounds = parse_baseline(&text).unwrap();
+        assert!(bounds.len() > 10, "{}", bounds.len());
+        assert_eq!(parse_baseline(&render_baseline(&bounds)).unwrap(), bounds);
+        assert_eq!(
+            read_baseline(&in_workspace(DEFAULT_BASELINE)).unwrap(),
+            bounds
+        );
     }
 
     #[test]

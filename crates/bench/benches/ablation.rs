@@ -15,7 +15,9 @@ use std::hint::black_box;
 use ticktock::cortexm::CortexMRegion;
 use ticktock::mpu::Mpu;
 use ticktock::region::RegionDescriptor;
-use tt_contracts::verifier::{VerificationCache, Verifier};
+use tt_contracts::span::SourceIndex;
+use tt_contracts::vcache::VerdictCache;
+use tt_contracts::verifier::Verifier;
 use tt_hw::Permissions;
 use tt_hw::PtrU8;
 use tt_legacy::{BugVariant, LegacyCortexM};
@@ -121,10 +123,10 @@ fn bench_incremental_verification(c: &mut Criterion) {
     group.bench_function("warm(cached)", |b| {
         let registry = build();
         let verifier = Verifier::new();
-        let mut cache = VerificationCache::new();
-        let _ = verifier.verify_with_cache(&registry, &mut cache);
+        let (mut cache, index) = (VerdictCache::new(0), SourceIndex::default());
+        let _ = verifier.verify_incremental(&registry, &mut cache, &index);
         b.iter(|| {
-            let report = verifier.verify_with_cache(&registry, &mut cache);
+            let report = verifier.verify_incremental(&registry, &mut cache, &index);
             assert!(report.all_verified());
             report
         })

@@ -5,9 +5,10 @@
 //! scenario — all seven chips, the clean baseline plus `--seeds`
 //! injected ones each — executing one representative per class through
 //! the fleet's snapshot/restore machinery and oracle-checking it.
-//! Previously-found schedules persisted under `<--corpus>/schedules.bin`
-//! replay first; new findings are written back as version-2 corpus
-//! records (the 64-bit schedule ID is the whole repro).
+//! The failure corpus (`<--corpus>/failures.bin`, shared with `e_fleet`)
+//! replays first, through the campaign's replay; when anything failed it
+//! is rewritten with the records that still fail, then the new findings
+//! as version-2 records (the 64-bit schedule ID is the whole repro).
 //!
 //! Alongside the sweep, the planted commit-window bug demonstration
 //! proves detector power: `--planted-seeds` seeded runs on the buggy
@@ -26,13 +27,11 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use tt_analysis::metrics::{exit_code, Cli};
-use tt_bench::explore::{
-    explore_records, metrics, planted_demo, render, replay_schedule_records, run_explore_fleet,
-    schedule_corpus,
-};
-use tt_bench::flag_value;
+use tt_bench::explore::{explore_records, metrics, planted_demo, render, run_explore_fleet};
+use tt_bench::{flag_value, settle_corpus};
 use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
-use tt_kernel::corpus::write_corpus;
+use tt_kernel::campaign::run_campaign_profiled;
+use tt_kernel::corpus::read_corpus;
 use tt_kernel::pool;
 
 fn main() -> ExitCode {
@@ -45,43 +44,26 @@ fn main() -> ExitCode {
     let threads: usize = flag_value(&args, "--threads").unwrap_or_else(pool::default_threads);
     let corpus_dir: String = flag_value(&args, "--corpus").unwrap_or_else(|| "ci/corpus".into());
 
-    // Replay the persisted schedule corpus first — a previously-failing
-    // schedule reporting in the opening seconds beats rediscovering it.
-    let corpus = match schedule_corpus(Path::new(&corpus_dir)) {
+    // Replay the corpus first — a previously-failing input reporting
+    // in the opening seconds beats rediscovering it.
+    let path = Path::new(&corpus_dir).join("failures.bin");
+    let corpus = match read_corpus(&path) {
         Ok(records) => records,
         Err(e) => {
-            eprintln!("corrupt schedule corpus under {corpus_dir}: {e}");
+            eprintln!("corrupt corpus {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
     };
-    let replayed = replay_schedule_records(&corpus);
-    if !corpus.is_empty() {
-        println!(
-            "schedule corpus: {} record(s) replayed, {} still failing",
-            corpus.len(),
-            replayed.len()
-        );
-    }
+    let replayed = run_campaign_profiled(&ALL_CHIPS, 0, threads, &corpus).replayed;
 
     let fleet = run_explore_fleet(&ALL_CHIPS, seeds, cap, threads, budget_ms);
     let demo = planted_demo(&NRF52840DK, planted_seeds);
     print!("{}", render(&fleet, &demo));
     println!("wall clock: {:.0} ms", fleet.wall_ms);
 
-    // Persist new campaign findings (the planted demo is a self-check,
-    // not a campaign result — its schedules stay out of the corpus).
-    let records = explore_records(&fleet.outcomes);
-    if !records.is_empty() {
-        let path = Path::new(&corpus_dir).join("schedules.bin");
-        match write_corpus(&path, &records) {
-            Ok(()) => println!(
-                "wrote {} schedule record(s) to {}",
-                records.len(),
-                path.display()
-            ),
-            Err(e) => eprintln!("failed to write schedule corpus {}: {e}", path.display()),
-        }
-    }
+    // The planted demo is a self-check, not a campaign result: its
+    // schedules stay out of the corpus.
+    settle_corpus(&path, &corpus, &replayed, &explore_records(&fleet.outcomes));
 
     exit_code(cli.finish(&metrics(&fleet, &demo, &replayed)))
 }

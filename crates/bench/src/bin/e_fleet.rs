@@ -23,9 +23,10 @@
 //! the shrinker, the profile and the budget; the lower rungs keep their
 //! wall time and their artifact.
 //!
-//! Seeds recorded in the failure corpus (`<--corpus>/failures.bin`)
-//! from a previous campaign are scheduled *first*, so known-bad inputs
-//! report in the opening seconds of a million-run job.
+//! The failure corpus (`<--corpus>/failures.bin`, shared with
+//! `e_explore`) is replayed before each rung's units, so known-bad
+//! inputs report in the opening seconds of a million-run job; a record
+//! that still fails is a `corpus replay:` failure.
 //!
 //! With `--json [path]`, writes the `fleet` report (`BENCH_fleet.json`).
 //! With `--check [baseline]`, gates it (DESIGN §17): exits non-zero if
@@ -40,21 +41,22 @@
 //! exceeded `N` milliseconds — the CI knob that keeps raising `--runs`
 //! toward 10^6 honest.
 //!
-//! Failing runs persist as 32-byte corpus records under `--corpus`
-//! (default `ci/corpus/`), and the first few failing seeds are shrunk to
-//! 1-minimal injection schedules for the report.
+//! When anything failed, the corpus under `--corpus` (default
+//! `ci/corpus/`) is rewritten: the replayed records that still fail,
+//! then the campaign's failing runs as 32-byte records. The first few
+//! failing seeds are shrunk to 1-minimal injection schedules for the
+//! report.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use tt_analysis::metrics::{exit_code, Cli};
-use tt_bench::flag_value;
 use tt_bench::fleet::{
-    equivalence_failures, failing_records, host_cores, measure_reset_cost, metrics,
-    priority_from_corpus, profile, render, render_profile, run_fleet_prioritized, shrink_failures,
-    thread_ladder,
+    equivalence_failures, failing_records, host_cores, measure_reset_cost, metrics, profile,
+    render, render_profile, run_fleet, shrink_failures, thread_ladder,
 };
-use tt_kernel::corpus::write_corpus;
+use tt_bench::{flag_value, settle_corpus};
+use tt_kernel::corpus::read_corpus;
 use tt_kernel::pool;
 
 /// Reset-cost probe iterations per chip.
@@ -68,6 +70,14 @@ fn main() -> ExitCode {
     let runs: u64 = flag_value(&args, "--runs").unwrap_or(1000);
     let corpus_dir: String = flag_value(&args, "--corpus").unwrap_or_else(|| "ci/corpus".into());
     let budget_ms: Option<f64> = flag_value(&args, "--budget-ms");
+    let path = Path::new(&corpus_dir).join("failures.bin");
+    let corpus = match read_corpus(&path) {
+        Ok(records) => records,
+        Err(e) => {
+            eprintln!("corrupt corpus {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+    };
 
     let threads = pool::default_threads();
     let cores = host_cores();
@@ -82,44 +92,16 @@ fn main() -> ExitCode {
         eprintln!("EQUIVALENCE FAILED: {f}");
     }
 
-    // Corpus-guided scheduling: front the units a previous campaign
-    // recorded as failing.
-    let failures_path = Path::new(&corpus_dir).join("failures.bin");
-    let priority = match priority_from_corpus(&failures_path) {
-        Ok(units) => {
-            if !units.is_empty() {
-                println!(
-                    "corpus-guided scheduling: {} previously failing unit(s) run first",
-                    units.len()
-                );
-            }
-            units
-        }
-        Err(e) => {
-            eprintln!("corrupt corpus {}: {e}", failures_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let result = run_fleet_prioritized(runs, threads, &priority);
+    let result = run_fleet(runs, threads, &corpus);
     let cost = measure_reset_cost(RESET_COST_ITERS);
     let prof = profile(&result);
     print!("{}", render(&result, &cost));
     print!("{}", render_profile(&result, &prof));
 
     let failing = failing_records(&result.outcomes);
-    if !failing.is_empty() {
-        match write_corpus(&failures_path, &failing) {
-            Ok(()) => println!(
-                "wrote {} failing record(s) to {}",
-                failing.len(),
-                failures_path.display()
-            ),
-            Err(e) => eprintln!("failed to write corpus {}: {e}", failures_path.display()),
-        }
-        for line in shrink_failures(&result.outcomes, SHRINK_LIMIT) {
-            println!("shrunk: {line}");
-        }
+    settle_corpus(&path, &corpus, &result.replayed, &failing);
+    for line in shrink_failures(&result.outcomes, SHRINK_LIMIT) {
+        println!("shrunk: {line}");
     }
 
     let mut report = metrics(&result, &cost, &prof, &equivalence, cores);

@@ -12,22 +12,19 @@
 //! found by exploration, and absent on the control kernel when its
 //! minimized schedule is replayed.
 //!
-//! Findings persist as version-2 [`CorpusRecord`]s (`ci/corpus/
-//! schedules.bin`): the 64-bit schedule ID plus baseline seed (or the
-//! `clean` flag) are the whole input, so a later run replays them first.
+//! Findings persist as version-2 [`CorpusRecord`]s in the one failure
+//! corpus (`ci/corpus/failures.bin`): the 64-bit schedule ID plus
+//! baseline seed (or the `clean` flag) are the whole input, so a later
+//! run of either gate replays them first
+//! (`tt_kernel::campaign::replay`).
 
-use std::path::Path;
 use std::time::Instant;
 
 use tt_analysis::metrics::{Kind, Report, WALL};
-use tt_hw::injection::InjectionPlan;
 use tt_hw::platform::{ChipProfile, ALL_CHIPS};
-use tt_hw::sched::InterruptSchedule;
-use tt_kernel::campaign::{CaptureStats, RunnerSlots, VICTIM};
-use tt_kernel::corpus::{read_corpus, CorpusRecord};
-use tt_kernel::explore::{
-    bystander_reference, explore, planted, validate_scheduled, ExploreOutcome, Finding,
-};
+use tt_kernel::campaign::{replay, CaptureStats, RunnerSlots};
+use tt_kernel::corpus::CorpusRecord;
+use tt_kernel::explore::{bystander_reference, explore, planted, ExploreOutcome, Finding};
 use tt_kernel::pool;
 
 /// One fleet-scale exploration: every chip, clean + seeded baselines.
@@ -207,20 +204,20 @@ pub struct PlantedDemo {
 pub fn planted_demo(chip: &ChipProfile, campaign_seeds: u64) -> PlantedDemo {
     let mut runner = planted::runner(chip);
     let reference = bystander_reference(&runner.run_plan(None));
-    let mut seed_failures = 0;
-    for s in 0..campaign_seeds {
-        let run = runner.run_seed(Some(s));
-        seed_failures += usize::from(!validate_scheduled(chip, &run, 0, &reference).is_empty());
-    }
+    let seed_failures = (0..campaign_seeds)
+        .map(|seed| CorpusRecord {
+            seed,
+            ..CorpusRecord::default()
+        })
+        .filter(|r| !replay(&mut runner, &reference, r).is_empty())
+        .count();
     let outcome = explore(&mut runner, None, None);
     let mut control = planted::control_runner(chip);
     let control_reference = bystander_reference(&control.run_plan(None));
-    let mut control_failures = 0;
-    for f in &outcome.findings {
-        let schedule = InterruptSchedule::from_id(f.minimized);
-        let run = control.run_scheduled(None, &schedule);
-        control_failures += validate_scheduled(chip, &run, f.minimized, &control_reference).len();
-    }
+    let control_failures = explore_records(std::slice::from_ref(&outcome))
+        .iter()
+        .map(|r| replay(&mut control, &control_reference, r).len())
+        .sum();
     PlantedDemo {
         chip: chip.name.to_string(),
         campaign_seeds,
@@ -257,42 +254,6 @@ pub fn explore_records(outcomes: &[ExploreOutcome]) -> Vec<CorpusRecord> {
             })
         })
         .collect()
-}
-
-/// Replays persisted schedule records against the standard campaign
-/// scenario, serially, returning every oracle failure that still
-/// reproduces (a previously-found schedule that now passes contributes
-/// nothing). Each record is checked against its runner's clean run.
-pub fn replay_schedule_records(records: &[CorpusRecord]) -> Vec<String> {
-    let records: Vec<&CorpusRecord> = records.iter().filter(|r| r.schedule != 0).collect();
-    let stats = CaptureStats::default();
-    pool::run_indexed_ctx(
-        &records,
-        1,
-        || RunnerSlots::new(&ALL_CHIPS, &stats),
-        |slots, _, r| {
-            if usize::from(r.chip) >= ALL_CHIPS.len() {
-                return vec![format!("corpus chip index {} out of range", r.chip)];
-            }
-            let plan = (!r.clean).then(|| InjectionPlan::from_seed(r.seed, VICTIM as u32));
-            slots.with(usize::from(r.chip), false, |runner| {
-                let reference = bystander_reference(&runner.run_plan(None));
-                let run = runner.run_scheduled(plan, &InterruptSchedule::from_id(r.schedule));
-                validate_scheduled(runner.chip(), &run, r.schedule, &reference)
-            })
-        },
-    )
-    .concat()
-}
-
-/// Reads `<dir>/schedules.bin` into replayable records. A missing file
-/// is an empty corpus; a malformed one is a real error.
-pub fn schedule_corpus(dir: &Path) -> std::io::Result<Vec<CorpusRecord>> {
-    let path = dir.join("schedules.bin");
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    read_corpus(&path)
 }
 
 /// The per-chip sums [`chip_sums`] reports, in order.
@@ -403,10 +364,10 @@ pub fn render(fleet: &ExploreFleet, demo: &PlantedDemo) -> String {
 /// The `explore` report: sweep totals and per-chip rows, the planted
 /// demonstration, and the `prune_ratio` floor (complete units only;
 /// skipped when every unit was truncated, which is itself a failure).
-/// Failures: schedule findings on the real campaign scenario, replayed
-/// corpus schedules that still fail (`replayed`), and a planted-bug
-/// demonstration that lost detector power.
-pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[String]) -> Report {
+/// Failures: schedule findings on the real campaign scenario, corpus
+/// records whose replay still fails (`replayed`, one line list per
+/// record), and a planted-bug demonstration that lost detector power.
+pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[Vec<String>]) -> Report {
     let mut r = Report::new("explore");
     let totals = [
         ("seeds_per_chip", fleet.seeds_per_chip as f64),
@@ -466,8 +427,8 @@ pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[String]) ->
         .failures()
         .into_iter()
         .map(|f| format!("campaign schedule: {f}"));
-    let replayed = replayed.iter().map(|f| format!("corpus replay: {f}"));
-    r.failures.extend(schedules.chain(replayed));
+    r.failures
+        .extend(schedules.chain(crate::replay_failures(replayed)));
     if fleet.outcomes.iter().all(|o| o.truncated) {
         r.failures
             .push("every exploration unit was truncated; raise the budget".into());
@@ -501,7 +462,8 @@ mod tests {
     use super::*;
     use crate::gate_text;
     use tt_hw::platform::NRF52840DK;
-    use tt_hw::sched::ArrivalPoint;
+    use tt_hw::sched::{ArrivalPoint, InterruptSchedule};
+    use tt_kernel::campaign::run_campaign_profiled;
 
     const FLOOR: &str = r#"[
         {"metric": "explore.prune_ratio", "kind": "floor", "bound": 2.0, "why": "dpor"},
@@ -553,7 +515,7 @@ mod tests {
         // A baseline without the floor fails the gate.
         assert!(!gate_text(&metrics(&fleet, &demo, &[]), "explore-none", "[]").passed());
         // A still-reproducing corpus replay fails the gate.
-        let replayed = ["chip X schedule 0x123: boom".to_string()];
+        let replayed = [vec!["chip X schedule 0x123: boom".to_string()]];
         let v = gate_text(&metrics(&fleet, &demo, &replayed), "explore-replay", FLOOR);
         assert!(
             v.violations.iter().any(|f| f.contains("corpus replay")),
@@ -589,28 +551,22 @@ mod tests {
     }
 
     #[test]
-    fn findings_round_trip_through_the_schedule_corpus() {
+    fn findings_round_trip_through_the_corpus_and_its_replay() {
         let demo = planted_demo(&NRF52840DK, 0);
         let records = explore_records(std::slice::from_ref(&demo.outcome));
         assert_eq!(records.len(), demo.outcome.findings.len());
         assert!(records.iter().all(|r| r.schedule != 0 && r.clean));
-        let dir = std::env::temp_dir().join(format!("tt-explore-corpus-{}", std::process::id()));
-        tt_kernel::corpus::write_corpus(&dir.join("schedules.bin"), &records).unwrap();
-        assert_eq!(schedule_corpus(&dir).unwrap(), records);
-        std::fs::remove_dir_all(&dir).unwrap();
-        // Replaying a schedule the standard campaign survives yields no
-        // failures; an out-of-range chip index is a loud error.
+        let bytes = tt_kernel::corpus::encode_corpus(&records);
+        assert_eq!(tt_kernel::corpus::decode_corpus(&bytes).unwrap(), records);
+        // The planted findings replay clean on the standard campaign
+        // kernel, whose commit is atomic: the replay `e_explore` runs
+        // at startup, a campaign of zero seeds.
         let survivor = CorpusRecord {
-            chip: 0,
             schedule: InterruptSchedule::single(ArrivalPoint::SyscallEnter, 1).id(),
-            clean: true,
             ..records[0]
         };
-        assert!(replay_schedule_records(&[survivor]).is_empty());
-        let bogus = CorpusRecord {
-            chip: u8::MAX,
-            ..survivor
-        };
-        assert_eq!(replay_schedule_records(&[bogus]).len(), 1);
+        let corpus = [records[0], survivor];
+        let replayed = run_campaign_profiled(&ALL_CHIPS, 0, 1, &corpus).replayed;
+        assert_eq!(replayed, [Vec::<String>::new(), vec![]]);
     }
 }

@@ -22,21 +22,21 @@
 //! N workers). Every rung's [`artifact`] must be byte-identical to the
 //! serial rung's, the serial rung is what the `fleet.runs_per_sec` floor
 //! reads, and the best rung over the serial one is the
-//! `fleet.parallel_speedup` floor. Only the top rung's outcomes are kept:
+//! `fleet.parallel_speedup` floor. Every rung replays the failure corpus
+//! before its units; only the top rung's outcomes and replay are kept:
 //! failing runs persist as fixed-width [`CorpusRecord`]s under
 //! `ci/corpus/` and their seeds shrink to 1-minimal schedules for the
 //! report.
 
-use std::path::Path;
 use std::time::Instant;
 
 use tt_analysis::metrics::{Kind, Report, WALL};
 use tt_hw::platform::ALL_CHIPS;
 use tt_kernel::campaign::{
     boot_probe, record_difference, render_report, run_campaign_profiled, run_one,
-    shrink_failing_seed, CampaignResult, ChipReport, FleetRunner, Unit, UnitOutcome,
+    shrink_failing_seed, CampaignResult, ChipReport, FleetRunner, UnitOutcome,
 };
-use tt_kernel::corpus::{read_corpus, CorpusRecord};
+use tt_kernel::corpus::CorpusRecord;
 
 /// Seeds the equivalence gate replays per `(chip, cache-mode)`:
 /// one uninjected run plus two injected ones.
@@ -283,8 +283,9 @@ pub struct FleetResult {
     pub boots: u64,
     /// Total nanoseconds workers spent booting + capturing snapshots.
     pub capture_ns: u64,
-    /// Units fronted by corpus-guided scheduling.
-    pub prioritized: usize,
+    /// Each corpus record's replay lines, in corpus order (empty = the
+    /// record no longer fails).
+    pub replayed: Vec<Vec<String>>,
 }
 
 impl FleetResult {
@@ -294,7 +295,7 @@ impl FleetResult {
     }
 
     /// The top rung: the campaign that feeds the corpus, the shrinker,
-    /// the profile and the budget.
+    /// the profile and the budget, and whose replay is reported.
     pub fn top(&self) -> &Rung {
         self.ladder.last().expect("a ladder has a serial rung")
     }
@@ -319,10 +320,10 @@ pub fn artifact(reports: &[ChipReport], seeds: u64) -> String {
     render_report(reports, seeds) + &section.to_json()
 }
 
-/// Runs the campaign once at `threads` workers.
-fn run_rung(seeds: u64, threads: usize, priority: &[Unit]) -> (Rung, CampaignResult) {
+/// Runs the campaign once at `threads` workers, `corpus` replayed first.
+fn run_rung(seeds: u64, threads: usize, corpus: &[CorpusRecord]) -> (Rung, CampaignResult) {
     let t0 = Instant::now();
-    let campaign = run_campaign_profiled(&ALL_CHIPS, seeds, threads, priority);
+    let campaign = run_campaign_profiled(&ALL_CHIPS, seeds, threads, corpus);
     let rung = Rung {
         threads,
         runs: campaign.outcomes.len() as u64,
@@ -334,30 +335,18 @@ fn run_rung(seeds: u64, threads: usize, priority: &[Unit]) -> (Rung, CampaignRes
 
 /// Runs a fleet campaign sized to roughly `total_runs` injected runs
 /// (rounded down to whole seeds per chip, minimum one) on every rung of
-/// `thread_ladder(max_threads)`.
-pub fn run_fleet(total_runs: u64, max_threads: usize) -> FleetResult {
-    run_fleet_prioritized(total_runs, max_threads, &[])
-}
-
-/// [`run_fleet`] with corpus-guided scheduling: `priority` units
-/// (typically [`priority_from_corpus`]) run before the default
-/// chip-major order, so previously failing seeds report in the opening
-/// seconds of a million-run campaign. A lower rung's outcomes are
-/// dropped before the next rung starts.
-pub fn run_fleet_prioritized(
-    total_runs: u64,
-    max_threads: usize,
-    priority: &[Unit],
-) -> FleetResult {
+/// `thread_ladder(max_threads)`, each rung replaying `corpus` first. A
+/// lower rung's outcomes are dropped before the next rung starts.
+pub fn run_fleet(total_runs: u64, max_threads: usize, corpus: &[CorpusRecord]) -> FleetResult {
     let per_chip_runs = ALL_CHIPS.len() as u64 * 2;
     let seeds = (total_runs / per_chip_runs).max(1);
     let threads = thread_ladder(max_threads);
     let (&top, lower) = threads.split_last().expect("a ladder has a serial rung");
     let mut ladder: Vec<Rung> = lower
         .iter()
-        .map(|&t| run_rung(seeds, t, priority).0)
+        .map(|&t| run_rung(seeds, t, corpus).0)
         .collect();
-    let (rung, campaign) = run_rung(seeds, top, priority);
+    let (rung, campaign) = run_rung(seeds, top, corpus);
     ladder.push(rung);
     FleetResult {
         seeds_per_chip: seeds,
@@ -366,23 +355,8 @@ pub fn run_fleet_prioritized(
         outcomes: campaign.outcomes,
         boots: campaign.boots,
         capture_ns: campaign.capture_ns,
-        prioritized: priority.len(),
+        replayed: campaign.replayed,
     }
-}
-
-/// Decodes a persisted failure corpus (`ci/corpus/failures.bin`) into
-/// priority units for [`run_fleet_prioritized`]. A missing file is an
-/// empty priority list (first campaign, or the previous one was clean);
-/// a malformed one is a real error — a corrupt corpus should fail the
-/// job, not silently drop the seeds it was supposed to front.
-pub fn priority_from_corpus(path: &Path) -> std::io::Result<Vec<Unit>> {
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    Ok(read_corpus(path)?
-        .iter()
-        .map(|r| (r.chip as usize, r.seed, r.cold))
-        .collect())
 }
 
 /// Reduces one [`UnitOutcome`] to its fixed-width corpus record.
@@ -471,15 +445,11 @@ pub fn render(result: &FleetResult, cost: &ResetCost) -> String {
 pub fn render_profile(result: &FleetResult, prof: &FleetProfile) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "phase profile over {} runs ({} mid-run resumes, {} fresh boots",
+        "phase profile over {} runs ({} mid-run resumes, {} fresh boots)\n",
         result.outcomes.len(),
         prof.midrun_runs,
         prof.boots,
     ));
-    if result.prioritized > 0 {
-        out.push_str(&format!(", {} corpus-prioritized", result.prioritized));
-    }
-    out.push_str(")\n");
     out.push_str(&format!(
         "{:<10} {:>10} {:>10} {:>10}\n",
         "phase", "p50 us", "p99 us", "mean us"
@@ -510,7 +480,8 @@ pub fn render_profile(result: &FleetResult, prof: &FleetProfile) -> String {
 /// profile, the thread ladder, the four floors (`runs_per_sec`,
 /// `parallel_speedup`, `restore_speedup`, `midrun_restore_speedup`) and
 /// the `resimulated_share` ceiling, then the per-chip section, with
-/// every restore-equivalence, rung byte-identity and oracle failure.
+/// every restore-equivalence, rung byte-identity, oracle and
+/// still-failing corpus replay failure.
 pub fn metrics(
     result: &FleetResult,
     cost: &ResetCost,
@@ -523,7 +494,6 @@ pub fn metrics(
     let campaign = [
         ("total_runs", top.runs as f64),
         ("seeds_per_chip", result.seeds_per_chip as f64),
-        ("prioritized_units", result.prioritized as f64),
     ];
     r.infos("", "campaign", "count", &campaign);
     let snapshot = [
@@ -571,6 +541,7 @@ pub fn metrics(
     r.failures.extend(equivalence);
     ladder_metrics(&mut r, &result.ladder, cores);
     chip_section(&mut r, &result.reports);
+    r.failures.extend(crate::replay_failures(&result.replayed));
     r
 }
 
@@ -670,7 +641,7 @@ mod tests {
 
     #[test]
     fn small_fleet_runs_clean_and_counts_add_up() {
-        let result = run_fleet(28, 1);
+        let result = run_fleet(28, 1, &[]);
         // 28 requested / (7 chips * 2 modes) = 2 seeds per chip.
         assert_eq!(result.seeds_per_chip, 2);
         assert_eq!(result.ladder.len(), 1);
@@ -751,7 +722,7 @@ mod tests {
 
     #[test]
     fn check_gates_each_dimension() {
-        let result = run_fleet(14, 1);
+        let result = run_fleet(14, 1, &[]);
         let cost = sample_cost();
         let v = gate_fleet(&result, &cost, &[], FLOORS);
         assert!(v.passed(), "{v:?}");
@@ -793,7 +764,7 @@ mod tests {
 
     #[test]
     fn check_gates_fleet_throughput_against_previous_figure() {
-        let mut result = run_fleet(14, 1);
+        let mut result = run_fleet(14, 1, &[]);
         // Pretend the campaign was large enough to amortize startup —
         // the floor compares runs_per_sec(), which we pin via wall_ms.
         let amortized = |rung: &mut Rung| {
@@ -824,7 +795,7 @@ mod tests {
         );
         // A small campaign skips the floor: startup costs are not
         // amortized, so the measured rate is not comparable.
-        let small = run_fleet(14, 1);
+        let small = run_fleet(14, 1, &[]);
         let v = gate_fleet(&small, &cost, &[], &fail);
         assert!(v.passed(), "{v:?}");
         assert!(
@@ -833,7 +804,7 @@ mod tests {
         );
         // The serial rung gates the floor even when the top rung, the
         // campaign the rest of the report describes, is parallel.
-        let mut parallel = run_fleet(14, 2);
+        let mut parallel = run_fleet(14, 2, &[]);
         assert_eq!(parallel.ladder.len(), 2);
         assert_eq!(parallel.top().threads, 2);
         parallel.ladder.iter_mut().for_each(amortized);
@@ -850,7 +821,7 @@ mod tests {
 
     #[test]
     fn profile_summarizes_phases_and_midrun_hits() {
-        let result = run_fleet(14, 1);
+        let result = run_fleet(14, 1, &[]);
         let prof = profile(&result);
         // Every run has a nonzero body; percentiles are ordered.
         assert!(prof.run.p50_us > 0.0);
@@ -877,61 +848,8 @@ mod tests {
     }
 
     #[test]
-    fn priority_from_corpus_round_trips_failing_units() {
-        let dir = std::env::temp_dir().join(format!("tt-fleet-prio-{}", std::process::id()));
-        let missing = dir.join("absent.bin");
-        assert_eq!(priority_from_corpus(&missing).unwrap(), Vec::<Unit>::new());
-        let records = vec![
-            CorpusRecord {
-                chip: 1,
-                cold: true,
-                killed: false,
-                clean: false,
-                seed: 42,
-                schedule: 0,
-                fired: 1,
-                restarts: 0,
-                recoveries: 0,
-                failures: 2,
-                trace_len: 10,
-                recovery_cycles: 0,
-            },
-            CorpusRecord {
-                chip: 0,
-                cold: false,
-                killed: true,
-                clean: false,
-                seed: 7,
-                schedule: 0,
-                fired: 3,
-                restarts: 5,
-                recoveries: 5,
-                failures: 1,
-                trace_len: 20,
-                recovery_cycles: 9,
-            },
-        ];
-        let path = dir.join("failures.bin");
-        tt_kernel::corpus::write_corpus(&path, &records).unwrap();
-        assert_eq!(
-            priority_from_corpus(&path).unwrap(),
-            vec![(1, 42, true), (0, 7, false)]
-        );
-        // The prioritized units run first and the campaign stays clean.
-        let result = run_fleet_prioritized(7 * 2 * 50, 1, &[(3, 5, true), (0, 0, false)]);
-        assert_eq!(result.prioritized, 2);
-        let head: Vec<Unit> = result.outcomes[..2]
-            .iter()
-            .map(|o| (o.chip, o.seed, o.cold))
-            .collect();
-        assert_eq!(head, vec![(3, 5, true), (0, 0, false)]);
-        assert!(result.reports.iter().all(|r| r.failures.is_empty()));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn metrics_carry_the_key_fields() {
-        let result = run_fleet(14, 1);
+        let result = run_fleet(14, 1, &[]);
         let prof = profile(&result);
         let cost = ResetCost {
             boot_us: 500.0,
@@ -954,6 +872,13 @@ mod tests {
         let doc = r.to_json();
         assert!(doc.contains("\"experiment\": \"fleet\""));
         assert!(doc.contains("\"name\": \"validate.p50_us\""));
+        // A corpus record whose replay still fails is a report failure.
+        let replayed = FleetResult {
+            replayed: vec![vec![], vec!["chip X seed 3: boom".into()]],
+            ..result
+        };
+        let r = metrics(&replayed, &cost, &prof, &[], 4);
+        assert_eq!(r.failures, ["corpus replay: chip X seed 3: boom"]);
     }
 
     #[test]
@@ -1054,7 +979,7 @@ mod tests {
 
     #[test]
     fn shrink_failures_is_empty_on_a_clean_fleet() {
-        let result = run_fleet(14, 1);
+        let result = run_fleet(14, 1, &[]);
         assert!(shrink_failures(&result.outcomes, 10).is_empty());
     }
 }

@@ -28,6 +28,10 @@ pub mod incremental;
 pub mod reports;
 pub mod switch;
 
+use std::path::Path;
+
+use tt_kernel::corpus::{next_corpus, write_corpus, CorpusRecord};
+
 /// Formats a `±x.xx%` difference the way Fig. 11 prints it.
 pub fn pct_diff(ticktock: f64, tock: f64) -> String {
     if tock == 0.0 {
@@ -46,6 +50,38 @@ pub fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T
         .filter(|v| !v.starts_with("--"))?
         .parse()
         .ok()
+}
+
+/// A corpus replay's still-failing lines as report failures, each
+/// `corpus replay: <line>`.
+pub fn replay_failures(replayed: &[Vec<String>]) -> impl Iterator<Item = String> + '_ {
+    replayed
+        .iter()
+        .flatten()
+        .map(|f| format!("corpus replay: {f}"))
+}
+
+/// The corpus step both gates end with: prints `corpus: N replayed, M
+/// still failing` when there was a corpus, then rewrites `path` by the
+/// one writer rule ([`next_corpus`]) when the replay or the run (its
+/// failing records in `found`) saw any failure.
+pub fn settle_corpus(
+    path: &Path,
+    corpus: &[CorpusRecord],
+    replayed: &[Vec<String>],
+    found: &[CorpusRecord],
+) {
+    if !corpus.is_empty() {
+        let failing = replayed.iter().filter(|l| !l.is_empty()).count();
+        println!("corpus: {} replayed, {failing} still failing", corpus.len());
+    }
+    let Some(next) = next_corpus(corpus, replayed, found) else {
+        return;
+    };
+    match write_corpus(path, &next) {
+        Ok(()) => println!("wrote {} record(s) to {}", next.len(), path.display()),
+        Err(e) => eprintln!("failed to write corpus {}: {e}", path.display()),
+    }
 }
 
 /// Gates `report` on a baseline given as text (written to a per-test

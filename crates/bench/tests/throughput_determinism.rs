@@ -56,7 +56,7 @@ fn same_seed_invocations_are_byte_identical() {
     // Two full fleet ladders of the same workload topping out at 4
     // workers: scheduling differs between invocations, artifacts may
     // not — neither across invocations nor across rungs.
-    let (a, b) = (fleet::run_fleet(28, 4), fleet::run_fleet(28, 4));
+    let (a, b) = (fleet::run_fleet(28, 4, &[]), fleet::run_fleet(28, 4, &[]));
     assert_eq!(a.ladder.len(), 3);
     for (x, y) in a.ladder.iter().zip(&b.ladder) {
         assert_eq!(x.threads, y.threads);

@@ -204,56 +204,24 @@ impl Verifier {
         Self::default()
     }
 
-    /// Discharges every obligation in `registry`, grouped per function.
+    /// Discharges every obligation in `registry`, grouped per function:
+    /// [`Verifier::verify_incremental`] over an empty cache and an empty
+    /// source index, so every function is checked.
     ///
     /// Obligations run in [`Mode::Observe`] so that contract failures inside
     /// checked code surface as refutations rather than panics — matching
     /// Flux, which reports errors instead of crashing the build.
     pub fn verify(&self, registry: &Registry) -> VerificationReport {
-        self.verify_with_cache(registry, &mut VerificationCache::disabled())
-    }
-
-    /// Incremental verification: functions whose obligation signature is
-    /// unchanged since the last verified run are served from `cache`
-    /// instead of re-checked.
-    ///
-    /// This is the workflow §6.3 highlights: "Flux is a modular verifier
-    /// that checks each function in isolation … allow\[ing\] for incremental
-    /// and interactive verification during code development". Refuted
-    /// functions are never cached, so fixes are always re-checked.
-    pub fn verify_with_cache(
-        &self,
-        registry: &Registry,
-        cache: &mut VerificationCache,
-    ) -> VerificationReport {
-        let mut report = VerificationReport::default();
-        for (component, function, obligations) in group_by_function(registry) {
-            let signature = obligation_signature(&obligations);
-            if let Some(hit) = cache.lookup(component, function, signature) {
-                let mut cached = hit.clone();
-                cached.cached = true;
-                report.functions.push(cached);
-                continue;
-            }
-            let d = self.discharge(&obligations);
-            let result = FunctionResult {
-                component,
-                function: function.to_string(),
-                duration: d.duration,
-                cases: d.cases,
-                refutations: d.refutations,
-                trusted: d.trusted,
-                cached: false,
-            };
-            cache.store(signature, &result);
-            report.functions.push(result);
-        }
-        report
+        self.verify_incremental(registry, &mut VerdictCache::new(0), &SourceIndex::default())
     }
 
     /// Persistent incremental verification: functions whose source content
     /// hash *and* obligation-domain hash both match a verdict in `cache`
     /// are skipped; everything else is discharged and (if verified) stored.
+    ///
+    /// This is the workflow §6.3 highlights: "Flux is a modular verifier
+    /// that checks each function in isolation … allow\[ing\] for incremental
+    /// and interactive verification during code development".
     ///
     /// Staleness gates, in the cache key itself:
     /// * a changed function body → different [`SourceIndex::anchor_hash`];
@@ -400,59 +368,6 @@ fn obligation_signature(obligations: &[&Obligation]) -> u64 {
         }
     }
     hash
-}
-
-/// A cache of per-function verification results for incremental runs.
-#[derive(Debug, Default)]
-pub struct VerificationCache {
-    enabled: bool,
-    entries: BTreeMap<(String, String), (u64, FunctionResult)>,
-}
-
-impl VerificationCache {
-    /// Creates an enabled cache.
-    pub fn new() -> Self {
-        Self {
-            enabled: true,
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// Creates a disabled cache (every function re-checked).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Number of verified functions currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn lookup(&self, component: &str, function: &str, signature: u64) -> Option<&FunctionResult> {
-        if !self.enabled {
-            return None;
-        }
-        let (sig, result) = self
-            .entries
-            .get(&(component.to_string(), function.to_string()))?;
-        (*sig == signature).then_some(result)
-    }
-
-    fn store(&mut self, signature: u64, result: &FunctionResult) {
-        // Verified functions are cacheable; trusted ones too (there is
-        // nothing to re-discharge while their signature is unchanged).
-        if self.enabled && result.verified() {
-            self.entries.insert(
-                (result.component.to_string(), result.function.clone()),
-                (signature, result.clone()),
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -627,14 +542,14 @@ mod tests {
             cases: 1,
         });
         let verifier = Verifier::new();
-        let mut cache = VerificationCache::new();
-        let cold = verifier.verify_with_cache(&r, &mut cache);
+        let (mut cache, idx) = (VerdictCache::new(1), SourceIndex::default());
+        let cold = verifier.verify_incremental(&r, &mut cache, &idx);
         assert_eq!(cold.component_stats("k").cached_fns, 0);
         // Add a third function: the warm run re-checks only it.
         r.add_fn("k", "h", ContractKind::Post, || CheckResult::Verified {
             cases: 1,
         });
-        let warm = verifier.verify_with_cache(&r, &mut cache);
+        let warm = verifier.verify_incremental(&r, &mut cache, &idx);
         let stats = warm.component_stats("k");
         assert_eq!(stats.fns, 3);
         assert_eq!(stats.cached_fns, 2);
@@ -663,61 +578,6 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_secs(319)), "5m19s");
         assert_eq!(fmt_duration(Duration::from_secs(36)), "36.0s");
         assert_eq!(fmt_duration(Duration::from_millis(50)), "0.050s");
-    }
-
-    #[test]
-    fn incremental_cache_skips_verified_functions() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let runs = Arc::new(AtomicUsize::new(0));
-        let runs2 = Arc::clone(&runs);
-        let mut r = Registry::new();
-        r.add_fn("c", "f", ContractKind::Post, move || {
-            runs2.fetch_add(1, Ordering::SeqCst);
-            CheckResult::Verified { cases: 1 }
-        });
-        let verifier = Verifier::new();
-        let mut cache = VerificationCache::new();
-        let first = verifier.verify_with_cache(&r, &mut cache);
-        assert!(!first.functions[0].cached);
-        assert_eq!(cache.len(), 1);
-        let second = verifier.verify_with_cache(&r, &mut cache);
-        assert!(second.functions[0].cached);
-        assert_eq!(runs.load(Ordering::SeqCst), 1, "checked only once");
-        assert!(second.all_verified());
-    }
-
-    #[test]
-    fn refuted_functions_are_never_cached() {
-        let mut r = Registry::new();
-        r.add_fn("c", "bad", ContractKind::Post, || CheckResult::Refuted {
-            counterexample: "x".into(),
-        });
-        let verifier = Verifier::new();
-        let mut cache = VerificationCache::new();
-        verifier.verify_with_cache(&r, &mut cache);
-        assert!(cache.is_empty());
-        let again = verifier.verify_with_cache(&r, &mut cache);
-        assert!(!again.functions[0].cached);
-    }
-
-    #[test]
-    fn changed_contract_signature_invalidates_cache() {
-        let mut r = Registry::new();
-        r.add_fn("c", "f", ContractKind::Post, || CheckResult::Verified {
-            cases: 1,
-        });
-        let verifier = Verifier::new();
-        let mut cache = VerificationCache::new();
-        verifier.verify_with_cache(&r, &mut cache);
-        // Same function, an ADDITIONAL precondition registered: the spec
-        // changed, so the cached result must not be reused.
-        r.add_fn("c", "f", ContractKind::Pre, || CheckResult::Verified {
-            cases: 1,
-        });
-        let second = verifier.verify_with_cache(&r, &mut cache);
-        assert!(!second.functions[0].cached);
-        assert_eq!(second.functions[0].cases, 2);
     }
 
     fn index_of(src: &str) -> SourceIndex {
@@ -838,16 +698,20 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_never_hits() {
+    fn plain_verify_checks_every_function_every_time() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let runs = Arc::new(AtomicUsize::new(0));
+        let runs2 = Arc::clone(&runs);
         let mut r = Registry::new();
-        r.add_fn("c", "f", ContractKind::Post, || CheckResult::Verified {
-            cases: 1,
+        r.add_fn("c", "f", ContractKind::Post, move || {
+            runs2.fetch_add(1, Ordering::SeqCst);
+            CheckResult::Verified { cases: 1 }
         });
         let verifier = Verifier::new();
-        let mut cache = VerificationCache::disabled();
-        verifier.verify_with_cache(&r, &mut cache);
-        let second = verifier.verify_with_cache(&r, &mut cache);
+        verifier.verify(&r);
+        let second = verifier.verify(&r);
         assert!(!second.functions[0].cached);
-        assert!(cache.is_empty());
+        assert_eq!(runs.load(Ordering::SeqCst), 2, "no cache between runs");
     }
 }

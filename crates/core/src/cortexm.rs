@@ -216,13 +216,15 @@ impl RamGeometry {
 
 /// Picks (region_size, subregion count) so the pair's accessible span
 /// strictly exceeds `total_size` (the `+1` subregion keeps `app_break <
-/// kernel_break` strict by construction).
+/// kernel_break` strict by construction). A request larger than the
+/// unallocated window never fits, and is refused before the power-of-two
+/// rounding, which works in 32 bits and wraps above 2 GiB.
 fn choose_geometry(
     unalloc_start: usize,
     unalloc_size: usize,
     total_size: usize,
 ) -> Option<RamGeometry> {
-    if total_size == 0 {
+    if total_size == 0 || total_size > unalloc_size {
         return None;
     }
     charge_n(Cost::Alu, 8);
@@ -400,6 +402,7 @@ impl Mpu for GranularCortexM {
 mod tests {
     use super::*;
     use tt_hw::mem::{AccessType, Privilege, ProtectionUnit};
+    use tt_hw::trace::{RegName, TraceEvent};
 
     #[test]
     fn region_new_encodes_prefix_srd_bitwise() {
@@ -604,11 +607,24 @@ mod tests {
         // The §6.1 testing-caught bug: "the order in which regions were
         // written did not match the order of the region ids". The granular
         // driver must commit RASR writes in ascending slot order.
+        // The RASR writes are read back from the trace ring.
         let mpu = GranularCortexM::with_fresh_hardware();
         let regions: Vec<CortexMRegion> = (0..8).map(CortexMRegion::unset).collect();
+        tt_hw::trace::enable(64);
         mpu.configure_mpu(&regions);
-        let hw = mpu.hardware();
-        let order: Vec<usize> = hw.borrow_mut().drain_write_order().collect();
+        let events = tt_hw::trace::take().events;
+        tt_hw::trace::disable();
+        let order: Vec<u8> = events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::RegWrite {
+                    reg: RegName::Rasr,
+                    index,
+                    ..
+                } => Some(index),
+                _ => None,
+            })
+            .collect();
         assert_eq!(order, (0..8).collect::<Vec<_>>());
     }
 

@@ -208,9 +208,6 @@ pub struct CortexMpu {
     rnr: usize,
     /// The eight region register pairs.
     regions: [RegionRegs; NUM_REGIONS],
-    /// Write log: region indices in the order RASR writes committed, used by
-    /// the §6.1 differential test that caught the region write-order bug.
-    write_order: Vec<usize>,
 }
 
 impl Default for CortexMpu {
@@ -227,7 +224,6 @@ impl CortexMpu {
             privdefena: true,
             rnr: 0,
             regions: [RegionRegs::default(); NUM_REGIONS],
-            write_order: Vec::new(),
         }
     }
 
@@ -285,7 +281,6 @@ impl CortexMpu {
         let value =
             crate::injection::mutate_reg_write(crate::injection::InjectionPoint::ArmRasr, value);
         self.regions[self.rnr].rasr = value;
-        self.write_order.push(self.rnr);
         crate::trace::record(crate::trace::TraceEvent::RegWrite {
             reg: crate::trace::RegName::Rasr,
             index: self.rnr as u8,
@@ -317,9 +312,9 @@ impl CortexMpu {
     ///
     /// When [`crate::commit_cache`] is enabled and the live register pair
     /// already holds exactly these values, the RNR-select and both data
-    /// writes are elided: no `MmioWrite` is charged, no trace events are
-    /// recorded, and the write-order log is untouched — the driver-level
-    /// dirty-region optimisation the Tock retrospective describes.
+    /// writes are elided: no `MmioWrite` is charged and no trace events
+    /// are recorded — the driver-level dirty-region optimisation the Tock
+    /// retrospective describes.
     pub fn write_region(&mut self, region: usize, rbar: u32, rasr: u32) {
         if crate::commit_cache::enabled() && self.region_matches(region, rbar, rasr) {
             crate::commit_cache::note_elided(2);
@@ -329,25 +324,9 @@ impl CortexMpu {
         self.write_rasr(rasr);
     }
 
-    /// Whether `other` holds the same register file — control, RNR and
-    /// every region pair — whatever either's write-order log says: the
-    /// log is the §6.1 differential test's diagnostic, and no access
-    /// check or commit reads it.
-    pub fn same_registers(&self, other: &CortexMpu) -> bool {
-        (self.enable, self.privdefena, self.rnr, self.regions)
-            == (other.enable, other.privdefena, other.rnr, other.regions)
-    }
-
     /// Reads back a region's registers (test/inspection interface).
     pub fn region(&self, region: usize) -> RegionRegs {
         self.regions[region]
-    }
-
-    /// Drains the RASR write-order log in commit order without giving up
-    /// the log's allocation (the §6.1 differential path drains this after
-    /// every commit, so a fresh `Vec` per drain would churn the allocator).
-    pub fn drain_write_order(&mut self) -> std::vec::Drain<'_, usize> {
-        self.write_order.drain(..)
     }
 
     /// Checks a single byte address (ARM ARM B3.5.3 permission check).
@@ -431,6 +410,7 @@ pub fn size_to_rasr_field(size: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{RegName, TraceEvent};
 
     fn rasr(size: usize, srd: u32, ap: u32, xn: u32) -> u32 {
         (RegionAttributes::ENABLE.val(1)
@@ -596,25 +576,36 @@ mod tests {
         assert_eq!(mpu.region(3).base(), 0x2000_0400);
     }
 
-    #[test]
-    fn same_registers_ignores_only_the_write_log() {
-        let mut a = CortexMpu::new();
-        a.write_region(1, 0x2000_0000, 0x0300_0013);
-        let mut b = a.clone();
-        let _ = b.drain_write_order();
-        assert!(a.same_registers(&b) && a != b);
-        b.write_ctrl(true, true);
-        assert!(!a.same_registers(&b));
+    /// The region of every RASR write `f` commits, in commit order, read
+    /// from the trace ring's `RegWrite` events.
+    fn rasr_order(f: impl FnOnce()) -> Vec<u8> {
+        crate::trace::enable(64);
+        f();
+        let events = crate::trace::take().events;
+        crate::trace::disable();
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::RegWrite {
+                    reg: RegName::Rasr,
+                    index,
+                    ..
+                } => Some(index),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
-    fn write_order_log_records_rasr_commits() {
+    fn trace_records_rasr_commits_in_write_order() {
         let mut mpu = CortexMpu::new();
-        mpu.write_region(2, 0, rasr(32, 0, 0, 0));
-        mpu.write_region(0, 0, rasr(32, 0, 0, 0));
-        mpu.write_region(1, 0, rasr(32, 0, 0, 0));
-        assert_eq!(mpu.drain_write_order().collect::<Vec<_>>(), vec![2, 0, 1]);
-        assert_eq!(mpu.drain_write_order().next(), None);
+        let order = rasr_order(|| {
+            mpu.write_region(2, 0, rasr(32, 0, 0, 0));
+            mpu.write_region(0, 0, rasr(32, 0, 0, 0));
+            mpu.write_region(1, 0, rasr(32, 0, 0, 0));
+        });
+        assert_eq!(order, [2, 0, 1]);
+        assert_eq!(rasr_order(|| {}), []);
     }
 
     #[test]
@@ -622,31 +613,35 @@ mod tests {
         let mut mpu = CortexMpu::new();
         crate::commit_cache::set_enabled(true);
         crate::commit_cache::reset_elided();
-        mpu.write_region(1, 0x2000_0000, rasr(1024, 0, 0b011, 1));
-        let after_first = crate::cycles::now();
-        // Same values again: no cycles, no write-order entry, elision noted.
-        mpu.write_region(1, 0x2000_0000, rasr(1024, 0, 0b011, 1));
+        let mut after_first = 0;
+        let order = rasr_order(|| {
+            mpu.write_region(1, 0x2000_0000, rasr(1024, 0, 0b011, 1));
+            after_first = crate::cycles::now();
+            // Same values again: no cycles, no RASR write, elision noted.
+            mpu.write_region(1, 0x2000_0000, rasr(1024, 0, 0b011, 1));
+        });
         assert_eq!(crate::cycles::now(), after_first);
-        assert_eq!(mpu.drain_write_order().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(order, [1]);
         assert_eq!(crate::commit_cache::elided(), 2);
         // A changed RASR still writes (and re-selects via RBAR VALID).
-        mpu.write_region(1, 0x2000_0000, rasr(2048, 0, 0b011, 1));
+        let order = rasr_order(|| mpu.write_region(1, 0x2000_0000, rasr(2048, 0, 0b011, 1)));
         assert_eq!(mpu.region(1).size(), 2048);
-        assert_eq!(mpu.drain_write_order().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(order, [1]);
     }
 
     #[test]
     fn write_region_elision_respects_the_toggle() {
         let mut mpu = CortexMpu::new();
         mpu.write_region(0, 0x2000_0000, rasr(512, 0, 0b011, 1));
-        let _ = mpu.drain_write_order();
-        crate::commit_cache::with_disabled(|| {
-            let before = crate::cycles::now();
-            mpu.write_region(0, 0x2000_0000, rasr(512, 0, 0b011, 1));
-            // Toggle off: both writes happen and charge 2 × MmioWrite.
-            assert_eq!(crate::cycles::now() - before, 8);
+        let order = rasr_order(|| {
+            crate::commit_cache::with_disabled(|| {
+                let before = crate::cycles::now();
+                mpu.write_region(0, 0x2000_0000, rasr(512, 0, 0b011, 1));
+                // Toggle off: both writes happen and charge 2 × MmioWrite.
+                assert_eq!(crate::cycles::now() - before, 8);
+            });
         });
-        assert_eq!(mpu.drain_write_order().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(order, [0]);
     }
 
     #[test]

@@ -206,8 +206,7 @@ pub fn instrument<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
 ///
 /// The thread-local buffer keeps its capacity (it is cleared, not
 /// `mem::take`n), so repeated instrumented runs on one thread reuse one
-/// allocation instead of re-growing the buffer every run — the same
-/// reuse discipline as `CortexMpu::drain_write_order`.
+/// allocation instead of re-growing the buffer every run.
 pub fn take_method_records() -> Vec<(&'static str, u64)> {
     METHOD_RECORDS.with(|m| {
         let mut records = m.borrow_mut();

@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::capsules::driver;
+use crate::corpus::CorpusRecord;
 use crate::kernel::{App, AppFactory, FaultPolicy, Kernel, Step};
 use crate::loader::flash_app;
 use crate::pool;
@@ -1113,8 +1114,8 @@ pub struct CaptureStats {
 /// one slot per `(chip, cache-mode)`. A runner is built — boot plus its
 /// one clean capture pass — the first time its worker draws work for
 /// the slot, then reused: every later run on the slot is a restore of a
-/// clean-ladder rung, not a boot. The campaign, the explore sweep
-/// and the schedule-corpus replay each build one per worker via
+/// clean-ladder rung, not a boot. The campaign's corpus replay, its
+/// units and the explore sweep each build one per worker via
 /// [`pool::run_indexed_ctx`].
 pub struct RunnerSlots<'a> {
     chips: &'a [ChipProfile],
@@ -1676,15 +1677,42 @@ fn run_unit(
     }
 }
 
+/// The one corpus replay: re-drives `record` on `runner` and returns its
+/// failure lines (empty = the record no longer fails). The record is
+/// the whole input — `from_seed(seed)` unless it is `clean`, its
+/// schedule unless 0 — and the run goes through the run body, checked
+/// in place against `reference`. Lines are labelled `seed N`, or
+/// `schedule 0x…` for a record with a schedule, as the campaign and the
+/// explorer labelled them. The runner must be one of the record's chip
+/// and cache mode ([`RunnerSlots::with`]).
+pub fn replay(
+    runner: &mut FleetRunner,
+    reference: &Reference,
+    record: &CorpusRecord,
+) -> Vec<String> {
+    let plan = (!record.clean).then(|| InjectionPlan::from_seed(record.seed, VICTIM as u32));
+    let schedule = (record.schedule != 0).then(|| InterruptSchedule::from_id(record.schedule));
+    let label = match record.schedule {
+        0 => Label::Seed(record.seed),
+        id => Label::Schedule(id),
+    };
+    let (run, _) = runner.run(plan, schedule.as_ref(), Some(reference));
+    let streams = run.oracle.as_ref().expect("the run body checked the run");
+    check_run(runner.chip(), label, &run, streams)
+}
+
 /// Everything one fleet campaign produces: the per-chip reports, the
-/// per-unit outcomes (with wall-clock phase timings), and the
-/// snapshot-capture amortization tallies.
+/// per-unit outcomes (with wall-clock phase timings), the corpus
+/// replay's lines and the snapshot-capture amortization tallies.
 #[derive(Debug)]
 pub struct CampaignResult {
     /// Aggregated per-chip reports, byte-identical across thread counts.
     pub reports: Vec<ChipReport>,
     /// Per-unit outcomes in schedule order.
     pub outcomes: Vec<UnitOutcome>,
+    /// Each corpus record's [`replay`] lines, in corpus order (empty =
+    /// the record no longer fails).
+    pub replayed: Vec<Vec<String>>,
     /// Fresh runner boots across all workers.
     pub boots: u64,
     /// Total nanoseconds spent booting + capturing snapshots.
@@ -1706,21 +1734,17 @@ pub struct CampaignResult {
 /// boots, so the reports — failure strings included — are byte-identical
 /// for any thread count.
 ///
-/// Corpus-guided scheduling: units listed in `priority` (previously
-/// failing `(chip, seed, cold)` triples, typically decoded from
-/// `ci/corpus/failures.bin`) are scheduled *first*, so regressions
-/// surface in the opening seconds of a million-run campaign instead of
-/// wherever the default order happens to place them. Unknown or
-/// out-of-range priority entries are ignored; duplicates run once. An
-/// empty `priority` preserves the default schedule (chip-major, then
-/// seed, warm before cold). A non-empty one reorders outcomes — and
-/// therefore the order (not the content) of failure strings — by
-/// design: fail fast.
+/// Before the units, every `corpus` record is [`replay`]ed on the same
+/// pool against the same references (its chip index is into `chips`;
+/// one out of range is one failure line). The replay's lines come back
+/// in [`CampaignResult::replayed`] and stay out of the reports, so the
+/// reports do not depend on the corpus. A campaign of zero seeds only
+/// replays its corpus.
 pub fn run_campaign_profiled(
     chips: &[ChipProfile],
     seeds: u64,
     threads: usize,
-    priority: &[Unit],
+    corpus: &[CorpusRecord],
 ) -> CampaignResult {
     // Phase 1: one uninjected reference per chip, computed once and
     // shared read-only by every unit of that chip.
@@ -1728,36 +1752,24 @@ pub fn run_campaign_profiled(
         pool::run_indexed(chips, threads, |_, chip| chip_reference(chip))
             .into_iter()
             .unzip();
-    // Phase 2: every (chip, seed, cache-mode) run as its own unit —
-    // prioritized units first, then the default order minus those.
-    let in_range = |&(c, seed, _): &Unit| c < chips.len() && seed < seeds;
-    let mut front: Vec<Unit> = Vec::new();
-    let mut fronted: std::collections::HashSet<Unit> = std::collections::HashSet::new();
-    for unit in priority.iter().filter(|u| in_range(u)) {
-        if fronted.insert(*unit) {
-            front.push(*unit);
-        }
-    }
-    let mut units: Vec<Unit> = front;
-    units.reserve(chips.len() * (seeds as usize) * 2);
-    for c in 0..chips.len() {
-        for seed in 0..seeds {
-            for cold in [false, true] {
-                let unit = (c, seed, cold);
-                if fronted.is_empty() || !fronted.contains(&unit) {
-                    units.push(unit);
-                }
-            }
-        }
-    }
     let stats = CaptureStats::default();
     let (refs, stats_ref) = (&references, &stats);
-    let outcomes = pool::run_indexed_ctx(
-        &units,
-        threads,
-        || RunnerSlots::new(chips, stats_ref),
-        |slots, _, &unit| run_unit(slots, &chips[unit.0], unit, &refs[unit.0]),
-    );
+    let slots = || RunnerSlots::new(chips, stats_ref);
+    // Phase 2: the corpus.
+    let replayed = pool::run_indexed_ctx(corpus, threads, slots, |slots, _, r| {
+        let c = usize::from(r.chip);
+        match refs.get(c) {
+            Some(reference) => slots.with(c, r.cold, |runner| replay(runner, reference, r)),
+            None => vec![format!("corpus chip index {c} out of range")],
+        }
+    });
+    // Phase 3: every (chip, seed, cache-mode) run as its own unit.
+    let units: Vec<Unit> = (0..chips.len())
+        .flat_map(|c| (0..seeds).flat_map(move |seed| [(c, seed, false), (c, seed, true)]))
+        .collect();
+    let outcomes = pool::run_indexed_ctx(&units, threads, slots, |slots, _, &unit| {
+        run_unit(slots, &chips[unit.0], unit, &refs[unit.0])
+    });
     // Ordered merge: reference checks first (as the serial runner
     // reported them), then each unit's failures and tallies in schedule
     // order.
@@ -1780,6 +1792,7 @@ pub fn run_campaign_profiled(
     CampaignResult {
         reports,
         outcomes,
+        replayed,
         boots: stats.boots.load(std::sync::atomic::Ordering::Relaxed),
         capture_ns: stats.capture_ns.load(std::sync::atomic::Ordering::Relaxed),
     }
@@ -1855,6 +1868,7 @@ mod tests {
     use super::*;
     use proptest::proptest;
     use tt_hw::platform::{ALL_CHIPS, HIFIVE1, NRF52840DK};
+    use tt_hw::sched::ArrivalPoint;
 
     /// One chip's campaign report, run serially.
     fn chip_campaign(chip: &ChipProfile, seeds: u64) -> ChipReport {
@@ -2130,43 +2144,96 @@ mod tests {
         }
     }
 
+    /// A corpus record's replay, in place on a restored runner, fails
+    /// with exactly the lines of the drained fresh-boot run of the same
+    /// inputs under the record's cache mode: seed records warm and cold,
+    /// clean and seeded schedule records, on every chip. Against the
+    /// chip's own reference every record passes; against a reference cut
+    /// short, every record fails on both paths with the same lines.
     #[test]
-    fn corpus_guided_priority_fronts_units_without_changing_content() {
-        let chips = [NRF52840DK, HIFIVE1];
-        // Priority list: one valid duplicate pair, one out-of-range chip,
-        // one out-of-range seed — only (1, 1, true) and (0, 0, false)
-        // should be fronted, once each.
-        let priority = [
-            (1, 1, true),
-            (9, 0, false),
-            (1, 1, true),
-            (0, 0, false),
-            (0, 7, true),
+    fn replay_matches_the_drained_fresh_boot_run() {
+        let id = InterruptSchedule::single(ArrivalPoint::SyscallEnter, 1).id();
+        let record = |cold, clean, seed, schedule| CorpusRecord {
+            cold,
+            clean,
+            seed,
+            schedule,
+            ..Default::default()
+        };
+        let records = [
+            record(false, false, 5, 0),
+            record(true, false, 5, 0),
+            record(false, true, 0, id),
+            record(true, true, 0, id),
+            record(false, false, 3, id),
+            record(true, false, 3, id),
         ];
-        let result = run_campaign_profiled(&chips, 2, 1, &priority);
-        let schedule: Vec<Unit> = result
-            .outcomes
-            .iter()
-            .map(|o| (o.chip, o.seed, o.cold))
-            .collect();
-        assert_eq!(schedule[..2], [(1, 1, true), (0, 0, false)]);
-        assert_eq!(schedule.len(), chips.len() * 2 * 2, "units ran once each");
-        let mut sorted = schedule.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), schedule.len(), "a unit ran twice");
-        // Same campaign without priority: identical aggregate reports
-        // (failure order could differ by design, but these runs pass).
-        let baseline = run_campaign_profiled(&chips, 2, 1, &[]).reports;
+        for chip in &ALL_CHIPS {
+            let raw = run_one(chip, None).trace.events;
+            let cut = Reference::new(raw[..raw.len() * 2 / 3].to_vec());
+            let own = Reference::new(raw);
+            let stats = CaptureStats::default();
+            let mut slots = RunnerSlots::new(std::slice::from_ref(chip), &stats);
+            for r in &records {
+                let seed = (!r.clean).then_some(r.seed);
+                let schedule = (r.schedule != 0).then(|| InterruptSchedule::from_id(r.schedule));
+                let label = match r.schedule {
+                    0 => Label::Seed(r.seed),
+                    id => Label::Schedule(id),
+                };
+                slots.with(0, r.cold, |runner| {
+                    let fresh = run_one_scheduled(chip, seed, schedule.as_ref());
+                    for (reference, fails) in [(&own, false), (&cut, true)] {
+                        let expect = check_run(chip, label, &fresh, &reference.walk_record(&fresh));
+                        let ctx = format!("{} {r:?}", chip.name);
+                        assert_eq!(expect.is_empty(), !fails, "{ctx}: {expect:#?}");
+                        assert_eq!(replay(runner, reference, r), expect, "{ctx}");
+                    }
+                    trace::recycle(fresh.trace);
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn campaign_replays_its_corpus_apart_from_its_reports() {
+        let chips = [NRF52840DK, HIFIVE1];
+        let corpus = [
+            CorpusRecord {
+                chip: 1,
+                cold: true,
+                seed: 5,
+                failures: 1,
+                ..Default::default()
+            },
+            CorpusRecord {
+                chip: 9,
+                ..Default::default()
+            },
+        ];
+        let result = run_campaign_profiled(&chips, 2, 1, &corpus);
         assert_eq!(
-            render_report(&baseline, 2),
+            result.replayed,
+            [vec![], vec!["corpus chip index 9 out of range".to_string()]]
+        );
+        // The corpus changes neither the units nor the reports.
+        let plain = run_campaign_profiled(&chips, 2, 1, &[]);
+        assert!(plain.replayed.is_empty());
+        assert_eq!(
+            render_report(&plain.reports, 2),
             render_report(&result.reports, 2)
         );
-        assert!(result.boots > 0);
-        assert!(result.capture_ns > 0);
-        // Phase timings populated, and at least one unit resumed midrun.
-        assert!(result.outcomes.iter().any(|o| o.midrun));
-        assert!(result.outcomes.iter().all(|o| o.run_ns > 0));
+        let units = |r: &CampaignResult| -> Vec<Unit> {
+            r.outcomes
+                .iter()
+                .map(|o| (o.chip, o.seed, o.cold))
+                .collect()
+        };
+        assert_eq!(units(&plain), units(&result));
+        // A campaign of zero seeds only replays.
+        let only = run_campaign_profiled(&chips, 0, 2, &corpus);
+        assert!(only.outcomes.is_empty());
+        assert_eq!(only.replayed, result.replayed);
     }
 
     #[test]
@@ -2208,7 +2275,11 @@ mod tests {
     fn detailed_campaign_outcomes_match_schedule_order() {
         let chips = [NRF52840DK, HIFIVE1];
         let CampaignResult {
-            reports, outcomes, ..
+            reports,
+            outcomes,
+            boots,
+            capture_ns,
+            ..
         } = run_campaign_profiled(&chips, 2, 1, &[]);
         assert_eq!(outcomes.len(), chips.len() * 2 * 2);
         let schedule: Vec<(usize, u64, bool)> =
@@ -2228,6 +2299,11 @@ mod tests {
         );
         assert!(outcomes.iter().all(|o| o.failures.is_empty()));
         assert!(outcomes.iter().all(|o| o.trace_len > 0));
+        assert!(boots > 0);
+        assert!(capture_ns > 0);
+        // Phase timings populated, and at least one unit resumed midrun.
+        assert!(outcomes.iter().any(|o| o.midrun));
+        assert!(outcomes.iter().all(|o| o.run_ns > 0));
         // Tallies in the reports are exactly the outcome sums.
         let fired: u64 = outcomes.iter().filter(|o| !o.cold).map(|o| o.fired).sum();
         assert_eq!(reports.iter().map(|r| r.fired).sum::<u64>(), fired);

@@ -64,7 +64,7 @@ const KNOWN_FLAGS: u8 = FLAG_COLD | FLAG_KILLED | FLAG_CLEAN;
 /// | 20..24 | trace_len         |
 /// | 24..32 | recovery_cycles   |
 /// | 32..40 | schedule (v2 only) |
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CorpusRecord {
     /// Index of the chip in `tt_hw::platform::ALL_CHIPS`.
     pub chip: u8,
@@ -130,6 +130,13 @@ impl CorpusRecord {
             buf[32..40].copy_from_slice(&self.schedule.to_le_bytes());
         }
         buf
+    }
+
+    /// What the record re-drives: chip, cache mode, baseline (`clean`
+    /// or seed) and schedule. Two records with one identity are one
+    /// input; the rest of a record only triages it.
+    pub fn identity(&self) -> (u8, bool, bool, u64, u64) {
+        (self.chip, self.cold, self.clean, self.seed, self.schedule)
     }
 
     /// Decodes the record at the front of `buf`, returning it together
@@ -281,10 +288,40 @@ pub fn decode_corpus(bytes: &[u8]) -> Result<Vec<CorpusRecord>, CorpusError> {
     Ok(records)
 }
 
-/// Reads every record from a corpus file ([`decode_corpus`]). Trailing
-/// partial records or malformed entries surface as `InvalidData`.
+/// Reads every record from a corpus file ([`decode_corpus`]). A missing
+/// file is an empty corpus (no run has failed yet); trailing partial
+/// records or malformed entries surface as `InvalidData` — a corrupt
+/// corpus fails the job rather than silently dropping its records.
 pub fn read_corpus(path: &Path) -> io::Result<Vec<CorpusRecord>> {
-    decode_corpus(&fs::read(path)?).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    let bytes = match fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        bytes => bytes?,
+    };
+    decode_corpus(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// The one writer rule. After a run that replayed `corpus` (its lines
+/// in `replayed`, corpus order) and found the failing records `found`,
+/// the corpus becomes the replayed records that still fail, then the
+/// new ones, each identity ([`CorpusRecord::identity`]) once. `None`
+/// when nothing failed: a clean run leaves the file alone.
+pub fn next_corpus(
+    corpus: &[CorpusRecord],
+    replayed: &[Vec<String>],
+    found: &[CorpusRecord],
+) -> Option<Vec<CorpusRecord>> {
+    let still = corpus
+        .iter()
+        .zip(replayed)
+        .filter(|(_, lines)| !lines.is_empty())
+        .map(|(r, _)| r);
+    let mut seen = std::collections::HashSet::new();
+    let next: Vec<CorpusRecord> = still
+        .chain(found)
+        .filter(|r| seen.insert(r.identity()))
+        .copied()
+        .collect();
+    (!next.is_empty()).then_some(next)
 }
 
 #[cfg(test)]
@@ -458,6 +495,52 @@ mod tests {
             assert_eq!(read_corpus(&path).unwrap(), records[..4]);
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_writer_keeps_still_failing_records_then_new_ones_once_each() {
+        let a = sample();
+        let b = scheduled_sample();
+        let c = CorpusRecord { seed: 9, ..a };
+        let fail = || vec!["boom".to_string()];
+        // Nothing failed: the file is left alone, however stale.
+        assert_eq!(next_corpus(&[a, b], &[vec![], vec![]], &[]), None);
+        assert_eq!(next_corpus(&[], &[], &[]), None);
+        // Still-failing replays first, in corpus order, then new
+        // failures; a passing replay drops out.
+        assert_eq!(
+            next_corpus(&[a, b, c], &[fail(), vec![], fail()], &[b]),
+            Some(vec![a, c, b])
+        );
+        // An identity is written once, whatever the triage fields say:
+        // a new failure that a replay already keeps, and a duplicate
+        // within the new failures.
+        let again = CorpusRecord {
+            failures: 7,
+            trace_len: 1,
+            ..a
+        };
+        assert_eq!(again.identity(), a.identity());
+        assert_eq!(
+            next_corpus(&[a], &[fail()], &[again, b, b]),
+            Some(vec![a, b])
+        );
+        // Every identity field tells records apart.
+        for other in [
+            CorpusRecord { chip: 4, ..a },
+            CorpusRecord { cold: false, ..a },
+            CorpusRecord { clean: true, ..a },
+            CorpusRecord { seed: 1, ..a },
+            CorpusRecord { schedule: 5, ..a },
+        ] {
+            assert_ne!(other.identity(), a.identity(), "{other:?}");
+        }
+    }
+
+    #[test]
+    fn a_missing_corpus_is_empty() {
+        let path = std::env::temp_dir().join(format!("tt-corpus-none-{}", std::process::id()));
+        assert_eq!(read_corpus(&path.join("failures.bin")).unwrap(), []);
     }
 
     proptest! {

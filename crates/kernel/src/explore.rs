@@ -656,6 +656,8 @@ pub mod planted {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::replay;
+    use crate::corpus::CorpusRecord;
     use proptest::prelude::*;
     use tt_hw::platform::NRF52840DK;
 
@@ -764,18 +766,26 @@ mod tests {
         let reference = bystander_reference(&runner.run_plan(None));
         let run = runner.run_scheduled(None, &minimized);
         let failures = validate_scheduled(&NRF52840DK, &run, minimized.id(), &reference);
-        assert_eq!(
-            failures,
-            [
-                "nrf52840dk schedule 0x6005: bystander pid1 trace diverged at event #27: \
+        let pinned = [
+            "nrf52840dk schedule 0x6005: bystander pid1 trace diverged at event #27: \
               reference `pid1 enter Print(0x3, 0x0, 0x0)` vs injected \
-              `pid1 BUS FAULT read 0x00000000`; first injected fault: <no injection fired>"
-            ]
-        );
+              `pid1 BUS FAULT read 0x00000000`; first injected fault: <no injection fired>",
+        ];
+        assert_eq!(failures, pinned);
+        // The demo's minimized record through the one corpus replay, in
+        // place on the runner, fails with the drained run's lines.
+        let record = CorpusRecord {
+            clean: true,
+            schedule: minimized.id(),
+            ..CorpusRecord::default()
+        };
+        assert_eq!(replay(&mut runner, &reference, &record), pinned);
         let mut control = planted::control_runner(&NRF52840DK);
         let control_reference = bystander_reference(&control.run_plan(None));
         let run = control.run_scheduled(None, &minimized);
         let failures = validate_scheduled(&NRF52840DK, &run, minimized.id(), &control_reference);
+        assert!(failures.is_empty(), "{failures:#?}");
+        let failures = replay(&mut control, &control_reference, &record);
         assert!(failures.is_empty(), "{failures:#?}");
     }
 

@@ -48,9 +48,11 @@ pub enum LoadError {
     BadHeader,
     /// The image does not fit at the requested flash address.
     DoesNotFit,
-    /// The declared size is not a power of two or is misaligned (the
-    /// Cortex-M flash region constraint).
+    /// The declared size is not a power of two, is misaligned (the
+    /// Cortex-M flash region constraint) or cannot hold the header.
     BadGeometry,
+    /// The entry point lies outside the image.
+    BadEntry,
 }
 
 /// Serializes and programs an app image into flash; returns the parsed
@@ -87,7 +89,11 @@ pub fn flash_app(
     parse_app(mem, flash_start)
 }
 
-/// Parses an app header out of flash.
+/// Parses an app header out of flash. Total over whatever bytes sit at
+/// `flash_start`: every rejection is a [`LoadError`] — a wrong magic or
+/// unreadable header, a size that is not a power of two, misaligned or
+/// smaller than the header, an image running past the end of flash, or
+/// an entry point outside the image.
 pub fn parse_app(mem: &PhysicalMemory, flash_start: usize) -> Result<AppImage, LoadError> {
     let magic = mem
         .read_u32(flash_start)
@@ -108,8 +114,21 @@ pub fn parse_app(mem: &PhysicalMemory, flash_start: usize) -> Result<AppImage, L
     let entry_offset = read(28)? as usize;
     let min_ram_size = read(32)? as usize;
     let kernel_reserved = read(36)? as usize;
-    if !tt_contracts::math::is_pow2(flash_size) || !flash_start.is_multiple_of(flash_size) {
+    if !tt_contracts::math::is_pow2(flash_size)
+        || flash_size < HEADER_BYTES
+        || !flash_start.is_multiple_of(flash_size)
+    {
         return Err(LoadError::BadGeometry);
+    }
+    let flash_end = mem.map().flash.end;
+    if flash_start
+        .checked_add(flash_size)
+        .is_none_or(|end| end > flash_end)
+    {
+        return Err(LoadError::DoesNotFit);
+    }
+    if entry_offset >= flash_size {
+        return Err(LoadError::BadEntry);
     }
     Ok(AppImage {
         name,
@@ -148,7 +167,9 @@ pub fn flash_many(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tt_hw::platform::NRF52840DK;
+    use crate::{Flavor, Kernel};
+    use proptest::prelude::*;
+    use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
 
     #[test]
     fn flash_and_parse_roundtrip() {
@@ -167,6 +188,32 @@ mod tests {
     fn bad_magic_rejected() {
         let mem = NRF52840DK.memory();
         assert_eq!(parse_app(&mem, 0x0004_0000), Err(LoadError::BadHeader));
+    }
+
+    #[test]
+    fn headers_the_image_cannot_hold_are_rejected() {
+        let mut mem = NRF52840DK.memory();
+        let slot = 0x0004_0000;
+        flash_app(&mut mem, slot, "x", 0x1000, 1024, 256).unwrap();
+        let field = |mem: &mut tt_hw::mem::PhysicalMemory, off: usize, v: u32| {
+            mem.program_flash(slot + off, &v.to_le_bytes()).unwrap();
+        };
+        // An entry point at or past the image's end.
+        field(&mut mem, 28, 0x1000);
+        assert_eq!(parse_app(&mem, slot), Err(LoadError::BadEntry));
+        field(&mut mem, 28, 0xFFF);
+        assert!(parse_app(&mem, slot).is_ok());
+        // A size too small for the header itself.
+        field(&mut mem, 24, 32);
+        assert_eq!(parse_app(&mem, slot), Err(LoadError::BadGeometry));
+        // An image running past the end of flash: at the flash base, any
+        // power-of-two size is aligned.
+        let (base, end) = (NRF52840DK.map.flash.start, NRF52840DK.map.flash.end);
+        flash_app(&mut mem, base, "x", 0x1000, 1024, 256).unwrap();
+        let past = (end - base).next_power_of_two() * 2;
+        mem.program_flash(base + 24, &(past as u32).to_le_bytes())
+            .unwrap();
+        assert_eq!(parse_app(&mem, base), Err(LoadError::DoesNotFit));
     }
 
     #[test]
@@ -227,5 +274,71 @@ mod tests {
             flash_app(&mut mem, aligned, "x", 0x1000, 1024, 256),
             Err(LoadError::DoesNotFit)
         );
+    }
+
+    /// A header word: a quarter of the time an arbitrary `u32`, otherwise
+    /// a power of two or a small value, so most cases reach past the
+    /// geometry checks into the loader.
+    fn word(k: u64) -> u32 {
+        match k % 4 {
+            0 => (k >> 8) as u32,
+            1 => 1 << ((k >> 8) % 32),
+            2 => 1 << (6 + (k >> 8) % 13),
+            _ => ((k >> 8) % 0x4000) as u32,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_headers_at_an_app_slot_never_panic_the_loader(
+            magic in 0u8..4,
+            words in proptest::collection::vec(any::<u64>(), 6..7),
+            name in proptest::collection::vec(any::<u8>(), 16..17),
+        ) {
+            let mut header = Vec::with_capacity(HEADER_BYTES);
+            let first = if magic > 0 { TBF_MAGIC } else { word(words[0]) };
+            header.extend_from_slice(&first.to_le_bytes());
+            header.extend_from_slice(&word(words[1]).to_le_bytes());
+            header.extend_from_slice(&name);
+            for &w in &words[2..] {
+                header.extend_from_slice(&word(w).to_le_bytes());
+            }
+            for chip in &ALL_CHIPS {
+                let mut k = Kernel::boot(Flavor::Granular, chip);
+                let slot = chip.map.flash.start + 0x4_0000;
+                k.mem.program_flash(slot, &header).unwrap();
+                let Ok(image) = parse_app(&k.mem, slot) else {
+                    continue;
+                };
+                prop_assert!(image.entry_offset < image.flash_size, "{image:?}");
+                prop_assert!(slot + image.flash_size <= chip.map.flash.end);
+                // A process the kernel accepts lies inside the chip's RAM.
+                if let Ok(pid) = k.load_process(&image) {
+                    let p = &k.processes[pid];
+                    let ram = chip.map.ram;
+                    prop_assert!(p.memory_start() >= ram.start, "{image:?}");
+                    prop_assert!(p.memory_start() + p.memory_size() <= ram.end, "{image:?}");
+                }
+            }
+        }
+
+        #[test]
+        fn flashed_images_parse_back_to_themselves(
+            name in proptest::collection::vec(0x20u8..0x7f, 0..20),
+            size_log in 6usize..16,
+            min_ram in any::<u32>(),
+            reserved in any::<u32>(),
+        ) {
+            let name = String::from_utf8(name).unwrap();
+            for chip in &ALL_CHIPS {
+                let mut mem = chip.memory();
+                let slot = chip.map.flash.start + 0x4_0000;
+                let (size, ram, kr) = (1 << size_log, min_ram as usize, reserved as usize);
+                let image = flash_app(&mut mem, slot, &name, size, ram, kr).unwrap();
+                prop_assert_eq!(&image.name, &name[..name.len().min(16)]);
+                prop_assert_eq!(image.entry_offset, HEADER_BYTES);
+                prop_assert_eq!(parse_app(&mem, slot).unwrap(), image);
+            }
+        }
     }
 }

@@ -195,12 +195,10 @@ impl Checkpoint {
     /// in its process table and never reaches the register file or RAM.
     /// Allocator generations are compared by what they decide, whether
     /// the commit cache's key names the current layout
-    /// ([`Process::same_state`], `CommitCacheSnapshot::acts_like`). Three
-    /// tallies that only count are left out, so a run that took an extra
-    /// commit on the way (an interrupt's re-commit) still matches: the
-    /// commit cache's hit and miss counters, which the caller carries
-    /// over as deltas, and the MPU's write-order log, a diagnostic no
-    /// run reads.
+    /// ([`Process::same_state`], `CommitCacheSnapshot::acts_like`). The
+    /// commit cache's hit and miss counters only count and are left out,
+    /// so a run that took an extra commit on the way (an interrupt's
+    /// re-commit) still matches; the caller carries them over as deltas.
     pub(crate) fn matches(
         &self,
         kernel: &Kernel,
@@ -218,9 +216,7 @@ impl Checkpoint {
             }
         }
         let hw = || match (&self.hw, kernel.machine.kind()) {
-            (HwSnapshot::CortexM(saved), MachineKind::CortexM(mpu)) => {
-                mpu.borrow().same_registers(saved)
-            }
+            (HwSnapshot::CortexM(saved), MachineKind::CortexM(mpu)) => *mpu.borrow() == *saved,
             (HwSnapshot::Pmp(saved), MachineKind::Pmp(pmp)) => *pmp.borrow() == *saved,
             _ => false,
         };

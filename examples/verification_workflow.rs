@@ -11,7 +11,9 @@
 
 use std::time::Instant;
 use ticktock_repro::contracts::obligation::Registry;
-use ticktock_repro::contracts::verifier::{fmt_duration, VerificationCache, Verifier};
+use ticktock_repro::contracts::span::SourceIndex;
+use ticktock_repro::contracts::vcache::VerdictCache;
+use ticktock_repro::contracts::verifier::{fmt_duration, Verifier};
 use ticktock_repro::contracts::ContractKind;
 use ticktock_repro::legacy::BugVariant;
 
@@ -24,12 +26,15 @@ fn build(granular_density: usize, interrupt_depth: usize) -> Registry {
 
 fn main() {
     let verifier = Verifier::new();
-    let mut cache = VerificationCache::new();
+    // The verdict cache `verify_all` persists, kept in memory here. With
+    // no source index every verdict keys on its function's spec alone.
+    let mut cache = VerdictCache::new(0);
+    let index = SourceIndex::default();
 
     // 1. Cold run: everything checked.
     let registry = build(2, 4);
     let t = Instant::now();
-    let cold = verifier.verify_with_cache(&registry, &mut cache);
+    let cold = verifier.verify_incremental(&registry, &mut cache, &index);
     println!(
         "cold verification: {} functions in {} (all verified: {})",
         cold.functions.len(),
@@ -40,7 +45,7 @@ fn main() {
     // 2. Warm run: nothing changed, everything served from the cache —
     //    "incremental and interactive verification during development".
     let t = Instant::now();
-    let warm = verifier.verify_with_cache(&registry, &mut cache);
+    let warm = verifier.verify_incremental(&registry, &mut cache, &index);
     let cached = warm.functions.iter().filter(|f| f.cached).count();
     println!(
         "warm verification: {cached}/{} functions cached, {}",
@@ -56,7 +61,7 @@ fn main() {
         ContractKind::Pre,
         || ticktock_repro::contracts::obligation::CheckResult::Verified { cases: 1 },
     );
-    let third = verifier.verify_with_cache(&edited, &mut cache);
+    let third = verifier.verify_incremental(&edited, &mut cache, &index);
     let rechecked: Vec<&str> = third
         .functions
         .iter()

@@ -15,7 +15,7 @@ use tt_kernel::differential::run_release_suite;
 fn all_reports() -> Vec<Report> {
     let sweep = explore::run_explore_fleet(&ALL_CHIPS[..1], 0, None, 1, None);
     // A 1-rung ladder: the serial rung is also the top rung.
-    let fleet_run = fleet::run_fleet(14, 1);
+    let fleet_run = fleet::run_fleet(14, 1, &[]);
     let (tock, ticktock, padded) = e62::run();
     // The warm fig12 figures need a cold pass first.
     let cache = std::env::temp_dir().join(format!("tt-baseline-vcache-{}.bin", std::process::id()));
