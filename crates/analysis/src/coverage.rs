@@ -113,8 +113,7 @@ fn violation(file: &ScannedFile, f: &FnSpan, exit_line: usize, armed_line: usize
     }
 }
 
-/// Lints one file (no findings unless it is a configured coverage file —
-/// the per-file granularity the incremental audit cache keys on).
+/// Lints one file (no findings unless it is a configured coverage file).
 pub fn audit_file(file: &ScannedFile, config: &AuditConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
     if !config.coverage_files.iter().any(|c| c == &file.rel_path) {

@@ -25,14 +25,12 @@
 //!    whose target no longer exists or no longer contains the declared
 //!    construct are flagged, with a `--fix`-style removal listing.
 //!
-//! The first three passes run incrementally through the shared verdict
-//! cache ([`tt_contracts::vcache`], `ci/audit_cache.bin`): unchanged
-//! files are skipped on warm runs ([`audit::run_cached`]). The staleness
-//! pass is never cached.
+//! [`run`] is the one audit path: it reads and scans every file once and
+//! runs the passes over the scanned files, in full on every run.
 //!
-//! The audit also *generates* the Fig. 10 proof-effort table (now with a
-//! trusted-LOC column) as the `fig10` metrics report ([`report`]), which
-//! `tt-bench` consumes instead of maintaining its own counts. `tt-audit
+//! The audit also *generates* the Fig. 10 proof-effort table (with a
+//! trusted-LOC column) from the texts it read, as the `fig10` metrics
+//! report ([`report`]); `tt-audit` is the figure's one bin. `tt-audit
 //! --check` is a tier-1 CI gate.
 //!
 //! [`metrics`] is the workspace's one report schema, JSON writer and
@@ -53,11 +51,8 @@ pub mod source;
 pub mod staleness;
 pub mod tcb;
 
-pub use audit::{
-    load_workspace, run, run_cached, run_passes, workspace_root, DEFAULT_AUDIT_CACHE,
-    DEFAULT_CONFIG,
-};
+pub use audit::{load_workspace, run, run_passes, workspace_root, DEFAULT_CONFIG};
 pub use config::AuditConfig;
 pub use findings::{Finding, Pass};
-pub use report::{AuditReport, CacheStats, ComponentRow};
+pub use report::{AuditReport, ComponentRow};
 pub use staleness::StaleEntry;

@@ -1,13 +1,14 @@
 //! The Fig.-10-style audit report.
 //!
 //! The paper's Figure 10 counts, per component, source LOC, functions
-//! (trusted subset) and spec LOC (trusted subset). Earlier PRs computed
-//! those with `tt_contracts::effort`; this module adds the number the
-//! audit is really about — **trusted LOC**, the lines inside the declared
-//! TCB (allowlisted files/functions plus `// TRUSTED:`-marked functions) —
-//! and reports the whole table as the `fig10` metrics ([`metrics`],
-//! written as `BENCH_fig10.json`), so the benchmark figures are
-//! *generated from the audit* rather than hand-maintained.
+//! (trusted subset) and spec LOC (trusted subset), which
+//! `tt_contracts::effort::scan_source` counts over the texts the audit
+//! read. This module adds the number the audit is really about —
+//! **trusted LOC**, the lines inside the declared TCB (allowlisted
+//! files/functions plus `// TRUSTED:`-marked functions) — and reports
+//! the whole table as the `fig10` metrics ([`metrics`], written as
+//! `BENCH_fig10.json`), so the benchmark figures are *generated from the
+//! audit* rather than hand-maintained.
 
 use std::path::Path;
 
@@ -17,31 +18,7 @@ use crate::findings::{Finding, Pass};
 use crate::metrics::{Kind, Report, WALL};
 use crate::source::ScannedFile;
 use crate::staleness::StaleEntry;
-use tt_contracts::effort::{default_components, scan_path, EffortCounts};
-
-/// Incremental-cache statistics for one cached audit run
-/// ([`crate::audit::run_cached`]); serialized into `BENCH_fig10.json`.
-#[derive(Debug, Clone, Default)]
-pub struct CacheStats {
-    /// Whether the verdict cache loaded warm (valid file, matching
-    /// toolchain/config hash).
-    pub warm: bool,
-    /// Cache lookup hit rate for this run.
-    pub hit_rate: f64,
-    /// Wall-clock of scan + passes for this run, in milliseconds.
-    pub wall_ms: f64,
-    /// The cold-run wall recorded in the cache header, in milliseconds.
-    pub cold_wall_ms: f64,
-    /// Files served from cache in the TCB pass.
-    pub skipped_tcb: usize,
-    /// Files served from cache in the coverage pass.
-    pub skipped_coverage: usize,
-    /// 1 if the whole-workspace cross-check verdict hit, else 0.
-    pub skipped_crosscheck: usize,
-    /// Set when a cache file existed but failed validation (the run then
-    /// degraded to cold — never partial reuse).
-    pub corrupt: Option<String>,
-}
+use tt_contracts::effort::{default_components, scan_source, EffortCounts};
 
 /// One component row: the classic Fig. 10 counters plus TCB accounting.
 #[derive(Debug, Clone)]
@@ -69,10 +46,7 @@ pub struct AuditReport {
     /// Stale allowlist entries from the staleness pass (duplicated as
     /// findings; kept structured for the `--fix`-style removal listing).
     pub stale_entries: Vec<StaleEntry>,
-    /// Verdict-cache statistics when the audit ran incrementally.
-    pub cache: Option<CacheStats>,
-    /// Wall milliseconds of each pass that ran, in run order (cache
-    /// lookups included on a cached run).
+    /// Wall milliseconds of each pass that ran, in run order.
     pub pass_ms: Vec<(Pass, f64)>,
     /// The gated scan, audit and edit walls. `tt-audit --cold` measures
     /// them; other runs leave them `None`.
@@ -104,11 +78,13 @@ fn trusted_loc_of(file: &ScannedFile, config: &AuditConfig) -> usize {
         .sum()
 }
 
-/// Computes the component rows: Fig. 10 counters via `tt_contracts::effort`
-/// (so the numbers stay comparable with earlier PRs) plus trusted LOC from
-/// the scanned files and the allowlist.
+/// Computes the component rows: the Fig. 10 counters of
+/// [`scan_source`] over each component's texts plus trusted LOC from the
+/// scanned files and the allowlist. `sources` are the texts `files` were
+/// scanned from, in the same order.
 pub fn component_rows(
     root: &Path,
+    sources: &[(String, String)],
     files: &[ScannedFile],
     config: &AuditConfig,
 ) -> (Vec<ComponentRow>, EffortCounts, usize) {
@@ -119,37 +95,21 @@ pub fn component_rows(
         let mut counts = EffortCounts::default();
         let mut trusted_loc = 0usize;
         for p in &spec.paths {
-            counts = {
-                let mut c = counts;
-                let scanned = scan_path(p);
-                c.source_loc += scanned.source_loc;
-                c.fns += scanned.fns;
-                c.trusted_fns += scanned.trusted_fns;
-                c.spec_loc += scanned.spec_loc;
-                c.trusted_spec_loc += scanned.trusted_spec_loc;
-                c
-            };
             // Workspace-relative prefix of this component path.
             let rel = p
                 .strip_prefix(root)
                 .unwrap_or(p)
                 .to_string_lossy()
                 .replace('\\', "/");
-            for file in files {
-                let in_component = file.rel_path == rel
-                    || file
-                        .rel_path
-                        .starts_with(&format!("{}/", rel.trim_end_matches('/')));
-                if in_component {
+            let dir = format!("{}/", rel.trim_end_matches('/'));
+            for ((path, text), file) in sources.iter().zip(files) {
+                if *path == rel || path.starts_with(&dir) {
+                    counts.add(scan_source(text));
                     trusted_loc += trusted_loc_of(file, config);
                 }
             }
         }
-        total.source_loc += counts.source_loc;
-        total.fns += counts.fns;
-        total.trusted_fns += counts.trusted_fns;
-        total.spec_loc += counts.spec_loc;
-        total.trusted_spec_loc += counts.trusted_spec_loc;
+        total.add(counts);
         total_trusted += trusted_loc;
         rows.push(ComponentRow {
             name: spec.name,
@@ -162,9 +122,8 @@ pub fn component_rows(
 
 /// The `fig10` metrics report: the Fig. 10 counters and trusted LOC per
 /// component and in total, findings and wall per pass, the gated audit
-/// and edit walls and the scan wall of a `--cold` run, and the cache
-/// statistics of a
-/// cached run. Every finding is a failure.
+/// and edit walls and the scan wall of a `--cold` run. Every finding is
+/// a failure.
 pub fn metrics(report: &AuditReport) -> Report {
     let mut r = Report::new("fig10");
     let rows = report
@@ -199,18 +158,6 @@ pub fn metrics(report: &AuditReport) -> Report {
                 r.skip(gated, "measured by `tt-audit --cold` only");
             }
         }
-    }
-    if let Some(c) = &report.cache {
-        let counts = [
-            ("warm", f64::from(u8::from(c.warm))),
-            ("skipped_tcb", c.skipped_tcb as f64),
-            ("skipped_coverage", c.skipped_coverage as f64),
-            ("skipped_crosscheck", c.skipped_crosscheck as f64),
-        ];
-        r.infos("cache", "vcache", "count", &counts);
-        r.infos("cache", "vcache", "share", &[("hit_rate", c.hit_rate)]);
-        let walls = [("wall_ms", c.wall_ms), ("cold_wall_ms", c.cold_wall_ms)];
-        r.infos("cache", WALL, "ms", &walls);
     }
     r.failures = report.findings.iter().map(ToString::to_string).collect();
     r
@@ -264,7 +211,6 @@ mod tests {
             total_trusted_loc: 15,
             findings: Vec::new(),
             stale_entries: Vec::new(),
-            cache: None,
             pass_ms: vec![(Pass::Tcb, 3.0), (Pass::Staleness, 2.0)],
             cold: None,
         }
@@ -344,30 +290,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(trusted_loc_of(&file, &cfg), 6);
-    }
-
-    #[test]
-    fn cache_metrics_appear_only_for_cached_runs() {
-        let mut r = sample_report();
-        assert!(metrics(&r).get("cache.hit_rate").is_none());
-        r.cache = Some(CacheStats {
-            warm: true,
-            hit_rate: 1.0,
-            wall_ms: 12.5,
-            cold_wall_ms: 250.0,
-            skipped_tcb: 40,
-            skipped_coverage: 40,
-            skipped_crosscheck: 1,
-            corrupt: None,
-        });
-        let m = metrics(&r);
-        assert_eq!(value(&m, "cache.warm"), 1.0);
-        assert_eq!(value(&m, "cache.hit_rate"), 1.0);
-        assert_eq!(value(&m, "cache.skipped_tcb"), 40.0);
-        assert_eq!(value(&m, "cache.skipped_crosscheck"), 1.0);
-        // Wall clock is host-dependent: it lives in the wall layer.
-        let det = m.without_wall();
-        assert!(det.get("cache.wall_ms").is_none() && det.get("cache.cold_wall_ms").is_none());
     }
 
     #[test]

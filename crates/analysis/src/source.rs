@@ -90,8 +90,8 @@ mod tests {
 
     #[test]
     fn stored_hashes_equal_fnv_over_the_raw_lines_of_the_real_tree() {
-        // The verdict caches key on these hashes: computing them at scan
-        // time must not change a single one.
+        // The verifier's verdict cache keys on these hashes: computing
+        // them at scan time must not change a single one.
         let over = |lines: &[&str]| {
             let mut h = tt_contracts::span::Fnv::new();
             for line in lines {

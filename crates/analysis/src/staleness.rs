@@ -6,9 +6,8 @@
 //! crosscheck exemption for a site that no longer exists: each is an
 //! allowlist entry silently granting trust that nothing claims. That's the
 //! inverse failure of the TCB audit (which catches *undeclared* trust),
-//! and exactly the staleness the incremental cache must also never mask —
 //! so this pass re-derives entry liveness from the scanned sources on
-//! every run and is never served from the verdict cache.
+//! every run.
 //!
 //! Rules:
 //!

@@ -108,6 +108,97 @@ fn json_artifact_is_written_and_well_formed() {
 }
 
 #[test]
+fn fig10_counts_a_seeded_tree_exactly() {
+    let tree = TempTree::new("fig10");
+    tree.write("ci/tcb_allowlist.toml", EMPTY_CONFIG)
+        .write(
+            "crates/kernel/src/lib.rs",
+            concat!(
+                "//! Kernel.\n",
+                "\n",
+                "/// Boots.\n",
+                "pub fn boot(n: usize) -> usize {\n",
+                "    requires!(\"boot\", n > 0);\n",
+                "    n + 1\n",
+                "}\n",
+                "\n",
+                "// TRUSTED: the commit path.\n",
+                "pub fn commit() {\n",
+                "    ensures!(\"commit\", true);\n",
+                "}\n",
+                "\n",
+                "#[cfg(test)]\n",
+                "mod tests {\n",
+                "    #[test]\n",
+                "    fn not_counted() {\n",
+                "        requires!(\"not_counted\", true);\n",
+                "    }\n",
+                "}\n",
+            ),
+        )
+        .write(
+            "crates/core/src/region.rs",
+            concat!(
+                "pub struct Region {\n",
+                "    start: usize,\n",
+                "}\n",
+                "\n",
+                "impl Region {\n",
+                "    pub fn start(&self) -> usize {\n",
+                "        self.start\n",
+                "    }\n",
+                "}\n",
+            ),
+        )
+        // In no component: counted by no row.
+        .write(
+            "crates/app/src/lib.rs",
+            "pub fn outside() {\n    requires!(\"outside\", true);\n}\n",
+        );
+    let json = tree.root.join("fig10.json");
+    let out = tree.run(&["--pass", "tcb", "--json", json.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let doc = fs::read_to_string(&json).expect("json written");
+    assert!(doc.contains("\"experiment\": \"fig10\""), "{doc}");
+    let value = |name: &str| -> f64 {
+        let line = doc
+            .lines()
+            .find(|l| l.contains(&format!("\"name\": \"{name}\",")))
+            .unwrap_or_else(|| panic!("no {name} in:\n{doc}"));
+        let v = line.split("\"value\": ").nth(1).expect("a value");
+        v.trim_end_matches([',', '}']).parse().expect("a number")
+    };
+    // lib.rs: 7 code lines, 2 fns (commit trusted), 2 spec lines, the
+    // test module left out; region.rs: 8 code lines, 1 fn.
+    assert_eq!(value("Kernel.source_loc"), 15.0);
+    assert_eq!(value("Kernel.fns"), 3.0);
+    assert_eq!(value("Kernel.trusted_fns"), 1.0);
+    assert_eq!(value("Kernel.spec_loc"), 2.0);
+    assert_eq!(value("Kernel.trusted_spec_loc"), 1.0);
+    assert_eq!(value("Kernel.trusted_loc"), 3.0);
+    assert_eq!(value("ARM MPU.source_loc"), 0.0);
+    assert_eq!(value("Total.source_loc"), 15.0);
+    assert_eq!(value("Total.spec_loc"), 2.0);
+    // The audit writes nothing into the tree it reads.
+    fs::remove_file(&json).unwrap();
+    let ci: Vec<_> = fs::read_dir(tree.root.join("ci"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(ci, ["tcb_allowlist.toml"]);
+    assert!(stdout_of(&out).contains("Figure 10: Proof Effort"));
+}
+
+#[test]
+fn cache_flags_are_unknown_arguments() {
+    for args in [&["--no-cache"][..], &["--cache", "x.bin"]] {
+        let out = tt_audit().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
+        assert!(stderr_of(&out).contains("unknown argument"), "{args:?}");
+    }
+}
+
+#[test]
 fn seeded_unsafe_block_fails_the_tcb_pass() {
     let tree = TempTree::new("tcb");
     tree.write("ci/tcb_allowlist.toml", EMPTY_CONFIG).write(

@@ -33,8 +33,8 @@ impl Effort {
         interrupt_depth: 4,
     };
 
-    /// The full configuration used by the `fig12_verification_time`
-    /// binary: every component explores its domains at the same per-point
+    /// The full configuration `verify_all` runs without `--quick`:
+    /// every component explores its domains at the same per-point
     /// density (20), and the interrupt bit-vector domains at depth 100.
     pub const FULL: Effort = Effort {
         monolithic_density: 20,
@@ -65,11 +65,6 @@ pub fn build_registry(effort: Effort) -> Registry {
 /// Runs the verifier over the registry.
 pub fn run(effort: Effort) -> VerificationReport {
     Verifier::new().verify(&build_registry(effort))
-}
-
-/// Renders the Fig. 12 table.
-pub fn render(report: &VerificationReport) -> String {
-    report.render_fig12()
 }
 
 #[cfg(test)]
@@ -134,7 +129,7 @@ mod tests {
     #[test]
     fn rendered_table_has_all_components() {
         let report = run(Effort::QUICK);
-        let table = render(&report);
+        let table = report.render_fig12();
         for c in [
             MONOLITHIC,
             GRANULAR,

@@ -3,9 +3,9 @@
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|
-//! | Fig. 10 proof effort | [`fig10`] | `fig10_proof_effort` |
+//! | Fig. 10 proof effort | [`tt_analysis::report`] | `tt-audit` (in `tt-analysis`) |
 //! | Fig. 11 CPU cycles | [`fig11`] | `fig11_cycles` |
-//! | Fig. 12 verification time | [`fig12`] | `fig12_verification_time` |
+//! | Fig. 12 verification time | [`fig12`] | `verify_all` |
 //! | §6.1 differential testing | `tt_kernel::differential` | `e61_differential` |
 //! | §6.2 memory usage | [`e62`] | `e62_memory_usage` |
 //!
@@ -20,7 +20,6 @@
 
 pub mod e62;
 pub mod explore;
-pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 pub mod fleet;

@@ -7,7 +7,6 @@
 //! reproduction, so the spec-to-code ratio claim ("about 3.5 KLOC of
 //! annotations for 22 KLOC of source") can be checked against what we built.
 
-use std::fs;
 use std::path::{Path, PathBuf};
 
 /// A component row of Figure 10 mapped onto this repository's directories.
@@ -36,7 +35,8 @@ pub struct EffortCounts {
 }
 
 impl EffortCounts {
-    fn add(&mut self, other: EffortCounts) {
+    /// Adds `other`'s counters to these, field by field.
+    pub fn add(&mut self, other: EffortCounts) {
         self.source_loc += other.source_loc;
         self.fns += other.fns;
         self.trusted_fns += other.trusted_fns;
@@ -151,75 +151,6 @@ pub fn scan_source(text: &str) -> EffortCounts {
     counts
 }
 
-/// Recursively scans every `.rs` file under `path` (or the file itself).
-pub fn scan_path(path: &Path) -> EffortCounts {
-    let mut counts = EffortCounts::default();
-    if path.is_file() {
-        if path.extension().is_some_and(|e| e == "rs") {
-            if let Ok(text) = fs::read_to_string(path) {
-                counts.add(scan_source(&text));
-            }
-        }
-        return counts;
-    }
-    let Ok(entries) = fs::read_dir(path) else {
-        return counts;
-    };
-    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    paths.sort();
-    for p in paths {
-        counts.add(scan_path(&p));
-    }
-    counts
-}
-
-/// One rendered row of the Figure 10 table.
-#[derive(Debug, Clone)]
-pub struct EffortRow {
-    /// Component name.
-    pub name: &'static str,
-    /// Scanned counters.
-    pub counts: EffortCounts,
-}
-
-/// Scans all components and returns the table rows plus a total row.
-pub fn effort_table(components: &[ComponentSpec]) -> (Vec<EffortRow>, EffortCounts) {
-    let mut rows = Vec::new();
-    let mut total = EffortCounts::default();
-    for spec in components {
-        let mut counts = EffortCounts::default();
-        for p in &spec.paths {
-            counts.add(scan_path(p));
-        }
-        total.add(counts);
-        rows.push(EffortRow {
-            name: spec.name,
-            counts,
-        });
-    }
-    (rows, total)
-}
-
-/// Renders the Figure 10 table as text.
-pub fn render_fig10(rows: &[EffortRow], total: &EffortCounts) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<12} {:>8} {:>14} {:>16}\n",
-        "Component", "Source", "Fns(Trusted)", "Specs(Trusted)"
-    ));
-    let fmt_row = |name: &str, c: &EffortCounts| {
-        format!(
-            "{:<12} {:>8} {:>9} ({:>2}) {:>11} ({:>2})\n",
-            name, c.source_loc, c.fns, c.trusted_fns, c.spec_loc, c.trusted_spec_loc
-        )
-    };
-    for row in rows {
-        out.push_str(&fmt_row(row.name, &row.counts));
-    }
-    out.push_str(&fmt_row("Total", total));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,28 +203,17 @@ mod tests {
     #[test]
     fn scanning_this_crate_finds_substance() {
         let src_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
-        let c = scan_path(&src_dir);
+        let mut c = EffortCounts::default();
+        for entry in std::fs::read_dir(&src_dir).expect("src dir") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|e| e == "rs") {
+                c.add(scan_source(
+                    &std::fs::read_to_string(&path).expect("readable"),
+                ));
+            }
+        }
         assert!(c.source_loc > 300, "got {}", c.source_loc);
         assert!(c.fns > 20);
         assert!(c.spec_loc > 10);
-    }
-
-    #[test]
-    fn render_includes_all_components() {
-        let rows = vec![EffortRow {
-            name: "Kernel",
-            counts: EffortCounts {
-                source_loc: 100,
-                fns: 10,
-                trusted_fns: 1,
-                spec_loc: 20,
-                trusted_spec_loc: 2,
-            },
-        }];
-        let total = rows[0].counts;
-        let table = render_fig10(&rows, &total);
-        assert!(table.contains("Kernel"));
-        assert!(table.contains("Total"));
-        assert!(table.contains("100"));
     }
 }

@@ -19,11 +19,15 @@ pub const fn is_pow2(n: usize) -> bool {
 
 /// Returns the smallest power of two greater than or equal to `n`.
 ///
-/// Mirrors Tock's `math::closest_power_of_two`. Saturates at the largest
-/// representable power of two for inputs above it.
+/// Mirrors Tock's `math::closest_power_of_two`, except that it saturates:
+/// an input above 2^31, whose next power of two does not fit in 32 bits,
+/// yields 2^31 (Tock's bit smear wraps it to 0).
 pub const fn closest_power_of_two(n: u32) -> u32 {
     if n == 0 {
         return 1;
+    }
+    if n > 1 << 31 {
+        return 1 << 31;
     }
     let mut v = n.wrapping_sub(1);
     v |= v >> 1;
@@ -35,9 +39,15 @@ pub const fn closest_power_of_two(n: u32) -> u32 {
 }
 
 /// Returns the smallest power of two `>= n`, as a `usize` (32-bit semantics,
-/// matching the microcontroller targets the paper verifies).
+/// matching the microcontroller targets the paper verifies). Saturates at
+/// 2^31 like [`closest_power_of_two`], also for inputs beyond `u32::MAX`.
 pub const fn closest_power_of_two_usize(n: usize) -> usize {
-    closest_power_of_two(n as u32) as usize
+    let n = if n > u32::MAX as usize {
+        u32::MAX
+    } else {
+        n as u32
+    };
+    closest_power_of_two(n) as usize
 }
 
 /// Returns `floor(log2(n))` for `n > 0`.
@@ -169,6 +179,18 @@ mod tests {
     #[test]
     fn closest_power_of_two_of_zero_is_one() {
         assert_eq!(closest_power_of_two(0), 1);
+    }
+
+    #[test]
+    fn closest_power_of_two_saturates_at_2_pow_31() {
+        assert_eq!(closest_power_of_two(1 << 31), 1 << 31);
+        for n in [(1 << 31) + 1, 0xca3b_cbef, u32::MAX] {
+            assert_eq!(closest_power_of_two(n), 1 << 31, "n = {n:#x}");
+        }
+        assert_eq!(closest_power_of_two_usize((1 << 31) - 1), 1 << 31);
+        for n in [u32::MAX as usize, 1 << 32, (1 << 32) + 5, usize::MAX] {
+            assert_eq!(closest_power_of_two_usize(n), 1 << 31, "n = {n:#x}");
+        }
     }
 
     #[test]

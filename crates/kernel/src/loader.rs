@@ -167,9 +167,14 @@ pub fn flash_many(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::ProcessError;
     use crate::{Flavor, Kernel};
     use proptest::prelude::*;
     use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
+    use tt_legacy::BugVariant;
+
+    /// Both kernels an app header can be loaded by.
+    const FLAVORS: [Flavor; 2] = [Flavor::Granular, Flavor::Legacy(BugVariant::Fixed)];
 
     #[test]
     fn flash_and_parse_roundtrip() {
@@ -276,6 +281,27 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_ram_request_above_2_gib_is_refused_by_both_kernels() {
+        // min_ram 0x40 with 0xca3bcbaf reserved bytes: the sum is above
+        // 2^31, where rounding up to a power of two in 32 bits has no
+        // answer, so both kernels must refuse it before rounding.
+        for chip in &ALL_CHIPS {
+            for flavor in FLAVORS {
+                let mut k = Kernel::boot(flavor, chip);
+                let slot = chip.map.flash.start + 0x4_0000;
+                let image = flash_app(&mut k.mem, slot, "big", 0x1000, 0x40, 0xca3b_cbaf).unwrap();
+                assert_eq!(parse_app(&k.mem, slot), Ok(image.clone()));
+                assert_eq!(
+                    k.load_process(&image).err(),
+                    Some(ProcessError::NoMemory),
+                    "{} {flavor:?}",
+                    chip.name
+                );
+            }
+        }
+    }
+
     /// A header word: a quarter of the time an arbitrary `u32`, otherwise
     /// a power of two or a small value, so most cases reach past the
     /// geometry checks into the loader.
@@ -303,8 +329,8 @@ mod tests {
             for &w in &words[2..] {
                 header.extend_from_slice(&word(w).to_le_bytes());
             }
-            for chip in &ALL_CHIPS {
-                let mut k = Kernel::boot(Flavor::Granular, chip);
+            for (chip, flavor) in ALL_CHIPS.iter().flat_map(|c| FLAVORS.map(|f| (c, f))) {
+                let mut k = Kernel::boot(flavor, chip);
                 let slot = chip.map.flash.start + 0x4_0000;
                 k.mem.program_flash(slot, &header).unwrap();
                 let Ok(image) = parse_app(&k.mem, slot) else {

@@ -319,6 +319,12 @@ impl LegacyMpu for LegacyCortexM {
         if app_size == 0 || kernel_size == 0 {
             return None;
         }
+        // A request larger than the free window never fits. Refuse it
+        // before the power-of-two rounding, which works in 32 bits and
+        // saturates above 2 GiB.
+        if cmp::max(min_size, app_size.saturating_add(kernel_size)) > unalloc_size {
+            return None;
+        }
         let layout =
             self.compute_alloc_layout(unalloc_start.as_usize(), min_size, app_size, kernel_size);
 

@@ -7,8 +7,9 @@
 
 use tt_analysis::audit::in_workspace;
 use tt_analysis::metrics::{coverage, read_baseline, Report, DEFAULT_BASELINE};
+use tt_analysis::{workspace_root, AuditConfig, Pass, DEFAULT_CONFIG};
 use tt_bench::fig12::Effort;
-use tt_bench::{e62, explore, fig10, fig11, fleet, incremental, reports, switch};
+use tt_bench::{e62, explore, fig11, fleet, incremental, reports, switch};
 use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
 use tt_kernel::differential::run_release_suite;
 
@@ -22,10 +23,13 @@ fn all_reports() -> Vec<Report> {
     incremental::run(Effort::QUICK, &cache, true);
     let warm = incremental::run(Effort::QUICK, &cache, false);
     let _ = std::fs::remove_file(&cache);
+    let root = workspace_root();
+    let config = AuditConfig::load(&root.join(DEFAULT_CONFIG)).expect("allowlist parses");
+    let audit = tt_analysis::run(&root, &config, &Pass::ALL);
     vec![
         reports::e61_metrics(&run_release_suite(&[NRF52840DK], 1), 0.0),
         e62::metrics(&tock, &ticktock, &padded, 0.0),
-        tt_analysis::report::metrics(&fig10::run()),
+        tt_analysis::report::metrics(&audit),
         fig11::metrics(&fig11::run(1), &switch::measure_all(), 0.0),
         incremental::metrics(&warm, true),
         fleet::metrics(
