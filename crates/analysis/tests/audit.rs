@@ -190,6 +190,55 @@ fn fig10_counts_a_seeded_tree_exactly() {
 }
 
 #[test]
+fn a_comment_that_mentions_the_marker_marks_nothing() {
+    // Only a line that starts with `// TRUSTED:` marks the next fn
+    // trusted; a doc or explanatory comment that merely mentions the
+    // marker is an ordinary comment, for Fig. 10 and for the audit.
+    let tree = TempTree::new("marker");
+    tree.write(
+        "ci/tcb_allowlist.toml",
+        "[tcb]\ntrusted = []\n\n[coverage]\nfiles = [\"crates/kernel/src/lib.rs\"]\n",
+    )
+    .write(
+        "crates/kernel/src/lib.rs",
+        concat!(
+            "pub struct Table { len: usize }\n",
+            "impl Table {\n",
+            "    /// Grows the table; unlike a `// TRUSTED:` fn, it is checked.\n",
+            "    pub fn grow(&mut self, n: usize) {\n",
+            "        self.len = n;\n",
+            "    }\n",
+            "    // Mentions TRUSTED: in passing.\n",
+            "    pub fn len(&self) -> usize {\n",
+            "        self.len\n",
+            "    }\n",
+            "    // TRUSTED: the register write-out.\n",
+            "    pub fn write_out(&mut self) {\n",
+            "        self.len = 0;\n",
+            "    }\n",
+            "}\n",
+        ),
+    );
+    let json = tree.root.join("fig10.json");
+    let out = tree.run(&["--pass", "tcb", "--json", json.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let doc = fs::read_to_string(&json).expect("json written");
+    assert!(doc.contains("\"name\": \"Kernel.fns\", \"layer\""), "{doc}");
+    let trusted = doc
+        .lines()
+        .find(|l| l.contains("\"name\": \"Kernel.trusted_fns\","))
+        .expect("trusted_fns emitted");
+    assert!(trusted.contains("\"value\": 1}"), "{trusted}");
+    // The coverage pass holds `grow` to its invariant check and lets the
+    // marked `write_out` go.
+    let out = tree.run(&["--pass", "coverage"]);
+    assert!(!out.status.success(), "the doc comment made grow trusted");
+    let stderr = stderr_of(&out);
+    assert!(stderr.contains("grow"), "{stderr}");
+    assert!(!stderr.contains("write_out"), "{stderr}");
+}
+
+#[test]
 fn cache_flags_are_unknown_arguments() {
     for args in [&["--no-cache"][..], &["--cache", "x.bin"]] {
         let out = tt_audit().args(args).output().unwrap();

@@ -24,7 +24,7 @@ use tt_analysis::metrics::{Kind, Report, WALL};
 use tt_hw::platform::{ChipProfile, ALL_CHIPS};
 use tt_kernel::campaign::{replay, CaptureStats, RunnerSlots};
 use tt_kernel::corpus::CorpusRecord;
-use tt_kernel::explore::{bystander_reference, explore, planted, ExploreOutcome, Finding};
+use tt_kernel::explore::{explore, planted, ExploreOutcome, Finding};
 use tt_kernel::pool;
 
 /// One fleet-scale exploration: every chip, clean + seeded baselines.
@@ -84,6 +84,18 @@ impl ExploreFleet {
             (r + o.resimulated, f + o.explored * o.baseline_events)
         });
         resimulated as f64 / full.max(1) as f64
+    }
+
+    /// Events the oracle walked, as a share of the events of the runs it
+    /// checked (what walking each from event 0 would visit). The in-place
+    /// oracle's exact work metric: it skips the rung prefix the reference
+    /// shares and the suffix a rejoined run took from its baseline.
+    pub fn oracle_share(&self) -> f64 {
+        let (walked, events) = self
+            .outcomes
+            .iter()
+            .fold((0, 0), |(w, e), o| (w + o.walked, e + o.checked_events));
+        walked as f64 / events.max(1) as f64
     }
 
     /// Representatives that rejoined their baseline at a rung and took
@@ -203,7 +215,7 @@ pub struct PlantedDemo {
 /// to find the bug), and a control replay of every minimized schedule.
 pub fn planted_demo(chip: &ChipProfile, campaign_seeds: u64) -> PlantedDemo {
     let mut runner = planted::runner(chip);
-    let reference = bystander_reference(&runner.run_plan(None));
+    let reference = runner.clean_reference();
     let seed_failures = (0..campaign_seeds)
         .map(|seed| CorpusRecord {
             seed,
@@ -213,7 +225,7 @@ pub fn planted_demo(chip: &ChipProfile, campaign_seeds: u64) -> PlantedDemo {
         .count();
     let outcome = explore(&mut runner, None, None);
     let mut control = planted::control_runner(chip);
-    let control_reference = bystander_reference(&control.run_plan(None));
+    let control_reference = control.clean_reference();
     let control_failures = explore_records(std::slice::from_ref(&outcome))
         .iter()
         .map(|r| replay(&mut control, &control_reference, r).len())
@@ -334,10 +346,11 @@ pub fn render(fleet: &ExploreFleet, demo: &PlantedDemo) -> String {
     ));
     out.push_str(&format!(
         "ladder: {:.1}% of representatives rejoined their baseline, {:.2} ticks simulated \
-         past the resume rung on average; resimulated share {:.3}\n",
+         past the resume rung on average; resimulated share {:.3}, oracle share {:.3}\n",
         fleet.converged_share() * 100.0,
         fleet.ticks_per_run(),
         fleet.resimulated_share(),
+        fleet.oracle_share(),
     ));
     for f in fleet.failures() {
         out.push_str(&format!("  FINDING {f}\n"));
@@ -388,6 +401,13 @@ pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[Vec<String>
         fleet.resimulated_share(),
     );
     r.add(
+        Kind::Ceiling,
+        "oracle_share",
+        "oracle",
+        "share",
+        fleet.oracle_share(),
+    );
+    r.add(
         Kind::Floor,
         "converged_share",
         "ladder",
@@ -434,6 +454,7 @@ pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[Vec<String>
             .push("every exploration unit was truncated; raise the budget".into());
         r.skip("prune_ratio", "no exploration unit completed");
         r.skip("resimulated_share", "no exploration unit completed");
+        r.skip("oracle_share", "no exploration unit completed");
         r.skip("converged_share", "no exploration unit completed");
     }
     if demo.seed_failures > 0 {
@@ -468,6 +489,7 @@ mod tests {
     const FLOOR: &str = r#"[
         {"metric": "explore.prune_ratio", "kind": "floor", "bound": 2.0, "why": "dpor"},
         {"metric": "explore.resimulated_share", "kind": "ceiling", "bound": 0.1, "why": "ladder"},
+        {"metric": "explore.oracle_share", "kind": "ceiling", "bound": 0.097, "why": "oracle"},
         {"metric": "explore.converged_share", "kind": "floor", "bound": 0.9, "why": "rejoin"}
     ]"#;
 

@@ -89,6 +89,13 @@ pub fn default_components(workspace_root: &Path) -> Vec<ComponentSpec> {
     ]
 }
 
+/// Whether `line` is a `// TRUSTED:` marker: its trimmed text starts
+/// with the marker. A comment that only mentions the marker (a doc line
+/// about it, say) marks nothing.
+pub fn is_trusted_marker(line: &str) -> bool {
+    line.trim_start().starts_with("// TRUSTED:")
+}
+
 /// Scans a single Rust source string.
 ///
 /// Heuristics: comment-only and blank lines are not source; everything from
@@ -111,9 +118,7 @@ pub fn scan_source(text: &str) -> EffortCounts {
             || trimmed.starts_with("/*")
             || trimmed.starts_with('*')
         {
-            if trimmed.contains("TRUSTED:") {
-                pending_trusted = true;
-            }
+            pending_trusted |= is_trusted_marker(trimmed);
             continue;
         }
         counts.source_loc += 1;

@@ -31,6 +31,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::effort::is_trusted_marker;
+
 /// A source location in workspace-relative form, printable as `file:line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
@@ -815,12 +817,7 @@ pub fn scan_text(rel_path: &str, text: &str) -> ScannedFile {
     let mut open: Vec<(String, usize, bool, bool, bool, i64)> = Vec::new();
     let mut pending_trusted = false;
     for (idx, cl) in code.iter().enumerate() {
-        let raw_line = raw[idx].trim();
-        if (raw_line.starts_with("//") || raw_line.starts_with("/*") || raw_line.starts_with('*'))
-            && raw_line.contains("TRUSTED:")
-        {
-            pending_trusted = true;
-        }
+        pending_trusted |= is_trusted_marker(&raw[idx]);
         let mut fn_at = None;
         while let Some(&(line, at)) = fn_tokens.peek().filter(|&&(line, _)| line <= idx) {
             fn_at = fn_at.or((line == idx).then_some(at));

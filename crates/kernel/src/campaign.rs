@@ -22,7 +22,8 @@
 //! [`StreamVerdict`]), whether the walk ran in place over the undrained
 //! trace ring or over a drained record.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -415,6 +416,13 @@ pub struct RunPhases {
     /// Trace events taken from the ladder after the run rejoined it: the
     /// part of the run past the rejoin point that was not simulated.
     pub rejoined_events: usize,
+    /// Raw events the oracle's in-place pass/fail walk visited (zero for
+    /// runs checked against no reference). A walk from event 0 visits
+    /// [`StreamVerdict::events`]; this one skips the rung prefix the
+    /// reference shares and, for a rejoined run whose cut held, the
+    /// baseline suffix it took as clean. A slice compare counts every
+    /// event; the failure path's divergence walks are not counted.
+    pub walked: usize,
     /// Ticks simulated past the resumed rung.
     pub ticks: u64,
 }
@@ -432,10 +440,13 @@ struct Ladder {
     rungs: Vec<Checkpoint>,
     /// The oracle's cursor offsets for each rung's trace prefix.
     skips: Vec<PrefixSkip>,
-    /// The last reference `trace` was compared with: its id and the
-    /// number of leading raw events of `trace` whose observable
-    /// projection is a prefix of the reference's observable stream.
-    shared: Cell<Option<(u64, usize)>>,
+    /// The last reference `trace`'s prefix was compared with: its id and
+    /// how far the two agree from the start.
+    shared: Cell<Option<(u64, Shared)>>,
+    /// The last reference `trace`'s suffix was compared with: its id and
+    /// where the two agree to the end. Computed on the first rejoined
+    /// run checked, so runs that never rejoin pay nothing.
+    suffix: Cell<Option<(u64, Suffix)>>,
     /// Clean rungs the baseline shares before its own rungs start: the
     /// baseline is the clean run up to clean rung `joins - 1` (0 for the
     /// clean ladder itself).
@@ -500,6 +511,39 @@ impl Ladder {
         .then_some(rung)
     }
 
+    /// How far this ladder's trace agrees with `reference` from the
+    /// start, walked once per ladder and reference.
+    fn shared(&self, reference: &Reference) -> Shared {
+        if let Some((_, shared)) = self.shared.get().filter(|&(id, _)| id == reference.id) {
+            return shared;
+        }
+        let mut full = reference.full.iter();
+        let mut cursor = [0; BYSTANDERS];
+        let shared = Shared {
+            full: self
+                .trace
+                .iter()
+                .take_while(|ev| observable_event(ev).is_none_or(|o| full.next() == Some(&o)))
+                .count(),
+            bystanders: self
+                .trace
+                .iter()
+                .take_while(|ev| {
+                    let Some(b) = event_pid(ev).and_then(bystander) else {
+                        return true;
+                    };
+                    observable_event(ev).is_none_or(|o| {
+                        let hit = reference.by_pid[b].get(cursor[b]) == Some(&o);
+                        cursor[b] += 1;
+                        hit
+                    })
+                })
+                .count(),
+        };
+        self.shared.set(Some((reference.id, shared)));
+        shared
+    }
+
     /// Rung `index`'s cursor offsets if its prefix projects onto a prefix
     /// of `reference`'s observable stream (no offsets otherwise). Restore
     /// installs prefixes of `trace` only, so one walk per ladder and
@@ -508,24 +552,94 @@ impl Ladder {
     /// runner's `RegWrite`s against a warm reference) do not stop the
     /// skip.
     fn skip(&self, index: usize, reference: &Reference) -> PrefixSkip {
-        let shared = match self.shared.get() {
-            Some((id, n)) if id == reference.id => n,
-            _ => {
-                let mut full = reference.full.iter();
-                let n = self
-                    .trace
-                    .iter()
-                    .take_while(|ev| observable_event(ev).is_none_or(|o| full.next() == Some(&o)))
-                    .count();
-                self.shared.set(Some((reference.id, n)));
-                n
-            }
-        };
-        match self.rungs[index].trace_len <= shared {
+        match self.rungs[index].trace_len <= self.shared(reference).full {
             true => self.skips[index],
             false => PrefixSkip::default(),
         }
     }
+
+    /// [`Ladder::skip`] for a perturbed run, which is held to the
+    /// bystander streams only: rung `index`'s cursor offsets if each
+    /// bystander's projection of its prefix is a prefix of that
+    /// bystander's reference stream, whatever the victim did in it. Only
+    /// the offsets' `by` half is meaningful then.
+    fn bystander_skip(&self, index: usize, reference: &Reference) -> PrefixSkip {
+        match self.rungs[index].trace_len <= self.shared(reference).bystanders {
+            true => self.skips[index],
+            false => PrefixSkip::default(),
+        }
+    }
+
+    /// The cursor offsets of the baseline's prefix up to its rung at
+    /// `ticks` ([`Ladder::rung_at`]): the clean ladder's up to the rungs
+    /// it shares, its own past them.
+    fn cursor_at(&self, clean: &Ladder, ticks: u64) -> PrefixSkip {
+        let at = ticks as usize;
+        match at.checked_sub(self.joins) {
+            Some(own) => self.skips[own],
+            None => clean.skips[at],
+        }
+    }
+
+    /// Where this ladder's observable streams start to agree with
+    /// `reference`'s to the end, walked backwards once per ladder and
+    /// reference.
+    fn suffix(&self, reference: &Reference) -> Suffix {
+        if let Some((_, suffix)) = self.suffix.get().filter(|&(id, _)| id == reference.id) {
+            return suffix;
+        }
+        let suffix = Suffix::of(&self.trace, reference);
+        self.suffix.set(Some((reference.id, suffix)));
+        suffix
+    }
+}
+
+/// How far a ladder's trace agrees with one reference from the start,
+/// in leading raw events.
+#[derive(Debug, Clone, Copy)]
+struct Shared {
+    /// Leading raw events whose observable projection is a prefix of the
+    /// reference's whole observable stream.
+    full: usize,
+    /// Leading raw events whose projection onto each bystander is a
+    /// prefix of that bystander's reference stream (at least `full`).
+    bystanders: usize,
+}
+
+/// Where a ladder's observable streams start to agree with one
+/// reference's to the end: per stream, the least cursor `k` at which
+/// the baseline's stream from `k` on equals the reference's from `k` on
+/// ([`agrees_from`]).
+#[derive(Debug, Clone, Copy)]
+struct Suffix {
+    /// The whole observable stream's.
+    full: Option<usize>,
+    /// Each bystander stream's, in pid order.
+    by: [Option<usize>; BYSTANDERS],
+}
+
+impl Suffix {
+    /// The agreement points of `trace`'s observable streams with
+    /// `reference`'s: one backward compare per stream.
+    fn of(trace: &[TraceEvent], reference: &Reference) -> Suffix {
+        let (full, by_pid) = observable_streams(trace);
+        Suffix {
+            full: agrees_from(&full, &reference.full),
+            by: std::array::from_fn(|b| agrees_from(&by_pid[b], &reference.by_pid[b])),
+        }
+    }
+}
+
+/// The least `k` with `own[k..] == reference[k..]`, or `None` when the
+/// streams differ in length (no cursor then reaches both ends at once).
+fn agrees_from(own: &[TraceEvent], reference: &[TraceEvent]) -> Option<usize> {
+    let equal_tail = own
+        .iter()
+        .rev()
+        .zip(reference.iter().rev())
+        .take_while(|(a, b)| a == b)
+        .count();
+    (own.len() == reference.len()).then(|| own.len() - equal_tail)
 }
 
 /// Where a rung sits: the clean or the seeded ladder, and its index.
@@ -596,7 +710,8 @@ fn own_ladder<'a>(
 /// clean ladder's) or under P (the seeded ladder's, clean rungs it
 /// shares included) stops at the first tick boundary past its last
 /// arrival where the machine equals the baseline's rung, and takes the
-/// rest of the run from the ladder ([`Ladder::rejoin`]).
+/// rest of the run from the ladder (`Ladder::rejoin` lists the
+/// conditions).
 ///
 /// Every resumed run is byte-identical to the run from boot (gated by
 /// the equivalence tests). Every run goes through one private run body
@@ -626,6 +741,8 @@ pub struct FleetRunner {
     seeded: Option<Ladder>,
     /// The rung the live machine was last restored to.
     at: RungId,
+    /// The oracle's reference reduced from the clean ladder's trace, once.
+    reference: OnceCell<Rc<Reference>>,
     /// Wall-clock nanoseconds spent booting and capturing the clean
     /// ladder, for the profiler's amortization line.
     capture_ns: u64,
@@ -692,11 +809,13 @@ impl FleetRunner {
                 rungs: vec![boot_rung],
                 skips: vec![boot_skip],
                 shared: Cell::new(None),
+                suffix: Cell::new(None),
                 joins: 0,
                 finish: None,
             },
             seeded: None,
             at: RungId::BOOT,
+            reference: OnceCell::new(),
             capture_ns: 0,
         };
         runner.capture(None);
@@ -721,6 +840,18 @@ impl FleetRunner {
     /// its clean ladder (amortized over every run it serves).
     pub fn capture_ns(&self) -> u64 {
         self.capture_ns
+    }
+
+    /// The oracle [`Reference`] of this runner's clean run, reduced from
+    /// the clean ladder's trace on first use and shared by every later
+    /// caller. The clean ladder's trace is the clean run's, so this is
+    /// [`crate::explore::bystander_reference`] of
+    /// [`FleetRunner::run_plan`]`(None)` without running it.
+    pub fn clean_reference(&self) -> Rc<Reference> {
+        let reference = self
+            .reference
+            .get_or_init(|| Rc::new(Reference::new(self.clean.trace.clone())));
+        Rc::clone(reference)
     }
 
     /// The latest clean rung a run under `plan` and `schedule` may
@@ -870,6 +1001,7 @@ impl FleetRunner {
                 self.clean.rungs.extend(rungs);
                 self.clean.skips.extend(skips);
                 self.clean.shared.set(None);
+                self.clean.suffix.set(None);
                 self.clean.finish = finish;
             }
             Some(_) => {
@@ -879,6 +1011,7 @@ impl FleetRunner {
                     rungs,
                     skips,
                     shared: Cell::new(None),
+                    suffix: Cell::new(None),
                     joins: start.index + 1,
                     finish,
                 });
@@ -941,7 +1074,9 @@ impl FleetRunner {
     /// past the rung. Any other run goes to its end in one call. Without a `reference`
     /// the trace is drained into the record. With one, the oracle walks
     /// the undrained ring in place — skipping the rung's prefix where the
-    /// reference shares it ([`Ladder::skip`]) — the ring is cleared
+    /// reference shares it ([`Ladder::skip`], [`Ladder::bystander_skip`])
+    /// and a rejoined run's suffix where the baseline's is clean
+    /// ([`Reference::walk_cut`]) — the ring is cleared
     /// instead of drained, and the verdict rides in
     /// [`RunRecord::oracle`]. The rung's violations are prepended, so a
     /// resumed run reports exactly what the equivalent fresh run would.
@@ -994,7 +1129,7 @@ impl FleetRunner {
             0
         };
         let mut violations = rung.violations.clone();
-        let mut rejoined_events = 0;
+        let (mut rejoined_events, mut live) = (0, 0);
         let ticks = self.kernel.ticks - rung.ticks;
         // Taking the rest of the run from the baseline: its trace suffix
         // behind the live prefix, its cycles past the rung, its
@@ -1005,6 +1140,7 @@ impl FleetRunner {
                 .as_ref()
                 .expect("a rejoined ladder has its finish");
             let suffix = &baseline.trace[joined.trace_len..];
+            live = trace::with_events(|head, tail, _| head.len() + tail.len());
             trace::extend(suffix);
             rejoined_events = suffix.len();
             let now = tt_hw::cycles::now();
@@ -1016,10 +1152,17 @@ impl FleetRunner {
         });
         let t2 = Instant::now();
         let oracle = reference.map(|r| {
-            trace::with_events(|head, tail, _| {
-                let skip = ladder.skip(to.index, r);
-                r.walk(head, tail, unperturbed(fired, irq_fired), skip)
-            })
+            let unperturbed = unperturbed(fired, irq_fired);
+            let skip = match unperturbed {
+                true => ladder.skip(to.index, r),
+                false => ladder.bystander_skip(to.index, r),
+            };
+            let cut = rejoined.map(|(baseline, joined)| Cut {
+                live,
+                at: baseline.cursor_at(clean, joined.ticks),
+                suffix: baseline.suffix(r),
+            });
+            trace::with_events(|head, tail, _| r.walk_cut(head, tail, unperturbed, skip, cut))
         });
         let t3 = Instant::now();
         let drained = if oracle.is_some() {
@@ -1039,7 +1182,8 @@ impl FleetRunner {
             record.recoveries = end.recoveries;
             record.recovery_cycles = end.recovery_cycles;
         }
-        record.oracle = oracle;
+        let walked = oracle.as_ref().map_or(0, |&(_, walked)| walked);
+        record.oracle = oracle.map(|(verdict, _)| verdict);
         let phases = RunPhases {
             restore_ns: (t1 - t0).as_nanos() as u64,
             run_ns: (t2 - t1).as_nanos() as u64,
@@ -1049,6 +1193,7 @@ impl FleetRunner {
             resumed_events: rung.trace_len,
             rejoined: taken.is_some(),
             rejoined_events,
+            walked,
             ticks,
         };
         (record, phases)
@@ -1167,8 +1312,8 @@ impl<'a> RunnerSlots<'a> {
 /// compares against. The campaign builds one per chip from a fresh boot
 /// and shares it read-only by every unit of that chip — observable
 /// traces are cache-independent, so one reference serves both cache
-/// modes. The explorer builds one from a restored runner's clean run
-/// ([`crate::explore::bystander_reference`]).
+/// modes. The explorer uses its runner's own, reduced once from the
+/// clean ladder's trace ([`FleetRunner::clean_reference`]).
 #[derive(Debug, Clone)]
 pub struct Reference {
     /// Unique per reference (clones share it: same contents), so a
@@ -1260,34 +1405,35 @@ fn unperturbed(fired: u64, irq_fired: u64) -> bool {
 }
 
 /// Cursor walk over the whole observable stream, starting `start` events
-/// into the reference (the verified prefix's contribution).
-fn full_stream_matches<'a>(
+/// into the reference (the verified prefix's contribution): the cursor
+/// past `events` if every observable one matched the reference there.
+fn full_stream_cursor<'a>(
     events: impl Iterator<Item = &'a TraceEvent>,
     reference: &[TraceEvent],
     start: usize,
-) -> bool {
+) -> Option<usize> {
     let mut cursor = start;
     for ev in events {
         let Some(obs) = observable_event(ev) else {
             continue;
         };
         if reference.get(cursor) != Some(&obs) {
-            return false;
+            return None;
         }
         cursor += 1;
     }
-    cursor == reference.len()
+    Some(cursor)
 }
 
 /// Cursor walk over the per-bystander observable streams, likewise. The
 /// victim's events are the bulk of a fired trace: filter on the raw
 /// event's pid (the observable projection masks values, never pids)
 /// before paying for the projection itself.
-fn bystander_streams_match<'a>(
+fn bystander_cursors<'a>(
     events: impl Iterator<Item = &'a TraceEvent>,
     reference: &[Vec<TraceEvent>; BYSTANDERS],
     start: [usize; BYSTANDERS],
-) -> bool {
+) -> Option<[usize; BYSTANDERS]> {
     let mut cursor = start;
     for ev in events {
         let Some(b) = event_pid(ev).and_then(bystander) else {
@@ -1297,11 +1443,37 @@ fn bystander_streams_match<'a>(
             continue;
         };
         if reference[b].get(cursor[b]) != Some(&obs) {
-            return false;
+            return None;
         }
         cursor[b] += 1;
     }
-    cursor.iter().zip(reference).all(|(&c, r)| c == r.len())
+    Some(cursor)
+}
+
+/// Where a rejoined run stopped being simulated: the live ring's length
+/// before the baseline's suffix was appended to it, the baseline's
+/// cursor offsets at the rung the run rejoined, and where the
+/// baseline's streams agree with the reference to the end.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    live: usize,
+    at: PrefixSkip,
+    suffix: Suffix,
+}
+
+impl Cut {
+    /// Whether the baseline's streams a run is held to (the whole one if
+    /// `unperturbed`, else the bystanders') agree with the reference's
+    /// from the rung to the end. A run whose cursors stand where the
+    /// baseline's stood at the rung then continues each stream with the
+    /// reference's own events, to its end: the appended suffix is clean.
+    fn suffix_clean(&self, unperturbed: bool) -> bool {
+        let agrees = |from: Option<usize>, at: usize| from.is_some_and(|k| k <= at);
+        match unperturbed {
+            true => agrees(self.suffix.full, self.at.full),
+            false => (0..BYSTANDERS).all(|b| agrees(self.suffix.by[b], self.at.by[b])),
+        }
+    }
 }
 
 /// The first divergence of one observable stream from its reference —
@@ -1330,16 +1502,23 @@ fn first_divergence<'a>(
     }
 }
 
+/// A raw trace's whole observable stream and each bystander's, in pid
+/// order.
+fn observable_streams(raw: &[TraceEvent]) -> (Vec<TraceEvent>, [Vec<TraceEvent>; BYSTANDERS]) {
+    let full = normalize(raw, TraceScope::Observable);
+    let by_pid = std::array::from_fn(|b| {
+        full.iter()
+            .filter(|e| event_pid(e).and_then(bystander) == Some(b))
+            .copied()
+            .collect()
+    });
+    (full, by_pid)
+}
+
 impl Reference {
     /// Reduces a reference run's raw trace to the oracle's streams.
     pub(crate) fn new(raw: Vec<TraceEvent>) -> Self {
-        let full = normalize(&raw, TraceScope::Observable);
-        let by_pid = std::array::from_fn(|b| {
-            full.iter()
-                .filter(|e| event_pid(e).and_then(bystander) == Some(b))
-                .copied()
-                .collect()
-        });
+        let (full, by_pid) = observable_streams(&raw);
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Self {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
@@ -1366,9 +1545,9 @@ impl Reference {
     ///   is clean: one slice compare instead of a projection walk.
     ///   Inequality implies nothing and falls through.
     /// - A run resumed from a rung the reference shares
-    ///   ([`Ladder::skip`]) starts its walk after the installed prefix,
-    ///   with the cursors pre-advanced by the prefix's precomputed
-    ///   contribution.
+    ///   ([`Ladder::skip`], or [`Ladder::bystander_skip`] for a perturbed
+    ///   run) starts its walk after the installed prefix, with the
+    ///   cursors pre-advanced by the prefix's precomputed contribution.
     /// - An unperturbed run walks the whole observable stream only. The
     ///   bystander streams are pid-filters of it, so its equality
     ///   subsumes theirs; they are walked only after it diverged.
@@ -1379,35 +1558,75 @@ impl Reference {
         unperturbed: bool,
         skip: PrefixSkip,
     ) -> StreamVerdict {
+        self.walk_cut(head, tail, unperturbed, skip, None).0
+    }
+
+    /// [`Reference::walk`] with one more exact fast path, and the count
+    /// of raw events the pass/fail walk visited ([`RunPhases::walked`];
+    /// a slice compare counts every event).
+    ///
+    /// A run that rejoined its baseline carries its `cut`. Its walk stops
+    /// at the end of the simulated part if the baseline's streams the run
+    /// is held to agree with the reference from the rejoined rung to the
+    /// end ([`Cut::suffix_clean`]), and the walk's cursors there equal
+    /// the baseline's at that rung: the appended suffix then continues
+    /// every stream with the reference's own events, so walking it could
+    /// only match. Any other run, and a cut refused either way, is walked
+    /// whole, as [`Reference::walk`] walks it.
+    fn walk_cut(
+        &self,
+        head: &[TraceEvent],
+        tail: &[TraceEvent],
+        unperturbed: bool,
+        skip: PrefixSkip,
+        cut: Option<Cut>,
+    ) -> (StreamVerdict, usize) {
         let mut verdict = StreamVerdict {
             events: head.len() + tail.len(),
             ..StreamVerdict::default()
         };
-        if unperturbed
-            && verdict.events == self.raw.len()
-            && *head == self.raw[..head.len()]
-            && *tail == self.raw[head.len()..]
-        {
-            return verdict;
-        }
         // A wrapped ring (non-empty tail) lost its prefix: walk it all.
         let skip = match tail.is_empty() && skip.raw <= head.len() {
             true => skip,
             false => PrefixSkip::default(),
         };
+        let mut walked = 0;
+        let cut = cut.filter(|c| tail.is_empty() && (skip.raw..=head.len()).contains(&c.live));
+        if let Some(cut) = cut.filter(|c| c.suffix_clean(unperturbed)) {
+            let live = &head[skip.raw..cut.live];
+            walked += live.len();
+            let at_rung = match unperturbed {
+                true => full_stream_cursor(live.iter(), &self.full, skip.full) == Some(cut.at.full),
+                false => bystander_cursors(live.iter(), &self.by_pid, skip.by) == Some(cut.at.by),
+            };
+            if at_rung {
+                return (verdict, walked);
+            }
+        }
+        if unperturbed && verdict.events == self.raw.len() {
+            walked += verdict.events;
+            if *head == self.raw[..head.len()] && *tail == self.raw[head.len()..] {
+                return (verdict, walked);
+            }
+        }
         let rest = &head[skip.raw..];
+        walked += rest.len() + tail.len();
+        let end = self.full.len();
+        let ends = std::array::from_fn(|b| self.by_pid[b].len());
         // The tail is empty unless the ring wrapped: keep the common case
         // on a plain slice iterator.
         let clean = match (unperturbed, tail.is_empty()) {
-            (true, true) => full_stream_matches(rest.iter(), &self.full, skip.full),
-            (true, false) => full_stream_matches(rest.iter().chain(tail), &self.full, skip.full),
-            (false, true) => bystander_streams_match(rest.iter(), &self.by_pid, skip.by),
+            (true, true) => full_stream_cursor(rest.iter(), &self.full, skip.full) == Some(end),
+            (true, false) => {
+                full_stream_cursor(rest.iter().chain(tail), &self.full, skip.full) == Some(end)
+            }
+            (false, true) => bystander_cursors(rest.iter(), &self.by_pid, skip.by) == Some(ends),
             (false, false) => {
-                bystander_streams_match(rest.iter().chain(tail), &self.by_pid, skip.by)
+                bystander_cursors(rest.iter().chain(tail), &self.by_pid, skip.by) == Some(ends)
             }
         };
         if clean {
-            return verdict;
+            return (verdict, walked);
         }
         let events = || rest.iter().chain(tail);
         if unperturbed {
@@ -1424,7 +1643,7 @@ impl Reference {
                 .find(|e| matches!(e, TraceEvent::FaultInjected { .. }))
                 .copied();
         }
-        verdict
+        (verdict, walked)
     }
 
     /// [`Reference::walk`] over a drained record's trace.
@@ -2440,6 +2659,112 @@ mod tests {
         assert!(diff.contains("irq_fired"), "{diff}");
     }
 
+    /// Four observable events of bystander pid1, in reference order, and
+    /// one it never emits.
+    const PID1: [TraceEvent; 4] = [
+        TraceEvent::MpuCommit { pid: 1 },
+        TraceEvent::ProcessRestart { pid: 1 },
+        TraceEvent::ProcessFault { pid: 1 },
+        TraceEvent::ProcessKill { pid: 1 },
+    ];
+    const STRAY: TraceEvent = TraceEvent::ProcessLoad { pid: 1 };
+
+    /// A synthetic rejoined run checked both ways: the walk with the cut
+    /// a baseline with `rung` prefix events would give it at `live`, and
+    /// the walk from event 0. Both verdicts must agree; returns the
+    /// verdict and the cut walk's event count.
+    fn cut_walk(
+        reference: &Reference,
+        baseline: &[TraceEvent],
+        rung: usize,
+        run: &[TraceEvent],
+        live: usize,
+        unperturbed: bool,
+    ) -> (StreamVerdict, usize) {
+        let cut = Cut {
+            live,
+            at: PrefixSkip::default().advance(&baseline[..rung]),
+            suffix: Suffix::of(baseline, reference),
+        };
+        let (verdict, walked) =
+            reference.walk_cut(run, &[], unperturbed, PrefixSkip::default(), Some(cut));
+        assert_eq!(
+            verdict,
+            reference.walk(run, &[], unperturbed, PrefixSkip::default()),
+            "unperturbed {unperturbed}: the cut changed the verdict"
+        );
+        (verdict, walked)
+    }
+
+    #[test]
+    fn a_cut_takes_a_clean_suffix_without_walking_it() {
+        let reference = Reference::new(PID1.to_vec());
+        for unperturbed in [true, false] {
+            let (verdict, walked) = cut_walk(&reference, &PID1, 2, &PID1, 2, unperturbed);
+            assert_eq!(
+                verdict,
+                StreamVerdict {
+                    events: 4,
+                    ..StreamVerdict::default()
+                }
+            );
+            assert_eq!(walked, 2, "unperturbed {unperturbed}");
+        }
+    }
+
+    #[test]
+    fn a_cut_whose_cursor_differs_from_the_rungs_falls_back() {
+        // The run dropped pid1's second event before rejoining after two
+        // baseline events: its cursor stands at 1, the rung's at 2, and
+        // the suffix it took lands one event early in the reference.
+        let reference = Reference::new(PID1.to_vec());
+        let run = [PID1[0], PID1[2], PID1[3]];
+        for unperturbed in [true, false] {
+            let (verdict, walked) = cut_walk(&reference, &PID1, 2, &run, 1, unperturbed);
+            let diverged = match unperturbed {
+                true => verdict.full.as_ref(),
+                false => verdict.bystanders[0].as_ref(),
+            };
+            let diverged = diverged.expect("the suffix is misplaced");
+            assert_eq!(diverged.index, 1);
+            assert_eq!(
+                (diverged.left, diverged.right),
+                (Some(PID1[1]), Some(PID1[2]))
+            );
+            assert!(
+                walked > 1,
+                "unperturbed {unperturbed}: the suffix went unwalked"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cut_whose_baseline_suffix_differs_from_the_reference_falls_back() {
+        // The run stands where the baseline stood at its rung, but the
+        // baseline itself left the reference past the rung: the suffix it
+        // hands the run is not the reference's, so equal cursors alone do
+        // not make it clean.
+        let reference = Reference::new(PID1.to_vec());
+        let baseline = [PID1[0], PID1[1], STRAY, PID1[3]];
+        for unperturbed in [true, false] {
+            let (verdict, _) = cut_walk(&reference, &baseline, 2, &baseline, 2, unperturbed);
+            let diverged = match unperturbed {
+                true => verdict.full.as_ref(),
+                false => verdict.bystanders[0].as_ref(),
+            };
+            let diverged = diverged.expect("the suffix strays");
+            assert_eq!(diverged.index, 2);
+            assert_eq!(
+                (diverged.left, diverged.right),
+                (Some(PID1[2]), Some(STRAY))
+            );
+        }
+        // A baseline stream longer than the reference's agrees nowhere.
+        let longer = [PID1.as_slice(), &[STRAY]].concat();
+        assert_eq!(Suffix::of(&longer, &reference).by[0], None);
+        assert_eq!(Suffix::of(&baseline, &reference).by[0], Some(3));
+    }
+
     proptest! {
         #[test]
         fn restored_runs_match_fresh_boots_for_arbitrary_units(
@@ -3206,6 +3531,93 @@ mod ladder_tests {
             injection::disarm();
             trace::disable();
             assert_eq!(equal, what == "nothing", "{what}");
+        }
+    }
+
+    #[test]
+    fn the_runners_clean_reference_is_its_clean_runs() {
+        for chip in &ALL_CHIPS {
+            for cold in [false, true] {
+                let body = || {
+                    let mut runner = FleetRunner::new(chip);
+                    let reference = runner.clean_reference();
+                    let clean = runner.run_plan(None);
+                    assert_eq!(
+                        reference.raw, clean.trace.events,
+                        "{} cold {cold}",
+                        chip.name
+                    );
+                    assert!(Rc::ptr_eq(&reference, &runner.clean_reference()));
+                };
+                match cold {
+                    true => tt_hw::commit_cache::with_disabled(body),
+                    false => body(),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn perturbed_runs_skip_rungs_past_the_victims_divergence() {
+        // A seeded ladder whose injection changes the whole observable
+        // stream mid-run loses its whole-stream skips past the divergence;
+        // its bystander streams still agree with the reference, so a
+        // perturbed run keeps every rung's bystander offsets.
+        let mut runner = FleetRunner::new(&NRF52840DK);
+        let reference = runner.clean_reference();
+        let split = (0..64).find(|&seed| {
+            runner.capture_ladder(Some(InjectionPlan::from_seed(seed, VICTIM as u32)));
+            let seeded = runner.seeded.as_ref().expect("seeded ladder");
+            let lost = (0..seeded.rungs.len())
+                .filter(|&i| seeded.skip(i, &reference) != seeded.skips[i])
+                .count();
+            for (i, &own) in seeded.skips.iter().enumerate() {
+                assert_eq!(
+                    seeded.bystander_skip(i, &reference),
+                    own,
+                    "seed {seed} rung {i}"
+                );
+            }
+            lost > 0
+        });
+        assert!(split.is_some(), "no seed diverges mid-ladder");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The oracle's cut is exact: a representative of any unit,
+        /// checked in place against the runner's clean reference (its rung
+        /// prefix skipped and, where it rejoined its baseline, the suffix
+        /// it took left unwalked) gets the verdict of the same schedule
+        /// run from boot and walked from event 0.
+        #[test]
+        fn rejoined_verdicts_match_walks_of_fresh_boots(
+            chip_idx in 0usize..ALL_CHIPS.len(),
+            seed in prop_oneof![Just(None::<u64>), (0u64..200).prop_map(Some)],
+            pick in 0usize..1 << 20,
+        ) {
+            let (chip, seed): (&ChipProfile, Option<u64>) = (&ALL_CHIPS[chip_idx], seed);
+            let plan = seed.map(|s| InjectionPlan::from_seed(s, VICTIM as u32));
+            let mut runner = FleetRunner::new(chip);
+            let (baseline, _, _) = runner.capture_ladder(plan.clone());
+            let candidates = enumerate_candidates(&baseline.trace.events, runner.boot_events());
+            let classes = commuting_classes(&baseline.trace.events, &candidates);
+            let schedule = classes[pick % classes.len()][0].schedule();
+            let reference = runner.clean_reference();
+            let (checked, phases) = runner.run(plan, Some(&schedule), Some(&reference));
+            let fresh = run_one_scheduled(chip, seed, Some(&schedule));
+            let streams = checked.oracle.expect("checked in place");
+            prop_assert_eq!(
+                &streams,
+                &reference.walk_record(&fresh),
+                "{} seed {:?} schedule {:#x}", chip.name, seed, schedule.id()
+            );
+            if phases.rejoined {
+                prop_assert!(
+                    phases.walked + phases.rejoined_events <= streams.events,
+                    "the cut was refused: walked {} of {}", phases.walked, streams.events
+                );
+            }
         }
     }
 

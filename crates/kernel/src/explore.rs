@@ -20,7 +20,15 @@
 //! violations, bystander [`TraceScope::Observable`] streams
 //! byte-identical to the uninterrupted reference, convergence within the
 //! restart cap, and — for a run in which nothing fired — an exact replay
-//! of the reference.
+//! of the reference. The reference is the runner's own clean run,
+//! reduced once per runner ([`FleetRunner::clean_reference`]). The
+//! check walks only the part of a run the representative simulated. It
+//! skips the rung prefix the reference shares; for a run in which
+//! something fired, only the bystander streams have to share it. It
+//! stops where the run rejoined its baseline if the baseline's suffix
+//! continues the reference from there. So it visits about 7% of each
+//! run's events ([`ExploreOutcome::walked`], `DESIGN.md` §16), and every
+//! verdict equals a walk from event 0.
 //!
 //! # Candidate enumeration
 //!
@@ -335,6 +343,15 @@ pub struct ExploreOutcome {
     /// Ticks the representatives simulated past the rung they resumed
     /// from, summed.
     pub ticks: u64,
+    /// Raw events of the representatives' runs, boot prefix included:
+    /// what the oracle would walk checking each from event 0.
+    pub checked_events: usize,
+    /// Of those, the events the oracle walked
+    /// ([`crate::campaign::RunPhases::walked`]):
+    /// each representative's run less the rung prefix the reference
+    /// shares and, where it rejoined the baseline, the suffix taken from
+    /// the ladder.
+    pub walked: usize,
 }
 
 impl ExploreOutcome {
@@ -394,12 +411,9 @@ pub fn explore(runner: &mut FleetRunner, seed: Option<u64>, cap: Option<usize>) 
     let chip = *runner.chip();
     let plan = seed.map(|s| InjectionPlan::from_seed(s, VICTIM as u32));
     let (baseline, rungs, capture_ns) = runner.capture_ladder(plan.clone());
-    // The oracle reference is always the uninjected, uninterrupted run.
-    let reference = if seed.is_some() {
-        bystander_reference(&runner.run_plan(None))
-    } else {
-        bystander_reference(&baseline)
-    };
+    // The oracle reference is always the uninjected, uninterrupted run:
+    // the runner's own, reduced once from its clean ladder.
+    let reference = runner.clean_reference();
     let boot = runner.boot_events();
     let candidates = enumerate_candidates(&baseline.trace.events, boot);
     let classes = commuting_classes(&baseline.trace.events, &candidates);
@@ -418,7 +432,7 @@ pub fn explore(runner: &mut FleetRunner, seed: Option<u64>, cap: Option<usize>) 
         let streams = run.oracle.as_ref().expect("the run body checked the run");
         let failures = check_run(&chip, Label::Schedule(schedule.id()), &run, streams);
         let resimulated = streams.events - phases.resumed_events - phases.rejoined_events;
-        (run.irq_fired, resimulated, phases, failures)
+        (run.irq_fired, resimulated, streams.events, phases, failures)
     };
     for class in &classes {
         if cap.is_some_and(|c| outcome.explored >= c) {
@@ -428,14 +442,16 @@ pub fn explore(runner: &mut FleetRunner, seed: Option<u64>, cap: Option<usize>) 
         outcome.explored += 1;
         outcome.pruned += class.len() - 1;
         let schedule = class[0].schedule();
-        let (irq_fired, resimulated, phases, failures) = check(runner, &schedule);
+        let (irq_fired, resimulated, events, phases, failures) = check(runner, &schedule);
         outcome.resimulated += resimulated;
+        outcome.checked_events += events;
+        outcome.walked += phases.walked;
         outcome.converged += usize::from(phases.rejoined);
         outcome.ticks += phases.ticks;
         if failures.is_empty() {
             continue;
         }
-        let minimized = shrink_schedule(&schedule, |s| !check(runner, s).3.is_empty());
+        let minimized = shrink_schedule(&schedule, |s| !check(runner, s).4.is_empty());
         outcome.findings.push(Finding {
             schedule: schedule.id(),
             minimized: minimized.id(),
