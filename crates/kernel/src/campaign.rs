@@ -20,7 +20,9 @@
 //! goes through the [`FleetRunner`]'s single run body, and every failure
 //! line comes from one check over one streaming walk ([`Reference`],
 //! [`StreamVerdict`]), whether the walk ran in place over the undrained
-//! trace ring or over a drained record.
+//! trace ring or over a drained record. The body has one loop over tick
+//! boundaries, which also captures the runner's checkpoint ladders;
+//! every ladder lists its rungs from boot.
 
 use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
@@ -427,17 +429,19 @@ pub struct RunPhases {
     pub ticks: u64,
 }
 
-/// A checkpoint ladder: the rungs one baseline run passed, in tick
-/// order, over the trace they were captured along.
+/// A checkpoint ladder: the rungs one baseline run passed, one per tick
+/// boundary from boot, over the trace they were captured along.
 struct Ladder {
-    /// The plan the rungs were captured under; `None` for the clean
-    /// ladder, captured under the empty counting plan.
+    /// The plan the baseline ran under; `None` for the clean ladder,
+    /// captured under the empty counting plan.
     plan: Option<InjectionPlan>,
     /// The baseline's trace: each rung's prefix is its first
     /// `trace_len` events.
     trace: Vec<TraceEvent>,
-    /// One checkpoint per tick boundary the capture pass reached.
-    rungs: Vec<Checkpoint>,
+    /// One checkpoint per tick boundary the baseline reached, from boot:
+    /// rung `i` stands at tick `i`. A seeded ladder shares the clean
+    /// ladder's rungs up to the one its capture pass resumed from.
+    rungs: Vec<Rc<Checkpoint>>,
     /// The oracle's cursor offsets for each rung's trace prefix.
     skips: Vec<PrefixSkip>,
     /// The last reference `trace`'s prefix was compared with: its id and
@@ -447,10 +451,6 @@ struct Ladder {
     /// where the two agree to the end. Computed on the first rejoined
     /// run checked, so runs that never rejoin pay nothing.
     suffix: Cell<Option<(u64, Suffix)>>,
-    /// Clean rungs the baseline shares before its own rungs start: the
-    /// baseline is the clean run up to clean rung `joins - 1` (0 for the
-    /// clean ladder itself).
-    joins: usize,
     /// How the baseline ended; `None` until its capture pass ran.
     finish: Option<Finish>,
 }
@@ -469,15 +469,9 @@ struct Finish {
 }
 
 impl Ladder {
-    /// The rung along this ladder's baseline at tick boundary `ticks`:
-    /// one of the `clean` rungs it shares, or one of its own.
-    fn rung_at<'a>(&'a self, clean: &'a Ladder, ticks: u64) -> Option<&'a Checkpoint> {
-        let at = usize::try_from(ticks).ok()?;
-        let rung = match at.checked_sub(self.joins) {
-            Some(own) => self.rungs.get(own),
-            None => clean.rungs.get(at),
-        };
-        rung.filter(|r| r.ticks == ticks)
+    /// The rung along this ladder's baseline at tick boundary `ticks`.
+    fn rung_at(&self, ticks: u64) -> Option<&Checkpoint> {
+        self.rungs.get(usize::try_from(ticks).ok()?).map(|r| &**r)
     }
 
     /// The rung at which a scheduled run under this ladder's plan has
@@ -488,16 +482,15 @@ impl Ladder {
     /// the baseline's suffix fits the trace ring unwrapped, and the live
     /// machine equals the rung ([`Checkpoint::matches`]). `from` is the
     /// delta of the rung the run resumed from.
-    fn rejoin<'a>(
-        &'a self,
-        clean: &'a Ladder,
+    fn rejoin(
+        &self,
         kernel: &Kernel,
         base: &MemSnapshot,
         from: &PageDelta,
         apps: &[Box<dyn App>],
-    ) -> Option<&'a Checkpoint> {
+    ) -> Option<&Checkpoint> {
         let finish = self.finish.as_ref()?;
-        let rung = self.rung_at(clean, kernel.ticks)?;
+        let rung = self.rung_at(kernel.ticks)?;
         let suffix = self.trace.len() - rung.trace_len;
         let fits = || {
             trace::with_events(|head, tail, dropped| {
@@ -571,14 +564,9 @@ impl Ladder {
     }
 
     /// The cursor offsets of the baseline's prefix up to its rung at
-    /// `ticks` ([`Ladder::rung_at`]): the clean ladder's up to the rungs
-    /// it shares, its own past them.
-    fn cursor_at(&self, clean: &Ladder, ticks: u64) -> PrefixSkip {
-        let at = ticks as usize;
-        match at.checked_sub(self.joins) {
-            Some(own) => self.skips[own],
-            None => clean.skips[at],
-        }
+    /// `ticks` ([`Ladder::rung_at`]).
+    fn cursor_at(&self, ticks: u64) -> PrefixSkip {
+        self.skips[ticks as usize]
     }
 
     /// Where this ladder's observable streams start to agree with
@@ -642,58 +630,71 @@ fn agrees_from(own: &[TraceEvent], reference: &[TraceEvent]) -> Option<usize> {
     (own.len() == reference.len()).then(|| own.len() - equal_tail)
 }
 
-/// Where a rung sits: the clean or the seeded ladder, and its index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RungId {
-    seeded: bool,
-    index: usize,
+/// The capture pass's state: the ladder it builds so far, and what its
+/// capture hook needs to add a rung.
+struct Capture {
+    /// The clean rungs the pass shares up to the one it resumed from,
+    /// then one rung per tick boundary it reached.
+    rungs: Vec<Rc<Checkpoint>>,
+    /// Whether every program so far could be cloned into a rung.
+    resumable: bool,
+    /// Cycle-counter reads along the baseline up to the rung the pass
+    /// resumed from, and this thread's count when the pass started.
+    samples: (u64, u64),
+    /// Wall-clock nanoseconds spent capturing rungs.
+    ns: u64,
 }
 
-impl RungId {
-    /// The post-boot rung: the clean ladder's first.
-    const BOOT: RungId = RungId::clean(0);
+impl Capture {
+    /// Cycle-counter reads since boot, along this baseline.
+    fn samples(&self) -> u64 {
+        self.samples.0 + (tt_hw::cycles::samples() - self.samples.1)
+    }
 
-    const fn clean(index: usize) -> RungId {
-        RungId {
-            seeded: false,
-            index,
+    /// The capture hook: checkpoints the live machine at the tick
+    /// boundary the run stopped at, with the run's `violations` so far
+    /// (this thread's sink drained into them first). `from` is the delta
+    /// of the rung the run resumed from. After a program that cannot be
+    /// cloned, the pass captures no further rung.
+    fn take(
+        &mut self,
+        kernel: &Kernel,
+        from: &PageDelta,
+        apps: &[Box<dyn App>],
+        violations: &mut Vec<String>,
+    ) {
+        if !self.resumable {
+            return;
         }
+        let t0 = Instant::now();
+        violations.extend(take_violations().iter().map(|v| format!("{v:?}")));
+        let len = trace::with_events(|head, tail, _| head.len() + tail.len());
+        let samples = self.samples();
+        let rung = Checkpoint::capture(kernel, from, Some(apps), violations.clone(), len, samples);
+        self.resumable = rung.is_some();
+        self.rungs.extend(rung.map(Rc::new));
+        self.ns += t0.elapsed().as_nanos() as u64;
     }
 }
 
-/// The ladder and the checkpoint `id` names.
-fn locate<'a>(
-    clean: &'a Ladder,
-    seeded: &'a Option<Ladder>,
-    id: RungId,
-) -> (&'a Ladder, &'a Checkpoint) {
-    let ladder = match id.seeded {
-        true => seeded.as_ref().expect("seeded ladder captured"),
-        false => clean,
-    };
-    (ladder, &ladder.rungs[id.index])
-}
-
-/// The ladder a run under `plan` may rejoin: the clean one for a run
-/// without a plan, the seeded one if it was captured under exactly
-/// `plan`.
-fn own_ladder<'a>(
-    clean: &'a Ladder,
-    seeded: &'a Option<Ladder>,
-    plan: Option<&InjectionPlan>,
-) -> Option<&'a Ladder> {
-    match plan {
-        None => Some(clean),
-        Some(p) => seeded.as_ref().filter(|l| l.plan.as_ref() == Some(p)),
-    }
+/// What the run body does at each tick boundary it stops at.
+enum AtBoundary {
+    /// Nothing: the run goes to its end in one call.
+    Nothing,
+    /// Stop if the run has rejoined the baseline of the ladder it resumed
+    /// along.
+    Rejoin,
+    /// Capture a rung: the capture pass.
+    Capture(Capture),
 }
 
 /// A reusable campaign machine for one chip: boots once and replays any
 /// number of runs by restoring a checkpoint instead of re-booting.
 ///
-/// The runner keeps a **checkpoint ladder** ([`Checkpoint`]s at tick
+/// The runner keeps **checkpoint ladders** ([`Checkpoint`]s at tick
 /// boundaries, each holding its RAM as page deltas against one
-/// post-boot memory snapshot):
+/// post-boot memory snapshot). Every ladder lists its rungs from boot,
+/// rung `i` at tick `i`:
 ///
 /// - the *clean ladder*, captured once, at construction, under the
 ///   empty counting plan: rung 0 is the post-boot state and one rung
@@ -703,22 +704,27 @@ fn own_ladder<'a>(
 ///   [`InterruptSchedule::fires_within`]): up to there it is the clean
 ///   run.
 /// - the *seeded ladder* of the last capture pass under an injection
-///   plan P. Its rungs are eligible only for runs under exactly P, and
-///   then up to the schedule's first arrival.
+///   plan P: the clean rungs up to the one the pass resumed from, shared
+///   by `Rc`, then the pass's own. It serves runs under exactly P, up to
+///   the schedule's first arrival.
 ///
 /// The same ladders end scheduled runs early: a run under no plan (the
-/// clean ladder's) or under P (the seeded ladder's, clean rungs it
-/// shares included) stops at the first tick boundary past its last
-/// arrival where the machine equals the baseline's rung, and takes the
-/// rest of the run from the ladder (`Ladder::rejoin` lists the
-/// conditions).
+/// clean ladder's) or under P (the seeded ladder's) stops at the first
+/// tick boundary past its last arrival where the machine equals the
+/// baseline's rung, and takes the rest of the run from the ladder
+/// (`Ladder::rejoin` lists the conditions).
 ///
-/// Every resumed run is byte-identical to the run from boot (gated by
-/// the equivalence tests). Every run goes through one private run body
-/// and one restore path; [`FleetRunner::run_plan`],
-/// [`FleetRunner::run_seed`] and [`FleetRunner::run_scheduled`] are its
-/// drained-trace entry points, and the campaign, the explorer and the
-/// shrinkers call it with a [`Reference`] to check the run in place.
+/// Every run goes through one private run body and one restore path.
+/// The body's one loop over tick boundaries does one of three things at
+/// each boundary: nothing (a campaign run, which goes to its end in one
+/// call), the rejoin check (a scheduled run whose plan's ladder the
+/// runner holds), or capture a rung (the capture pass behind
+/// [`FleetRunner::capture_ladder`]). Every resumed run is byte-identical
+/// to the run from boot (gated by the equivalence tests).
+/// [`FleetRunner::run_plan`], [`FleetRunner::run_seed`] and
+/// [`FleetRunner::run_scheduled`] are the body's drained-trace entry
+/// points, and the campaign, the explorer and the shrinkers call it with
+/// a [`Reference`] to check the run in place.
 ///
 /// A runner is thread-affine (checkpoints hold `Rc` hardware handles
 /// and replay into this thread's trace ring); fleet sweeps keep one per
@@ -736,11 +742,11 @@ pub struct FleetRunner {
     /// Post-boot memory: the base of every rung's page delta.
     base: MemSnapshot,
     /// The clean ladder.
-    clean: Ladder,
+    clean: Rc<Ladder>,
     /// The seeded ladder, if a capture pass ran under a plan.
-    seeded: Option<Ladder>,
+    seeded: Option<Rc<Ladder>>,
     /// The rung the live machine was last restored to.
-    at: RungId,
+    at: Rc<Checkpoint>,
     /// The oracle's reference reduced from the clean ladder's trace, once.
     reference: OnceCell<Rc<Reference>>,
     /// Wall-clock nanoseconds spent booting and capturing the clean
@@ -797,24 +803,24 @@ impl FleetRunner {
             samples,
         )
         .expect("fresh programs need no clone");
+        let boot_rung = Rc::new(boot_rung);
         let boot_skip = PrefixSkip::default().advance(&boot_trace.events);
         let mut runner = Self {
             chip: *chip,
             kernel,
             factories,
             base,
-            clean: Ladder {
+            clean: Rc::new(Ladder {
                 plan: None,
                 trace: boot_trace.events,
-                rungs: vec![boot_rung],
+                rungs: vec![Rc::clone(&boot_rung)],
                 skips: vec![boot_skip],
                 shared: Cell::new(None),
                 suffix: Cell::new(None),
-                joins: 0,
                 finish: None,
-            },
+            }),
             seeded: None,
-            at: RungId::BOOT,
+            at: boot_rung,
             reference: OnceCell::new(),
             capture_ns: 0,
         };
@@ -854,137 +860,71 @@ impl FleetRunner {
         Rc::clone(reference)
     }
 
-    /// The latest clean rung a run under `plan` and `schedule` may
-    /// resume from: neither engine fires inside its prefix. The post-boot
+    /// The ladder a run under `plan` and `schedule` resumes along — the
+    /// seeded one when it was captured under exactly `plan`, else the
+    /// clean one — and the latest of its rungs the run may resume from:
+    /// before the schedule's first arrival and, on a ladder not captured
+    /// under `plan`, before the plan's first injection. The post-boot
     /// rung always qualifies.
-    fn latest_clean(
+    fn pick(
         &self,
         plan: Option<&InjectionPlan>,
         schedule: Option<&InterruptSchedule>,
-    ) -> RungId {
-        let index = self.clean.rungs.iter().rposition(|r| {
-            plan.is_none_or(|p| !p.fires_within(&r.injection.seen))
-                && schedule.is_none_or(|s| !s.fires_within(&r.sched_seen))
-        });
-        RungId::clean(index.expect("nothing fires before boot"))
-    }
-
-    /// The latest rung a run under `plan` and `schedule` may resume
-    /// from: on the seeded ladder when it was captured under exactly
-    /// `plan`, before the schedule's first arrival; otherwise on the
-    /// clean ladder.
-    fn pick(&self, plan: Option<&InjectionPlan>, schedule: Option<&InterruptSchedule>) -> RungId {
-        let seeded = self
+    ) -> (Rc<Ladder>, usize) {
+        let own = self
             .seeded
             .as_ref()
-            .filter(|l| plan.is_some() && l.plan.as_ref() == plan)
-            .and_then(|l| {
-                l.rungs
-                    .iter()
-                    .rposition(|r| schedule.is_none_or(|s| !s.fires_within(&r.sched_seen)))
-            });
-        match seeded {
-            Some(index) => RungId {
-                seeded: true,
-                index,
-            },
-            None => self.latest_clean(plan, schedule),
-        }
+            .filter(|l| plan.is_some() && l.plan.as_ref() == plan);
+        let foreign = plan.filter(|_| own.is_none());
+        let ladder = own.unwrap_or(&self.clean);
+        let index = ladder.rungs.iter().rposition(|r| {
+            foreign.is_none_or(|p| !p.fires_within(&r.injection.seen))
+                && schedule.is_none_or(|s| !s.fires_within(&r.sched_seen))
+        });
+        (Rc::clone(ladder), index.expect("nothing fires before boot"))
     }
 
-    /// The one restore path: rewinds the machine to rung `to` from the
-    /// rung the live state derives from, and returns the program state
-    /// to resume with. Memory moves every page dirtied since the last
-    /// restore or held by either rung's delta.
-    fn restore_to(&mut self, to: RungId) -> Vec<Box<dyn App>> {
-        let (_, from) = locate(&self.clean, &self.seeded, self.at);
-        let (ladder, target) = locate(&self.clean, &self.seeded, to);
+    /// The one restore path: rewinds the machine to `ladder`'s rung
+    /// `index` from the rung the live state derives from, and returns
+    /// the program state to resume with. Memory moves every page dirtied
+    /// since the last restore or held by either rung's delta.
+    fn restore_to(&mut self, ladder: &Ladder, index: usize) -> Vec<Box<dyn App>> {
+        let target = &ladder.rungs[index];
         let prefix = &ladder.trace[..target.trace_len];
-        let kernel = &mut self.kernel;
-        let apps = target.restore(kernel, &self.base, &from.mem, prefix, TRACE_CAPACITY);
-        self.at = to;
+        let from = &self.at.mem;
+        let apps = target.restore(&mut self.kernel, &self.base, from, prefix, TRACE_CAPACITY);
+        self.at = Rc::clone(target);
         apps.unwrap_or_else(|| self.factories.iter().map(|mk| mk()).collect())
     }
 
-    /// The capture pass: resumes `plan`'s run (`None` = clean) from the
-    /// latest clean rung eligible for it and runs it to the end one tick
-    /// at a time, capturing a rung at every tick boundary the run loop
-    /// reaches without ending on its own. The clean pass runs once, at
-    /// construction, from the post-boot rung, and its rungs extend the
-    /// clean ladder; a pass under a plan replaces the seeded ladder. Both
-    /// engines are armed as in a run — the plan (or the empty counting
-    /// plan) and an empty schedule, each trace-neutral until it fires —
-    /// so the rungs carry the occurrence counts a resumed run replays.
-    /// Returns the pass's drained record, identical to
-    /// [`FleetRunner::run_plan`]'s, the ladder's height under `plan`
-    /// (every clean rung up to the start is eligible for it too:
-    /// occurrence counts only grow), and the nanoseconds spent capturing.
+    /// The capture pass: `plan`'s run (`None` = clean) through the run
+    /// body from the latest clean rung eligible for it, capturing a rung
+    /// at every tick boundary the run loop reaches without ending on its
+    /// own. Both engines are armed as in a run — the plan (or the empty
+    /// counting plan) and an empty schedule, each trace-neutral until it
+    /// fires — so the rungs carry the occurrence counts a resumed run
+    /// replays. The clean pass runs once, at construction, and its ladder
+    /// replaces the post-boot one; a pass under a plan replaces the
+    /// seeded ladder. Returns the pass's drained record, identical to
+    /// [`FleetRunner::run_plan`]'s, the new ladder's height, and the
+    /// nanoseconds spent capturing.
     fn capture(&mut self, plan: Option<InjectionPlan>) -> (RunRecord, usize, u64) {
-        let start = self.latest_clean(plan.as_ref(), None);
-        let mut apps = self.restore_to(start);
-        let from = &self.clean.rungs[start.index];
-        let from_skip = self.clean.skips[start.index];
-        let counting = plan.clone().unwrap_or(InjectionPlan {
-            seed: 0,
-            target_pid: VICTIM as u32,
-            injections: Vec::new(),
-        });
-        injection::resume(counting, from.injection.clone());
-        sched::arm_with_seen(InterruptSchedule::empty(), from.sched_seen);
-        let mut violations = from.violations.clone();
-        // Cycle-counter reads since boot, along this baseline.
-        let pass_start = tt_hw::cycles::samples();
-        let samples = || from.samples + (tt_hw::cycles::samples() - pass_start);
-        let (mut rungs, mut capture_ns, mut resumable) = (Vec::new(), 0, true);
-        with_mode(Mode::Observe, || {
-            while self.kernel.ticks < MAX_TICKS
-                && !self.kernel.run_with_factories(
-                    &mut apps,
-                    Some(self.factories),
-                    self.kernel.ticks + 1,
-                )
-            {
-                if !resumable {
-                    continue;
-                }
-                let t0 = Instant::now();
-                violations.extend(take_violations().iter().map(|v| format!("{v:?}")));
-                let len = trace::with_events(|head, tail, _| head.len() + tail.len());
-                let rung = Checkpoint::capture(
-                    &self.kernel,
-                    &from.mem,
-                    Some(&apps),
-                    violations.clone(),
-                    len,
-                    samples(),
-                );
-                resumable = rung.is_some();
-                rungs.extend(rung);
-                capture_ns += t0.elapsed().as_nanos() as u64;
-            }
-        });
-        let fired = injection::disarm();
-        sched::disarm();
-        let drained = trace::take();
-        trace::disable();
-        assert_eq!(
-            drained.dropped, 0,
-            "a capture pass overflowed the trace ring"
-        );
-        let (mut skip, mut covered) = (from_skip, from.trace_len);
-        let skips: Vec<PrefixSkip> = rungs
+        // The pass resumes along the clean ladder, whatever it replaces.
+        self.seeded = None;
+        let (record, _, pass) = self.body(plan.clone(), None, None, true);
+        let pass = pass.expect("a capture pass captures");
+        let trace = record.trace.events.clone();
+        let (mut skip, mut covered) = (PrefixSkip::default(), 0);
+        let skips = pass
+            .rungs
             .iter()
             .map(|rung| {
-                skip = skip.advance(&drained.events[covered..rung.trace_len]);
+                skip = skip.advance(&trace[covered..rung.trace_len]);
                 covered = rung.trace_len;
                 skip
             })
             .collect();
-        let seed = plan.as_ref().map(|p| p.seed);
-        let fired = if plan.is_some() { fired } else { 0 };
-        let record = collect_record(&self.kernel, seed, fired, 0, violations, drained);
-        let (trace, height) = (record.trace.events.clone(), start.index + 1 + rungs.len());
-        let finish = Some(Finish {
+        let finish = Finish {
             record: RunRecord {
                 violations: record.violations.clone(),
                 states: record.states.clone(),
@@ -993,39 +933,33 @@ impl FleetRunner {
                 ..record
             },
             cycles: tt_hw::cycles::now(),
-            samples: samples(),
+            samples: pass.samples(),
+        };
+        let ladder = Rc::new(Ladder {
+            plan,
+            trace,
+            rungs: pass.rungs,
+            skips,
+            shared: Cell::new(None),
+            suffix: Cell::new(None),
+            finish: Some(finish),
         });
-        match plan {
-            None => {
-                self.clean.trace = trace;
-                self.clean.rungs.extend(rungs);
-                self.clean.skips.extend(skips);
-                self.clean.shared.set(None);
-                self.clean.suffix.set(None);
-                self.clean.finish = finish;
-            }
-            Some(_) => {
-                self.seeded = Some(Ladder {
-                    plan,
-                    trace,
-                    rungs,
-                    skips,
-                    shared: Cell::new(None),
-                    suffix: Cell::new(None),
-                    joins: start.index + 1,
-                    finish,
-                });
-            }
+        let height = ladder.rungs.len();
+        match ladder.plan {
+            None => self.clean = ladder,
+            Some(_) => self.seeded = Some(ladder),
         }
-        (record, height, capture_ns)
+        (record, height, pass.ns)
     }
 
     /// Runs `plan`'s baseline (`None` = the clean run) to completion
     /// and returns its drained record — identical to
-    /// [`FleetRunner::run_plan`]'s — with the ladder's height under
-    /// `plan` (the rungs a run under it may resume from, post-boot
-    /// included) and the nanoseconds spent capturing rungs. Under a plan
-    /// the run is a capture pass with a rung at every tick boundary it
+    /// [`FleetRunner::run_plan`]'s — with the height of the ladder a run
+    /// under `plan` resumes along (post-boot rung included) and the
+    /// nanoseconds spent capturing rungs. Under a plan the run is a
+    /// capture pass: it resumes from the latest clean rung before the
+    /// plan's first injection, and its seeded ladder shares every clean
+    /// rung up to there, then has a rung at every tick boundary the run
     /// passes; later runs under the same plan resume from the latest
     /// rung before their first interrupt arrival. The clean ladder was
     /// captured at construction, so the clean baseline is the clean run
@@ -1062,51 +996,90 @@ impl FleetRunner {
         self.run(plan, Some(schedule), None).0
     }
 
-    /// The run body every fleet run goes through. Resumes the latest
-    /// rung eligible for `plan` and `schedule` ([`FleetRunner`] lists the
-    /// rule), arms both from the rung's progress (either may be absent),
-    /// and runs to completion. A scheduled run whose plan's ladder the
-    /// runner holds runs one tick at a time: once its schedule has
-    /// nothing left to fire, it stops at the first tick boundary where it
-    /// has rejoined that ladder's baseline ([`Ladder::rejoin`]) and takes
-    /// the rest of the run from there — the baseline's trace suffix and
-    /// violations, its terminal states and counters, and its cycle count
-    /// past the rung. Any other run goes to its end in one call. Without a `reference`
-    /// the trace is drained into the record. With one, the oracle walks
-    /// the undrained ring in place — skipping the rung's prefix where the
-    /// reference shares it ([`Ladder::skip`], [`Ladder::bystander_skip`])
-    /// and a rejoined run's suffix where the baseline's is clean
-    /// ([`Reference::walk_cut`]) — the ring is cleared
-    /// instead of drained, and the verdict rides in
-    /// [`RunRecord::oracle`]. The rung's violations are prepended, so a
-    /// resumed run reports exactly what the equivalent fresh run would.
+    /// The run body every fleet run goes through ([`FleetRunner::body`]
+    /// outside a capture pass).
     pub(crate) fn run(
         &mut self,
         plan: Option<InjectionPlan>,
         schedule: Option<&InterruptSchedule>,
         reference: Option<&Reference>,
     ) -> (RunRecord, RunPhases) {
+        let (record, phases, _) = self.body(plan, schedule, reference, false);
+        (record, phases)
+    }
+
+    /// The run body. Resumes the latest rung eligible for `plan` and
+    /// `schedule` ([`FleetRunner::pick`]), arms both from the rung's
+    /// progress (either may be absent), and runs to completion: in one
+    /// call, or one tick at a time when it has something to do at each
+    /// tick boundary ([`AtBoundary`]).
+    ///
+    /// - A scheduled run whose plan's ladder the runner holds stops, once
+    ///   its schedule has nothing left to fire, at the first tick
+    ///   boundary where it has rejoined that ladder's baseline
+    ///   ([`Ladder::rejoin`]) and takes the rest of the run from there —
+    ///   the baseline's trace suffix and violations, its terminal states
+    ///   and counters, and its cycle count past the rung.
+    /// - A `capture` pass arms the counting plan (or its plan) and an
+    ///   empty schedule, and captures a rung at every boundary; the
+    ///   caller installs them ([`FleetRunner::capture`]).
+    ///
+    /// Without a `reference` the trace is drained into the record. With
+    /// one, the oracle walks the undrained ring in place — skipping the
+    /// rung's prefix where the reference shares it ([`Ladder::skip`],
+    /// [`Ladder::bystander_skip`]) and a rejoined run's suffix where the
+    /// baseline's is clean ([`Reference::walk`]) — the ring is cleared
+    /// instead of drained, and the verdict rides in
+    /// [`RunRecord::oracle`]. The rung's violations are prepended, so a
+    /// resumed run reports exactly what the equivalent fresh run would.
+    fn body(
+        &mut self,
+        plan: Option<InjectionPlan>,
+        schedule: Option<&InterruptSchedule>,
+        reference: Option<&Reference>,
+        capture: bool,
+    ) -> (RunRecord, RunPhases, Option<Capture>) {
         let seed = plan.as_ref().map(|p| p.seed);
-        let armed = plan.is_some();
         let t0 = Instant::now();
-        let to = self.pick(plan.as_ref(), schedule);
-        let mut apps = self.restore_to(to);
-        let (ladder, rung) = locate(&self.clean, &self.seeded, to);
+        let (ladder, index) = self.pick(plan.as_ref(), schedule);
+        let mut apps = self.restore_to(&ladder, index);
+        let rung = &*ladder.rungs[index];
         // Only a scheduled run may rejoin its baseline; the campaign arms
         // no schedule and always runs to the end.
-        let baseline = schedule.and(own_ladder(&self.clean, &self.seeded, plan.as_ref()));
-        if let Some(p) = plan {
+        let rejoins = schedule.is_some() && ladder.plan == plan;
+        // A capture pass counts occurrences under the empty plan when it
+        // has none, and at arrival points under the empty schedule.
+        let counting = || InjectionPlan {
+            seed: 0,
+            target_pid: VICTIM as u32,
+            injections: Vec::new(),
+        };
+        let armed = plan.is_some() || capture;
+        if let Some(p) = plan.or_else(|| capture.then(counting)) {
             injection::resume(p, rung.injection.clone());
         }
+        let empty = capture.then(InterruptSchedule::empty);
+        let schedule = schedule.or(empty.as_ref());
         if let Some(s) = schedule {
             sched::arm_with_seen(s.clone(), rung.sched_seen);
         }
+        let mut at_boundary = match (capture, rejoins) {
+            (true, _) => AtBoundary::Capture(Capture {
+                rungs: ladder.rungs[..=index].to_vec(),
+                resumable: true,
+                samples: (rung.samples, tt_hw::cycles::samples()),
+                ns: 0,
+            }),
+            (false, true) => AtBoundary::Rejoin,
+            (false, false) => AtBoundary::Nothing,
+        };
         let t1 = Instant::now();
         let (kernel, base, factories) = (&mut self.kernel, &self.base, self.factories);
-        let clean = &self.clean;
-        // A run that may rejoin stops at every tick boundary to compare;
-        // any other runs to its end in one call.
-        let stride = if baseline.is_some() { 1 } else { MAX_TICKS };
+        let stride = match at_boundary {
+            AtBoundary::Nothing => MAX_TICKS,
+            _ => 1,
+        };
+        let mut violations = rung.violations.clone();
         let rejoined = with_mode(Mode::Observe, || {
             while kernel.ticks < MAX_TICKS
                 && !kernel.run_with_factories(
@@ -1115,9 +1088,17 @@ impl FleetRunner {
                     (kernel.ticks + stride).min(MAX_TICKS),
                 )
             {
-                let at = baseline.and_then(|b| b.rejoin(clean, kernel, base, &rung.mem, &apps));
-                if at.is_some() {
-                    return baseline.zip(at);
+                match &mut at_boundary {
+                    AtBoundary::Nothing => {}
+                    AtBoundary::Rejoin => {
+                        let joined = ladder.rejoin(kernel, base, &rung.mem, &apps);
+                        if joined.is_some() {
+                            return joined;
+                        }
+                    }
+                    AtBoundary::Capture(pass) => {
+                        pass.take(kernel, &rung.mem, &apps, &mut violations)
+                    }
                 }
             }
             None
@@ -1128,18 +1109,17 @@ impl FleetRunner {
         } else {
             0
         };
-        let mut violations = rung.violations.clone();
         let (mut rejoined_events, mut live) = (0, 0);
         let ticks = self.kernel.ticks - rung.ticks;
         // Taking the rest of the run from the baseline: its trace suffix
         // behind the live prefix, its cycles past the rung, its
         // violations and its terminal record.
-        let taken = rejoined.map(|(baseline, joined)| {
-            let finish = baseline
+        let taken = rejoined.map(|joined| {
+            let finish = ladder
                 .finish
                 .as_ref()
                 .expect("a rejoined ladder has its finish");
-            let suffix = &baseline.trace[joined.trace_len..];
+            let suffix = &ladder.trace[joined.trace_len..];
             live = trace::with_events(|head, tail, _| head.len() + tail.len());
             trace::extend(suffix);
             rejoined_events = suffix.len();
@@ -1154,15 +1134,15 @@ impl FleetRunner {
         let oracle = reference.map(|r| {
             let unperturbed = unperturbed(fired, irq_fired);
             let skip = match unperturbed {
-                true => ladder.skip(to.index, r),
-                false => ladder.bystander_skip(to.index, r),
+                true => ladder.skip(index, r),
+                false => ladder.bystander_skip(index, r),
             };
-            let cut = rejoined.map(|(baseline, joined)| Cut {
+            let cut = rejoined.map(|joined| Cut {
                 live,
-                at: baseline.cursor_at(clean, joined.ticks),
-                suffix: baseline.suffix(r),
+                at: ladder.cursor_at(joined.ticks),
+                suffix: ladder.suffix(r),
             });
-            trace::with_events(|head, tail, _| r.walk_cut(head, tail, unperturbed, skip, cut))
+            trace::with_events(|head, tail, _| r.walk(head, tail, unperturbed, skip, cut))
         });
         let t3 = Instant::now();
         let drained = if oracle.is_some() {
@@ -1171,6 +1151,10 @@ impl FleetRunner {
             trace::take()
         };
         trace::disable();
+        assert!(
+            !capture || drained.dropped == 0,
+            "a capture pass overflowed the trace ring"
+        );
         let mut record = collect_record(&self.kernel, seed, fired, irq_fired, violations, drained);
         if let Some((end, (hits, misses))) = taken {
             // The commit-cache counters may differ at the rejoin point
@@ -1196,20 +1180,25 @@ impl FleetRunner {
             walked,
             ticks,
         };
-        (record, phases)
+        let pass = match at_boundary {
+            AtBoundary::Capture(pass) => Some(pass),
+            _ => None,
+        };
+        (record, phases, pass)
     }
 
     /// Pays one post-boot restore and discards the result: the per-run
     /// reset cost the fleet benchmark compares against [`boot_probe`].
     pub fn restore_probe(&mut self) {
-        self.restore_to(RungId::BOOT);
+        self.restore_to(&Rc::clone(&self.clean), 0);
         trace::recycle(trace::take());
         trace::disable();
     }
 
     /// Pays one restore of the tick-1 rung and discards the result.
     pub fn midrun_probe(&mut self) {
-        self.restore_to(RungId::clean(1.min(self.clean.rungs.len() - 1)));
+        let clean = Rc::clone(&self.clean);
+        self.restore_to(&clean, 1.min(clean.rungs.len() - 1));
         trace::recycle(trace::take());
         trace::disable();
     }
@@ -1219,7 +1208,7 @@ impl FleetRunner {
     /// [`FleetRunner::midrun_probe`] is the `fleet.midrun_restore_speedup`
     /// floor in `ci/bench_baseline.json`.
     pub fn first_tick_probe(&mut self) {
-        let mut apps = self.restore_to(RungId::BOOT);
+        let mut apps = self.restore_to(&Rc::clone(&self.clean), 0);
         with_mode(Mode::Observe, || {
             self.kernel
                 .run_with_factories(&mut apps, Some(self.factories), 1);
@@ -1551,29 +1540,19 @@ impl Reference {
     /// - An unperturbed run walks the whole observable stream only. The
     ///   bystander streams are pid-filters of it, so its equality
     ///   subsumes theirs; they are walked only after it diverged.
-    fn walk(
-        &self,
-        head: &[TraceEvent],
-        tail: &[TraceEvent],
-        unperturbed: bool,
-        skip: PrefixSkip,
-    ) -> StreamVerdict {
-        self.walk_cut(head, tail, unperturbed, skip, None).0
-    }
-
-    /// [`Reference::walk`] with one more exact fast path, and the count
-    /// of raw events the pass/fail walk visited ([`RunPhases::walked`];
-    /// a slice compare counts every event).
+    /// - A run that rejoined its baseline carries its `cut`. Its walk
+    ///   stops at the end of the simulated part if the baseline's streams
+    ///   the run is held to agree with the reference from the rejoined
+    ///   rung to the end ([`Cut::suffix_clean`]), and the walk's cursors
+    ///   there equal the baseline's at that rung: the appended suffix
+    ///   then continues every stream with the reference's own events, so
+    ///   walking it could only match. A cut refused either way is walked
+    ///   whole. Drained records pass no cut.
     ///
-    /// A run that rejoined its baseline carries its `cut`. Its walk stops
-    /// at the end of the simulated part if the baseline's streams the run
-    /// is held to agree with the reference from the rejoined rung to the
-    /// end ([`Cut::suffix_clean`]), and the walk's cursors there equal
-    /// the baseline's at that rung: the appended suffix then continues
-    /// every stream with the reference's own events, so walking it could
-    /// only match. Any other run, and a cut refused either way, is walked
-    /// whole, as [`Reference::walk`] walks it.
-    fn walk_cut(
+    /// Returns the verdict and the count of raw events the pass/fail
+    /// walk visited ([`RunPhases::walked`]; a slice compare counts every
+    /// event).
+    fn walk(
         &self,
         head: &[TraceEvent],
         tail: &[TraceEvent],
@@ -1648,12 +1627,9 @@ impl Reference {
 
     /// [`Reference::walk`] over a drained record's trace.
     pub(crate) fn walk_record(&self, run: &RunRecord) -> StreamVerdict {
-        self.walk(
-            &run.trace.events,
-            &[],
-            unperturbed(run.fired, run.irq_fired),
-            PrefixSkip::default(),
-        )
+        let unperturbed = unperturbed(run.fired, run.irq_fired);
+        let skip = PrefixSkip::default();
+        self.walk(&run.trace.events, &[], unperturbed, skip, None).0
     }
 }
 
@@ -2635,7 +2611,8 @@ mod tests {
                 );
             }
             assert!(run.violations.is_empty(), "{:?}", run.violations);
-            let streams = reference.walk(&run.trace.events, &[], false, PrefixSkip::default());
+            let (streams, _) =
+                reference.walk(&run.trace.events, &[], false, PrefixSkip::default(), None);
             assert!(
                 streams.bystanders.iter().all(Option::is_none),
                 "at {at}: bystander stream diverged under a scheduled arrival"
@@ -2686,11 +2663,11 @@ mod tests {
             at: PrefixSkip::default().advance(&baseline[..rung]),
             suffix: Suffix::of(baseline, reference),
         };
-        let (verdict, walked) =
-            reference.walk_cut(run, &[], unperturbed, PrefixSkip::default(), Some(cut));
+        let skip = PrefixSkip::default();
+        let (verdict, walked) = reference.walk(run, &[], unperturbed, skip, Some(cut));
         assert_eq!(
             verdict,
-            reference.walk(run, &[], unperturbed, PrefixSkip::default()),
+            reference.walk(run, &[], unperturbed, skip, None).0,
             "unperturbed {unperturbed}: the cut changed the verdict"
         );
         (verdict, walked)
@@ -2865,6 +2842,19 @@ mod ladder_tests {
         }
     }
 
+    /// The index of `seeded`'s first own rung: every rung before it is
+    /// the clean ladder's.
+    fn first_own(seeded: &Ladder, clean: &Ladder) -> usize {
+        let shared = seeded.rungs.iter().zip(&clean.rungs);
+        shared.take_while(|(a, b)| Rc::ptr_eq(a, b)).count()
+    }
+
+    /// Whether the runner was last restored to a rung the clean ladder
+    /// does not hold.
+    fn seeded_only(runner: &FleetRunner) -> bool {
+        !runner.clean.rungs.iter().any(|r| Rc::ptr_eq(r, &runner.at))
+    }
+
     #[test]
     fn restores_between_rungs_land_on_each_rungs_memory() {
         // Every restore must land on its rung's exact RAM, whichever rung
@@ -2886,28 +2876,31 @@ mod ladder_tests {
         };
         let probe = laddered();
         let last = probe.clean.rungs.len() - 1;
-        let last_seeded = probe.seeded.as_ref().expect("seeded ladder").rungs.len() - 1;
-        let seeded = |index| RungId {
-            seeded: true,
-            index,
-        };
+        let seeded = probe.seeded.as_ref().expect("seeded ladder");
+        let first_seeded = first_own(seeded, &probe.clean);
+        let last_seeded = seeded.rungs.len() - 1;
+        // (seeded ladder, rung index)
         let path = [
-            RungId::clean(last),
-            RungId::BOOT,
-            RungId::clean(last / 2),
-            seeded(last_seeded),
-            RungId::clean(1),
-            seeded(0),
-            RungId::clean(last),
-            RungId::clean(last),
-            RungId::BOOT,
+            (false, last),
+            (false, 0),
+            (false, last / 2),
+            (true, last_seeded),
+            (false, 1),
+            (true, first_seeded),
+            (false, last),
+            (false, last),
+            (false, 0),
         ];
+        let ladder = |runner: &FleetRunner, seeded: bool| match seeded {
+            true => Rc::clone(runner.seeded.as_ref().expect("seeded ladder")),
+            false => Rc::clone(&runner.clean),
+        };
         // Each rung's memory rebuilt independently of the merge rule: an
         // untracked memory copies the whole base, then the rung's pages.
         let want: Vec<Vec<u8>> = path
             .iter()
-            .map(|&id| {
-                let (_, rung) = locate(&probe.clean, &probe.seeded, id);
+            .map(|&(seeded, index)| {
+                let rung = &ladder(&probe, seeded).rungs[index];
                 let mut mem = tt_hw::mem::PhysicalMemory::new(probe.kernel.mem.map());
                 mem.restore_to(&probe.base, &PageDelta::default(), &rung.mem);
                 ram(&mem)
@@ -2916,7 +2909,7 @@ mod ladder_tests {
         for with_runs in [false, true] {
             let mut runner = laddered();
             for (step, (&id, want)) in path.iter().zip(&want).enumerate() {
-                let mut apps = runner.restore_to(id);
+                let mut apps = runner.restore_to(&ladder(&runner, id.0), id.1);
                 let got = ram(&runner.kernel.mem);
                 assert!(got == *want, "step {step}: {id:?} (runs {with_runs})");
                 if with_runs {
@@ -2953,7 +2946,7 @@ mod ladder_tests {
                 let schedule = c.schedule();
                 let stale = laddered.run_scheduled(plan(other), &schedule);
                 assert!(
-                    !laddered.at.seeded,
+                    !seeded_only(&laddered),
                     "{other:?} {c:?} resumed the seed-3 ladder"
                 );
                 let fresh = run_one_scheduled(chip, other, Some(&schedule));
@@ -2963,7 +2956,10 @@ mod ladder_tests {
         // And the seed-3 ladder still serves seed 3 afterwards.
         let schedule = candidates[candidates.len() - 1].schedule();
         let (run, _) = laddered.run(plan(Some(3)), Some(&schedule), None);
-        assert!(laddered.at.seeded, "seed 3 should resume its own ladder");
+        assert!(
+            seeded_only(&laddered),
+            "seed 3 should resume its own ladder"
+        );
         let fresh = run_one_scheduled(chip, Some(3), Some(&schedule));
         assert_eq!(record_difference(&fresh, &run), None);
     }
@@ -3000,7 +2996,7 @@ mod ladder_tests {
     /// The clean run from the post-boot rung, run live and drained:
     /// what a run resumed from any clean rung must equal.
     fn clean_run_from_boot(runner: &mut FleetRunner) -> RunRecord {
-        let mut apps = runner.restore_to(RungId::BOOT);
+        let mut apps = runner.restore_to(&Rc::clone(&runner.clean), 0);
         with_mode(Mode::Observe, || {
             runner
                 .kernel
@@ -3039,7 +3035,8 @@ mod ladder_tests {
                 "a rung at tick {last} of a run that ended at {end}"
             );
             let resumed = runner.run_plan(None);
-            assert_eq!(runner.at, RungId::clean(runner.clean.rungs.len() - 1));
+            let top = runner.clean.rungs.last().expect("rungs");
+            assert!(Rc::ptr_eq(&runner.at, top), "resumed below the top rung");
             assert_eq!(
                 runner.kernel.ticks, end,
                 "the resumed run ran an extra tick"
@@ -3073,11 +3070,11 @@ mod ladder_tests {
                         assert_eq!(
                             record_difference(&fresh, &resumed),
                             None,
-                            "{} seed {seed} cold {cold} from {:?}",
+                            "{} seed {seed} cold {cold} from tick {}",
                             chip.name,
-                            runner.at
+                            runner.at.ticks
                         );
-                        deepest = deepest.max(runner.at.index);
+                        deepest = deepest.max(runner.at.ticks);
                         trace::recycle(fresh.trace);
                         trace::recycle(resumed.trace);
                     }
@@ -3117,7 +3114,7 @@ mod ladder_tests {
                 for seed in 0..16 {
                     let plan = InjectionPlan::from_seed(seed, VICTIM as u32);
                     let (checked, _) = runner.run(Some(plan), None, Some(&reference));
-                    let at = runner.at.index;
+                    let at = runner.at.ticks as usize;
                     skipped += usize::from(runner.clean.skip(at, &reference).raw > 0);
                     let drained = runner.run_seed(Some(seed));
                     assert_eq!(
@@ -3133,10 +3130,15 @@ mod ladder_tests {
         }
     }
 
-    /// Asserts `ladder`'s rungs keep their cursor offsets against
-    /// `reference` up to the first observable divergence of its trace and
-    /// get none past it. Returns how many rungs kept and lost them.
-    fn skips_stop_at_the_divergence(ladder: &Ladder, reference: &Reference) -> (usize, usize) {
+    /// Asserts `ladder`'s rungs from rung `from` on keep their cursor
+    /// offsets against `reference` up to the first observable divergence
+    /// of its trace and get none past it. Returns how many rungs kept and
+    /// lost them.
+    fn skips_stop_at_the_divergence(
+        ladder: &Ladder,
+        from: usize,
+        reference: &Reference,
+    ) -> (usize, usize) {
         let observable = normalize(&ladder.trace, TraceScope::Observable);
         let shared = observable
             .iter()
@@ -3144,7 +3146,7 @@ mod ladder_tests {
             .take_while(|(a, b)| a == b)
             .count();
         let (mut kept, mut past) = (0, 0);
-        for (i, &own) in ladder.skips.iter().enumerate() {
+        for (i, &own) in ladder.skips.iter().enumerate().skip(from) {
             let skip = ladder.skip(i, reference);
             if own.full > shared {
                 past += 1;
@@ -3165,7 +3167,7 @@ mod ladder_tests {
         let chip = &NRF52840DK;
         let (_, reference) = chip_reference(chip);
         let planted = planted::runner(chip);
-        let (kept, past) = skips_stop_at_the_divergence(&planted.clean, &reference);
+        let (kept, past) = skips_stop_at_the_divergence(&planted.clean, 0, &reference);
         assert_eq!(kept, 1, "only the boot prefix is shared");
         assert!(past > 0);
         // A seeded ladder whose injection changes the observable stream
@@ -3175,7 +3177,8 @@ mod ladder_tests {
         let split = (0..64).find(|&seed| {
             runner.capture_ladder(Some(InjectionPlan::from_seed(seed, VICTIM as u32)));
             let seeded = runner.seeded.as_ref().expect("seeded ladder");
-            let (kept, past) = skips_stop_at_the_divergence(seeded, &reference);
+            let own = first_own(seeded, &runner.clean);
+            let (kept, past) = skips_stop_at_the_divergence(seeded, own, &reference);
             kept > 0 && past > 0
         });
         assert!(split.is_some(), "no seed diverges mid-ladder");
@@ -3225,15 +3228,15 @@ mod ladder_tests {
         plan: Option<InjectionPlan>,
         schedule: &InterruptSchedule,
     ) -> (RunRecord, u64, Vec<Boundary>) {
-        let to = runner.pick(plan.as_ref(), Some(schedule));
-        let mut apps = runner.restore_to(to);
-        let (_, rung) = locate(&runner.clean, &runner.seeded, to);
+        let (own, index) = runner.pick(plan.as_ref(), Some(schedule));
+        assert_eq!(own.plan, plan, "the runner holds the plan's ladder");
+        let mut apps = runner.restore_to(&own, index);
+        let rung = &own.rungs[index];
         let armed = plan.is_some();
         if let Some(p) = plan.clone() {
             injection::resume(p, rung.injection.clone());
         }
         sched::arm_with_seen(schedule.clone(), rung.sched_seen);
-        let own = own_ladder(&runner.clean, &runner.seeded, plan.as_ref()).expect("own ladder");
         let mut boundaries = Vec::new();
         with_mode(Mode::Observe, || {
             while runner.kernel.ticks < MAX_TICKS
@@ -3247,7 +3250,7 @@ mod ladder_tests {
                     continue;
                 }
                 let ticks = runner.kernel.ticks;
-                let matched = own.rung_at(&runner.clean, ticks).is_some_and(|r| {
+                let matched = own.rung_at(ticks).is_some_and(|r| {
                     r.matches(
                         &runner.kernel,
                         &runner.base,
@@ -3276,8 +3279,7 @@ mod ladder_tests {
 
     /// The tick boundary at which `run` rejoined its baseline, if it did.
     fn rejoined_at(runner: &FleetRunner, phases: &RunPhases) -> Option<u64> {
-        let (_, rung) = locate(&runner.clean, &runner.seeded, runner.at);
-        phases.rejoined.then_some(rung.ticks + phases.ticks)
+        phases.rejoined.then_some(runner.at.ticks + phases.ticks)
     }
 
     #[test]
@@ -3391,7 +3393,7 @@ mod ladder_tests {
                 continue;
             };
             rejoined += 1;
-            let rung = runner.clean.rung_at(&runner.clean, at).expect("rung");
+            let rung = runner.clean.rung_at(at).expect("rung");
             assert!(
                 rung.trace_len > last_read,
                 "{ctx} rejoined before the last read"
@@ -3431,13 +3433,12 @@ mod ladder_tests {
                 let schedule = class[0].schedule();
                 let (want, _, boundaries) =
                     simulated_to_the_end(&mut runner, plan.clone(), &schedule);
-                let own =
-                    own_ladder(&runner.clean, &runner.seeded, plan.as_ref()).expect("own ladder");
+                let own = runner.seeded.as_ref().expect("seeded ladder");
                 // Boundaries where the state differs from the rung while
                 // the trace goes on exactly as the baseline's does for
                 // the next tick's worth of events.
                 let lookalike = boundaries.iter().find(|b| {
-                    let Some(rung) = own.rung_at(&runner.clean, b.ticks) else {
+                    let Some(rung) = own.rung_at(b.ticks) else {
                         return false;
                     };
                     let ahead = 16.min(own.trace.len() - rung.trace_len);
@@ -3512,18 +3513,16 @@ mod ladder_tests {
             .find_map(|seed| {
                 let plan = InjectionPlan::from_seed(seed, VICTIM as u32);
                 runner.capture_ladder(Some(plan.clone()));
-                let rungs = &runner.seeded.as_ref().expect("seeded ladder").rungs;
-                let index = rungs.iter().rposition(|r| !plan.spent_by(&r.injection))?;
-                Some((plan, index))
+                let seeded = runner.seeded.as_ref().expect("seeded ladder");
+                let own = &seeded.rungs[first_own(seeded, &runner.clean)..];
+                let index = own.iter().rposition(|r| !plan.spent_by(&r.injection))?;
+                Some((plan, seeded.rungs.len() - own.len() + index))
             })
             .expect("a seeded rung with an injection still to fire");
-        let id = RungId {
-            seeded: true,
-            index,
-        };
+        let seeded = Rc::clone(runner.seeded.as_ref().expect("seeded ladder"));
+        let rung = &seeded.rungs[index];
         for (what, change) in changes {
-            let mut apps = runner.restore_to(id);
-            let (_, rung) = locate(&runner.clean, &runner.seeded, id);
+            let mut apps = runner.restore_to(&seeded, index);
             let mut progress = rung.injection.clone();
             change(&mut runner.kernel, &mut apps, &mut progress);
             injection::resume(plan.clone(), progress);
@@ -3548,6 +3547,58 @@ mod ladder_tests {
                         chip.name
                     );
                     assert!(Rc::ptr_eq(&reference, &runner.clean_reference()));
+                };
+                match cold {
+                    true => tt_hw::commit_cache::with_disabled(body),
+                    false => body(),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_ladder_lists_its_rungs_from_boot() {
+        // Rung i stands at tick i on the clean ladder and on every seeded
+        // one, with its prefix's cursor offsets. A seeded ladder shares
+        // the clean rungs, offsets and trace up to the latest clean rung
+        // before its plan's first injection, where its pass resumed.
+        for chip in &ALL_CHIPS {
+            for cold in [false, true] {
+                let body = || {
+                    let mut runner = FleetRunner::new(chip);
+                    let clean = Rc::clone(&runner.clean);
+                    let mut ladders = vec![(None, Rc::clone(&clean))];
+                    for seed in [0, 3, 13] {
+                        let plan = InjectionPlan::from_seed(seed, VICTIM as u32);
+                        let (_, height, _) = runner.capture_ladder(Some(plan.clone()));
+                        let seeded = runner.seeded.as_ref().expect("seeded ladder");
+                        assert_eq!(height, seeded.rungs.len());
+                        ladders.push((Some(plan), Rc::clone(seeded)));
+                    }
+                    for (plan, ladder) in &ladders {
+                        let seed = plan.as_ref().map(|p| p.seed);
+                        let ctx = format!("{} cold {cold} seed {seed:?}", chip.name);
+                        assert_eq!(ladder.rungs.len(), ladder.skips.len(), "{ctx}");
+                        for (i, (rung, &skip)) in ladder.rungs.iter().zip(&ladder.skips).enumerate()
+                        {
+                            assert_eq!(rung.ticks, i as u64, "{ctx}");
+                            let prefix = &ladder.trace[..rung.trace_len];
+                            let want = PrefixSkip::default().advance(prefix);
+                            assert_eq!(skip, want, "{ctx} rung {i}");
+                        }
+                        let Some(plan) = plan else {
+                            continue;
+                        };
+                        let start = clean
+                            .rungs
+                            .iter()
+                            .rposition(|r| !plan.fires_within(&r.injection.seen))
+                            .expect("nothing fires before boot");
+                        assert_eq!(first_own(ladder, &clean), start + 1, "{ctx}");
+                        assert_eq!(ladder.skips[..=start], clean.skips[..=start], "{ctx}");
+                        let len = clean.rungs[start].trace_len;
+                        assert_eq!(ladder.trace[..len], clean.trace[..len], "{ctx}");
+                    }
                 };
                 match cold {
                     true => tt_hw::commit_cache::with_disabled(body),

@@ -555,32 +555,23 @@ impl Kernel {
         });
         self.maybe_interrupt(pid, ArrivalPoint::SyscallEnter);
         let p = &self.processes[pid];
-        let v = match op {
-            1 => p.app_break(),
-            2 => p.memory_start(),
-            3 => p.memory_start() + p.memory_size(),
-            4 => p.image.flash_start.as_usize(),
-            5 => p.image.flash_start.as_usize() + p.image.flash_size,
-            _ => {
-                self.maybe_interrupt(pid, ArrivalPoint::SyscallExit);
-                trace::record(TraceEvent::SyscallExit {
-                    pid: pid as u32,
-                    call: SyscallKind::Memop,
-                    ok: false,
-                    value: 0,
-                });
-                return Err(ErrorCode::Invalid);
-            }
+        let result = match op {
+            1 => Ok(p.app_break()),
+            2 => Ok(p.memory_start()),
+            3 => Ok(p.memory_start() + p.memory_size()),
+            4 => Ok(p.image.flash_start.as_usize()),
+            5 => Ok(p.image.flash_start.as_usize() + p.image.flash_size),
+            _ => Err(ErrorCode::Invalid),
         };
         self.maybe_interrupt(pid, ArrivalPoint::SyscallExit);
         trace::record(TraceEvent::SyscallExit {
             pid: pid as u32,
             call: SyscallKind::Memop,
-            ok: true,
-            value: v as u32,
+            ok: result.is_ok(),
+            value: result.map_or(0, |v| v as u32),
         });
         charge(Cost::Exception);
-        Ok(v)
+        result
     }
 
     /// `subscribe`: register interest in a driver's upcalls. Without a
@@ -1254,6 +1245,53 @@ mod tests {
             assert_eq!(k.sys_memop(pid, 4).unwrap(), 0x0004_0000);
             assert!(k.sys_memop(pid, 99).is_err());
         }
+    }
+
+    #[test]
+    fn an_invalid_memop_takes_the_one_exit() {
+        let (mut k, pid) = boot_with_app(Flavor::Granular);
+        trace::enable(64);
+        let (ok, valid) = tt_hw::cycles::measure(|| k.sys_memop(pid, 2));
+        assert!(ok.is_ok());
+        let valid_events = trace::take().events;
+        trace::enable(64);
+        let (err, invalid) = tt_hw::cycles::measure(|| k.sys_memop(pid, 99));
+        let invalid_events = trace::take().events;
+        trace::disable();
+        assert_eq!(err, Err(ErrorCode::Invalid));
+        assert_eq!(
+            invalid, valid,
+            "an invalid memop charges what a valid one does"
+        );
+        let enter = |op| TraceEvent::SyscallEnter {
+            pid: pid as u32,
+            call: SyscallKind::Memop,
+            arg0: op,
+            arg1: 0,
+            arg2: 0,
+        };
+        assert_eq!(valid_events.len(), 2);
+        assert_eq!(
+            invalid_events,
+            [
+                enter(99),
+                TraceEvent::SyscallExit {
+                    pid: pid as u32,
+                    call: SyscallKind::Memop,
+                    ok: false,
+                    value: 0,
+                },
+            ]
+        );
+        assert_eq!(valid_events[0], enter(2));
+        assert!(matches!(
+            valid_events[1],
+            TraceEvent::SyscallExit {
+                call: SyscallKind::Memop,
+                ok: true,
+                ..
+            }
+        ));
     }
 
     #[test]
