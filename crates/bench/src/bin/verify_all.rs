@@ -27,7 +27,7 @@ use tt_analysis::metrics::Cli;
 use tt_bench::fig12::{build_registry, Effort};
 use tt_bench::{flag_value, incremental};
 use tt_contracts::vcache::LoadOutcome;
-use tt_contracts::verifier::{fmt_duration, Verifier};
+use tt_contracts::verifier::{fmt_duration, Anchor, Verifier};
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -86,6 +86,24 @@ fn main() -> ExitCode {
             fmt_duration(run.cold_wall),
             run.speedup()
         );
+        let anchors =
+            [Anchor::Fn, Anchor::Closure, Anchor::Workspace].map(|a| run.report.anchored(a));
+        println!(
+            "verdict keys: {} on fn spans, {} on a crate closure, {} on the whole workspace",
+            anchors[0], anchors[1], anchors[2]
+        );
+        for f in run
+            .report
+            .functions
+            .iter()
+            .filter(|f| f.anchor != Anchor::Fn)
+        {
+            let on = match f.anchor {
+                Anchor::Closure => "crate closure",
+                _ => "whole workspace",
+            };
+            println!("  {on}: {} :: {}", f.component, f.function);
+        }
         if !cli.finish(&incremental::metrics(run, quick)) {
             return ExitCode::FAILURE;
         }

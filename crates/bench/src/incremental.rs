@@ -19,7 +19,7 @@ use crate::fig12::Effort;
 use tt_analysis::metrics::{Kind, Report, WALL};
 use tt_contracts::span::{Fnv, SourceIndex};
 use tt_contracts::vcache::{LoadOutcome, VerdictCache};
-use tt_contracts::verifier::VerificationReport;
+use tt_contracts::verifier::{Anchor, VerificationReport};
 
 /// Default on-disk location of the verdict cache (workspace-relative,
 /// gitignored — the cache is a build product, not a source of truth).
@@ -136,7 +136,9 @@ pub fn run(effort: Effort, path: &Path, force_cold: bool) -> IncrementalRun {
 
 /// The `fig12` report: which effort (`quick`) and cache mode (`warm`)
 /// produced it, the cache hit rate, function counts overall and per
-/// component, the per-component verification times, and — on a warm run
+/// component, how many verdict keys anchor on `fn` spans, on a crate
+/// closure, and on the whole workspace (`workspace_anchored`, gated),
+/// the per-component verification times, and — on a warm run
 /// only — the three gated warm figures (`warm_hit_rate`,
 /// `warm_verify_ms`, `incremental_speedup`). Every refuted function is a
 /// failure.
@@ -171,6 +173,22 @@ pub fn metrics(run: &IncrementalRun, quick: bool) -> Report {
             r.infos(component, WALL, "ms", &times);
         }
     }
+    let anchors = [
+        ("fn_anchored", run.report.anchored(Anchor::Fn) as f64),
+        (
+            "closure_anchored",
+            run.report.anchored(Anchor::Closure) as f64,
+        ),
+    ];
+    r.infos("", "verifier", "count", &anchors);
+    let workspace = run.report.anchored(Anchor::Workspace) as f64;
+    r.add(
+        Kind::Ceiling,
+        "workspace_anchored",
+        "verifier",
+        "count",
+        workspace,
+    );
     r.info("cold_verify_ms", WALL, "ms", ms(run.cold_wall));
     if run.outcome.is_warm() {
         let (hits, wall) = (run.hit_rate, ms(run.wall));
@@ -255,7 +273,8 @@ mod tests {
         let baseline = r#"[
   {"metric": "fig12.warm_hit_rate", "kind": "floor", "bound": 0.95, "why": "hits"},
   {"metric": "fig12.warm_verify_ms", "kind": "ceiling", "bound": 60000.0, "why": "wall"},
-  {"metric": "fig12.incremental_speedup", "kind": "floor", "bound": 0.0, "why": "speedup"}
+  {"metric": "fig12.incremental_speedup", "kind": "floor", "bound": 0.0, "why": "speedup"},
+  {"metric": "fig12.workspace_anchored", "kind": "ceiling", "bound": 0, "why": "anchors"}
 ]"#;
         let cold = run(Effort::QUICK, &path, true);
         let v = gate_text(&metrics(&cold, true), "incr-cold", baseline);

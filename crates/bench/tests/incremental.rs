@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use proptest::prelude::*;
 use tt_bench::fig12::Effort;
 use tt_bench::incremental;
-use tt_contracts::obligation::{CheckResult, Registry};
+use tt_contracts::obligation::{CheckResult, Obligation, Registry};
 use tt_contracts::span::{scan_text, SourceIndex};
 use tt_contracts::vcache::{LoadOutcome, VerdictCache};
 use tt_contracts::verifier::Verifier;
@@ -153,6 +153,75 @@ fn config_hash_mismatch_discards_the_whole_cache() {
         cached_fns(&rerun).is_empty(),
         "no reuse across config changes"
     );
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Seeds a granular-allocator crate: `new_regions` in `lib.rs`, and its
+/// obligation's registration in `obligations.rs` with `check` as the
+/// property it asserts.
+fn seed_obligation_tree(root: &Path, check: &str) {
+    let src = root.join("crates/core/src");
+    fs::create_dir_all(&src).expect("mkdir");
+    let lib = "pub fn new_regions(start: u32, size: u32) -> (u32, u32) {\n    (start, size)\n}\n";
+    fs::write(src.join("lib.rs"), lib).expect("write lib.rs");
+    let obligations = format!(
+        "pub fn register_obligations(registry: &mut Registry) {{\n    \
+         registry.add_fn(COMPONENT, \"GranularCortexM::new_regions\", Post, || {check});\n}}\n"
+    );
+    fs::write(src.join("obligations.rs"), obligations).expect("write obligations.rs");
+}
+
+/// The seeded obligation as `obligations.rs` registers it: the check
+/// refutes every case once the registration says so.
+fn seeded_obligation(root: &Path) -> Registry {
+    let text = fs::read_to_string(root.join("crates/core/src/obligations.rs")).expect("read");
+    let refutes = text.contains("refute_every_case");
+    let mut r = Registry::new();
+    r.add(Obligation {
+        component: "TickTock (Granular)",
+        function: "GranularCortexM::new_regions".into(),
+        kind: ContractKind::Post,
+        trusted: false,
+        check: Box::new(move || {
+            if refutes {
+                CheckResult::Refuted {
+                    counterexample: "every case".into(),
+                }
+            } else {
+                CheckResult::Verified { cases: 8 }
+            }
+        }),
+        site: "crates/core/src/obligations.rs",
+        check_crate: "ticktock",
+    });
+    r
+}
+
+#[test]
+fn editing_an_obligation_on_disk_rediscarges_the_fn_it_names() {
+    // The obligation-edit probe: the registration of an anchored fn's
+    // obligation changes, the fn itself does not. The warm run must
+    // re-discharge it and report the refutation, not a cached VERIFIED.
+    let root = scratch("obligation-edit");
+    let cache_file = root.join("verify_cache.bin");
+    seed_obligation_tree(&root, "verify_new_regions()");
+    let mut cache = VerdictCache::new(42);
+    let cold =
+        Verifier::new().verify_incremental(&seeded_obligation(&root), &mut cache, &index_of(&root));
+    assert!(cold.all_verified());
+    cache.save(&cache_file).expect("save cache");
+
+    seed_obligation_tree(&root, "refute_every_case()");
+    let (mut cache, outcome) = VerdictCache::load_or_cold(&cache_file, 42);
+    assert!(outcome.is_warm(), "{outcome:?}");
+    let index = index_of(&root);
+    assert!(index.is_anchored("GranularCortexM::new_regions"));
+    let warm = Verifier::new().verify_incremental(&seeded_obligation(&root), &mut cache, &index);
+    assert!(
+        cached_fns(&warm).is_empty(),
+        "the edited obligation was served from cache"
+    );
+    assert!(!warm.all_verified(), "the edited obligation refutes");
     let _ = fs::remove_dir_all(&root);
 }
 

@@ -46,6 +46,20 @@ pub struct Obligation {
     pub trusted: bool,
     /// The discharge procedure: our stand-in for the SMT query.
     pub check: Box<dyn Fn() -> CheckResult + Send>,
+    /// The file whose code registered the obligation, `/`-separated: the
+    /// `crates/<dir>/src/…` tail of the caller's path when it has one (a
+    /// workspace build passes relative paths, a build of the crates as
+    /// path dependencies absolute ones), else the path as the compiler
+    /// gave it. The verifier folds this file's hash into the verdict key
+    /// and anchors a function that resolves to no `fn` on its crate's
+    /// dependency closure ([`crate::span::SourceIndex::closure_hash`]).
+    pub site: &'static str,
+    /// The crate that defines the check closure: the leading path
+    /// segment of its type name (`ticktock` for a closure written in
+    /// `ticktock::obligations`). A check can only run code of this crate
+    /// and its dependencies, so it must lie in the closure of the crate
+    /// of [`site`](Self::site).
+    pub check_crate: &'static str,
 }
 
 impl fmt::Debug for Obligation {
@@ -55,6 +69,8 @@ impl fmt::Debug for Obligation {
             .field("function", &self.function)
             .field("kind", &self.kind)
             .field("trusted", &self.trusted)
+            .field("site", &self.site)
+            .field("check_crate", &self.check_crate)
             .finish_non_exhaustive()
     }
 }
@@ -76,7 +92,9 @@ impl Registry {
         self.obligations.push(obligation);
     }
 
-    /// Registers an obligation from its parts.
+    /// Registers an obligation from its parts, recording the calling
+    /// file as its [`site`](Obligation::site).
+    #[track_caller]
     pub fn add_fn(
         &mut self,
         component: &'static str,
@@ -84,34 +102,26 @@ impl Registry {
         kind: ContractKind,
         check: impl Fn() -> CheckResult + Send + 'static,
     ) {
-        self.add(Obligation {
-            component,
-            function: function.into(),
-            kind,
-            trusted: false,
-            check: Box::new(check),
-        });
+        self.push(component, function.into(), kind, false, check);
     }
 
     /// Registers a `#[trusted]` obligation: counted, never executed.
+    #[track_caller]
     pub fn add_trusted(
         &mut self,
         component: &'static str,
         function: impl Into<String>,
         kind: ContractKind,
     ) {
-        self.add(Obligation {
-            component,
-            function: function.into(),
-            kind,
-            trusted: true,
-            check: Box::new(|| CheckResult::Trusted),
+        self.push(component, function.into(), kind, true, || {
+            CheckResult::Trusted
         });
     }
 
     /// Registers the implicit, cheap obligations for a batch of functions
     /// whose only verification conditions are Flux's built-in safety checks
     /// (overflow/bounds). These are the "0.05s mean" bulk of Figure 12.
+    #[track_caller]
     pub fn add_builtin_safety(&mut self, component: &'static str, functions: &[&str]) {
         for f in functions {
             let name = (*f).to_string();
@@ -125,6 +135,27 @@ impl Registry {
                 CheckResult::Verified { cases: 64 }
             });
         }
+    }
+
+    #[track_caller]
+    fn push(
+        &mut self,
+        component: &'static str,
+        function: String,
+        kind: ContractKind,
+        trusted: bool,
+        check: impl Fn() -> CheckResult + Send + 'static,
+    ) {
+        let check_type = std::any::type_name_of_val(&check);
+        self.add(Obligation {
+            component,
+            function,
+            kind,
+            trusted,
+            check: Box::new(check),
+            site: site_of(std::panic::Location::caller().file()),
+            check_crate: check_type.split("::").next().unwrap_or(check_type),
+        });
     }
 
     /// Returns the registered obligations.
@@ -177,6 +208,24 @@ impl Registry {
     }
 }
 
+/// The `crates/<dir>/src/…` tail of a source path (the last one, if the
+/// path nests several), or the path itself when it has none.
+fn site_of(file: &str) -> &str {
+    let mut site = file;
+    let mut rest = file;
+    while let Some(at) = rest.find("crates/") {
+        let tail = &rest[at..];
+        let is_crate_src = tail["crates/".len()..]
+            .split_once('/')
+            .is_some_and(|(dir, after)| !dir.is_empty() && after.starts_with("src/"));
+        if is_crate_src && (at == 0 || rest.as_bytes()[at - 1] == b'/') {
+            site = tail;
+        }
+        rest = &tail["crates/".len()..];
+    }
+    site
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +275,42 @@ mod tests {
         assert_eq!(r.function_count("kernel"), 3);
         for o in r.obligations() {
             assert!(matches!((o.check)(), CheckResult::Verified { cases: 64 }));
+        }
+    }
+
+    #[test]
+    fn registrations_record_their_site_and_check_crate() {
+        let mut r = sample_registry();
+        r.add_builtin_safety("kernel", &["f1"]);
+        for o in r.obligations() {
+            assert_eq!(o.site, "crates/contracts/src/obligation.rs", "{o:?}");
+            assert_eq!(o.check_crate, "tt_contracts", "{o:?}");
+        }
+    }
+
+    #[test]
+    fn sites_normalise_on_the_crate_source_tail() {
+        for (file, site) in [
+            (
+                "crates/core/src/obligations.rs",
+                "crates/core/src/obligations.rs",
+            ),
+            (
+                "/build/ticktock/crates/core/src/obligations.rs",
+                "crates/core/src/obligations.rs",
+            ),
+            (
+                "/w/crates/repo/crates/hw/src/a/b.rs",
+                "crates/hw/src/a/b.rs",
+            ),
+            (
+                "crates/bench/tests/incremental.rs",
+                "crates/bench/tests/incremental.rs",
+            ),
+            ("tests/fig12.rs", "tests/fig12.rs"),
+            ("/w/mycrates/core/src/a.rs", "/w/mycrates/core/src/a.rs"),
+        ] {
+            assert_eq!(site_of(file), site, "{file}");
         }
     }
 

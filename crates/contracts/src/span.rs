@@ -412,6 +412,103 @@ fn token_at(line: &str, at: usize) -> &str {
     &line[at..at + len]
 }
 
+/// One workspace crate under `crates/`, as its `Cargo.toml` declares it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WorkspaceCrate {
+    /// The library name (`ticktock`, `tt_fluxarm`): the leading segment of
+    /// the type names of the items it defines.
+    pub lib: &'static str,
+    /// Its directory under `crates/`; its sources are
+    /// `crates/<dir>/src/**/*.rs`.
+    pub dir: &'static str,
+    /// The `dir`s of the workspace crates its `[dependencies]` name.
+    pub deps: &'static [&'static str],
+}
+
+/// The workspace crates and their dependency edges, which
+/// [`SourceIndex::from_files`] closes transitively. Code compiled in a
+/// crate can only call into that crate and its transitive dependencies
+/// (std and the vendored shims are outside the index; the verdict cache's
+/// config hash covers the toolchain). A test checks this table against
+/// every `crates/*/Cargo.toml`.
+pub const WORKSPACE_CRATES: &[WorkspaceCrate] = &[
+    WorkspaceCrate {
+        lib: "tt_contracts",
+        dir: "contracts",
+        deps: &[],
+    },
+    WorkspaceCrate {
+        lib: "tt_hw",
+        dir: "hw",
+        deps: &["contracts"],
+    },
+    WorkspaceCrate {
+        lib: "tt_fluxarm",
+        dir: "fluxarm",
+        deps: &["contracts", "hw"],
+    },
+    WorkspaceCrate {
+        lib: "tt_legacy",
+        dir: "legacy",
+        deps: &["contracts", "hw"],
+    },
+    WorkspaceCrate {
+        lib: "ticktock",
+        dir: "core",
+        deps: &["contracts", "hw"],
+    },
+    WorkspaceCrate {
+        lib: "tt_kernel",
+        dir: "kernel",
+        deps: &["contracts", "hw", "fluxarm", "legacy", "core"],
+    },
+    WorkspaceCrate {
+        lib: "tt_analysis",
+        dir: "analysis",
+        deps: &["contracts", "hw", "fluxarm", "legacy", "core", "kernel"],
+    },
+    WorkspaceCrate {
+        lib: "tt_bench",
+        dir: "bench",
+        deps: &[
+            "contracts",
+            "hw",
+            "fluxarm",
+            "legacy",
+            "core",
+            "kernel",
+            "analysis",
+        ],
+    },
+];
+
+/// The position in [`WORKSPACE_CRATES`] of the crate whose sources hold
+/// `path` (`crates/<dir>/src/…`), if any.
+pub fn crate_of(path: &str) -> Option<usize> {
+    let (dir, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+    if !rest.starts_with("src/") {
+        return None;
+    }
+    WORKSPACE_CRATES.iter().position(|c| c.dir == dir)
+}
+
+/// Each crate's transitive dependency closure, itself included, as a bit
+/// set over [`WORKSPACE_CRATES`] positions.
+pub fn crate_closures() -> Vec<u64> {
+    let position = |dir: &str| WORKSPACE_CRATES.iter().position(|c| c.dir == dir);
+    let mut closures: Vec<u64> = (0..WORKSPACE_CRATES.len()).map(|i| 1 << i).collect();
+    // Each round adds one more edge of every path; a path has fewer edges
+    // than there are crates.
+    for _ in 0..WORKSPACE_CRATES.len() {
+        for (i, c) in WORKSPACE_CRATES.iter().enumerate() {
+            for dep in c.deps.iter().filter_map(|d| position(d)) {
+                closures[i] |= closures[dep];
+            }
+        }
+    }
+    closures
+}
+
 /// A content-hash index over a set of scanned files: the source half of
 /// every incremental verdict-cache key.
 ///
@@ -419,9 +516,10 @@ fn token_at(line: &str, at: usize) -> &str {
 /// `"encode_permissions(arm)"`) resolve to scanner-recovered `fn` names by
 /// their method component; same-named functions across the workspace fold
 /// into one combined hash, so a change to *any* of them invalidates (the
-/// safe over-approximation). Obligations whose name matches no recovered
-/// `fn` anchor to the whole-workspace hash instead: they go stale on any
-/// source change, never silently fresh.
+/// safe over-approximation). For obligations whose name matches no
+/// recovered `fn`, the index holds one hash per workspace crate over the
+/// files of its dependency closure ([`closure_hash`](Self::closure_hash))
+/// and the whole-workspace hash ([`workspace_hash`](Self::workspace_hash)).
 #[derive(Debug, Clone, Default)]
 pub struct SourceIndex {
     /// One entry per distinct `fn` name: its FNV-1a key, its byte range
@@ -431,6 +529,9 @@ pub struct SourceIndex {
     names: String,
     files: BTreeMap<String, u64>,
     workspace_hash: u64,
+    /// Per [`WORKSPACE_CRATES`] entry, the hash of the indexed files of
+    /// its dependency closure; empty for the empty index.
+    closures: Vec<u64>,
 }
 
 impl SourceIndex {
@@ -485,11 +586,28 @@ impl SourceIndex {
         for file in sorted {
             index.files.insert(file.rel_path.clone(), file.content_hash);
         }
+        let mut crates = vec![Fnv::new(); WORKSPACE_CRATES.len()];
         for (path, hash) in &index.files {
             ws.mix_str(path);
             ws.mix_u64(*hash);
+            if let Some(c) = crate_of(path) {
+                crates[c].mix_str(path);
+                crates[c].mix_u64(*hash);
+            }
         }
         index.workspace_hash = ws.finish();
+        index.closures = crate_closures()
+            .into_iter()
+            .map(|members| {
+                let mut h = Fnv::new();
+                for (c, crate_hash) in crates.iter().enumerate() {
+                    if members & (1 << c) != 0 {
+                        h.mix_u64(crate_hash.finish());
+                    }
+                }
+                h.finish()
+            })
+            .collect();
         index
     }
 
@@ -515,31 +633,37 @@ impl SourceIndex {
         self.workspace_hash
     }
 
-    /// Resolves an obligation's function name to its source anchor hash.
+    /// Hash of the indexed files of the dependency closure of the crate
+    /// whose sources hold `site` (`crates/<dir>/src/…`): changes when any
+    /// file of those crates changes, appears or disappears, and only
+    /// then. `None` when `site` lies in no [`WORKSPACE_CRATES`] entry.
+    pub fn closure_hash(&self, site: &str) -> Option<u64> {
+        self.closures.get(crate_of(site)?).copied()
+    }
+
+    /// Resolves an obligation's function name to the combined hash of the
+    /// `fn` spans it names, if it names any.
     ///
     /// Candidates, in order: the full name, the parenthesis-stripped form
     /// (`encode_permissions(arm)` → `encode_permissions`), and the method
-    /// half of a `Type::method` path. Unresolvable names anchor to the
-    /// workspace hash — stale on any change, never silently fresh.
-    pub fn anchor_hash(&self, function: &str) -> u64 {
-        let stripped = function.split('(').next().unwrap_or(function);
-        let method = stripped.split("::").last().unwrap_or(stripped);
-        for cand in [function, stripped, method] {
-            if let Some(h) = self.fn_hash(cand) {
-                return h;
-            }
-        }
-        self.workspace_hash
-    }
-
-    /// Whether `function` resolved to a recovered `fn` span (as opposed to
-    /// the whole-workspace fallback anchor).
-    pub fn is_anchored(&self, function: &str) -> bool {
+    /// half of a `Type::method` path.
+    pub fn fn_anchor(&self, function: &str) -> Option<u64> {
         let stripped = function.split('(').next().unwrap_or(function);
         let method = stripped.split("::").last().unwrap_or(stripped);
         [function, stripped, method]
-            .iter()
-            .any(|c| self.fn_hash(c).is_some())
+            .into_iter()
+            .find_map(|cand| self.fn_hash(cand))
+    }
+
+    /// [`fn_anchor`](Self::fn_anchor), falling back to the workspace hash
+    /// for a name that resolves to no `fn`.
+    pub fn anchor_hash(&self, function: &str) -> u64 {
+        self.fn_anchor(function).unwrap_or(self.workspace_hash)
+    }
+
+    /// Whether `function` resolved to a recovered `fn` span.
+    pub fn is_anchored(&self, function: &str) -> bool {
+        self.fn_anchor(function).is_some()
     }
 }
 
@@ -1129,6 +1253,52 @@ mod tests {
         // Changing either definition changes the combined hash.
         assert_ne!(idx.fn_hash("new"), idx2.fn_hash("new"));
         assert_ne!(idx.workspace_hash(), idx2.workspace_hash());
+    }
+
+    #[test]
+    fn closure_hashes_change_with_the_files_of_their_closure_only() {
+        let tree = |hw: &str, kernel: &str| {
+            SourceIndex::from_files(&[
+                scan_text("crates/hw/src/lib.rs", hw),
+                scan_text("crates/kernel/src/lib.rs", kernel),
+                scan_text("src/lib.rs", "pub fn root() {}\n"),
+            ])
+        };
+        let base = tree("fn a() {}\n", "fn b() {}\n");
+        let hw_edit = tree("fn a() { 1; }\n", "fn b() {}\n");
+        let kernel_edit = tree("fn a() {}\n", "fn b() { 1; }\n");
+        let fluxarm = "crates/fluxarm/src/contracts.rs";
+        // fluxarm's closure holds hw but not kernel; kernel's holds both.
+        assert_ne!(base.closure_hash(fluxarm), hw_edit.closure_hash(fluxarm));
+        assert_eq!(
+            base.closure_hash(fluxarm),
+            kernel_edit.closure_hash(fluxarm)
+        );
+        let kernel = "crates/kernel/src/explore.rs";
+        assert_ne!(base.closure_hash(kernel), hw_edit.closure_hash(kernel));
+        assert_ne!(base.closure_hash(kernel), kernel_edit.closure_hash(kernel));
+        // A site in no table crate has no closure hash.
+        for site in ["src/lib.rs", "crates/x/src/lib.rs", "crates/hw/tests/t.rs"] {
+            assert_eq!(base.closure_hash(site), None, "{site}");
+        }
+        assert_eq!(SourceIndex::default().closure_hash(fluxarm), None);
+    }
+
+    #[test]
+    fn crate_closures_are_transitive() {
+        let dirs = |i: usize| -> Vec<&str> {
+            let closure = crate_closures()[i];
+            WORKSPACE_CRATES
+                .iter()
+                .enumerate()
+                .filter(|&(c, _)| closure & (1 << c) != 0)
+                .map(|(_, c)| c.dir)
+                .collect()
+        };
+        let at = |dir: &str| WORKSPACE_CRATES.iter().position(|c| c.dir == dir).unwrap();
+        assert_eq!(dirs(at("fluxarm")), ["contracts", "hw", "fluxarm"]);
+        assert_eq!(dirs(at("contracts")), ["contracts"]);
+        assert_eq!(dirs(at("bench")).len(), WORKSPACE_CRATES.len());
     }
 
     // --- The identifier-occurrence table ---

@@ -44,8 +44,11 @@ use crate::span::{fnv1a, Fnv};
 
 /// File magic: "TTVC" (TickTock Verdict Cache).
 pub const MAGIC: [u8; 4] = *b"TTVC";
-/// Format version; bump on any layout change.
-pub const VERSION: u16 = 1;
+/// Format version; bump on any layout change, or when what a record's
+/// hashes mean changes. Version 2: the `fn_hash` half of a verifier
+/// verdict is [`crate::verifier::source_key`] (crate-closure anchors and
+/// the registering files), no longer the bare anchor hash.
+pub const VERSION: u16 = 2;
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 40;
 /// Fixed record length in bytes.
@@ -679,6 +682,19 @@ mod tests {
                 Err(e) => proptest::prop_assert!(!e.to_string().is_empty()),
             }
         }
+    }
+
+    #[test]
+    fn a_version_1_cache_loads_as_a_cold_run() {
+        let mut old = sample().encode();
+        old[4..6].copy_from_slice(&1u16.to_le_bytes());
+        reseal(&mut old);
+        let path = std::env::temp_dir().join(format!("ttvc-v1-{}.bin", std::process::id()));
+        fs::write(&path, &old).unwrap();
+        let (cache, outcome) = VerdictCache::load_or_cold(&path, sample().config_hash());
+        let _ = fs::remove_file(&path);
+        assert_eq!(outcome, LoadOutcome::Corrupt(CacheError::BadVersion(1)));
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (`Fns`, `Total`, `Max`, `Mean`, `StdDev`).
 
 use crate::obligation::{CheckResult, Obligation, Registry};
-use crate::span::SourceIndex;
+use crate::span::{Fnv, SourceIndex};
 use crate::vcache::{verdict_key, Verdict, VerdictCache};
 use crate::{with_mode, Mode};
 use std::collections::{BTreeMap, HashMap};
@@ -32,6 +32,22 @@ pub struct FunctionResult {
     pub trusted: bool,
     /// Whether this result was served from the incremental cache.
     pub cached: bool,
+    /// What the source half of the function's verdict key hashes.
+    pub anchor: Anchor,
+}
+
+/// What the source half of a verdict key ([`source_key`]) hashes besides
+/// the registering files.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Anchor {
+    /// The `fn` spans the function's name resolves to.
+    Fn,
+    /// The name resolves to no `fn`: the files of the dependency closure
+    /// of the crates that registered its obligations.
+    Closure,
+    /// Neither: some obligation was registered outside every workspace
+    /// crate's sources, so the key hashes the whole workspace.
+    Workspace,
 }
 
 impl FunctionResult {
@@ -130,6 +146,11 @@ impl VerificationReport {
         }
     }
 
+    /// The number of functions whose verdict key was anchored as `anchor`.
+    pub fn anchored(&self, anchor: Anchor) -> usize {
+        self.functions.iter().filter(|f| f.anchor == anchor).count()
+    }
+
     /// Fraction of functions served from the incremental cache (0.0 when
     /// the report is empty). The `fig12` report's `cache_hit_rate` is the
     /// cache's own lookup rate, which equals this on a run whose every
@@ -215,25 +236,28 @@ impl Verifier {
         self.verify_incremental(registry, &mut VerdictCache::new(0), &SourceIndex::default())
     }
 
-    /// Persistent incremental verification: functions whose source content
-    /// hash *and* obligation-domain hash both match a verdict in `cache`
-    /// are skipped; everything else is discharged and (if verified) stored.
+    /// Persistent incremental verification: functions whose source key
+    /// ([`source_key`]) *and* obligation-domain hash both match a verdict
+    /// in `cache` are skipped; everything else is discharged and (if
+    /// verified) stored.
     ///
     /// This is the workflow §6.3 highlights: "Flux is a modular verifier
     /// that checks each function in isolation … allow\[ing\] for incremental
     /// and interactive verification during code development".
     ///
     /// Staleness gates, in the cache key itself:
-    /// * a changed function body → different [`SourceIndex::anchor_hash`];
+    /// * a changed function body, or a changed file that registers one of
+    ///   its obligations → different [`source_key`];
+    /// * for a function that resolves to no `fn`, a changed file anywhere
+    ///   in the dependency closure of a registering crate → different
+    ///   [`source_key`];
     /// * a changed spec (obligation added/removed/re-kinded/re-trusted) →
     ///   different obligation signature (the `domain_hash`);
     /// * a toolchain/config change → the caller loads the cache under a
     ///   different config hash, which discards every verdict.
     ///
     /// Refuted functions are never stored, so a failure is always
-    /// re-discharged. Obligations whose name cannot be anchored to a
-    /// scanned `fn` span fall back to the whole-workspace hash: they stay
-    /// cacheable on an unchanged tree but go stale on *any* source edit.
+    /// re-discharged.
     pub fn verify_incremental(
         &self,
         registry: &Registry,
@@ -243,7 +267,7 @@ impl Verifier {
         let mut report = VerificationReport::default();
         for (component, function, obligations) in group_by_function(registry) {
             let domain_hash = obligation_signature(&obligations);
-            let fn_hash = index.anchor_hash(function);
+            let (fn_hash, anchor) = source_key(index, function, &obligations);
             let key_hash = verdict_key(TAG_VERIFY, component, function);
             let lookup_start = Instant::now();
             if let Some(v) = cache.lookup(key_hash, fn_hash, domain_hash) {
@@ -258,6 +282,7 @@ impl Verifier {
                     refutations: Vec::new(),
                     trusted: v.trusted,
                     cached: true,
+                    anchor,
                 });
                 continue;
             }
@@ -281,6 +306,7 @@ impl Verifier {
                 refutations: d.refutations,
                 trusted: d.trusted,
                 cached: false,
+                anchor,
             });
         }
         report
@@ -346,6 +372,72 @@ fn group_by_function(registry: &Registry) -> Vec<(&'static str, &str, Vec<&Oblig
         groups[i].2.push(o);
     }
     groups
+}
+
+/// The source half of `function`'s verdict key (the cache's `fn_hash`)
+/// and what it anchors on, given the function's obligations.
+///
+/// A discharge runs its check closures. A closure compiled in crate X can
+/// only run code of X and of X's transitive workspace dependencies, so
+/// for a name that resolves to no `fn`, the hash of those crates' files
+/// ([`SourceIndex::closure_hash`] of each registering file) covers every
+/// line the discharge can execute; a registering file outside every
+/// workspace crate falls back to the whole-workspace hash. A name that
+/// resolves keys on its `fn` spans ([`SourceIndex::fn_anchor`]). Either
+/// way the key then folds the hash of every indexed file that registers
+/// one of the obligations, so an edited check goes stale; a registering
+/// file outside the index (a test) adds nothing.
+pub fn source_key(
+    index: &SourceIndex,
+    function: &str,
+    obligations: &[&Obligation],
+) -> (u64, Anchor) {
+    let mut sites: Vec<&str> = Vec::with_capacity(1);
+    for o in obligations {
+        if !sites.contains(&o.site) {
+            sites.push(o.site);
+        }
+    }
+    let (mut key, anchor) = match index.fn_anchor(function) {
+        Some(h) => (h, Anchor::Fn),
+        None => {
+            let mut h = Fnv::new();
+            let closures = sites.iter().try_for_each(|site| {
+                h.mix_u64(index.closure_hash(site)?);
+                Some(())
+            });
+            match closures {
+                Some(()) => (h.finish(), Anchor::Closure),
+                None => (index.workspace_hash(), Anchor::Workspace),
+            }
+        }
+    };
+    for site in sites {
+        if let Some(file) = index.file_hash(site) {
+            let mut h = Fnv::new();
+            h.mix_u64(key);
+            h.mix_str(site);
+            h.mix_u64(file);
+            key = h.finish();
+        }
+    }
+    (key, anchor)
+}
+
+/// [`source_key`] of every function in `registry`, grouped as the
+/// verifier groups them: `(component, function, key, anchor)` in order of
+/// first registration.
+pub fn source_keys<'r>(
+    registry: &'r Registry,
+    index: &SourceIndex,
+) -> Vec<(&'static str, &'r str, u64, Anchor)> {
+    group_by_function(registry)
+        .into_iter()
+        .map(|(component, function, obligations)| {
+            let (key, anchor) = source_key(index, function, &obligations);
+            (component, function, key, anchor)
+        })
+        .collect()
 }
 
 /// The obligation-domain signature of one function: a fingerprint of its
@@ -659,23 +751,102 @@ mod tests {
         assert!(!again.all_verified());
     }
 
-    #[test]
-    fn unanchored_obligations_go_stale_on_any_source_change() {
+    /// One verified obligation on `function`, registered from `site`.
+    fn registered_at(site: &'static str, function: &str) -> Registry {
         let mut r = Registry::new();
-        r.add_fn("c", "not_in_source", ContractKind::Post, || {
-            CheckResult::Verified { cases: 1 }
+        r.add(Obligation {
+            component: "c",
+            function: function.into(),
+            kind: ContractKind::Post,
+            trusted: false,
+            check: Box::new(|| CheckResult::Verified { cases: 1 }),
+            site,
+            check_crate: "tt_contracts",
         });
+        r
+    }
+
+    /// A three-crate tree: `hw`, `fluxarm` (which depends on `hw`) and
+    /// `kernel`, with one line of `crate_dir` set to `edit`.
+    fn crate_tree(crate_dir: &str, edit: &str) -> SourceIndex {
+        let files: Vec<_> = ["hw", "fluxarm", "kernel"]
+            .iter()
+            .map(|dir| {
+                let body = if *dir == crate_dir { edit } else { "a()" };
+                crate::span::scan_text(
+                    &format!("crates/{dir}/src/lib.rs"),
+                    &format!("pub fn in_{dir}() {{\n    {body};\n}}\n"),
+                )
+            })
+            .collect();
+        SourceIndex::from_files(&files)
+    }
+
+    /// Whether `registry`'s one function is still warm after a cold run on
+    /// `before` and a re-run on `after`.
+    fn stays_warm(registry: &Registry, before: &SourceIndex, after: &SourceIndex) -> bool {
         let verifier = Verifier::new();
         let mut cache = VerdictCache::new(1);
-        let idx = index_of("pub fn unrelated() {\n    a();\n}\n");
-        verifier.verify_incremental(&r, &mut cache, &idx);
-        // Unchanged tree: still a hit via the workspace-hash anchor.
-        let warm = verifier.verify_incremental(&r, &mut cache, &idx);
-        assert!(warm.functions[0].cached);
-        // ANY file change (even an unrelated fn) invalidates it.
-        let edited = index_of("pub fn unrelated() {\n    b();\n}\n");
-        let stale = verifier.verify_incremental(&r, &mut cache, &edited);
-        assert!(!stale.functions[0].cached);
+        let cold = verifier.verify_incremental(registry, &mut cache, before);
+        assert!(!cold.functions[0].cached);
+        let warm = verifier.verify_incremental(registry, &mut cache, before);
+        assert!(warm.functions[0].cached, "an unchanged tree stays warm");
+        verifier
+            .verify_incremental(registry, &mut cache, after)
+            .functions[0]
+            .cached
+    }
+
+    #[test]
+    fn unanchored_obligations_go_stale_on_an_edit_inside_their_closure() {
+        // Registered in fluxarm, whose closure is contracts, hw, fluxarm.
+        let r = registered_at("crates/fluxarm/src/contracts.rs", "Arm7::not_in_source");
+        let base = crate_tree("", "");
+        assert!(!stays_warm(&r, &base, &crate_tree("hw", "b()")));
+        assert!(!stays_warm(&r, &base, &crate_tree("fluxarm", "b()")));
+        let report = Verifier::new().verify_incremental(&r, &mut VerdictCache::new(1), &base);
+        assert_eq!(report.functions[0].anchor, Anchor::Closure);
+    }
+
+    #[test]
+    fn unanchored_obligations_stay_warm_on_an_edit_outside_their_closure() {
+        let r = registered_at("crates/fluxarm/src/contracts.rs", "Arm7::not_in_source");
+        assert!(stays_warm(
+            &r,
+            &crate_tree("", ""),
+            &crate_tree("kernel", "b()")
+        ));
+    }
+
+    #[test]
+    fn a_site_outside_the_crate_table_keeps_the_workspace_anchor() {
+        // Crate `x` is no workspace crate: ANY file change (even an
+        // unrelated fn in another crate) invalidates the verdict.
+        let r = registered_at("crates/x/src/obligations.rs", "not_in_source");
+        assert!(!stays_warm(
+            &r,
+            &crate_tree("", ""),
+            &crate_tree("kernel", "b()")
+        ));
+        let report = Verifier::new().verify(&r);
+        assert_eq!(report.functions[0].anchor, Anchor::Workspace);
+    }
+
+    #[test]
+    fn an_edited_registering_file_rekeys_anchored_functions_too() {
+        let site = "crates/hw/src/lib.rs";
+        let r = registered_at(site, "in_fluxarm");
+        let base = crate_tree("", "");
+        // Editing the fn it names, or the file that registers it, goes
+        // stale; editing a third file does not.
+        assert!(!stays_warm(&r, &base, &crate_tree("fluxarm", "b()")));
+        assert!(!stays_warm(&r, &base, &crate_tree("hw", "b()")));
+        assert!(stays_warm(&r, &base, &crate_tree("kernel", "b()")));
+        // A registering file outside the index adds nothing to the key.
+        let r = registered_at("crates/bench/tests/probe.rs", "in_fluxarm");
+        let keys = source_keys(&r, &base);
+        assert_eq!(keys[0].2, base.fn_hash("in_fluxarm").unwrap());
+        assert_eq!(keys[0].3, Anchor::Fn);
     }
 
     #[test]
