@@ -35,8 +35,8 @@ pub fn scan_file(root: &Path, path: &Path) -> Option<ScannedFile> {
 }
 
 /// Walks the audited source set: `crates/*/src/**/*.rs` plus the top-level
-/// `src/`. Vendored shims, `tests/`, `benches/`, `examples/` and build
-/// output are outside the audit (they are not kernel code).
+/// `src/`. Vendored shims, `tests/`, `examples/` and build output are
+/// outside the audit (they are not kernel code).
 pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let crates = root.join("crates");

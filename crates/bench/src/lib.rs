@@ -40,15 +40,28 @@ pub fn pct_diff(ticktock: f64, tock: f64) -> String {
     format!("{diff:+.2}%")
 }
 
-/// The value after `flag` in a bin's arguments, parsed: `None` when the
-/// flag is absent, has no value (the next argument is a flag), or the
-/// value does not parse.
+/// The value after `flag` in a bin's arguments, parsed; `None` when the
+/// flag is absent. A present flag with no value (none follows, or the
+/// next argument is a flag) or a value that does not parse exits 2,
+/// naming the flag: a typo must not fall back to the default.
 pub fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let i = args.iter().position(|a| a == flag)?;
-    args.get(i + 1)
-        .filter(|v| !v.starts_with("--"))?
-        .parse()
-        .ok()
+    parse_flag(args, flag).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1).filter(|v| !v.starts_with("--")) {
+        None => Err(format!("{flag} requires a value")),
+        Some(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{flag}: invalid value `{v}`")),
+    }
 }
 
 /// A corpus replay's still-failing lines as report failures, each
@@ -111,10 +124,15 @@ mod tests {
 
     #[test]
     fn flag_value_parses_the_next_argument_unless_it_is_a_flag() {
-        let args = ["--seeds", "7", "--corpus", "--json", "--runs", "x"].map(String::from);
-        assert_eq!(flag_value::<u64>(&args, "--seeds"), Some(7));
-        assert_eq!(flag_value::<String>(&args, "--corpus"), None);
-        assert_eq!(flag_value::<u64>(&args, "--runs"), None);
-        assert_eq!(flag_value::<u64>(&args, "--cap"), None);
+        let args = [
+            "--seeds", "7", "--corpus", "--json", "--runs", "1e6", "--cache",
+        ];
+        let args = args.map(String::from);
+        assert_eq!(parse_flag::<u64>(&args, "--seeds"), Ok(Some(7)));
+        assert_eq!(parse_flag::<u64>(&args, "--cap"), Ok(None));
+        let err = |flag| parse_flag::<u64>(&args, flag).unwrap_err();
+        assert_eq!(err("--corpus"), "--corpus requires a value");
+        assert_eq!(err("--runs"), "--runs: invalid value `1e6`");
+        assert_eq!(err("--cache"), "--cache requires a value");
     }
 }

@@ -112,7 +112,7 @@ pub enum LoadOutcome {
     /// No cache file existed: a first (cold) run.
     NoFile,
     /// The file was valid but written under a different toolchain/config
-    /// hash; its verdicts were discarded.
+    /// hash or format [`VERSION`]; its verdicts were discarded.
     ConfigChanged,
     /// The file failed validation; its verdicts were discarded.
     Corrupt(CacheError),
@@ -214,7 +214,8 @@ impl VerdictCache {
     }
 
     /// Loads a cache file, falling back to an empty cold cache when the
-    /// file is missing, corrupt, or written under a different config hash.
+    /// file is missing, corrupt, or written under a different config hash
+    /// or format version.
     /// The outcome says which; callers warn on [`LoadOutcome::Corrupt`].
     /// Corruption never yields partial reuse: every record is discarded.
     pub fn load_or_cold(path: &Path, config_hash: u64) -> (Self, LoadOutcome) {
@@ -233,7 +234,11 @@ impl VerdictCache {
         };
         match Self::decode(&bytes) {
             Ok(cache) if cache.config_hash == config_hash => (cache, LoadOutcome::Warm),
-            Ok(_) => (Self::new(config_hash), LoadOutcome::ConfigChanged),
+            // Another format version is a valid file from another build,
+            // not corruption: the same cold fallback as a config change.
+            Ok(_) | Err(CacheError::BadVersion(_)) => {
+                (Self::new(config_hash), LoadOutcome::ConfigChanged)
+            }
             Err(e) => (Self::new(config_hash), LoadOutcome::Corrupt(e)),
         }
     }
@@ -693,7 +698,7 @@ mod tests {
         fs::write(&path, &old).unwrap();
         let (cache, outcome) = VerdictCache::load_or_cold(&path, sample().config_hash());
         let _ = fs::remove_file(&path);
-        assert_eq!(outcome, LoadOutcome::Corrupt(CacheError::BadVersion(1)));
+        assert_eq!(outcome, LoadOutcome::ConfigChanged);
         assert!(cache.is_empty());
     }
 

@@ -2,6 +2,7 @@
 //! BUG2, BUG3 rows of DESIGN.md §3), each demonstrated both as a concrete
 //! hardware-observable break and as a verifier refutation.
 
+use ticktock_repro::contracts::domain::{alloc_param_grid, AllocParams};
 use ticktock_repro::contracts::obligation::Registry;
 use ticktock_repro::contracts::verifier::Verifier;
 use ticktock_repro::contracts::{take_violations, with_mode, Mode};
@@ -74,6 +75,15 @@ mod bug1 {
         // The fix doubles the block; the app-visible region is unchanged.
         assert_eq!(lf.mem_size_po2, lb.mem_size_po2 * 2);
         assert_eq!(lf.subregs_enabled_end, lb.subregs_enabled_end);
+        // Over the verifier's density-2 grid, refused allocations too:
+        // Buggy breaks isolation somewhere, Fixed nowhere.
+        let holds = |mpu: &LegacyCortexM, p: &AllocParams| {
+            mpu.compute_alloc_layout(p.unalloc_start, p.min_size, p.app_size, p.kernel_size)
+                .isolation_holds()
+        };
+        let grid = alloc_param_grid(0x2000_0000, 0x4_0000, 2);
+        assert!(grid.iter().any(|p| !holds(&buggy, p)));
+        assert!(grid.iter().all(|p| holds(&fixed, p)));
     }
 }
 
