@@ -215,20 +215,18 @@ pub struct PlantedDemo {
 /// to find the bug), and a control replay of every minimized schedule.
 pub fn planted_demo(chip: &ChipProfile, campaign_seeds: u64) -> PlantedDemo {
     let mut runner = planted::runner(chip);
-    let reference = runner.clean_reference();
     let seed_failures = (0..campaign_seeds)
         .map(|seed| CorpusRecord {
             seed,
             ..CorpusRecord::default()
         })
-        .filter(|r| !replay(&mut runner, &reference, r).is_empty())
+        .filter(|r| !replay(&mut runner, r).is_empty())
         .count();
     let outcome = explore(&mut runner, None, None);
     let mut control = planted::control_runner(chip);
-    let control_reference = control.clean_reference();
     let control_failures = explore_records(std::slice::from_ref(&outcome))
         .iter()
-        .map(|r| replay(&mut control, &control_reference, r).len())
+        .map(|r| replay(&mut control, r).len())
         .sum();
     PlantedDemo {
         chip: chip.name.to_string(),
