@@ -18,6 +18,7 @@ pub mod kernel;
 pub mod loader;
 pub mod machine;
 pub mod obligations;
+mod oracle;
 pub mod pool;
 pub mod process;
 pub mod recovery;
