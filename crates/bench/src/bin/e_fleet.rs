@@ -8,10 +8,11 @@
 //! boots and captures the clean checkpoint ladder once per
 //! `(chip, cache-mode)`, then resumes each seed from the latest clean
 //! rung before its plan's first injection. Every run must satisfy the
-//! three-part oracle in `tt_kernel::campaign`:
+//! three-part oracle (`crates/kernel/src/oracle.rs`):
 //!
 //! 1. bystander processes' observable traces are byte-identical to an
-//!    uninjected reference run (isolation holds under injected faults);
+//!    uninjected reference run, the clean run of the runner that made
+//!    the run (isolation holds under injected faults);
 //! 2. no contract obligation is violated at any recovery step;
 //! 3. recovery converges — bystanders exit, the victim ends `Exited` or
 //!    (restart cap) `Killed`, never a livelock.
