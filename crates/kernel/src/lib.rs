@@ -15,6 +15,7 @@ pub mod differential;
 pub mod explore;
 pub mod grant;
 pub mod kernel;
+mod ladder;
 pub mod loader;
 pub mod machine;
 pub mod obligations;
