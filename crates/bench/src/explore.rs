@@ -98,11 +98,18 @@ impl ExploreFleet {
         walked as f64 / events.max(1) as f64
     }
 
-    /// Representatives that rejoined their baseline at a rung and took
-    /// the rest of the run from the ladder, as a share of those executed.
+    /// Representatives that rejoined their baseline, at their
+    /// interrupt's return or at a rung, and took the rest of the run from
+    /// the ladder, as a share of those executed.
     pub fn converged_share(&self) -> f64 {
         let converged: usize = self.outcomes.iter().map(|o| o.converged).sum();
         converged as f64 / self.explored().max(1) as f64
+    }
+
+    /// Representatives that rejoined their baseline at their interrupt's
+    /// return.
+    pub fn returned(&self) -> usize {
+        self.outcomes.iter().map(|o| o.returned).sum()
     }
 
     /// Mean ticks a representative simulated past the rung it resumed
@@ -343,9 +350,11 @@ pub fn render(fleet: &ExploreFleet, demo: &PlantedDemo) -> String {
         fleet.findings().len(),
     ));
     out.push_str(&format!(
-        "ladder: {:.1}% of representatives rejoined their baseline, {:.2} ticks simulated \
-         past the resume rung on average; resimulated share {:.3}, oracle share {:.3}\n",
+        "ladder: {:.1}% of representatives rejoined their baseline ({} at the interrupt's \
+         return), {:.2} ticks simulated past the resume rung on average; resimulated share \
+         {:.3}, oracle share {:.3}\n",
         fleet.converged_share() * 100.0,
+        fleet.returned(),
         fleet.ticks_per_run(),
         fleet.resimulated_share(),
         fleet.oracle_share(),
@@ -412,6 +421,7 @@ pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[Vec<String>
         "share",
         fleet.converged_share(),
     );
+    r.info("returned", "ladder", "count", fleet.returned() as f64);
     r.info("ticks_per_run", "ladder", "count", fleet.ticks_per_run());
     r.info("rungs_per_unit", "ladder", "count", rungs);
     r.info("capture_us", WALL, "us", capture_us);

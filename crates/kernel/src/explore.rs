@@ -9,11 +9,15 @@
 //! point — and each candidate arrival becomes a replayable
 //! [`InterruptSchedule`] executed deterministically from the latest
 //! rung of the [`FleetRunner`]'s checkpoint ladder before it arrives.
-//! Once its arrival is behind it, a run stops at the first tick boundary
-//! where its machine equals the baseline's rung there and takes the rest
-//! of the run from the ladder: about 95% of representatives rejoin, most
-//! one tick after their resume rung, so a representative re-simulates
-//! about 7% of the post-boot events a run from boot would
+//! Once its arrival is behind it, a run takes the rest of the run from
+//! the ladder. An interrupt that fired no alarm and ran no restart
+//! changed nothing the run depends on, so if the baseline reads the
+//! cycle counter nowhere past it, the run stops at the end of that app
+//! step and rejoins the baseline there, with no compare: about 98% of
+//! representatives do. The rest, mostly front-run restarts, stop at the
+//! first tick boundary where the machine equals the baseline's rung.
+//! About 99% of representatives rejoin, and a representative
+//! re-simulates about 4% of the post-boot events a run from boot would
 //! ([`ExploreOutcome::resimulated`], `DESIGN.md` §16).
 //! Every surviving schedule is checked by the campaign's own oracle
 //! through the fleet's one checked-run call (`FleetRunner::run_checked`,
@@ -26,9 +30,10 @@
 //! representative simulated. It skips the rung prefix the reference
 //! shares; for a run in which something fired, only the bystander
 //! streams have to share it. It stops where the run rejoined its
-//! baseline if the baseline's suffix continues the reference from there. So it visits about 7% of each
-//! run's events ([`ExploreOutcome::walked`], `DESIGN.md` §16), and every
-//! verdict equals a walk from event 0.
+//! baseline if the baseline's suffix continues the reference from there.
+//! So it visits about 4% of each run's events
+//! ([`ExploreOutcome::walked`], `DESIGN.md` §16), and every verdict
+//! equals a walk from event 0.
 //!
 //! # Candidate enumeration
 //!
@@ -336,9 +341,12 @@ pub struct ExploreOutcome {
     /// run minus the rung prefix it resumed after and the baseline
     /// suffix it took from the ladder after rejoining it.
     pub resimulated: usize,
-    /// Representatives that rejoined the baseline at a rung and took the
-    /// rest of their run from the ladder.
+    /// Representatives that rejoined the baseline, at their interrupt's
+    /// return or at a rung, and took the rest of their run from the
+    /// ladder.
     pub converged: usize,
+    /// Of those, the ones that rejoined at their interrupt's return.
+    pub returned: usize,
     /// Ticks the representatives simulated past the rung they resumed
     /// from, summed.
     pub ticks: u64,
@@ -397,7 +405,7 @@ pub fn validate_scheduled(
 /// trace plus the whole and per-bystander observable streams. Kept for
 /// [`validate_scheduled`]'s one caller, perfbench's traced rebuild.
 pub fn bystander_reference(run: &RunRecord) -> Reference {
-    Reference::new(run.trace.events.clone())
+    Reference::new(run.trace.events.as_slice().into())
 }
 
 /// Explores every interrupt-arrival class of `(runner's scenario,
@@ -454,6 +462,7 @@ pub fn explore(runner: &mut FleetRunner, seed: Option<u64>, cap: Option<usize>) 
         outcome.checked_events += events;
         outcome.walked += phases.walked;
         outcome.converged += usize::from(phases.rejoined);
+        outcome.returned += usize::from(phases.returned);
         outcome.ticks += phases.ticks;
         if failures.is_empty() {
             continue;

@@ -118,6 +118,22 @@ pub enum FaultPolicy {
     },
 }
 
+/// What a scheduled run's interrupts that changed nothing added up to,
+/// for a run that may take its rest from its baseline at an interrupt's
+/// return. The fleet run body arms it per run; campaign runs never do.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InertIrqs {
+    /// The thread's cycle-read count at which the baseline reads the
+    /// counter no more.
+    pub(crate) samples: u64,
+    /// Trace events the ring holds beyond the baseline's whole trace.
+    pub(crate) room: usize,
+    /// Trace events the interrupts recorded.
+    pub(crate) events: usize,
+    /// Cycles the interrupts charged.
+    pub(crate) cycles: u64,
+}
+
 /// The kernel.
 pub struct Kernel {
     /// Which kernel flavour this instance runs.
@@ -184,6 +200,12 @@ pub struct Kernel {
     /// Next unallocated RAM address for process loading.
     pub(crate) ram_cursor: usize,
     pub(crate) ram_end: usize,
+    /// Armed by a scheduled run that may rejoin its baseline; disarmed
+    /// by an interrupt that changed something (`Kernel::interrupt_now`).
+    pub(crate) inert_irqs: Option<InertIrqs>,
+    /// Set by an interrupt, on an armed run, once the run may stop: the
+    /// run loop returns at the end of the current app step.
+    pub(crate) stop_at_step: bool,
 }
 
 impl std::fmt::Debug for Kernel {
@@ -221,6 +243,8 @@ impl Kernel {
             subscriptions: Vec::new(),
             ram_cursor: chip.map.ram.start,
             ram_end: chip.map.ram.end,
+            inert_irqs: None,
+            stop_at_step: false,
         }
     }
 
@@ -309,14 +333,25 @@ impl Kernel {
     /// follows immediately (see `Kernel::commit_mpu`); skipping the
     /// epilogue there is precisely what makes the commit boundary the
     /// window the planted bug falls into.
-    fn interrupt_now(&mut self, pid: usize, point: ArrivalPoint) {
+    ///
+    /// On a run armed with [`InertIrqs`], an interrupt that fired no
+    /// alarm and ran no restart changed nothing but the trace and the
+    /// cycle counter: it adds its events and cycles to the count. Once
+    /// the schedule is spent, and if the baseline reads the counter
+    /// nowhere past here, it sets `stop_at_step`. Any other interrupt, or
+    /// a baseline still reading the counter, disarms the run.
+    pub(crate) fn interrupt_now(&mut self, pid: usize, point: ArrivalPoint) {
+        let ring = || trace::with_events(|head, tail, dropped| (head.len() + tail.len(), dropped));
+        let before = self.inert_irqs.map(|_| (ring().0, tt_hw::cycles::now()));
         trace::record(TraceEvent::IrqEnter {
             pid: pid as u32,
             point,
         });
         charge(Cost::Exception); // Interrupt entry.
         let horizon = self.ticks + 1;
-        for (p, value) in self.capsules.fire_due_alarms(horizon) {
+        let alarms = self.capsules.fire_due_alarms(horizon);
+        let alarmed = !alarms.is_empty();
+        for (p, value) in alarms {
             self.deliver_upcall(p, driver::ALARM, value);
         }
         let mut perturbed = false;
@@ -350,6 +385,20 @@ impl Kernel {
         }
         charge(Cost::Exception); // Interrupt return.
         trace::record(TraceEvent::IrqExit { pid: pid as u32 });
+        if let Some((len, cycles)) = before {
+            let (end, dropped) = ring();
+            self.inert_irqs = self.inert_irqs.and_then(|mut inert| {
+                inert.events += end - len;
+                inert.cycles += tt_hw::cycles::now().wrapping_sub(cycles);
+                let inert_here = !alarmed
+                    && !perturbed
+                    && dropped == 0
+                    && inert.events <= inert.room
+                    && tt_hw::cycles::samples() == inert.samples;
+                inert_here.then_some(inert)
+            });
+            self.stop_at_step = self.inert_irqs.is_some() && tt_hw::sched::exhausted();
+        }
     }
 
     /// Commits `pid`'s protection configuration at a scheduling boundary
@@ -1029,9 +1078,10 @@ impl Kernel {
     /// restart fault policy can respawn a fresh program instance.
     ///
     /// Returns whether the loop ended on its own — everyone done, or the
-    /// idle exit — rather than at `max_ticks`. A caller running ticks in
-    /// chunks must stop at the first `true`: calling again would run a
-    /// tick the uninterrupted loop never runs.
+    /// idle exit — rather than at `max_ticks`, or stopped at the end of
+    /// an app step because an interrupt set `stop_at_step`. A caller
+    /// running ticks in chunks must stop at the first `true`: calling
+    /// again would run a tick the uninterrupted loop never runs.
     pub fn run_with_factories(
         &mut self,
         apps: &mut [Box<dyn App>],
@@ -1120,6 +1170,9 @@ impl Kernel {
                         Step::Exit => {
                             self.processes[pid].state = ProcessState::Exited;
                         }
+                    }
+                    if self.stop_at_step {
+                        return true;
                     }
                 }
                 // Switch-out scrub (opt-in): the register file must still

@@ -5,6 +5,8 @@
 //! its own clean run, in place over the trace ring, skipping only what
 //! provably matches; every verdict equals a walk from event 0.
 
+use std::rc::Rc;
+
 use crate::campaign::{RunRecord, BYSTANDERS, MAX_RESTARTS, VICTIM};
 use crate::process::ProcessState;
 use crate::trace::{
@@ -22,8 +24,8 @@ pub struct Reference {
     /// The raw (unprojected) trace. Raw equality implies observable
     /// equality — the projection is a pure per-event function — so an
     /// unperturbed run that matches this outright needs no projection
-    /// walk at all.
-    raw: Vec<TraceEvent>,
+    /// walk at all. Shared with the runner's clean ladder.
+    raw: Rc<[TraceEvent]>,
     /// The whole observable stream.
     full: Vec<TraceEvent>,
     /// Each bystander's observable stream, in pid order.
@@ -217,7 +219,7 @@ fn observable_streams(raw: &[TraceEvent]) -> (Vec<TraceEvent>, [Vec<TraceEvent>;
 
 impl Reference {
     /// Reduces a reference run's raw trace to the oracle's streams.
-    pub(crate) fn new(raw: Vec<TraceEvent>) -> Self {
+    pub(crate) fn new(raw: Rc<[TraceEvent]>) -> Self {
         let (full, by_pid) = observable_streams(&raw);
         Self { raw, full, by_pid }
     }
@@ -658,7 +660,7 @@ mod tests {
 
     #[test]
     fn a_cut_takes_a_clean_suffix_without_walking_it() {
-        let reference = Reference::new(PID1.to_vec());
+        let reference = Reference::new(PID1.as_slice().into());
         for unperturbed in [true, false] {
             let (verdict, walked) = cut_walk(&reference, &PID1, 2, &PID1, 2, unperturbed);
             assert_eq!(
@@ -677,7 +679,7 @@ mod tests {
         // The run dropped pid1's second event before rejoining after two
         // baseline events: its cursor stands at 1, the rung's at 2, and
         // the suffix it took lands one event early in the reference.
-        let reference = Reference::new(PID1.to_vec());
+        let reference = Reference::new(PID1.as_slice().into());
         let run = [PID1[0], PID1[2], PID1[3]];
         for unperturbed in [true, false] {
             let (verdict, walked) = cut_walk(&reference, &PID1, 2, &run, 1, unperturbed);
@@ -704,7 +706,7 @@ mod tests {
         // baseline itself left the reference past the rung: the suffix it
         // hands the run is not the reference's, so equal cursors alone do
         // not make it clean.
-        let reference = Reference::new(PID1.to_vec());
+        let reference = Reference::new(PID1.as_slice().into());
         let baseline = [PID1[0], PID1[1], STRAY, PID1[3]];
         for unperturbed in [true, false] {
             let (verdict, _) = cut_walk(&reference, &baseline, 2, &baseline, 2, unperturbed);
