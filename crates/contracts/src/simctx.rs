@@ -20,6 +20,15 @@
 //! only when the corresponding flag says the feature is on, where the
 //! real work (a ring push, a `Vec` push) dwarfs the second lookup.
 //!
+//! A hook whose fast path is one check on this context compiles inline
+//! at its call site only while nothing in that path can panic: a panic
+//! edge (an indexing bounds check, a `RefCell::borrow_mut`) keeps LLVM
+//! from inlining the surrounding `LocalKey::with`, and every event then
+//! pays a call. So each hook keeps its check here and moves the work
+//! behind it out of line (`tt_hw::injection`'s engine lookup) or makes
+//! it panic-free (`tt_hw::trace`'s push, whose module docs give the
+//! measurement).
+//!
 //! This crate sits at the bottom of the workspace dependency graph, so
 //! the context lives here: contracts keep [`SimContext::mode`] in it,
 //! `tt_hw::cycles` the counter and its flags, `tt_hw::trace` its enabled

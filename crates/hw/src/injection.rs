@@ -273,14 +273,22 @@ pub fn fired_count() -> u64 {
 /// Core hook: bumps the occurrence counter for `point` (in target
 /// context only) and returns the kind of the injection that fires there,
 /// if any. Records the [`TraceEvent::FaultInjected`] event.
+#[inline]
 fn fire(point: InjectionPoint) -> Option<InjectionKind> {
     // Fast path: one scalar TLS access (the same cell line that holds
     // `current_pid`) rejects every hook outside the armed plan's target
     // context — and every hook while disarmed, since the mirror is then
-    // [`simctx::NO_TARGET`], which no context matches.
+    // [`simctx::NO_TARGET`], which no context matches. The engine's work
+    // stays out of line, so this check compiles inline at each hook.
     if simctx::with(|c| c.current_pid.get() != c.injection_target.get()) {
         return None;
     }
+    fire_in_target(point)
+}
+
+/// [`fire`] in the armed plan's target context.
+#[inline(never)]
+fn fire_in_target(point: InjectionPoint) -> Option<InjectionKind> {
     ENGINE.with(|e| {
         let mut slot = e.borrow_mut();
         let eng = slot.as_mut()?;

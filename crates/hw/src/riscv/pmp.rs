@@ -144,13 +144,31 @@ impl PmpChip {
 }
 
 /// The PMP unit: an array of entries plus the chip profile.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct RiscvPmp {
     chip: PmpChip,
     entries: Vec<PmpEntry>,
     /// Model of mseccfg.MMWP-style lockdown is not needed for Tock; user
     /// isolation only requires entry matching. Kernel runs in M-mode.
     enabled: bool,
+}
+
+impl Clone for RiscvPmp {
+    fn clone(&self) -> Self {
+        Self {
+            chip: self.chip,
+            entries: self.entries.clone(),
+            enabled: self.enabled,
+        }
+    }
+
+    /// Reuses the entry buffer: a checkpoint restore writes a saved
+    /// register file back into the live one.
+    fn clone_from(&mut self, source: &Self) {
+        self.chip = source.chip;
+        self.entries.clone_from(&source.entries);
+        self.enabled = source.enabled;
+    }
 }
 
 impl RiscvPmp {

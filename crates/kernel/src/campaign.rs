@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use crate::capsules::driver;
 use crate::corpus::CorpusRecord;
-use crate::kernel::{App, AppFactory, FaultPolicy, Kernel, Step};
+use crate::kernel::{restore_cloned, App, AppFactory, FaultPolicy, Kernel, Step};
 use crate::ladder::{Capture, Finish, Join, Ladder};
 use crate::loader::flash_app;
 use crate::oracle::{check_run, unperturbed, Cut, Label, PrefixSkip, Shared, Suffix};
@@ -84,6 +84,9 @@ impl App for Victim {
     }
     fn state_word(&self) -> Option<u64> {
         Some(u64::from(self.step_no))
+    }
+    fn restore_into(&self, live: &mut Box<dyn App>) {
+        restore_cloned(self, live);
     }
     fn step(&mut self, k: &mut Kernel, pid: usize) -> Step {
         let ms = k.processes[pid].memory_start();
@@ -141,6 +144,9 @@ impl App for Bystander {
     }
     fn state_word(&self) -> Option<u64> {
         Some(u64::from(self.step_no))
+    }
+    fn restore_into(&self, live: &mut Box<dyn App>) {
+        restore_cloned(self, live);
     }
     fn step(&mut self, k: &mut Kernel, pid: usize) -> Step {
         let ms = k.processes[pid].memory_start();
@@ -510,6 +516,9 @@ pub struct FleetRunner {
     seeded: Option<Rc<Ladder>>,
     /// The rung the live machine was last restored to.
     at: Rc<Checkpoint>,
+    /// The programs of the last run, handed back when it ends so the
+    /// next restore writes a rung's programs into them.
+    apps: Vec<Box<dyn App>>,
     /// The oracle's reference: the clean ladder's trace, reduced on first
     /// use ([`FleetRunner::reference`]).
     reference: OnceCell<Reference>,
@@ -555,18 +564,20 @@ impl FleetRunner {
         assert_eq!(boot_trace.dropped, 0, "boot overflowed the trace ring");
         trace::disable();
         let base = kernel.mem.snapshot();
-        let violations = take_violations().iter().map(|v| format!("{v:?}")).collect();
+        let violations: Vec<String> = take_violations().iter().map(|v| format!("{v:?}")).collect();
         let len = boot_trace.events.len();
         let samples = tt_hw::cycles::samples() - samples;
-        let boot_rung = Checkpoint::capture(
-            &kernel,
-            &PageDelta::default(),
-            None,
-            violations,
-            len,
-            samples,
-        )
-        .expect("fresh programs need no clone");
+        // The post-boot rung holds the fresh programs when they are
+        // resumable, so a restore to it writes them into the live ones as
+        // a restore to any other rung does; else each run starts its own.
+        let fresh: Vec<Box<dyn App>> = factories.iter().map(|mk| mk()).collect();
+        let capture = |apps: Option<&[Box<dyn App>]>| {
+            let from = PageDelta::default();
+            Checkpoint::capture(&kernel, &from, apps, violations.clone(), len, samples)
+        };
+        let boot_rung = capture(Some(&fresh[..]))
+            .or_else(|| capture(None))
+            .expect("fresh programs need no clone");
         let boot_rung = Rc::new(boot_rung);
         let boot_skip = PrefixSkip::default().advance(&boot_trace.events);
         let mut runner = Self {
@@ -585,6 +596,7 @@ impl FleetRunner {
             }),
             seeded: None,
             at: boot_rung,
+            apps: Vec::new(),
             reference: OnceCell::new(),
             capture_ns: 0,
         };
@@ -645,15 +657,23 @@ impl FleetRunner {
 
     /// The one restore path: rewinds the machine to `ladder`'s rung
     /// `index` from the rung the live state derives from, and returns
-    /// the program state to resume with. Memory moves every page dirtied
-    /// since the last restore or held by either rung's delta.
+    /// the program state to resume with — the last run's programs, with
+    /// the rung's written into them, or fresh ones at a rung that holds
+    /// none. Memory moves every page dirtied since the last restore or
+    /// held by either rung's delta. Callers hand the programs back in
+    /// `self.apps` when the run ends.
     fn restore_to(&mut self, ladder: &Ladder, index: usize) -> Vec<Box<dyn App>> {
         let target = &ladder.rungs[index];
         let prefix = &ladder.trace[..target.trace_len];
         let from = &self.at.mem;
-        let apps = target.restore(&mut self.kernel, &self.base, from, prefix, TRACE_CAPACITY);
+        let mut apps = std::mem::take(&mut self.apps);
+        let kernel = &mut self.kernel;
+        if !target.restore(kernel, &self.base, from, prefix, TRACE_CAPACITY, &mut apps) {
+            apps.clear();
+            apps.extend(self.factories.iter().map(|mk| mk()));
+        }
         self.at = Rc::clone(target);
-        apps.unwrap_or_else(|| self.factories.iter().map(|mk| mk()).collect())
+        apps
     }
 
     /// The capture pass: `plan`'s run (`None` = clean) through the run
@@ -955,6 +975,7 @@ impl FleetRunner {
             walked,
             ticks,
         };
+        self.apps = apps;
         let pass = match at_boundary {
             AtBoundary::Capture(pass) => Some(pass),
             _ => None,
@@ -965,7 +986,7 @@ impl FleetRunner {
     /// Pays one post-boot restore and discards the result: the per-run
     /// reset cost the fleet benchmark compares against [`boot_probe`].
     pub fn restore_probe(&mut self) {
-        self.restore_to(&Rc::clone(&self.clean), 0);
+        self.apps = self.restore_to(&Rc::clone(&self.clean), 0);
         trace::recycle(trace::take());
         trace::disable();
     }
@@ -973,7 +994,7 @@ impl FleetRunner {
     /// Pays one restore of the tick-1 rung and discards the result.
     pub fn midrun_probe(&mut self) {
         let clean = Rc::clone(&self.clean);
-        self.restore_to(&clean, 1.min(clean.rungs.len() - 1));
+        self.apps = self.restore_to(&clean, 1.min(clean.rungs.len() - 1));
         trace::recycle(trace::take());
         trace::disable();
     }
@@ -988,6 +1009,7 @@ impl FleetRunner {
             self.kernel
                 .run_with_factories(&mut apps, Some(self.factories), 1);
         });
+        self.apps = apps;
         drop(take_violations());
         trace::recycle(trace::take());
         trace::disable();

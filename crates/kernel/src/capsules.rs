@@ -102,6 +102,25 @@ impl Capsules {
         }
     }
 
+    /// Rewinds the capsules to a checkpoint's state, written into the
+    /// live buffers: the LEDs, the pending alarms and the console input
+    /// as captured, the DMA cell and engine at boot state (a checkpoint
+    /// holds no transfer in flight).
+    pub(crate) fn restore(
+        &mut self,
+        leds: &Leds,
+        alarms: &[PendingAlarm],
+        console_input: &[(usize, Vec<u8>)],
+    ) {
+        self.leds.clone_from(leds);
+        self.alarms.clear();
+        self.alarms.extend_from_slice(alarms);
+        self.console_input.clear();
+        self.console_input.extend_from_slice(console_input);
+        self.dma_cell = DmaCell::new();
+        self.dma_engine = SimDmaEngine::new();
+    }
+
     /// Sets an alarm for `pid`, `delta` ticks from `now`.
     pub fn set_alarm(&mut self, pid: usize, now: u64, delta: u32, value: u32) {
         self.alarms.push(PendingAlarm {

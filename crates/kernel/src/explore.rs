@@ -555,7 +555,7 @@ pub fn register_obligations(registry: &mut Registry, density: usize) {
 /// bystander.
 pub mod planted {
     use super::*;
-    use crate::kernel::AppFactory;
+    use crate::kernel::{restore_cloned, AppFactory};
 
     /// Warmup syscalls before the victim faults (under one quantum, so
     /// the first fault lands in the second slice).
@@ -577,6 +577,9 @@ pub mod planted {
         }
         fn state_word(&self) -> Option<u64> {
             Some(u64::from(self.step_no))
+        }
+        fn restore_into(&self, live: &mut Box<dyn App>) {
+            restore_cloned(self, live);
         }
         fn step(&mut self, k: &mut Kernel, pid: usize) -> Step {
             let ms = k.processes[pid].memory_start();
@@ -614,6 +617,9 @@ pub mod planted {
         }
         fn state_word(&self) -> Option<u64> {
             Some(u64::from(self.step_no))
+        }
+        fn restore_into(&self, live: &mut Box<dyn App>) {
+            restore_cloned(self, live);
         }
         fn step(&mut self, k: &mut Kernel, pid: usize) -> Step {
             let ms = k.processes[pid].memory_start();

@@ -35,7 +35,7 @@ pub enum Step {
 ///
 /// Apps interact with the kernel *only* through the syscall surface and
 /// user-mode memory accessors, which are MPU-checked.
-pub trait App {
+pub trait App: std::any::Any {
     /// The app's name (matches its flash image).
     fn name(&self) -> &'static str;
     /// Runs one step of the program.
@@ -58,6 +58,27 @@ pub trait App {
     /// end.
     fn state_word(&self) -> Option<u64> {
         None
+    }
+    /// Writes this program's state into `live`, the program at the same
+    /// pid, when a checkpoint holding this copy is restored. The default
+    /// replaces `live` with a [`App::clone_app`] copy; the crate's `Clone`
+    /// programs override it with `restore_cloned`, which reuses `live`'s
+    /// box.
+    fn restore_into(&self, live: &mut Box<dyn App>) {
+        *live = self
+            .clone_app()
+            .expect("a checkpointed program is resumable");
+    }
+}
+
+/// [`App::restore_into`] for a `Clone` program: `saved` is cloned into
+/// `live` in place when `live` is the same program type, so restoring
+/// it allocates nothing, and boxed afresh otherwise.
+pub(crate) fn restore_cloned<A: App + Clone>(saved: &A, live: &mut Box<dyn App>) {
+    let any: &mut dyn std::any::Any = &mut **live;
+    match any.downcast_mut::<A>() {
+        Some(live) => live.clone_from(saved),
+        None => *live = Box::new(saved.clone()),
     }
 }
 

@@ -13,7 +13,7 @@ use tt_hw::PtrU8;
 pub const TBF_MAGIC: u32 = 0x5449_434B; // "TICK"
 
 /// Parsed application header.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct AppImage {
     /// App name (up to 16 bytes in the header).
     pub name: String,
@@ -28,6 +28,23 @@ pub struct AppImage {
     pub min_ram_size: usize,
     /// Grant-region reservation the kernel makes for this app.
     pub kernel_reserved: usize,
+}
+
+impl Clone for AppImage {
+    fn clone(&self) -> Self {
+        Self {
+            name: self.name.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `self.name`'s buffer: a checkpoint restore copies every
+    /// process's image back into the live table.
+    fn clone_from(&mut self, source: &Self) {
+        let mut name = std::mem::take(&mut self.name);
+        name.clone_from(&source.name);
+        *self = Self { name, ..*source };
+    }
 }
 
 impl AppImage {

@@ -74,7 +74,7 @@ pub enum ProcessError {
 ///
 /// Object-safe so [`Process`] can hold any of the four combinations
 /// (legacy/granular × MPU/PMP) behind one `Box`.
-trait MemoryOps: fmt::Debug {
+trait MemoryOps: fmt::Debug + std::any::Any + BackendCopy {
     /// Start of the process memory block.
     fn memory_start(&self) -> usize;
     /// Total block size (process RAM + grant region).
@@ -120,12 +120,6 @@ trait MemoryOps: fmt::Debug {
     fn mpu_consistent(&self) -> bool {
         true
     }
-    /// Deep-copies the backend behind the trait object. The copy shares
-    /// the original's machine handles (hardware `Rc`, commit cache) so a
-    /// clone restored by `tt_kernel::snapshot` drives the same simulated
-    /// hardware; everything else — staged config, breaks, allocator
-    /// (generation included) — is an independent copy.
-    fn clone_box(&self) -> Box<dyn MemoryOps>;
     /// The allocator generation the commit cache keys this backend's
     /// configuration by; `None` for backends without a cached commit.
     fn generation(&self) -> Option<u64> {
@@ -137,10 +131,37 @@ trait MemoryOps: fmt::Debug {
     fn same_state(&self, _other: &dyn MemoryOps) -> bool {
         false
     }
-    /// The backend as [`Any`](std::any::Any), for [`Self::same_state`]'s
-    /// downcast; `None` for backends that compare as never equal.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
+}
+
+/// The copies a checkpoint makes of a backend, the same for every
+/// `Clone` backend. A copy shares the original's machine handles
+/// (hardware `Rc`, commit cache) so a copy restored by
+/// `tt_kernel::snapshot` drives the same simulated hardware; everything
+/// else — staged config, breaks, allocator (generation included) — is
+/// an independent copy.
+trait BackendCopy {
+    /// Deep-copies the backend behind the trait object.
+    fn clone_box(&self) -> Box<dyn MemoryOps>;
+    /// Overwrites this backend with `source` in place when both are the
+    /// same backend type, allocating nothing; returns `false`, leaving
+    /// `self` as it was, otherwise.
+    fn restore_from(&mut self, source: &dyn MemoryOps) -> bool;
+}
+
+impl<T: MemoryOps + Clone> BackendCopy for T {
+    fn clone_box(&self) -> Box<dyn MemoryOps> {
+        Box::new(self.clone())
+    }
+
+    fn restore_from(&mut self, source: &dyn MemoryOps) -> bool {
+        let source: &dyn std::any::Any = source;
+        match source.downcast_ref::<T>() {
+            Some(source) => {
+                self.clone_from(source);
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -273,10 +294,6 @@ impl MemoryOps for LegacyArm {
         self.kernel_break = self.memory_start + self.memory_size;
         true
     }
-
-    fn clone_box(&self) -> Box<dyn MemoryOps> {
-        Box::new(self.clone())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -383,10 +400,6 @@ impl MemoryOps for LegacyRv {
         // See [`LegacyArm::recover`].
         self.kernel_break = self.memory_start + self.memory_size;
         true
-    }
-
-    fn clone_box(&self) -> Box<dyn MemoryOps> {
-        Box::new(self.clone())
     }
 }
 
@@ -495,27 +508,17 @@ where
         self.mpu.hardware_matches(self.alloc.regions.as_slice())
     }
 
-    fn clone_box(&self) -> Box<dyn MemoryOps> {
-        Box::new(self.clone())
-    }
-
     fn generation(&self) -> Option<u64> {
         Some(self.alloc.generation())
     }
 
     fn same_state(&self, other: &dyn MemoryOps) -> bool {
-        other
-            .as_any()
-            .and_then(|o| o.downcast_ref::<Self>())
-            .is_some_and(|o| {
-                self.pid == o.pid
-                    && self.alloc.breaks == o.alloc.breaks
-                    && self.alloc.regions == o.alloc.regions
-            })
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+        let other: &dyn std::any::Any = other;
+        other.downcast_ref::<Self>().is_some_and(|o| {
+            self.pid == o.pid
+                && self.alloc.breaks == o.alloc.breaks
+                && self.alloc.regions == o.alloc.regions
+        })
     }
 }
 
@@ -546,7 +549,7 @@ pub struct Process {
 impl Clone for Process {
     /// Deep-copies the process for a machine snapshot. The clone's
     /// backend shares the snapshotted machine's hardware and commit-cache
-    /// `Rc` handles (see `MemoryOps::clone_box`), so a restored process
+    /// `Rc` handles (see `BackendCopy`), so a restored process
     /// table keeps driving the machine the kernel already owns — restore
     /// never creates a second protection unit.
     fn clone(&self) -> Self {
@@ -559,6 +562,28 @@ impl Clone for Process {
             allow_rw: self.allow_rw,
             grants: self.grants.clone(),
             backend: self.backend.clone_box(),
+        }
+    }
+
+    /// The restore path (`Checkpoint::restore` clones a rung's table into
+    /// the live one element-wise): the same copy as [`Process::clone`],
+    /// written into the live process's own buffers — image name,
+    /// console, grants, a faulted state's reason and, when the backend
+    /// types match, the backend box — so restoring a process of the live
+    /// shape allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.pid = source.pid;
+        self.image.clone_from(&source.image);
+        match (&mut self.state, &source.state) {
+            (ProcessState::Faulted(live), ProcessState::Faulted(saved)) => live.clone_from(saved),
+            (live, saved) => *live = saved.clone(),
+        }
+        self.console.clone_from(&source.console);
+        self.allow_ro = source.allow_ro;
+        self.allow_rw = source.allow_rw;
+        self.grants.clone_from(&source.grants);
+        if !self.backend.restore_from(&*source.backend) {
+            self.backend = source.backend.clone_box();
         }
     }
 }
