@@ -98,6 +98,19 @@ impl ExploreFleet {
         walked as f64 / events.max(1) as f64
     }
 
+    /// Trace events copied into or out of the ring, as a share of the
+    /// events of the runs the oracle checked. The shared ring's exact
+    /// work metric: near 1 means each run copied its rung prefix in and
+    /// its rejoined suffix in again, instead of sharing them with the
+    /// ladder.
+    pub fn copied_share(&self) -> f64 {
+        let (copied, events) = self
+            .outcomes
+            .iter()
+            .fold((0, 0), |(c, e), o| (c + o.copied, e + o.checked_events));
+        copied as f64 / events.max(1) as f64
+    }
+
     /// Representatives that rejoined their baseline, at their
     /// interrupt's return or at a rung, and took the rest of the run from
     /// the ladder, as a share of those executed.
@@ -352,12 +365,13 @@ pub fn render(fleet: &ExploreFleet, demo: &PlantedDemo) -> String {
     out.push_str(&format!(
         "ladder: {:.1}% of representatives rejoined their baseline ({} at the interrupt's \
          return), {:.2} ticks simulated past the resume rung on average; resimulated share \
-         {:.3}, oracle share {:.3}\n",
+         {:.3}, oracle share {:.3}, copied share {:.3}\n",
         fleet.converged_share() * 100.0,
         fleet.returned(),
         fleet.ticks_per_run(),
         fleet.resimulated_share(),
         fleet.oracle_share(),
+        fleet.copied_share(),
     ));
     for f in fleet.failures() {
         out.push_str(&format!("  FINDING {f}\n"));
@@ -415,6 +429,13 @@ pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[Vec<String>
         fleet.oracle_share(),
     );
     r.add(
+        Kind::Ceiling,
+        "copied_share",
+        "trace",
+        "share",
+        fleet.copied_share(),
+    );
+    r.add(
         Kind::Floor,
         "converged_share",
         "ladder",
@@ -463,6 +484,7 @@ pub fn metrics(fleet: &ExploreFleet, demo: &PlantedDemo, replayed: &[Vec<String>
         r.skip("prune_ratio", "no exploration unit completed");
         r.skip("resimulated_share", "no exploration unit completed");
         r.skip("oracle_share", "no exploration unit completed");
+        r.skip("copied_share", "no exploration unit completed");
         r.skip("converged_share", "no exploration unit completed");
     }
     if demo.seed_failures > 0 {
@@ -498,6 +520,7 @@ mod tests {
         {"metric": "explore.prune_ratio", "kind": "floor", "bound": 2.0, "why": "dpor"},
         {"metric": "explore.resimulated_share", "kind": "ceiling", "bound": 0.1, "why": "ladder"},
         {"metric": "explore.oracle_share", "kind": "ceiling", "bound": 0.097, "why": "oracle"},
+        {"metric": "explore.copied_share", "kind": "ceiling", "bound": 0.025, "why": "trace"},
         {"metric": "explore.converged_share", "kind": "floor", "bound": 0.9, "why": "rejoin"}
     ]"#;
 

@@ -131,6 +131,11 @@ pub fn set_enabled(enabled: bool) -> bool {
 ///
 /// Nested measurements compose: the inner span's cycles are also part of the
 /// outer span, exactly like reading a hardware cycle counter twice.
+///
+/// Inline, as [`record_method`] is, so both counter reads compile in
+/// place: out of line, each instrumented kernel method reached the
+/// `simctx` accessor through an out-of-line `LocalKey::with` call.
+#[inline]
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let start = now();
     let value = f();
@@ -196,6 +201,8 @@ pub fn record_method(name: &'static str, cycles: u64) {
 }
 
 /// Runs `f`, recording its cycle span under `name` when recording is on.
+/// Inline for the same reason as [`measure`].
+#[inline]
 pub fn instrument<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
     let (value, span) = measure(f);
     record_method(name, span);

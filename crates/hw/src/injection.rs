@@ -190,21 +190,47 @@ pub struct Progress {
     pub fired_count: u64,
 }
 
+/// The armed plan and its progress, held in the engine's own storage:
+/// arming writes a plan into it (`clone_from` for the injections and
+/// the flags), so a steady stream of runs arms without allocating.
 struct Engine {
     plan: InjectionPlan,
     progress: Progress,
 }
+
+/// An engine with no storage.
+const EMPTY_ENGINE: Engine = Engine {
+    plan: InjectionPlan {
+        seed: 0,
+        target_pid: 0,
+        injections: Vec::new(),
+    },
+    progress: Progress {
+        seen: [0; ALL_POINTS.len()],
+        fired: Vec::new(),
+        fired_count: 0,
+    },
+};
 
 thread_local! {
     // `ManuallyDrop` for the same reason as the trace ring: the engine's
     // `Vec`s would otherwise give the thread-local `Drop` glue, forcing
     // every `fire` hook — one per modelled MPU write, user access and
     // syscall argument — through the TLS registration state machine.
-    // `arm`/`disarm` assign and `take` through the `DerefMut`, so engines
-    // are still dropped normally; only a thread that exits while armed
-    // leaks its (tiny) plan, and campaign workers always disarm.
-    static ENGINE: RefCell<std::mem::ManuallyDrop<Option<Engine>>> =
-        const { RefCell::new(std::mem::ManuallyDrop::new(None)) };
+    // Its storage outlives every arm and disarm; a thread frees it with
+    // [`release_thread_buffers`]. Whether it is armed is the
+    // `SimContext::injection_target` mirror.
+    static ENGINE: RefCell<std::mem::ManuallyDrop<Engine>> = const {
+        RefCell::new(std::mem::ManuallyDrop::new(EMPTY_ENGINE))
+    };
+}
+
+/// Disarms the engine and frees its storage. Long-lived threads that
+/// armed a plan should call this before exiting; the `tt_kernel::pool`
+/// workers do.
+pub fn release_thread_buffers() {
+    let _ = disarm();
+    ENGINE.with(|e| **e.borrow_mut() = EMPTY_ENGINE);
 }
 
 fn point_index(point: InjectionPoint) -> usize {
@@ -216,8 +242,8 @@ fn point_index(point: InjectionPoint) -> usize {
 
 /// Arms the engine with a plan. Occurrence counters and one-shot flags
 /// start fresh; any previously armed plan is discarded.
-pub fn arm(plan: InjectionPlan) {
-    resume(plan, Progress::default());
+pub fn arm(plan: &InjectionPlan) {
+    resume(plan, &Progress::default());
 }
 
 /// Arms the engine with a plan from `progress` instead of from zero —
@@ -227,47 +253,58 @@ pub fn arm(plan: InjectionPlan) {
 /// `progress` start unfired: a checkpoint captured under the empty
 /// counting plan resumes any plan that schedules no injection inside
 /// the skipped prefix (callers must check [`InjectionPlan::fires_within`]
-/// first).
-pub fn resume(plan: InjectionPlan, mut progress: Progress) {
+/// first). Both are copied into the engine's own storage, which
+/// allocates only while its buffers grow.
+pub fn resume(plan: &InjectionPlan, progress: &Progress) {
     debug_assert!(
         progress.fired.len() == plan.injections.len() || !plan.fires_within(&progress.seen),
         "plan schedules an injection inside the skipped prefix"
     );
     debug_assert_ne!(plan.target_pid, simctx::NO_TARGET, "reserved sentinel");
-    progress.fired.resize(plan.injections.len(), false);
+    ENGINE.with(|e| {
+        let mut eng = e.borrow_mut();
+        let eng = &mut **eng;
+        eng.plan.seed = plan.seed;
+        eng.plan.target_pid = plan.target_pid;
+        eng.plan.injections.clone_from(&plan.injections);
+        let live = &mut eng.progress;
+        live.seen = progress.seen;
+        live.fired.clone_from(&progress.fired);
+        live.fired.resize(plan.injections.len(), false);
+        live.fired_count = progress.fired_count;
+    });
     simctx::with(|c| c.injection_target.set(plan.target_pid));
-    ENGINE.with(|e| **e.borrow_mut() = Some(Engine { plan, progress }));
 }
 
 /// The armed engine's progress since [`arm`], or `None` when disarmed.
 /// A checkpointing runner reads it at capture time and replays it into
 /// [`resume`] on every restore.
 pub fn progress() -> Option<Progress> {
-    ENGINE.with(|e| e.borrow().as_ref().map(|eng| eng.progress.clone()))
+    is_armed().then(|| ENGINE.with(|e| e.borrow().progress.clone()))
 }
 
 /// Disarms the engine, returning how many injections fired since [`arm`].
 pub fn disarm() -> u64 {
+    let was = is_armed();
     simctx::with(|c| c.injection_target.set(simctx::NO_TARGET));
-    ENGINE.with(|e| {
-        e.borrow_mut()
-            .take()
-            .map_or(0, |eng| eng.progress.fired_count)
-    })
+    match was {
+        true => ENGINE.with(|e| e.borrow().progress.fired_count),
+        false => 0,
+    }
 }
 
-/// Returns `true` if a plan is armed on this thread.
+/// Returns `true` if a plan is armed on this thread: the `SimContext`
+/// target mirror names one.
 pub fn is_armed() -> bool {
-    ENGINE.with(|e| e.borrow().is_some())
+    simctx::with(|c| c.injection_target.get() != simctx::NO_TARGET)
 }
 
 /// Number of injections fired since the last [`arm`] (0 when disarmed).
 pub fn fired_count() -> u64 {
-    ENGINE.with(|e| {
-        e.borrow()
-            .as_ref()
-            .map_or(0, |eng| eng.progress.fired_count)
-    })
+    match is_armed() {
+        true => ENGINE.with(|e| e.borrow().progress.fired_count),
+        false => 0,
+    }
 }
 
 /// Core hook: bumps the occurrence counter for `point` (in target
@@ -291,7 +328,7 @@ fn fire(point: InjectionPoint) -> Option<InjectionKind> {
 fn fire_in_target(point: InjectionPoint) -> Option<InjectionKind> {
     ENGINE.with(|e| {
         let mut slot = e.borrow_mut();
-        let eng = slot.as_mut()?;
+        let eng = &mut **slot;
         debug_assert_eq!(trace::current_pid(), eng.plan.target_pid);
         let idx = point_index(point);
         let p = &mut eng.progress;
@@ -386,7 +423,7 @@ mod tests {
     #[test]
     fn bit_flip_fires_once_at_the_scheduled_occurrence() {
         trace::set_current_pid(3);
-        arm(plan(
+        arm(&plan(
             3,
             vec![Injection {
                 point: InjectionPoint::ArmRasr,
@@ -438,7 +475,7 @@ mod tests {
     #[test]
     fn non_target_context_never_fires_and_does_not_consume_occurrences() {
         trace::set_current_pid(1);
-        arm(plan(
+        arm(&plan(
             2,
             vec![Injection {
                 point: InjectionPoint::UserAccess,
@@ -457,7 +494,7 @@ mod tests {
     fn fired_injection_records_a_trace_event() {
         trace::enable(16);
         trace::set_current_pid(5);
-        arm(plan(
+        arm(&plan(
             5,
             vec![Injection {
                 point: InjectionPoint::SyscallArg,
@@ -515,6 +552,24 @@ mod tests {
     }
 
     #[test]
+    fn release_disarms_and_a_later_arm_starts_afresh() {
+        trace::set_current_pid(0);
+        let flip = Injection {
+            point: InjectionPoint::ArmRasr,
+            at: 0,
+            kind: InjectionKind::BitFlip { bit: 0 },
+        };
+        arm(&plan(0, vec![flip]));
+        release_thread_buffers();
+        assert!(!is_armed());
+        assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 0);
+        arm(&plan(0, vec![flip]));
+        assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 1);
+        assert_eq!(disarm(), 1);
+        trace::set_current_pid(NO_PID);
+    }
+
+    #[test]
     fn resume_continues_counting_and_one_shot_state_mid_stream() {
         trace::set_current_pid(0);
         let flip = |at| Injection {
@@ -525,7 +580,7 @@ mod tests {
         let p = plan(0, vec![flip(1), flip(3)]);
         // Full run: occurrences 0,1 form the "prefix" (1 fires), 2,3 the
         // rest.
-        arm(p.clone());
+        arm(&p);
         assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 0);
         assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 1);
         let at_prefix = progress().expect("armed");
@@ -537,7 +592,7 @@ mod tests {
         disarm();
         // Resumed under the same plan: counting, flags and the fired
         // count continue from the recorded prefix.
-        resume(p, at_prefix.clone());
+        resume(&p, &at_prefix);
         assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 0); // occurrence 2
         assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 1); // occurrence 3: fires
         assert_eq!(disarm(), 2);
@@ -549,7 +604,7 @@ mod tests {
             seen: at_prefix.seen,
             ..Progress::default()
         };
-        resume(later, counted);
+        resume(&later, &counted);
         assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 0);
         assert_eq!(mutate_reg_write(InjectionPoint::ArmRasr, 0), 1);
         assert_eq!(disarm(), 1);
@@ -579,7 +634,7 @@ mod tests {
     #[test]
     fn stack_nudge_point_is_independent_of_register_points() {
         trace::set_current_pid(0);
-        arm(plan(
+        arm(&plan(
             0,
             vec![Injection {
                 point: InjectionPoint::Stack,

@@ -79,11 +79,9 @@ pub struct InterruptSchedule {
     pub arrivals: Vec<Arrival>,
 }
 
+/// The point's index in [`ALL_ARRIVAL_POINTS`]: its discriminant.
 fn point_index(point: ArrivalPoint) -> usize {
-    ALL_ARRIVAL_POINTS
-        .iter()
-        .position(|p| *p == point)
-        .expect("known point")
+    point as usize
 }
 
 impl InterruptSchedule {
@@ -107,7 +105,20 @@ impl InterruptSchedule {
 
     /// The single-arrival schedule — the explorer's bread and butter.
     pub fn single(point: ArrivalPoint, at: u32) -> Self {
-        Self::new(vec![Arrival { point, at }])
+        let mut schedule = Self::empty();
+        schedule.set_single(point, at);
+        schedule
+    }
+
+    /// Makes this the single-arrival schedule [`Self::single`] builds,
+    /// in this schedule's own storage: a caller that sweeps schedules one
+    /// at a time allocates once.
+    pub fn set_single(&mut self, point: ArrivalPoint, at: u32) {
+        self.arrivals.clear();
+        self.arrivals.push(Arrival {
+            point,
+            at: at.min(MAX_AT),
+        });
     }
 
     /// Encodes the schedule as a replayable 64-bit ID: four 16-bit
@@ -153,50 +164,124 @@ impl InterruptSchedule {
     }
 }
 
+/// The armed schedule, held in the engine's own storage: arming copies
+/// the at most [`MAX_ARRIVALS`] arrivals in and allocates nothing.
 struct Engine {
-    schedule: InterruptSchedule,
+    /// The schedule's arrivals; the first `len` are live.
+    arrivals: [Arrival; MAX_ARRIVALS],
+    len: usize,
     /// Occurrences of each point, indexed in [`ALL_ARRIVAL_POINTS`] order.
     seen: [u32; ALL_ARRIVAL_POINTS.len()],
-    /// One-shot flags, parallel to `schedule.arrivals`.
-    fired: Vec<bool>,
+    /// The occurrence of each point at which the next arrival fires
+    /// ([`NONE`] when none is left): the least `at` of the point's
+    /// arrivals not yet passed. An arrival fires once, as the occurrence
+    /// moves past it, so this is also the one-shot state.
+    next: [u64; ALL_ARRIVAL_POINTS.len()],
     fired_count: u64,
 }
 
+/// No arrival left at a point.
+const NONE: u64 = u64::MAX;
+
+/// Filler for arrival slots past a schedule's length; never read.
+const NO_ARRIVAL: Arrival = Arrival {
+    point: ArrivalPoint::SyscallEnter,
+    at: 0,
+};
+
+impl Engine {
+    const DISARMED: Engine = Engine {
+        arrivals: [NO_ARRIVAL; MAX_ARRIVALS],
+        len: 0,
+        seen: [0; ALL_ARRIVAL_POINTS.len()],
+        next: [NONE; ALL_ARRIVAL_POINTS.len()],
+        fired_count: 0,
+    };
+
+    /// The least `at` at least `from` among the arrivals at point index
+    /// `point`, or [`NONE`]. Panic-free, for [`Engine::fire`].
+    #[inline]
+    fn first_at(&self, point: usize, from: u64) -> u64 {
+        self.arrivals
+            .iter()
+            .take(self.len)
+            .filter(|a| point_index(a.point) == point && u64::from(a.at) >= from)
+            .map(|a| u64::from(a.at))
+            .min()
+            .unwrap_or(NONE)
+    }
+
+    /// Counts one pass of `point` and fires the arrival scheduled there.
+    #[inline]
+    fn arrive(&mut self, point: ArrivalPoint) -> bool {
+        let idx = point_index(point);
+        let (Some(seen), Some(&next)) = (self.seen.get_mut(idx), self.next.get(idx)) else {
+            return false;
+        };
+        let occurrence = *seen;
+        *seen = occurrence.wrapping_add(1);
+        if next != u64::from(occurrence) {
+            return false;
+        }
+        self.fire(idx, next);
+        true
+    }
+
+    /// Fires the arrival at occurrence `at` of point index `point`. Cold,
+    /// panic-free and `#[inline]`, so each caller sees that it cannot
+    /// unwind while the engine is borrowed and keeps [`arrival`] inline.
+    #[cold]
+    #[inline]
+    fn fire(&mut self, point: usize, at: u64) {
+        let next = self.first_at(point, at + 1);
+        if let Some(slot) = self.next.get_mut(point) {
+            *slot = next;
+        }
+        self.fired_count += 1;
+    }
+}
+
 thread_local! {
-    // `ManuallyDrop` for the same reason as the injection engine: keep
+    // Plain data, so the thread-local carries no `Drop` glue and keeps
     // the const-initialized TLS fast path for every boundary the kernel
-    // passes. `arm`/`disarm` assign and `take` through the `DerefMut`,
-    // so engines still drop normally; only a thread exiting while armed
-    // leaks its (tiny) schedule, and exploration workers always disarm.
-    static ENGINE: RefCell<std::mem::ManuallyDrop<Option<Engine>>> =
-        const { RefCell::new(std::mem::ManuallyDrop::new(None)) };
+    // passes. Whether it is armed is the `SimContext::sched_armed` flag.
+    static ENGINE: RefCell<Engine> = const { RefCell::new(Engine::DISARMED) };
 }
 
 /// Arms the engine with a schedule. Occurrence counters and one-shot
 /// flags start fresh; any previously armed schedule is discarded.
-pub fn arm(schedule: InterruptSchedule) {
+pub fn arm(schedule: &InterruptSchedule) {
     arm_with_seen(schedule, [0; ALL_ARRIVAL_POINTS.len()]);
 }
 
 /// Arms the engine with occurrence counters starting at `seen` — the
 /// mid-run-snapshot form of [`arm`]. Sound only when no arrival was
 /// scheduled inside the skipped prefix (callers must check
-/// [`InterruptSchedule::fires_within`] first).
-pub fn arm_with_seen(schedule: InterruptSchedule, seen: [u32; ALL_ARRIVAL_POINTS.len()]) {
+/// [`InterruptSchedule::fires_within`] first). The arrivals are copied
+/// into the engine's own storage: arming allocates nothing.
+///
+/// Panics if the schedule holds more than [`MAX_ARRIVALS`] arrivals
+/// (canonical schedules never do).
+pub fn arm_with_seen(schedule: &InterruptSchedule, seen: [u32; ALL_ARRIVAL_POINTS.len()]) {
     debug_assert!(
         !schedule.fires_within(&seen),
         "schedule fires inside the skipped prefix"
     );
-    simctx::with(|c| c.sched_armed.set(true));
+    let len = schedule.arrivals.len();
+    assert!(len <= MAX_ARRIVALS, "{len} arrivals exceed {MAX_ARRIVALS}");
     ENGINE.with(|e| {
-        let fired = vec![false; schedule.arrivals.len()];
-        **e.borrow_mut() = Some(Engine {
-            schedule,
+        let mut eng = e.borrow_mut();
+        *eng = Engine {
+            len,
             seen,
-            fired,
-            fired_count: 0,
-        });
+            ..Engine::DISARMED
+        };
+        eng.arrivals[..len].copy_from_slice(&schedule.arrivals);
+        for (point, seen) in seen.into_iter().enumerate() {
+            eng.next[point] = eng.first_at(point, u64::from(seen));
+        }
     });
+    simctx::with(|c| c.sched_armed.set(true));
 }
 
 /// The per-point occurrence counters accumulated since [`arm`] (in
@@ -204,13 +289,16 @@ pub fn arm_with_seen(schedule: InterruptSchedule, seen: [u32; ALL_ARRIVAL_POINTS
 /// snapshot records these at capture time and replays them into
 /// [`arm_with_seen`] on every restore.
 pub fn seen_counts() -> Option<[u32; ALL_ARRIVAL_POINTS.len()]> {
-    ENGINE.with(|e| e.borrow().as_ref().map(|eng| eng.seen))
+    is_armed().then(|| ENGINE.with(|e| e.borrow().seen))
 }
 
 /// Disarms the engine, returning how many arrivals fired since [`arm`].
 pub fn disarm() -> u64 {
-    simctx::with(|c| c.sched_armed.set(false));
-    ENGINE.with(|e| e.borrow_mut().take().map_or(0, |eng| eng.fired_count))
+    let was = simctx::with(|c| c.sched_armed.replace(false));
+    match was {
+        true => ENGINE.with(|e| e.borrow().fired_count),
+        false => 0,
+    }
 }
 
 /// Returns `true` when the armed schedule has nothing left to fire:
@@ -218,23 +306,22 @@ pub fn disarm() -> u64 {
 /// counters only grow, so a passed occurrence never comes round again).
 /// From then on the engine only counts. `false` when disarmed.
 pub fn exhausted() -> bool {
-    ENGINE.with(|e| {
-        e.borrow().as_ref().is_some_and(|eng| {
-            let spent =
-                |(a, fired): (&Arrival, &bool)| *fired || a.at < eng.seen[point_index(a.point)];
-            eng.schedule.arrivals.iter().zip(&eng.fired).all(spent)
-        })
-    })
+    is_armed() && ENGINE.with(|e| e.borrow().next.iter().all(|&at| at == NONE))
 }
 
-/// Returns `true` if a schedule is armed on this thread.
+/// Returns `true` if a schedule is armed on this thread: the
+/// `SimContext` flag.
+#[inline]
 pub fn is_armed() -> bool {
-    ENGINE.with(|e| e.borrow().is_some())
+    simctx::with(|c| c.sched_armed.get())
 }
 
 /// Number of arrivals fired since the last [`arm`] (0 when disarmed).
 pub fn fired_count() -> u64 {
-    ENGINE.with(|e| e.borrow().as_ref().map_or(0, |eng| eng.fired_count))
+    match is_armed() {
+        true => ENGINE.with(|e| e.borrow().fired_count),
+        false => 0,
+    }
 }
 
 /// Boundary hook: bumps the occurrence counter for `point` and returns
@@ -244,40 +331,74 @@ pub fn fired_count() -> u64 {
 ///
 /// Unlike injection hooks, arrivals are not pid-scoped: a timer
 /// interrupt lands wherever the boundary is, in any process context.
+///
+/// The armed path has no panic edge, as [`crate::trace::record`]: the
+/// engine is taken with `try_borrow_mut`, whose failure calls one cold
+/// panic, and its storage is inline, so the whole hook compiles in
+/// place at each boundary instead of behind an out-of-line
+/// `LocalKey::with`.
 #[inline]
 pub fn arrival(point: ArrivalPoint) -> bool {
     // Fast path: one scalar TLS flag rejects every boundary while no
     // schedule is armed — the common case for every non-explorer run.
-    if simctx::with(|c| !c.sched_armed.get()) {
+    if !is_armed() {
         return false;
     }
     ENGINE.with(|e| {
-        let mut slot = e.borrow_mut();
-        let Some(eng) = slot.as_mut() else {
-            return false;
+        let Ok(mut eng) = e.try_borrow_mut() else {
+            reentered()
         };
-        let idx = point_index(point);
-        let occurrence = eng.seen[idx];
-        eng.seen[idx] = occurrence.wrapping_add(1);
-        let hit = eng
-            .schedule
-            .arrivals
-            .iter()
-            .enumerate()
-            .find(|(i, a)| !eng.fired[*i] && a.point == point && a.at == occurrence)
-            .map(|(i, _)| i);
-        let Some(i) = hit else {
-            return false;
-        };
-        eng.fired[i] = true;
-        eng.fired_count += 1;
-        true
+        eng.arrive(point)
     })
+}
+
+/// The one panic [`arrival`] can reach, kept out of line.
+#[cold]
+#[inline(never)]
+fn reentered() -> ! {
+    panic!("sched::arrival re-entered while the engine is borrowed")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn point_indices_follow_the_point_list() {
+        for (i, p) in ALL_ARRIVAL_POINTS.into_iter().enumerate() {
+            assert_eq!(point_index(p), i);
+        }
+    }
+
+    #[test]
+    fn rearming_starts_from_fresh_flags_in_the_same_storage() {
+        let s = InterruptSchedule::new(vec![
+            Arrival {
+                point: ArrivalPoint::SyscallEnter,
+                at: 0,
+            },
+            Arrival {
+                point: ArrivalPoint::MpuCommit,
+                at: 1,
+            },
+        ]);
+        for _ in 0..2 {
+            arm(&s);
+            assert!(arrival(ArrivalPoint::SyscallEnter));
+            assert!(!arrival(ArrivalPoint::SyscallEnter));
+            assert!(!exhausted());
+            assert!(!arrival(ArrivalPoint::MpuCommit));
+            assert!(arrival(ArrivalPoint::MpuCommit));
+            assert!(exhausted());
+            assert_eq!(disarm(), 2);
+        }
+        assert_eq!(disarm(), 0, "a disarmed engine fired nothing");
+        // A shorter schedule leaves no arrival of the longer one behind.
+        arm(&InterruptSchedule::single(ArrivalPoint::MpuCommit, 0));
+        assert!(!arrival(ArrivalPoint::SyscallEnter));
+        assert!(arrival(ArrivalPoint::MpuCommit));
+        assert_eq!(disarm(), 1);
+    }
 
     #[test]
     fn disarmed_arrivals_never_fire() {
@@ -291,7 +412,7 @@ mod tests {
 
     #[test]
     fn arrival_fires_once_at_the_scheduled_occurrence() {
-        arm(InterruptSchedule::single(ArrivalPoint::MpuCommit, 2));
+        arm(&InterruptSchedule::single(ArrivalPoint::MpuCommit, 2));
         assert!(!arrival(ArrivalPoint::MpuCommit)); // occurrence 0
         assert!(!arrival(ArrivalPoint::SyscallEnter)); // other point
         assert!(!arrival(ArrivalPoint::MpuCommit)); // occurrence 1
@@ -303,7 +424,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_counts_occurrences_without_firing() {
-        arm(InterruptSchedule::empty());
+        arm(&InterruptSchedule::empty());
         assert!(!arrival(ArrivalPoint::SyscallExit));
         assert!(!arrival(ArrivalPoint::SyscallExit));
         assert!(!arrival(ArrivalPoint::SchedulerDecision));
@@ -385,14 +506,14 @@ mod tests {
     #[test]
     fn arm_with_seen_resumes_occurrence_counting_mid_stream() {
         let s = InterruptSchedule::single(ArrivalPoint::SyscallEnter, 3);
-        arm(s.clone());
+        arm(&s);
         assert!(!arrival(ArrivalPoint::SyscallEnter)); // 0
         assert!(!arrival(ArrivalPoint::SyscallEnter)); // 1
         let seen = seen_counts().expect("armed");
         assert_eq!(seen[0], 2);
         assert!(!s.fires_within(&seen)); // at=3 is after the prefix
         disarm();
-        arm_with_seen(s, seen);
+        arm_with_seen(&s, seen);
         assert!(!arrival(ArrivalPoint::SyscallEnter)); // 2
         assert!(arrival(ArrivalPoint::SyscallEnter)); // 3: fires
         assert_eq!(disarm(), 1);
@@ -401,7 +522,7 @@ mod tests {
     #[test]
     fn a_schedule_is_exhausted_once_every_arrival_fired_or_passed() {
         assert!(!exhausted(), "a disarmed engine is not exhausted");
-        arm(InterruptSchedule::new(vec![
+        arm(&InterruptSchedule::new(vec![
             Arrival {
                 point: ArrivalPoint::SyscallEnter,
                 at: 1,
@@ -421,7 +542,7 @@ mod tests {
         assert!(exhausted());
         assert_eq!(disarm(), 2);
         // The empty schedule has nothing to fire from the start.
-        arm(InterruptSchedule::empty());
+        arm(&InterruptSchedule::empty());
         assert!(exhausted());
         disarm();
     }

@@ -33,9 +33,22 @@
 //! 2-vCPU x86-64 host) the push's self time fell from 16.4% to 4.8% of
 //! samples, and `LocalKey::with`'s from 8.7% to 5.9%.
 //!
+//! A run resumed from a checkpoint does not copy the trace it resumes
+//! after: [`share_prefix`] hands the ring a share of an already-recorded
+//! trace as its oldest events, and [`share_suffix`] appends the rest of
+//! one behind the live events. The shared events are copied into the
+//! ring's slots only when it needs them there (a wrap, a push after a
+//! shared suffix, [`take`]); [`with_events`] lends them in place, so
+//! every reader sees the trace the copied ring would hold, and
+//! [`copied`] counts what was copied after all.
+//!
 //! Crucially, tracing never calls into [`crate::cycles`]: enabling a
 //! trace must not perturb the cycle-accurate cost model that Fig. 11/12
 //! experiments depend on.
+
+use std::cell::RefCell;
+use std::mem::ManuallyDrop;
+use std::rc::Rc;
 
 use tt_contracts::simctx;
 
@@ -273,17 +286,46 @@ struct Ring {
     /// so [`record`] decides and pushes behind one TLS access.
     /// [`enable`]/[`disable`] keep the `SimContext` mirror in sync.
     enabled: bool,
-    /// Storage, kept sized to exactly `capacity` (pre-filled at
-    /// [`Ring::reset`]) so [`Ring::push`] is always one indexed store —
-    /// no `Vec::push` length bookkeeping, no fill-vs-wrap branch.
+    /// Storage: `capacity` slots plus one spare (pre-filled at
+    /// [`Ring::reset`]), so [`Ring::push`] is always one store into a
+    /// slot — no `Vec::push` length bookkeeping, no fill-vs-wrap branch.
+    /// The spare slot at index `capacity` takes the push that finds the
+    /// ring in a state only [`Ring::wrapped`] handles: the capacity-0
+    /// ring's, and the first push behind a pending shared part.
     buf: Vec<TraceEvent>,
     capacity: usize,
     /// Next slot to write. The oldest live event sits `len` slots behind
-    /// it (mod `capacity`).
+    /// it (mod `capacity`). It is `capacity`, the spare slot, while a
+    /// shared suffix is pending, and once the live events behind a
+    /// pending shared prefix fill the ring.
     write: usize,
-    /// Number of live events (≤ capacity).
+    /// The cursor value at which the push calls [`Ring::wrapped`]:
+    /// `capacity` (at least 1), where the cursor wraps to slot 0, or
+    /// `capacity + 1` while a shared part is pending, so that the push
+    /// into the spare slot calls it instead.
+    wrap_at: usize,
+    /// Number of live events (≤ capacity), a pending shared prefix
+    /// included and a pending shared suffix not.
     len: usize,
     dropped: u64,
+    /// A shared prefix ([`share_prefix`]): slots `0..prefix` hold no
+    /// events yet; logically they hold `shared[..prefix]`. Copied in
+    /// only when a reader needs the ring's own slots: at the push that
+    /// wraps the ring, which overwrites slot 0, and at [`take`].
+    /// `prefix` is 0 once copied (or with none shared); the share itself
+    /// is let go at the next reset.
+    shared: Option<Rc<[TraceEvent]>>,
+    prefix: usize,
+    /// A shared suffix ([`share_suffix`]): the `suffix_len` events of
+    /// `suffix` from `suffix_from` follow the live events logically.
+    /// Copied in at the next push or [`take`]; `suffix_len` is 0 once
+    /// copied (or with none shared).
+    suffix: Option<Rc<[TraceEvent]>>,
+    suffix_from: usize,
+    suffix_len: usize,
+    /// Events copied into or out of the ring since the thread started:
+    /// shared parts copied in and drained events ([`copied`]).
+    copied: u64,
     /// A drained event buffer handed back via [`recycle`], reused by the
     /// next [`Ring::drain`] so steady-state take() allocates nothing.
     spare: Vec<TraceEvent>,
@@ -294,37 +336,68 @@ struct Ring {
 /// `len` live slots).
 const FILL_EVENT: TraceEvent = TraceEvent::ProcessLoad { pid: NO_PID };
 
+/// An empty, disabled ring of capacity 0.
+const EMPTY_RING: Ring = Ring {
+    enabled: false,
+    buf: Vec::new(),
+    capacity: 0,
+    write: 0,
+    wrap_at: 0,
+    len: 0,
+    dropped: 0,
+    shared: None,
+    prefix: 0,
+    suffix: None,
+    suffix_from: 0,
+    suffix_len: 0,
+    copied: 0,
+    spare: Vec::new(),
+};
+
 impl Ring {
     /// Re-arms the ring for a new run, reusing the existing storage when
     /// the capacity is unchanged (the common campaign case: every run
-    /// asks for the same capacity).
+    /// asks for the same capacity). Shared parts are let go.
     fn reset(&mut self, capacity: usize) {
-        if capacity != self.buf.len() {
+        if capacity + 1 != self.buf.len() {
             self.buf.clear();
-            self.buf.resize(capacity, FILL_EVENT);
+            self.buf.resize(capacity + 1, FILL_EVENT);
         }
         self.capacity = capacity;
         self.write = 0;
+        self.wrap_at = capacity.max(1);
         self.len = 0;
         self.dropped = 0;
+        self.shared = None;
+        self.prefix = 0;
+        self.suffix = None;
+        self.suffix_len = 0;
     }
 
     /// One store plus a branchy wrap: capacity need not be a power of
     /// two, and `%` is an integer divide on the hot path. The slot is
-    /// taken with `get_mut`, not an index, so the push has no panic edge
-    /// and LLVM inlines it, with [`record`], into every call site; the
-    /// `None` arm is the capacity-0 ring, which drops every event.
+    /// taken with `get_mut`, not an index (the cursor is always on a
+    /// slot), so the push has no panic edge and LLVM inlines it, with
+    /// [`record`], into every call site, the event built in its slot.
+    /// Everything else happens out of line, in [`Ring::wrapped`], at the
+    /// one branch a wrap already takes.
     #[inline]
     fn push(&mut self, ev: TraceEvent) {
         let Some(slot) = self.buf.get_mut(self.write) else {
-            self.dropped += 1;
             return;
         };
         *slot = ev;
+        self.count();
         self.write += 1;
-        if self.write == self.capacity {
-            self.write = 0;
+        if self.write == self.wrap_at {
+            self.wrapped();
         }
+    }
+
+    /// Counts the event just written: one more live event, or, on a full
+    /// ring, one more dropped.
+    #[inline]
+    fn count(&mut self) {
         if self.len == self.capacity {
             self.dropped += 1;
         } else {
@@ -332,30 +405,188 @@ impl Ring {
         }
     }
 
-    fn drain(&mut self) -> Trace {
-        // Reuse a recycled buffer when one is parked, and copy the live
-        // region out as (at most) two contiguous slices instead of an
-        // element-by-element modulo walk.
-        let mut events = std::mem::take(&mut self.spare);
-        events.clear();
-        events.reserve(self.len);
+    /// The cursor reached `wrap_at`. With no shared part pending it
+    /// wraps to slot 0 (on a capacity-0 ring, whose only slot is the
+    /// spare, the event was counted dropped). Else the push just wrote
+    /// the spare slot: its count is undone, the shared parts are copied
+    /// in, and the event is pushed again into its own slot.
+    ///
+    /// Cold, so it stays out of line, but `#[inline]`, panic-free and
+    /// drop-free, so that each calling crate sees that it cannot unwind:
+    /// a call that may unwind while the ring is borrowed needs a cleanup
+    /// edge, and with one LLVM stops inlining the push into [`record`]'s
+    /// call sites.
+    #[cold]
+    #[inline]
+    fn wrapped(&mut self) {
+        if !self.pending() {
+            self.write = 0;
+            return;
+        }
+        // A pending suffix means the ring had room, so the push counted
+        // a live event; a pending prefix alone that the push filled the
+        // ring, so it counted a drop.
+        if self.suffix_len > 0 {
+            self.len -= 1;
+        } else {
+            self.dropped -= 1;
+        }
+        let spare = self.buf.get(self.capacity).copied();
+        self.materialise();
+        if let (Some(ev), Some(slot)) = (spare, self.buf.get_mut(self.write)) {
+            *slot = ev;
+            self.count();
+            self.write += 1;
+            if self.write == self.capacity {
+                self.write = 0;
+            }
+        }
+    }
+
+    /// Whether a shared part is not yet copied in. A ring with one never
+    /// wrapped.
+    #[inline]
+    fn pending(&self) -> bool {
+        self.prefix > 0 || self.suffix_len > 0
+    }
+
+    /// Copies a pending shared prefix into slots `0..prefix`.
+    #[inline]
+    fn copy_prefix(&mut self) {
+        let Some(shared) = self.shared.as_deref() else {
+            return;
+        };
+        let events = shared.iter().take(self.prefix);
+        for (slot, ev) in self.buf.iter_mut().zip(events) {
+            *slot = *ev;
+        }
+        self.copied += self.prefix as u64;
+        self.prefix = 0;
+    }
+
+    /// Copies both pending shared parts into the ring's slots. The ring
+    /// never wrapped, so its live region is `0..len` after.
+    #[inline]
+    fn materialise(&mut self) {
+        self.copy_prefix();
+        if let Some(suffix) = self.suffix.as_deref() {
+            let events = suffix.iter().skip(self.suffix_from).take(self.suffix_len);
+            for (slot, ev) in self.buf.iter_mut().skip(self.len).zip(events) {
+                *slot = *ev;
+            }
+            self.copied += self.suffix_len as u64;
+            self.len += self.suffix_len;
+            self.suffix_len = 0;
+        }
+        self.write = if self.len == self.capacity {
+            0
+        } else {
+            self.len
+        };
+        self.wrap_at = self.capacity;
+    }
+
+    /// The logical trace in place, oldest first.
+    fn events(&self) -> Events<'_> {
+        if self.pending() {
+            fn part(events: &Option<Rc<[TraceEvent]>>, from: usize, len: usize) -> &[TraceEvent] {
+                events.as_deref().map_or(&[], |s| &s[from..from + len])
+            }
+            let prefix = part(&self.shared, 0, self.prefix);
+            let suffix = part(&self.suffix, self.suffix_from, self.suffix_len);
+            let live = &self.buf[self.prefix..self.len];
+            return Events {
+                parts: [prefix, live, &[], suffix],
+                dropped: self.dropped,
+            };
+        }
         let head = if self.write >= self.len {
             self.write - self.len
         } else {
             self.write + self.capacity - self.len
         };
         let end = head + self.len;
-        if end <= self.capacity {
-            events.extend_from_slice(&self.buf[head..end]);
+        let parts = if end <= self.capacity {
+            [&[][..], &self.buf[head..end], &[], &[]]
         } else {
-            events.extend_from_slice(&self.buf[head..self.capacity]);
-            events.extend_from_slice(&self.buf[..end - self.capacity]);
+            let (head, tail) = (head..self.capacity, ..end - self.capacity);
+            [&[][..], &self.buf[head], &self.buf[tail], &[]]
+        };
+        Events {
+            parts,
+            dropped: self.dropped,
         }
+    }
+
+    fn drain(&mut self) -> Trace {
+        // Copy the shared parts in, reuse a recycled buffer when one is
+        // parked, and copy the live region out as (at most) two
+        // contiguous slices instead of an element-by-element modulo walk.
+        if self.pending() {
+            self.materialise();
+        }
+        let mut events = std::mem::take(&mut self.spare);
+        events.clear();
+        events.reserve(self.len);
+        for part in self.events().parts {
+            events.extend_from_slice(part);
+        }
+        self.copied += self.len as u64;
         let dropped = self.dropped;
         self.write = 0;
         self.len = 0;
         self.dropped = 0;
         Trace { events, dropped }
+    }
+}
+
+/// A recorded trace lent in place ([`with_events`]), oldest event first:
+/// the concatenation of its [`parts`](Events::parts), plus how many older
+/// events the ring dropped. Nothing is copied to present it.
+#[derive(Debug, Clone, Copy)]
+pub struct Events<'a> {
+    /// Consecutive runs of events, any of them empty: a shared prefix
+    /// not yet copied into the ring ([`share_prefix`]), the ring's live
+    /// region in one slice or, once it wrapped, two, and a shared suffix
+    /// ([`share_suffix`]). A wrapped ring has no shared part.
+    pub parts: [&'a [TraceEvent]; 4],
+    /// Events lost to wraparound before the first one.
+    pub dropped: u64,
+}
+
+impl<'a> Events<'a> {
+    /// One contiguous run of events, nothing dropped.
+    pub fn of(events: &'a [TraceEvent]) -> Self {
+        Events {
+            parts: [&[], events, &[], &[]],
+            dropped: 0,
+        }
+    }
+
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.parts.iter().map(|p| p.len()).sum()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Events `from..to` (clamped to the trace) as the pieces of the
+    /// parts they fall in, in order; the pieces outside are empty.
+    pub fn range(&self, from: usize, to: usize) -> impl Iterator<Item = &'a [TraceEvent]> + Clone {
+        let mut start = 0;
+        self.parts.into_iter().map(move |part| {
+            let (lo, hi) = (start, start + part.len());
+            start = hi;
+            &part[from.clamp(lo, hi) - lo..to.clamp(lo, hi) - lo]
+        })
+    }
+
+    /// Every event, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a TraceEvent> + Clone {
+        self.parts.into_iter().flatten()
     }
 }
 
@@ -369,16 +600,8 @@ thread_local! {
     // leaks its ring storage at thread exit — bounded by one ring per
     // thread, freed explicitly by the `tt_kernel::pool` workers, and
     // reclaimed at process exit everywhere else.
-    static RING: std::cell::RefCell<std::mem::ManuallyDrop<Ring>> = const {
-        std::cell::RefCell::new(std::mem::ManuallyDrop::new(Ring {
-            enabled: false,
-            buf: Vec::new(),
-            capacity: 0,
-            write: 0,
-            len: 0,
-            dropped: 0,
-            spare: Vec::new(),
-        }))
+    static RING: RefCell<ManuallyDrop<Ring>> = const {
+        RefCell::new(ManuallyDrop::new(EMPTY_RING))
     };
 }
 
@@ -391,14 +614,11 @@ pub fn release_thread_buffers() {
     RING.with(|r| {
         // Assigning a fresh empty ring drops the old buffers normally —
         // `ManuallyDrop` only suppresses the (never-run) TLS destructor.
-        **r.borrow_mut() = Ring {
-            enabled: false,
-            buf: Vec::new(),
-            capacity: 0,
-            write: 0,
-            len: 0,
-            dropped: 0,
-            spare: Vec::new(),
+        let mut ring = r.borrow_mut();
+        let copied = ring.copied;
+        **ring = Ring {
+            copied,
+            ..EMPTY_RING
         };
     });
     simctx::with(|c| c.trace_enabled.set(false));
@@ -417,42 +637,72 @@ pub fn enable(capacity: usize) {
     simctx::with(|c| c.trace_enabled.set(true));
 }
 
-/// Bulk-installs an already-recorded event prefix into the (enabled,
-/// empty) ring — the zero-copy half of snapshot restore. Semantically
-/// identical to [`record`]ing each event in order, but one `memcpy`
-/// behind the write cursor instead of a TLS round-trip per event.
+/// Installs `events[..len]`, an already-recorded prefix, in the
+/// (enabled, empty) ring without copying it: the ring keeps a share of
+/// `events` and reads its first `len` events as its oldest ones.
+/// Semantically identical to [`record`]ing each event in order. The
+/// prefix is copied into the ring's slots only when they are needed:
+/// when the write cursor wraps, where its oldest events are the first
+/// dropped, and at [`take`]. Snapshot restore installs a rung's prefix
+/// this way.
 ///
 /// Panics if tracing is disabled, the ring is not empty, or the prefix
-/// exceeds the ring capacity (a captured prefix always fits: capture
-/// asserts the ring never wrapped).
-pub fn install_prefix(events: &[TraceEvent]) {
-    RING.with(|r| assert_eq!(r.borrow().len, 0, "install_prefix on a non-empty ring"));
-    extend(events);
-}
-
-/// Appends already-recorded events behind the write cursor with one
-/// `memcpy` — semantically [`record`]ing each in order. Restore installs
-/// a checkpoint's prefix this way, and a scheduled run that rejoined its
-/// baseline appends the baseline's suffix.
-///
-/// Panics if tracing is disabled, or if the events would wrap the ring
-/// or it has wrapped already; callers check [`with_events`] first.
-pub fn extend(events: &[TraceEvent]) {
+/// exceeds `events` or the ring capacity (a captured prefix always
+/// fits: capture asserts the ring never wrapped).
+pub fn share_prefix(events: &Rc<[TraceEvent]>, len: usize) {
     RING.with(|r| {
         let mut ring = r.borrow_mut();
-        assert!(ring.enabled, "extend on a disabled ring");
-        // Nothing dropped means nothing wrapped: the live region starts
-        // at slot 0 and ends at `len`.
-        let (start, end) = (ring.len, ring.len + events.len());
+        assert!(ring.enabled, "share_prefix on a disabled ring");
+        assert_eq!(ring.len, 0, "share_prefix on a non-empty ring");
         assert!(
-            ring.dropped == 0 && end <= ring.capacity,
-            "{} events after {start} exceed ring capacity {}",
-            events.len(),
+            len <= events.len(),
+            "a prefix of {len} events past the trace"
+        );
+        assert!(
+            len <= ring.capacity,
+            "a prefix of {len} events exceeds ring capacity {}",
             ring.capacity
         );
-        ring.buf[start..end].copy_from_slice(events);
-        ring.len = end;
-        ring.write = if end == ring.capacity { 0 } else { end };
+        if len == 0 {
+            return;
+        }
+        ring.shared = Some(Rc::clone(events));
+        ring.prefix = len;
+        ring.len = len;
+        ring.write = len;
+        ring.wrap_at = ring.capacity + 1;
+    });
+}
+
+/// Appends `events[from..]`, already-recorded events, behind the live
+/// ones without copying them — semantically [`record`]ing each in order.
+/// A scheduled run that rejoined its baseline takes the baseline's
+/// suffix this way. The suffix is copied into the ring's slots at the
+/// next [`record`] or [`take`].
+///
+/// Panics if tracing is disabled, if the events would wrap the ring or
+/// it has wrapped already, or if a suffix is already shared; callers
+/// check [`with_events`] first.
+pub fn share_suffix(events: &Rc<[TraceEvent]>, from: usize) {
+    RING.with(|r| {
+        let mut ring = r.borrow_mut();
+        assert!(ring.enabled, "share_suffix on a disabled ring");
+        assert_eq!(ring.suffix_len, 0, "share_suffix on a shared suffix");
+        let count = events.len() - from;
+        assert!(
+            ring.dropped == 0 && ring.len + count <= ring.capacity,
+            "{count} events after {} exceed ring capacity {}",
+            ring.len,
+            ring.capacity
+        );
+        if count == 0 {
+            return;
+        }
+        ring.suffix = Some(Rc::clone(events));
+        ring.suffix_from = from;
+        ring.suffix_len = count;
+        ring.write = ring.capacity;
+        ring.wrap_at = ring.capacity + 1;
     });
 }
 
@@ -513,39 +763,29 @@ fn reentered() -> ! {
     panic!("trace::record re-entered while the ring is borrowed (inside trace::with_events)")
 }
 
-/// Runs `f` over the recorded events (oldest first) *in place*: the
-/// live region is presented as two contiguous slices — the second is
-/// empty unless the ring wrapped — plus the dropped-event count. Unlike
-/// [`take`], nothing is copied and the ring is left untouched. The
-/// fleet oracle uses this to compare a run's trace against the
-/// reference without paying the per-run drain `memcpy`, then clears the
-/// ring via [`disable`] instead of draining it.
-pub fn with_events<R>(f: impl FnOnce(&[TraceEvent], &[TraceEvent], u64) -> R) -> R {
-    RING.with(|r| {
-        let ring = r.borrow();
-        let head = if ring.write >= ring.len {
-            ring.write - ring.len
-        } else {
-            ring.write + ring.capacity - ring.len
-        };
-        let end = head + ring.len;
-        if end <= ring.capacity {
-            f(&ring.buf[head..end], &[], ring.dropped)
-        } else {
-            f(
-                &ring.buf[head..ring.capacity],
-                &ring.buf[..end - ring.capacity],
-                ring.dropped,
-            )
-        }
-    })
+/// Runs `f` over the recorded events *in place* ([`Events`]): shared
+/// parts are presented where they are, so nothing is copied and the ring
+/// is left untouched. The fleet oracle uses this to compare a run's
+/// trace against the reference without paying the per-run drain
+/// `memcpy`, then clears the ring via [`disable`] instead of draining
+/// it.
+pub fn with_events<R>(f: impl FnOnce(Events<'_>) -> R) -> R {
+    RING.with(|r| f(r.borrow().events()))
 }
 
 /// Drains the recorded events (oldest first), leaving tracing enabled
 /// with an empty ring. The returned buffer comes from the [`recycle`]
-/// pool when one is available.
+/// pool when one is available. Shared parts are copied in first.
 pub fn take() -> Trace {
     RING.with(|r| r.borrow_mut().drain())
+}
+
+/// Events copied into or out of this thread's ring since the thread
+/// started: shared parts copied into its slots ([`share_prefix`],
+/// [`share_suffix`]) and events drained by [`take`]. An exact work
+/// count for callers that measure what a run copied.
+pub fn copied() -> u64 {
+    RING.with(|r| r.borrow().copied)
 }
 
 /// Hands a drained [`Trace`]'s event buffer back for reuse by the next
@@ -682,8 +922,8 @@ mod tests {
         for v in 0..100 {
             record(ev(v));
         }
-        with_events(|head, tail, dropped| {
-            assert_eq!((head, tail, dropped), (&[][..], &[][..], 100));
+        with_events(|events| {
+            assert_eq!((events.len(), events.dropped), (0, 100));
         });
         disable();
     }
@@ -691,7 +931,7 @@ mod tests {
     #[test]
     fn record_inside_with_events_panics_naming_the_reentry() {
         enable(4);
-        let panic = std::panic::catch_unwind(|| with_events(|_, _, _| record(ev(1))))
+        let panic = std::panic::catch_unwind(|| with_events(|_| record(ev(1))))
             .expect_err("a record inside with_events must panic");
         let message = panic
             .downcast_ref::<&str>()
@@ -776,70 +1016,185 @@ mod tests {
         disable();
     }
 
-    #[test]
-    fn install_prefix_matches_per_event_replay() {
-        let prefix: Vec<TraceEvent> = (0..6).map(ev).collect();
-        // Reference semantics: record each event individually.
-        enable(8);
-        for e in &prefix {
-            record(*e);
-        }
-        let replayed = take();
-        disable();
-        // Bulk install must be indistinguishable, including for events
-        // recorded after the prefix.
-        enable(8);
-        install_prefix(&prefix);
-        record(ev(100));
-        record(ev(101));
-        let bulk = take();
-        disable();
-        assert_eq!(bulk.dropped, 0);
-        assert_eq!(&bulk.events[..6], &replayed.events[..]);
-        assert_eq!(&bulk.events[6..], &[ev(100), ev(101)]);
+    /// The logical trace [`with_events`] presents: every event and the
+    /// dropped count.
+    fn logical() -> (Vec<TraceEvent>, u64) {
+        with_events(|events| (events.iter().copied().collect(), events.dropped))
     }
 
-    #[test]
-    fn install_prefix_at_exact_capacity_wraps_cleanly() {
-        let prefix: Vec<TraceEvent> = (0..4).map(ev).collect();
-        enable(4);
-        install_prefix(&prefix);
-        // The ring is full; the next record overwrites the oldest.
-        record(ev(9));
+    /// `prefix` recorded event by event, then `live`, on a ring of
+    /// `capacity`: the copied form a shared prefix must read back as.
+    fn recorded(capacity: usize, prefix: &[TraceEvent], live: &[TraceEvent]) -> Trace {
+        enable(capacity);
+        prefix.iter().chain(live).for_each(|e| record(*e));
         let t = take();
-        assert_eq!(t.dropped, 1);
-        assert_eq!(t.events, vec![ev(1), ev(2), ev(3), ev(9)]);
+        disable();
+        t
+    }
+
+    #[test]
+    fn a_shared_prefix_reads_back_as_the_recorded_one_at_every_capacity() {
+        let prefix: Rc<[TraceEvent]> = (0..6).map(ev).collect();
+        for capacity in [6, 7, 8, 11, 64] {
+            for live in [0, 1, 2, 5, 13] {
+                let live: Vec<TraceEvent> = (100..100 + live).map(ev).collect();
+                let want = recorded(capacity, &prefix[..], &live);
+                let ctx = format!("capacity {capacity}, {} live", live.len());
+                enable(capacity);
+                share_prefix(&prefix, prefix.len());
+                live.iter().for_each(|e| record(*e));
+                // Length, contents and drops, in place and drained.
+                assert_eq!(logical(), (want.events.clone(), want.dropped), "{ctx}");
+                with_events(|e| assert_eq!(e.len(), want.events.len(), "{ctx}"));
+                assert_eq!(take(), want, "{ctx}");
+                disable();
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_prefix_past_the_capacity_drops_its_oldest_events_first() {
+        let prefix: Rc<[TraceEvent]> = (0..6).map(ev).collect();
+        enable(8);
+        share_prefix(&prefix, 6);
+        let before = copied();
+        // The prefix is not copied while the ring has room.
+        record(ev(100));
+        assert_eq!(copied(), before);
+        with_events(|e| assert_eq!(e.parts[0], &prefix[..]));
+        // Nor when the ring is full; the push that wraps it copies the
+        // prefix in and overwrites its oldest event.
+        record(ev(101));
+        assert_eq!(copied(), before);
+        assert_eq!(logical().1, 0);
+        record(ev(102));
+        assert_eq!(copied(), before + 6);
+        let mut want: Vec<TraceEvent> = (1..6).map(ev).collect();
+        want.extend([ev(100), ev(101), ev(102)]);
+        assert_eq!(logical(), (want, 1));
         disable();
     }
 
     #[test]
-    fn install_prefix_rejects_oversized_and_disabled() {
+    fn a_shared_prefix_of_part_of_a_trace_and_of_the_whole_ring() {
+        let events: Rc<[TraceEvent]> = (0..10).map(ev).collect();
+        enable(16);
+        share_prefix(&events, 4);
+        record(ev(100));
+        assert_eq!(take().events, vec![ev(0), ev(1), ev(2), ev(3), ev(100)]);
         disable();
-        assert!(std::panic::catch_unwind(|| install_prefix(&[ev(1)])).is_err());
+        // A prefix that fills the ring: the next record copies it in and
+        // overwrites its oldest event.
+        enable(4);
+        share_prefix(&events, 4);
+        assert_eq!(logical(), ((0..4).map(ev).collect(), 0));
+        record(ev(9));
+        assert_eq!(logical(), (vec![ev(1), ev(2), ev(3), ev(9)], 1));
+        disable();
+    }
+
+    #[test]
+    fn share_prefix_rejects_oversized_disabled_and_non_empty_rings() {
+        let events: Rc<[TraceEvent]> = (0..3).map(ev).collect();
+        disable();
+        assert!(std::panic::catch_unwind(|| share_prefix(&events, 1)).is_err());
         enable(2);
-        assert!(std::panic::catch_unwind(|| install_prefix(&[ev(1); 3])).is_err());
+        assert!(std::panic::catch_unwind(|| share_prefix(&events, 3)).is_err());
+        record(ev(1));
+        assert!(std::panic::catch_unwind(|| share_prefix(&events, 1)).is_err());
         disable();
     }
 
     #[test]
-    fn extend_appends_like_records_and_refuses_to_wrap() {
+    fn a_shared_suffix_reads_back_as_the_recorded_one() {
+        let baseline: Rc<[TraceEvent]> = (0..10).map(ev).collect();
+        for capacity in [10, 12, 32] {
+            for from in [0, 4, 9, 10] {
+                // A shared prefix, live events, then the baseline's suffix.
+                let live = [ev(100), ev(101)];
+                let mut want: Vec<TraceEvent> = (0..3).map(ev).collect();
+                want.extend(live);
+                want.extend_from_slice(&baseline[from..]);
+                if want.len() > capacity {
+                    continue;
+                }
+                let ctx = format!("capacity {capacity}, suffix from {from}");
+                enable(capacity);
+                share_prefix(&baseline, 3);
+                live.iter().for_each(|e| record(*e));
+                let before = copied();
+                share_suffix(&baseline, from);
+                assert_eq!(copied(), before, "{ctx}: nothing copied");
+                assert_eq!(logical(), (want.clone(), 0), "{ctx}");
+                let t = take();
+                assert_eq!((t.events, t.dropped), (want.clone(), 0), "{ctx}");
+                disable();
+                // A record after the suffix lands behind it.
+                enable(capacity);
+                live.iter().for_each(|e| record(*e));
+                share_suffix(&baseline, from);
+                if 2 + 10 - from < capacity {
+                    record(ev(200));
+                    let mut want: Vec<TraceEvent> = live.to_vec();
+                    want.extend_from_slice(&baseline[from..]);
+                    want.push(ev(200));
+                    assert_eq!(logical(), (want, 0), "{ctx}");
+                }
+                disable();
+            }
+        }
+    }
+
+    #[test]
+    fn a_suffix_that_fills_the_ring_wraps_like_recorded_events() {
+        let baseline: Rc<[TraceEvent]> = (0..6).map(ev).collect();
+        enable(4);
+        record(ev(100));
+        share_suffix(&baseline, 3);
+        assert_eq!(logical(), (vec![ev(100), ev(3), ev(4), ev(5)], 0));
+        record(ev(101));
+        assert_eq!(logical(), (vec![ev(3), ev(4), ev(5), ev(101)], 1));
+        disable();
+    }
+
+    #[test]
+    fn share_suffix_refuses_to_wrap() {
+        let baseline: Rc<[TraceEvent]> = (0..6).map(ev).collect();
         enable(6);
         record(ev(1));
-        extend(&[ev(2), ev(3)]);
-        record(ev(4));
-        extend(&[ev(5), ev(6)]);
-        with_events(|head, tail, dropped| {
-            assert_eq!(
-                (head, tail, dropped),
-                (&(1..7).map(ev).collect::<Vec<_>>()[..], &[][..], 0)
-            );
-        });
         // Full: one more event would wrap the ring.
-        assert!(std::panic::catch_unwind(|| extend(&[ev(7)])).is_err());
-        // A wrapped ring takes no bulk append either.
-        record(ev(7));
-        assert!(std::panic::catch_unwind(|| extend(&[])).is_err());
+        assert!(std::panic::catch_unwind(|| share_suffix(&baseline, 0)).is_err());
+        share_suffix(&baseline, 1);
+        assert_eq!(logical().0.len(), 6);
         disable();
+        // A wrapped ring takes no suffix either.
+        enable(2);
+        (0..3).for_each(|v| record(ev(v)));
+        assert!(std::panic::catch_unwind(|| share_suffix(&baseline, 6)).is_err());
+        disable();
+    }
+
+    #[test]
+    fn events_ranges_cut_across_parts() {
+        let (a, b, d) = ([ev(0), ev(1)], [ev(2)], [ev(3), ev(4)]);
+        let events = Events {
+            parts: [&a, &b, &[], &d],
+            dropped: 0,
+        };
+        assert_eq!(events.len(), 5);
+        let range = |from, to| {
+            events
+                .range(from, to)
+                .flatten()
+                .copied()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(range(0, 5), (0..5).map(ev).collect::<Vec<_>>());
+        assert_eq!(range(1, 4), (1..4).map(ev).collect::<Vec<_>>());
+        assert_eq!(range(2, 3), vec![ev(2)]);
+        assert_eq!(range(3, 3), vec![]);
+        assert_eq!(range(4, 99), vec![ev(4)]);
+        assert_eq!(events.range(2, 3).filter(|p| !p.is_empty()).count(), 1);
     }
 
     #[test]
@@ -852,11 +1207,13 @@ mod tests {
         for v in 0..6 {
             record(ev(v));
         }
-        with_events(|a, b, dropped| {
-            assert_eq!(dropped, 2);
+        with_events(|events| {
+            let [prefix, a, b, suffix] = events.parts;
+            assert_eq!(events.dropped, 2);
+            assert!(prefix.is_empty() && suffix.is_empty());
             assert!(!a.is_empty() && !b.is_empty(), "full ring must wrap");
             assert_eq!(a.len() + b.len(), 4);
-            let joined: Vec<TraceEvent> = a.iter().chain(b.iter()).copied().collect();
+            let joined: Vec<TraceEvent> = events.iter().copied().collect();
             assert_eq!(joined, (2..6).map(ev).collect::<Vec<_>>());
         });
         // with_events leaves the ring untouched: draining afterwards sees
@@ -875,10 +1232,10 @@ mod tests {
         for v in 0..4 {
             record(ev(v));
         }
-        with_events(|a, b, dropped| {
-            assert_eq!(dropped, 0);
-            assert_eq!(a, (0..4).map(ev).collect::<Vec<_>>());
-            assert!(b.is_empty());
+        with_events(|events| {
+            assert_eq!(events.dropped, 0);
+            assert_eq!(events.parts[1], (0..4).map(ev).collect::<Vec<_>>());
+            assert!(events.parts[2].is_empty());
         });
         disable();
     }

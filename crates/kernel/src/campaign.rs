@@ -20,9 +20,11 @@
 //! There is one way to run a unit and one oracle. Every fleet run —
 //! campaign seed, shrink candidate, explorer schedule, corpus replay —
 //! goes through the [`FleetRunner`]'s single run body, and every checked
-//! one through one call, `FleetRunner::run_checked`: the run, checked in
-//! place against the runner's own clean run, and its failure lines from
-//! one check over one streaming walk ([`Reference`], [`StreamVerdict`]).
+//! one through one call, `FleetRunner::run_checked` (`run_timed` for a
+//! campaign unit, the one caller that reports phase times): the run,
+//! checked in place against the runner's own clean run, and its failure
+//! lines from one check over one streaming walk ([`Reference`],
+//! [`StreamVerdict`]).
 //! The body has one loop over tick boundaries, which also captures the
 //! runner's checkpoint ladders; every ladder lists its rungs from boot.
 //! The fresh boot ([`run_one`]) stays the anchor: the restore-equivalence
@@ -374,10 +376,10 @@ pub fn run_one_scheduled(
     tt_hw::cycles::reset();
     trace::enable(TRACE_CAPACITY);
     if let Some(s) = seed {
-        injection::arm(InjectionPlan::from_seed(s, VICTIM as u32));
+        injection::arm(&InjectionPlan::from_seed(s, VICTIM as u32));
     }
     if let Some(s) = schedule {
-        sched::arm(s.clone());
+        sched::arm(s);
     }
     let kernel = with_mode(Mode::Observe, || {
         let mut k = boot_campaign_kernel(chip);
@@ -404,9 +406,11 @@ pub fn run_one_scheduled(
 // ---------------------------------------------------------------------
 
 /// Per-run wall-clock phase breakdown of the [`FleetRunner`] run body,
-/// in nanoseconds. Timing never feeds back into run behaviour or report
-/// text — it rides alongside the (deterministic) [`RunRecord`] for the
-/// fleet profiler.
+/// in nanoseconds, and the run's exact work counts. Timing never feeds
+/// back into run behaviour or report text — it rides alongside the
+/// (deterministic) [`RunRecord`] for the fleet profiler. Only the fleet
+/// campaign unit clocks its phases (`FleetRunner::run_timed`); every
+/// other run's times read zero.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunPhases {
     /// Restoring the checkpoint (and arming the plan).
@@ -439,8 +443,62 @@ pub struct RunPhases {
     /// baseline suffix it took as clean. A slice compare counts every
     /// event; the failure path's divergence walks are not counted.
     pub walked: usize,
+    /// Trace events copied into or out of the ring during the run
+    /// ([`trace::copied`]): shared ladder parts copied into the ring's
+    /// slots, and the drain of an unchecked run.
+    pub copied: usize,
     /// Ticks simulated past the resumed rung.
     pub ticks: u64,
+}
+
+/// Where the run body reads the host clock: the caller picks the clock,
+/// so a run whose phase times nobody reads pays for no clock read.
+pub(crate) trait Clock {
+    /// A point in time as this clock reads it.
+    type Mark: Copy;
+    /// Reads the clock.
+    fn now() -> Self::Mark;
+    /// Nanoseconds from `from` to `to`.
+    fn ns(from: Self::Mark, to: Self::Mark) -> u64;
+}
+
+/// The host's monotonic clock, one `Instant::now()` per read: the fleet
+/// campaign unit's, five reads a run.
+pub(crate) struct Wall;
+
+#[cfg(test)]
+thread_local! {
+    /// [`Wall`] reads on this thread, for the clock-read count test.
+    static WALL_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl Clock for Wall {
+    type Mark = Instant;
+
+    fn now() -> Instant {
+        #[cfg(test)]
+        WALL_READS.with(|n| n.set(n.get() + 1));
+        Instant::now()
+    }
+
+    fn ns(from: Instant, to: Instant) -> u64 {
+        (to - from).as_nanos() as u64
+    }
+}
+
+/// No clock: every mark is `()` and every span zero. The explorer, the
+/// shrinker, corpus replay, the capture pass and the drained entry
+/// points run on it.
+pub(crate) struct Untimed;
+
+impl Clock for Untimed {
+    type Mark = ();
+
+    fn now() {}
+
+    fn ns((): (), (): ()) -> u64 {
+        0
+    }
 }
 
 /// What the run body does at each tick boundary it stops at.
@@ -664,11 +722,17 @@ impl FleetRunner {
     /// `self.apps` when the run ends.
     fn restore_to(&mut self, ladder: &Ladder, index: usize) -> Vec<Box<dyn App>> {
         let target = &ladder.rungs[index];
-        let prefix = &ladder.trace[..target.trace_len];
         let from = &self.at.mem;
         let mut apps = std::mem::take(&mut self.apps);
         let kernel = &mut self.kernel;
-        if !target.restore(kernel, &self.base, from, prefix, TRACE_CAPACITY, &mut apps) {
+        if !target.restore(
+            kernel,
+            &self.base,
+            from,
+            &ladder.trace,
+            TRACE_CAPACITY,
+            &mut apps,
+        ) {
             apps.clear();
             apps.extend(self.factories.iter().map(|mk| mk()));
         }
@@ -690,7 +754,7 @@ impl FleetRunner {
     fn capture(&mut self, plan: Option<InjectionPlan>) -> (RunRecord, usize, u64) {
         // The pass resumes along the clean ladder, whatever it replaces.
         self.seeded = None;
-        let (record, _, pass) = self.body(plan.clone(), None, false, true);
+        let (record, _, pass, _) = self.body::<Untimed>(plan.as_ref(), None, false, true);
         let pass = pass.expect("a capture pass captures");
         let trace: Rc<[TraceEvent]> = record.trace.events.as_slice().into();
         let (mut skip, mut covered) = (PrefixSkip::default(), 0);
@@ -787,28 +851,51 @@ impl FleetRunner {
     /// checked in place against [`FleetRunner::reference`]. Returns the
     /// record (its verdict in [`RunRecord::oracle`]), the phases and
     /// [`check_run`]'s failure lines labelled `label` (empty = passed).
+    /// Untimed: the phases' wall times read zero.
     pub(crate) fn run_checked(
         &mut self,
-        plan: Option<InjectionPlan>,
+        plan: Option<&InjectionPlan>,
         schedule: Option<&InterruptSchedule>,
         label: Label,
     ) -> (RunRecord, RunPhases, Vec<String>) {
-        let (run, mut phases, _) = self.body(plan, schedule, true, false);
-        let t0 = Instant::now();
+        self.checked::<Untimed>(plan, schedule, label)
+    }
+
+    /// [`FleetRunner::run_checked`] with its phases clocked: the fleet
+    /// campaign unit, which reports them ([`UnitOutcome`]).
+    pub(crate) fn run_timed(
+        &mut self,
+        plan: Option<&InjectionPlan>,
+        schedule: Option<&InterruptSchedule>,
+        label: Label,
+    ) -> (RunRecord, RunPhases, Vec<String>) {
+        self.checked::<Wall>(plan, schedule, label)
+    }
+
+    /// The checked run on clock `C`. The validate phase runs from the end
+    /// of the collect phase to the last failure line rendered.
+    fn checked<C: Clock>(
+        &mut self,
+        plan: Option<&InjectionPlan>,
+        schedule: Option<&InterruptSchedule>,
+        label: Label,
+    ) -> (RunRecord, RunPhases, Vec<String>) {
+        let (run, mut phases, _, collected) = self.body::<C>(plan, schedule, true, false);
         let streams = run.oracle.as_ref().expect("the run body checked the run");
         let failures = check_run(&self.chip, label, &run, streams);
-        phases.oracle_ns += t0.elapsed().as_nanos() as u64;
+        phases.oracle_ns = C::ns(collected, C::now());
         (run, phases, failures)
     }
 
     /// The run body every unchecked fleet run goes through
-    /// ([`FleetRunner::body`], its trace drained into the record).
+    /// ([`FleetRunner::body`], its trace drained into the record),
+    /// untimed.
     pub(crate) fn run(
         &mut self,
         plan: Option<InjectionPlan>,
         schedule: Option<&InterruptSchedule>,
     ) -> (RunRecord, RunPhases) {
-        let (record, phases, _) = self.body(plan, schedule, false, false);
+        let (record, phases, _, _) = self.body::<Untimed>(plan.as_ref(), schedule, false, false);
         (record, phases)
     }
 
@@ -839,36 +926,50 @@ impl FleetRunner {
     /// cleared instead of drained, and the verdict rides in
     /// [`RunRecord::oracle`]. The rung's violations are prepended, so a
     /// resumed run reports exactly what the equivalent fresh run would.
-    fn body(
+    ///
+    /// The ring shares the rung's prefix and a rejoined run's suffix
+    /// with the ladder's trace instead of copying them
+    /// ([`trace::share_prefix`], [`trace::share_suffix`]); a drained run
+    /// copies them out at its drain.
+    ///
+    /// Arming copies the plan and the schedule into the engines' own
+    /// storage, which allocates nothing in steady state.
+    ///
+    /// Clock `C` times the restore, run and collect phases with four
+    /// reads and returns the last, the end of the collect phase (the
+    /// rest of the run, a rejoined run's splice, counts as collect: a
+    /// timed campaign run never rejoins). [`Untimed`] reads none.
+    fn body<C: Clock>(
         &mut self,
-        plan: Option<InjectionPlan>,
+        plan: Option<&InjectionPlan>,
         schedule: Option<&InterruptSchedule>,
         check: bool,
         capture: bool,
-    ) -> (RunRecord, RunPhases, Option<Capture>) {
-        let seed = plan.as_ref().map(|p| p.seed);
-        let t0 = Instant::now();
-        let (ladder, index) = self.pick(plan.as_ref(), schedule);
+    ) -> (RunRecord, RunPhases, Option<Capture>, C::Mark) {
+        let seed = plan.map(|p| p.seed);
+        let copied = trace::copied();
+        let t0 = C::now();
+        let (ladder, index) = self.pick(plan, schedule);
         let mut apps = self.restore_to(&ladder, index);
         let rung = &*ladder.rungs[index];
         // Only a scheduled run may rejoin its baseline; the campaign arms
         // no schedule and always runs to the end.
-        let rejoins = schedule.is_some() && ladder.plan == plan;
+        let rejoins = schedule.is_some() && ladder.plan.as_ref() == plan;
         // A capture pass counts occurrences under the empty plan when it
         // has none, and at arrival points under the empty schedule.
-        let counting = || InjectionPlan {
+        let counting = InjectionPlan {
             seed: 0,
             target_pid: VICTIM as u32,
             injections: Vec::new(),
         };
-        let armed = plan.is_some() || capture;
-        if let Some(p) = plan.or_else(|| capture.then(counting)) {
-            injection::resume(p, rung.injection.clone());
+        let armed = plan.or(capture.then_some(&counting));
+        if let Some(p) = armed {
+            injection::resume(p, &rung.injection);
         }
         let empty = capture.then(InterruptSchedule::empty);
         let schedule = schedule.or(empty.as_ref());
         if let Some(s) = schedule {
-            sched::arm_with_seen(s.clone(), rung.sched_seen);
+            sched::arm_with_seen(s, rung.sched_seen);
         }
         let mut at_boundary = match (capture, rejoins) {
             (true, _) => AtBoundary::Capture(Capture {
@@ -885,7 +986,7 @@ impl FleetRunner {
         // rest from there (`Kernel::interrupt_now`).
         self.kernel.inert_irqs = rejoins.then(|| ladder.arm(rung)).flatten();
         self.kernel.stop_at_step = false;
-        let t1 = Instant::now();
+        let t1 = C::now();
         let (kernel, base, factories) = (&mut self.kernel, &self.base, self.factories);
         let stride = match at_boundary {
             AtBoundary::Nothing => MAX_TICKS,
@@ -915,7 +1016,11 @@ impl FleetRunner {
             }
             None
         });
-        let fired = if armed { injection::disarm() } else { 0 };
+        let fired = if armed.is_some() {
+            injection::disarm()
+        } else {
+            0
+        };
         let irq_fired = if schedule.is_some() {
             sched::disarm()
         } else {
@@ -925,7 +1030,7 @@ impl FleetRunner {
         let stopped = std::mem::take(&mut self.kernel.stop_at_step);
         let inert = self.kernel.inert_irqs.take().filter(|_| stopped);
         let ticks = self.kernel.ticks - rung.ticks;
-        let t2 = Instant::now();
+        let t2 = C::now();
         let mut record = collect_record(
             &self.kernel,
             seed,
@@ -934,11 +1039,10 @@ impl FleetRunner {
             violations,
             Trace::default(),
         );
-        let t3 = Instant::now();
         // Taking the rest of the run from the baseline where it joined it.
         let join = at_rung.or_else(|| inert.map(|inert| Join::at_return(index, inert, &record)));
         let live = join.map(|join| ladder.splice(&join, &mut record));
-        let t4 = Instant::now();
+        let t3 = C::now();
         let oracle = check.then(|| {
             let unperturbed = unperturbed(record.fired, irq_fired);
             let skip = ladder.skip(index, unperturbed);
@@ -948,9 +1052,8 @@ impl FleetRunner {
                 suffix: ladder.suffix,
             });
             let reference = self.reference();
-            trace::with_events(|head, tail, _| reference.walk(head, tail, unperturbed, skip, cut))
+            trace::with_events(|events| reference.walk(events, unperturbed, skip, cut))
         });
-        let t5 = Instant::now();
         record.trace = match check {
             true => Trace::default(),
             false => trace::take(),
@@ -963,16 +1066,17 @@ impl FleetRunner {
         let walked = oracle.as_ref().map_or(0, |&(_, walked)| walked);
         record.oracle = oracle.map(|(verdict, _)| verdict);
         let phases = RunPhases {
-            restore_ns: (t1 - t0).as_nanos() as u64,
-            run_ns: ((t2 - t1) + (t4 - t3)).as_nanos() as u64,
-            collect_ns: ((t3 - t2) + t5.elapsed()).as_nanos() as u64,
-            oracle_ns: (t5 - t4).as_nanos() as u64,
+            restore_ns: C::ns(t0, t1),
+            run_ns: C::ns(t1, t2),
+            collect_ns: C::ns(t2, t3),
+            oracle_ns: 0,
             midrun: rung.ticks > 0,
             resumed_events: rung.trace_len,
             rejoined: join.is_some(),
             returned: at_rung.is_none() && inert.is_some(),
             rejoined_events: join.map_or(0, |join| ladder.trace.len() - join.trace_len),
             walked,
+            copied: (trace::copied() - copied) as usize,
             ticks,
         };
         self.apps = apps;
@@ -980,7 +1084,7 @@ impl FleetRunner {
             AtBoundary::Capture(pass) => Some(pass),
             _ => None,
         };
-        (record, phases, pass)
+        (record, phases, pass, t3)
     }
 
     /// Pays one post-boot restore and discards the result: the per-run
@@ -1206,7 +1310,7 @@ fn run_unit(slots: &mut RunnerSlots, unit: Unit) -> UnitOutcome {
     let (c, seed, cold) = unit;
     let plan = InjectionPlan::from_seed(seed, VICTIM as u32);
     let (run, phases, failures, boot_events) = slots.with(c, cold, |runner| {
-        let (run, phases, failures) = runner.run_checked(Some(plan), None, Label::Seed(seed));
+        let (run, phases, failures) = runner.run_timed(Some(&plan), None, Label::Seed(seed));
         (run, phases, failures, runner.boot_events())
     });
     let streams = run.oracle.as_ref().expect("a checked run has a verdict");
@@ -1246,7 +1350,9 @@ pub fn replay(runner: &mut FleetRunner, record: &CorpusRecord) -> Vec<String> {
         0 => Label::Seed(record.seed),
         id => Label::Schedule(id),
     };
-    runner.run_checked(plan, schedule.as_ref(), label).2
+    runner
+        .run_checked(plan.as_ref(), schedule.as_ref(), label)
+        .2
 }
 
 /// Everything one fleet campaign produces: the per-chip reports, the
@@ -1367,7 +1473,7 @@ pub fn shrink_failing_seed(chip: &ChipProfile, seed: u64, cold: bool) -> Injecti
     shrink::shrink_plan(&plan, |candidate| {
         let checked = |runner: &mut FleetRunner| {
             let label = Label::Seed(seed);
-            runner.run_checked(Some(candidate.clone()), None, label).2
+            runner.run_checked(Some(candidate), None, label).2
         };
         !slots.with(0, cold, checked).is_empty()
     })
@@ -1426,6 +1532,36 @@ mod tests {
             .reports
             .pop()
             .expect("one chip, one report")
+    }
+
+    #[test]
+    fn only_the_fleet_unit_reads_the_host_clock() {
+        let reads = || WALL_READS.with(|n| n.get());
+        let stats = CaptureStats::default();
+        let mut slots = RunnerSlots::new(std::slice::from_ref(&NRF52840DK), &stats);
+        let (chip, plan) = (NRF52840DK, InjectionPlan::from_seed(3, VICTIM as u32));
+        let schedule = InterruptSchedule::single(ArrivalPoint::MpuCommit, 2);
+        let untimed = slots.with(0, false, |runner| {
+            let before = reads();
+            let record = CorpusRecord {
+                seed: 3,
+                ..CorpusRecord::default()
+            };
+            assert!(replay(runner, &record).is_empty());
+            let (_, phases, failures) =
+                runner.run_checked(Some(&plan), Some(&schedule), Label::Seed(3));
+            assert!(failures.is_empty(), "{}: {failures:?}", chip.name);
+            assert_eq!(phases.restore_ns + phases.run_ns + phases.oracle_ns, 0);
+            trace::recycle(runner.run_scheduled(None, &schedule).trace);
+            reads() - before
+        });
+        assert_eq!(untimed, 0, "untimed runs read the clock");
+        for seed in 0..4 {
+            let before = reads();
+            let outcome = run_unit(&mut slots, (0, seed, false));
+            assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+            assert_eq!(reads() - before, 5, "clock reads of fleet unit {seed}");
+        }
     }
 
     #[test]
@@ -1963,7 +2099,7 @@ mod ladder_tests {
             let from_rung = laddered.run_scheduled(plan.clone(), &schedule);
             assert_eq!(record_difference(&fresh, &from_rung), None, "{ctx}");
             let label = Label::Schedule(schedule.id());
-            let (checked, phases, _) = laddered.run_checked(plan, Some(&schedule), label);
+            let (checked, phases, _) = laddered.run_checked(plan.as_ref(), Some(&schedule), label);
             assert!(
                 checked.trace.events.is_empty(),
                 "{ctx}: the ring was drained"
@@ -2264,7 +2400,7 @@ mod ladder_tests {
                 let mut skipped = 0;
                 for seed in 0..16 {
                     let plan = InjectionPlan::from_seed(seed, VICTIM as u32);
-                    let (checked, _, _) = runner.run_checked(Some(plan), None, Label::Seed(seed));
+                    let (checked, _, _) = runner.run_checked(Some(&plan), None, Label::Seed(seed));
                     let at = runner.at.ticks as usize;
                     skipped += usize::from(runner.clean.skip(at, true).raw > 0);
                     let drained = runner.run_seed(Some(seed));
@@ -2384,10 +2520,10 @@ mod ladder_tests {
         let mut apps = runner.restore_to(&own, index);
         let rung = &own.rungs[index];
         let armed = plan.is_some();
-        if let Some(p) = plan.clone() {
-            injection::resume(p, rung.injection.clone());
+        if let Some(p) = &plan {
+            injection::resume(p, &rung.injection);
         }
-        sched::arm_with_seen(schedule.clone(), rung.sched_seen);
+        sched::arm_with_seen(schedule, rung.sched_seen);
         let mut boundaries = Vec::new();
         with_mode(Mode::Observe, || {
             while runner.kernel.ticks < MAX_TICKS
@@ -2410,7 +2546,7 @@ mod ladder_tests {
                         own.plan.as_ref(),
                     )
                 });
-                let trace_len = trace::with_events(|head, tail, _| head.len() + tail.len());
+                let trace_len = trace::with_events(|events| events.len());
                 boundaries.push(Boundary {
                     ticks,
                     trace_len,
@@ -2705,7 +2841,7 @@ mod ladder_tests {
             let mut apps = runner.restore_to(&seeded, index);
             let mut progress = rung.injection.clone();
             change(&mut runner.kernel, &mut apps, &mut progress);
-            injection::resume(plan.clone(), progress);
+            injection::resume(&plan, &progress);
             let equal = rung.matches(&runner.kernel, &runner.base, &rung.mem, &apps, Some(&plan));
             injection::disarm();
             trace::disable();
@@ -2739,16 +2875,15 @@ mod ladder_tests {
                     }) {
                         for due in [false, true] {
                             let apps = runner.restore_to(&ladder, index);
-                            if let Some(p) = plan.clone() {
-                                injection::resume(p, rung.injection.clone());
+                            if let Some(p) = &plan {
+                                injection::resume(p, &rung.injection);
                             }
                             if due {
                                 let now = runner.kernel.ticks;
                                 runner.kernel.capsules.set_alarm(BYSTANDERS, now, 1, 7);
                             }
                             runner.kernel.inert_irqs = ladder.arm(rung);
-                            let len =
-                                || trace::with_events(|head, tail, _| head.len() + tail.len());
+                            let len = || trace::with_events(|events| events.len());
                             let (events, cycles) = (len(), tt_hw::cycles::now());
                             with_mode(Mode::Observe, || runner.kernel.interrupt_now(pid, point));
                             let ctx = format!(
@@ -2916,7 +3051,7 @@ mod ladder_tests {
             let classes = commuting_classes(&baseline.trace.events, &candidates);
             let schedule = classes[pick % classes.len()][0].schedule();
             let label = Label::Schedule(schedule.id());
-            let (checked, phases, _) = runner.run_checked(plan, Some(&schedule), label);
+            let (checked, phases, _) = runner.run_checked(plan.as_ref(), Some(&schedule), label);
             let fresh = run_one_scheduled(chip, seed, Some(&schedule));
             let streams = checked.oracle.expect("checked in place");
             prop_assert_eq!(

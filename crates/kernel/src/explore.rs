@@ -359,6 +359,11 @@ pub struct ExploreOutcome {
     /// shares and, where it rejoined the baseline, the suffix taken from
     /// the ladder.
     pub walked: usize,
+    /// Trace events copied into or out of the ring over the
+    /// representatives' runs ([`crate::campaign::RunPhases::copied`]):
+    /// none while each run's ring shares its rung prefix and its
+    /// rejoined suffix with the ladder.
+    pub copied: usize,
 }
 
 impl ExploreOutcome {
@@ -440,7 +445,7 @@ pub fn explore(runner: &mut FleetRunner, seed: Option<u64>, cap: Option<usize>) 
     };
     let check = |runner: &mut FleetRunner, schedule: &InterruptSchedule| {
         let label = Label::Schedule(schedule.id());
-        let (run, phases, failures) = runner.run_checked(plan.clone(), Some(schedule), label);
+        let (run, phases, failures) = runner.run_checked(plan.as_ref(), Some(schedule), label);
         let events = run
             .oracle
             .as_ref()
@@ -449,6 +454,8 @@ pub fn explore(runner: &mut FleetRunner, seed: Option<u64>, cap: Option<usize>) 
         let resimulated = events - phases.resumed_events - phases.rejoined_events;
         (run.irq_fired, resimulated, events, phases, failures)
     };
+    // One schedule, rewritten in place per representative.
+    let mut schedule = InterruptSchedule::empty();
     for class in &classes {
         if cap.is_some_and(|c| outcome.explored >= c) {
             outcome.truncated = true;
@@ -456,11 +463,12 @@ pub fn explore(runner: &mut FleetRunner, seed: Option<u64>, cap: Option<usize>) 
         }
         outcome.explored += 1;
         outcome.pruned += class.len() - 1;
-        let schedule = class[0].schedule();
+        schedule.set_single(class[0].point, class[0].occurrence);
         let (irq_fired, resimulated, events, phases, failures) = check(runner, &schedule);
         outcome.resimulated += resimulated;
         outcome.checked_events += events;
         outcome.walked += phases.walked;
+        outcome.copied += phases.copied;
         outcome.converged += usize::from(phases.rejoined);
         outcome.returned += usize::from(phases.returned);
         outcome.ticks += phases.ticks;

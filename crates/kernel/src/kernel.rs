@@ -362,7 +362,7 @@ impl Kernel {
     /// nowhere past here, it sets `stop_at_step`. Any other interrupt, or
     /// a baseline still reading the counter, disarms the run.
     pub(crate) fn interrupt_now(&mut self, pid: usize, point: ArrivalPoint) {
-        let ring = || trace::with_events(|head, tail, dropped| (head.len() + tail.len(), dropped));
+        let ring = || trace::with_events(|events| (events.len(), events.dropped));
         let before = self.inert_irqs.map(|_| (ring().0, tt_hw::cycles::now()));
         trace::record(TraceEvent::IrqEnter {
             pid: pid as u32,

@@ -96,7 +96,7 @@ impl Join {
     /// live counter less those cycles, and the live violations and
     /// commit-cache counters of `record` (collected at the stop).
     pub(crate) fn at_return(rung: usize, inert: InertIrqs, record: &RunRecord) -> Join {
-        let live = trace::with_events(|head, tail, _| head.len() + tail.len());
+        let live = trace::with_events(|events| events.len());
         Join {
             rung,
             trace_len: live - inert.events,
@@ -148,8 +148,8 @@ impl Ladder {
         let rung = self.rung_at(kernel.ticks)?;
         let suffix = self.trace.len() - rung.trace_len;
         let fits = || {
-            trace::with_events(|head, tail, dropped| {
-                dropped == 0 && head.len() + tail.len() + suffix <= TRACE_CAPACITY
+            trace::with_events(|events| {
+                events.dropped == 0 && events.len() + suffix <= TRACE_CAPACITY
             })
         };
         (sched::exhausted()
@@ -167,7 +167,8 @@ impl Ladder {
 
     /// Takes the rest of a run that joined this ladder's baseline at
     /// `join` from the baseline: appends the baseline's trace past the
-    /// join to the ring and moves the cycle counter on by the baseline's
+    /// join to the ring, shared with the ladder's trace, not copied
+    /// ([`trace::share_suffix`]), and moves the cycle counter on by the baseline's
     /// remainder, then completes `record` with the baseline's violations
     /// past the join, its terminal states, restart, recovery and fired
     /// counts, and its commit-cache counters' remainder (they only
@@ -178,8 +179,8 @@ impl Ladder {
             .finish
             .as_ref()
             .expect("a joined ladder has its finish");
-        let live = trace::with_events(|head, tail, _| head.len() + tail.len());
-        trace::extend(&self.trace[join.trace_len..]);
+        let live = trace::with_events(|events| events.len());
+        trace::share_suffix(&self.trace, join.trace_len);
         let now = tt_hw::cycles::now();
         tt_hw::cycles::set_now(now.wrapping_add(finish.cycles.wrapping_sub(join.cycles)));
         let end = &finish.record;
@@ -259,7 +260,7 @@ impl Capture {
         }
         let t0 = Instant::now();
         violations.extend(take_violations().iter().map(|v| format!("{v:?}")));
-        let len = trace::with_events(|head, tail, _| head.len() + tail.len());
+        let len = trace::with_events(|events| events.len());
         let samples = self.samples();
         let rung = Checkpoint::capture(kernel, from, Some(apps), violations.clone(), len, samples);
         self.resumable = rung.is_some();

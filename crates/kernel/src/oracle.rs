@@ -10,7 +10,8 @@ use std::rc::Rc;
 use crate::campaign::{RunRecord, BYSTANDERS, MAX_RESTARTS, VICTIM};
 use crate::process::ProcessState;
 use crate::trace::{
-    event_pid, normalize, observable_event, render_event, TraceDivergence, TraceEvent, TraceScope,
+    event_pid, normalize, observable_event, render_event, Events, TraceDivergence, TraceEvent,
+    TraceScope,
 };
 use tt_hw::platform::ChipProfile;
 
@@ -108,21 +109,24 @@ pub(crate) fn unperturbed(fired: u64, irq_fired: u64) -> bool {
 
 /// Cursor walk over the whole observable stream, starting `start` events
 /// into the reference (the verified prefix's contribution): the cursor
-/// past `events` if every observable one matched the reference there.
+/// past the events of `parts`, in order, if every observable one matched
+/// the reference there. Each part is walked as a plain slice.
 fn full_stream_cursor<'a>(
-    events: impl Iterator<Item = &'a TraceEvent>,
+    parts: impl Iterator<Item = &'a [TraceEvent]>,
     reference: &[TraceEvent],
     start: usize,
 ) -> Option<usize> {
     let mut cursor = start;
-    for ev in events {
-        let Some(obs) = observable_event(ev) else {
-            continue;
-        };
-        if reference.get(cursor) != Some(&obs) {
-            return None;
+    for part in parts {
+        for ev in part {
+            let Some(obs) = observable_event(ev) else {
+                continue;
+            };
+            if reference.get(cursor) != Some(&obs) {
+                return None;
+            }
+            cursor += 1;
         }
-        cursor += 1;
     }
     Some(cursor)
 }
@@ -132,22 +136,24 @@ fn full_stream_cursor<'a>(
 /// event's pid (the observable projection masks values, never pids)
 /// before paying for the projection itself.
 fn bystander_cursors<'a>(
-    events: impl Iterator<Item = &'a TraceEvent>,
+    parts: impl Iterator<Item = &'a [TraceEvent]>,
     reference: &[Vec<TraceEvent>; BYSTANDERS],
     start: [usize; BYSTANDERS],
 ) -> Option<[usize; BYSTANDERS]> {
     let mut cursor = start;
-    for ev in events {
-        let Some(b) = event_pid(ev).and_then(bystander) else {
-            continue;
-        };
-        let Some(obs) = observable_event(ev) else {
-            continue;
-        };
-        if reference[b].get(cursor[b]) != Some(&obs) {
-            return None;
+    for part in parts {
+        for ev in part {
+            let Some(b) = event_pid(ev).and_then(bystander) else {
+                continue;
+            };
+            let Some(obs) = observable_event(ev) else {
+                continue;
+            };
+            if reference[b].get(cursor[b]) != Some(&obs) {
+                return None;
+            }
+            cursor[b] += 1;
         }
-        cursor[b] += 1;
     }
     Some(cursor)
 }
@@ -224,22 +230,23 @@ impl Reference {
         Self { raw, full, by_pid }
     }
 
-    /// The oracle's streaming walk over a trace presented as two
-    /// contiguous slices — the shape [`trace::with_events`](tt_hw::trace::with_events) lends the
-    /// ring's live region (a drained trace passes an empty `tail`).
-    /// Each event's observable form is compared cursor-wise against the
-    /// reference streams. Exact by construction: `Observable` scope is a
-    /// pure per-event `filter_map` (no reordering), so the first cursor
+    /// The oracle's streaming walk over a trace lent in place
+    /// ([`Events`]: the ring's live region, and the parts of the ladder's
+    /// trace it shares — a drained trace is one part). Each event's
+    /// observable form is compared cursor-wise against the reference
+    /// streams. Exact by construction: `Observable` scope is a pure
+    /// per-event `filter_map` (no reordering), so the first cursor
     /// mismatch is the first index at which `normalize[_for_pid]` of the
-    /// run and of the reference differ.
+    /// run and of the reference differ. Every walk reads the parts where
+    /// they are, each as a plain slice: nothing is copied.
     ///
     /// The clean path walks with plain pass/fail cursor loops; only a run
     /// that fails them is walked again for each stream's first
     /// divergence (carrying a divergence through the hot loop measured
     /// 10–20% slower). Fast paths, all exact:
     /// - An unperturbed run whose **raw** trace equals the reference's
-    ///   is clean: one slice compare instead of a projection walk.
-    ///   Inequality implies nothing and falls through.
+    ///   is clean: one slice compare per part instead of a projection
+    ///   walk. Inequality implies nothing and falls through.
     /// - A run resumed from a rung the reference shares (`Ladder::skip`;
     ///   a perturbed run needs only its bystander streams shared) starts
     ///   its walk after the installed prefix, with the cursors
@@ -256,76 +263,76 @@ impl Reference {
     ///   walking it could only match. A cut refused either way is walked
     ///   whole. Drained records pass no cut.
     ///
+    /// A ring that dropped events lost its prefix: it is walked whole,
+    /// with no skip and no cut.
+    ///
     /// Returns the verdict and the count of raw events the pass/fail
     /// walk visited ([`RunPhases::walked`](crate::campaign::RunPhases::walked); a slice compare counts every
     /// event).
     pub(crate) fn walk(
         &self,
-        head: &[TraceEvent],
-        tail: &[TraceEvent],
+        events: Events<'_>,
         unperturbed: bool,
         skip: PrefixSkip,
         cut: Option<Cut>,
     ) -> (StreamVerdict, usize) {
+        let n = events.len();
         let mut verdict = StreamVerdict {
-            events: head.len() + tail.len(),
+            events: n,
             ..StreamVerdict::default()
         };
-        // A wrapped ring (non-empty tail) lost its prefix: walk it all.
-        let skip = match tail.is_empty() && skip.raw <= head.len() {
+        let whole = events.dropped == 0;
+        let skip = match whole && skip.raw <= n {
             true => skip,
             false => PrefixSkip::default(),
         };
         let mut walked = 0;
-        let cut = cut.filter(|c| tail.is_empty() && (skip.raw..=head.len()).contains(&c.live));
+        let cut = cut.filter(|c| whole && (skip.raw..=n).contains(&c.live));
         if let Some(cut) = cut.filter(|c| c.suffix_clean(unperturbed)) {
-            let live = &head[skip.raw..cut.live];
-            walked += live.len();
+            let live = events.range(skip.raw, cut.live);
+            walked += cut.live - skip.raw;
             let at_rung = match unperturbed {
-                true => full_stream_cursor(live.iter(), &self.full, skip.full) == Some(cut.at.full),
-                false => bystander_cursors(live.iter(), &self.by_pid, skip.by) == Some(cut.at.by),
+                true => full_stream_cursor(live, &self.full, skip.full) == Some(cut.at.full),
+                false => bystander_cursors(live, &self.by_pid, skip.by) == Some(cut.at.by),
             };
             if at_rung {
                 return (verdict, walked);
             }
         }
-        if unperturbed && verdict.events == self.raw.len() {
-            walked += verdict.events;
-            if *head == self.raw[..head.len()] && *tail == self.raw[head.len()..] {
+        if unperturbed && n == self.raw.len() {
+            walked += n;
+            let mut raw = &self.raw[..];
+            let same = events.parts.iter().all(|part| {
+                let (here, rest) = raw.split_at(part.len());
+                raw = rest;
+                *part == here
+            });
+            if same {
                 return (verdict, walked);
             }
         }
-        let rest = &head[skip.raw..];
-        walked += rest.len() + tail.len();
+        let rest = || events.range(skip.raw, n);
+        walked += n - skip.raw;
         let end = self.full.len();
         let ends = std::array::from_fn(|b| self.by_pid[b].len());
-        // The tail is empty unless the ring wrapped: keep the common case
-        // on a plain slice iterator.
-        let clean = match (unperturbed, tail.is_empty()) {
-            (true, true) => full_stream_cursor(rest.iter(), &self.full, skip.full) == Some(end),
-            (true, false) => {
-                full_stream_cursor(rest.iter().chain(tail), &self.full, skip.full) == Some(end)
-            }
-            (false, true) => bystander_cursors(rest.iter(), &self.by_pid, skip.by) == Some(ends),
-            (false, false) => {
-                bystander_cursors(rest.iter().chain(tail), &self.by_pid, skip.by) == Some(ends)
-            }
+        let clean = match unperturbed {
+            true => full_stream_cursor(rest(), &self.full, skip.full) == Some(end),
+            false => bystander_cursors(rest(), &self.by_pid, skip.by) == Some(ends),
         };
         if clean {
             return (verdict, walked);
         }
-        let events = || rest.iter().chain(tail);
+        let events_after = || rest().flatten();
         if unperturbed {
-            verdict.full = first_divergence(events(), &self.full, skip.full);
+            verdict.full = first_divergence(events_after(), &self.full, skip.full);
         }
         verdict.bystanders = std::array::from_fn(|b| {
-            let own = events().filter(|e| event_pid(e).and_then(bystander) == Some(b));
+            let own = events_after().filter(|e| event_pid(e).and_then(bystander) == Some(b));
             first_divergence(own, &self.by_pid[b], skip.by[b])
         });
         if verdict.bystanders.iter().any(Option::is_some) {
-            verdict.first_injected = head
+            verdict.first_injected = events
                 .iter()
-                .chain(tail)
                 .find(|e| matches!(e, TraceEvent::FaultInjected { .. }))
                 .copied();
         }
@@ -336,7 +343,8 @@ impl Reference {
     pub(crate) fn walk_record(&self, run: &RunRecord) -> StreamVerdict {
         let unperturbed = unperturbed(run.fired, run.irq_fired);
         let skip = PrefixSkip::default();
-        self.walk(&run.trace.events, &[], unperturbed, skip, None).0
+        self.walk(Events::of(&run.trace.events), unperturbed, skip, None)
+            .0
     }
 }
 
@@ -649,12 +657,27 @@ mod tests {
             suffix: Suffix::of(baseline, reference),
         };
         let skip = PrefixSkip::default();
-        let (verdict, walked) = reference.walk(run, &[], unperturbed, skip, Some(cut));
+        let (verdict, walked) = reference.walk(Events::of(run), unperturbed, skip, Some(cut));
         assert_eq!(
             verdict,
-            reference.walk(run, &[], unperturbed, skip, None).0,
+            reference.walk(Events::of(run), unperturbed, skip, None).0,
             "unperturbed {unperturbed}: the cut changed the verdict"
         );
+        // The same run lent as a resumed, rejoined run's ring lends it: a
+        // shared prefix, the live events, then the shared suffix.
+        let (simulated, suffix) = run.split_at(live);
+        let (prefix, simulated) = simulated.split_at(live.min(1));
+        let split = Events {
+            parts: [prefix, simulated, &[], suffix],
+            dropped: 0,
+        };
+        for cut in [Some(cut), None] {
+            assert_eq!(
+                reference.walk(split, unperturbed, skip, cut),
+                reference.walk(Events::of(run), unperturbed, skip, cut),
+                "unperturbed {unperturbed}: the parts changed the walk"
+            );
+        }
         (verdict, walked)
     }
 

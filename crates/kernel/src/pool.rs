@@ -25,8 +25,8 @@
 //!   loop on the calling thread: the serial path *is* the reference
 //!   semantics, not a special case.
 //!
-//! Workers release their thread-local trace/record buffers on exit (see
-//! `tt_hw::trace::release_thread_buffers`), so a pool invocation leaks
+//! Workers release their thread-local trace/record/engine buffers on exit
+//! (see `tt_hw::trace::release_thread_buffers`), so a pool invocation leaks
 //! nothing even though those buffers live in no-`Drop`-glue TLS cells.
 
 use std::collections::VecDeque;
@@ -125,11 +125,13 @@ where
                     // Contexts may own kernels whose snapshots replay into
                     // thread-local buffers; drop them before the buffers.
                     drop(ctx);
-                    // The simulator's trace ring and method-record buffer
-                    // live in TLS cells with no destructor; free them
-                    // explicitly so the pool leaks nothing.
+                    // The simulator's trace ring, method-record buffer and
+                    // injection engine live in TLS cells with no
+                    // destructor; free them explicitly so the pool leaks
+                    // nothing.
                     tt_hw::trace::release_thread_buffers();
                     tt_hw::cycles::release_thread_buffers();
+                    tt_hw::injection::release_thread_buffers();
                     out
                 })
             })

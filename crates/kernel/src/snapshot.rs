@@ -20,9 +20,9 @@
 //! Restore also rewinds every piece of *thread-local* run state the
 //! drift audit found leaking between runs: the cycle counter (rewound to
 //! its capture value, so cycle-derived sensor readings replay), the
-//! trace ring (re-armed and re-seeded with the checkpoint's trace
-//! prefix, so a restored run's trace is byte-identical to a fresh
-//! boot's), contract violations, stale §6.2 method records, the
+//! trace ring (re-armed with the checkpoint's trace prefix, shared
+//! with the ladder's trace rather than copied, so a restored run's trace
+//! is byte-identical to a fresh boot's), contract violations, stale §6.2 method records, the
 //! recording/current-pid flags, and any injection plan or interrupt
 //! schedule left armed by a previous run.
 //!
@@ -34,9 +34,9 @@
 //! into the live programs (`App::restore_into`). A restore to a
 //! checkpoint whose process table has the live shape allocates nothing.
 //! Before, restore rebuilt the table and the programs: a fleet run made
-//! 32.17 allocations and an explorer representative 27.14; now they
-//! make 10.33 and 10.68. `crates/kernel/tests/allocations.rs` gates all
-//! three figures.
+//! 32.17 allocations and an explorer representative 27.14; with the
+//! engines armed in their own storage too, they make 9.33 and 6.27.
+//! `crates/kernel/tests/allocations.rs` gates all three figures.
 //!
 //! ## Restore invariants
 //!
@@ -55,6 +55,8 @@
 //! * PMP locked entries are restored wholesale, bypassing the lock
 //!   semantics `write_cfg` enforces — exactly what a power cycle does on
 //!   real silicon, which is the event a restore models.
+
+use std::rc::Rc;
 
 use crate::capsules::PendingAlarm;
 use crate::kernel::{App, FaultPolicy, Kernel, Upcall};
@@ -278,8 +280,9 @@ impl Checkpoint {
     /// Rewinds `kernel` — and this thread's simulator context — to the
     /// capture point, from a live state last restored to the checkpoint
     /// whose delta is `from`; `base` is the post-boot memory snapshot and
-    /// `prefix` the trace the checkpoint was captured after, installed in
-    /// a ring of `trace_capacity` events. Writes the program state to
+    /// `trace` a trace the checkpoint was captured along, whose first
+    /// `trace_len` events the ring, of `trace_capacity` events, shares as
+    /// its prefix. Writes the program state to
     /// resume with into `apps`, the live programs, and returns `false`
     /// when the checkpoint holds none (fresh programs: the caller starts
     /// them). Both engines are left disarmed. See the module docs for the
@@ -294,11 +297,11 @@ impl Checkpoint {
         kernel: &mut Kernel,
         base: &MemSnapshot,
         from: &PageDelta,
-        prefix: &[TraceEvent],
+        trace: &Rc<[TraceEvent]>,
         trace_capacity: usize,
         apps: &mut Vec<Box<dyn App>>,
     ) -> bool {
-        debug_assert_eq!(prefix.len(), self.trace_len);
+        debug_assert!(trace.len() >= self.trace_len);
         kernel.mem.restore_to(base, from, &self.mem);
         // Protection hardware, written back through the existing shared
         // handles so every process backend sees the restored registers.
@@ -339,7 +342,7 @@ impl Checkpoint {
         kernel.ram_end = self.ram_end;
         // Thread-local run context: drop anything a previous run (on
         // this pool worker) may have leaked, then rewind the clock and
-        // re-arm tracing with the prefix.
+        // re-arm tracing with the prefix, shared with `trace`, not copied.
         if tt_hw::injection::is_armed() {
             let _ = tt_hw::injection::disarm();
         }
@@ -350,10 +353,8 @@ impl Checkpoint {
         let _ = tt_hw::cycles::take_method_records();
         tt_contracts::simctx::reset_run_state();
         tt_hw::cycles::set_now(self.cycles);
-        // Zero-copy prefix replay: one memcpy behind the write cursor
-        // instead of a per-event `record` round-trip.
         trace::enable(trace_capacity);
-        trace::install_prefix(prefix);
+        trace::share_prefix(trace, self.trace_len);
         let Some(saved) = &self.apps else {
             return false;
         };
@@ -406,7 +407,7 @@ mod tests {
     ) -> Option<Vec<Box<dyn App>>> {
         let mut apps = Vec::new();
         checkpoint
-            .restore(k, base, from, prefix, CAP, &mut apps)
+            .restore(k, base, from, &prefix.into(), CAP, &mut apps)
             .then_some(apps)
     }
 
@@ -480,8 +481,8 @@ mod tests {
         tt_hw::cycles::set_recording(true);
         tt_hw::cycles::record_method("stale", 1);
         trace::set_current_pid(7);
-        tt_hw::injection::arm(tt_hw::injection::InjectionPlan::from_seed(1, 0));
-        tt_hw::sched::arm(tt_hw::sched::InterruptSchedule::empty());
+        tt_hw::injection::arm(&tt_hw::injection::InjectionPlan::from_seed(1, 0));
+        tt_hw::sched::arm(&tt_hw::sched::InterruptSchedule::empty());
         restore(&boot, &mut k, &base, &boot.mem, &prefix);
         assert!(!tt_hw::injection::is_armed());
         assert!(!tt_hw::sched::is_armed());
@@ -592,7 +593,7 @@ mod tests {
             !k.run_with_factories(&mut apps, None, 1),
             "tick 1 does not end the run"
         );
-        let len = trace::with_events(|h, t, _| h.len() + t.len());
+        let len = trace::with_events(|events| events.len());
         let tick1 = Checkpoint::capture(&k, &boot.mem, Some(&apps), Vec::new(), len, 0)
             .expect("chatty apps are resumable");
         let ms = k.processes[1].memory_start();
@@ -627,10 +628,10 @@ mod tests {
         let (base, boot, _) = capture_boot(&mut k);
         let mut apps = chatty();
         assert!(!k.run_with_factories(&mut apps, None, 1));
-        let len = trace::with_events(|h, t, _| h.len() + t.len());
+        let len = trace::with_events(|events| events.len());
         let tick1 = Checkpoint::capture(&k, &boot.mem, Some(&apps), Vec::new(), len, 0)
             .expect("chatty apps are resumable");
-        let events = trace::take().events;
+        let events: Rc<[TraceEvent]> = trace::take().events.into();
         let image_name = k.processes[0].image.name.as_ptr();
         k.run_with_factories(&mut apps, None, 50);
         let boxes: Vec<*const dyn App> = apps.iter().map(|a| &**a as *const dyn App).collect();

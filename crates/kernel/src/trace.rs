@@ -27,8 +27,8 @@
 //! final-outcome differential oracle lacks.
 
 pub use tt_hw::trace::{
-    disable, enable, is_enabled, record, take, RecoveryStep, RegName, SwitchDir, SyscallKind,
-    Trace, TraceEvent, NO_PID,
+    disable, enable, is_enabled, record, take, Events, RecoveryStep, RegName, SwitchDir,
+    SyscallKind, Trace, TraceEvent, NO_PID,
 };
 
 /// How aggressively [`normalize`] canonicalizes a trace before
