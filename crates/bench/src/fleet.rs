@@ -202,6 +202,10 @@ pub struct FleetProfile {
     pub warm_resimulated_share: f64,
     /// [`FleetProfile::resimulated_share`] over the cold runs only.
     pub cold_resimulated_share: f64,
+    /// Hooks that reached the injection engine, per run: occurrences at
+    /// which an injection was due, an exact count. Every other hook in
+    /// the victim's context returns in the inline fast lane.
+    pub engine_entries_per_run: f64,
     /// Fresh runner boots across all workers.
     pub boots: u64,
     /// Mean snapshot-capture cost amortized over every run, µs.
@@ -238,6 +242,12 @@ pub fn profile(result: &FleetResult) -> FleetProfile {
         resimulated_share: resimulated_share(result.outcomes.iter()),
         warm_resimulated_share: resimulated_share(result.outcomes.iter().filter(|o| !o.cold)),
         cold_resimulated_share: resimulated_share(result.outcomes.iter().filter(|o| o.cold)),
+        engine_entries_per_run: result
+            .outcomes
+            .iter()
+            .map(|o| o.engine_entries)
+            .sum::<u64>() as f64
+            / result.outcomes.len().max(1) as f64,
         boots: result.boots,
         capture_amortized_us: result.capture_ns as f64
             / 1e3
@@ -473,13 +483,18 @@ pub fn render_profile(result: &FleetResult, prof: &FleetProfile) -> String {
         "resimulated share: {:.3} of post-boot events (warm {:.3}, cold {:.3})\n",
         prof.resimulated_share, prof.warm_resimulated_share, prof.cold_resimulated_share
     ));
+    out.push_str(&format!(
+        "injection engine entries: {:.3} per run\n",
+        prof.engine_entries_per_run
+    ));
     out
 }
 
 /// The `fleet` report: campaign counters, reset costs, the per-phase
 /// profile, the thread ladder, the four floors (`runs_per_sec`,
 /// `parallel_speedup`, `restore_speedup`, `midrun_restore_speedup`) and
-/// the `resimulated_share` ceiling, then the per-chip section, with
+/// the `resimulated_share` and `injection.engine_entries_per_run`
+/// ceilings, then the per-chip section, with
 /// every restore-equivalence, rung byte-identity, oracle and
 /// still-failing corpus replay failure.
 pub fn metrics(
@@ -508,6 +523,9 @@ pub fn metrics(
         ("cold.resimulated_share", prof.cold_resimulated_share),
     ];
     r.infos("", "ladder", "share", &shares);
+    let entries = prof.engine_entries_per_run;
+    let name = "injection.engine_entries_per_run";
+    r.add(Kind::Ceiling, name, "injection", "count", entries);
     let host = [("threads", top.threads as f64), ("cores", cores as f64)];
     r.infos("", WALL, "count", &host);
     r.info("wall_ms", WALL, "ms", top.wall_ms);
@@ -703,6 +721,7 @@ mod tests {
   {"metric": "fleet.restore_speedup", "kind": "floor", "bound": 20.0, "why": "restore"},
   {"metric": "fleet.midrun_restore_speedup", "kind": "floor", "bound": 1.5, "why": "midrun"},
   {"metric": "fleet.resimulated_share", "kind": "ceiling", "bound": 0.75, "why": "ladder"},
+  {"metric": "fleet.injection.engine_entries_per_run", "kind": "ceiling", "bound": 1.9, "why": "engine"},
   {"metric": "fleet.parallel_speedup", "kind": "floor", "bound": 3.0, "why": "pool"},
   {"metric": "fleet.runs_per_sec", "kind": "floor", "bound": 1e15, "why": "unreachable"}
 ]"#;
@@ -734,6 +753,19 @@ mod tests {
             .notes
             .iter()
             .any(|n| n.contains("fleet midrun_restore_speedup [wall]")));
+        assert!(v
+            .notes
+            .iter()
+            .any(|n| n.contains("fleet injection.engine_entries_per_run [injection]")));
+        // Hooks entering the injection engine past its ceiling fail.
+        let busy = FLOORS.replace("\"bound\": 1.9", "\"bound\": 0.5");
+        let v = gate_fleet(&result, &cost, &[], &busy);
+        assert!(
+            v.violations
+                .iter()
+                .any(|f| f.contains("injection.engine_entries_per_run")),
+            "{v:?}"
+        );
         // Equivalence failure fails the gate.
         let eq = vec!["chip X diverged".to_string()];
         let v = gate_fleet(&result, &cost, &eq, FLOORS);
@@ -759,7 +791,7 @@ mod tests {
         assert!(!gate_fleet(&result, &slow_midrun, &[], FLOORS).passed());
         // Bounds missing from the baseline fail: a gated metric needs one.
         let v = gate_fleet(&result, &slow, &[], "[]");
-        assert_eq!(v.violations.len(), 5, "{v:?}");
+        assert_eq!(v.violations.len(), 6, "{v:?}");
     }
 
     #[test]

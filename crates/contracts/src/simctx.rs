@@ -52,6 +52,15 @@ pub const NO_PID: u32 = u32::MAX;
 /// `current_pid == injection_target` is false in every context.
 pub const NO_TARGET: u32 = u32::MAX - 1;
 
+/// Number of fault-injection points (`tt_hw::injection::ALL_POINTS`),
+/// the length of the per-point counter arrays below.
+pub const INJECTION_POINTS: usize = 6;
+
+/// Sentinel for [`SimContext::injection_next`] meaning "nothing left to
+/// fire at this point". A counter's occurrence `u32::MAX` enters the
+/// engine either way, which recomputes the entry as the counter wraps.
+pub const NOTHING_DUE: u32 = u32::MAX;
+
 /// All per-thread simulator flags and counters, one field per former
 /// `thread_local!` static. Plain-`Copy` cells only — see the module docs
 /// for why no buffer lives here.
@@ -75,6 +84,20 @@ pub struct SimContext {
     /// that already holds `current_pid`, instead of touching the
     /// engine's own (buffer-carrying) thread-local.
     pub injection_target: Cell<u32>,
+    /// Occurrences of each injection point seen in the target's context
+    /// since the plan was armed, indexed by the point's discriminant.
+    /// `tt_hw::injection` owns them: `resume` writes them, every hook in
+    /// target context bumps one, and `progress` reads them back.
+    pub injection_seen: [Cell<u32>; INJECTION_POINTS],
+    /// Per point, the next occurrence at which an unfired injection is
+    /// due ([`NOTHING_DUE`] for none). A hook whose occurrence differs
+    /// returns without touching the engine; the engine recomputes the
+    /// entry each time it is entered.
+    pub injection_next: [Cell<u32>; INJECTION_POINTS],
+    /// Hooks that reached the injection engine, i.e. fell on a due
+    /// occurrence. Monotone for the thread's life, like
+    /// [`Self::cycle_samples`]: callers compare two readings.
+    pub injection_entries: Cell<u64>,
     /// Whether an interrupt schedule is armed on this thread, kept in
     /// sync by `tt_hw::sched::{arm, disarm}`. Every arrival-point hook in
     /// the kernel answers "no schedule, nothing to do" off this one flag
@@ -114,6 +137,9 @@ impl SimContext {
             trace_enabled: Cell::new(false),
             current_pid: Cell::new(NO_PID),
             injection_target: Cell::new(NO_TARGET),
+            injection_seen: [const { Cell::new(0) }; INJECTION_POINTS],
+            injection_next: [const { Cell::new(NOTHING_DUE) }; INJECTION_POINTS],
+            injection_entries: Cell::new(0),
             sched_armed: Cell::new(false),
             cycle_samples: Cell::new(0),
         }
@@ -150,6 +176,8 @@ mod tests {
             assert!(!c.trace_enabled.get());
             assert_eq!(c.current_pid.get(), NO_PID);
             assert_eq!(c.injection_target.get(), NO_TARGET);
+            assert!(c.injection_seen.iter().all(|s| s.get() == 0));
+            assert!(c.injection_next.iter().all(|n| n.get() == NOTHING_DUE));
             assert!(!c.sched_armed.get());
         });
     }

@@ -276,9 +276,10 @@ impl<const G: usize> GranularPmp<G> {
     /// Returns `true` when either entry of the pair at `base` is locked.
     /// pmpcfg.L is sticky until hart reset, so a locked pair can never be
     /// rewritten: it must not host a region (and a locked bottom entry
-    /// would silently corrupt the pair's TOR range).
+    /// would silently corrupt the pair's TOR range). The entries are
+    /// probed only when the register file holds a lock at all.
     fn pair_bricked(hw: &RiscvPmp, base: usize) -> bool {
-        hw.entry(base).locked() || hw.entry(base + 1).locked()
+        hw.any_locked() && (hw.entry(base).locked() || hw.entry(base + 1).locked())
     }
 
     /// Deterministic slot placement: each region keeps its default entry
@@ -341,10 +342,83 @@ impl<const G: usize> GranularPmp<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tt_hw::mem::{AccessType, Privilege, ProtectionUnit};
+    use tt_hw::riscv::pmp::PMP_L;
     use tt_hw::riscv::PmpChip;
 
     const RAM: usize = 0x8000_0000;
+
+    /// Slot placement as it was before the register file tracked its
+    /// locks: every pair probed for a lock bit on every pass.
+    fn probe_every_pair(hw: &RiscvPmp, regions: &[PmpRegion]) -> [Option<usize>; MAX_REGIONS] {
+        let pairs = hw.chip().entries() / 2;
+        let bricked = |pair: usize| hw.entry(pair * 2).locked() || hw.entry(pair * 2 + 1).locked();
+        let mut used = [false; MAX_PAIRS];
+        let mut slots = [None; MAX_REGIONS];
+        for (slot, region) in slots.iter_mut().zip(regions) {
+            let pair = region.region_id();
+            if region.is_set() && pair < pairs && !bricked(pair) {
+                *slot = Some(pair * 2);
+                used[pair] = true;
+            }
+        }
+        for (slot, region) in slots.iter_mut().zip(regions) {
+            if slot.is_some() || !region.is_set() {
+                continue;
+            }
+            if let Some(pair) = (0..pairs).find(|p| !used[*p] && !bricked(*p)) {
+                *slot = Some(pair * 2);
+                used[pair] = true;
+            }
+        }
+        for (slot, region) in slots.iter_mut().zip(regions) {
+            let pair = region.region_id();
+            if !region.is_set() && pair < pairs && !used[pair] && !bricked(pair) {
+                *slot = Some(pair * 2);
+                used[pair] = true;
+            }
+        }
+        slots
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Placement equals the probe-every-pair algorithm for random
+        /// lock patterns (none in a third of the cases) and region sets
+        /// on all three PMP chips.
+        #[test]
+        fn placement_matches_probing_every_pair(
+            chip in 0usize..3,
+            locks in any::<u32>(),
+            unlocked in 0u32..3,
+            words in prop::collection::vec(any::<u32>(), 0..MAX_REGIONS),
+        ) {
+            let chip = PmpChip::ALL[chip];
+            let mut hw = RiscvPmp::new(chip);
+            let mask = (1u32 << chip.entries()) - 1;
+            let locks = if unlocked == 0 { 0 } else { locks & locks >> 8 & mask };
+            for i in (0..chip.entries()).filter(|i| locks >> i & 1 == 1) {
+                hw.write_cfg(i, PMP_L);
+            }
+            let regions: Vec<PmpRegion> = words
+                .iter()
+                .map(|&w| {
+                    let id = (w >> 1) as usize % (chip.entries() / 2 + 2);
+                    match w & 1 {
+                        0 => PmpRegion::unset(id),
+                        _ => PmpRegion::new(id, RAM, RAM + 0x400, Permissions::ReadWriteOnly),
+                    }
+                })
+                .collect();
+            prop_assert_eq!(hw.any_locked(), locks != 0);
+            prop_assert_eq!(
+                GranularPmp::<4>::placement(&hw, &regions),
+                probe_every_pair(&hw, &regions)
+            );
+        }
+    }
 
     #[test]
     fn region_encodes_tor_bounds() {

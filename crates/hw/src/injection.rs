@@ -20,6 +20,18 @@
 //! blast radius of a plan is exactly one victim process, which is what
 //! lets the campaign demand byte-identical observable traces from every
 //! *other* process.
+//!
+//! Every hook compiles inline to one access of the simulation context
+//! ([`tt_contracts::simctx`]). Outside the target's context it returns
+//! at once. In it, the hook bumps the point's occurrence counter and
+//! compares the old value with the point's next due occurrence; only an
+//! occurrence at which an unfired injection is due reaches the
+//! out-of-line engine, which fires it, records the event and computes
+//! the point's next due occurrence. A plan holds one to three
+//! injections, so nearly every hook in the victim's context, mostly the
+//! MPU/PMP register writes of its switch-ins, returns in the fast lane.
+//! The occurrence counters live only in the context: [`resume`] writes
+//! them and [`progress`] reads them back.
 
 use std::cell::RefCell;
 
@@ -30,8 +42,10 @@ use tt_contracts::simctx;
 use crate::trace::{self, TraceEvent};
 
 /// Where an [`Injection`] fires. Each point corresponds to one hook the
-/// hardware model or the kernel consults.
+/// hardware model or the kernel consults. The discriminant indexes the
+/// per-point counters, in [`ALL_POINTS`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(u8)]
 pub enum InjectionPoint {
     /// A Cortex-M `MPU_RBAR` write: the value is bit-flipped on its way
     /// into the register file.
@@ -51,8 +65,9 @@ pub enum InjectionPoint {
     Stack,
 }
 
-/// All injection points, for plan generation and exhaustive tests.
-pub const ALL_POINTS: [InjectionPoint; 6] = [
+/// All injection points, for plan generation and exhaustive tests, in
+/// discriminant order.
+pub const ALL_POINTS: [InjectionPoint; simctx::INJECTION_POINTS] = [
     InjectionPoint::ArmRbar,
     InjectionPoint::ArmRasr,
     InjectionPoint::PmpCfg,
@@ -190,12 +205,16 @@ pub struct Progress {
     pub fired_count: u64,
 }
 
-/// The armed plan and its progress, held in the engine's own storage:
-/// arming writes a plan into it (`clone_from` for the injections and
-/// the flags), so a steady stream of runs arms without allocating.
+/// The armed plan and its one-shot state, held in the engine's own
+/// storage: arming writes a plan into it (`clone_from` for the
+/// injections and the flags), so a steady stream of runs arms without
+/// allocating. The occurrence counters live in the simulation context.
 struct Engine {
     plan: InjectionPlan,
-    progress: Progress,
+    /// One-shot flags, parallel to the plan's injections.
+    fired: Vec<bool>,
+    /// Injections fired since [`arm`].
+    fired_count: u64,
 }
 
 /// An engine with no storage.
@@ -205,12 +224,26 @@ const EMPTY_ENGINE: Engine = Engine {
         target_pid: 0,
         injections: Vec::new(),
     },
-    progress: Progress {
-        seen: [0; ALL_POINTS.len()],
-        fired: Vec::new(),
-        fired_count: 0,
-    },
+    fired: Vec::new(),
+    fired_count: 0,
 };
+
+impl Engine {
+    /// The next occurrence of `point` at which an unfired injection is
+    /// due, for a counter standing at `seen` ([`simctx::NOTHING_DUE`]
+    /// for none). An injection whose occurrence already passed unfired
+    /// (a second one at the same occurrence) stays passed.
+    fn next_due(&self, point: InjectionPoint, seen: u32) -> u32 {
+        self.plan
+            .injections
+            .iter()
+            .zip(&self.fired)
+            .filter(|(inj, fired)| !**fired && inj.point == point && inj.at >= seen)
+            .map(|(inj, _)| inj.at)
+            .min()
+            .unwrap_or(simctx::NOTHING_DUE)
+    }
+}
 
 thread_local! {
     // `ManuallyDrop` for the same reason as the trace ring: the engine's
@@ -233,11 +266,9 @@ pub fn release_thread_buffers() {
     ENGINE.with(|e| **e.borrow_mut() = EMPTY_ENGINE);
 }
 
-fn point_index(point: InjectionPoint) -> usize {
-    ALL_POINTS
-        .iter()
-        .position(|p| *p == point)
-        .expect("known point")
+/// The index of `point`'s counters: its discriminant.
+const fn point_index(point: InjectionPoint) -> usize {
+    point as usize
 }
 
 /// Arms the engine with a plan. Occurrence counters and one-shot flags
@@ -253,8 +284,9 @@ pub fn arm(plan: &InjectionPlan) {
 /// `progress` start unfired: a checkpoint captured under the empty
 /// counting plan resumes any plan that schedules no injection inside
 /// the skipped prefix (callers must check [`InjectionPlan::fires_within`]
-/// first). Both are copied into the engine's own storage, which
-/// allocates only while its buffers grow.
+/// first). The plan and the flags are copied into the engine's own
+/// storage, which allocates only while its buffers grow; the counters
+/// and each point's next due occurrence go into the simulation context.
 pub fn resume(plan: &InjectionPlan, progress: &Progress) {
     debug_assert!(
         progress.fired.len() == plan.injections.len() || !plan.fires_within(&progress.seen),
@@ -267,20 +299,36 @@ pub fn resume(plan: &InjectionPlan, progress: &Progress) {
         eng.plan.seed = plan.seed;
         eng.plan.target_pid = plan.target_pid;
         eng.plan.injections.clone_from(&plan.injections);
-        let live = &mut eng.progress;
-        live.seen = progress.seen;
-        live.fired.clone_from(&progress.fired);
-        live.fired.resize(plan.injections.len(), false);
-        live.fired_count = progress.fired_count;
+        eng.fired.clone_from(&progress.fired);
+        eng.fired.resize(plan.injections.len(), false);
+        eng.fired_count = progress.fired_count;
+        simctx::with(|c| {
+            for point in ALL_POINTS {
+                let i = point_index(point);
+                let seen = progress.seen[i];
+                c.injection_seen[i].set(seen);
+                c.injection_next[i].set(eng.next_due(point, seen));
+            }
+            c.injection_target.set(plan.target_pid);
+        });
     });
-    simctx::with(|c| c.injection_target.set(plan.target_pid));
 }
 
 /// The armed engine's progress since [`arm`], or `None` when disarmed.
 /// A checkpointing runner reads it at capture time and replays it into
 /// [`resume`] on every restore.
 pub fn progress() -> Option<Progress> {
-    is_armed().then(|| ENGINE.with(|e| e.borrow().progress.clone()))
+    is_armed().then(|| {
+        let seen = simctx::with(|c| std::array::from_fn(|i| c.injection_seen[i].get()));
+        ENGINE.with(|e| {
+            let eng = e.borrow();
+            Progress {
+                seen,
+                fired: eng.fired.clone(),
+                fired_count: eng.fired_count,
+            }
+        })
+    })
 }
 
 /// Disarms the engine, returning how many injections fired since [`arm`].
@@ -288,7 +336,7 @@ pub fn disarm() -> u64 {
     let was = is_armed();
     simctx::with(|c| c.injection_target.set(simctx::NO_TARGET));
     match was {
-        true => ENGINE.with(|e| e.borrow().progress.fired_count),
+        true => ENGINE.with(|e| e.borrow().fired_count),
         false => 0,
     }
 }
@@ -302,9 +350,17 @@ pub fn is_armed() -> bool {
 /// Number of injections fired since the last [`arm`] (0 when disarmed).
 pub fn fired_count() -> u64 {
     match is_armed() {
-        true => ENGINE.with(|e| e.borrow().progress.fired_count),
+        true => ENGINE.with(|e| e.borrow().fired_count),
         false => 0,
     }
+}
+
+/// Hooks that have reached the out-of-line engine on this thread: one
+/// per occurrence at which an injection was due. Monotone for the
+/// thread's life; a caller counts a run's entries as the difference of
+/// two readings.
+pub fn engine_entries() -> u64 {
+    simctx::with(|c| c.injection_entries.get())
 }
 
 /// Core hook: bumps the occurrence counter for `point` (in target
@@ -315,35 +371,54 @@ fn fire(point: InjectionPoint) -> Option<InjectionKind> {
     // Fast path: one scalar TLS access (the same cell line that holds
     // `current_pid`) rejects every hook outside the armed plan's target
     // context — and every hook while disarmed, since the mirror is then
-    // [`simctx::NO_TARGET`], which no context matches. The engine's work
-    // stays out of line, so this check compiles inline at each hook.
-    if simctx::with(|c| c.current_pid.get() != c.injection_target.get()) {
-        return None;
+    // [`simctx::NO_TARGET`], which no context matches. In the target's
+    // context it counts the occurrence and goes on only where one is
+    // due. Nothing here can panic (the index is the discriminant of a
+    // six-point enum), so the check compiles inline at each hook.
+    let due = simctx::with(|c| {
+        if c.current_pid.get() != c.injection_target.get() {
+            return false;
+        }
+        let i = point_index(point);
+        let occurrence = c.injection_seen[i].get();
+        c.injection_seen[i].set(occurrence.wrapping_add(1));
+        occurrence == c.injection_next[i].get()
+    });
+    match due {
+        true => fire_due(point),
+        false => None,
     }
-    fire_in_target(point)
 }
 
-/// [`fire`] in the armed plan's target context.
+/// [`fire`] at an occurrence where an injection is due: fires the first
+/// unfired one scheduled there, as a scan of the plan in order would,
+/// and computes the point's next due occurrence. The counter already
+/// stands past the occurrence.
 #[inline(never)]
-fn fire_in_target(point: InjectionPoint) -> Option<InjectionKind> {
+fn fire_due(point: InjectionPoint) -> Option<InjectionKind> {
     ENGINE.with(|e| {
         let mut slot = e.borrow_mut();
         let eng = &mut **slot;
         debug_assert_eq!(trace::current_pid(), eng.plan.target_pid);
         let idx = point_index(point);
-        let p = &mut eng.progress;
-        let occurrence = p.seen[idx];
-        p.seen[idx] = occurrence.wrapping_add(1);
+        let seen = simctx::with(|c| {
+            c.injection_entries.set(c.injection_entries.get() + 1);
+            c.injection_seen[idx].get()
+        });
+        let occurrence = seen.wrapping_sub(1);
         let hit = eng
             .plan
             .injections
             .iter()
-            .enumerate()
-            .find(|(i, inj)| !p.fired[*i] && inj.point == point && inj.at == occurrence)
-            .map(|(i, inj)| (i, *inj));
-        let (i, inj) = hit?;
-        p.fired[i] = true;
-        p.fired_count += 1;
+            .zip(&eng.fired)
+            .position(|(inj, fired)| !*fired && inj.point == point && inj.at == occurrence);
+        if let Some(i) = hit {
+            eng.fired[i] = true;
+            eng.fired_count += 1;
+        }
+        let next = eng.next_due(point, seen);
+        simctx::with(|c| c.injection_next[idx].set(next));
+        let inj = eng.plan.injections[hit?];
         let info = match inj.kind {
             InjectionKind::BitFlip { bit } => bit as u32,
             InjectionKind::CorruptArg { xor } => xor,

@@ -151,6 +151,10 @@ pub struct RiscvPmp {
     /// Model of mseccfg.MMWP-style lockdown is not needed for Tock; user
     /// isolation only requires entry matching. Kernel runs in M-mode.
     enabled: bool,
+    /// Whether some entry has `L` set. A lock is sticky until reset, so
+    /// the flag is exact: [`Self::write_cfg`] raises it when an `L` bit
+    /// lands and nothing lowers it.
+    any_locked: bool,
 }
 
 impl Clone for RiscvPmp {
@@ -159,6 +163,7 @@ impl Clone for RiscvPmp {
             chip: self.chip,
             entries: self.entries.clone(),
             enabled: self.enabled,
+            any_locked: self.any_locked,
         }
     }
 
@@ -168,6 +173,7 @@ impl Clone for RiscvPmp {
         self.chip = source.chip;
         self.entries.clone_from(&source.entries);
         self.enabled = source.enabled;
+        self.any_locked = source.any_locked;
     }
 }
 
@@ -178,6 +184,7 @@ impl RiscvPmp {
             chip,
             entries: vec![PmpEntry::default(); chip.entries()],
             enabled: true,
+            any_locked: false,
         }
     }
 
@@ -203,6 +210,7 @@ impl RiscvPmp {
                 cfg &= !(0b11 << 3);
             }
             self.entries[index].cfg = cfg;
+            self.any_locked |= cfg & PMP_L != 0;
             crate::trace::record(crate::trace::TraceEvent::RegWrite {
                 reg: crate::trace::RegName::PmpCfg,
                 index: index as u8,
@@ -230,6 +238,12 @@ impl RiscvPmp {
             index: index as u8,
             value: addr,
         });
+    }
+
+    /// Returns `true` if some entry is locked. Without a lock, no entry
+    /// needs probing for one.
+    pub fn any_locked(&self) -> bool {
+        self.any_locked
     }
 
     /// Reads back one entry (test/inspection interface).

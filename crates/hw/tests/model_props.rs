@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use tt_hw::cortexm::mpu::{size_to_rasr_field, RegionAttributes};
 use tt_hw::cortexm::CortexMpu;
 use tt_hw::mem::{AccessType, Privilege, ProtectionUnit};
-use tt_hw::riscv::pmp::{napot_addr, AddressMode, PMP_R, PMP_W, PMP_X};
+use tt_hw::riscv::pmp::{napot_addr, AddressMode, PMP_L, PMP_R, PMP_W, PMP_X};
 use tt_hw::riscv::{PmpChip, RiscvPmp};
 
 /// Naive reference for one Cortex-M region: byte-level match + permission,
@@ -169,5 +169,41 @@ proptest! {
             mpu.check(addr + i, 1, AccessType::Write, Privilege::Unprivileged).allowed()
         });
         prop_assert_eq!(whole, bytes);
+    }
+
+    /// The register file's lock flag equals "some entry has `L`" after
+    /// any sequence of cfg writes, addr writes and clears, and is
+    /// carried by `clone` and `clone_from`.
+    #[test]
+    fn any_locked_is_exact(
+        chip in 0usize..3,
+        ops in prop::collection::vec(any::<u32>(), 0..40),
+        other in prop::collection::vec(any::<u32>(), 0..40),
+    ) {
+        let chip = PmpChip::ALL[chip];
+        let run = |ops: &[u32]| {
+            let mut pmp = RiscvPmp::new(chip);
+            let n = chip.entries();
+            for &w in ops {
+                let index = (w >> 2) as usize % (n + 1);
+                match w % 4 {
+                    0 => pmp.clear(),
+                    1 => pmp.write_addr(index, w >> 8),
+                    // One cfg write in four may carry `L`.
+                    2 if (w >> 30) == 0 => pmp.write_cfg(index, (w >> 8) as u8 | PMP_L),
+                    _ => pmp.write_cfg(index, (w >> 8) as u8 & !PMP_L),
+                }
+            }
+            pmp
+        };
+        let locked = |pmp: &RiscvPmp| (0..chip.entries()).any(|i| pmp.entry(i).locked());
+        let src = run(&ops);
+        prop_assert_eq!(src.any_locked(), locked(&src));
+        prop_assert_eq!(src.clone().any_locked(), locked(&src));
+        let mut dst = run(&other);
+        prop_assert_eq!(dst.any_locked(), locked(&dst));
+        dst.clone_from(&src);
+        prop_assert_eq!(dst.any_locked(), locked(&src));
+        prop_assert_eq!(dst, src);
     }
 }

@@ -449,6 +449,10 @@ pub struct RunPhases {
     pub copied: usize,
     /// Ticks simulated past the resumed rung.
     pub ticks: u64,
+    /// Hooks that reached the injection engine during the run: the
+    /// occurrences at which an injection was due
+    /// ([`injection::engine_entries`]).
+    pub engine_entries: u64,
 }
 
 /// Where the run body reads the host clock: the caller picks the clock,
@@ -948,6 +952,7 @@ impl FleetRunner {
     ) -> (RunRecord, RunPhases, Option<Capture>, C::Mark) {
         let seed = plan.map(|p| p.seed);
         let copied = trace::copied();
+        let entries = injection::engine_entries();
         let t0 = C::now();
         let (ladder, index) = self.pick(plan, schedule);
         let mut apps = self.restore_to(&ladder, index);
@@ -1078,6 +1083,7 @@ impl FleetRunner {
             walked,
             copied: (trace::copied() - copied) as usize,
             ticks,
+            engine_entries: injection::engine_entries() - entries,
         };
         self.apps = apps;
         let pass = match at_boundary {
@@ -1304,6 +1310,9 @@ pub struct UnitOutcome {
     /// ([`RunPhases::resumed_events`]): `trace_len - resumed_events`
     /// events were re-simulated.
     pub resumed_events: usize,
+    /// Hooks that reached the injection engine
+    /// ([`RunPhases::engine_entries`]).
+    pub engine_entries: u64,
 }
 
 fn run_unit(slots: &mut RunnerSlots, unit: Unit) -> UnitOutcome {
@@ -1332,6 +1341,7 @@ fn run_unit(slots: &mut RunnerSlots, unit: Unit) -> UnitOutcome {
         midrun: phases.midrun,
         boot_events,
         resumed_events: phases.resumed_events,
+        engine_entries: phases.engine_entries,
     }
 }
 

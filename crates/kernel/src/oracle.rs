@@ -246,7 +246,9 @@ impl Reference {
     /// 10–20% slower). Fast paths, all exact:
     /// - An unperturbed run whose **raw** trace equals the reference's
     ///   is clean: one slice compare per part instead of a projection
-    ///   walk. Inequality implies nothing and falls through.
+    ///   walk, and none for a part that is the reference's own memory at
+    ///   the same offset (a prefix shared with the ladder). Inequality
+    ///   implies nothing and falls through.
     /// - A run resumed from a rung the reference shares (`Ladder::skip`;
     ///   a perturbed run needs only its bystander streams shared) starts
     ///   its walk after the installed prefix, with the cursors
@@ -305,7 +307,7 @@ impl Reference {
             let same = events.parts.iter().all(|part| {
                 let (here, rest) = raw.split_at(part.len());
                 raw = rest;
-                *part == here
+                std::ptr::eq(*part, here) || *part == here
             });
             if same {
                 return (verdict, walked);
@@ -748,5 +750,45 @@ mod tests {
         let longer = [PID1.as_slice(), &[STRAY]].concat();
         assert_eq!(Suffix::of(&longer, &reference).by[0], None);
         assert_eq!(Suffix::of(&baseline, &reference).by[0], Some(3));
+    }
+
+    #[test]
+    fn a_part_shared_with_the_reference_walks_like_an_equal_copy() {
+        let raw: Rc<[TraceEvent]> = PID1.as_slice().into();
+        let reference = Reference::new(Rc::clone(&raw));
+        let copy = PID1.to_vec();
+        let strayed = [PID1[0], PID1[1], STRAY, PID1[3]];
+        let skip = PrefixSkip::default();
+        // A prefix lent from the reference's own trace, then the live
+        // events; and the same events copied.
+        for tail in [&copy[2..], &strayed[2..]] {
+            let shared = Events {
+                parts: [&raw[..2], tail, &[], &[]],
+                dropped: 0,
+            };
+            let copied = Events {
+                parts: [&copy[..2], tail, &[], &[]],
+                dropped: 0,
+            };
+            for unperturbed in [true, false] {
+                let walk = reference.walk(shared, unperturbed, skip, None);
+                assert_eq!(walk, reference.walk(copied, unperturbed, skip, None));
+                let clean = tail == &copy[2..];
+                assert_eq!(
+                    walk.0
+                        == StreamVerdict {
+                            events: 4,
+                            ..StreamVerdict::default()
+                        },
+                    clean
+                );
+            }
+        }
+        // The raw compare counts every event it covers, shared or not.
+        let whole = Events {
+            parts: [&raw[..], &[], &[], &[]],
+            dropped: 0,
+        };
+        assert_eq!(reference.walk(whole, true, skip, None).1, 4);
     }
 }
