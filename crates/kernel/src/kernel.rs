@@ -8,13 +8,17 @@
 //! protection hardware**, so a misconfigured kernel lets an app read grant
 //! memory and a correct one faults it — isolation is observable, not
 //! assumed.
+//!
+//! The process boundary has one path per job: `Kernel::svc` for every SVC
+//! but `sys_print`, `Kernel::user_access` for every user-mode access, and
+//! `Kernel::allowed`, checked at access time, for every allowed buffer.
 
 use crate::capsules::{driver, Capsules};
 use crate::loader::AppImage;
 use crate::machine::Machine;
 use crate::process::{Flavor, Process, ProcessError, ProcessState};
 use tt_hw::cycles::{charge, Cost};
-use tt_hw::mem::{AccessType, BusFault, PhysicalMemory, Privilege};
+use tt_hw::mem::{AccessType, BusFault, FaultKind, PhysicalMemory, Privilege, UnmappedAccess};
 use tt_hw::platform::ChipProfile;
 use tt_hw::sched::ArrivalPoint;
 use tt_hw::trace::{self, RecoveryStep, SwitchDir, SyscallKind, TraceEvent};
@@ -93,6 +97,22 @@ pub enum ErrorCode {
     NoMem,
     /// No such driver.
     NoDevice,
+}
+
+/// A kernel access to memory the chip does not map fails the call.
+impl From<UnmappedAccess> for ErrorCode {
+    fn from(_: UnmappedAccess) -> Self {
+        ErrorCode::Fail
+    }
+}
+
+impl From<ProcessError> for ErrorCode {
+    fn from(e: ProcessError) -> Self {
+        match e {
+            ProcessError::NoMemory => ErrorCode::NoMem,
+            ProcessError::Invalid => ErrorCode::Invalid,
+        }
+    }
 }
 
 /// Scheduler quantum: app steps per slice before preemption.
@@ -322,6 +342,22 @@ impl Kernel {
         Ok(())
     }
 
+    /// A due backoff restart: [`Self::restart_process`], its cycles
+    /// charged to `pid`'s recovery; a restart that fails kills the process
+    /// for good. Returns whether it restarted.
+    fn restart_or_kill(&mut self, pid: usize) -> bool {
+        let (restarted, cycles) = tt_hw::cycles::measure(|| self.restart_process(pid));
+        self.recovery_cycles[pid] += cycles;
+        if restarted.is_err() {
+            trace::record(TraceEvent::Recovery {
+                pid: pid as u32,
+                step: RecoveryStep::RestartExhausted,
+            });
+            self.kill_process(pid);
+        }
+        restarted.is_ok()
+    }
+
     // ---- Interrupt arrival points (schedule explorer) -----------------
 
     /// One arrival-point hook. With no schedule armed this is a single
@@ -379,19 +415,9 @@ impl Kernel {
         for v in 0..self.processes.len() {
             if self.restart_due[v].is_some_and(|due| horizon >= due) {
                 self.restart_due[v] = None;
-                let (restarted, cycles) = tt_hw::cycles::measure(|| self.restart_process(v));
-                self.recovery_cycles[v] += cycles;
-                if restarted.is_ok() {
-                    // The program respawn needs the scheduler's `apps`
-                    // slice; defer it (consumed before `v` next steps).
-                    self.pending_respawn[v] = true;
-                } else {
-                    trace::record(TraceEvent::Recovery {
-                        pid: v as u32,
-                        step: RecoveryStep::RestartExhausted,
-                    });
-                    self.kill_process(v);
-                }
+                // The program respawn needs the scheduler's `apps` slice;
+                // defer it (consumed before `v` next steps).
+                self.pending_respawn[v] = self.restart_or_kill(v);
                 perturbed = true;
             }
         }
@@ -458,7 +484,7 @@ impl Kernel {
             return Err(BusFault {
                 addr,
                 access,
-                kind: tt_hw::mem::FaultKind::PermissionDenied,
+                kind: FaultKind::PermissionDenied,
             });
         }
         match self
@@ -470,65 +496,58 @@ impl Kernel {
         }
     }
 
-    /// A user-mode word read by process `pid` (checked by the MPU exactly
-    /// as the AHB would).
-    pub fn user_read_u32(&mut self, pid: usize, addr: usize) -> Result<u32, BusFault> {
-        charge(Cost::Load);
-        if let Err(f) = self.user_check(addr, 4, AccessType::Read) {
-            trace::record(TraceEvent::BusFault {
-                pid: pid as u32,
-                addr: addr as u32,
-                write: false,
-            });
-            self.fault_process(pid, &f.to_reason());
-            return Err(f);
-        }
-        let result = self.mem.read_u32(addr).map_err(|_| BusFault {
-            addr,
-            access: AccessType::Read,
-            kind: tt_hw::mem::FaultKind::Unmapped,
-        });
+    /// The one user-access path: the MPU/PMP check, whose denial
+    /// records a `BusFault` event, then the access itself, which misses
+    /// on memory the chip does not map. Either failure faults the
+    /// process, at every access width.
+    fn user_access<T>(
+        &mut self,
+        pid: usize,
+        addr: usize,
+        size: usize,
+        access: AccessType,
+        op: impl FnOnce(&mut PhysicalMemory) -> Result<T, UnmappedAccess>,
+    ) -> Result<T, BusFault> {
+        let write = access == AccessType::Write;
+        charge(if write { Cost::Store } else { Cost::Load });
+        let result = match self.user_check(addr, size, access) {
+            Ok(()) => op(&mut self.mem).map_err(|_| BusFault {
+                addr,
+                access,
+                kind: FaultKind::Unmapped,
+            }),
+            Err(f) => {
+                trace::record(TraceEvent::BusFault {
+                    pid: pid as u32,
+                    addr: addr as u32,
+                    write,
+                });
+                Err(f)
+            }
+        };
         if let Err(f) = result {
             self.fault_process(pid, &f.to_reason());
         }
         result
     }
 
+    /// A user-mode word read by process `pid` (checked by the MPU exactly
+    /// as the AHB would).
+    pub fn user_read_u32(&mut self, pid: usize, addr: usize) -> Result<u32, BusFault> {
+        self.user_access(pid, addr, 4, AccessType::Read, |mem| mem.read_u32(addr))
+    }
+
     /// A user-mode word write.
     pub fn user_write_u32(&mut self, pid: usize, addr: usize, value: u32) -> Result<(), BusFault> {
-        charge(Cost::Store);
-        if let Err(f) = self.user_check(addr, 4, AccessType::Write) {
-            trace::record(TraceEvent::BusFault {
-                pid: pid as u32,
-                addr: addr as u32,
-                write: true,
-            });
-            self.fault_process(pid, &f.to_reason());
-            return Err(f);
-        }
-        self.mem.write_u32(addr, value).map_err(|_| BusFault {
-            addr,
-            access: AccessType::Write,
-            kind: tt_hw::mem::FaultKind::Unmapped,
+        self.user_access(pid, addr, 4, AccessType::Write, |mem| {
+            mem.write_u32(addr, value)
         })
     }
 
     /// A user-mode byte write.
     pub fn user_write_u8(&mut self, pid: usize, addr: usize, value: u8) -> Result<(), BusFault> {
-        charge(Cost::Store);
-        if let Err(f) = self.user_check(addr, 1, AccessType::Write) {
-            trace::record(TraceEvent::BusFault {
-                pid: pid as u32,
-                addr: addr as u32,
-                write: true,
-            });
-            self.fault_process(pid, &f.to_reason());
-            return Err(f);
-        }
-        self.mem.write_u8(addr, value).map_err(|_| BusFault {
-            addr,
-            access: AccessType::Write,
-            kind: tt_hw::mem::FaultKind::Unmapped,
+        self.user_access(pid, addr, 1, AccessType::Write, |mem| {
+            mem.write_u8(addr, value)
         })
     }
 
@@ -540,6 +559,54 @@ impl Kernel {
 
     // ---- Syscalls ------------------------------------------------------
 
+    /// The one SVC path: every syscall but `sys_print` enters and leaves
+    /// the kernel here, and the `sys_*` methods pass it their handler
+    /// body. In order: the entry charge; the `SyscallArg` corruption of
+    /// `arg0` for `brk`, `sbrk` and the two allows; `SyscallEnter` and
+    /// its arrival point; the handler, on the possibly corrupted `arg0`;
+    /// after a break move, the commit of the staged configuration (the
+    /// context switch back into the process); the `SyscallExit` arrival
+    /// point and event, whose `value` is the `Ok` word or 0; the return
+    /// charge.
+    fn svc(
+        &mut self,
+        pid: usize,
+        call: SyscallKind,
+        [arg0, arg1, arg2]: [u32; 3],
+        handler: impl FnOnce(&mut Self, u32) -> Result<usize, ErrorCode>,
+    ) -> Result<usize, ErrorCode> {
+        use SyscallKind::{AllowRo, AllowRw, Brk, Sbrk};
+        charge(Cost::Exception); // SVC entry.
+        let arg0 = match call {
+            // An armed SyscallArg injection corrupts the argument register
+            // at SVC entry; the handler must validate its way out of it.
+            Brk | Sbrk | AllowRo | AllowRw => tt_hw::injection::corrupt_syscall_arg(arg0),
+            _ => arg0,
+        };
+        let pid32 = pid as u32;
+        trace::record(TraceEvent::SyscallEnter {
+            pid: pid32,
+            call,
+            arg0,
+            arg1,
+            arg2,
+        });
+        self.maybe_interrupt(pid, ArrivalPoint::SyscallEnter);
+        let result = handler(self, arg0);
+        if matches!(call, Brk | Sbrk) {
+            self.commit_mpu(pid);
+        }
+        self.maybe_interrupt(pid, ArrivalPoint::SyscallExit);
+        trace::record(TraceEvent::SyscallExit {
+            pid: pid32,
+            call,
+            ok: result.is_ok(),
+            value: result.map_or(0, |v| v as u32),
+        });
+        charge(Cost::Exception); // SVC return.
+        result
+    }
+
     /// `brk`: set the app break.
     ///
     /// The syscall *handler* only updates the staged configuration (in
@@ -547,101 +614,39 @@ impl Kernel {
     /// (re)configured on the context switch back into the process, which
     /// both kernels pay equally.
     pub fn sys_brk(&mut self, pid: usize, new_break: usize) -> Result<(), ErrorCode> {
-        charge(Cost::Exception); // SVC entry.
-                                 // An armed SyscallArg injection corrupts the argument register at
-                                 // SVC entry; the handler must validate its way out of it.
-        let new_break = tt_hw::injection::corrupt_syscall_arg(new_break as u32) as usize;
-        trace::record(TraceEvent::SyscallEnter {
-            pid: pid as u32,
-            call: SyscallKind::Brk,
-            arg0: new_break as u32,
-            arg1: 0,
-            arg2: 0,
-        });
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallEnter);
-        let result = self.processes[pid]
-            .brk(PtrU8::new(new_break))
-            .map_err(|e| match e {
-                ProcessError::NoMemory => ErrorCode::NoMem,
-                ProcessError::Invalid => ErrorCode::Invalid,
-            });
-        // Context switch back into the process: apply the staged config.
-        self.commit_mpu(pid);
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallExit);
-        trace::record(TraceEvent::SyscallExit {
-            pid: pid as u32,
-            call: SyscallKind::Brk,
-            ok: result.is_ok(),
-            value: 0,
-        });
-        charge(Cost::Exception); // SVC return.
-        result
+        let args = [new_break as u32, 0, 0];
+        self.svc(pid, SyscallKind::Brk, args, |k, new_break| {
+            k.processes[pid].brk(PtrU8::new(new_break as usize))?;
+            Ok(0)
+        })
+        .map(drop)
     }
 
     /// `sbrk`: adjust the app break by a delta; returns the new break.
     pub fn sys_sbrk(&mut self, pid: usize, delta: isize) -> Result<usize, ErrorCode> {
-        charge(Cost::Exception);
-        let delta = tt_hw::injection::corrupt_syscall_arg(delta as i32 as u32) as i32 as isize;
-        trace::record(TraceEvent::SyscallEnter {
-            pid: pid as u32,
-            call: SyscallKind::Sbrk,
-            arg0: delta as i32 as u32,
-            arg1: 0,
-            arg2: 0,
-        });
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallEnter);
-        let result = if delta == 0 {
-            Ok(self.processes[pid].app_break())
-        } else {
-            self.processes[pid]
-                .sbrk(delta)
-                .map(|p| p.as_usize())
-                .map_err(|e| match e {
-                    ProcessError::NoMemory => ErrorCode::NoMem,
-                    ProcessError::Invalid => ErrorCode::Invalid,
-                })
-        };
-        self.commit_mpu(pid);
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallExit);
-        trace::record(TraceEvent::SyscallExit {
-            pid: pid as u32,
-            call: SyscallKind::Sbrk,
-            ok: result.is_ok(),
-            value: result.map_or(0, |v| v as u32),
-        });
-        charge(Cost::Exception);
-        result
+        let args = [delta as i32 as u32, 0, 0];
+        self.svc(pid, SyscallKind::Sbrk, args, |k, delta| {
+            let p = &mut k.processes[pid];
+            match delta as i32 as isize {
+                0 => Ok(p.app_break()),
+                delta => Ok(p.sbrk(delta)?.as_usize()),
+            }
+        })
     }
 
     /// `memop`: introspection operations (Tock's memop syscall).
     pub fn sys_memop(&mut self, pid: usize, op: u32) -> Result<usize, ErrorCode> {
-        charge(Cost::Exception);
-        trace::record(TraceEvent::SyscallEnter {
-            pid: pid as u32,
-            call: SyscallKind::Memop,
-            arg0: op,
-            arg1: 0,
-            arg2: 0,
-        });
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallEnter);
-        let p = &self.processes[pid];
-        let result = match op {
-            1 => Ok(p.app_break()),
-            2 => Ok(p.memory_start()),
-            3 => Ok(p.memory_start() + p.memory_size()),
-            4 => Ok(p.image.flash_start.as_usize()),
-            5 => Ok(p.image.flash_start.as_usize() + p.image.flash_size),
-            _ => Err(ErrorCode::Invalid),
-        };
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallExit);
-        trace::record(TraceEvent::SyscallExit {
-            pid: pid as u32,
-            call: SyscallKind::Memop,
-            ok: result.is_ok(),
-            value: result.map_or(0, |v| v as u32),
-        });
-        charge(Cost::Exception);
-        result
+        self.svc(pid, SyscallKind::Memop, [op, 0, 0], |k, _| {
+            let p = &k.processes[pid];
+            match op {
+                1 => Ok(p.app_break()),
+                2 => Ok(p.memory_start()),
+                3 => Ok(p.memory_start() + p.memory_size()),
+                4 => Ok(p.image.flash_start.as_usize()),
+                5 => Ok(p.image.flash_start.as_usize() + p.image.flash_size),
+                _ => Err(ErrorCode::Invalid),
+            }
+        })
     }
 
     /// `subscribe`: register interest in a driver's upcalls. Without a
@@ -650,31 +655,17 @@ impl Kernel {
     /// [`ErrorCode::NoDevice`], so a process cannot grow its subscription
     /// list past the drivers that exist.
     pub fn sys_subscribe(&mut self, pid: usize, driver_num: usize) -> Result<(), ErrorCode> {
-        charge(Cost::Exception);
-        trace::record(TraceEvent::SyscallEnter {
-            pid: pid as u32,
-            call: SyscallKind::Subscribe,
-            arg0: driver_num as u32,
-            arg1: 0,
-            arg2: 0,
-        });
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallEnter);
-        let exists = driver_num <= driver::IPC;
-        if exists && !self.subscriptions[pid].contains(&driver_num) {
-            self.subscriptions[pid].push(driver_num);
-        }
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallExit);
-        trace::record(TraceEvent::SyscallExit {
-            pid: pid as u32,
-            call: SyscallKind::Subscribe,
-            ok: exists,
-            value: 0,
-        });
-        charge(Cost::Exception);
-        match exists {
-            true => Ok(()),
-            false => Err(ErrorCode::NoDevice),
-        }
+        let args = [driver_num as u32, 0, 0];
+        self.svc(pid, SyscallKind::Subscribe, args, |k, _| {
+            if driver_num > driver::IPC {
+                return Err(ErrorCode::NoDevice);
+            }
+            if !k.subscriptions[pid].contains(&driver_num) {
+                k.subscriptions[pid].push(driver_num);
+            }
+            Ok(0)
+        })
+        .map(drop)
     }
 
     /// Schedules an upcall for `pid` if (and only if) it subscribed to the
@@ -697,54 +688,22 @@ impl Kernel {
 
     /// `allow_readonly`: share a read-only buffer with a driver.
     pub fn sys_allow_ro(&mut self, pid: usize, addr: usize, len: usize) -> Result<(), ErrorCode> {
-        charge(Cost::Exception);
-        let addr = tt_hw::injection::corrupt_syscall_arg(addr as u32) as usize;
-        trace::record(TraceEvent::SyscallEnter {
-            pid: pid as u32,
-            call: SyscallKind::AllowRo,
-            arg0: addr as u32,
-            arg1: len as u32,
-            arg2: 0,
-        });
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallEnter);
-        let r = self.processes[pid]
-            .build_readonly_buffer(PtrU8::new(addr), len)
-            .map_err(|_| ErrorCode::Invalid);
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallExit);
-        trace::record(TraceEvent::SyscallExit {
-            pid: pid as u32,
-            call: SyscallKind::AllowRo,
-            ok: r.is_ok(),
-            value: 0,
-        });
-        charge(Cost::Exception);
-        r
+        let args = [addr as u32, len as u32, 0];
+        self.svc(pid, SyscallKind::AllowRo, args, |k, addr| {
+            k.processes[pid].build_readonly_buffer(PtrU8::new(addr as usize), len)?;
+            Ok(0)
+        })
+        .map(drop)
     }
 
     /// `allow_readwrite`: share a writable buffer with a driver.
     pub fn sys_allow_rw(&mut self, pid: usize, addr: usize, len: usize) -> Result<(), ErrorCode> {
-        charge(Cost::Exception);
-        let addr = tt_hw::injection::corrupt_syscall_arg(addr as u32) as usize;
-        trace::record(TraceEvent::SyscallEnter {
-            pid: pid as u32,
-            call: SyscallKind::AllowRw,
-            arg0: addr as u32,
-            arg1: len as u32,
-            arg2: 0,
-        });
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallEnter);
-        let r = self.processes[pid]
-            .build_readwrite_buffer(PtrU8::new(addr), len)
-            .map_err(|_| ErrorCode::Invalid);
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallExit);
-        trace::record(TraceEvent::SyscallExit {
-            pid: pid as u32,
-            call: SyscallKind::AllowRw,
-            ok: r.is_ok(),
-            value: 0,
-        });
-        charge(Cost::Exception);
-        r
+        let args = [addr as u32, len as u32, 0];
+        self.svc(pid, SyscallKind::AllowRw, args, |k, addr| {
+            k.processes[pid].build_readwrite_buffer(PtrU8::new(addr as usize), len)?;
+            Ok(0)
+        })
+        .map(drop)
     }
 
     /// `command`: invoke a driver operation.
@@ -755,25 +714,37 @@ impl Kernel {
         cmd: u32,
         arg: u32,
     ) -> Result<u32, ErrorCode> {
-        charge(Cost::Exception);
-        trace::record(TraceEvent::SyscallEnter {
-            pid: pid as u32,
-            call: SyscallKind::Command,
-            arg0: driver_num as u32,
-            arg1: cmd,
-            arg2: arg,
-        });
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallEnter);
-        let result = self.dispatch_command(pid, driver_num, cmd, arg);
-        self.maybe_interrupt(pid, ArrivalPoint::SyscallExit);
-        trace::record(TraceEvent::SyscallExit {
-            pid: pid as u32,
-            call: SyscallKind::Command,
-            ok: result.is_ok(),
-            value: result.unwrap_or(0),
-        });
-        charge(Cost::Exception);
-        result
+        let args = [driver_num as u32, cmd, arg];
+        self.svc(pid, SyscallKind::Command, args, |k, _| {
+            Ok(k.dispatch_command(pid, driver_num, cmd, arg)? as usize)
+        })
+        .map(|v| v as u32)
+    }
+
+    /// The one buffer path: `pid`'s live read-write (`writable`) or
+    /// read-only allow as `(addr, len)`, checked at the moment of access.
+    /// The range must lie in the process's accessible RAM
+    /// (`memory_start..app_break`), or in its flash for a read-only
+    /// buffer: the check `allow` made when the buffer was built may no
+    /// longer hold. No allow is [`ErrorCode::Invalid`]; a range that
+    /// misses is [`ErrorCode::Fail`], and the kernel never touches it.
+    /// Host-side only: it charges no simulated cycles.
+    fn allowed(&self, pid: usize, writable: bool) -> Result<(usize, usize), ErrorCode> {
+        let p = &self.processes[pid];
+        let allow = if writable { p.allow_rw } else { p.allow_ro };
+        let (addr, len) = allow.ok_or(ErrorCode::Invalid)?;
+        let start = addr.as_usize();
+        let within = |lo: usize, hi: usize| {
+            start >= lo && start.checked_add(len).is_some_and(|end| end <= hi)
+        };
+        let flash = p.image.flash_start.as_usize();
+        if within(p.memory_start(), p.app_break())
+            || !writable && within(flash, flash + p.image.flash_size)
+        {
+            Ok((start, len))
+        } else {
+            Err(ErrorCode::Fail)
+        }
     }
 
     fn dispatch_command(
@@ -787,7 +758,7 @@ impl Kernel {
             driver::CONSOLE => match cmd {
                 // Write: copy the allowed read-only buffer to the console.
                 1 => {
-                    let (addr, len) = self.processes[pid].allow_ro.ok_or(ErrorCode::Invalid)?;
+                    let (addr, len) = self.allowed(pid, false)?;
                     // Console writes are short (a few bytes per step in the
                     // campaign workloads); a stack buffer keeps the per-print
                     // heap allocation off the fleet hot path.
@@ -799,9 +770,7 @@ impl Kernel {
                         large = vec![0u8; len];
                         &mut large
                     };
-                    self.mem
-                        .read_bytes(addr.as_usize(), bytes)
-                        .map_err(|_| ErrorCode::Fail)?;
+                    self.mem.read_bytes(addr, bytes)?;
                     self.processes[pid]
                         .console
                         .push_str(&String::from_utf8_lossy(bytes));
@@ -809,15 +778,13 @@ impl Kernel {
                 }
                 // Read: deliver queued input into the allowed RW buffer.
                 2 => {
-                    let (addr, len) = self.processes[pid].allow_rw.ok_or(ErrorCode::Invalid)?;
+                    let (addr, len) = self.allowed(pid, true)?;
                     let input = self
                         .capsules
                         .take_console_input(pid)
                         .ok_or(ErrorCode::Fail)?;
                     let n = input.len().min(len);
-                    self.mem
-                        .write_bytes(addr.as_usize(), &input[..n])
-                        .map_err(|_| ErrorCode::Fail)?;
+                    self.mem.write_bytes(addr, &input[..n])?;
                     Ok(n as u32)
                 }
                 _ => Err(ErrorCode::Invalid),
@@ -837,18 +804,11 @@ impl Kernel {
                             .allocate_grant(driver::ALARM, 16)
                             .map_err(|_| ErrorCode::NoMem)?;
                         // Initialize the grant contents (kernel-privileged).
-                        self.mem
-                            .write_u32(ptr.as_usize(), 0)
-                            .map_err(|_| ErrorCode::Fail)?;
+                        self.mem.write_u32(ptr.as_usize(), 0)?;
                     }
                     let (ptr, _) = self.processes[pid].grant(driver::ALARM).unwrap();
-                    let count = self
-                        .mem
-                        .read_u32(ptr.as_usize())
-                        .map_err(|_| ErrorCode::Fail)?;
-                    self.mem
-                        .write_u32(ptr.as_usize(), count + 1)
-                        .map_err(|_| ErrorCode::Fail)?;
+                    let count = self.mem.read_u32(ptr.as_usize())?;
+                    self.mem.write_u32(ptr.as_usize(), count + 1)?;
                     self.capsules.set_alarm(pid, self.ticks, arg, count + 1);
                     Ok(count + 1)
                 }
@@ -857,9 +817,7 @@ impl Kernel {
                     let (ptr, _) = self.processes[pid]
                         .grant(driver::ALARM)
                         .ok_or(ErrorCode::Fail)?;
-                    self.mem
-                        .read_u32(ptr.as_usize())
-                        .map_err(|_| ErrorCode::Fail)
+                    Ok(self.mem.read_u32(ptr.as_usize())?)
                 }
                 _ => Err(ErrorCode::Invalid),
             },
@@ -902,12 +860,12 @@ impl Kernel {
             driver::DMA => match cmd {
                 // Transfer `arg` pattern bytes into the allowed RW buffer.
                 1 => {
-                    let (addr, len) = self.processes[pid].allow_rw.ok_or(ErrorCode::Invalid)?;
+                    let (addr, len) = self.allowed(pid, true)?;
                     let data: Vec<u8> = (0..len)
                         .map(|i| (i as u8).wrapping_add(arg as u8))
                         .collect();
                     self.capsules
-                        .dma_transfer(&mut self.mem, addr.as_usize(), &data)
+                        .dma_transfer(&mut self.mem, addr, &data)
                         .map(|n| n as u32)
                         .map_err(|_| ErrorCode::Fail)
                 }
@@ -954,19 +912,15 @@ impl Kernel {
 
     /// Copies `src`'s allowed read-only buffer into `dst`'s allowed
     /// read-write buffer (the kernel-mediated IPC data path). Both buffers
-    /// were validated against each process's own memory at `allow` time,
-    /// so the copy cannot touch any third party's memory.
+    /// are checked against each process's own memory as the copy runs,
+    /// so it cannot touch any third party's memory.
     fn ipc_copy(&mut self, src: usize, dst: usize) -> Result<u32, ErrorCode> {
-        let (src_addr, src_len) = self.processes[src].allow_ro.ok_or(ErrorCode::Invalid)?;
-        let (dst_addr, dst_len) = self.processes[dst].allow_rw.ok_or(ErrorCode::Invalid)?;
+        let (src_addr, src_len) = self.allowed(src, false)?;
+        let (dst_addr, dst_len) = self.allowed(dst, true)?;
         let n = src_len.min(dst_len);
         let mut buf = vec![0u8; n];
-        self.mem
-            .read_bytes(src_addr.as_usize(), &mut buf)
-            .map_err(|_| ErrorCode::Fail)?;
-        self.mem
-            .write_bytes(dst_addr.as_usize(), &buf)
-            .map_err(|_| ErrorCode::Fail)?;
+        self.mem.read_bytes(src_addr, &mut buf)?;
+        self.mem.write_bytes(dst_addr, &buf)?;
         Ok(n as u32)
     }
 
@@ -1127,16 +1081,8 @@ impl Kernel {
                         self.kill_process(pid);
                         continue;
                     };
-                    let (restarted, cycles) = tt_hw::cycles::measure(|| self.restart_process(pid));
-                    self.recovery_cycles[pid] += cycles;
-                    if restarted.is_ok() {
+                    if self.restart_or_kill(pid) {
                         apps[pid] = mk();
-                    } else {
-                        trace::record(TraceEvent::Recovery {
-                            pid: pid as u32,
-                            step: RecoveryStep::RestartExhausted,
-                        });
-                        self.kill_process(pid);
                     }
                 }
             }
@@ -1295,6 +1241,32 @@ mod tests {
             assert!(matches!(k.processes[pid].state, ProcessState::Faulted(_)));
             assert_eq!(k.fault_log.len(), 1);
             assert!(k.fault_log[0].1.contains("app_break"));
+        }
+    }
+
+    #[test]
+    fn a_stale_allow_is_refused_at_access() {
+        for flavor in flavors() {
+            let (mut k, pid) = boot_with_app(flavor);
+            let (ms, top) = (
+                k.processes[pid].memory_start(),
+                k.processes[pid].app_break(),
+            );
+            k.sys_allow_rw(pid, top - 64, 64).unwrap();
+            assert_eq!(k.sys_command(pid, driver::DMA, 1, 7), Ok(64));
+            // The break moves below the allow; the allow stays live.
+            k.sys_brk(pid, ms + 512).unwrap();
+            let before = (0..16).map(|i| k.mem.read_u32(top - 64 + 4 * i).unwrap());
+            let before: Vec<u32> = before.collect();
+            assert_eq!(k.sys_command(pid, driver::DMA, 1, 9), Err(ErrorCode::Fail));
+            assert_eq!(
+                k.sys_command(pid, driver::CONSOLE, 2, 0),
+                Err(ErrorCode::Fail)
+            );
+            let after: Vec<u32> = (0..16)
+                .map(|i| k.mem.read_u32(top - 64 + 4 * i).unwrap())
+                .collect();
+            assert_eq!(before, after, "{flavor:?}: the kernel left the range alone");
         }
     }
 
