@@ -513,11 +513,11 @@ pub struct BusFault {
 }
 
 impl BusFault {
-    /// The `Display` text, built without the `core::fmt` machinery: the
-    /// kernel fault path renders one of these per injected fault, and the
-    /// formatter dispatch was a visible slice of the fleet profile.
-    pub fn to_reason(&self) -> String {
-        let mut out = String::with_capacity(48);
+    /// Appends the `Display` text to `out`, without the `core::fmt`
+    /// machinery: the kernel fault path writes one of these per injected
+    /// fault straight into its fault-log line, and the formatter dispatch
+    /// was a visible slice of the fleet profile.
+    pub fn write_reason(&self, out: &mut String) {
         out.push_str("bus fault: ");
         out.push_str(match self.access {
             AccessType::Read => "Read",
@@ -539,13 +539,14 @@ impl BusFault {
             FaultKind::LockedEntry => "LockedEntry",
         });
         out.push(')');
-        out
     }
 }
 
 impl fmt::Display for BusFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_reason())
+        let mut reason = String::with_capacity(64);
+        self.write_reason(&mut reason);
+        f.write_str(&reason)
     }
 }
 

@@ -461,16 +461,11 @@ impl Kernel {
     /// the window instead: a stale "hardware already matches" verdict
     /// re-arms whatever the interrupt left in the register file.
     fn commit_mpu(&mut self, pid: usize) {
-        if self.commit_window_bug {
-            let elide = self.processes[pid].mpu_ready();
-            self.maybe_interrupt(pid, ArrivalPoint::MpuCommit);
-            if elide {
-                self.processes[pid].rearm_mpu();
-            } else {
-                self.processes[pid].setup_mpu();
-            }
+        let elide = self.commit_window_bug && self.processes[pid].mpu_ready();
+        self.maybe_interrupt(pid, ArrivalPoint::MpuCommit);
+        if elide {
+            self.processes[pid].rearm_mpu();
         } else {
-            self.maybe_interrupt(pid, ArrivalPoint::MpuCommit);
             self.processes[pid].setup_mpu();
         }
     }
@@ -526,7 +521,7 @@ impl Kernel {
             }
         };
         if let Err(f) = result {
-            self.fault_process(pid, &f.to_reason());
+            self.fault_with(pid, |out| f.write_reason(out));
         }
         result
     }
@@ -891,9 +886,8 @@ impl Kernel {
         let bytes = text.as_bytes();
         let mut inner = || -> Result<(), ErrorCode> {
             for (i, b) in bytes.iter().enumerate() {
-                if self.user_write_u8(pid, base + i, *b).is_err() {
-                    return Err(ErrorCode::Fail);
-                }
+                self.user_write_u8(pid, base + i, *b)
+                    .map_err(|_| ErrorCode::Fail)?;
             }
             self.sys_allow_ro(pid, base, bytes.len())?;
             self.sys_command(pid, driver::CONSOLE, 1, 0)?;
@@ -937,12 +931,18 @@ impl Kernel {
     /// Marks a process faulted and records the fault report (which, as in
     /// Tock, includes the memory layout).
     pub fn fault_process(&mut self, pid: usize, reason: &str) {
-        let layout = self.processes[pid].layout_report();
-        let mut report = String::with_capacity(reason.len() + 2 + layout.len());
-        report.push_str(reason);
+        self.fault_with(pid, |out| out.push_str(reason));
+    }
+
+    /// [`Self::fault_process`] with the reason `reason` appends, built in
+    /// the fault-log line's one buffer; the process keeps a copy of it.
+    fn fault_with(&mut self, pid: usize, reason: impl FnOnce(&mut String)) {
+        let mut report = String::with_capacity(192);
+        reason(&mut report);
+        let reason_len = report.len();
         report.push_str("; ");
-        report.push_str(&layout);
-        self.processes[pid].fault(reason.to_string());
+        self.processes[pid].write_layout_report(&mut report);
+        self.processes[pid].fault(&report[..reason_len]);
         self.fault_log.push((pid, report));
         // A fault makes whatever the commit cache believes is live in the
         // register file untrustworthy (the fault may stem from corrupted

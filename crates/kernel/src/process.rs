@@ -986,27 +986,35 @@ impl Process {
     /// `stack_growth` release test — the output the paper *expects* to
     /// differ between Tock and TickTock (§6.1).
     ///
+    /// Text as [`Self::write_layout_report`] appends it.
+    pub fn layout_report(&self) -> String {
+        let mut out = String::with_capacity(96);
+        self.write_layout_report(&mut out);
+        out
+    }
+
+    /// Appends the layout report to `out`, the form the kernel's fault
+    /// path writes straight into its fault-log line.
+    ///
     /// Built by hand rather than with `format!`: every injected fleet run
     /// faults the victim at least once, and the formatting machinery was
     /// a visible slice of the fault path in the campaign profile. Output
     /// is byte-identical to the original
     /// `mem {:#010x}..{:#010x} app_break {:#010x} kernel_break {:#010x}
     /// flash {:#010x}+{:#x}` format string.
-    pub fn layout_report(&self) -> String {
-        let mut out = String::with_capacity(96);
+    pub fn write_layout_report(&self, out: &mut String) {
         out.push_str("mem ");
-        push_hex(&mut out, self.memory_start(), 8);
+        push_hex(out, self.memory_start(), 8);
         out.push_str("..");
-        push_hex(&mut out, self.memory_start() + self.memory_size(), 8);
+        push_hex(out, self.memory_start() + self.memory_size(), 8);
         out.push_str(" app_break ");
-        push_hex(&mut out, self.app_break(), 8);
+        push_hex(out, self.app_break(), 8);
         out.push_str(" kernel_break ");
-        push_hex(&mut out, self.kernel_break(), 8);
+        push_hex(out, self.kernel_break(), 8);
         out.push_str(" flash ");
-        push_hex(&mut out, self.image.flash_start.as_usize(), 8);
+        push_hex(out, self.image.flash_start.as_usize(), 8);
         out.push('+');
-        push_hex(&mut out, self.image.flash_size, 1);
-        out
+        push_hex(out, self.image.flash_size, 1);
     }
 }
 
