@@ -1254,8 +1254,11 @@ mod tests {
             );
             k.sys_allow_rw(pid, top - 64, 64).unwrap();
             assert_eq!(k.sys_command(pid, driver::DMA, 1, 7), Ok(64));
-            // The break moves below the allow; the allow stays live.
+            // `brk` refuses to move below a live allow; the stale allow a
+            // kernel without that rule would keep is planted by hand.
+            k.processes[pid].allow_rw = None;
             k.sys_brk(pid, ms + 512).unwrap();
+            k.processes[pid].allow_rw = Some((PtrU8::new(top - 64), 64));
             let before = (0..16).map(|i| k.mem.read_u32(top - 64 + 4 * i).unwrap());
             let before: Vec<u32> = before.collect();
             assert_eq!(k.sys_command(pid, driver::DMA, 1, 9), Err(ErrorCode::Fail));

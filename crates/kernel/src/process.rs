@@ -802,10 +802,26 @@ impl Process {
         self.backend.kernel_break()
     }
 
-    /// The `brk` syscall: set the app break (Fig. 11 `brk`).
+    /// The `brk` syscall: set the app break (Fig. 11 `brk`). A break
+    /// below the end of a live allow in RAM is refused, in both kernels:
+    /// the kernel would keep a handle into memory the process gave up,
+    /// and a grant could later be carved out of it.
     pub fn brk(&mut self, new_break: PtrU8) -> Result<(), ProcessError> {
+        let ram = self.memory_start()..self.memory_start() + self.memory_size();
+        let allow_end = [self.allow_ro, self.allow_rw]
+            .into_iter()
+            .flatten()
+            .filter(|(addr, _)| ram.contains(&addr.as_usize()))
+            .map(|(addr, len)| addr.as_usize().saturating_add(len))
+            .max();
         let backend = &mut self.backend;
-        tt_hw::cycles::instrument("brk", || backend.brk(new_break))
+        tt_hw::cycles::instrument("brk", || {
+            charge_n(Cost::Alu, 1); // The allow high-water compare.
+            if allow_end.is_some_and(|end| new_break.as_usize() < end) {
+                return Err(ProcessError::Invalid);
+            }
+            backend.brk(new_break)
+        })
     }
 
     /// The `sbrk` syscall: grow or shrink by a signed delta.

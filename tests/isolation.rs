@@ -268,3 +268,53 @@ fn wrapping_allow_ro_length_is_refused_on_every_chip() {
         }
     }
 }
+
+/// The break never moves below a live allow (ROADMAP item 1). The
+/// probe allows the top 64 bytes of the heap, shrinks the break to
+/// `memory_start + 512`, allocates grants past the allowed range and
+/// starts DMA `command 1`: were the shrink admitted, the grant region
+/// could grow down over the allow and the DMA would write 64 bytes into
+/// kernel memory. Checked on every chip, for both kernels.
+#[test]
+fn the_break_never_moves_below_a_live_allow_on_every_chip() {
+    use ticktock_repro::hw::platform::ALL_CHIPS;
+    use ticktock_repro::kernel::capsules::driver;
+    use ticktock_repro::kernel::loader::flash_app;
+    use ticktock_repro::kernel::process::Flavor;
+    use ticktock_repro::kernel::{ErrorCode, Kernel};
+    use ticktock_repro::legacy::BugVariant;
+
+    for chip in &ALL_CHIPS {
+        for flavor in [Flavor::Legacy(BugVariant::Fixed), Flavor::Granular] {
+            let mut kernel = Kernel::boot(flavor, chip);
+            let base = chip.map.flash.start + 0x4_0000;
+            let img = flash_app(&mut kernel.mem, base, "probe", 0x1000, 3000, 1024).unwrap();
+            let pid = kernel.load_process(&img).unwrap();
+            let ms = kernel.processes[pid].memory_start();
+            let top = kernel.processes[pid].app_break();
+            kernel.sys_allow_rw(pid, top - 64, 64).unwrap();
+            let at = format!("{} {flavor:?}", chip.name);
+            assert_eq!(
+                kernel.sys_brk(pid, ms + 512),
+                Err(ErrorCode::Invalid),
+                "{at}"
+            );
+            let shrink = -((top - ms - 512) as isize);
+            assert_eq!(
+                kernel.sys_sbrk(pid, shrink),
+                Err(ErrorCode::Invalid),
+                "{at}"
+            );
+            assert_eq!(kernel.processes[pid].app_break(), top, "{at}");
+            // Grants come from above the break, so none reaches the allow.
+            for id in 100..108 {
+                if let Ok(grant) = kernel.processes[pid].allocate_grant(id, 256) {
+                    assert!(grant.as_usize() >= top, "{at}: grant below the break");
+                }
+            }
+            assert_eq!(kernel.sys_command(pid, driver::DMA, 1, 7), Ok(64), "{at}");
+            // A break at or above the allow's end still moves.
+            assert_eq!(kernel.sys_brk(pid, top), Ok(()), "{at}");
+        }
+    }
+}
