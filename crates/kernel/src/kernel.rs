@@ -1273,6 +1273,63 @@ mod tests {
         }
     }
 
+    /// Grants unprivileged read-write over `[UNMAPPED, UNMAPPED + 256)`,
+    /// an address the chip's `PhysicalMemory` does not map, in a free
+    /// MPU region or PMP entry.
+    const UNMAPPED: usize = 0x6000_0000;
+
+    fn grant_unmapped(k: &Kernel) {
+        if let Some(mpu) = k.machine.cortexm() {
+            let mut mpu = mpu.borrow_mut();
+            mpu.write_rnr(7);
+            mpu.write_rbar(UNMAPPED as u32);
+            // ENABLE, SIZE 256 (field 7), AP full access, XN.
+            mpu.write_rasr(1 | 7 << 1 | 0b011 << 24 | 1 << 28);
+        } else if let Some(pmp) = k.machine.pmp() {
+            use tt_hw::riscv::pmp::{napot_addr, PMP_R, PMP_W};
+            let mut pmp = pmp.borrow_mut();
+            let last = pmp.chip().entries() - 1;
+            pmp.write_addr(last, napot_addr(UNMAPPED, 256));
+            pmp.write_cfg(last, PMP_R | PMP_W | 3 << 3); // A = NAPOT.
+        }
+    }
+
+    #[test]
+    fn unmapped_user_accesses_fault_at_every_width() {
+        type Access = fn(&mut Kernel, usize) -> Result<(), BusFault>;
+        let accesses: [(&str, Access); 3] = [
+            ("read_u32", |k, p| k.user_read_u32(p, UNMAPPED).map(drop)),
+            ("write_u32", |k, p| k.user_write_u32(p, UNMAPPED, 1)),
+            ("write_u8", |k, p| k.user_write_u8(p, UNMAPPED, 1)),
+        ];
+        for chip in [NRF52840DK, tt_hw::platform::HIFIVE1] {
+            for (name, access) in accesses {
+                let mut k = Kernel::boot(Flavor::Granular, &chip);
+                let base = chip.map.flash.start + 0x4_0000;
+                let img = flash_app(&mut k.mem, base, "t", 0x1000, 3000, 1024).unwrap();
+                let pid = k.load_process(&img).unwrap();
+                k.processes[pid].setup_mpu();
+                grant_unmapped(&k);
+                assert!(k.user_probe(UNMAPPED, AccessType::Write), "{}", chip.name);
+                trace::enable(64);
+                let fault = access(&mut k, pid).unwrap_err();
+                let events = trace::take().events;
+                trace::disable();
+                let at = format!("{} {name}", chip.name);
+                assert_eq!(fault.kind, FaultKind::Unmapped, "{at}");
+                assert!(
+                    matches!(k.processes[pid].state, ProcessState::Faulted(_)),
+                    "{at}"
+                );
+                let pid32 = pid as u32;
+                assert!(
+                    events.contains(&TraceEvent::ProcessFault { pid: pid32 }),
+                    "{at}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn print_path_goes_through_allow_and_console() {
         for flavor in flavors() {
@@ -1296,51 +1353,203 @@ mod tests {
         }
     }
 
+    /// One SVC of the bracket table: the call, the argument words it
+    /// records, and the typed front door it goes through.
+    type SvcRow = (
+        SyscallKind,
+        [u32; 3],
+        fn(&mut Kernel, usize) -> Result<usize, ErrorCode>,
+    );
+
+    /// Success and error rows for all seven SVCs of a process whose
+    /// memory starts at `ms` and whose break is `top`.
+    fn svc_rows(ms: usize, top: usize) -> Vec<(SvcRow, bool)> {
+        let ms32 = ms as u32;
+        vec![
+            (
+                (SyscallKind::Brk, [top as u32, 0, 0], |k, p| {
+                    let top = k.processes[p].app_break();
+                    k.sys_brk(p, top).map(|()| 0)
+                }),
+                true,
+            ),
+            (
+                (SyscallKind::Brk, [0, 0, 0], |k, p| {
+                    k.sys_brk(p, 0).map(|()| 0)
+                }),
+                false,
+            ),
+            (
+                (SyscallKind::Sbrk, [16, 0, 0], |k, p| k.sys_sbrk(p, 16)),
+                true,
+            ),
+            (
+                (SyscallKind::Sbrk, [0xF000_0000, 0, 0], |k, p| {
+                    k.sys_sbrk(p, -0x1000_0000)
+                }),
+                false,
+            ),
+            (
+                (SyscallKind::Memop, [2, 0, 0], |k, p| k.sys_memop(p, 2)),
+                true,
+            ),
+            (
+                (SyscallKind::Memop, [99, 0, 0], |k, p| k.sys_memop(p, 99)),
+                false,
+            ),
+            (
+                (SyscallKind::Subscribe, [2, 0, 0], |k, p| {
+                    k.sys_subscribe(p, 2).map(|()| 0)
+                }),
+                true,
+            ),
+            (
+                (SyscallKind::Subscribe, [99, 0, 0], |k, p| {
+                    k.sys_subscribe(p, 99).map(|()| 0)
+                }),
+                false,
+            ),
+            (
+                (SyscallKind::AllowRo, [ms32 + 64, 16, 0], |k, p| {
+                    let ms = k.processes[p].memory_start();
+                    k.sys_allow_ro(p, ms + 64, 16).map(|()| 0)
+                }),
+                true,
+            ),
+            (
+                (SyscallKind::AllowRo, [0, 16, 0], |k, p| {
+                    k.sys_allow_ro(p, 0, 16).map(|()| 0)
+                }),
+                false,
+            ),
+            (
+                (SyscallKind::AllowRw, [ms32 + 64, 16, 0], |k, p| {
+                    let ms = k.processes[p].memory_start();
+                    k.sys_allow_rw(p, ms + 64, 16).map(|()| 0)
+                }),
+                true,
+            ),
+            (
+                (SyscallKind::AllowRw, [0, 16, 0], |k, p| {
+                    k.sys_allow_rw(p, 0, 16).map(|()| 0)
+                }),
+                false,
+            ),
+            (
+                (SyscallKind::Command, [driver::LED as u32, 2, 0], |k, p| {
+                    k.sys_command(p, driver::LED, 2, 0).map(|v| v as usize)
+                }),
+                true,
+            ),
+            (
+                (SyscallKind::Command, [99, 0, 0], |k, p| {
+                    k.sys_command(p, 99, 0, 0).map(|v| v as usize)
+                }),
+                false,
+            ),
+        ]
+    }
+
     #[test]
-    fn an_invalid_memop_takes_the_one_exit() {
-        let (mut k, pid) = boot_with_app(Flavor::Granular);
-        trace::enable(64);
-        let (ok, valid) = tt_hw::cycles::measure(|| k.sys_memop(pid, 2));
-        assert!(ok.is_ok());
-        let valid_events = trace::take().events;
-        trace::enable(64);
-        let (err, invalid) = tt_hw::cycles::measure(|| k.sys_memop(pid, 99));
-        let invalid_events = trace::take().events;
-        trace::disable();
-        assert_eq!(err, Err(ErrorCode::Invalid));
-        assert_eq!(
-            invalid, valid,
-            "an invalid memop charges what a valid one does"
-        );
-        let enter = |op| TraceEvent::SyscallEnter {
-            pid: pid as u32,
-            call: SyscallKind::Memop,
-            arg0: op,
-            arg1: 0,
-            arg2: 0,
-        };
-        assert_eq!(valid_events.len(), 2);
-        assert_eq!(
-            invalid_events,
-            [
-                enter(99),
-                TraceEvent::SyscallExit {
-                    pid: pid as u32,
-                    call: SyscallKind::Memop,
-                    ok: false,
-                    value: 0,
-                },
-            ]
-        );
-        assert_eq!(valid_events[0], enter(2));
-        assert!(matches!(
-            valid_events[1],
-            TraceEvent::SyscallExit {
-                call: SyscallKind::Memop,
-                ok: true,
-                ..
+    fn every_svc_takes_the_one_bracket() {
+        let exception = Cost::Exception.cycles();
+        for flavor in flavors() {
+            for ((call, args, invoke), succeeds) in {
+                let (k, pid) = boot_with_app(flavor);
+                svc_rows(
+                    k.processes[pid].memory_start(),
+                    k.processes[pid].app_break(),
+                )
+            } {
+                let (mut k, pid) = boot_with_app(flavor);
+                trace::enable(64);
+                let (result, cycles) = tt_hw::cycles::measure(|| invoke(&mut k, pid));
+                let events = trace::take().events;
+                trace::disable();
+                let row = format!("{flavor:?} {call:?} {args:x?}");
+                assert_eq!(result.is_ok(), succeeds, "{row}: {result:?}");
+                let [arg0, arg1, arg2] = args;
+                let pid32 = pid as u32;
+                assert_eq!(
+                    events.first(),
+                    Some(&TraceEvent::SyscallEnter {
+                        pid: pid32,
+                        call,
+                        arg0,
+                        arg1,
+                        arg2
+                    }),
+                    "{row}"
+                );
+                let exit = TraceEvent::SyscallExit {
+                    pid: pid32,
+                    call,
+                    ok: result.is_ok(),
+                    value: result.unwrap_or(0) as u32,
+                };
+                assert_eq!(events.last(), Some(&exit), "{row}");
+                // Entry and return charges on both paths; these handlers
+                // charge nothing of their own, so they are the whole cost.
+                assert!(cycles >= 2 * exception, "{row}: {cycles} cycles");
+                if matches!(call, SyscallKind::Memop | SyscallKind::Subscribe)
+                    || call == SyscallKind::Command && !succeeds
+                {
+                    assert_eq!(cycles, 2 * exception, "{row}");
+                }
             }
-        ));
+        }
+    }
+
+    #[test]
+    fn a_syscall_arg_injection_corrupts_arg0_of_four_svcs_only() {
+        use tt_hw::injection::{self, Injection, InjectionKind, InjectionPlan, InjectionPoint};
+        const XOR: u32 = 0x4;
+        for flavor in flavors() {
+            let (k0, pid) = boot_with_app(flavor);
+            let rows = svc_rows(
+                k0.processes[pid].memory_start(),
+                k0.processes[pid].app_break(),
+            );
+            for ((call, [arg0, ..], invoke), _) in rows.into_iter().filter(|(_, ok)| *ok) {
+                let (mut k, pid) = boot_with_app(flavor);
+                injection::arm(&InjectionPlan {
+                    seed: 0,
+                    target_pid: pid as u32,
+                    injections: vec![Injection {
+                        point: InjectionPoint::SyscallArg,
+                        at: 0,
+                        kind: InjectionKind::CorruptArg { xor: XOR },
+                    }],
+                });
+                trace::set_current_pid(pid as u32);
+                trace::enable(64);
+                let result = invoke(&mut k, pid);
+                let events = trace::take().events;
+                trace::disable();
+                trace::set_current_pid(trace::NO_PID);
+                let fired = injection::fired_count();
+                injection::disarm();
+                let corrupts = matches!(
+                    call,
+                    SyscallKind::Brk
+                        | SyscallKind::Sbrk
+                        | SyscallKind::AllowRo
+                        | SyscallKind::AllowRw
+                );
+                let row = format!("{flavor:?} {call:?}");
+                assert_eq!(fired, corrupts as u64, "{row}");
+                let recorded = events.iter().find_map(|e| match *e {
+                    TraceEvent::SyscallEnter { arg0, .. } => Some(arg0),
+                    _ => None,
+                });
+                let expected = if corrupts { arg0 ^ XOR } else { arg0 };
+                assert_eq!(recorded, Some(expected), "{row}");
+                assert!(
+                    matches!(events.last(), Some(TraceEvent::SyscallExit { ok, .. }) if *ok == result.is_ok()),
+                    "{row}"
+                );
+            }
+        }
     }
 
     #[test]
