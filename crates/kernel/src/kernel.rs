@@ -16,7 +16,7 @@
 use crate::capsules::{driver, Capsules};
 use crate::loader::AppImage;
 use crate::machine::Machine;
-use crate::process::{Flavor, Process, ProcessError, ProcessState};
+use crate::process::{within, Flavor, Process, ProcessError, ProcessState};
 use tt_hw::cycles::{charge, Cost};
 use tt_hw::mem::{AccessType, BusFault, FaultKind, PhysicalMemory, Privilege, UnmappedAccess};
 use tt_hw::platform::ChipProfile;
@@ -729,12 +729,10 @@ impl Kernel {
         let allow = if writable { p.allow_rw } else { p.allow_ro };
         let (addr, len) = allow.ok_or(ErrorCode::Invalid)?;
         let start = addr.as_usize();
-        let within = |lo: usize, hi: usize| {
-            start >= lo && start.checked_add(len).is_some_and(|end| end <= hi)
-        };
-        let flash = p.image.flash_start.as_usize();
-        if within(p.memory_start(), p.app_break())
-            || !writable && within(flash, flash + p.image.flash_size)
+        let b = p.breaks();
+        let (ram, flash) = (b.memory_start.as_usize(), b.flash_start.as_usize());
+        if within(start, len, ram, b.app_break.as_usize())
+            || !writable && within(start, len, flash, flash + b.flash_size)
         {
             Ok((start, len))
         } else {

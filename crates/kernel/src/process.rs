@@ -1,11 +1,13 @@
 //! The process abstraction, generic over kernel flavour *and* chip.
 //!
 //! To reproduce the paper's evaluation, every process operation exists in
-//! two flavours behind one interface — the **legacy** backends drive
+//! two flavours behind one interface — the **legacy** backend drives
 //! Tock's monolithic MPU abstraction (with its recomputation patterns),
-//! the **granular** backends drive TickTock's allocator — and on two
-//! architectures (Cortex-M MPU, RISC-V PMP), mirroring the paper's ARM
-//! board + QEMU RISC-V setup. Figure 11's six instrumented methods
+//! the **granular** backend drives TickTock's allocator — each written
+//! once and generic over the chip's protection unit (Cortex-M MPU, RISC-V
+//! PMP), mirroring the paper's ARM board + QEMU RISC-V setup. Both keep
+//! the kernel's one logical view of a process, an [`AppBreaks`], which
+//! [`Process::breaks`] exposes. Figure 11's six instrumented methods
 //! (`create`, `brk`, `allocate_grant`, `build_readonly_buffer`,
 //! `build_readwrite_buffer`, `setup_mpu`) are the methods of this module,
 //! cycle-charged through `tt_hw::cycles`.
@@ -18,11 +20,12 @@ use ticktock::allocator::{AppMemoryAllocator, UpdateError};
 use ticktock::cortexm::GranularCortexM;
 use ticktock::mpu::Mpu;
 use ticktock::riscv::GranularPmp;
+use ticktock::AppBreaks;
 use tt_hw::cycles::{charge_n, Cost};
 use tt_hw::{Permissions, PtrU8};
 use tt_legacy::mpu_trait::LegacyMpu;
 use tt_legacy::process::recompute_breaks;
-use tt_legacy::riscv::PmpConfig;
+use tt_legacy::riscv::{PmpConfig, RAM_ENTRY_BASE};
 use tt_legacy::{BugVariant, CortexMConfig, LegacyCortexM, LegacyRiscv};
 
 /// Which kernel flavour a process (and its kernel) runs under.
@@ -72,19 +75,11 @@ pub enum ProcessError {
 
 /// The flavour/architecture-specific memory backend of a process.
 ///
-/// Object-safe so [`Process`] can hold any of the four combinations
-/// (legacy/granular × MPU/PMP) behind one `Box`.
+/// Object-safe so [`Process`] can hold either generic backend, at any
+/// chip's protection unit, behind one `Box`.
 trait MemoryOps: fmt::Debug + std::any::Any + BackendCopy {
-    /// Start of the process memory block.
-    fn memory_start(&self) -> usize;
-    /// Total block size (process RAM + grant region).
-    fn memory_size(&self) -> usize;
-    /// Current app break.
-    fn app_break(&self) -> usize;
-    /// Current kernel break (grant-region bottom).
-    fn kernel_break(&self) -> usize;
-    /// Process flash placement (start, size).
-    fn flash(&self) -> (usize, usize);
+    /// The process's memory layout: block, breaks and flash.
+    fn breaks(&self) -> &AppBreaks;
     /// Move the app break.
     fn brk(&mut self, new_break: PtrU8) -> Result<(), ProcessError>;
     /// Allocate grant memory (moves the kernel break down).
@@ -166,106 +161,26 @@ impl<T: MemoryOps + Clone> BackendCopy for T {
 }
 
 // ---------------------------------------------------------------------
-// Legacy Cortex-M backend (monolithic, Fig. 4a).
+// Legacy backend, generic over Tock's monolithic MPU abstraction (Fig. 4a).
 // ---------------------------------------------------------------------
 
-#[derive(Clone)]
-struct LegacyArm {
-    mpu: LegacyCortexM,
-    config: CortexMConfig,
-    memory_start: usize,
-    memory_size: usize,
-    app_break: usize,
-    kernel_break: usize,
-    flash: (usize, usize),
-    /// The machine's commit cache. Legacy commits carry no generation, so
-    /// every hardware write-out invalidates it — the legacy flavor stays
-    /// the byte-for-byte differential baseline, never a cache user.
-    cache: Rc<CommitCache>,
+/// The one per-chip step of the legacy buffer check: re-derive the
+/// accessible RAM `lo..hi` from the staged configuration, charging what
+/// the legacy kernel pays for it — work the granular kernel replaces with
+/// two compares against `AppBreaks`. `None` when no RAM region is staged.
+trait LegacyRam: LegacyMpu {
+    fn accessible_ram(config: &Self::MpuConfig) -> Option<(usize, usize)>;
 }
 
-impl fmt::Debug for LegacyArm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LegacyArm")
-            .field("memory_start", &self.memory_start)
-            .field("app_break", &self.app_break)
-            .finish_non_exhaustive()
-    }
-}
-
-impl MemoryOps for LegacyArm {
-    fn memory_start(&self) -> usize {
-        self.memory_start
-    }
-    fn memory_size(&self) -> usize {
-        self.memory_size
-    }
-    fn app_break(&self) -> usize {
-        self.app_break
-    }
-    fn kernel_break(&self) -> usize {
-        self.kernel_break
-    }
-    fn flash(&self) -> (usize, usize) {
-        self.flash
-    }
-
-    fn brk(&mut self, new_break: PtrU8) -> Result<(), ProcessError> {
-        self.mpu
-            .update_app_mem_region(
-                new_break,
-                PtrU8::new(self.kernel_break),
-                Permissions::ReadWriteOnly,
-                &mut self.config,
-            )
-            .map_err(|_| ProcessError::Invalid)?;
-        self.app_break = new_break.as_usize();
-        // Tock's brk path includes "an unnecessary call to setup_mpu"
-        // (§6.2) — reproduce it.
-        self.cache.invalidate();
-        self.mpu.configure_mpu(&self.config);
-        Ok(())
-    }
-
-    fn allocate_grant(&mut self, size: usize) -> Result<PtrU8, ProcessError> {
-        // The legacy kernel re-derives the geometry and recomputes the
-        // whole MPU configuration to move the kernel break (§3.2's
-        // redundant work, the 2× of Fig. 11).
-        charge_n(Cost::Alu, 4);
-        let new_kb = (self
-            .kernel_break
-            .checked_sub(size)
-            .ok_or(ProcessError::NoMemory)?)
-            & !7;
-        if new_kb <= self.app_break {
-            return Err(ProcessError::NoMemory);
-        }
-        self.mpu
-            .update_app_mem_region(
-                PtrU8::new(self.app_break),
-                PtrU8::new(new_kb),
-                Permissions::ReadWriteOnly,
-                &mut self.config,
-            )
-            .map_err(|_| ProcessError::NoMemory)?;
-        self.cache.invalidate();
-        self.mpu.configure_mpu(&self.config);
-        self.kernel_break = new_kb;
-        Ok(PtrU8::new(new_kb))
-    }
-
-    fn buffer_in_ram(&self, addr: PtrU8, len: usize) -> bool {
-        // The legacy check re-derives the block geometry from the raw MPU
-        // registers, then walks the subregion masks in a loop to find the
-        // accessible end — work the granular kernel replaces with two
-        // compares against `AppBreaks`.
-        let Some((start, region_size)) = self.config.ram_region_geometry() else {
-            return false;
-        };
+impl LegacyRam for LegacyCortexM {
+    fn accessible_ram(config: &CortexMConfig) -> Option<(usize, usize)> {
+        // Re-derive the block geometry from the raw MPU registers, then
+        // walk the subregion masks in a loop to find the accessible end.
+        let (start, region_size) = config.ram_region_geometry()?;
         let mut accessible_end = start;
         for i in 0..16usize {
             charge_n(Cost::Branch, 1);
-            let region = &self.config.regions[if i < 8 { 0 } else { 1 }];
+            let region = &config.regions[if i < 8 { 0 } else { 1 }];
             if !region.set && i >= 8 {
                 break;
             }
@@ -276,10 +191,105 @@ impl MemoryOps for LegacyArm {
         }
         charge_n(Cost::Alu, 3);
         charge_n(Cost::Branch, 2);
-        let Some(end) = addr.as_usize().checked_add(len) else {
-            return false;
-        };
-        addr.as_usize() >= start && end <= accessible_end.min(self.app_break)
+        Some((start, accessible_end))
+    }
+}
+
+impl LegacyRam for LegacyRiscv {
+    fn accessible_ram(config: &PmpConfig) -> Option<(usize, usize)> {
+        // Re-derive the accessible bound from the staged TOR entries.
+        charge_n(Cost::Load, 4);
+        charge_n(Cost::Alu, 6);
+        let lo = (config.entries[RAM_ENTRY_BASE].1 as usize) << 2;
+        let hi = (config.entries[RAM_ENTRY_BASE + 1].1 as usize) << 2;
+        charge_n(Cost::Branch, 2);
+        Some((lo, hi))
+    }
+}
+
+#[derive(Clone)]
+struct Legacy<M: LegacyMpu> {
+    mpu: M,
+    config: M::MpuConfig,
+    /// The loader's recomputed view (`recompute_breaks`), with the kernel
+    /// break at the block top, kept by `brk` and `allocate_grant`. Built
+    /// field by field, so `AppBreaks`' invariants are never checked here,
+    /// and under `Legacy(Buggy)` they need not hold: the buggy Cortex-M
+    /// MPU code accepts a break below the block start (§2.2), and the
+    /// buggy PMP code one past the kernel break (tock#2173).
+    breaks: AppBreaks,
+    /// The machine's commit cache. Legacy commits carry no generation, so
+    /// every hardware write-out invalidates it — the legacy flavor stays
+    /// the byte-for-byte differential baseline, never a cache user.
+    cache: Rc<CommitCache>,
+}
+
+impl<M: LegacyMpu> fmt::Debug for Legacy<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Legacy")
+            .field("breaks", &self.breaks)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<M: LegacyRam + Clone + 'static> MemoryOps for Legacy<M> {
+    fn breaks(&self) -> &AppBreaks {
+        &self.breaks
+    }
+
+    fn brk(&mut self, new_break: PtrU8) -> Result<(), ProcessError> {
+        self.mpu
+            .update_app_mem_region(
+                new_break,
+                self.breaks.kernel_break,
+                Permissions::ReadWriteOnly,
+                &mut self.config,
+            )
+            .map_err(|_| ProcessError::Invalid)?;
+        self.breaks.app_break = new_break;
+        // Tock's brk path includes "an unnecessary call to setup_mpu"
+        // (§6.2) — reproduce it.
+        self.setup_mpu();
+        Ok(())
+    }
+
+    fn allocate_grant(&mut self, size: usize) -> Result<PtrU8, ProcessError> {
+        // The legacy kernel re-derives the geometry and recomputes the
+        // whole MPU configuration to move the kernel break (§3.2's
+        // redundant work, the 2× of Fig. 11).
+        charge_n(Cost::Alu, 4);
+        let new_kb = (self
+            .breaks
+            .kernel_break
+            .as_usize()
+            .checked_sub(size)
+            .ok_or(ProcessError::NoMemory)?)
+            & !7;
+        if new_kb <= self.breaks.app_break.as_usize() {
+            return Err(ProcessError::NoMemory);
+        }
+        self.mpu
+            .update_app_mem_region(
+                self.breaks.app_break,
+                PtrU8::new(new_kb),
+                Permissions::ReadWriteOnly,
+                &mut self.config,
+            )
+            .map_err(|_| ProcessError::NoMemory)?;
+        self.setup_mpu();
+        self.breaks.kernel_break = PtrU8::new(new_kb);
+        Ok(PtrU8::new(new_kb))
+    }
+
+    fn buffer_in_ram(&self, addr: PtrU8, len: usize) -> bool {
+        M::accessible_ram(&self.config).is_some_and(|(lo, hi)| {
+            within(
+                addr.as_usize(),
+                len,
+                lo,
+                hi.min(self.breaks.app_break.as_usize()),
+            )
+        })
     }
 
     fn setup_mpu(&self) {
@@ -291,116 +301,62 @@ impl MemoryOps for LegacyArm {
         // Legacy recovery is coarse: pull the kernel break back to the
         // block top (grants reclaimed); the monolithic config is rebuilt
         // wholesale on the restart that follows.
-        self.kernel_break = self.memory_start + self.memory_size;
+        self.breaks.kernel_break = PtrU8::new(self.breaks.memory_end());
         true
     }
 }
 
-// ---------------------------------------------------------------------
-// Legacy RISC-V backend (monolithic PMP).
-// ---------------------------------------------------------------------
-
-#[derive(Clone)]
-struct LegacyRv {
-    mpu: LegacyRiscv,
-    config: PmpConfig,
-    memory_start: usize,
-    memory_size: usize,
-    app_break: usize,
-    kernel_break: usize,
-    flash: (usize, usize),
-    /// See [`LegacyArm::cache`]: legacy write-outs invalidate, never hit.
-    cache: Rc<CommitCache>,
-}
-
-impl fmt::Debug for LegacyRv {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LegacyRv")
-            .field("memory_start", &self.memory_start)
-            .field("app_break", &self.app_break)
-            .finish_non_exhaustive()
-    }
-}
-
-impl MemoryOps for LegacyRv {
-    fn memory_start(&self) -> usize {
-        self.memory_start
-    }
-    fn memory_size(&self) -> usize {
-        self.memory_size
-    }
-    fn app_break(&self) -> usize {
-        self.app_break
-    }
-    fn kernel_break(&self) -> usize {
-        self.kernel_break
-    }
-    fn flash(&self) -> (usize, usize) {
-        self.flash
-    }
-
-    fn brk(&mut self, new_break: PtrU8) -> Result<(), ProcessError> {
-        self.mpu
-            .update_app_mem_region(
-                new_break,
-                PtrU8::new(self.kernel_break),
-                Permissions::ReadWriteOnly,
-                &mut self.config,
-            )
-            .map_err(|_| ProcessError::Invalid)?;
-        self.app_break = new_break.as_usize();
-        self.cache.invalidate();
-        self.mpu.configure_mpu(&self.config); // The same redundant call.
-        Ok(())
-    }
-
-    fn allocate_grant(&mut self, size: usize) -> Result<PtrU8, ProcessError> {
-        charge_n(Cost::Alu, 4);
-        let new_kb = (self
-            .kernel_break
-            .checked_sub(size)
-            .ok_or(ProcessError::NoMemory)?)
-            & !7;
-        if new_kb <= self.app_break {
-            return Err(ProcessError::NoMemory);
-        }
-        self.mpu
-            .update_app_mem_region(
-                PtrU8::new(self.app_break),
-                PtrU8::new(new_kb),
-                Permissions::ReadWriteOnly,
-                &mut self.config,
-            )
-            .map_err(|_| ProcessError::NoMemory)?;
-        self.cache.invalidate();
-        self.mpu.configure_mpu(&self.config);
-        self.kernel_break = new_kb;
-        Ok(PtrU8::new(new_kb))
-    }
-
-    fn buffer_in_ram(&self, addr: PtrU8, len: usize) -> bool {
-        // Re-derive the accessible bound from the staged TOR entries.
-        charge_n(Cost::Load, 4);
-        charge_n(Cost::Alu, 6);
-        let lo = (self.config.entries[tt_legacy::riscv::RAM_ENTRY_BASE].1 as usize) << 2;
-        let hi = (self.config.entries[tt_legacy::riscv::RAM_ENTRY_BASE + 1].1 as usize) << 2;
-        charge_n(Cost::Branch, 2);
-        let Some(end) = addr.as_usize().checked_add(len) else {
-            return false;
-        };
-        addr.as_usize() >= lo && end <= hi.min(self.app_break)
-    }
-
-    fn setup_mpu(&self) {
-        self.cache.invalidate();
-        self.mpu.configure_mpu(&self.config);
-    }
-
-    fn recover(&mut self) -> bool {
-        // See [`LegacyArm::recover`].
-        self.kernel_break = self.memory_start + self.memory_size;
-        true
-    }
+/// Builds a legacy backend the way Tock's loader does: allocate the
+/// block, place the flash region, recompute the layout the MPU code
+/// discarded (§3.2), and redundantly reconfigure the MPU.
+fn legacy<M: LegacyRam + Clone + 'static>(
+    mpu: M,
+    at: Loading<'_>,
+) -> Result<Box<dyn MemoryOps>, ProcessError> {
+    let image = at.image;
+    let mut config = M::MpuConfig::default();
+    let (start, size) = mpu
+        .allocate_app_mem_region(
+            at.unalloc_start,
+            at.unalloc_size,
+            image.min_ram_size,
+            image.min_ram_size,
+            image.kernel_reserved,
+            Permissions::ReadWriteOnly,
+            &mut config,
+        )
+        .ok_or(ProcessError::NoMemory)?;
+    mpu.allocate_flash_region(
+        image.flash_start,
+        image.flash_size,
+        Permissions::ReadExecuteOnly,
+        &mut config,
+    )
+    .ok_or(ProcessError::NoMemory)?;
+    let recomputed = recompute_breaks(
+        start.as_usize(),
+        size,
+        image.min_ram_size,
+        image.kernel_reserved,
+    );
+    mpu.configure_mpu(&config);
+    let breaks = AppBreaks {
+        memory_start: PtrU8::new(recomputed.memory_start),
+        memory_size: recomputed.memory_size,
+        app_break: PtrU8::new(recomputed.app_break),
+        // Grant allocations grow down from the block top; the
+        // `kernel_reserved` bytes are a sizing budget, not a pre-carved
+        // region.
+        kernel_break: PtrU8::new(start.as_usize() + size),
+        flash_start: image.flash_start,
+        flash_size: image.flash_size,
+    };
+    Ok(Box::new(Legacy {
+        mpu,
+        config,
+        breaks,
+        cache: Rc::clone(at.machine.cache()),
+    }))
 }
 
 // ---------------------------------------------------------------------
@@ -430,23 +386,8 @@ impl<M: Mpu + Clone + 'static> MemoryOps for Granular<M>
 where
     M::Region: PartialEq,
 {
-    fn memory_start(&self) -> usize {
-        self.alloc.breaks.memory_start.as_usize()
-    }
-    fn memory_size(&self) -> usize {
-        self.alloc.breaks.memory_size
-    }
-    fn app_break(&self) -> usize {
-        self.alloc.breaks.app_break.as_usize()
-    }
-    fn kernel_break(&self) -> usize {
-        self.alloc.breaks.kernel_break.as_usize()
-    }
-    fn flash(&self) -> (usize, usize) {
-        (
-            self.alloc.breaks.flash_start.as_usize(),
-            self.alloc.breaks.flash_size,
-        )
+    fn breaks(&self) -> &AppBreaks {
+        &self.alloc.breaks
     }
 
     fn brk(&mut self, new_break: PtrU8) -> Result<(), ProcessError> {
@@ -522,6 +463,35 @@ where
     }
 }
 
+/// Builds a granular backend: the allocator lays out the block and
+/// stages its regions, and the backend commits them once.
+fn granular<M: Mpu + Clone + 'static>(
+    mpu: M,
+    at: Loading<'_>,
+) -> Result<Box<dyn MemoryOps>, ProcessError>
+where
+    M::Region: PartialEq,
+{
+    let image = at.image;
+    let alloc = AppMemoryAllocator::<M>::allocate_app_memory(
+        at.unalloc_start,
+        at.unalloc_size,
+        image.min_ram_size,
+        image.min_ram_size,
+        image.kernel_reserved,
+        image.flash_start,
+        image.flash_size,
+    )
+    .map_err(|_| ProcessError::NoMemory)?;
+    alloc.configure_mpu(&mpu);
+    Ok(Box::new(Granular {
+        mpu,
+        alloc,
+        pid: at.pid as u32,
+        cache: Rc::clone(at.machine.cache()),
+    }))
+}
+
 // ---------------------------------------------------------------------
 // Process.
 // ---------------------------------------------------------------------
@@ -588,166 +558,40 @@ impl Clone for Process {
     }
 }
 
-fn create_backend(
+/// What a process's backend is built from: its pid, the machine it runs
+/// on, its image, and the free RAM it is loaded into.
+#[derive(Clone, Copy)]
+struct Loading<'a> {
     pid: usize,
-    flavor: Flavor,
-    machine: &Machine,
-    image: &AppImage,
+    machine: &'a Machine,
+    image: &'a AppImage,
     unalloc_start: PtrU8,
     unalloc_size: usize,
-) -> Result<Box<dyn MemoryOps>, ProcessError> {
+}
+
+fn create_backend(flavor: Flavor, at: Loading<'_>) -> Result<Box<dyn MemoryOps>, ProcessError> {
     // Every arm below commits a fresh configuration to the register file,
     // so whatever the cache thought was live is stale from here on. This
     // is what makes restart (and fault-policy respawn) invalidate: a
     // restarted process gets a new backend through this path.
-    machine.cache().invalidate();
-    match (flavor, machine.kind()) {
+    at.machine.cache().invalidate();
+    match (flavor, at.machine.kind()) {
         (Flavor::Legacy(variant), MachineKind::CortexM(hw)) => {
-            let mpu = LegacyCortexM::new(variant, std::rc::Rc::clone(hw));
-            let mut config = CortexMConfig::default();
-            let (start, size) = mpu
-                .allocate_app_mem_region(
-                    unalloc_start,
-                    unalloc_size,
-                    image.min_ram_size,
-                    image.min_ram_size,
-                    image.kernel_reserved,
-                    Permissions::ReadWriteOnly,
-                    &mut config,
-                )
-                .ok_or(ProcessError::NoMemory)?;
-            mpu.allocate_flash_region(
-                image.flash_start,
-                image.flash_size,
-                Permissions::ReadExecuteOnly,
-                &mut config,
-            )
-            .ok_or(ProcessError::NoMemory)?;
-            // The loader must now RECOMPUTE the layout (§3.2) …
-            let breaks = recompute_breaks(
-                start.as_usize(),
-                size,
-                image.min_ram_size,
-                image.kernel_reserved,
-            );
-            // … and redundantly reconfigure the MPU after recomputing.
-            mpu.configure_mpu(&config);
-            Ok(Box::new(LegacyArm {
-                mpu,
-                config,
-                memory_start: breaks.memory_start,
-                memory_size: breaks.memory_size,
-                app_break: breaks.app_break,
-                // Grant allocations grow down from the block top; the
-                // `kernel_reserved` bytes are a sizing budget, not a
-                // pre-carved region.
-                kernel_break: start.as_usize() + size,
-                flash: (image.flash_start.as_usize(), image.flash_size),
-                cache: Rc::clone(machine.cache()),
-            }))
+            legacy(LegacyCortexM::new(variant, Rc::clone(hw)), at)
         }
         (Flavor::Legacy(variant), MachineKind::Pmp(hw)) => {
-            let mpu = LegacyRiscv::new(variant, std::rc::Rc::clone(hw));
-            let mut config = PmpConfig::default();
-            let (start, size) = mpu
-                .allocate_app_mem_region(
-                    unalloc_start,
-                    unalloc_size,
-                    image.min_ram_size,
-                    image.min_ram_size,
-                    image.kernel_reserved,
-                    Permissions::ReadWriteOnly,
-                    &mut config,
-                )
-                .ok_or(ProcessError::NoMemory)?;
-            mpu.allocate_flash_region(
-                image.flash_start,
-                image.flash_size,
-                Permissions::ReadExecuteOnly,
-                &mut config,
-            )
-            .ok_or(ProcessError::NoMemory)?;
-            let breaks = recompute_breaks(
-                start.as_usize(),
-                size,
-                image.min_ram_size,
-                image.kernel_reserved,
-            );
-            mpu.configure_mpu(&config);
-            Ok(Box::new(LegacyRv {
-                mpu,
-                config,
-                memory_start: breaks.memory_start,
-                memory_size: breaks.memory_size,
-                app_break: breaks.app_break,
-                kernel_break: start.as_usize() + size,
-                flash: (image.flash_start.as_usize(), image.flash_size),
-                cache: Rc::clone(machine.cache()),
-            }))
+            legacy(LegacyRiscv::new(variant, Rc::clone(hw)), at)
         }
         (Flavor::Granular, MachineKind::CortexM(hw)) => {
-            let mpu = GranularCortexM::new(std::rc::Rc::clone(hw));
-            let alloc = AppMemoryAllocator::<GranularCortexM>::allocate_app_memory(
-                unalloc_start,
-                unalloc_size,
-                image.min_ram_size,
-                image.min_ram_size,
-                image.kernel_reserved,
-                image.flash_start,
-                image.flash_size,
-            )
-            .map_err(|_| ProcessError::NoMemory)?;
-            alloc.configure_mpu(&mpu);
-            Ok(Box::new(Granular {
-                mpu,
-                alloc,
-                pid: pid as u32,
-                cache: Rc::clone(machine.cache()),
-            }))
+            granular(GranularCortexM::new(Rc::clone(hw)), at)
+        }
+        // The PMP granularity is a chip constant; both supported values
+        // instantiate the same generic backend.
+        (Flavor::Granular, MachineKind::Pmp(hw)) if hw.borrow().chip().granularity() == 4 => {
+            granular(GranularPmp::<4>::new(Rc::clone(hw)), at)
         }
         (Flavor::Granular, MachineKind::Pmp(hw)) => {
-            // The PMP granularity is a chip constant; both supported
-            // values instantiate the same generic backend.
-            let g = hw.borrow().chip().granularity();
-            if g == 4 {
-                let mpu = GranularPmp::<4>::new(std::rc::Rc::clone(hw));
-                let alloc = AppMemoryAllocator::<GranularPmp<4>>::allocate_app_memory(
-                    unalloc_start,
-                    unalloc_size,
-                    image.min_ram_size,
-                    image.min_ram_size,
-                    image.kernel_reserved,
-                    image.flash_start,
-                    image.flash_size,
-                )
-                .map_err(|_| ProcessError::NoMemory)?;
-                alloc.configure_mpu(&mpu);
-                Ok(Box::new(Granular {
-                    mpu,
-                    alloc,
-                    pid: pid as u32,
-                    cache: Rc::clone(machine.cache()),
-                }))
-            } else {
-                let mpu = GranularPmp::<8>::new(std::rc::Rc::clone(hw));
-                let alloc = AppMemoryAllocator::<GranularPmp<8>>::allocate_app_memory(
-                    unalloc_start,
-                    unalloc_size,
-                    image.min_ram_size,
-                    image.min_ram_size,
-                    image.kernel_reserved,
-                    image.flash_start,
-                    image.flash_size,
-                )
-                .map_err(|_| ProcessError::NoMemory)?;
-                alloc.configure_mpu(&mpu);
-                Ok(Box::new(Granular {
-                    mpu,
-                    alloc,
-                    pid: pid as u32,
-                    cache: Rc::clone(machine.cache()),
-                }))
-            }
+            granular(GranularPmp::<8>::new(Rc::clone(hw)), at)
         }
     }
 }
@@ -764,7 +608,14 @@ impl Process {
         unalloc_size: usize,
     ) -> Result<Self, ProcessError> {
         let backend = tt_hw::cycles::instrument("create", || {
-            let backend = create_backend(pid, flavor, machine, image, unalloc_start, unalloc_size)?;
+            let at = Loading {
+                pid,
+                machine,
+                image,
+                unalloc_start,
+                unalloc_size,
+            };
+            let backend = create_backend(flavor, at)?;
             // Loading dominates create: copy + zero the app's requested
             // RAM (flavour-independent; the paper's ~634k cycles).
             charge_n(Cost::Store, (image.min_ram_size / 2) as u64);
@@ -782,24 +633,30 @@ impl Process {
         })
     }
 
+    /// The kernel's one view of this process's memory layout: the block,
+    /// the app and kernel breaks, and the flash placement.
+    pub fn breaks(&self) -> &AppBreaks {
+        self.backend.breaks()
+    }
+
     /// Start of the process memory block.
     pub fn memory_start(&self) -> usize {
-        self.backend.memory_start()
+        self.breaks().memory_start.as_usize()
     }
 
     /// Total block size (process RAM + grant region).
     pub fn memory_size(&self) -> usize {
-        self.backend.memory_size()
+        self.breaks().memory_size
     }
 
     /// Current app break.
     pub fn app_break(&self) -> usize {
-        self.backend.app_break()
+        self.breaks().app_break.as_usize()
     }
 
     /// Current kernel break (grant-region bottom).
     pub fn kernel_break(&self) -> usize {
-        self.backend.kernel_break()
+        self.breaks().kernel_break.as_usize()
     }
 
     /// The `brk` syscall: set the app break (Fig. 11 `brk`). A break
@@ -807,7 +664,7 @@ impl Process {
     /// the kernel would keep a handle into memory the process gave up,
     /// and a grant could later be carved out of it.
     pub fn brk(&mut self, new_break: PtrU8) -> Result<(), ProcessError> {
-        let ram = self.memory_start()..self.memory_start() + self.memory_size();
+        let ram = self.memory_start()..self.breaks().memory_end();
         let allow_end = [self.allow_ro, self.allow_rw]
             .into_iter()
             .flatten()
@@ -888,11 +745,9 @@ impl Process {
             }
             charge_n(Cost::Branch, 2);
             charge_n(Cost::Alu, 1);
-            // Checked: a hostile `len` must not wrap the end address
-            // back into the process's flash.
-            let (fs, fsz) = backend.flash();
-            let end = addr.as_usize().checked_add(len);
-            addr.as_usize() >= fs && end.is_some_and(|end| end <= fs + fsz)
+            let b = backend.breaks();
+            let flash = b.flash_start.as_usize();
+            within(addr.as_usize(), len, flash, flash + b.flash_size)
         });
         if !ok {
             return Err(ProcessError::Invalid);
@@ -1034,6 +889,12 @@ impl Process {
     }
 }
 
+/// Whether `addr..addr + len` lies in `lo..hi`. Checked: a hostile `len`
+/// that wraps the end address lies nowhere.
+pub(crate) fn within(addr: usize, len: usize, lo: usize, hi: usize) -> bool {
+    addr >= lo && addr.checked_add(len).is_some_and(|end| end <= hi)
+}
+
 /// Appends `v` as `0x`-prefixed lowercase hex, zero-padded to at least
 /// `min_digits` — `{:#0N$x}` without the `core::fmt` dispatch.
 fn push_hex(out: &mut String, v: usize, min_digits: u32) {
@@ -1066,6 +927,14 @@ mod tests {
 
     fn both_flavors() -> [Flavor; 2] {
         [Flavor::Legacy(BugVariant::Fixed), Flavor::Granular]
+    }
+
+    fn all_flavors() -> [Flavor; 3] {
+        [
+            Flavor::Legacy(BugVariant::Buggy),
+            Flavor::Legacy(BugVariant::Fixed),
+            Flavor::Granular,
+        ]
     }
 
     fn mk_on(chip: &ChipProfile, flavor: Flavor) -> Process {
@@ -1161,7 +1030,7 @@ mod tests {
     #[test]
     fn buffer_validation_accepts_ram_and_flash_ro() {
         for chip in &ALL_CHIPS {
-            for flavor in both_flavors() {
+            for flavor in all_flavors() {
                 let mut p = mk_on(chip, flavor);
                 let ms = p.memory_start();
                 p.build_readwrite_buffer(PtrU8::new(ms + 64), 128).unwrap();
@@ -1177,6 +1046,74 @@ mod tests {
                 assert!(p
                     .build_readonly_buffer(PtrU8::new(p.kernel_break()), 32)
                     .is_err());
+
+                // The boundary table: (addr, len, read-write verdict,
+                // read-only verdict).
+                let (ab, kb) = (p.app_break(), p.kernel_break());
+                let fs = p.image.flash_start.as_usize();
+                let fe = fs + p.image.flash_size;
+                let rows = [
+                    (ms - 4, 8, false, false),
+                    (ms, 8, true, true),
+                    (ab - 8, 8, true, true),
+                    (ab - 8, 16, false, false),
+                    (kb, 8, false, false),
+                    (ms, usize::MAX, false, false),
+                    (fs, 8, false, true),
+                    (fe - 8, 16, false, false),
+                ];
+                for (addr, len, rw, ro) in rows {
+                    let at = format!("{} {flavor:?} {addr:#x}+{len:#x}", chip.name);
+                    let rw_ok = p.build_readwrite_buffer(PtrU8::new(addr), len).is_ok();
+                    let ro_ok = p.build_readonly_buffer(PtrU8::new(addr), len).is_ok();
+                    assert_eq!((rw_ok, ro_ok), (rw, ro), "{at}");
+                    if rw_ok {
+                        assert!(within(addr, len, ms, ab), "{at}: RW outside RAM");
+                    }
+                    if ro_ok && !within(addr, len, ms, ab) {
+                        assert!(within(addr, len, fs, fe), "{at}: RO outside flash");
+                    }
+                    if addr.checked_add(len).is_none() {
+                        assert!(!rw_ok && !ro_ok, "{at}: wrapping length accepted");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restore_reuses_the_backend_of_every_type() {
+        for chip in &ALL_CHIPS {
+            for flavor in all_flavors() {
+                let img = image_for(chip);
+                let machine = Machine::for_chip(chip);
+                let ram = chip.map.ram;
+                let mut live =
+                    Process::create(0, flavor, &machine, &img, PtrU8::new(ram.start), ram.len())
+                        .unwrap();
+                let next = live.memory_start() + live.memory_size();
+                let mut source =
+                    Process::create(1, flavor, &machine, &img, PtrU8::new(next), ram.end - next)
+                        .unwrap();
+                source.sbrk(-256).unwrap();
+                source.allocate_grant(7, 128).unwrap();
+                let ms = source.memory_start();
+                source.build_readwrite_buffer(PtrU8::new(ms), 64).unwrap();
+                source.build_readonly_buffer(img.flash_start, 32).unwrap();
+                let at = format!("{} {flavor:?}", chip.name);
+                assert_ne!(live.breaks(), source.breaks(), "{at}");
+
+                let box_of = |p: &Process| &*p.backend as *const dyn MemoryOps as *const ();
+                let before = box_of(&live);
+                live.clone_from(&source);
+                assert_eq!(live.breaks(), source.breaks(), "{at}");
+                assert_eq!(live.grants, source.grants, "{at}");
+                assert_eq!(
+                    (live.allow_ro, live.allow_rw),
+                    (source.allow_ro, source.allow_rw),
+                    "{at}"
+                );
+                assert_eq!(box_of(&live), before, "{at}: backend box reallocated");
             }
         }
     }
