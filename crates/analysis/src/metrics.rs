@@ -641,21 +641,24 @@ pub fn coverage(report: &Report, baseline: &[Bound]) -> Vec<String> {
 /// violation, each printed as
 /// `experiment metric [layer]: value vs bound (delta)`.
 pub fn gate(report: &Report, path: &Path) -> Verdict {
-    let baseline = match read_baseline(&in_workspace(path)) {
-        Ok(b) => b,
-        Err(e) => {
-            return Verdict {
-                violations: vec![format!("unreadable baseline {e}")],
-                ..Verdict::default()
-            }
-        }
-    };
+    match read_baseline(&in_workspace(path)) {
+        Ok(baseline) => gate_bounds(report, &baseline),
+        Err(e) => Verdict {
+            violations: vec![format!("unreadable baseline {e}")],
+            ..Verdict::default()
+        },
+    }
+}
+
+/// [`gate`] on bounds already read: the coverage, failure and bound
+/// checks, without the file.
+pub fn gate_bounds(report: &Report, baseline: &[Bound]) -> Verdict {
     let exp = report.experiment;
     let mut v = Verdict {
-        violations: coverage(report, &baseline),
+        violations: coverage(report, baseline),
         ..Verdict::default()
     };
-    for (name, b) in bounds_for(report, &baseline) {
+    for (name, b) in bounds_for(report, baseline) {
         if let Some(s) = report.skipped.iter().find(|s| s.metric == name) {
             v.notes.push(format!("{exp} {name}: skipped: {}", s.reason));
             continue;
@@ -770,14 +773,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Writes `text` to a per-test temp file and gates `report` on it.
+    /// Gates `report` on the baseline `text`, parsed in memory; `tag`
+    /// names the baseline when it does not parse.
     fn gate_text(report: &Report, tag: &str, text: &str) -> Verdict {
-        let path =
-            std::env::temp_dir().join(format!("tt-baseline-{tag}-{}.json", std::process::id()));
-        std::fs::write(&path, text).unwrap();
-        let verdict = gate(report, &path);
-        let _ = std::fs::remove_file(&path);
-        verdict
+        let baseline = parse_baseline(text).unwrap_or_else(|e| panic!("baseline {tag}: {e}"));
+        gate_bounds(report, &baseline)
     }
 
     fn sample() -> Report {
@@ -864,17 +864,13 @@ mod tests {
 
     #[test]
     fn baseline_reader_parses_entries_and_rejects_malformed_files() {
-        let path =
-            std::env::temp_dir().join(format!("tt-baseline-parse-{}.json", std::process::id()));
-        std::fs::write(
-            &path,
+        let b = parse_baseline(
             r#"[
   {"metric": "fig11.arm_hit", "kind": "ceiling", "bound": 4, "tolerance": 0.1, "why": "a \"quoted\" why"},
   {"metric": "fleet.runs_per_sec", "kind": "floor", "bound": 2.4813e4, "why": "18380 x 1.35"}
 ]"#,
         )
         .unwrap();
-        let b = read_baseline(&path).unwrap();
         assert_eq!(b.len(), 2);
         assert_eq!(b[0].kind, Kind::Ceiling);
         assert_eq!(b[0].tolerance, Some(0.1));
@@ -890,10 +886,8 @@ mod tests {
             "[{\"metric\": \"x.y\", \"kind\": \"floor\", \"bound\": 1, \"why\": \"\", \"extra\": 2}]",
             "[] trailing",
         ] {
-            std::fs::write(&path, bad).unwrap();
-            assert!(read_baseline(&path).is_err(), "accepted {bad:?}");
+            assert!(parse_baseline(bad).is_err(), "accepted {bad:?}");
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Renders bounds the way `ci/bench_baseline.json` writes them.

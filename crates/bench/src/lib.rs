@@ -96,19 +96,17 @@ pub fn settle_corpus(
     }
 }
 
-/// Gates `report` on a baseline given as text (written to a per-test
-/// temp file, since the gate reads its baseline from disk).
+/// Gates `report` on a baseline given as text, parsed in memory; `tag`
+/// names the baseline when it does not parse.
 #[cfg(test)]
 pub(crate) fn gate_text(
     report: &tt_analysis::metrics::Report,
     tag: &str,
     baseline: &str,
 ) -> tt_analysis::metrics::Verdict {
-    let path = std::env::temp_dir().join(format!("tt-bench-{tag}-{}.json", std::process::id()));
-    std::fs::write(&path, baseline).unwrap();
-    let verdict = tt_analysis::metrics::gate(report, &path);
-    let _ = std::fs::remove_file(&path);
-    verdict
+    use tt_analysis::metrics::{gate_bounds, parse_baseline};
+    let bounds = parse_baseline(baseline).unwrap_or_else(|e| panic!("baseline {tag}: {e}"));
+    gate_bounds(report, &bounds)
 }
 
 #[cfg(test)]
